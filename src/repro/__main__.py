@@ -11,7 +11,7 @@ doctor BENCH [options]    run-health report: online phase segmentation +
                           pathology detectors, evidence-linked to the
                           decision ledger
 diff A.json B.json        structured diff of two exported run records
-bench list|run|history|compare|profile|migrate
+bench list|run|history|compare|profile
                           host-side performance observatory (see below)
 table1 | table2           regenerate a table
 fig2 .. fig8              regenerate a figure
@@ -654,7 +654,6 @@ def cmd_bench(args) -> None:
         "history": bench_cli.cmd_history,
         "compare": bench_cli.cmd_compare,
         "profile": bench_cli.cmd_profile,
-        "migrate": bench_cli.cmd_migrate,
     }
     handlers[args.bench_command](args)
 
@@ -1132,14 +1131,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     bench_prof_p.add_argument("--json", metavar="PATH", default=None,
                               help="write the attribution report as JSON")
 
-    bench_mig_p = bench_sub.add_parser(
-        "migrate", help="seed the history from legacy flat BENCH_*.json "
-                        "artifacts (one-shot shim)")
-    bench_mig_p.add_argument("paths", nargs="*", metavar="BENCH_*.json",
-                             help="artifacts to migrate (default: "
-                                  "BENCH_*.json in . and results/)")
-    add_bench_history_option(bench_mig_p)
-
     serve_p = sub.add_parser(
         "serve", help="run the fleet daemon: an HTTP/JSON job queue over "
                       "the engine with live /events and /metrics")
@@ -1185,8 +1176,8 @@ def main(argv: Optional[List[str]] = None) -> None:
                           metavar="N")
     submit_p.add_argument("--leg-cycles", type=positive_int, default=None,
                           metavar="N",
-                          help="shard each run into checkpoint legs of N "
-                               "cycles (run_specs_sharded)")
+                          help="run each spec as a chain of checkpoint "
+                               "legs of N cycles")
     submit_p.add_argument("--wait", action="store_true",
                           help="long-poll until the job is terminal; exit "
                                "1 if it failed")

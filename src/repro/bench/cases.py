@@ -1,11 +1,10 @@
 """The built-in benchmark cases.
 
-Each case reproduces one of the historical ``scripts/bench_*.py`` CI
-gates (same floors and ceilings), plus a full-suite smoke case; the
-scripts themselves are now thin wrappers over this registry.  Case
-functions return a **flat metrics dict** — booleans for identity
-properties, numbers for everything else — and never print or assert:
-gate evaluation and reporting belong to the caller.
+Each case carries one of the CI perf gates (a speedup floor, an
+overhead ceiling, a bit-identity equality), plus a full-suite smoke
+case.  Case functions return a **flat metrics dict** — booleans for
+identity properties, numbers for everything else — and never print or
+assert: gate evaluation and reporting belong to the caller.
 
 Cache hygiene: every case must actually simulate, so each one pins the
 runner's cache state explicitly (no disk layer unless the case manages
@@ -276,8 +275,7 @@ register(BenchCase(
 ))
 
 
-#: Keys every interval entry of an audit report must carry (the shape
-#: ``scripts/bench_audit.py`` historically pinned).
+#: Keys every interval entry of an audit report must carry.
 AUDIT_INTERVAL_KEYS = frozenset({
     "interval", "scaled_interval", "cycles", "monitoring_cycles",
     "overhead", "samples_taken", "exact_events", "exact_attributed",

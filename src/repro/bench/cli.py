@@ -3,9 +3,7 @@
 Argument *parsing* lives in :mod:`repro.__main__` with the rest of the
 CLI; this module owns the behaviour: case selection, ``--param``
 overrides, artifact/report writing, history appends, verdict printing,
-and exit codes.  The back-compat ``scripts/bench_*.py`` wrappers call
-:func:`run_gate` so a script invocation and a ``repro bench run`` of
-the same case are byte-for-byte the same measurement.
+and exit codes.
 """
 
 from __future__ import annotations
@@ -187,16 +185,11 @@ def cmd_history(args) -> None:
         primary = (e.get("primary") or {}).get("metric", "?")
         value = (e.get("metrics") or {}).get(primary)
         value_txt = f"{value:.4g}" if isinstance(value, float) else str(value)
-        flags = []
-        if not e.get("passed", True):
-            flags.append("FAILED")
-        if e.get("migrated"):
-            flags.append("migrated")
         sha = (e.get("git_sha") or "-")[:10]
         code = (e.get("code_version") or "-")[:10]
         print(f"{e.get('iso', '?'):20s} {e.get('case', '?'):8s} "
               f"{primary}={value_txt:<10s} code={code} git={sha}"
-              + (f"  [{', '.join(flags)}]" if flags else ""))
+              + ("" if e.get("passed", True) else "  [FAILED]"))
     tail = f"{len(entries)} entr(y/ies) from {args.history}"
     if skipped:
         tail += f"; {skipped} corrupt line(s) skipped"
@@ -205,14 +198,6 @@ def cmd_history(args) -> None:
 
 def cmd_compare(args) -> None:
     history, skipped = hist.load(args.history)
-    if not history and not args.from_report:
-        # First-run migration shim: lift any legacy BENCH_*.json
-        # artifacts lying around so the window is not empty.
-        seeded = hist.seed_from_artifacts(history_path=args.history)
-        if seeded:
-            print(f"seeded {len(seeded)} baseline entr(y/ies) from legacy "
-                  f"BENCH_*.json artifacts into {args.history}")
-            history, skipped = hist.load(args.history)
     if args.from_report:
         entries = _load_report(args.from_report)
     else:
@@ -259,40 +244,3 @@ def cmd_profile(args) -> None:
             json.dump(report.to_json(), fh, indent=1)
             fh.write("\n")
         print(f"profile report -> {args.json}")
-
-
-def cmd_migrate(args) -> None:
-    seeded = hist.seed_from_artifacts(args.paths or None,
-                                      history_path=args.history)
-    if not seeded:
-        print("bench migrate: no migratable BENCH_*.json artifacts found")
-        return
-    for entry in seeded:
-        print(f"  {entry['source']} -> {entry['case']} "
-              f"({entry['primary']['metric']}="
-              f"{entry['metrics'].get(entry['primary']['metric'])})")
-    print(f"seeded {len(seeded)} entr(y/ies) into {args.history}")
-
-
-def run_gate(case_name: str, overrides: Dict[str, object],
-             out: Optional[str] = None,
-             history_path: Optional[str] = None) -> int:
-    """Back-compat entry for the ``scripts/bench_*.py`` wrappers.
-
-    Runs one case with ``overrides``, prints the summary, writes the
-    legacy-named artifact, optionally appends history, and returns the
-    process exit code (0 pass / 1 gate failure).
-    """
-    case = get_case(case_name)
-    run = run_case(case, overrides)
-    _print_case_run(run)
-    entry = hist.build_entry(run)
-    if out:
-        with open(out, "w") as fh:
-            json.dump(entry, fh, indent=1, default=str)
-            fh.write("\n")
-        print(f"report -> {out}")
-    if history_path:
-        hist.append(history_path, entry)
-        print(f"history -> {history_path}")
-    return 0 if run.passed else 1

@@ -12,35 +12,24 @@ name, direction, per-case threshold, a params-key fingerprint), so
 :mod:`repro.bench.compare` works on history alone without consulting
 the live registry — entries outlive code that renames or retires a
 case.
-
-:func:`seed_from_artifacts` is the one-shot migration shim: it lifts
-legacy flat ``BENCH_<case>.json`` artifacts (written by the historical
-``scripts/bench_*.py``) into history entries so the first ``repro
-bench compare`` has a baseline instead of an empty window.
 """
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import json
 import os
-import re
 import subprocess
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.execute import CaseRun
-from repro.bench.stats import is_finite_number, robust_stats
 
 #: History line format version.
 HISTORY_SCHEMA = 1
 
 #: Default trajectory location, relative to the working directory.
 DEFAULT_HISTORY = os.path.join("results", "bench_history.jsonl")
-
-#: Legacy artifact name pattern -> case name.
-ARTIFACT_RE = re.compile(r"BENCH_([A-Za-z0-9_]+)\.json$")
 
 
 def git_sha() -> Optional[str]:
@@ -134,75 +123,3 @@ def load(path: str) -> Tuple[List[dict], int]:
             continue
         entries.append(doc)
     return entries, skipped
-
-
-def seed_from_artifacts(paths: Optional[List[str]] = None,
-                        history_path: str = DEFAULT_HISTORY) -> List[dict]:
-    """Migrate legacy flat ``BENCH_*.json`` reports into the history.
-
-    For each artifact whose name maps to a registered case, the flat
-    dict becomes that case's ``metrics``; provenance fields that old
-    reports never carried (code version, params) are filled from the
-    artifact's mtime and the case's registry defaults — the historical
-    scripts always ran their defaults in CI, which is what makes the
-    seeded entries comparable.  Unknown artifact names and unreadable
-    files are skipped.  Returns the entries appended.
-    """
-    from repro.bench.registry import REGISTRY, _ensure_cases
-
-    _ensure_cases()
-    if paths is None:
-        paths = sorted(set(glob.glob("BENCH_*.json")
-                           + glob.glob(os.path.join("results",
-                                                    "BENCH_*.json"))))
-    seeded: List[dict] = []
-    for path in paths:
-        match = ARTIFACT_RE.search(os.path.basename(path))
-        if not match or match.group(1) not in REGISTRY:
-            continue
-        case = REGISTRY[match.group(1)]
-        try:
-            with open(path, "r") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if not isinstance(doc, dict):
-            continue
-        # New-style artifacts are already history entries; re-seed
-        # their metrics, not the envelope itself.
-        metrics = doc.get("metrics") if doc.get("schema") == HISTORY_SCHEMA \
-            else doc
-        if not isinstance(metrics, dict):
-            continue
-        primary_value = metrics.get(case.primary_metric)
-        if not is_finite_number(primary_value):
-            continue
-        try:
-            ts = os.path.getmtime(path)
-        except OSError:
-            ts = time.time()
-        params = dict(case.params)
-        entry = {
-            "schema": HISTORY_SCHEMA,
-            "case": case.name,
-            "ts": ts,
-            "iso": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts)),
-            "code_version": doc.get("code_version"),
-            "git_sha": doc.get("git_sha"),
-            "migrated": True,
-            "source": path,
-            "params": params,
-            "params_key": params_key(params),
-            "primary": {
-                "metric": case.primary_metric,
-                "direction": case.primary_direction,
-                "threshold": case.compare_threshold,
-            },
-            "metrics": dict(metrics),
-            "wall": doc.get("wall") or robust_stats([]),
-            "gates": doc.get("gates") or [],
-            "passed": bool(doc.get("passed", True)),
-        }
-        append(history_path, entry)
-        seeded.append(entry)
-    return seeded

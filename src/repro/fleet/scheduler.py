@@ -138,9 +138,9 @@ class FleetScheduler:
     """Job queue + dedup + event bus + metrics over the engine.
 
     ``engine_call`` defaults to :func:`repro.harness.engine.run_specs`
-    (or :func:`run_specs_sharded` when a batch asks for ``leg_cycles``)
-    and is injectable so tests can hold a simulation in flight and
-    prove the dedup semantics deterministically.
+    (a batch's ``leg_cycles`` is passed straight through) and is
+    injectable so tests can hold a simulation in flight and prove the
+    dedup semantics deterministically.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -282,14 +282,6 @@ class FleetScheduler:
 
     # -- execution -----------------------------------------------------------
 
-    def _engine_fn(self, job: Job) -> Callable:
-        if self.engine_call is not None:
-            return self.engine_call
-        if job.leg_cycles is not None:
-            return partial(engine.run_specs_sharded,
-                           leg_cycles=job.leg_cycles)
-        return engine.run_specs
-
     async def _run_job(self, job: Job, fresh: List[RunSpec]) -> None:
         loop = asyncio.get_running_loop()
         self._queue_depth.inc()
@@ -305,11 +297,12 @@ class FleetScheduler:
             try:
                 if owned:
                     bridge = _BridgeSink(self, loop)
-                    call = self._engine_fn(job)
                     await loop.run_in_executor(
                         self._engine_pool,
-                        partial(call, owned, jobs=self.jobs,
-                                progress=bridge, batch=job.id))
+                        partial(self.engine_call or engine.run_specs,
+                                owned, jobs=self.jobs,
+                                progress=bridge, batch=job.id,
+                                leg_cycles=job.leg_cycles))
                 for spec in owned:
                     entry = self._entries[spec_key(spec)]
                     if entry.state not in TERMINAL_STATES:

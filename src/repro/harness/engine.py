@@ -7,24 +7,32 @@ across cores with a :class:`~concurrent.futures.ProcessPoolExecutor` and
 collects results in input order, which (with a fixed seed per spec)
 makes parallel output bit-identical to serial output.
 
-Workers return portable :class:`~repro.harness.record.RunRecord` JSON;
-the parent installs each record into the runner's memo and the
-persistent disk cache, so a warmed engine leaves every later
-``measure()`` call a cache hit.
+:func:`run_specs` is the only batch driver.  It runs every uncached
+spec as a *chain of legs* through one worker entry point
+(:func:`_run_leg`) and accepts every leg's outcome in one place (its
+``absorb`` step), which installs the leg's checkpoint and — once the
+chain ends — its portable :class:`~repro.harness.record.RunRecord`
+into the runner's memo and the persistent disk cache as it arrives.  A
+warmed engine therefore leaves every later ``measure()`` call a cache
+hit, and a batch that fails midway keeps what it finished.
 
 Knobs:
 
 * ``jobs`` argument > ``REPRO_JOBS`` env > ``os.cpu_count()``;
-  ``jobs=1`` is the plain serial path (debugger-friendly: no
+  ``jobs=1`` runs the same legs in-process (debugger-friendly: no
   subprocesses at all),
+* ``leg_cycles`` — when set, each run is cut on that absolute cycle
+  grid and shipped leg by leg as wire-form snapshots, so the legs of
+  many long runs interleave on the pool; unset, a chain is one leg,
 * ``trace_dir`` — when set, every worker builds a
   :class:`~repro.telemetry.Telemetry` bundle for its run and exports a
   per-run Chrome trace into the directory, preserving span export from
   worker processes,
 * ``progress`` — a :class:`ProgressSink` receiving structured job
-  events (queued / started / finished / cache-hit, with an ETA derived
-  from completed-job wall times).  :class:`StderrProgress` renders them
-  as one-line updates, :class:`JsonlProgress` appends them to an
+  events (queued / started / leg / finished / cache-hit, with an ETA
+  derived from completed-job wall times; :func:`run_specs` gives the
+  order).  :class:`StderrProgress` renders them as one-line updates,
+  :class:`JsonlProgress` appends them to an
   append-only JSONL event log, and :func:`set_default_progress`
   installs a process-wide default so the figure drivers stay
   signature-stable (the CLI's ``--progress`` / ``--progress-log``).
@@ -55,6 +63,7 @@ from repro.harness import runner
 from repro.harness.diskcache import spec_key
 from repro.harness.record import RunRecord
 from repro.harness.runner import RunSpec
+from repro.vm.snapshot import Snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +93,11 @@ def estimate_eta(elapsed: float, completed: int, total: int) -> Optional[float]:
 class JobEvent:
     """One structured fleet event.
 
-    ``kind`` is ``queued`` / ``started`` / ``finished`` / ``cache-hit``.
-    ``wall_s`` (finished only) is the job's wall time; ``eta_s``
-    (finished only) extrapolates the remaining work from the mean wall
-    time of the jobs completed so far.
+    ``kind`` is ``queued`` / ``started`` / ``leg`` / ``finished`` /
+    ``cache-hit``.  ``wall_s`` (finished only) is the job's wall time,
+    first leg to record; ``eta_s`` (finished only) extrapolates the
+    remaining work from the mean wall time of the jobs completed so
+    far.
 
     ``ts`` (monotonic seconds, stamped at construction unless given)
     orders events when several streams are multiplexed into one log;
@@ -241,22 +251,38 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _run_one(payload) -> dict:
-    """Worker entry point: simulate one spec, return its record as JSON.
+def _run_leg(payload) -> dict:
+    """Worker entry point: simulate one leg of one spec's chain.
 
-    Top-level (picklable) and self-contained: reconstructs the spec,
-    optionally attaches a fresh telemetry bundle, and exports the run's
-    spans before returning, so tracing survives process boundaries.
+    A leg starts from a shipped snapshot (or boots at cycle 0) and
+    advances to the next absolute ``leg_cycles`` grid boundary — or,
+    without ``leg_cycles``, to the end state.  Returns ``{"snapshot",
+    "record"}``: the leg's end state in wire form whenever the guest
+    has not exited (the parent ships it into the next leg and banks it
+    as a checkpoint), and the record, minted in-worker, once the chain
+    reached its end state (else None).
+
+    Top-level (picklable) and self-contained.  With ``trace_dir`` the
+    run carries a fresh telemetry bundle and exports its spans before
+    returning, so tracing survives process boundaries; a traced run's
+    end state is not captured — it would carry the live tracer.
     """
-    spec_dict, trace_dir = payload
+    spec_dict, snap_data, leg_cycles, trace_dir = payload
     spec = RunSpec(**spec_dict)
     telemetry = None
     if trace_dir:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-    result = runner.execute(spec, telemetry=telemetry)
-    record = runner.record_from_result(spec, result)
+    vm = runner.start(
+        spec, telemetry=telemetry,
+        resume_from=Snapshot.from_bytes(snap_data) if snap_data else None)
+    snaps: List[Snapshot] = []
+    result = runner.drive(
+        vm, until_cycles=spec.until_cycles, checkpoint_every=leg_cycles,
+        on_checkpoint=None if trace_dir else snaps.append, one_leg=True)
+    record = None if result is None \
+        else runner.record_from_result(spec, result).to_json()
     if trace_dir:
         from repro.telemetry.export import write_chrome_trace
 
@@ -264,23 +290,54 @@ def _run_one(payload) -> dict:
             trace_dir, f"{spec.benchmark}-{spec_key(spec)[:10]}.json")
         write_chrome_trace(path, telemetry.tracer, telemetry.metrics,
                            dict(spec_dict))
-    return record.to_json()
+    return {"snapshot": snaps[-1].to_bytes() if snaps else None,
+            "record": record}
 
 
 def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
               trace_dir: Optional[str] = None,
               progress: Optional[ProgressSink] = None,
-              batch: Optional[str] = None) -> List[RunRecord]:
+              batch: Optional[str] = None,
+              leg_cycles: Optional[int] = None) -> List[RunRecord]:
     """Compute (or recall) records for ``specs``; results in input order.
 
-    Every unique uncached spec is simulated exactly once; duplicates and
-    cache hits are free.  The round trip through RunRecord JSON is the
-    same in the serial and parallel paths, so ``jobs`` can never change
-    a result — only how fast it arrives.  ``progress`` (or the default
-    installed via :func:`set_default_progress`) observes the fleet;
-    ``batch`` tags every emitted event with the submitter's batch id so
-    concurrent engine calls sharing one sink stay demuxable.
+    Every unique uncached spec is simulated exactly once, as a *chain
+    of legs* through :func:`_run_leg`; duplicates and cache hits are
+    free.  Without ``leg_cycles`` a chain is one leg.  With it, each
+    leg stops on the absolute ``leg_cycles`` grid and its end state is
+    shipped into the next: one run cannot be parallelized internally —
+    leg N+1 needs leg N's end state — but while a spec waits for its
+    next leg to be scheduled, *other specs'* legs fill the pool, and
+    the parent overlaps installing checkpoints and finished records
+    with the simulation still in flight.
+
+    Every chain starts from the deepest cached checkpoint
+    (:func:`runner.best_snapshot`) and banks its leg-boundary and
+    truncation snapshots, so extending a bounded run simulates only
+    the delta.  Each leg's outcome is validated and installed into the
+    memo and disk layers the moment it arrives: a failure in one spec
+    re-raises only after the work already finished has been banked.
+
+    Records are bit-identical serial, pooled and legged — legs stop on
+    scheduler-quantum boundaries the unbroken run passes through, and
+    the round trip through RunRecord JSON is the same at every
+    ``jobs`` (``jobs=1`` runs the same legs in-process) — so neither
+    knob can change a result, only how fast it arrives.
+
+    ``progress`` (or the default installed via
+    :func:`set_default_progress`) observes the fleet: per chain
+    ``queued``, ``started``, one ``leg`` per shipped boundary,
+    ``finished`` (with ``wall_s`` and ``eta_s``); ``cache-hit`` for a
+    spec that needed no chain.  ``batch`` tags every emitted event
+    with the submitter's batch id so concurrent engine calls sharing
+    one sink stay demuxable.  ``trace_dir`` cannot be combined with
+    ``leg_cycles``: a trace does not span legs.
     """
+    if leg_cycles is not None:
+        if leg_cycles < 1:
+            raise ValueError(f"leg_cycles must be >= 1, got {leg_cycles}")
+        if trace_dir:
+            raise ValueError("trace_dir cannot be combined with leg_cycles")
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     progress = _resolve_progress(progress)
@@ -302,202 +359,75 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     if missing:
         total = len(missing)
         keys = [spec_key(spec) for spec in missing]
-        if progress is not None:
-            for i, spec in enumerate(missing):
-                progress.emit(JobEvent("queued", spec.benchmark, keys[i],
-                                       index=i, total=total, batch=batch))
-        payloads = [(asdict(spec), trace_dir) for spec in missing]
-        docs: List[Optional[dict]] = [None] * total
-        started = time.monotonic()
+        chain_t0 = [0.0] * total
+        batch_t0 = time.monotonic()
         completed = 0
 
-        def note_finished(i: int, wall_s: float) -> None:
-            nonlocal completed
-            completed += 1
+        def emit(kind: str, i: int, **fields) -> None:
             if progress is not None:
-                elapsed = time.monotonic() - started
-                eta = estimate_eta(elapsed, completed, total)
-                progress.emit(JobEvent(
-                    "finished", missing[i].benchmark, keys[i], index=i,
-                    total=total, completed=completed, wall_s=wall_s,
-                    eta_s=eta, batch=batch))
+                progress.emit(JobEvent(kind, missing[i].benchmark, keys[i],
+                                       index=i, total=total, batch=batch,
+                                       **fields))
 
-        if jobs == 1 or total == 1:
-            for i, payload in enumerate(payloads):
-                if progress is not None:
-                    progress.emit(JobEvent("started", missing[i].benchmark,
-                                           keys[i], index=i, total=total,
-                                           batch=batch))
-                t0 = time.monotonic()
-                docs[i] = _run_one(payload)
-                note_finished(i, time.monotonic() - t0)
-        else:
-            pool = ProcessPoolExecutor(max_workers=min(jobs, total))
-            with pool:
-                # Futures are collected as they complete (for live
-                # progress) but installed by input index, so the result
-                # order is deterministic no matter which worker
-                # finishes first.
-                submit_t0 = {}
-                futures = {}
-                for i, payload in enumerate(payloads):
-                    fut = pool.submit(_run_one, payload)
-                    futures[fut] = i
-                    submit_t0[i] = time.monotonic()
-                    if progress is not None:
-                        progress.emit(JobEvent("started",
-                                               missing[i].benchmark,
-                                               keys[i], index=i,
-                                               total=total, batch=batch))
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        i = futures[fut]
-                        docs[i] = fut.result()
-                        note_finished(i, time.monotonic() - submit_t0[i])
-        for spec, doc in zip(missing, docs):
-            runner.store_record(spec, RunRecord.from_json(doc))
+        def payload(i: int, snap_data: Optional[bytes]) -> tuple:
+            return (asdict(missing[i]), snap_data, leg_cycles, trace_dir)
 
-    return [runner.record_for(spec) for spec in specs]
-
-
-def _run_leg(payload) -> dict:
-    """Worker entry point: simulate one checkpoint leg of one spec.
-
-    A leg starts from a shipped snapshot (or cycle 0) and advances to
-    the next absolute ``leg_cycles`` grid boundary.  An unfinished leg
-    returns its boundary snapshot (wire form) for the parent to ship
-    into the next leg; the final leg runs ``finish()`` and mints the
-    record in-worker, exactly like :func:`_run_one`.
-    """
-    spec_dict, snap_data, leg_cycles = payload
-    spec = RunSpec(**spec_dict)
-    from repro.vm.snapshot import Snapshot
-
-    if snap_data is not None:
-        vm = Snapshot.from_bytes(snap_data).restore()
-    else:
-        from repro.vm.vmcore import VM
-        from repro.workloads import suite
-
-        workload = suite.build(spec.benchmark)
-        config = spec.system_config(workload.min_heap_bytes)
-        vm = VM(workload.program, config, compilation_plan=workload.plan)
-        vm.begin()
-    grid = (vm.cpu.cycles // leg_cycles + 1) * leg_cycles
-    stop = grid if spec.until_cycles is None \
-        else min(grid, spec.until_cycles)
-    done = vm.advance(until_cycles=stop)
-    truncated = (not done and spec.until_cycles is not None
-                 and vm.cpu.cycles >= spec.until_cycles)
-    if not done and not truncated:
-        return {"kind": "snapshot",
-                "data": Snapshot.capture(vm).to_bytes()}
-    end_state = None if done else Snapshot.capture(vm).to_bytes()
-    record = runner.record_from_result(spec, vm.finish())
-    return {"kind": "record", "record": record.to_json(),
-            "end_state": end_state}
-
-
-def run_specs_sharded(specs: Iterable[RunSpec], leg_cycles: int,
-                      jobs: Optional[int] = None,
-                      progress: Optional[ProgressSink] = None,
-                      batch: Optional[str] = None,
-                      ) -> List[RunRecord]:
-    """Compute records with each run pipelined as checkpoint legs.
-
-    One run cannot be parallelized internally — leg N+1 needs leg N's
-    end state — but while a spec waits for its next leg to be
-    scheduled, *other specs'* legs fill the pool, and the parent
-    overlaps its per-leg analysis work (installing checkpoints and
-    finished records into the cache layers) with the simulation still
-    in flight.  A suite of long runs therefore finishes in roughly
-    ``max`` instead of ``sum`` of the per-spec chains on multi-core.
-
-    Results are bit-identical to :func:`run_specs`: legs stop on the
-    same scheduler-quantum boundaries the unbroken run passes through,
-    and every leg boundary snapshot feeds the runner's snapshot cache
-    so later ``until_cycles`` extensions resume instead of re-running.
-    """
-    if leg_cycles < 1:
-        raise ValueError(f"leg_cycles must be >= 1, got {leg_cycles}")
-    specs = list(specs)
-    jobs = resolve_jobs(jobs)
-    progress = _resolve_progress(progress)
-
-    from repro.vm.snapshot import Snapshot
-
-    missing: List[RunSpec] = []
-    seen = set()
-    for spec in specs:
-        if spec not in seen:
-            seen.add(spec)
-            if runner.cached_record(spec) is None:
-                missing.append(spec)
-            elif progress is not None:
-                progress.emit(JobEvent("cache-hit", spec.benchmark,
-                                       spec_key(spec), index=len(seen) - 1,
-                                       total=0, batch=batch))
-
-    if missing:
-        total = len(missing)
-        keys = [spec_key(spec) for spec in missing]
-        payloads = [(asdict(spec), None, leg_cycles) for spec in missing]
-        started = time.monotonic()
-        completed = 0
+        def launch(i: int) -> tuple:
+            """Start chain ``i``: its first leg's payload."""
+            emit("started", i)
+            chain_t0[i] = time.monotonic()
+            snap = None if trace_dir else runner.best_snapshot(missing[i])
+            return payload(i, snap.to_bytes() if snap is not None else None)
 
         def absorb(i: int, outcome: dict) -> Optional[tuple]:
-            """Install a leg's product; next payload if the chain
-            continues, None when the spec is done."""
+            """Accept one leg's outcome; the next leg's payload, or
+            None when the chain is done."""
             nonlocal completed
-            for data in (outcome.get("data"), outcome.get("end_state")):
-                if data is not None:
-                    runner.store_snapshot(missing[i],
-                                          Snapshot.from_bytes(data))
-            if outcome["kind"] == "snapshot":
-                if progress is not None:
-                    progress.emit(JobEvent("leg", missing[i].benchmark,
-                                           keys[i], index=i, total=total,
-                                           completed=completed, batch=batch))
-                return (payloads[i][0], outcome["data"], leg_cycles)
-            runner.store_record(missing[i],
-                                RunRecord.from_json(outcome["record"]))
+            snap_data, doc = outcome["snapshot"], outcome["record"]
+            if snap_data is not None:
+                runner.store_snapshot(missing[i],
+                                      Snapshot.from_bytes(snap_data))
+            if doc is None:
+                if snap_data is None:
+                    raise ValueError(f"leg of {keys[i]} returned neither "
+                                     f"a record nor a snapshot")
+                emit("leg", i, completed=completed)
+                return payload(i, snap_data)
+            runner.store_record(missing[i], RunRecord.from_json(doc))
             completed += 1
-            if progress is not None:
-                elapsed = time.monotonic() - started
-                eta = estimate_eta(elapsed, completed, total)
-                progress.emit(JobEvent("finished", missing[i].benchmark,
-                                       keys[i], index=i, total=total,
-                                       completed=completed, eta_s=eta,
-                                       batch=batch))
+            now = time.monotonic()
+            emit("finished", i, completed=completed,
+                 wall_s=now - chain_t0[i],
+                 eta_s=estimate_eta(now - batch_t0, completed, total))
             return None
 
-        if progress is not None:
-            for i, spec in enumerate(missing):
-                progress.emit(JobEvent("queued", spec.benchmark, keys[i],
-                                       index=i, total=total, batch=batch))
+        for i in range(total):
+            emit("queued", i)
         if jobs == 1 or total == 1:
             for i in range(total):
-                payload = payloads[i]
-                while payload is not None:
-                    payload = absorb(i, _run_leg(payload))
+                leg = launch(i)
+                while leg is not None:
+                    leg = absorb(i, _run_leg(leg))
         else:
             with ProcessPoolExecutor(max_workers=min(jobs, total)) as pool:
-                futures = {pool.submit(_run_leg, payloads[i]): i
+                futures = {pool.submit(_run_leg, launch(i)): i
                            for i in range(total)}
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
+                failure: Optional[Exception] = None
+                while futures:
+                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
                     for fut in done:
                         i = futures.pop(fut)
-                        nxt = absorb(i, fut.result())
-                        if nxt is not None:
-                            fresh = pool.submit(_run_leg, nxt)
-                            futures[fresh] = i
-                            pending.add(fresh)
+                        try:
+                            leg = absorb(i, fut.result())
+                        except Exception as exc:
+                            # Keep banking what the other workers
+                            # finish; ship no further legs.
+                            failure = failure or exc
+                            continue
+                        if leg is not None and failure is None:
+                            futures[pool.submit(_run_leg, leg)] = i
+                if failure is not None:
+                    raise failure
 
     return [runner.record_for(spec) for spec in specs]
 

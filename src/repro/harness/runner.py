@@ -140,12 +140,32 @@ def set_disk_cache(cache: Optional[diskcache.DiskCache]) -> None:
     _DISK_RESOLVED = True
 
 
+def start(spec: RunSpec, telemetry=None, fastpath=None,
+          lineage=None, health=None,
+          resume_from: Optional[Snapshot] = None) -> VM:
+    """A begun VM for ``spec``, ready for :func:`drive`.
+
+    ``resume_from`` continues a captured :class:`Snapshot` instead of
+    booting at cycle 0 — bit-identical to the unbroken run.  A resumed
+    run keeps the snapshot's own telemetry/lineage/health observers
+    (they hold the already-recorded prefix); only ``fastpath`` may be
+    overridden.
+    """
+    if resume_from is not None:
+        return resume_from.restore(fastpath=fastpath)
+    vm, _ = make_vm(spec.benchmark, spec, telemetry=telemetry,
+                    fastpath=fastpath, lineage=lineage, health=health)
+    vm.begin()
+    return vm
+
+
 def execute(spec: RunSpec, telemetry=None, fastpath=None,
             lineage=None, health=None,
             resume_from: Optional[Snapshot] = None,
             checkpoint_every: Optional[int] = None,
             on_checkpoint=None) -> RunResult:
-    """Run one spec once (no caching).
+    """Run one spec once (no caching): :func:`start`, then
+    :func:`drive` to the end state.
 
     ``telemetry``, ``lineage``, ``health``, and ``fastpath`` ride on
     the :class:`SystemConfig`, never on the frozen spec, so they cannot
@@ -155,69 +175,56 @@ def execute(spec: RunSpec, telemetry=None, fastpath=None,
     so a record computed under any knob setting is valid for all of
     them.
 
-    ``resume_from`` continues a captured :class:`Snapshot` instead of
-    simulating from cycle 0 — bit-identical to the unbroken run.  A
-    resumed run keeps the snapshot's own telemetry/lineage observers
-    (they hold the already-recorded prefix); only ``fastpath`` may be
-    overridden.  ``checkpoint_every`` slices the run on an absolute
-    cycle grid and hands each boundary snapshot to ``on_checkpoint``;
-    the grid is absolute (multiples of the stride, not offsets from
-    the start) so resumed legs land on the same checkpoints the
-    unbroken run would.
+    ``checkpoint_every`` slices the run on an absolute cycle grid and
+    hands each boundary snapshot to ``on_checkpoint``; the grid is
+    absolute (multiples of the stride, not offsets from the start) so
+    resumed legs land on the same checkpoints the unbroken run would.
     """
-    if spec.interval not in INTERVAL_NAMES:
-        raise ValueError(f"unknown interval {spec.interval!r}")
-    if resume_from is not None:
-        vm = resume_from.restore(fastpath=fastpath)
-    else:
-        workload = suite.build(spec.benchmark)
-        config = spec.system_config(workload.min_heap_bytes)
-        if telemetry is not None:
-            config.telemetry = telemetry
-        if lineage is not None:
-            config.lineage = lineage
-        if health is not None:
-            config.health = health
-        if fastpath is not None:
-            config.fastpath = fastpath
-        vm = VM(workload.program, config, compilation_plan=workload.plan)
-        vm.begin()
-    return _drive(vm, until_cycles=spec.until_cycles,
-                  checkpoint_every=checkpoint_every,
-                  on_checkpoint=on_checkpoint)
+    vm = start(spec, telemetry=telemetry, fastpath=fastpath,
+               lineage=lineage, health=health, resume_from=resume_from)
+    return drive(vm, until_cycles=spec.until_cycles,
+                 checkpoint_every=checkpoint_every,
+                 on_checkpoint=on_checkpoint)
 
 
-def _drive(vm: VM, until_cycles: Optional[int] = None,
-           checkpoint_every: Optional[int] = None,
-           on_checkpoint=None) -> RunResult:
+def drive(vm: VM, until_cycles: Optional[int] = None,
+          checkpoint_every: Optional[int] = None,
+          on_checkpoint=None, one_leg: bool = False) -> Optional[RunResult]:
     """Advance a begun (or restored) VM to its end state and finish it.
 
     The end state is completion, or the first scheduler-quantum
-    boundary past ``until_cycles``.  When the run is truncated by the
-    bound, a final snapshot is captured *before* ``finish()`` (whose
-    sample drain mutates controller state), so the same simulation
-    yields both the truncated record and the checkpoint a later
-    extension resumes from.
+    boundary past ``until_cycles``.  Every stop short of completion —
+    a ``checkpoint_every`` grid boundary, or the truncating bound — is
+    captured *before* ``finish()`` (whose sample drain mutates
+    controller state) and handed to ``on_checkpoint``, so the same
+    simulation yields both the truncated record and the checkpoint a
+    later extension resumes from.
+
+    With ``one_leg`` the VM stops at the first grid boundary and the
+    call returns None unless that leg reached the end state; a chain
+    of such legs, each resumed from the previous one's checkpoint, is
+    the unbroken run (this is how the engine ships a run through
+    worker processes).  This loop is the only place ``SIM_CYCLES``
+    (per simulated cycle) and ``SIM_RUNS`` (per run finished) move.
     """
     global SIM_RUNS, SIM_CYCLES
-    SIM_RUNS += 1
     start_cycles = vm.cpu.cycles
-    done = False
-    while not done:
+    while True:
         stop = until_cycles
         if checkpoint_every:
             grid = (vm.cpu.cycles // checkpoint_every + 1) * checkpoint_every
             stop = grid if until_cycles is None else min(grid, until_cycles)
         done = vm.advance(until_cycles=stop)
-        if done:
-            break
-        if until_cycles is not None and vm.cpu.cycles >= until_cycles:
-            break
-        if on_checkpoint is not None:
+        if not done and on_checkpoint is not None:
             on_checkpoint(Snapshot.capture(vm))
-    if not done and on_checkpoint is not None:
-        on_checkpoint(Snapshot.capture(vm))
+        ended = done or (until_cycles is not None
+                         and vm.cpu.cycles >= until_cycles)
+        if ended or one_leg:
+            break
     SIM_CYCLES += vm.cpu.cycles - start_cycles
+    if not ended:
+        return None
+    SIM_RUNS += 1
     return vm.finish()
 
 
@@ -350,7 +357,7 @@ def _record_via_reseed(spec: RunSpec,
         vm = candidates[cycle].restore()
         if not snapshot_mod.reseed(vm, spec.seed):
             continue
-        record = record_from_result(spec, _drive(vm, until_cycles=bound))
+        record = record_from_result(spec, drive(vm, until_cycles=bound))
         store_record(spec, record)
         return record
     return None
@@ -408,12 +415,15 @@ def clear_cache(disk: bool = False) -> None:
 def make_vm(benchmark: str, spec: Optional[RunSpec] = None,
             telemetry=None, fastpath=None,
             lineage=None, health=None) -> Tuple[VM, object]:
-    """Build a VM without running it (for experiments that intervene
-    mid-run, like Figure 8's manual gap insertion).
+    """Build a VM without running it — the one place a spec becomes a
+    VM.  :func:`start` boots it; experiments that intervene mid-run,
+    like Figure 8's manual gap insertion, drive it themselves.
 
     Returns ``(vm, workload)``.
     """
     spec = spec or RunSpec(benchmark=benchmark, coalloc=True)
+    if spec.interval not in INTERVAL_NAMES:
+        raise ValueError(f"unknown interval {spec.interval!r}")
     workload = suite.build(benchmark)
     config = spec.system_config(workload.min_heap_bytes)
     if telemetry is not None:

@@ -19,18 +19,18 @@ frame switches.  Reentrant charges (PEBS microcode costs arriving
 through ``charge`` *during* a memory access) remain correct because
 cycle accounting is purely additive.
 
-Three interpreters execute the same compiled code:
+Two drivers execute the same compiled code at three levels:
 
-* the **reference** interpreter (:meth:`CPU._run_reference`) — the
-  ``if/elif`` dispatch chain below, kept as the differential oracle,
-* the **translated** fastpath (:meth:`CPU._run_translated`) — threaded
-  dispatch through per-instruction closures built once per method by
-  :mod:`repro.hw.translate` (level 1),
-* the **superblock** fastpath (:meth:`CPU._run_superblock`) — the same
-  driver plus whole-run dispatch through fused straight-line closures
-  with batched memory simulation (level 2, the default).
+* the **reference** interpreter (:meth:`CPU._run_reference`, level 0) —
+  the ``if/elif`` dispatch chain below, kept as the differential oracle,
+* the **fast** driver (:meth:`CPU._run_fast`) — threaded dispatch
+  through per-instruction closures built once per method by
+  :mod:`repro.hw.translate` (level 1), plus whole-run dispatch through
+  fused straight-line superblock closures with batched memory
+  simulation wherever the translation carries one (level 2, the
+  default; a level-1 translation's block table is simply empty).
 
-They are bit-identical in every observable (cycles, instructions,
+The levels are bit-identical in every observable (cycles, instructions,
 memory-access order, scheduler polls, faults); ``REPRO_FASTPATH``
 (``0``/``1``/``2``) or ``SystemConfig.fastpath`` selects the level —
 see :func:`repro.core.config.fastpath_level`.
@@ -107,8 +107,6 @@ class CPU:
         #: closures, 2 superblocks (the default); see
         #: :func:`repro.core.config.fastpath_level`.
         self.fastpath_level = fastpath_level(fastpath)
-        #: Boolean surface kept for older call sites: any translated level.
-        self.fastpath = self.fastpath_level > 0
         #: Shared latency accumulator the translated handlers add memory
         #: and allocation cycles into; the fastpath driver folds it into
         #: ``self.cycles`` at the same flush points as the reference loop.
@@ -194,31 +192,39 @@ class CPU:
 
     def run(self, until_cycles: Optional[int] = None) -> None:
         """Run until the call stack empties (or a cycle deadline passes)."""
-        if self.fastpath_level >= 2:
-            self._run_superblock(until_cycles)
-        elif self.fastpath_level == 1:
-            self._run_translated(until_cycles)
+        if self.fastpath_level >= 1:
+            self._run_fast(until_cycles)
         else:
             self._run_reference(until_cycles)
 
-    def _run_superblock(self, until_cycles: Optional[int] = None) -> None:
-        """Superblock dispatch: fused straight-line runs, batched memory.
+    def _run_fast(self, until_cycles: Optional[int] = None) -> None:
+        """The fast driver: closure dispatch, fused runs, batched memory.
 
-        The driver is :meth:`_run_translated` plus one extra dispatch
-        tier: when a superblock starts at ``pc`` *and* its whole run
-        fits the remaining scheduler-quantum budget, the fused closure
-        executes the entire run (its memory accesses join the pending
-        segment list) and the budget drops by the run length — so
-        flushes, scheduler polls, and the ``until_cycles`` check still
-        land on exactly every 128th instruction, as the reference does.
-        The pending accesses of consecutively chained blocks are
-        simulated in one ``access_run_segments`` call at the quantum
-        boundary, or earlier if a per-instruction fallback, write
-        barrier, or guest fault needs the memory state.  A run that
-        would overshoot the quantum (and a branch landing mid-block)
-        falls back to per-instruction dispatch until the next block
-        start, which is the split that keeps sliced ``until_cycles``
-        replay bit-identical.
+        Every instruction has a per-instruction closure.  ``n`` counts
+        instructions locally (base cycles are ``n * instruction_cost``,
+        since every instruction costs the same), memory latencies arrive
+        through ``self._cyc_cell``, and both are flushed to
+        ``self.cycles`` / ``self.instructions`` at scheduler-quantum
+        boundaries, GC points, and frame switches — the points where the
+        scheduler, the GC, and the profiler observe the clock, exactly
+        as in :meth:`_run_reference`.
+
+        At level 2 the translation also carries superblocks: when one
+        starts at ``pc`` *and* its whole run fits the remaining
+        scheduler-quantum budget, the fused closure executes the entire
+        run (its memory accesses join the pending segment list) and the
+        budget drops by the run length — so flushes, scheduler polls,
+        and the ``until_cycles`` check still land on exactly every
+        128th instruction, as the reference does.  The pending accesses
+        of consecutively chained blocks are simulated in one
+        ``access_run_segments`` call at the quantum boundary, or
+        earlier if a per-instruction fallback, write barrier, or guest
+        fault needs the memory state.  A run that would overshoot the
+        quantum (and a branch landing mid-block) falls back to
+        per-instruction dispatch until the next block start, which is
+        the split that keeps sliced ``until_cycles`` replay
+        bit-identical.  At level 1 the block table is all ``None``, so
+        every instruction takes the per-instruction path.
         """
         icost = self.config.instruction_cost
         runtime = self.runtime
@@ -283,112 +289,6 @@ class CPU:
                 if next_pc >= 0:
                     pc = next_pc
                 elif next_pc == CALL_SENT:
-                    self.cycles += cell[0] + n * icost + CALL_OVERHEAD
-                    self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    target = self._call_target
-                    args = self._call_args
-                    self._call_target = None
-                    self._call_args = None
-                    callee = runtime.compiled_code_for(target)
-                    if self.profiler is not None:
-                        self.profiler.on_call(target, self.cycles)
-                    self.calls += 1
-                    self._push_frame(callee, args)
-                    switch = True
-                elif next_pc == RET_SENT:
-                    value = self._ret_value
-                    self._ret_value = None
-                    self.cycles += cell[0] + n * icost
-                    self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    if self.profiler is not None:
-                        self.profiler.on_return(self.cycles)
-                    frames.pop()
-                    if frames:
-                        caller = frames[-1]
-                        call_inst = caller.cm.code[caller.pc]
-                        if call_inst.rd is not None:
-                            caller.regs[call_inst.rd] = value
-                        caller.pc += 1
-                    else:
-                        self.exit_value = value
-                    switch = True
-                else:
-                    # Allocation (GC point): flush, then run phase 2 so
-                    # a collection sees a consistent clock and roots.
-                    pc = ~next_pc
-                    self.cycles += cell[0] + n * icost
-                    self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    alloc_cost = phase2[pc](regs)
-                    cell[0] += alloc_cost
-                    pc += 1
-
-                budget -= 1
-                if budget <= 0:
-                    budget = SCHED_QUANTUM
-                    self.cycles += cell[0] + n * icost
-                    self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    if scheduler is not None:
-                        next_time = scheduler.next_time
-                        if next_time is not None and next_time <= self.cycles:
-                            frame.pc = pc
-                            scheduler.run_due(self.cycles)
-                    if until_cycles is not None and self.cycles >= until_cycles:
-                        frame.pc = pc
-                        self.sync_counters()
-                        return
-            if cell[0] or n:
-                self.cycles += cell[0] + n * icost
-                self.instructions += n
-                cell[0] = 0
-        self.sync_counters()
-
-    def _run_translated(self, until_cycles: Optional[int] = None) -> None:
-        """Threaded dispatch through per-method closure tables.
-
-        The driver mirrors :meth:`_run_reference` exactly: ``n`` counts
-        instructions locally (base cycles are ``n * instruction_cost``,
-        since every instruction costs the same), memory latencies arrive
-        through ``self._cyc_cell``, and both are flushed to
-        ``self.cycles`` / ``self.instructions`` at scheduler-quantum
-        boundaries, GC points, and frame switches — the points where the
-        scheduler, the GC, and the profiler observe the clock.
-        """
-        icost = self.config.instruction_cost
-        runtime = self.runtime
-        scheduler = self.scheduler
-        frames = self.frames
-        cell = self._cyc_cell
-        cell[0] = 0
-        budget = SCHED_QUANTUM
-
-        while frames:
-            frame = frames[-1]
-            cm = frame.cm
-            translation = translation_for(cm, self)
-            handlers = translation.handlers
-            phase2 = translation.phase2
-            regs = frame.regs
-            slots = frame.slots
-            pc = frame.pc
-            switch = False
-            n = 0     # local instruction delta
-
-            while not switch:
-                n += 1
-                next_pc = handlers[pc](frame, regs, slots)
-                if next_pc >= 0:
-                    pc = next_pc
-                elif next_pc == CALL_SENT:
-                    # The handler anchored frame.pc, charged any vtable
-                    # header access, and stashed the target and args.
                     self.cycles += cell[0] + n * icost + CALL_OVERHEAD
                     self.instructions += n
                     cell[0] = 0

@@ -74,18 +74,19 @@ Handler = Callable[..., int]
 class Translation:
     """The compiled form of one method for one CPU.
 
-    ``blocks`` (built only at fastpath level 2) is a per-pc table:
-    ``blocks[pc]`` is ``(length, closure)`` when a superblock starts at
-    ``pc`` and ``None`` everywhere else, so the driver can test
-    eligibility with one list index.  Mid-block pcs are always ``None``
-    — a quantum split or branch landing inside a fused run simply
-    executes per-instruction until the next block start.
+    ``blocks`` is a per-pc table: ``blocks[pc]`` is ``(length,
+    closure)`` when a superblock starts at ``pc`` and ``None``
+    everywhere else (all ``None`` below fastpath level 2), so the
+    driver can test eligibility with one list index.  Mid-block pcs
+    are always ``None`` — a quantum split or branch landing inside a
+    fused run simply executes per-instruction until the next block
+    start.
     """
 
     __slots__ = ("cpu", "handlers", "phase2", "blocks")
 
     def __init__(self, cpu, handlers: List[Handler],
-                 phase2: Dict[int, Callable], blocks=None):
+                 phase2: Dict[int, Callable], blocks: List):
         self.cpu = cpu
         self.handlers = handlers
         self.phase2 = phase2
@@ -753,9 +754,10 @@ def translate(cm, cpu) -> Translation:
         else:
             h = _h_bad(f"illegal opcode {op}", method, pc)
         handlers.append(h)
-    blocks = None
     if getattr(cpu, "fastpath_level", 0) >= 2:
         blocks = compile_superblocks(cm, cpu)
+    else:
+        blocks = [None] * len(cm.code)
     return Translation(cpu, handlers, phase2, blocks)
 
 
@@ -1226,7 +1228,7 @@ def superblock_source(cm) -> tuple:
     return "\n".join(lines) + "\n", consts, ranges
 
 
-def compile_superblocks(cm, cpu) -> "List | None":
+def compile_superblocks(cm, cpu) -> List:
     """Build the per-pc superblock table for ``cm`` bound to ``cpu``."""
     built = superblock_source(cm)
     blocks: List = [None] * len(cm.code)

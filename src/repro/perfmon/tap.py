@@ -48,9 +48,12 @@ class IntervalTap:
         vm = self.vm
         if now_cycle <= self._prev_cycle:
             return  # final drain landed on the same boundary: no new data
-        counts = vm.counters.counts
-        l1_access = counts["L1D_ACCESS"]
-        l1_miss = counts["L1D_MISS"]
+        # The memory system's live tallies, not ``vm.counters``: that
+        # bank is only folded at the end of an ``advance()``, so reading
+        # it would make the feature depend on how the run was sliced.
+        memsys = vm.memsys
+        l1_access = memsys.n_loads + memsys.n_stores
+        l1_miss = memsys.n_l1_miss
         alloc_bytes = vm.plan.stats.alloc_bytes
         compiled = len(vm.codecache)
 

@@ -118,7 +118,6 @@ class Snapshot:
         if fastpath is not None:
             vm.config.fastpath = fastpath
             vm.cpu.fastpath_level = fastpath_level(fastpath)
-            vm.cpu.fastpath = vm.cpu.fastpath_level > 0
         return vm
 
     # -- serialization -----------------------------------------------------

@@ -4,8 +4,8 @@ The regression-detection edge cases are the heart of this file: empty
 history, a single-entry baseline, code-version mismatch filtering,
 zero/NaN metric guards, verdict thresholds straddling exactly-at-limit
 values, and history-file corruption tolerance.  The registry, the
-execution harness, the migration shim, the self-profiler, and the CLI
-surface are covered around them.
+execution harness, the self-profiler, and the CLI surface are covered
+around them.
 """
 
 import json
@@ -270,50 +270,6 @@ class TestHistory:
         assert skipped == 4
 
 
-class TestMigration:
-    def test_legacy_flat_artifact_seeded(self, tmp_path):
-        artifact = tmp_path / "BENCH_interp.json"
-        artifact.write_text(json.dumps(
-            {"benchmark": "compress", "speedup": 1.93, "identical": True,
-             "passed": True}))
-        history = str(tmp_path / "h.jsonl")
-        seeded = hist.seed_from_artifacts([str(artifact)], history)
-        assert len(seeded) == 1
-        doc = seeded[0]
-        assert doc["case"] == "interp" and doc["migrated"] is True
-        assert doc["metrics"]["speedup"] == 1.93
-        assert doc["ts"] == os.path.getmtime(str(artifact))
-        # Comparability hinges on the registry-default params fingerprint.
-        assert doc["params_key"] \
-            == hist.params_key(dict(get_case("interp").params))
-        entries, skipped = hist.load(history)
-        assert len(entries) == 1 and skipped == 0
-
-    def test_new_style_artifact_reseeds_metrics(self, tmp_path):
-        artifact = tmp_path / "BENCH_lineage.json"
-        artifact.write_text(json.dumps({
-            "schema": hist.HISTORY_SCHEMA, "case": "lineage",
-            "metrics": {"overhead_ratio": 1.02}, "passed": True}))
-        seeded = hist.seed_from_artifacts(
-            [str(artifact)], str(tmp_path / "h.jsonl"))
-        assert len(seeded) == 1
-        assert seeded[0]["metrics"] == {"overhead_ratio": 1.02}
-
-    def test_unmigratable_artifacts_skipped(self, tmp_path):
-        unknown = tmp_path / "BENCH_unknown.json"
-        unknown.write_text(json.dumps({"speedup": 2.0}))
-        corrupt = tmp_path / "BENCH_interp.json"
-        corrupt.write_text("{torn")
-        nonfinite = tmp_path / "BENCH_audit.json"
-        nonfinite.write_text(json.dumps({"audit_wall_s": "fast"}))
-        wrong_name = tmp_path / "notes.json"
-        wrong_name.write_text(json.dumps({"speedup": 2.0}))
-        seeded = hist.seed_from_artifacts(
-            [str(p) for p in (unknown, corrupt, nonfinite, wrong_name)],
-            str(tmp_path / "h.jsonl"))
-        assert seeded == []
-
-
 # ---------------------------------------------------------------------------
 # Regression detection
 # ---------------------------------------------------------------------------
@@ -522,7 +478,7 @@ class TestBenchCli:
         assert doc["schema"] == 1 and doc["passed"]
         assert [e["case"] for e in doc["entries"]] == ["fake"]
 
-    def test_run_gate_failure_exits_nonzero(self, monkeypatch, tmp_path):
+    def test_gate_failure_exits_nonzero(self, monkeypatch, tmp_path):
         all_cases()
         failing = make_case(name="failing",
                             gates=[Gate("value", "<=", "floor")])
@@ -601,34 +557,19 @@ class TestBenchCli:
             main(["bench", "compare", "--from", str(bogus),
                   "--history", str(tmp_path / "h.jsonl")])
 
-    def test_compare_auto_seeds_from_legacy_artifacts(self, fake_case,
-                                                      tmp_path, monkeypatch,
-                                                      capsys):
-        # Empty history + a legacy flat artifact in the working directory:
-        # the first compare lifts the artifact into a baseline, so the
-        # fresh run scores "ok" instead of "no-baseline".
+    def test_compare_ignores_stray_artifacts(self, fake_case, tmp_path,
+                                             monkeypatch, capsys):
+        # Only the history is a baseline: an artifact lying in the
+        # working directory must not be lifted into one.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "BENCH_fake.json").write_text(json.dumps(
             {"value": 100.0, "identical": True, "passed": True}))
         history = str(tmp_path / "h.jsonl")
         main(["bench", "compare", "fake", "--history", history,
               "--no-artifacts"])
-        out = capsys.readouterr().out
-        assert "seeded 1 baseline" in out
-        assert "ok" in out and "no-baseline" not in out
-
-    def test_migrate_command(self, tmp_path, capsys):
-        artifact = tmp_path / "BENCH_lineage.json"
-        artifact.write_text(json.dumps({"overhead_ratio": 1.01}))
-        history = str(tmp_path / "h.jsonl")
-        main(["bench", "migrate", str(artifact), "--history", history])
-        out = capsys.readouterr().out
-        assert "seeded 1 entr" in out
+        assert "no-baseline" in capsys.readouterr().out
         entries, _ = hist.load(history)
-        assert entries[0]["case"] == "lineage"
-        main(["bench", "migrate", str(tmp_path / "absent.json"),
-              "--history", history])
-        assert "no migratable" in capsys.readouterr().out
+        assert [e["case"] for e in entries] == ["fake"]
 
     def test_profile_command(self, monkeypatch, tmp_path, capsys):
         import re

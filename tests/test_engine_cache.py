@@ -165,6 +165,8 @@ class TestEngine:
         runner.clear_cache(disk=True)  # force full recompute
         parallel = [r.to_json() for r in engine.run_specs(specs, jobs=2)]
         assert parallel == serial
+        runner.clear_cache(disk=True)
+        assert [runner.record_for(s).to_json() for s in specs] == serial
 
     def test_run_specs_preserves_order_and_dedupes(self, disk):
         specs = [CHEAP2, CHEAP, CHEAP2]  # duplicate, out of key order
@@ -190,6 +192,26 @@ class TestEngine:
         engine.run_specs([CHEAP, CHEAP2], jobs=2)
         assert disk.stats()["entries"] == 2, \
             "worker results land in the parent's disk cache"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_spec_keeps_finished_work(self, disk, jobs):
+        """Outcomes are installed as they arrive: one spec's failure
+        re-raises without discarding another's finished simulation."""
+        bad = RunSpec(benchmark="no-such-benchmark")
+        with pytest.raises(KeyError, match="no-such-benchmark"):
+            engine.run_specs([CHEAP, bad], jobs=jobs)
+        assert CHEAP in runner._RECORDS, "memo layer has the record"
+        assert disk.get(CHEAP) is not None, "disk layer has the record"
+        before = sim_runs()
+        engine.run_specs([CHEAP], jobs=jobs)
+        assert sim_runs() == before
+
+    def test_trace_dir_with_leg_cycles_rejected(self, disk, tmp_path):
+        with pytest.raises(ValueError, match="trace_dir"):
+            engine.run_specs([CHEAP], jobs=1, leg_cycles=200_000,
+                             trace_dir=str(tmp_path / "traces"))
+        with pytest.raises(ValueError, match="leg_cycles"):
+            engine.run_specs([CHEAP], jobs=1, leg_cycles=0)
 
     def test_measure_repeats_reuse_cached_seeds(self, disk):
         before = sim_runs()
@@ -239,6 +261,24 @@ class TestProgress:
         assert finished[-1].eta_s == 0.0, "nothing left after the last job"
         assert finished[0].benchmark == CHEAP.benchmark
         assert finished[0].spec_key == spec_key(CHEAP)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("leg_cycles", [None, 200_000])
+    def test_every_chain_speaks_one_vocabulary(self, disk, jobs,
+                                               leg_cycles):
+        """queued, started, leg*, finished(wall_s) — however the chain
+        was cut and wherever it ran."""
+        rec = Recorder()
+        engine.run_specs([CHEAP, CHEAP2], jobs=jobs, progress=rec,
+                         leg_cycles=leg_cycles)
+        for spec in (CHEAP, CHEAP2):
+            chain = [e for e in rec.events if e.spec_key == spec_key(spec)]
+            kinds = [e.kind for e in chain]
+            legs = kinds.count("leg")
+            assert kinds == ["queued", "started"] + ["leg"] * legs \
+                + ["finished"]
+            assert (legs > 0) == (leg_cycles is not None)
+            assert chain[-1].wall_s > 0 and chain[-1].eta_s is not None
 
     def test_warm_engine_emits_cache_hits_only(self, disk):
         engine.run_specs([CHEAP, CHEAP2], jobs=1)
@@ -373,9 +413,9 @@ class TestEventTsAndBatch:
     def test_sharded_batch_tagging(self, disk):
         rec = Recorder()
         runner.clear_cache(disk=True)
-        engine.run_specs_sharded([CHEAP], leg_cycles=200_000, jobs=1,
-                                 progress=rec, batch="b9")
-        assert rec.events
+        engine.run_specs([CHEAP], leg_cycles=200_000, jobs=1,
+                         progress=rec, batch="b9")
+        assert "leg" in rec.kinds()
         assert all(e.batch == "b9" for e in rec.events)
 
 

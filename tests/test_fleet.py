@@ -125,7 +125,8 @@ class TestSchedulerDedup:
         release = threading.Event()
         calls = []
 
-        def engine_call(specs, jobs=None, progress=None, batch=None):
+        def engine_call(specs, jobs=None, progress=None, batch=None,
+                        leg_cycles=None):
             calls.append((batch, [spec_key(s) for s in specs]))
             assert release.wait(timeout=30)
             for s in specs:
@@ -167,7 +168,8 @@ class TestSchedulerDedup:
     def test_intra_batch_duplicate_simulates_once(self):
         calls = []
 
-        def engine_call(specs, jobs=None, progress=None, batch=None):
+        def engine_call(specs, jobs=None, progress=None, batch=None,
+                        leg_cycles=None):
             calls.append([spec_key(s) for s in specs])
             for s in specs:
                 runner.store_record(s, runner.record_for(s))
@@ -189,7 +191,8 @@ class TestSchedulerDedup:
     def test_terminal_entry_is_a_cache_hit(self):
         calls = []
 
-        def engine_call(specs, jobs=None, progress=None, batch=None):
+        def engine_call(specs, jobs=None, progress=None, batch=None,
+                        leg_cycles=None):
             calls.append(1)
             for s in specs:
                 runner.store_record(s, runner.record_for(s))
@@ -212,7 +215,8 @@ class TestSchedulerDedup:
         asyncio.run(scenario())
 
     def test_engine_failure_fails_job_and_entries(self):
-        def engine_call(specs, jobs=None, progress=None, batch=None):
+        def engine_call(specs, jobs=None, progress=None, batch=None,
+                        leg_cycles=None):
             raise RuntimeError("boom")
 
         async def scenario():
@@ -294,6 +298,33 @@ class TestFleetEndToEnd:
         hist = parsed["repro_fleet_wall_ms_compress"]
         assert hist["type"] == "histogram"
         assert flat["repro_fleet_wall_ms_compress_count"] == 1
+
+    def test_leg_cycles_job_is_counted_like_any_other(self):
+        """A legged job speaks the engine's one event vocabulary, so the
+        fleet's gauges, histogram and spec rows see it."""
+        spec = RunSpec(benchmark="compress", until_cycles=SMALL, seed=28)
+        before = runner.SIM_RUNS
+        with BackgroundFleet(jobs=1) as fleet:
+            client = FleetClient(fleet.base_url, timeout=60)
+            doc = client.submit([json_spec(spec)], leg_cycles=60_000,
+                                wait=True)
+            assert doc["state"] == "done"
+            row = doc["spec_states"][0]
+            via_api = client.record(row["spec"])["record"]
+            parsed = parse_prometheus_text(client.metrics())
+        assert row["wall_s"] > 0
+        flat = {series: value
+                for family in parsed.values()
+                for series, _labels, value in family["samples"]}
+        assert flat["repro_fleet_in_flight"] == 0
+        assert flat["repro_fleet_sim_runs"] == 1
+        assert flat["repro_fleet_runner_sim_runs"] == runner.SIM_RUNS \
+            == before + 1
+        assert flat["repro_fleet_wall_ms_compress_count"] == 1
+        assert flat["repro_fleet_wall_ms_compress_sum"] > 0, \
+            "no 0 ms observation"
+        runner.clear_cache()
+        assert via_api == runner.record_for(spec).to_json()
 
     def test_diff_endpoint_and_errors(self):
         a = RunSpec(benchmark="compress", until_cycles=SMALL, seed=24)

@@ -39,6 +39,7 @@ from repro.health.report import (HEALTH_SCHEMA_VERSION, Finding, HealthReport,
                                  format_phase_table, worst_severity)
 from repro.lineage import DecisionLedger, explain
 from repro.lineage.ledger import K_PERIOD, K_REVERT
+from repro.vm.snapshot import Snapshot
 
 
 def make_interval(index, samples=10, miss=0.0, gc=0.0, alloc=0.0,
@@ -320,18 +321,41 @@ class TestReport:
         assert "none" in format_findings(empty)
 
 
+@pytest.fixture(scope="module")
+def db_health_sliced_and_resumed():
+    """The health document of db run in 500K-cycle slices, moved
+    through a snapshot halfway: what every unbroken run must report."""
+    vm, _ = make_vm("db", RunSpec(benchmark="db", coalloc=True),
+                    health=HealthMonitor())
+    vm.begin()
+    stop = 0
+    done = False
+    while not done:
+        stop += 500_000
+        done = vm.advance(until_cycles=stop)
+        if stop == 3_000_000:
+            assert not done
+            vm = Snapshot.capture(vm).restore()
+    return RunRecord.from_result(vm.finish()).health
+
+
 class TestPureObserver:
     """The PR-1 invariant extended to health: diagnosing a run must not
     change one simulated number — at every fastpath level — nor perturb
-    a single decision-ledger entry."""
+    a single decision-ledger entry; and what it reports depends on the
+    run alone, not on the level or on how the run was sliced."""
 
     @pytest.mark.parametrize("fastpath", [0, 1, 2])
-    def test_health_on_off_bit_identical(self, fastpath):
+    def test_health_on_off_bit_identical(self, fastpath,
+                                         db_health_sliced_and_resumed):
         spec = RunSpec(benchmark="db", coalloc=True)
         off = execute(spec, fastpath=fastpath)
         health = HealthMonitor()
         on = execute(spec, health=health, fastpath=fastpath)
         assert health.intervals  # it really observed the run
+        report = RunRecord.from_result(on).health
+        assert report == db_health_sliced_and_resumed
+        assert report["phases"][0]["centroid"]["miss_rate"] > 0
         assert on.cycles == off.cycles
         assert on.instructions == off.instructions
         assert on.app_cycles == off.app_cycles

@@ -8,7 +8,7 @@ to never having stopped, at every fastpath level and at any scheduler
 boundary the run was cut at.  On top of that sit the incremental
 layers: extending a cached ``until_cycles`` run simulates only the
 delta, ``measure(repeats)`` retargets seed-invariant prefixes at new
-seeds, and the sharded engine splits runs into legs without changing a
+seeds, and the engine splits runs into legs without changing a
 single bit.
 """
 
@@ -274,6 +274,22 @@ class TestIncremental:
         fresh = runner.record_for(long)
         assert extended == fresh
 
+    def test_engine_extension_simulates_only_the_delta(self, disk):
+        """Engine chains start from the family's deepest checkpoint and
+        bank their own, exactly as ``record_for`` does."""
+        runs = runner.SIM_RUNS
+        engine.run_specs([replace(COMPRESS, until_cycles=500_000)], jobs=1)
+        assert runner.SIM_RUNS == runs + 1
+        before = runner.SIM_CYCLES
+        long = replace(COMPRESS, until_cycles=2_000_000)
+        [extended] = engine.run_specs([long], jobs=1)
+        assert 0 < runner.SIM_CYCLES - before < 1_700_000
+        assert runner.SIM_RUNS == runs + 2
+
+        runner.set_disk_cache(None)
+        runner.clear_cache()
+        assert extended == runner.record_for(long)
+
     def test_warm_snapshot_cache_survives_processes(self, disk):
         """A second "process" (cleared memo) resumes from disk."""
         short = replace(COMPRESS, until_cycles=500_000)
@@ -349,7 +365,7 @@ class TestReseed:
 
 
 # ---------------------------------------------------------------------------
-# Sharded engine: legs can never change a bit
+# Legged engine chains: legs can never change a bit
 # ---------------------------------------------------------------------------
 
 class TestSharded:
@@ -358,12 +374,12 @@ class TestSharded:
         serial = [runner.record_for(FOP), runner.record_for(COMPRESS)]
         runner.clear_cache()
         disk.clear()
-        sharded = engine.run_specs_sharded([FOP, COMPRESS],
-                                           leg_cycles=800_000, jobs=jobs)
+        sharded = engine.run_specs([FOP, COMPRESS], leg_cycles=800_000,
+                                   jobs=jobs)
         assert sharded == serial
 
     def test_sharded_legs_deposit_checkpoints(self, disk):
-        engine.run_specs_sharded([FOP], leg_cycles=700_000, jobs=1)
+        engine.run_specs([FOP], leg_cycles=700_000, jobs=1)
         assert disk.snapshot_cycles(FOP.base())
 
 
