@@ -11,7 +11,10 @@ The plan talks to the rest of the VM through :class:`GCHooks`:
   statics),
 * ``charge(cycles)`` adds collector work to the simulated time,
 * ``pollute_minor()/pollute_full()`` model cache displacement
-  (DESIGN.md §5: the collector does not run through the cache simulator).
+  (DESIGN.md §5: the collector does not run through the cache simulator),
+* ``safepoint()`` runs before an allocation-triggered collection reads
+  the clock or the roots, so a CPU that defers memory accesses and
+  charges can land them first.
 """
 
 from __future__ import annotations
@@ -50,11 +53,13 @@ class GCHooks:
                  roots: Callable[[], Iterable] = lambda: (),
                  charge: Callable[[int], None] = lambda cycles: None,
                  pollute_minor: Callable[[], None] = lambda: None,
-                 pollute_full: Callable[[], None] = lambda: None):
+                 pollute_full: Callable[[], None] = lambda: None,
+                 safepoint: Callable[[], None] = lambda: None):
         self.roots = roots
         self.charge = charge
         self.pollute_minor = pollute_minor
         self.pollute_full = pollute_full
+        self.safepoint = safepoint
 
 
 class Plan:
@@ -137,6 +142,7 @@ class Plan:
             # separate portion of the heap).
             addr = self.los.alloc(size)
             if addr is None:
+                self.hooks.safepoint()
                 self.collect_full()
                 addr = self.los.alloc(size)
                 if addr is None:
@@ -148,6 +154,7 @@ class Plan:
             return
         addr = self.nursery.alloc(size)
         if addr is None:
+            self.hooks.safepoint()
             self.collect_minor()
             addr = self.nursery.alloc(size)
             if addr is None:

@@ -17,7 +17,11 @@ instruction counts in locals and flushes them to ``self.cycles`` /
 ``self.instructions`` at scheduler-quantum boundaries, GC points, and
 frame switches.  Reentrant charges (PEBS microcode costs arriving
 through ``charge`` *during* a memory access) remain correct because
-cycle accounting is purely additive.
+cycle accounting is purely additive.  At level 2 memory accesses, write
+barrier charges and allocation flushes are not applied as they occur
+but appended to an ordered log (``CPU._pending``) that is replayed
+wherever something can observe the memory system or the clock — see
+:meth:`CPU._run_fast` for the list of observation points.
 
 Two drivers execute the same compiled code at three levels:
 
@@ -31,9 +35,10 @@ Two drivers execute the same compiled code at three levels:
   default; a level-1 translation's block table is simply empty).
 
 The levels are bit-identical in every observable (cycles, instructions,
-memory-access order, scheduler polls, faults); ``REPRO_FASTPATH``
-(``0``/``1``/``2``) or ``SystemConfig.fastpath`` selects the level —
-see :func:`repro.core.config.fastpath_level`.
+memory-access order, the clock a hook reads mid-access, scheduler
+events, faults); ``REPRO_FASTPATH`` (``0``/``1``/``2``) or
+``SystemConfig.fastpath`` selects the level — see
+:func:`repro.core.config.fastpath_level`.
 """
 
 from __future__ import annotations
@@ -111,10 +116,14 @@ class CPU:
         #: and allocation cycles into; the fastpath driver folds it into
         #: ``self.cycles`` at the same flush points as the reference loop.
         self._cyc_cell = [0]
-        #: Deferred-access segments appended by superblock closures
-        #: (level 2), drained through ``mem.access_run_segments`` at
-        #: quantum boundaries, before per-instruction fallback, and at
-        #: write barriers / guest faults inside a block.
+        #: The ordered log of everything that touches the memory system
+        #: or the clock between two observation points (level 2):
+        #: access segments appended by superblock closures, and clock
+        #: entries — a write barrier's deferred charge, an allocation's
+        #: deferred flush.  ``mem.access_run_segments`` replays it in
+        #: order wherever the memory system or the clock is *read* (see
+        #: :meth:`_run_fast`); it is empty whenever :meth:`run` returns
+        #: or raises.
         self._pending: list = []
         # Sentinel mailboxes: call/return handlers stash their operands
         # here for the fastpath driver (see repro.hw.translate).
@@ -133,17 +142,42 @@ class CPU:
         self.cycles += cycles
 
     def drain_accesses(self) -> int:
-        """Simulate and clear the pending deferred-access segments.
+        """Replay and clear the pending log, in order.
 
-        Returns the summed latency (the caller adds it to the cycle
-        accumulator).  Bound into superblock closures for their write
-        barrier and fault paths; the driver inlines the equivalent.
+        Returns the latency accumulated since the log's last flush
+        entry (the caller adds it to the cycle accumulator — bound to a
+        local first when the target is ``self.cycles``, which the
+        log's clock entries charge: ``x += f()`` reads ``x`` before
+        calling ``f``).  Bound into superblock closures for their fault
+        path; the driver inlines the equivalent.
         """
         pending = self._pending
         if not pending:
             return 0
         latency = self.mem.access_run_segments(pending)
         del pending[:]
+        return latency
+
+    def safepoint(self) -> None:
+        """Land the pending log on the clock: a collection is about to
+        read it (``GCHooks.safepoint``, before ``gc.minor``/``gc.full``
+        open their span).  Addresses were computed when each access was
+        queued, so objects the collector then moves are replayed where
+        the reference saw them."""
+        self._cyc_cell[0] += self.drain_accesses()
+
+    def _land_flush(self, latency: int, cycles: int, n: int) -> int:
+        """Log entry: a flush deferred by an allocation.  Takes the
+        drain's running latency with it, as the reference's flush at
+        ``new`` takes every latency since the previous flush."""
+        self.cycles += latency + cycles
+        self.instructions += n
+        return 0
+
+    def _land_barrier(self, latency: int, cycles: int, n: int) -> int:
+        """Log entry: the charge of a write barrier inside a fused run
+        (its remembered-set bookkeeping was done at once)."""
+        self.runtime.plan.hooks.charge(cycles)
         return latency
 
     def call_main(self, method) -> object:
@@ -210,32 +244,66 @@ class CPU:
         as in :meth:`_run_reference`.
 
         At level 2 the translation also carries superblocks: when one
-        starts at ``pc`` *and* its whole run fits the remaining
-        scheduler-quantum budget, the fused closure executes the entire
-        run (its memory accesses join the pending segment list) and the
-        budget drops by the run length — so flushes, scheduler polls,
-        and the ``until_cycles`` check still land on exactly every
-        128th instruction, as the reference does.  The pending accesses
-        of consecutively chained blocks are simulated in one
-        ``access_run_segments`` call at the quantum boundary, or
-        earlier if a per-instruction fallback, write barrier, or guest
-        fault needs the memory state.  A run that would overshoot the
-        quantum (and a branch landing mid-block) falls back to
-        per-instruction dispatch until the next block start, which is
-        the split that keeps sliced ``until_cycles`` replay
-        bit-identical.  At level 1 the block table is all ``None``, so
-        every instruction takes the per-instruction path.
+        starts at ``pc`` the fused closure executes the entire run, its
+        memory accesses join the pending log, and the budget drops by
+        the run length.  The log is replayed in order, in one
+        ``access_run_segments`` call, only where the memory system or
+        the clock is *read* — the **observation points**:
+
+        * the quantum poll and the ``until_cycles`` test,
+        * a collection about to start (:meth:`safepoint`),
+        * call and return (profiler, lazy compile, frame switch),
+        * a per-instruction handler that issues its own ``mem.access``
+          or can fault (``Translation.pure[pc]`` is false),
+        * a guest fault inside a fused run,
+        * the end of :meth:`run`.
+
+        Nothing else drains.  A write barrier inside a fused run and an
+        allocation that does not collect append a *clock entry* to the
+        log instead (the barrier's charge; the flush the reference does
+        at ``new``), so whatever a PEBS or observer hook reads of the
+        clock mid-replay is what the reference shows it; pure
+        per-instruction handlers (moves, branches, non-faulting ALU
+        ops, ``new``) run with the log still pending.
+
+        A run that does not fit the remaining quantum budget may still
+        execute whole — *straddle* the boundary — when the poll there
+        is provably idle: no PEBS event armed and no observer attached
+        (no hook can fire, so nothing reads the clock mid-run), and the
+        clock cannot reach ``scheduler.next_time`` or ``until_cycles``
+        by the boundary even if each of the quantum's instructions paid
+        the worst case (``horizon`` below).  The budget then stays on
+        the 128-instruction grid, the log is landed and the counts
+        flushed so the clock is exact for the next such test, and the
+        poll is skipped.  (That landing, not the boundary, is then the
+        last flush — the clock a guest fault would leave behind, which
+        nothing consumes.)  Otherwise — and for a branch landing
+        mid-block — the run is split per-instruction up to the
+        boundary, which keeps sliced ``until_cycles`` replay
+        bit-identical.  At level 1 the block table is all ``None`` and
+        the log stays empty, so every instruction takes the
+        per-instruction path.
         """
-        icost = self.config.instruction_cost
+        config = self.config
+        icost = config.instruction_cost
         runtime = self.runtime
         scheduler = self.scheduler
         frames = self.frames
         cell = self._cyc_cell
         cell[0] = 0
         pending = self._pending
-        del pending[:]
         drain_segments = self.mem.access_run_segments
+        land_flush = self._land_flush
         budget = SCHED_QUANTUM
+        # The most the clock can advance over one quantum: every
+        # instruction a TLB miss to main memory, a barrier charge, an
+        # allocation and a call.
+        gc_config = runtime.plan.config
+        horizon = SCHED_QUANTUM * (
+            icost + config.tlb.miss_penalty + config.l1.hit_latency
+            + config.l2.hit_latency + config.memory_latency
+            + gc_config.write_barrier_cost + gc_config.alloc_cost
+            + CALL_OVERHEAD)
 
         while frames:
             frame = frames[-1]
@@ -244,6 +312,7 @@ class CPU:
             handlers = translation.handlers
             phase2 = translation.phase2
             blocks = translation.blocks
+            pure = translation.pure
             regs = frame.regs
             slots = frame.slots
             pc = frame.pc
@@ -252,37 +321,48 @@ class CPU:
 
             while not switch:
                 blk = blocks[pc]
-                if blk is not None and blk[0] <= budget:
+                if blk is not None and (
+                        blk[0] <= budget
+                        or self._boundary_idle(cell[0] + horizon,
+                                               until_cycles)):
                     k, fn = blk
                     n += k
                     budget -= k
                     pc = fn(frame, regs, slots)
-                    if budget <= 0:
-                        budget = SCHED_QUANTUM
-                        if pending:
-                            cell[0] += drain_segments(pending)
-                            del pending[:]
-                        self.cycles += cell[0] + n * icost
-                        self.instructions += n
-                        cell[0] = 0
-                        n = 0
-                        if scheduler is not None:
-                            next_time = scheduler.next_time
-                            if next_time is not None \
-                                    and next_time <= self.cycles:
-                                frame.pc = pc
-                                scheduler.run_due(self.cycles)
-                        if until_cycles is not None \
-                                and self.cycles >= until_cycles:
+                    if budget > 0:
+                        continue
+                    # On the quantum boundary — or, after a straddle,
+                    # past it: land the log and flush, so the clock is
+                    # exact for the poll (or for the next straddle
+                    # test; the poll itself was proven idle).
+                    straddled = budget < 0
+                    budget += SCHED_QUANTUM
+                    if pending:
+                        cell[0] += drain_segments(pending)
+                        del pending[:]
+                    self.cycles += cell[0] + n * icost
+                    self.instructions += n
+                    cell[0] = 0
+                    n = 0
+                    if straddled:
+                        continue
+                    if scheduler is not None:
+                        next_time = scheduler.next_time
+                        if next_time is not None \
+                                and next_time <= self.cycles:
                             frame.pc = pc
-                            self.sync_counters()
-                            return
+                            scheduler.run_due(self.cycles)
+                    if until_cycles is not None \
+                            and self.cycles >= until_cycles:
+                        frame.pc = pc
+                        self.sync_counters()
+                        return
                     continue
                 n += 1
-                # Per-instruction handlers issue their own ``mem.access``
-                # calls, charge the cell directly, and may reach a GC
-                # point: the deferred accesses must land first.
-                if pending:
+                # A handler that issues its own ``mem.access``, can
+                # fault, or switches frames is an observation point: the
+                # log must land first.  Pure ones leave it pending.
+                if pending and not pure[pc]:
                     cell[0] += drain_segments(pending)
                     del pending[:]
                 next_pc = handlers[pc](frame, regs, slots)
@@ -325,9 +405,17 @@ class CPU:
                 else:
                     # Allocation (GC point): flush, then run phase 2 so
                     # a collection sees a consistent clock and roots.
+                    # With accesses still queued the flush joins the log
+                    # behind them; a collection lands the log first
+                    # (``safepoint``), and without one nothing reads
+                    # the clock here.
                     pc = ~next_pc
-                    self.cycles += cell[0] + n * icost
-                    self.instructions += n
+                    if pending:
+                        pending.append(
+                            (None, land_flush, cell[0] + n * icost, n))
+                    else:
+                        self.cycles += cell[0] + n * icost
+                        self.instructions += n
                     cell[0] = 0
                     n = 0
                     alloc_cost = phase2[pc](regs)
@@ -337,6 +425,9 @@ class CPU:
                 budget -= 1
                 if budget <= 0:
                     budget = SCHED_QUANTUM
+                    if pending:
+                        cell[0] += drain_segments(pending)
+                        del pending[:]
                     self.cycles += cell[0] + n * icost
                     self.instructions += n
                     cell[0] = 0
@@ -355,6 +446,20 @@ class CPU:
                 self.instructions += n
                 cell[0] = 0
         self.sync_counters()
+
+    def _boundary_idle(self, slack: int,
+                       until_cycles: Optional[int]) -> bool:
+        """Whether the next quantum poll provably does nothing: no hook
+        can fire before it (so nothing reads the clock mid-run), and
+        the clock, advancing by at most ``slack`` until then, reaches
+        neither the next scheduler event nor ``until_cycles``."""
+        if not self.mem.hooks_idle:
+            return False
+        bound = self.cycles + slack
+        scheduler = self.scheduler
+        next_time = scheduler.next_time if scheduler is not None else None
+        return ((next_time is None or bound < next_time)
+                and (until_cycles is None or bound < until_cycles))
 
     def _run_reference(self, until_cycles: Optional[int] = None) -> None:
         """The reference if/elif interpreter (the differential oracle)."""

@@ -102,6 +102,13 @@ class MemorySystem:
         self._observed_event = None
         self._observer_hook = None
 
+    @property
+    def hooks_idle(self) -> bool:
+        """No PEBS event armed and no observer attached: no access can
+        call out of the memory system, so nothing can read the clock
+        mid-run."""
+        return self._armed_event is None and self._observed_event is None
+
     # -- the hot path ---------------------------------------------------------
 
     def access(self, addr: int, is_write: bool, eip: int) -> int:
@@ -192,6 +199,15 @@ class MemorySystem:
         scheduler quantum's accesses are usually simulated here in a
         single call.  Returns the summed latency.
 
+        The run is an ordered log: between access segments it may carry
+        *clock entries* ``(None, land, cycles, n)`` — a charge or a
+        flush the CPU deferred so that it lands in program order (see
+        :meth:`repro.hw.cpu.CPU._run_fast`).  ``land(total, cycles, n)``
+        receives the latency summed so far and returns what remains of
+        it (a flush takes it to the clock; a charge leaves it), so a
+        hook firing later in the same replay reads the clock the
+        one-at-a-time order would show it.
+
         Per-access semantics are exactly :meth:`access` — same probe
         order, same counter totals at every flush point, same
         PEBS/observer hook firing points with the same EIPs — so
@@ -234,6 +250,10 @@ class MemorySystem:
         tlb_hits = tlb_misses = 0
         total = 0
         for addrs, writes, eips, start in segments:
+            if addrs is None:
+                land, cycles = writes, eips
+                total = land(total, cycles, start)
+                continue
             index = start
             for addr in addrs:
                 if writes[index]:

@@ -23,9 +23,11 @@ Bit-identical contract
 The translated code must be indistinguishable from the reference
 interpreter in every observable: cycle and instruction counts at every
 flush point, the order and addresses of all memory accesses (and hence
-cache state, event counters, and PEBS samples), scheduler-poll timing,
-GC-point ``frame.pc`` anchoring, profiler callbacks, and the text of
-guest faults.  Three conventions make that cheap to maintain:
+cache state, event counters, and PEBS samples), what a PEBS or observer
+hook reads of the clock when it fires, the cycle at which every
+scheduler event runs, GC-point ``frame.pc`` anchoring, profiler
+callbacks, and the text of guest faults.  Three conventions make that
+cheap to maintain:
 
 * Every instruction costs exactly ``instruction_cost``, so handlers do
   not account base cycles at all — the driver reconstructs them at
@@ -36,8 +38,9 @@ guest faults.  Three conventions make that cheap to maintain:
   observe (because they flush counts or switch frames) return sentinels
   instead: :data:`CALL_SENT` / :data:`RET_SENT` after stashing their
   operands on the CPU, and allocations return ``~pc`` so the driver can
-  flush *before* running the second phase from :attr:`Translation.phase2`
-  (collection may only happen there).
+  flush — or, at level 2, queue the flush behind accesses still
+  pending — *before* running the second phase from
+  :attr:`Translation.phase2` (collection may only happen there).
 * Anything that is **not** constant after compilation stays a runtime
   lookup, exactly as in the reference: ``arr.esize`` / ``arr.kind``,
   vtable dispatch through the receiver, and ``static_addr`` (whose
@@ -51,6 +54,7 @@ cache drops them when a method is recompiled (see
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List
 
 from repro.hw.isa import (
@@ -81,16 +85,25 @@ class Translation:
     are always ``None`` — a quantum split or branch landing inside a
     fused run simply executes per-instruction until the next block
     start.
+
+    ``pure`` is the per-pc flag the driver reads before dispatching
+    ``handlers[pc]`` with deferred accesses still queued: true when the
+    handler neither touches the memory system, nor can fault, nor
+    switches frames (moves, branches, non-faulting ALU ops, and ``new``,
+    whose flush rides the queue), so nothing it does can observe that
+    the queue has not landed yet.
     """
 
-    __slots__ = ("cpu", "handlers", "phase2", "blocks")
+    __slots__ = ("cpu", "handlers", "phase2", "blocks", "pure")
 
     def __init__(self, cpu, handlers: List[Handler],
-                 phase2: Dict[int, Callable], blocks: List):
+                 phase2: Dict[int, Callable], blocks: List,
+                 pure: List[bool]):
         self.cpu = cpu
         self.handlers = handlers
         self.phase2 = phase2
         self.blocks = blocks
+        self.pure = pure
 
 
 def translation_for(cm, cpu) -> Translation:
@@ -642,6 +655,14 @@ def _h_nullchk(rs1, method, pc, npc):
 # The translator.
 # ---------------------------------------------------------------------------
 
+#: Opcodes whose per-instruction handler is an observation point for
+#: nobody: no ``mem.access``, no fault, no frame switch (ALU/ALUI
+#: qualify too when their op is one of the non-faulting factories).
+#: ``new`` belongs here because its flush joins the pending log and a
+#: collection lands the log first; ``newarr`` can fault, so it does not.
+_PURE_OPS = frozenset({M_MOVI, M_MOV, M_NOP, M_BR, M_BC, M_NEW})
+
+
 def translate(cm, cpu) -> Translation:
     """Compile ``cm``'s instruction list into closures bound to ``cpu``."""
     mem_access = cpu.mem.access
@@ -658,10 +679,14 @@ def translate(cm, cpu) -> Translation:
 
     handlers: List[Handler] = []
     phase2: Dict[int, Callable] = {}
+    pure: List[bool] = []
     for pc, inst in enumerate(cm.code):
         op = inst.op
         eip = base_eip + pc * INSTRUCTION_BYTES
         npc = pc + 1
+        pure.append(op in _PURE_OPS
+                    or (op == M_ALU and inst.aux in _ALU_FACTORIES)
+                    or (op == M_ALUI and inst.aux in _ALUI_FACTORIES))
         if op == M_GETF:
             fld = inst.aux
             h = _h_getf(cell, mem_access, inst.rd, inst.rs1, fld.offset,
@@ -758,42 +783,44 @@ def translate(cm, cpu) -> Translation:
         blocks = compile_superblocks(cm, cpu)
     else:
         blocks = [None] * len(cm.code)
-    return Translation(cpu, handlers, phase2, blocks)
+    return Translation(cpu, handlers, phase2, blocks, pure)
 
 
 # ---------------------------------------------------------------------------
 # Superblock compilation (fastpath level 2).
 #
 # Straight-line runs of fusible instructions are compiled — via a small
-# source-level template JIT (``compile()`` + ``exec`` once per method) —
+# source-level template JIT (one ``exec`` per method; the ``compile()``
+# behind it is memoised by source text, see :func:`_factory_code`) —
 # into single closures that execute the whole run, deferring memory
-# accesses into a local batch.  The batch joins the CPU's pending
-# segment list at block exit; the driver drains the list in one
-# :meth:`~repro.hw.memsys.MemorySystem.access_run_segments` call at
-# quantum boundaries and before any per-instruction fallback, so the
+# accesses into a local batch.  The batch joins the CPU's pending log
+# at block exit; the driver replays the log in one
+# :meth:`~repro.hw.memsys.MemorySystem.access_run_segments` call at the
+# next *observation point* (listed in ``CPU._run_fast``), so the
 # accesses of many chained blocks are simulated together.  The driver
 # charges a run's base cycles as ``length * instruction_cost`` in one
 # step and polls the scheduler only when the quantum budget empties, so
 # a fused run eliminates the per-instruction dispatch, the per-access
 # call overhead, and most of the per-batch simulation setup.
 #
-# Bit-identity is preserved because deferral only ever reorders *pure*
-# bookkeeping: between drain points the sequence of (memory access,
-# charge) events observed by the clock, the counters, the PEBS unit,
-# and any observer hook is exactly the reference interpreter's
-# sequence, and everything that could *read* that state — scheduler
-# polls, GC safepoints, profiler callbacks, ``until_cycles`` checks,
-# per-instruction handlers issuing their own ``mem.access`` calls —
-# sits behind a drain.  The two in-block places where a charge could
-# interleave with accesses force a drain first:
+# Bit-identity is preserved because the log keeps program order: the
+# sequence of (memory access, charge, flush) events seen by the clock,
+# the counters, the PEBS unit, and any observer hook is exactly the
+# reference interpreter's, and everything that could *read* that state
+# sits behind a drain.  Inside a block:
 #
-# * **write barriers** charge GC cycles immediately, so all pending
-#   accesses are drained before every ``wb(...)`` call (unconditionally
-#   for a ref putfield, behind the runtime ``kind == 'ref'`` check for
-#   an array store);
-# * **guest faults** must observe the accesses of the instructions that
-#   preceded them, so every fault in a memory-touching block routes
-#   through a ``fault`` helper that drains before raising.
+# * a **write barrier** does its remembered-set bookkeeping at once
+#   (it reads neither clock nor cache) and appends its charge to the
+#   log as a clock entry, splitting the access segment there
+#   (unconditionally for a ref putfield, behind the runtime
+#   ``kind == 'ref'`` check for an array store) — it does not drain;
+# * a **guest fault** must observe everything queued before it — this
+#   block's batch and earlier blocks' entries — so every fault routes
+#   through the ``fault`` helper, which drains before raising.  It is
+#   the only place generated code drains.  (What a fault leaves on the
+#   *clock* is, as in the reference, the last flush — the partial
+#   quantum is dropped; after a straddle that flush sits at the end of
+#   the straddling run rather than on the boundary inside it.)
 #
 # Block boundaries (branches and their targets, calls, returns,
 # allocations, unknown ALU ops) stay per-instruction, which keeps GC
@@ -840,11 +867,7 @@ def fusible(inst) -> bool:
     """Whether one instruction may live inside a superblock."""
     op = inst.op
     if op in _FUSIBLE_SIMPLE:
-        if op == M_MOVI:
-            return _is_literal(inst.imm)
-        if op == M_ALOAD or op == M_ASTORE or op == M_LEN:
-            return True
-        return True
+        return op != M_MOVI or _is_literal(inst.imm)
     if op == M_ALU:
         return inst.aux in _ALU_FACTORIES or inst.aux in ("div", "rem")
     if op == M_ALUI:
@@ -960,25 +983,28 @@ def _emit_block(out, consts, const_ids, code, start, end, base_eip):
     has_wb = False
 
     def emit_fault(indent, msg_expr, pc):
+        # Earlier blocks may have queued accesses even when this one
+        # has none: every fault lands the log before it raises.
         if has_mem:
             W(f"{indent}fault(b, {wname}, {ename}, s, {msg_expr}, {pc})")
         else:
-            W(f"{indent}raise GuestError({msg_expr}, method, {pc})")
+            W(f"{indent}fault(None, None, None, 0, {msg_expr}, {pc})")
 
-    def emit_wb_flush(indent, args):
-        # Write barriers charge cycles immediately; every pending
-        # access — earlier blocks' segments and this block's batch so
-        # far — must be simulated first so charge order matches the
-        # reference.  (``b`` is never empty here: the barrier's own
-        # store was appended just above.)
+    def emit_barrier(indent, args):
+        # The barrier's remembered-set bookkeeping reads no clock and
+        # no cache state, so it happens at once; its charge joins the
+        # log behind the batch so far — the segment is split here —
+        # and lands in program order at the next drain.  (``b`` is
+        # never empty: the barrier's own store was appended just
+        # above.)
         nonlocal has_wb
         has_wb = True
         W(f"{indent}pend((b, {wname}, {ename}, s))")
-        W(f"{indent}cell[0] += drain()")
+        W(f"{indent}pend(barrier)")
         W(f"{indent}s = {len(writes)}")
         W(f"{indent}b = []")
         W(f"{indent}ap = b.append")
-        W(f"{indent}wb({args})")
+        W(f"{indent}record_store({args})")
 
     # Redundancy elimination: track which register each scratch local
     # (``a``/``i``/``o``) currently mirrors, which registers are proven
@@ -1122,7 +1148,7 @@ def _emit_block(out, consts, const_ids, code, start, end, base_eip):
                 W(f"        v = regs[{inst.rs2}]")
                 W(f"        ap(o.address + {fld.offset})")
                 W(f"        o.slots[{fld.index}] = v")
-                emit_wb_flush("        ", f"o, {fld.index}, v")
+                emit_barrier("        ", f"o, {fld.index}, v")
             else:
                 W(f"        ap(o.address + {fld.offset})")
                 W(f"        o.slots[{fld.index}] = regs[{inst.rs2}]")
@@ -1141,9 +1167,9 @@ def _emit_block(out, consts, const_ids, code, start, end, base_eip):
             W("        ap(a.address + 12 + i * a.esize)")
             W("        e[i] = v")
             # ``a.kind`` is a runtime property; only the ref case has a
-            # write barrier (and hence needs the early flush).
+            # write barrier (and hence splits the segment).
             W("        if a.kind == 'ref':")
-            emit_wb_flush("            ", "a, i, v")
+            emit_barrier("            ", "a, i, v")
         elif op == M_LEN:
             bind_array(inst.rs1, "'null arraylength'", pc)
             meta(False, eip)
@@ -1176,9 +1202,8 @@ def _emit_block(out, consts, const_ids, code, start, end, base_eip):
         consts[wslot] = tuple(writes)
         consts[eslot] = tuple(eips)
         # The batch is not simulated here: it joins the CPU's pending
-        # segment list, drained once per quantum (or at the next
-        # per-instruction fallback, write barrier, or fault) so the
-        # drain's setup cost amortizes over many chained blocks.
+        # log, replayed at the next observation point so the drain's
+        # setup cost amortizes over many chained blocks.
         if has_wb:
             # A write barrier may have emptied the batch mid-block.
             W("        if b:")
@@ -1212,8 +1237,8 @@ def superblock_source(cm) -> tuple:
     for start, end in ranges:
         _emit_block(body, consts, const_ids, cm.code, start, end,
                     cm.code_addr)
-    lines = ["def _factory(cell, pend, drain, wb, static_addr, "
-             "GuestError, method, consts):"]
+    lines = ["def _factory(cell, pend, drain, record_store, barrier, "
+             "static_addr, GuestError, method, consts):"]
     if consts:
         names = ", ".join(f"K{i}" for i in range(len(consts)))
         lines.append(f"    ({names},) = consts")
@@ -1228,6 +1253,21 @@ def superblock_source(cm) -> tuple:
     return "\n".join(lines) + "\n", consts, ranges
 
 
+#: Distinct factory sources kept compiled — about three times what the
+#: whole suite translates (311 methods, shared library code included),
+#: at a few KB of source and code object each.
+_CODE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_CODE_MEMO_SIZE)
+def _factory_code(source: str, filename: str):
+    """``compile()`` memoised by text: nothing per-CPU or per-run is in
+    the source (EIPs and objects travel in ``consts``), so a guest's
+    second translation in the process — every further spec of a figure
+    matrix, every restored snapshot — reuses the first one's code."""
+    return compile(source, filename, "exec")
+
+
 def compile_superblocks(cm, cpu) -> List:
     """Build the per-pc superblock table for ``cm`` bound to ``cpu``."""
     built = superblock_source(cm)
@@ -1237,11 +1277,13 @@ def compile_superblocks(cm, cpu) -> List:
     source, consts, ranges = built
     filename = f"<superblock {cm.method.qualified_name}>"
     namespace: Dict[str, object] = {}
-    exec(compile(source, filename, "exec"), namespace)
+    exec(_factory_code(source, filename), namespace)
+    plan = cpu.runtime.plan
     closures = namespace["_factory"](
         cpu._cyc_cell, cpu._pending.append, cpu.drain_accesses,
-        cpu.runtime.plan.write_barrier, cpu.runtime.static_addr,
-        GuestError, cm.method, tuple(consts))
+        plan.remset.record_store,
+        (None, cpu._land_barrier, plan.config.write_barrier_cost, 0),
+        cpu.runtime.static_addr, GuestError, cm.method, tuple(consts))
     for (start, end), closure in zip(ranges, closures):
         blocks[start] = (end - start, closure)
     return blocks

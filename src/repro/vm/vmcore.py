@@ -134,7 +134,8 @@ class VM:
                 telemetry=self.telemetry, lineage=self.lineage)
         hooks = GCHooks(roots=self._gc_roots, charge=self._charge_gc,
                         pollute_minor=self.memsys.pollute_minor,
-                        pollute_full=self.memsys.pollute_full)
+                        pollute_full=self.memsys.pollute_full,
+                        safepoint=self._gc_safepoint)
         self.plan = make_plan(self.config.gc_plan, self.config.gc, hooks,
                               self.coalloc_policy, telemetry=self.telemetry)
 
@@ -263,6 +264,9 @@ class VM:
                     if value is not None:
                         roots.append(value)
         return roots
+
+    def _gc_safepoint(self) -> None:
+        self.cpu.safepoint()
 
     @contextmanager
     def _gc_guard(self):

@@ -57,3 +57,24 @@ def self_recursive_method(program, klass, name, *, args, returns, build,
     method.code = asm.finish()
     analyze(method)
     return method
+
+
+def hog_program():
+    """A main that keeps every node it allocates alive through a
+    static list head: it outgrows any small heap."""
+    p = Program("hog")
+    app = p.define_class("App")
+    app.add_static("keep", "ref")
+    app.seal()
+    node = p.define_class("Node")
+    node.add_field("next", "ref")
+    node.seal()
+    fn = Fn(p, app, "main")
+    cur = fn.local()
+    with fn.loop(100_000):
+        fn.new(node).rstore(cur)
+        fn.rload(cur).getstatic(app, "keep").putfield(node, "next")
+        fn.rload(cur).putstatic(app, "keep")
+    fn.ret()
+    p.set_main(fn.finish())
+    return p

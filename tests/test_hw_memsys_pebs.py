@@ -1,10 +1,13 @@
 """Tests for the memory system and the PEBS sampling unit."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import MachineConfig, PEBSConfig
+from repro.gc.plan import GCHooks
+from repro.hw.cpu import CPU
 from repro.hw.memsys import MemorySystem
 from repro.hw.pebs import PEBSUnit, Sample
 
@@ -230,6 +233,80 @@ class TestAccessRun:
         assert ms.access_run([], [], []) == 0
         assert ms.access_run_segments(()) == 0
         assert ms.sync_counters().counts["L1D_ACCESS"] == 0
+
+    @staticmethod
+    def clocked_memsys(seen):
+        """A memory system under a real CPU clock, a GC bucket fed
+        through ``GCHooks.charge``, and an ``L1D_MISS`` hook logging
+        what it can read of both."""
+        ms = make_memsys()
+        gc = [0]
+
+        def charge(cycles):
+            gc[0] += cycles
+            cpu.charge(cycles)
+
+        runtime = SimpleNamespace(
+            plan=SimpleNamespace(hooks=GCHooks(charge=charge)))
+        cpu = CPU(ms.config, ms, runtime)
+        ms.attach_observer("L1D_MISS", lambda eip: seen.append(
+            (eip, cpu.cycles, cpu.instructions, gc[0])))
+        return ms, cpu, gc
+
+    def test_log_with_clock_entries_matches_one_at_a_time(self):
+        """The drain replays an *ordered log*: access segments
+        interleaved with deferred barrier charges and allocation
+        flushes.  Issued one at a time or replayed in one call, the
+        counters, the latency, the hook firings and the clock each
+        firing reads are the same."""
+        addrs, writes, eips = self.random_traffic(n=600, seed=11)
+        rng = random.Random(5)
+        # A script of ("access", lo, hi) / ("charge", c) / ("flush", c, n).
+        script, lo = [], 0
+        while lo < len(addrs):
+            hi = min(len(addrs), lo + rng.randrange(1, 9))
+            script.append(("access", lo, hi))
+            lo = hi
+            roll = rng.random()
+            if roll < 0.4:
+                script.append(("charge", 2))
+            elif roll < 0.7:
+                script.append(("flush", rng.randrange(40), rng.randrange(9)))
+
+        seen_single, seen_log = [], []
+        single, cpu_s, gc_s = self.clocked_memsys(seen_single)
+        latency = 0
+        for step in script:
+            if step[0] == "access":
+                for j in range(step[1], step[2]):
+                    latency += single.access(addrs[j], writes[j], eips[j])
+            elif step[0] == "charge":
+                cpu_s.runtime.plan.hooks.charge(step[1])
+            else:
+                cpu_s.cycles += latency + step[1]
+                cpu_s.instructions += step[2]
+                latency = 0
+
+        logged, cpu_l, gc_l = self.clocked_memsys(seen_log)
+        log = []
+        for step in script:
+            if step[0] == "access":
+                log.append((addrs[step[1]:step[2]], writes, eips, step[1]))
+            elif step[0] == "charge":
+                log.append((None, cpu_l._land_barrier, step[1], 0))
+            else:
+                log.append((None, cpu_l._land_flush, step[1], step[2]))
+        cpu_l._pending.extend(log)
+        trailing = cpu_l.drain_accesses()
+
+        assert seen_log == seen_single and len(seen_log) > 100
+        assert trailing == latency
+        assert (cpu_l.cycles, cpu_l.instructions, gc_l[0]) == \
+            (cpu_s.cycles, cpu_s.instructions, gc_s[0])
+        assert gc_l[0] > 0 and cpu_l.instructions > 0
+        assert logged.sync_counters().counts == \
+            single.sync_counters().counts
+        assert cpu_l._pending == []
 
 
 class TestPEBS:

@@ -13,16 +13,21 @@ import dataclasses
 
 import pytest
 
-from tests.helpers import BASELINE_ONLY
+from tests.helpers import BASELINE_ONLY, hog_program
 from repro.core.config import (GCConfig, SystemConfig, fastpath_enabled,
                                fastpath_level)
 from repro.harness import diskcache, runner
 from repro.harness.record import RunRecord
+from repro.gc.plan import HeapExhausted
 from repro.harness.runner import RunSpec, execute
-from repro.hw.isa import M_BC, M_BR
+from repro.hw import translate
+from repro.hw.cpu import SCHED_QUANTUM
+from repro.hw.isa import GuestError, M_BC, M_BR
 from repro.hw.translate import (MIN_SUPERBLOCK, superblock_ranges,
-                                translation_for)
+                                superblock_source, translation_for)
+from repro.jit.aos import CompilationPlan
 from repro.vm.program import Program
+from repro.vm.snapshot import Snapshot
 from repro.vm.vmcore import VM, run_program
 from repro.workloads.synth import Fn
 
@@ -325,3 +330,414 @@ class TestCacheKeyUnchanged:
         finally:
             runner.set_disk_cache(None)
             runner.clear_cache()
+
+
+#: javac with no heap headroom: the suite's densest mix of write
+#: barriers, allocations and collections.
+JAVAC = RunSpec("javac", heap_mult=1.0, coalloc=True)
+
+
+def _hook_log(spec, level, cycles):
+    """Everything an ``L1D_MISS`` observer can read of the clock and the
+    cycle buckets, at every firing of a bounded run."""
+    vm, _ = runner.make_vm(spec.benchmark, spec, fastpath=level)
+    cpu = vm.cpu
+    log = []
+    vm.memsys.attach_observer("L1D_MISS", lambda eip: log.append(
+        (eip, cpu.cycles, cpu.instructions, vm.gc_cycles,
+         vm.monitoring_cycles)))
+    vm.begin()
+    vm.advance(until_cycles=cycles)
+    return log
+
+
+class TestHookVisibleClock:
+    """A hook fires *inside* a memory access, between flush points: the
+    clock, the instruction count and the GC/monitoring buckets it reads
+    there (what telemetry stamps on samples taken in the PEBS
+    interrupt) are the same at every level — so deferred accesses,
+    barrier charges and allocation flushes must replay in program
+    order.  Entry counts were generated at the parent of PR 19."""
+
+    @pytest.mark.parametrize("spec, cycles, entries", [
+        (JAVAC, 1_500_000, 3969),
+        (RunSpec("db", coalloc=True), 1_500_000, 2909),
+        (RunSpec("jack", monitoring=False, heap_mult=1.0), 1_000_000, 3744),
+    ], ids=["javac-coalloc-heap1x", "db-coalloc", "jack-unmonitored-heap1x"])
+    def test_observer_log_identical_at_every_level(self, spec, cycles,
+                                                   entries):
+        ref = _hook_log(spec, 0, cycles)
+        assert len(ref) == entries
+        assert _hook_log(spec, 1, cycles) == ref
+        assert _hook_log(spec, 2, cycles) == ref
+
+
+# -- the pending log: never dropped, landed before anything reads it ---------
+
+class _QueueWatch:
+    """Test-side wrappers asserting ``cpu._pending`` is empty at every
+    point that reads the memory system or the clock from outside the
+    driver: each exit from ``CPU.run`` (return or raise), the opening
+    of a ``gc.minor``/``gc.full`` span (a collection's first clock
+    read), and each scheduler event."""
+
+    def __init__(self, vm):
+        self.vm = vm
+        self.exits = self.gc_spans = self.events = 0
+        cpu, plan, scheduler = vm.cpu, vm.plan, vm.scheduler
+        run, tracer, run_due = cpu.run, plan._trace, scheduler.run_due
+        watch = self
+
+        def watched_run(until_cycles=None):
+            try:
+                run(until_cycles)
+            finally:
+                watch.exits += 1
+                assert cpu._pending == []
+
+        class WatchedTracer:
+            def begin(self, name, **args):
+                if name in ("gc.minor", "gc.full"):
+                    watch.gc_spans += 1
+                    assert cpu._pending == []
+                return tracer.begin(name, **args)
+
+            def __getattr__(self, attr):
+                return getattr(tracer, attr)
+
+        def watched_run_due(now):
+            watch.events += 1
+            assert cpu._pending == []
+            return run_due(now)
+
+        cpu.run = watched_run
+        plan._trace = WatchedTracer()
+        scheduler.run_due = watched_run_due
+
+
+def _fault_program(fault):
+    """Six int array stores, an int putfield and a ref putfield, then a
+    fault — all straight-line, so at level 2 the stores and the barrier
+    are still queued when the fault is raised."""
+    p = Program("fault")
+    app = p.define_class("App")
+    app.add_static("out", "int")
+    app.seal()
+    box = p.define_class("Box")
+    box.add_field("v", "int")
+    box.add_field("next", "ref")
+    box.seal()
+    fn = Fn(p, app, "main")
+    arr, obj, zero = fn.local(), fn.local(), fn.local()
+    fn.iconst(8).emit("newarray", "int").rstore(arr)
+    fn.new(box).rstore(obj)
+    fn.iconst(0).istore(zero)
+    for i in range(6):
+        fn.rload(arr).iconst(i).iconst(3 * i).emit("arrstore", "int")
+    fn.rload(obj).iconst(7).putfield(box, "v")
+    fn.rload(obj).rload(obj).putfield(box, "next")
+    if fault == "null getfield":
+        fn.emit("aconst_null").getfield(box, "v")
+    elif fault == "out of bounds":
+        fn.rload(arr).iconst(8).emit("arrload", "int")
+    elif fault == "division by zero":
+        fn.iconst(5).iload(zero).emit("idiv")
+    else:  # raised by a per-instruction handler, not a fused run
+        assert fault == "negative array size"
+        fn.iconst(-1).emit("newarray", "int").emit("arraylength")
+    fn.putstatic(app, "out")
+    fn.ret()
+    p.set_main(fn.finish())
+    return p
+
+
+FAULTS = ("null getfield", "out of bounds", "division by zero",
+          "negative array size")
+
+
+class TestFaultParity:
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_state_after_guest_fault_identical(self, fault):
+        """Everything queued before a fault has landed when it
+        surfaces: the memory counters, the barrier's GC charge and the
+        clock equal the reference's at every level."""
+        states = {}
+        for level in (0, 1, 2):
+            vm = _vm(_fault_program(fault), fastpath=level)
+            watch = _QueueWatch(vm)
+            with pytest.raises(GuestError, match=fault):
+                vm.run()
+            assert watch.exits == 1
+            ms = vm.memsys
+            states[level] = (ms.n_loads, ms.n_stores, ms.n_l1_miss,
+                             ms.n_dtlb_miss, vm.gc_cycles, vm.cpu.cycles)
+        assert states[0][1] >= 8                    # the stores happened
+        assert states[0][4] == vm.config.gc.write_barrier_cost
+        assert states[1] == states[0]
+        assert states[2] == states[0]
+
+    def test_fault_in_a_block_without_accesses(self):
+        """Opt code keeps locals in registers, so a fused run can be
+        pure arithmetic.  When it faults, the stores an *earlier* block
+        queued must still land (before PR 19 they were left in the
+        queue and silently deleted by the next ``run``)."""
+        states = {}
+        for level in (0, 1, 2):
+            p = Program("late-fault")
+            app = p.define_class("App")
+            app.add_static("out", "int")
+            app.seal()
+            work = Fn(p, app, "work", args=["int"], returns="int")
+            arr, acc = work.local(), work.local()
+            work.iconst(4).emit("newarray", "int").rstore(arr)
+            work.rload(arr).iconst(0).iconst(1).emit("arrstore", "int")
+            work.rload(arr).iconst(1).iload(0).emit("arrstore", "int")
+            work.iconst(3).istore(acc)
+            work.iload(0)
+            with work.if_nonzero():      # ends the storing block
+                work.iconst(9).istore(acc)
+            work.iload(acc).iconst(2).emit("imul").iload(0).emit("idiv")
+            work.iret()
+            work_m = work.finish()
+            main = Fn(p, app, "main")
+            main.iconst(0).call(work_m).putstatic(app, "out")
+            main.ret()
+            p.set_main(main.finish())
+            vm = _vm(p, fastpath=level, plan=CompilationPlan(["App.work"]))
+            watch = _QueueWatch(vm)
+            with pytest.raises(GuestError, match="division by zero"):
+                vm.run()
+            assert watch.exits == 1
+            states[level] = (vm.memsys.n_loads, vm.memsys.n_stores,
+                             vm.cpu.cycles)
+        source = superblock_source(work_m.current_code)[0]
+        assert "fault(None, None, None, 0, 'division by zero'" in source
+        assert states[0][1] == 3
+        assert states[1] == states[0]
+        assert states[2] == states[0]
+
+    def test_fault_after_a_straddle(self):
+        """What a fault leaves in the memory system is the reference's,
+        always.  What it leaves on the clock is the last *flush* (the
+        partial quantum is dropped, as in the reference): exactly the
+        reference's whenever something could have read it — a hook
+        attached — and otherwise a flush point less than a quantum from
+        the reference's (a straddle lands at the end of its run, not on
+        the boundary inside it).  Sweep the array length so the
+        faulting iteration meets the boundary at every offset."""
+        def outcome(length, level, observer):
+            p = Program("sweep")
+            app = p.define_class("App")
+            app.add_static("out", "int")
+            app.seal()
+            fn = Fn(p, app, "main")
+            arr = fn.local()
+            fn.iconst(length).emit("newarray", "int").rstore(arr)
+            with fn.loop(length + 1) as i:       # one store too many
+                fn.rload(arr).iload(i).iload(i).emit("arrstore", "int")
+            fn.ret()
+            p.set_main(fn.finish())
+            vm = _vm(p, fastpath=level)
+            if observer:
+                vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+            watch = _QueueWatch(vm)
+            with pytest.raises(GuestError, match="out of bounds"):
+                vm.run()
+            assert watch.exits == 1
+            ms = vm.memsys
+            return ((ms.n_loads, ms.n_stores, ms.n_l1_miss, ms.n_dtlb_miss),
+                    vm.cpu.instructions, vm.cpu.cycles)
+
+        moved = 0
+        for length in range(40, 72):
+            ref = outcome(length, 0, observer=False)
+            assert outcome(length, 2, observer=True) == ref
+            memory, instructions, _ = outcome(length, 2, observer=False)
+            assert memory == ref[0]
+            assert abs(instructions - ref[1]) < SCHED_QUANTUM
+            moved += instructions != ref[1]
+        assert moved       # the sweep did put a straddle before a fault
+
+
+class TestNoAccessDropped:
+    def test_queue_empty_wherever_it_could_be_observed(self):
+        """javac at heap 1.0x in 150 K-cycle legs: ten exits from
+        ``run``, collections and scheduler events — the queue is empty
+        at each of them."""
+        vm, _ = runner.make_vm("javac", JAVAC, fastpath=2)
+        watch = _QueueWatch(vm)
+        vm.begin()
+        for leg in range(1, 11):
+            assert not vm.advance(until_cycles=150_000 * leg)
+        assert watch.exits == 10
+        assert watch.gc_spans >= 3
+        assert watch.events >= 5
+
+    def test_queue_empty_at_snapshot_capture(self, monkeypatch):
+        queues = []
+        capture = Snapshot.capture.__func__
+
+        def watched_capture(cls, vm):
+            queues.append(list(vm.cpu._pending))
+            return capture(cls, vm)
+
+        monkeypatch.setattr(Snapshot, "capture",
+                            classmethod(watched_capture))
+        vm, _ = runner.make_vm("javac", JAVAC, fastpath=2)
+        vm.begin()
+        snapshots = []
+        runner.drive(vm, until_cycles=600_000, checkpoint_every=150_000,
+                     on_checkpoint=snapshots.append)
+        assert len(queues) == 4 and not any(queues)
+        assert snapshots[1].restore().cpu._pending == []
+
+    def test_heap_exhaustion_lands_the_queue(self):
+        states = {}
+        for level in (0, 2):
+            cfg = SystemConfig(monitoring=False, fastpath=level,
+                               gc=GCConfig(heap_bytes=256 * 1024))
+            vm = VM(hog_program(), cfg,
+                    compilation_plan=BASELINE_ONLY)
+            watch = _QueueWatch(vm)
+            with pytest.raises(HeapExhausted):
+                vm.run()
+            assert watch.exits == 1 and watch.gc_spans > 0
+            ms = vm.memsys
+            states[level] = (ms.n_loads, ms.n_stores, ms.n_l1_miss,
+                             vm.gc_cycles, vm.cpu.cycles,
+                             vm.cpu.instructions)
+        assert states[2] == states[0]
+
+    def test_barrier_and_allocation_do_not_drain(self):
+        """In generated code ``drain()`` is reachable only through the
+        fault helper; the barrier queues its charge instead."""
+        vm, _ = runner.make_vm("javac", JAVAC)
+        vm.begin()
+        vm.advance(until_cycles=300_000)
+        barriers = 0
+        for cm in vm.codecache.methods:
+            built = superblock_source(cm)
+            if built is None:
+                continue
+            source = built[0]
+            helper = source[source.index("    def fault("):
+                            source.index("    def _sb_")]
+            assert source.count("drain()") == helper.count("drain()") == 1
+            barriers += source.count("pend(barrier)")
+        assert barriers > 0
+
+
+# -- the two censuses ------------------------------------------------------
+
+def _count_drains(vm):
+    """Count ``access_run_segments`` calls from outside (no counter
+    lives under ``src/``)."""
+    real = vm.memsys.access_run_segments
+    calls = [0]
+
+    def counted(segments):
+        calls[0] += 1
+        return real(segments)
+
+    vm.memsys.access_run_segments = counted
+    return calls
+
+
+@pytest.fixture()
+def dispatches(monkeypatch):
+    """Count per-instruction dispatches by wrapping every handler of
+    every translation built while the fixture is live."""
+    real = translate.translate
+    count = [0]
+
+    def counting(handler):
+        def wrapped(frame, regs, slots):
+            count[0] += 1
+            return handler(frame, regs, slots)
+        return wrapped
+
+    def counted_translate(cm, cpu):
+        tr = real(cm, cpu)
+        tr.handlers = [counting(h) for h in tr.handlers]
+        return tr
+
+    monkeypatch.setattr(translate, "translate", counted_translate)
+    return count
+
+
+class TestCensus:
+    """How often level 2 leaves the fused, batched path — exact and
+    repeatable counts, asserted as ratios with headroom (parent of
+    PR 19: 93.5 drains per kilo-instruction; 8.6 % per-instruction)."""
+
+    def test_javac_drains_per_kilo_instruction(self):
+        vm, _ = runner.make_vm("javac", JAVAC, fastpath=2)
+        calls = _count_drains(vm)
+        vm.begin()
+        vm.advance(until_cycles=1_500_000)
+        assert 1000 * calls[0] / vm.cpu.instructions <= 12
+
+    def test_compress_per_instruction_share(self, dispatches):
+        spec = RunSpec("compress", monitoring=False)
+        vm, _ = runner.make_vm("compress", spec, fastpath=2)
+        vm.begin()
+        assert vm.advance()
+        assert dispatches[0] / vm.cpu.instructions <= 0.001
+
+    COMPRESS_CUT = RunSpec("compress", monitoring=False,
+                           until_cycles=400_000)
+
+    def _compress_cut(self, dispatches, observer=False, leg=400_000):
+        """Share of per-instruction dispatches, and the record, of
+        ``COMPRESS_CUT`` driven in ``leg``-cycle slices."""
+        dispatches[0] = 0
+        vm, _ = runner.make_vm("compress", self.COMPRESS_CUT, fastpath=2)
+        if observer:
+            vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+        vm.begin()
+        for until in range(leg, 400_001, leg):
+            vm.advance(until_cycles=until)
+        share = dispatches[0] / vm.cpu.instructions
+        return share, RunRecord.from_result(vm.finish()).to_json()
+
+    def test_straddle_refused_under_observer_or_near_deadline(
+            self, dispatches):
+        """The straddle is taken only when nothing can observe the
+        skipped poll.  With a hook attached, or the deadline always
+        within one horizon (20 K-cycle legs), the exact per-instruction
+        split is taken (the parent's 8.6 % share is back) — and either
+        way the record is the reference's."""
+        ref = RunRecord.from_result(
+            execute(self.COMPRESS_CUT, fastpath=0)).to_json()
+        share, record = self._compress_cut(dispatches)
+        assert share < 0.02 and record == ref
+        share, record = self._compress_cut(dispatches, observer=True)
+        assert share > 0.05 and record == ref
+        share, record = self._compress_cut(dispatches, leg=20_000)
+        assert share > 0.05 and record == ref
+
+    def test_second_translation_reuses_the_code_object(self, monkeypatch):
+        """``compile()`` runs once per distinct factory source in the
+        process; a fresh CPU still gets its own closures, and the run
+        is unchanged."""
+        translate._factory_code.cache_clear()
+        compiled = []
+        real_compile = compile
+
+        def counting_compile(source, filename, mode):
+            compiled.append(filename)
+            return real_compile(source, filename, mode)
+
+        monkeypatch.setattr(translate, "compile", counting_compile,
+                            raising=False)
+        records, closures = [], []
+        for _ in range(2):
+            p, _ = _loop_program()   # a fresh guest, the same text
+            vm = _vm(p)
+            cm = vm.compiled_code_for(p.main)
+            tr = translate.translate(cm, vm.cpu)
+            closures.append([blk[1] for blk in tr.blocks if blk])
+            records.append(RunRecord.from_result(vm.run()).to_json())
+        assert len(compiled) == 1
+        assert records[0] == records[1]
+        assert closures[0] and not set(closures[0]) & set(closures[1])

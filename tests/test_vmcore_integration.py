@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import BASELINE_ONLY, run_main
+from tests.helpers import BASELINE_ONLY, hog_program, run_main
 from repro.core.config import GCConfig, SystemConfig
 from repro.jit.aos import CompilationPlan
 from repro.vm.program import Program
@@ -193,22 +193,7 @@ class TestErrors:
 
     def test_heap_exhaustion_surfaces(self):
         from repro.gc.plan import HeapExhausted
-        p = Program("hog")
-        app = p.define_class("App")
-        app.add_static("keep", "ref")
-        app.seal()
-        node = p.define_class("Node")
-        node.add_field("next", "ref")
-        node.seal()
-        fn = Fn(p, app, "main")
-        cur = fn.local()
-        with fn.loop(100_000):
-            fn.new(node).rstore(cur)
-            fn.rload(cur).getstatic(app, "keep").putfield(node, "next")
-            fn.rload(cur).putstatic(app, "keep")
-        fn.ret()
-        p.set_main(fn.finish())
         cfg = SystemConfig(monitoring=False,
                            gc=GCConfig(heap_bytes=256 * 1024))
         with pytest.raises(HeapExhausted):
-            run_program(p, cfg, compilation_plan=BASELINE_ONLY)
+            run_program(hog_program(), cfg, compilation_plan=BASELINE_ONLY)
