@@ -96,6 +96,31 @@ def _benchmark_list(value: Optional[str]) -> Optional[List[str]]:
     return names
 
 
+def _write_json(what: str, path: str, doc) -> None:
+    """Write ``doc`` as indented JSON, or exit with a readable message."""
+    import json
+
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise SystemExit(f"cannot write {what} to {path!r}: {exc}")
+
+
+def _load_record(command: str, path: str):
+    """The exported run record at ``path``, or exit naming ``command``."""
+    from repro.analysis.diff import load_record
+
+    try:
+        return load_record(path)
+    except OSError as exc:
+        raise SystemExit(f"{command}: cannot read {path!r}: {exc}")
+    except (ValueError, KeyError, TypeError):
+        raise SystemExit(f"{command}: {path!r} is not an exported run "
+                         "record (see `repro run --record`)")
+
+
 def cmd_list(args) -> None:
     for row in ex.table1():
         print(f"{row.name:10s} {row.description}")
@@ -160,19 +185,34 @@ def cmd_run(args) -> None:
             runner.store_snapshot(spec, snap)
             stored.append(snap)
 
-    result = execute(spec, telemetry=telemetry, lineage=lineage,
-                     health=health,
-                     fastpath=False if args.no_fastpath else None,
-                     resume_from=resume_from,
-                     checkpoint_every=args.checkpoint_every,
-                     on_checkpoint=on_checkpoint)
+    vm = runner.start(spec, telemetry=telemetry, lineage=lineage,
+                      health=health,
+                      fastpath=False if args.no_fastpath else None,
+                      resume_from=resume_from)
+    if resume_from is not None:
+        # A resumed run continues the checkpoint's own observers (they
+        # hold the prefix); the fresh ones built above are never
+        # attached.  Refuse, before a cycle is simulated, when the
+        # checkpoint lacks an observer the output flags need.
+        obs = vm.observers
+        lacks = []
+        if telemetry is not None and not obs.telemetry.enabled:
+            lacks.append("telemetry (--trace/--metrics/--prom/--collapsed)")
+        if args.record and (obs.lineage is None or obs.health is None):
+            lacks.append("the decision ledger and health monitor (--record)")
+        if lacks:
+            raise SystemExit(
+                f"run: the checkpoint at cycle {resume_from.cycle:,} was "
+                f"taken without {' or '.join(lacks)}, and a resumed run "
+                f"continues the checkpoint's observers; take the "
+                f"checkpoint with the same flags, or run without --resume")
+        if telemetry is not None:
+            telemetry = obs.telemetry
+    result = runner.drive(vm, until_cycles=spec.until_cycles,
+                          checkpoint_every=args.checkpoint_every,
+                          on_checkpoint=on_checkpoint)
     if resume_from is not None:
         print(f"resumed              : from cycle {resume_from.cycle:,}")
-        # The snapshot's own observers continued through the resume;
-        # export whatever they accumulated, not the fresh (unused)
-        # telemetry/ledger built above.
-        if result.vm is not None and result.vm.telemetry.enabled:
-            telemetry = result.vm.telemetry
     print(f"benchmark            : {result.program}")
     print(f"cycles               : {result.cycles:,}")
     print(f"instructions         : {result.instructions:,}")
@@ -225,18 +265,9 @@ def cmd_run(args) -> None:
         print(f"collapsed            : {args.collapsed} ({lines} stacks; "
               "feed to flamegraph.pl or speedscope)")
     if args.record:
-        import json
-
-        from repro.harness.runner import record_from_result
-
-        record = record_from_result(
+        record = runner.record_from_result(
             spec, result, fastpath=False if args.no_fastpath else None)
-        try:
-            with open(args.record, "w") as fh:
-                json.dump(record.to_json(), fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write record to {args.record!r}: {exc}")
+        _write_json("record", args.record, record.to_json())
         print(f"record               : {args.record} (repro diff input)")
     if telemetry is not None and args.metrics:
         print("metrics:")
@@ -414,14 +445,7 @@ def cmd_audit(args) -> None:
         top_n=args.top, event=args.event, coalloc=args.coalloc)
     print(fidelity.format_report(report))
     if args.json:
-        import json
-
-        try:
-            with open(args.json, "w") as fh:
-                json.dump(report.to_json(), fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write report to {args.json!r}: {exc}")
+        _write_json("report", args.json, report.to_json())
         print(f"\njson report: {args.json}")
 
 
@@ -429,18 +453,7 @@ def cmd_explain(args) -> None:
     from repro.lineage import DecisionLedger, explain
 
     if args.from_record:
-        from repro.analysis.diff import load_record
-
-        try:
-            record = load_record(args.from_record)
-        except OSError as exc:
-            raise SystemExit(
-                f"explain: cannot read {args.from_record!r}: {exc}")
-        except (ValueError, KeyError, TypeError):
-            raise SystemExit(f"explain: {args.from_record!r} is not an "
-                             "exported run record (see `repro run "
-                             "--record`)")
-        doc = record.lineage
+        doc = _load_record("explain", args.from_record).lineage
         if not doc:
             raise SystemExit(f"explain: {args.from_record!r} carries no "
                              "lineage (re-export it with this version: "
@@ -468,17 +481,10 @@ def cmd_explain(args) -> None:
              if target is not None else [])
 
     if args.json:
-        import json
-
-        out = {"lineage": doc, "problems": problems,
-               "target": target["id"] if target else None,
-               "chain": chain}
-        try:
-            with open(args.json, "w") as fh:
-                json.dump(out, fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write report to {args.json!r}: {exc}")
+        _write_json("report", args.json,
+                    {"lineage": doc, "problems": problems,
+                     "target": target["id"] if target else None,
+                     "chain": chain})
         print(f"json report: {args.json}")
     if args.dot:
         try:
@@ -514,17 +520,7 @@ def cmd_doctor(args) -> None:
 
     storm_info = None
     if args.from_record:
-        from repro.analysis.diff import load_record
-
-        try:
-            record = load_record(args.from_record)
-        except OSError as exc:
-            raise SystemExit(
-                f"doctor: cannot read {args.from_record!r}: {exc}")
-        except (ValueError, KeyError, TypeError):
-            raise SystemExit(f"doctor: {args.from_record!r} is not an "
-                             "exported run record (see `repro run "
-                             "--record`)")
+        record = _load_record("doctor", args.from_record)
         if not record.health:
             raise SystemExit(f"doctor: {args.from_record!r} carries no "
                              "health report (re-export it with this "
@@ -602,17 +598,10 @@ def cmd_doctor(args) -> None:
               "validated; run without --from, or re-export the record)")
 
     if args.json:
-        import json
-
-        out = {"benchmark": benchmark, "verdict": health_report.verdict,
-               "report": health_report.to_json(), "storm": storm_info,
-               "problems": problems, "chains": chains}
-        try:
-            with open(args.json, "w") as fh:
-                json.dump(out, fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write report to {args.json!r}: {exc}")
+        _write_json("report", args.json,
+                    {"benchmark": benchmark, "verdict": health_report.verdict,
+                     "report": health_report.to_json(), "storm": storm_info,
+                     "problems": problems, "chains": chains})
         print(f"\njson report: {args.json}")
 
     if problems:
@@ -624,18 +613,10 @@ def cmd_doctor(args) -> None:
 
 def cmd_diff(args) -> None:
     from repro.analysis import provenance
-    from repro.analysis.diff import diff_records, format_diff, load_record
+    from repro.analysis.diff import diff_records, format_diff
 
-    records = []
-    for path in (args.record_a, args.record_b):
-        try:
-            records.append(load_record(path))
-        except OSError as exc:
-            raise SystemExit(f"diff: cannot read {path!r}: {exc}")
-        except (ValueError, KeyError, TypeError):
-            raise SystemExit(f"diff: {path!r} is not an exported run "
-                             "record (see `repro run --record`)")
-    a, b = records
+    a, b = (_load_record("diff", path)
+            for path in (args.record_a, args.record_b))
     print(f"a: {provenance.describe(a.provenance)}")
     print(f"b: {provenance.describe(b.provenance)}")
     diff = diff_records(a, b, threshold=args.threshold)

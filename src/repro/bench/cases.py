@@ -447,8 +447,8 @@ def run_health_overhead(params: Dict[str, object]) -> Dict[str, object]:
     log — bit-identical to a health-off run; (2) health riding next to
     a decision ledger does not perturb a single ledger entry (the
     evidence ids findings cite are exactly the ids the ledger would
-    have assigned anyway); (3) the wall-time overhead of the interval
-    tap + segmentation + detectors stays under ``max_ratio``.
+    have assigned anyway); (3) the wall-time overhead of the per-period
+    vector + segmentation + detectors stays under ``max_ratio``.
     """
     from repro.harness import runner
     from repro.harness.runner import RunSpec

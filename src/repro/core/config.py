@@ -323,20 +323,17 @@ class SystemConfig:
     fastpath: "bool | int | None" = None
     #: Seed for all randomized components.
     seed: int = 42
-    #: Optional :class:`repro.telemetry.Telemetry` instance.  ``None``
-    #: (the default) selects the shared null telemetry: no metrics, no
-    #: spans, and — by the telemetry invariant — bit-identical simulated
-    #: cycle counts to an instrumented-but-disabled run.
+    # The run's pure observers.  The VM resolves the three fields once
+    # into one :class:`repro.observers.Observers` bundle; ``None`` (the
+    # default) attaches nothing, and whatever is attached leaves every
+    # simulated number bit-identical.
+    #: Optional :class:`repro.telemetry.Telemetry`: spans and metrics.
     telemetry: "object | None" = None
-    #: Optional :class:`repro.lineage.DecisionLedger`.  ``None`` (the
-    #: default) selects the shared null ledger; like telemetry, the
-    #: ledger is a pure observer, so attaching one leaves every
-    #: simulated number bit-identical.
+    #: Optional :class:`repro.lineage.DecisionLedger`: the causal log
+    #: behind every online-optimization decision.
     lineage: "object | None" = None
-    #: Optional :class:`repro.health.HealthMonitor`.  ``None`` (the
-    #: default) selects the shared null monitor; the third pure
-    #: observer — phase segmentation and pathology detection read the
-    #: interval stream without perturbing a single simulated number.
+    #: Optional :class:`repro.health.HealthMonitor`: phase segmentation
+    #: and pathology detection over the per-period interval stream.
     health: "object | None" = None
 
     def copy(self, **overrides) -> "SystemConfig":

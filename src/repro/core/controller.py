@@ -21,8 +21,7 @@ from repro.core.feedback import FeedbackEngine
 from repro.core.mapping import SampleResolver
 from repro.core.monitor import OnlineMonitor
 from repro.jit.codecache import CodeCache, CompiledMethod
-from repro.lineage import NULL_LEDGER
-from repro.telemetry import NULL_TELEMETRY
+from repro.observers import NO_OBSERVERS
 from repro.vm.model import ClassInfo, FieldInfo
 
 #: Bounds for the adaptive sampling interval (events between samples).
@@ -44,35 +43,18 @@ class OnlineOptimizationController:
                  set_sampling_interval: Optional[Callable[[int], None]] = None,
                  auto_interval: bool = False,
                  sampling_switch: Optional[Callable[[bool], None]] = None,
-                 telemetry=None, lineage=None, health=None,
-                 interval_tap: Optional[Callable] = None):
+                 observers=NO_OBSERVERS):
         self.monitor_config = monitor_config
         self.resolver = SampleResolver(codecache)
         self.monitor = OnlineMonitor(monitor_config)
-        self.telemetry = telemetry or NULL_TELEMETRY
-        self.lineage = lineage if lineage is not None else NULL_LEDGER
-        #: Health observer hook: called with each closed period's
-        #: observation vector (see repro.perfmon.tap).  Pure read-only.
-        self._interval_tap = interval_tap
+        self._obs = observers
         self.feedback = FeedbackEngine(self.monitor, monitor_config,
-                                       telemetry=self.telemetry,
-                                       lineage=self.lineage,
-                                       health=health)
+                                       observers=observers)
         self.perfmon_config = perfmon_config
-        self._trace = self.telemetry.tracer
-        metrics = self.telemetry.metrics
-        self._m_batches = metrics.counter(
-            "controller.batches", "sample batches processed")
-        self._m_samples = metrics.counter(
-            "controller.samples", "raw EIP samples received")
-        self._m_attributed = metrics.counter(
-            "controller.attributed_samples",
-            "samples attributed to a reference field")
-        self._m_interval = metrics.gauge(
+        self._trace = observers.tracer
+        self._m_interval = observers.metrics.gauge(
             "controller.sampling_interval",
             "current hardware sampling interval (events between samples)")
-        self._m_duty_pauses = metrics.counter(
-            "controller.duty_pauses", "duty-cycle sampling pauses")
         self.charge = charge
         self._set_interval = set_sampling_interval
         self.auto_interval = auto_interval
@@ -121,7 +103,7 @@ class OnlineOptimizationController:
         # even under the adaptive interval.
         weight = max(1, self.current_interval)
         record_method = self.monitor.record_method
-        per_field = {} if self.lineage.enabled else None
+        per_field = {} if self._obs.keeps_evidence else None
         for eip in eips:
             resolved = resolve(eip)
             if resolved is not None:
@@ -137,14 +119,11 @@ class OnlineOptimizationController:
                             acc[0] += 1
                             acc[1] += weight
         if per_field is not None:
-            self.lineage.attribution(
+            self._obs.attribution(
                 len(eips), attributed, weight,
                 tuple((f, c[0], c[1]) for f, c in per_field.items()))
         self._samples_this_period += len(eips)
         self._attributed_this_period += attributed
-        self._m_batches.inc()
-        self._m_samples.inc(len(eips))
-        self._m_attributed.inc(attributed)
         self._trace.end(samples=len(eips), attributed=attributed)
         return attributed
 
@@ -168,17 +147,14 @@ class OnlineOptimizationController:
                             samples=self._samples_this_period,
                             attributed=self._attributed_this_period)
         period = self.monitor.close_period(now_cycle)
-        if self.lineage.enabled:
-            self.lineage.period_close(period.index,
-                                      self._samples_this_period,
-                                      self._attributed_this_period)
-            self.lineage.ranking_snapshot(
-                period.index, self._ranking_for_lineage())
+        self._obs.period_closed(period.index, self._samples_this_period,
+                                self._attributed_this_period,
+                                self._ranking_evidence)
         self.feedback.on_period()
-        if self._interval_tap is not None:
-            self._interval_tap(period, now_cycle,
-                               self._samples_this_period,
-                               self._attributed_this_period)
+        # After the verdicts: detectors see a period's experiment
+        # events before its vector.
+        self._obs.interval(period, now_cycle, self._samples_this_period,
+                           self._attributed_this_period, self.sampling_paused)
         if self.auto_interval and self._set_interval is not None \
                 and not self.sampling_paused:
             self._adapt_interval()
@@ -187,8 +163,8 @@ class OnlineOptimizationController:
         self._samples_this_period = 0
         self._attributed_this_period = 0
 
-    def _ranking_for_lineage(self, max_classes: int = 16,
-                             max_fields: int = 4) -> tuple:
+    def _ranking_evidence(self, max_classes: int = 16,
+                          max_fields: int = 4) -> tuple:
         """The hot-field ranking as the ledger records it: the hottest
         classes (by total estimated events), each with its top fields as
         ``(field, events, raw_samples)``.  Bounded so a snapshot per
@@ -233,7 +209,6 @@ class OnlineOptimizationController:
         if self._idle_periods >= cfg.duty_idle_periods:
             self.sampling_paused = True
             self.duty_pauses += 1
-            self._m_duty_pauses.inc()
             self._paused_periods_left = cfg.duty_off_periods
             if self._sampling_switch is not None:
                 self._sampling_switch(False)
@@ -286,11 +261,22 @@ class OnlineOptimizationController:
     def summary(self) -> dict:
         return dict(self._summary_items())
 
-    def publish_metrics(self) -> None:
-        """Mirror the canonical summary into the metrics registry as
-        ``controller.summary.<key>`` gauges (no-op on a null registry)."""
-        metrics = self.telemetry.metrics
-        if not metrics.enabled:
-            return
+    def publish_metrics(self, metrics) -> None:
+        """Export the end-of-run statistics (call once per run): the
+        canonical summary as ``controller.summary.<key>`` gauges, and
+        the counts this controller and its feedback engine keep."""
         for key, value in self._summary_items():
             metrics.gauge(f"controller.summary.{key}").set(value)
+        stats = self.resolver.stats
+        metrics.counter("controller.batches", "sample batches processed"
+                        ).inc(self.batches_processed)
+        # Every sample received lands in exactly one resolver bin.
+        metrics.counter("controller.samples", "raw EIP samples received"
+                        ).inc(stats.resolved + stats.dropped_foreign
+                              + stats.dropped_baseline)
+        metrics.counter("controller.attributed_samples",
+                        "samples attributed to a reference field"
+                        ).inc(stats.attributed)
+        metrics.counter("controller.duty_pauses",
+                        "duty-cycle sampling pauses").inc(self.duty_pauses)
+        self.feedback.publish_metrics(metrics)

@@ -24,9 +24,7 @@ from typing import Callable, List, Optional
 
 from repro.core.config import MonitorConfig
 from repro.core.monitor import OnlineMonitor
-from repro.health import NULL_HEALTH
-from repro.lineage import NULL_LEDGER
-from repro.telemetry import NULL_TELEMETRY
+from repro.observers import NO_OBSERVERS
 from repro.vm.model import ClassInfo, FieldInfo
 
 
@@ -55,21 +53,11 @@ class FeedbackEngine:
     """Judges policy experiments against monitored miss rates."""
 
     def __init__(self, monitor: OnlineMonitor, config: MonitorConfig,
-                 telemetry=None, lineage=None, health=None):
+                 observers=NO_OBSERVERS):
         self.monitor = monitor
         self.config = config
         self.experiments: List[Experiment] = []
-        self.lineage = lineage if lineage is not None else NULL_LEDGER
-        self.health = health if health is not None else NULL_HEALTH
-        tele = telemetry or NULL_TELEMETRY
-        self._trace = tele.tracer
-        metrics = tele.metrics
-        self._m_started = metrics.counter(
-            "feedback.experiments_started",
-            "policy experiments begun, by experiment name")
-        self._m_reverts = metrics.counter(
-            "feedback.reverts",
-            "experiments reverted after regression, by experiment name")
+        self._obs = observers
 
     def begin_experiment(self, name: str, field: FieldInfo,
                          revert: Callable[[], None],
@@ -84,16 +72,10 @@ class FeedbackEngine:
                          baseline_rate=baseline,
                          started_period=len(self.monitor.periods))
         self.experiments.append(exp)
-        eid = self.lineage.experiment_begin(
+        self._obs.experiment_begin(
             name, field, baseline, exp.started_period,
             self.monitor.sample_counts.get(field, 0),
             self.config.revert_threshold, self.config.revert_patience)
-        self.health.on_experiment_begin(name, field.qualified_name,
-                                        baseline, exp.started_period, eid)
-        self._m_started.labels(name).inc()
-        self._trace.instant("feedback.experiment_begin", cat="feedback",
-                            experiment=name, field=field.qualified_name,
-                            baseline_rate=baseline)
         return exp
 
     def on_period(self) -> None:
@@ -114,34 +96,32 @@ class FeedbackEngine:
                 exp.regressed_periods += 1
             else:
                 exp.regressed_periods = 0
-            eid = self.lineage.experiment_verdict(exp.name, rate, threshold,
-                                                  regressed,
-                                                  exp.regressed_periods)
-            self.health.on_experiment_verdict(exp.name, rate, threshold,
-                                              regressed,
-                                              exp.regressed_periods, eid)
-            self._trace.instant("feedback.verdict", cat="feedback",
-                                experiment=exp.name, rate=rate,
-                                regressed=regressed,
-                                streak=exp.regressed_periods)
+            self._obs.experiment_verdict(exp.name, rate, threshold,
+                                         regressed, exp.regressed_periods)
             if exp.regressed_periods >= cfg.revert_patience:
                 exp.revert()
                 exp.active = False
                 exp.reverted = True
                 exp.reverted_period = current_period
-                eid = self.lineage.experiment_revert(
+                self._obs.experiment_revert(
                     exp.name, exp.field, current_period, rate,
                     exp.baseline_rate, cfg.revert_threshold)
-                self.health.on_experiment_revert(
-                    exp.name, exp.field.qualified_name, current_period,
-                    rate, exp.baseline_rate, eid)
-                self._m_reverts.labels(exp.name).inc()
-                self._trace.instant("feedback.revert", cat="feedback",
-                                    experiment=exp.name,
-                                    period=current_period)
 
     def active_experiments(self) -> List[Experiment]:
         return [e for e in self.experiments if e.active]
 
     def reverted_experiments(self) -> List[Experiment]:
         return [e for e in self.experiments if e.reverted]
+
+    def publish_metrics(self, metrics) -> None:
+        """Export the experiment census (call once per run)."""
+        started = metrics.counter(
+            "feedback.experiments_started",
+            "policy experiments begun, by experiment name")
+        reverts = metrics.counter(
+            "feedback.reverts",
+            "experiments reverted after regression, by experiment name")
+        for exp in self.experiments:
+            started.labels(exp.name).inc()
+            if exp.reverted:
+                reverts.labels(exp.name).inc()

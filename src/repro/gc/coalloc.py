@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.observers import NO_OBSERVERS
 from repro.vm.model import ClassInfo, FieldInfo
 from repro.vm.objects import SPACE_NURSERY
 
@@ -36,25 +37,17 @@ class CoallocationPolicy:
                  max_combined_bytes: int = 4096,
                  gap_bytes: int = 0,
                  enabled: bool = True,
-                 telemetry=None, lineage=None):
-        from repro.lineage import NULL_LEDGER
-        from repro.telemetry import NULL_TELEMETRY
-
+                 observers=NO_OBSERVERS):
         self.hot_field_provider = hot_field_provider
-        self.lineage = lineage if lineage is not None else NULL_LEDGER
+        self._obs = observers
         self.max_combined_bytes = max_combined_bytes
         #: Empty space inserted between parent and child (0 normally;
         #: 128 in Figure 8's deliberately poor configuration).
         self.gap_bytes = gap_bytes
         self.enabled = enabled
-        metrics = (telemetry or NULL_TELEMETRY).metrics
-        self._m_considered = metrics.counter(
-            "gc.coalloc.considered", "promotions examined for co-allocation")
-        self._m_accepted = metrics.counter(
+        self._m_accepted = observers.metrics.counter(
             "gc.coalloc.accepted",
             "co-allocations performed, labeled (class, field)")
-        self._m_rejected = metrics.counter(
-            "gc.coalloc.rejected", "co-allocation rejections, by reason")
         # Decision statistics.
         self.considered = 0
         self.no_hot_field = 0
@@ -77,34 +70,43 @@ class CoallocationPolicy:
         if klass is None:  # arrays have no per-class hot-field entry
             return None
         self.considered += 1
-        self._m_considered.inc()
         field = self.hot_field_provider(klass)
         if field is None:
             self.no_hot_field += 1
-            self._m_rejected.labels("no_hot_field").inc()
             return None
         child = obj.slots[field.index]
         if child is None or child.space != SPACE_NURSERY or child is obj:
             self.child_unavailable += 1
-            self._m_rejected.labels("child_unavailable").inc()
             return None
         combined = obj.size + self.gap_bytes + child.size
         if combined > self.max_combined_bytes:
             self.too_large += 1
-            self._m_rejected.labels("too_large").inc()
             return None
         self.accepted += 1
         self._m_accepted.labels(klass.name, field.name).inc()
-        self.lineage.placement_pending(klass, field, obj.size, child.size,
-                                       self.gap_bytes, combined)
+        self._obs.placement_pending(klass, field, obj.size, child.size,
+                                    self.gap_bytes, combined)
         return child, combined
 
     def set_gap(self, gap_bytes: int) -> None:
         """Change the placement gap (Figure 8's manual intervention)."""
         if gap_bytes < 0:
             raise ValueError("gap must be non-negative")
-        self.lineage.gap_set(self.gap_bytes, gap_bytes)
+        self._obs.gap_set(self.gap_bytes, gap_bytes)
         self.gap_bytes = gap_bytes
+
+    def publish_metrics(self, metrics) -> None:
+        """Export the decision statistics (call once per run)."""
+        metrics.counter("gc.coalloc.considered",
+                        "promotions examined for co-allocation"
+                        ).inc(self.considered)
+        rejected = metrics.counter("gc.coalloc.rejected",
+                                   "co-allocation rejections, by reason")
+        for reason, count in (("no_hot_field", self.no_hot_field),
+                              ("child_unavailable", self.child_unavailable),
+                              ("too_large", self.too_large)):
+            if count:
+                rejected.labels(reason).inc(count)
 
 
 def static_hot_fields(table: dict) -> HotFieldProvider:

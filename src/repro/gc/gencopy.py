@@ -21,6 +21,7 @@ from repro.core.config import GCConfig
 from repro.gc import layout
 from repro.gc.bump import BumpAllocator
 from repro.gc.plan import GCHooks, HeapExhausted, Plan
+from repro.observers import NO_OBSERVERS
 from repro.vm.objects import SPACE_LOS, SPACE_MATURE, SPACE_NURSERY
 
 #: Address span reserved for each semispace.
@@ -33,13 +34,13 @@ class GenCopyPlan(Plan):
     name = "gencopy"
 
     def __init__(self, config: GCConfig, hooks: Optional[GCHooks] = None,
-                 coalloc=None, telemetry=None):
+                 coalloc=None, observers=NO_OBSERVERS):
         if coalloc is not None:
             raise ValueError(
                 "co-allocation requires the free-list mature space (GenMS); "
                 "a copying mature space re-decides placement at every GC"
             )
-        super().__init__(config, hooks, None, telemetry)
+        super().__init__(config, hooks, None, observers)
         self._spaces = (
             BumpAllocator(layout.MATURE_BASE, _SEMI_SPAN),
             BumpAllocator(layout.MATURE_BASE + _SEMI_SPAN, _SEMI_SPAN),
@@ -74,7 +75,6 @@ class GenCopyPlan(Plan):
                 if self.tospace.remaining < self.nursery.used:
                     raise HeapExhausted("copy reserve exhausted")
             self.stats.minor_gcs += 1
-            self._m_minor.inc()
             self.hooks.charge(cfg.minor_fixed_cost)
             order = self._trace_live_nursery(self._minor_roots())
             self.hooks.charge(cfg.scan_object_cost * len(order))
@@ -117,8 +117,6 @@ class GenCopyPlan(Plan):
             self.mature_objects.append(obj)
         self.stats.promoted_objects += 1
         self.stats.promoted_bytes += size
-        self._m_promoted.inc()
-        self._m_promoted_bytes.inc(size)
         self.hooks.charge(int(cfg.copy_byte_cost * size))
 
     # -- full collection ------------------------------------------------------------------
@@ -135,7 +133,6 @@ class GenCopyPlan(Plan):
     def _full_locked(self) -> None:
         cfg = self.config
         self.stats.full_gcs += 1
-        self._m_full.inc()
         self._trace.begin("gc.full", cat="gc")
         try:
             self._full_body(cfg)
@@ -197,12 +194,12 @@ class GenCopyPlan(Plan):
 
 
 def make_plan(name: str, config: GCConfig, hooks: Optional[GCHooks] = None,
-              coalloc=None, telemetry=None) -> Plan:
+              coalloc=None, observers=NO_OBSERVERS) -> Plan:
     """Plan factory used by the VM: ``genms`` or ``gencopy``."""
     from repro.gc.genms import GenMSPlan
 
     if name == "genms":
-        return GenMSPlan(config, hooks, coalloc, telemetry)
+        return GenMSPlan(config, hooks, coalloc, observers)
     if name == "gencopy":
-        return GenCopyPlan(config, hooks, coalloc, telemetry)
+        return GenCopyPlan(config, hooks, coalloc, observers)
     raise ValueError(f"unknown GC plan {name!r}")

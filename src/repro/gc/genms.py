@@ -18,6 +18,7 @@ from repro.gc import layout
 from repro.gc.coalloc import CoallocationPolicy
 from repro.gc.freelist import FreeListSpace
 from repro.gc.plan import GCHooks, HeapExhausted, Plan
+from repro.observers import NO_OBSERVERS
 from repro.vm.objects import SPACE_LOS, SPACE_MATURE, SPACE_NURSERY
 
 
@@ -28,8 +29,8 @@ class GenMSPlan(Plan):
 
     def __init__(self, config: GCConfig, hooks: Optional[GCHooks] = None,
                  coalloc: Optional[CoallocationPolicy] = None,
-                 telemetry=None):
-        super().__init__(config, hooks, coalloc, telemetry)
+                 observers=NO_OBSERVERS):
+        super().__init__(config, hooks, coalloc, observers)
         # The region is the whole mature address range; the *budget* is
         # enforced against bytes in use, not address space.
         self.freelist = FreeListSpace(
@@ -53,7 +54,6 @@ class GenMSPlan(Plan):
         try:
             cfg = self.config
             self.stats.minor_gcs += 1
-            self._m_minor.inc()
             self.hooks.charge(cfg.minor_fixed_cost)
             order = self._trace_live_nursery(self._minor_roots())
             self.hooks.charge(cfg.scan_object_cost * len(order))
@@ -94,7 +94,7 @@ class GenMSPlan(Plan):
             gap = self.coalloc.gap_bytes
             obj.address = cell.addr
             child.address = cell.addr + obj.size + gap
-            self.coalloc.lineage.placement_commit(obj.address, child.address)
+            self._obs.placement_commit(obj.address, child.address)
             obj.space = child.space = SPACE_MATURE
             obj.cell = child.cell = cell
             obj.coallocated = child.coallocated = True
@@ -104,8 +104,6 @@ class GenMSPlan(Plan):
             stats.note_coalloc(obj.class_info.name)
             stats.promoted_objects += 2
             stats.promoted_bytes += combined
-            self._m_promoted.inc(2)
-            self._m_promoted_bytes.inc(combined)
             self.hooks.charge(int(cfg.copy_byte_cost * combined))
             return
         if self.coalloc is not None and not obj.is_array:
@@ -127,8 +125,6 @@ class GenMSPlan(Plan):
             self.mature_objects.append(obj)
         stats.promoted_objects += 1
         stats.promoted_bytes += size
-        self._m_promoted.inc()
-        self._m_promoted_bytes.inc(size)
         self.hooks.charge(int(cfg.copy_byte_cost * size))
 
     # -- full collection -----------------------------------------------------------
@@ -145,7 +141,6 @@ class GenMSPlan(Plan):
     def _full_locked(self) -> None:
         cfg = self.config
         self.stats.full_gcs += 1
-        self._m_full.inc()
         self._trace.begin("gc.full", cat="gc")
         try:
             self._full_body(cfg)

@@ -28,7 +28,7 @@ from repro.gc.coalloc import CoallocationPolicy
 from repro.gc.los import LargeObjectSpace
 from repro.gc.remset import RememberedSet
 from repro.gc.stats import GCStats
-from repro.telemetry import NULL_TELEMETRY
+from repro.observers import NO_OBSERVERS
 from repro.vm.model import ClassInfo
 from repro.vm.objects import (
     SPACE_LOS,
@@ -69,23 +69,14 @@ class Plan:
 
     def __init__(self, config: GCConfig, hooks: Optional[GCHooks] = None,
                  coalloc: Optional[CoallocationPolicy] = None,
-                 telemetry=None):
+                 observers=NO_OBSERVERS):
         self.config = config
         self.hooks = hooks or GCHooks()
         self.coalloc = coalloc
         self.stats = GCStats()
-        self.telemetry = telemetry or NULL_TELEMETRY
-        self._trace = self.telemetry.tracer
-        metrics = self.telemetry.metrics
-        self._m_minor = metrics.counter(
-            "gc.minor_collections", "nursery collections")
-        self._m_full = metrics.counter(
-            "gc.full_collections", "whole-heap collections")
-        self._m_promoted = metrics.counter(
-            "gc.promoted_objects", "objects promoted out of the nursery")
-        self._m_promoted_bytes = metrics.counter(
-            "gc.promoted_bytes", "bytes promoted out of the nursery")
-        self._m_pause = metrics.histogram(
+        self._obs = observers
+        self._trace = observers.tracer
+        self._m_pause = observers.metrics.histogram(
             "gc.pause_cycles", "simulated cycles per collection")
         self.remset = RememberedSet()
         self.los = LargeObjectSpace(layout.LOS_BASE,
@@ -96,6 +87,20 @@ class Plan:
         self.nursery = BumpAllocator(layout.NURSERY_BASE,
                                      self._initial_nursery())
         self._collecting = False
+
+    def publish_metrics(self, metrics) -> None:
+        """Export the collection statistics (call once per run)."""
+        stats = self.stats
+        metrics.counter("gc.minor_collections", "nursery collections"
+                        ).inc(stats.minor_gcs)
+        metrics.counter("gc.full_collections", "whole-heap collections"
+                        ).inc(stats.full_gcs)
+        metrics.counter("gc.promoted_objects",
+                        "objects promoted out of the nursery"
+                        ).inc(stats.promoted_objects)
+        metrics.counter("gc.promoted_bytes",
+                        "bytes promoted out of the nursery"
+                        ).inc(stats.promoted_bytes)
 
     # -- sizing ------------------------------------------------------------------
 

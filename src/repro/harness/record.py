@@ -124,11 +124,12 @@ class RunRecord:
         map_sizes = (0, 0, 0)
         lineage = None
         health = None
-        if vm is not None and vm.lineage.enabled:
-            lineage = vm.lineage.to_json()
-        if vm is not None and vm.health.enabled:
-            health = vm.health.report(result.cycles).to_json()
         if vm is not None:
+            obs = vm.observers
+            if obs.lineage is not None:
+                lineage = obs.lineage.to_json()
+            if obs.health is not None:
+                health = obs.health.report(result.cycles).to_json()
             from repro.jit.maps import corpus_map_sizes
 
             sizes = corpus_map_sizes(vm.codecache.methods)

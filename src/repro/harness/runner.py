@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import GCConfig, SystemConfig, scaled_interval
 from repro.harness import diskcache
 from repro.harness.record import RunRecord
-from repro.vm import snapshot as snapshot_mod
 from repro.vm.snapshot import Snapshot
 from repro.vm.vmcore import RunResult, VM
 from repro.workloads import suite
@@ -48,12 +47,6 @@ SIM_RUNS = 0
 #: only its delta, which is how tests prove that extending a cached
 #: ``until_cycles`` run never re-executes the prefix.
 SIM_CYCLES = 0
-
-#: Checkpoint grid ``measure(repeats)`` uses when it has to simulate
-#: the first seed itself: coarse enough to stay cheap, fine enough
-#: that seed-invariant specs (see :func:`repro.vm.snapshot.reseed`)
-#: reuse most of the prefix for every further seed.
-MEASURE_CHECKPOINT_EVERY = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -302,8 +295,7 @@ def best_snapshot(spec: RunSpec) -> Optional[Snapshot]:
     return best
 
 
-def record_for(spec: RunSpec,
-               checkpoint_every: Optional[int] = None) -> RunRecord:
+def record_for(spec: RunSpec) -> RunRecord:
     """One spec's portable result: memo -> disk -> simulate.
 
     Simulation resumes from the best cached checkpoint when one
@@ -315,81 +307,27 @@ def record_for(spec: RunSpec,
     if record is not None:
         return record
     on_checkpoint = None
-    if spec.until_cycles is not None or checkpoint_every:
+    if spec.until_cycles is not None:
         def on_checkpoint(snap, _spec=spec):
             store_snapshot(_spec, snap)
     result = execute(spec, resume_from=best_snapshot(spec),
-                     checkpoint_every=checkpoint_every,
                      on_checkpoint=on_checkpoint)
     record = record_from_result(spec, result)
     store_record(spec, record)
     return record
 
 
-def _record_via_reseed(spec: RunSpec,
-                       donor: RunSpec) -> Optional[RunRecord]:
-    """Derive ``spec``'s record from a *different-seeded* checkpoint.
-
-    ``donor`` is the same configuration under another seed.  A donor
-    checkpoint taken while the run was still seed-invariant — before
-    any PEBS sample fired, at most the configure-time jitter draw deep
-    (see :func:`repro.vm.snapshot.reseed`) — restores into a bit-exact
-    prefix of ``spec``'s own unbroken run, so only the tail needs
-    simulating.  Tries the newest qualifying checkpoint first; returns
-    None when no prefix can be retargeted (callers fall back to a
-    full run).
-    """
-    base = donor.base()
-    candidates = dict(_SNAPSHOTS.get(base, {}))
-    disk = _disk()
-    if disk is not None:
-        for cycle in disk.snapshot_cycles(base):
-            if cycle not in candidates:
-                snap = disk.get_snapshot(base, max_cycle=cycle + 1)
-                if snap is not None:
-                    candidates[snap.cycle] = snap
-    bound = spec.until_cycles
-    for cycle in sorted(candidates, reverse=True):
-        if bound is not None and cycle >= bound:
-            continue
-        if not candidates[cycle].pure:
-            continue
-        vm = candidates[cycle].restore()
-        if not snapshot_mod.reseed(vm, spec.seed):
-            continue
-        record = record_from_result(spec, drive(vm, until_cycles=bound))
-        store_record(spec, record)
-        return record
-    return None
-
-
 def measure(spec: RunSpec, repeats: int = 1) -> Measurement:
     """Run (cached) with ``repeats`` seeds; aggregate cycle counts.
 
     Each repetition seed is cached independently, so raising ``repeats``
-    only computes the seeds not already measured.  When the first seed
-    must actually be simulated for a multi-seed measurement, the run is
-    checkpointed on the :data:`MEASURE_CHECKPOINT_EVERY` grid and later
-    seeds try to *reseed* the deepest still-seed-invariant checkpoint
-    instead of re-simulating the shared prefix (full-run fallback when
-    the invariant fails — see :func:`_record_via_reseed`).
+    only computes the seeds not already measured.
     """
     cached = _CACHE.get(spec)
     if cached is not None and len(cached.results) >= repeats:
         return cached
-    records = []
-    for r in range(repeats):
-        if r == 0:
-            every = MEASURE_CHECKPOINT_EVERY if repeats > 1 else None
-            records.append(record_for(spec, checkpoint_every=every))
-            continue
-        seeded = replace(spec, seed=spec.seed + r)
-        record = cached_record(seeded)
-        if record is None:
-            record = _record_via_reseed(seeded, spec)
-        if record is None:
-            record = record_for(seeded)
-        records.append(record)
+    records = [record_for(replace(spec, seed=spec.seed + r))
+               for r in range(repeats)]
     cycles = [r.cycles for r in records]
     measurement = Measurement(
         spec=spec,

@@ -2,13 +2,15 @@
 
 :class:`HealthMonitor` rides on :class:`repro.core.config.SystemConfig`
 exactly like telemetry and the lineage ledger: attach one to
-``config.health`` and the VM feeds it the per-period interval stream
-(via the perfmon interval tap) and the feedback engine's experiment
-events.  It never charges cycles, never consumes randomness, and never
-mutates simulator state — runs with health on and off are bit-identical
-in cycles, instructions, counters, PEBS samples, the revert log, and
-lineage entry ids (enforced by tests and the ``health_overhead`` bench
-gate).
+``config.health`` and the run's :class:`repro.observers.Observers`
+bundle feeds it one reading of the VM's running totals per closed
+measurement period (which it turns into an :class:`Interval` of
+deltas) and the feedback engine's experiment events.  It never charges
+cycles, never consumes randomness, and never mutates simulator state —
+runs with health on and off are bit-identical in cycles, instructions,
+counters, PEBS samples, the revert log, and lineage entry ids
+(enforced by ``tests/test_observer_purity.py`` and the
+``health_overhead`` bench gate).
 
 At end of run :meth:`HealthMonitor.report` produces the aggregated
 :class:`repro.health.report.HealthReport` — online phase segmentation
@@ -16,9 +18,8 @@ plus pathology findings — which ``RunRecord`` embeds (schema 5),
 ``repro doctor`` prints, and the metrics registry exports as Prometheus
 gauges.
 
-Like ``NULL_TELEMETRY`` / ``NULL_LEDGER``, the shared
-:data:`NULL_HEALTH` instance makes every hook a no-op when health is
-not requested.
+With no monitor attached the bundle's ``health`` is ``None`` and
+nothing here runs.
 """
 
 from __future__ import annotations
@@ -50,12 +51,14 @@ __all__ = [
     "HealthMonitor",
     "HealthReport",
     "Interval",
-    "NULL_HEALTH",
-    "NullHealthMonitor",
     "PhaseRecord",
     "PhaseTracker",
     "default_detectors",
 ]
+
+
+#: Hottest fields surfaced per interval (detector evidence, not policy).
+TOP_FIELDS_PER_INTERVAL = 4
 
 
 def _zero_clock() -> int:
@@ -66,8 +69,6 @@ def _zero_clock() -> int:
 class HealthMonitor:
     """Collects intervals + experiment events; segments and diagnoses."""
 
-    enabled = True
-
     def __init__(self, tracker: Optional[PhaseTracker] = None,
                  detectors: Optional[List[Detector]] = None):
         self.tracker = tracker or PhaseTracker()
@@ -75,20 +76,59 @@ class HealthMonitor:
                           else default_detectors())
         self.intervals: List[Interval] = []
         self._clock: Callable[[], int] = _zero_clock
-        self._telemetry = None
+        self._tracer = None
         self._report: Optional[HealthReport] = None
+        #: Where the last observed period ended, and the totals then.
+        self._prev_cycle = 0
+        self._prev_totals = (0, 0, 0, 0, 0)
 
     # -- VM wiring ---------------------------------------------------------
 
-    def bind_clock(self, clock: Callable[[], int]) -> None:
-        """The VM stamps experiment events with its cycle counter."""
+    def bind(self, clock: Callable[[], int], tracer) -> None:
+        """Experiment events are stamped with the VM's cycle counter;
+        phase boundaries are mirrored as spans into ``tracer`` (the
+        null one when tracing is off)."""
         self._clock = clock
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Phase boundaries are mirrored as spans when tracing is on."""
-        self._telemetry = telemetry
+        self._tracer = tracer
 
     # -- interval stream ---------------------------------------------------
+
+    def on_period(self, period, now_cycle: int, samples: int,
+                  attributed: int, totals: tuple, sampling_paused: bool,
+                  ledger_period_id: int, ledger_ranking_id: int) -> None:
+        """Condense a just-closed measurement period into one
+        :class:`Interval`.  ``totals`` is the VM's running (L1D
+        accesses, L1D misses, GC cycles, allocated bytes, compiled
+        methods); the interval holds the deltas since the previous
+        close.  ``period`` is the closed ``PeriodRecord`` (its
+        ``field_counts`` is the per-period snapshot, so ranking it here
+        cannot perturb the monitor's hot-field cache)."""
+        if now_cycle <= self._prev_cycle:
+            return  # final drain landed on the same boundary: no new data
+        cycles = now_cycle - self._prev_cycle
+        d_access, d_miss, d_gc, d_alloc, d_compiled = (
+            now - before for now, before in zip(totals, self._prev_totals))
+        ranked = sorted(period.field_counts.items(),
+                        key=lambda kv: (-kv[1], kv[0].qualified_name))
+        interval = Interval(
+            index=period.index,
+            start_cycle=self._prev_cycle,
+            end_cycle=now_cycle,
+            samples=samples,
+            attributed=attributed,
+            miss_rate=(d_miss / d_access) if d_access > 0 else 0.0,
+            gc_fraction=d_gc / cycles,
+            alloc_rate=d_alloc / cycles,
+            recompiles=d_compiled,
+            sampling_paused=sampling_paused,
+            top_fields=tuple((field.qualified_name, count) for field, count
+                             in ranked[:TOP_FIELDS_PER_INTERVAL]),
+            ledger_period_id=ledger_period_id,
+            ledger_ranking_id=ledger_ranking_id,
+        )
+        self._prev_cycle = now_cycle
+        self._prev_totals = totals
+        self.on_interval(interval)
 
     def on_interval(self, interval: Interval) -> None:
         self.intervals.append(interval)
@@ -130,9 +170,9 @@ class HealthMonitor:
     # -- phase telemetry ---------------------------------------------------
 
     def _emit_phase(self, phase: PhaseRecord) -> None:
-        if self._telemetry is None or not self._telemetry.enabled:
+        tracer = self._tracer
+        if tracer is None:
             return
-        tracer = self._telemetry.tracer
         tracer.complete("health.phase", cat="health",
                         ts=phase.start_cycle,
                         dur=max(0, phase.end_cycle - phase.start_cycle),
@@ -164,9 +204,7 @@ class HealthMonitor:
         return self._report
 
     def publish_metrics(self, metrics) -> None:
-        """Export the report as Prometheus gauges (no-op when metrics off)."""
-        if not metrics.enabled:
-            return
+        """Finalize the report and export it as gauges."""
         report = self.report()
         metrics.gauge(
             "health.verdict",
@@ -183,34 +221,3 @@ class HealthMonitor:
             findings.labels(name).set(0)
         for name, count in report.findings_by_detector().items():
             findings.labels(name).set(count)
-
-
-class NullHealthMonitor(HealthMonitor):
-    """Health monitor that observes nothing; every hook is a no-op."""
-
-    enabled = False
-
-    def on_interval(self, interval: Interval) -> None:
-        pass
-
-    def on_experiment_begin(self, *args, **kwargs) -> None:
-        pass
-
-    def on_experiment_verdict(self, *args, **kwargs) -> None:
-        pass
-
-    def on_experiment_revert(self, *args, **kwargs) -> None:
-        pass
-
-    def bind_clock(self, clock: Callable[[], int]) -> None:
-        pass
-
-    def bind_telemetry(self, telemetry) -> None:
-        pass
-
-    def publish_metrics(self, metrics) -> None:
-        pass
-
-
-#: Shared no-op instance (the default when ``config.health`` is unset).
-NULL_HEALTH = NullHealthMonitor()

@@ -47,16 +47,8 @@ def _ref_map(analysis: Analysis, pc: int, max_locals: int) -> Tuple:
     return tuple(roots)
 
 
-def compile_baseline(method: MethodInfo, *, telemetry=None) -> CompiledMethod:
+def compile_baseline(method: MethodInfo) -> CompiledMethod:
     """Compile ``method`` with the baseline strategy."""
-    if telemetry is not None:
-        metrics = telemetry.metrics
-        metrics.counter(
-            "jit.compilations", "methods compiled, by level"
-        ).labels("baseline").inc()
-        metrics.counter(
-            "jit.compiled_bytecodes", "bytecodes compiled, by level"
-        ).labels("baseline").inc(len(method.code))
     analysis = analyze(method)
     code = method.code
     max_locals = method.max_locals

@@ -25,7 +25,7 @@ from repro.vm.model import MethodInfo
 
 def compile_opt(method: MethodInfo, *, inline: bool = True,
                 inline_max_bytecodes: Optional[int] = None,
-                devirt: bool = True, telemetry=None) -> CompiledMethod:
+                devirt: bool = True) -> CompiledMethod:
     """Compile ``method`` at the optimizing level.
 
     With ``inline`` enabled, small static callees are expanded first
@@ -33,14 +33,6 @@ def compile_opt(method: MethodInfo, *, inline: bool = True,
     enabler for the instructions-of-interest analysis, which walks
     use-def edges within one method's HIR.
     """
-    if telemetry is not None:
-        metrics = telemetry.metrics
-        metrics.counter(
-            "jit.compilations", "methods compiled, by level"
-        ).labels("opt").inc()
-        metrics.counter(
-            "jit.compiled_bytecodes", "bytecodes compiled, by level"
-        ).labels("opt").inc(len(method.code))
     source = method
     if inline:
         kwargs = {}

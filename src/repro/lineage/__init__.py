@@ -21,20 +21,16 @@ The hard invariant is the same as telemetry's: the ledger is a pure
 observer.  Recording never charges simulated cycles, consumes
 randomness, or mutates VM state, so a run with the ledger attached is
 bit-identical (cycles, counters, PEBS sample stream) to a run without
-it.  The disabled default (:data:`NULL_LEDGER`) routes every record
-into no-ops.
+it.  With no ledger attached, the run's
+:class:`repro.observers.Observers` bundle skips every record.
 """
 
 from repro.lineage.ledger import (
     DecisionLedger,
     LINEAGE_SCHEMA_VERSION,
-    NULL_LEDGER,
-    NullLedger,
 )
 
 __all__ = [
     "DecisionLedger",
     "LINEAGE_SCHEMA_VERSION",
-    "NULL_LEDGER",
-    "NullLedger",
 ]

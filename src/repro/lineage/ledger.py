@@ -15,9 +15,9 @@ which makes the graph a DAG by construction and lets
 
 The ledger is a **pure observer**: recording reads simulator state but
 never charges cycles, consumes randomness, or mutates anything the
-simulation reads back.  ``NULL_LEDGER`` (a :class:`NullLedger`) is the
-disabled default every instrumented component receives when no ledger
-is attached; all its record methods are no-ops returning ``-1``.
+simulation reads back.  Emitters never call it directly: every record
+goes through the run's :class:`repro.observers.Observers` bundle, whose
+facts skip the ledger when none is attached.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ def _zero_clock() -> int:
 
 class DecisionLedger:
     """Append-only log of causally-linked online-optimization events."""
-
-    enabled = True
 
     def __init__(self, max_entries: int = 1_000_000):
         #: The entry list; tuples ``(id, kind, cycle, parents, payload)``.
@@ -288,26 +286,6 @@ class DecisionLedger:
         return {"schema": LINEAGE_SCHEMA_VERSION,
                 "entries": out,
                 "dropped": self.dropped}
-
-
-class NullLedger(DecisionLedger):
-    """The disabled ledger: every record method is a no-op."""
-
-    enabled = False
-
-    def _add(self, kind, parents, payload) -> int:  # noqa: D102
-        return -1
-
-    def placement_pending(self, klass, field, parent_bytes, child_bytes,
-                          gap, combined) -> None:
-        return None
-
-    def bind_clock(self, clock) -> None:
-        return None
-
-
-#: Shared disabled instance (the ``SystemConfig.lineage=None`` default).
-NULL_LEDGER = NullLedger()
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.core.config import PerfmonConfig
-from repro.lineage import NULL_LEDGER
+from repro.observers import NO_OBSERVERS
 from repro.perfmon.userlib import UserSampleLibrary
-from repro.telemetry import NULL_TELEMETRY
 from repro.vm.scheduler import VirtualTimeScheduler
 
 
@@ -30,30 +29,19 @@ class CollectorThread:
     def __init__(self, userlib: UserSampleLibrary,
                  deliver: Callable[[List[int]], object],
                  scheduler: VirtualTimeScheduler,
-                 config: PerfmonConfig, telemetry=None, lineage=None):
+                 config: PerfmonConfig, observers=NO_OBSERVERS):
         self.userlib = userlib
         self.deliver = deliver
         self.scheduler = scheduler
         self.config = config
-        self._lineage = lineage if lineage is not None else NULL_LEDGER
+        self._obs = observers
         self.poll_interval = config.poll_min_cycles * 4
         self.polls = 0
         self.samples_delivered = 0
         self._running = False
-        tele = telemetry or NULL_TELEMETRY
-        self._trace = tele.tracer
-        metrics = tele.metrics
-        self._m_polls = metrics.counter(
-            "perfmon.collector.polls", "collector-thread poll ticks")
-        self._m_delivered = metrics.counter(
-            "perfmon.collector.samples_delivered",
-            "EIPs handed to the controller")
-        self._m_batch = metrics.histogram(
+        self._trace = observers.tracer
+        self._m_batch = observers.metrics.histogram(
             "perfmon.collector.batch_size", "samples per poll")
-        self._m_interval = metrics.gauge(
-            "perfmon.collector.poll_interval",
-            "adaptive polling delay in cycles")
-        self._m_interval.set(self.poll_interval)
 
     def start(self, now: int = 0) -> None:
         if self._running:
@@ -69,10 +57,9 @@ class CollectorThread:
         self._trace.begin("collector.drain", cat="perfmon")
         eips = self.userlib.read_samples_with_fill()
         if eips:
-            self._lineage.sample_batch(len(eips), "drain")
+            self._obs.sample_batch(len(eips), "drain")
             self.deliver(eips)
             self.samples_delivered += len(eips)
-            self._m_delivered.inc(len(eips))
         self._trace.end(batch=len(eips))
         return len(eips)
 
@@ -82,14 +69,12 @@ class CollectorThread:
         if not self._running:
             return
         self.polls += 1
-        self._m_polls.inc()
         self._trace.begin("collector.poll", cat="perfmon")
         eips = self.userlib.read_samples_with_fill()
         if eips:
-            self._lineage.sample_batch(len(eips), "poll")
+            self._obs.sample_batch(len(eips), "poll")
             self.deliver(eips)
             self.samples_delivered += len(eips)
-            self._m_delivered.inc(len(eips))
         self._m_batch.observe(len(eips))
         self._adapt(len(eips))
         self._trace.end(batch=len(eips), next_poll=self.poll_interval)
@@ -107,4 +92,14 @@ class CollectorThread:
         elif batch_size < cfg.poll_batch_low:
             self.poll_interval = min(cfg.poll_max_cycles,
                                      self.poll_interval * 2)
-        self._m_interval.set(self.poll_interval)
+
+    def publish_metrics(self, metrics) -> None:
+        """Export the polling statistics (call once per run)."""
+        metrics.counter("perfmon.collector.polls",
+                        "collector-thread poll ticks").inc(self.polls)
+        metrics.counter("perfmon.collector.samples_delivered",
+                        "EIPs handed to the controller"
+                        ).inc(self.samples_delivered)
+        metrics.gauge("perfmon.collector.poll_interval",
+                      "adaptive polling delay in cycles"
+                      ).set(self.poll_interval)

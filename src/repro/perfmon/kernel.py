@@ -21,14 +21,14 @@ from typing import List, Optional
 
 from repro.core.config import PerfmonConfig
 from repro.hw.pebs import PEBSUnit, Sample
-from repro.telemetry import NULL_TELEMETRY
+from repro.observers import NO_OBSERVERS
 
 
 class PerfmonSession:
     """One monitoring session: an armed event with its kernel buffer."""
 
     def __init__(self, config: PerfmonConfig, pebs: PEBSUnit,
-                 event: str, interval: int, telemetry=None):
+                 event: str, interval: int, observers=NO_OBSERVERS):
         self.config = config
         self.pebs = pebs
         self.event = event
@@ -36,19 +36,9 @@ class PerfmonSession:
         self._buffer: List[Sample] = []
         self.samples_received = 0
         self.samples_dropped = 0
-        tele = telemetry or NULL_TELEMETRY
-        self._trace = tele.tracer
-        metrics = tele.metrics
-        self._m_interrupts = metrics.counter(
+        self._trace = observers.tracer
+        self._m_interrupts = observers.metrics.counter(
             "perfmon.kernel.interrupts", "watermark interrupts handled")
-        self._m_received = metrics.counter(
-            "perfmon.kernel.samples_received",
-            "samples moved DS buffer -> kernel buffer")
-        self._m_dropped = metrics.counter(
-            "perfmon.kernel.samples_dropped",
-            "samples lost to a full kernel buffer")
-        self._m_fill = metrics.gauge(
-            "perfmon.kernel.buffer_fill", "kernel buffer occupancy")
         pebs.configure(event, interval)
 
     # -- interrupt side ---------------------------------------------------------
@@ -61,17 +51,13 @@ class PerfmonSession:
         if room >= len(batch):
             self._buffer.extend(batch)
             self.samples_received += len(batch)
-            self._m_received.inc(len(batch))
         else:
             dropped = len(batch) - room
             self._buffer.extend(batch[:room])
             self.samples_received += room
             self.samples_dropped += dropped
-            self._m_received.inc(room)
-            self._m_dropped.inc(dropped)
             self._trace.instant("perfmon.buffer_overflow", cat="perfmon",
                                 dropped=dropped)
-        self._m_fill.set(len(self._buffer))
         self._trace.sample("perfmon.kernel.buffer_fill", len(self._buffer),
                            cat="perfmon")
 
@@ -85,8 +71,6 @@ class PerfmonSession:
             self.on_interrupt(pending)
         batch = self._buffer[:max_samples]
         del self._buffer[:len(batch)]
-        if batch:
-            self._m_fill.set(len(self._buffer))
         return batch
 
     def set_interval(self, interval: int) -> None:
@@ -101,13 +85,24 @@ class PerfmonSession:
     def pending(self) -> int:
         return len(self._buffer)
 
+    def publish_metrics(self, metrics) -> None:
+        """Export the buffer statistics (call once per run)."""
+        metrics.counter("perfmon.kernel.samples_received",
+                        "samples moved DS buffer -> kernel buffer"
+                        ).inc(self.samples_received)
+        metrics.counter("perfmon.kernel.samples_dropped",
+                        "samples lost to a full kernel buffer"
+                        ).inc(self.samples_dropped)
+        metrics.gauge("perfmon.kernel.buffer_fill",
+                      "kernel buffer occupancy").set(self.pending)
+
 
 class PerfmonKernelModule:
     """Session factory; hides the machine-specific PMU details."""
 
-    def __init__(self, config: PerfmonConfig, telemetry=None):
+    def __init__(self, config: PerfmonConfig, observers=NO_OBSERVERS):
         self.config = config
-        self.telemetry = telemetry
+        self._obs = observers
         self.session: Optional[PerfmonSession] = None
 
     def create_session(self, pebs: PEBSUnit, event: str,
@@ -116,10 +111,14 @@ class PerfmonKernelModule:
         if self.session is not None:
             raise RuntimeError("a perfmon session is already active")
         self.session = PerfmonSession(self.config, pebs, event, interval,
-                                      telemetry=self.telemetry)
+                                      observers=self._obs)
         return self.session
 
     def close_session(self) -> None:
         if self.session is not None:
             self.session.close()
             self.session = None
+
+    def publish_metrics(self, metrics) -> None:
+        if self.session is not None:
+            self.session.publish_metrics(metrics)

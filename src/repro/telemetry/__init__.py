@@ -18,6 +18,11 @@ Usage::
     result = run_program(program, SystemConfig(telemetry=tele))
     export.write_chrome_trace("out.json", tele.tracer, tele.metrics)
 
+Read the registry after the run has finished: the statistics a
+component already keeps are exported from the statistic itself in one
+end-of-run sweep (:meth:`repro.observers.Observers.publish`), so the
+registry is complete once ``VM.finish()`` has run, not in flight.
+
 The hard invariant: telemetry is a pure observer.  Instrumented code
 paths never charge cycles, consume randomness, or mutate VM state on
 behalf of telemetry, so a run with telemetry enabled is cycle-identical

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import pickle
-import random
 import struct
 import sys
 import zlib
@@ -79,8 +78,8 @@ class Snapshot:
         self.cycle = cycle
         #: Guest program name, for cache bookkeeping and error messages.
         self.program = program
-        #: True when the captured VM carries no live observers (null
-        #: telemetry, null ledger, null health).  Only pure snapshots may serve
+        #: True when the captured VM carries no live observers
+        #: (``not vm.observers.attached``).  Only pure snapshots may serve
         #: the record cache: a resumed run continues the snapshot's
         #: observers, and cached records must stay pure functions of
         #: the spec — identical whether simulated fresh or resumed.
@@ -99,10 +98,8 @@ class Snapshot:
         """
         with _deep_recursion():
             raw = pickle.dumps(vm, protocol=pickle.HIGHEST_PROTOCOL)
-        pure = not (vm.telemetry.enabled or vm.lineage.enabled
-                    or vm.health.enabled)
         return cls(zlib.compress(raw), vm.cpu.cycles, vm.program.name,
-                   pure=pure)
+                   pure=not vm.observers.attached)
 
     def restore(self, fastpath: "bool | int | None" = None):
         """Materialize an independent VM, ready for ``advance()``.
@@ -172,27 +169,3 @@ class Snapshot:
                     "of resuming")
         return cls(data[8 + hlen:], header["cycle"], header["program"],
                    pure=bool(header.get("pure", True)))
-
-
-def reseed(vm, new_seed: int) -> bool:
-    """Retarget a restored warmup prefix at a different seed.
-
-    Seeds enter the simulation in exactly two places, both at VM
-    construction: ``vm.rng`` (reserved; never consumed during a run)
-    and the PEBS jitter stream ``Random(seed ^ 0x5EB5)``.  A snapshot
-    taken before the old seed became *observable* — before any sample
-    fired and past at most the single configure-time countdown draw —
-    is therefore a bit-exact prefix of the new seed's unbroken run,
-    provided the new seed's first countdown has not already expired at
-    the captured event count.  :meth:`PEBSUnit.reseed` checks exactly
-    that; on success the prefix is reusable and ``measure(repeats)``
-    skips re-simulating it.  Returns False (VM untouched) otherwise.
-    """
-    if new_seed == vm.config.seed:
-        return True
-    if vm.pebs is not None:
-        if not vm.pebs.reseed(random.Random(new_seed ^ 0x5EB5)):
-            return False
-    vm.rng = random.Random(new_seed)
-    vm.config.seed = new_seed
-    return True

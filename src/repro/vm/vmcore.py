@@ -45,12 +45,10 @@ from repro.jit.aos import AdaptiveOptimizationSystem, CompilationPlan
 from repro.jit.baseline import compile_baseline
 from repro.jit.codecache import CodeCache, CompiledMethod
 from repro.jit.opt import compile_opt
-from repro.health import NULL_HEALTH
-from repro.lineage import NULL_LEDGER
+from repro.observers import Observers
 from repro.perfmon.collector import CollectorThread
 from repro.perfmon.kernel import PerfmonKernelModule
 from repro.perfmon.userlib import UserSampleLibrary
-from repro.telemetry import NULL_TELEMETRY
 from repro.vm.model import ClassInfo, FieldInfo, MethodInfo
 from repro.vm.program import Program
 from repro.vm.scheduler import VirtualTimeScheduler
@@ -85,7 +83,7 @@ class RunResult:
     @property
     def telemetry(self):
         """The run's telemetry bundle (the shared null one when off)."""
-        return self.vm.telemetry if self.vm is not None else None
+        return self.vm.observers.telemetry if self.vm is not None else None
 
 
 class VM:
@@ -98,20 +96,12 @@ class VM:
         self.config = config or SystemConfig()
         self.compilation_plan = compilation_plan
         self.rng = random.Random(self.config.seed)
-        #: Observability: a pure observer of the simulation (never
-        #: charges cycles or consumes randomness).  Defaults to the
-        #: shared null instance, which records nothing.
-        self.telemetry = self.config.telemetry or NULL_TELEMETRY
-        #: Decision lineage: the second pure observer — an append-only
-        #: ledger linking every online-optimization decision back to
-        #: the sample evidence that justified it.
-        # Explicit None check: an empty ledger is falsy (len() == 0).
-        self.lineage = (self.config.lineage
-                        if self.config.lineage is not None else NULL_LEDGER)
-        #: Run health: the third pure observer — phase segmentation and
-        #: pathology detection over the per-period interval stream.
-        self.health = (self.config.health
-                       if self.config.health is not None else NULL_HEALTH)
+        #: The run's pure observers — telemetry, the decision ledger,
+        #: the health monitor — resolved once; every layer below gets
+        #: this one bundle.
+        self.observers = obs = Observers(self.config.telemetry,
+                                         self.config.lineage,
+                                         self.config.health)
 
         # Hardware.
         self.counters = EventCounters()
@@ -131,25 +121,21 @@ class VM:
             provider = hot_field_override or self._hot_field
             self.coalloc_policy = CoallocationPolicy(
                 provider, max_combined_bytes=self.config.gc.max_cell_bytes,
-                telemetry=self.telemetry, lineage=self.lineage)
+                observers=obs)
         hooks = GCHooks(roots=self._gc_roots, charge=self._charge_gc,
                         pollute_minor=self.memsys.pollute_minor,
                         pollute_full=self.memsys.pollute_full,
                         safepoint=self._gc_safepoint)
         self.plan = make_plan(self.config.gc_plan, self.config.gc, hooks,
-                              self.coalloc_policy, telemetry=self.telemetry)
+                              self.coalloc_policy, observers=obs)
 
         # CPU.
         self.cpu = CPU(self.config.machine, self.memsys, runtime=self,
                        scheduler=self.scheduler,
                        fastpath=self.config.fastpath)
-        # Trace and ledger timestamps come from the simulated cycle
-        # clock.  Bound methods, not lambdas: the binding must survive
-        # a snapshot pickle (repro.vm.snapshot), which closures cannot.
-        self.telemetry.bind_clock(self._cycle_clock)
-        self.lineage.bind_clock(self._cycle_clock)
-        self.health.bind_clock(self._cycle_clock)
-        self.health.bind_telemetry(self.telemetry)
+        # Trace, ledger and health timestamps come from the simulated
+        # cycle clock.
+        obs.bind(self)
         self.method_profiler = None
         if self.config.method_profiling:
             from repro.core.counting import MethodProfiler
@@ -173,7 +159,6 @@ class VM:
         self.userlib: Optional[UserSampleLibrary] = None
         self.collector: Optional[CollectorThread] = None
         self.controller: Optional[OnlineOptimizationController] = None
-        self.interval_tap = None
         if self.config.monitoring:
             self._init_monitoring()
 
@@ -181,8 +166,8 @@ class VM:
 
     def _init_monitoring(self) -> None:
         cfg = self.config
-        self.kernel = PerfmonKernelModule(cfg.perfmon,
-                                          telemetry=self.telemetry)
+        obs = self.observers
+        self.kernel = PerfmonKernelModule(cfg.perfmon, observers=obs)
         self.pebs = PEBSUnit(
             cfg.pebs, cost_sink=self._charge_monitoring,
             interrupt_handler=self._pebs_interrupt,
@@ -191,21 +176,12 @@ class VM:
         session = self.kernel.create_session(self.pebs, cfg.sampled_event,
                                              interval)
         self.memsys.arm_event(cfg.sampled_event, self.pebs.on_event)
-        self.interval_tap = None
-        if self.health.enabled:
-            from repro.perfmon.tap import IntervalTap
-
-            self.interval_tap = IntervalTap(self)
         self.controller = OnlineOptimizationController(
             self.codecache, cfg.monitor, cfg.perfmon,
             charge=self._charge_monitoring,
             set_sampling_interval=session.set_interval,
             auto_interval=cfg.sampling_interval is None,
-            sampling_switch=self._sampling_switch,
-            telemetry=self.telemetry, lineage=self.lineage,
-            health=self.health,
-            interval_tap=(self.interval_tap.on_period
-                          if self.interval_tap is not None else None))
+            sampling_switch=self._sampling_switch, observers=obs)
         self.controller.current_interval = interval
         self.userlib = UserSampleLibrary(session, cfg.perfmon,
                                          charge=self._charge_monitoring,
@@ -213,8 +189,7 @@ class VM:
         self.collector = CollectorThread(self.userlib,
                                          self.controller.process_samples,
                                          self.scheduler, cfg.perfmon,
-                                         telemetry=self.telemetry,
-                                         lineage=self.lineage)
+                                         observers=obs)
 
     # -- picklable callbacks ---------------------------------------------------------
     # Every callback installed into long-lived simulation state must be
@@ -289,9 +264,11 @@ class VM:
         cm = method.current_code
         if cm is not None:
             return cm
-        with self.telemetry.tracer.span("jit.compile_baseline", cat="jit",
-                                        method=method.qualified_name):
-            cm = compile_baseline(method, telemetry=self.telemetry)
+        obs = self.observers
+        with obs.tracer.span("jit.compile_baseline", cat="jit",
+                             method=method.qualified_name):
+            obs.compiled("baseline", len(method.code))
+            cm = compile_baseline(method)
             self.codecache.install(cm)
             self._charge_compile(
                 self.config.jit.baseline_cost_per_bc
@@ -306,19 +283,18 @@ class VM:
     def opt_compile(self, method: MethodInfo,
                     reason: str = "manual") -> CompiledMethod:
         """Recompile at the optimizing level; new calls use the new code."""
-        with self.telemetry.tracer.span("jit.compile_opt", cat="jit",
-                                        method=method.qualified_name):
+        obs = self.observers
+        with obs.tracer.span("jit.compile_opt", cat="jit",
+                             method=method.qualified_name):
+            obs.compiled("opt", len(method.code))
             cm = compile_opt(method, inline=self.config.jit.inline,
                              inline_max_bytecodes=self.config.jit.inline_max_bytecodes,
-                             devirt=self.config.jit.devirtualize,
-                             telemetry=self.telemetry)
+                             devirt=self.config.jit.devirtualize)
             self.codecache.install(cm)
             self._charge_compile(
                 self.config.jit.opt_cost_per_bc * max(1, len(method.code)))
-        if self.lineage.enabled:
-            samples, benefit, cost = self.aos.decision_stats(method)
-            self.lineage.recompile(method, reason, samples, benefit, cost,
-                                   cm.devirt_sites)
+        obs.recompile(method, reason, *self.aos.decision_stats(method),
+                      cm.devirt_sites)
         if method.current_code is not None:
             self.codecache.note_replaced(method.current_code)
         method.opt_code = cm
@@ -424,7 +400,7 @@ class VM:
         self.cpu.sync_counters()
         cycles = self.cpu.cycles
         overhead = self.gc_cycles + self.monitoring_cycles + self.compile_cycles
-        self._publish_metrics(cycles, overhead)
+        self.observers.publish(cycles, overhead)
         return RunResult(
             program=self.program.name,
             cycles=cycles,
@@ -439,35 +415,6 @@ class VM:
             exit_value=exit_value,
             vm=self,
         )
-
-    def _publish_metrics(self, cycles: int, overhead: int) -> None:
-        """Export the end-of-run aggregates through the metrics registry.
-
-        This is the canonical machine-readable surface for everything
-        the CLI prints after a run: cycle buckets, hardware counters,
-        and (via :meth:`OnlineOptimizationController.publish_metrics`)
-        the controller summary.  A null registry makes it a no-op.
-        """
-        metrics = self.telemetry.metrics
-        if not metrics.enabled:
-            return
-        gauges = {
-            "vm.cycles": cycles,
-            "vm.instructions": self.cpu.instructions,
-            "vm.app_cycles": cycles - overhead,
-            "vm.gc_cycles": self.gc_cycles,
-            "vm.monitoring_cycles": self.monitoring_cycles,
-            "vm.compile_cycles": self.compile_cycles,
-        }
-        for name, value in gauges.items():
-            metrics.gauge(name).set(value)
-        counters = metrics.gauge("hw.counters")
-        for event, count in self.counters.snapshot().items():
-            counters.labels(event).set(count)
-        if self.controller is not None:
-            self.controller.publish_metrics()
-        if self.health.enabled:
-            self.health.publish_metrics(metrics)
 
 
 def run_program(program: Program, config: Optional[SystemConfig] = None,

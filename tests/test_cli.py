@@ -72,14 +72,27 @@ class TestObservability:
     def test_run_trace_writes_chrome_json(self, tmp_path, capsys):
         import json
 
+        import re
+
         path = tmp_path / "trace.json"
-        main(["run", "fop", "--heap-mult", "2", "--trace", str(path)])
+        collapsed = tmp_path / "trace.collapsed"
+        main(["run", "fop", "--heap-mult", "2", "--trace", str(path),
+              "--collapsed", str(collapsed)])
         out = capsys.readouterr().out
         assert "trace                :" in out
         doc = json.loads(path.read_text())
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert "X" in phases and "M" in phases
+        for event in doc["traceEvents"]:
+            assert "ph" in event and "pid" in event
+            if event["ph"] == "X":
+                assert {"ts", "dur", "cat"} <= set(event)
         assert doc["otherData"]["clock"] == "simulated cycles"
+        assert doc["metrics"]["vm.cycles"] > 0
+        lines = collapsed.read_text().splitlines()
+        assert lines, "no collapsed span stacks"
+        for line in lines:
+            assert re.match(r"^\S+(;\S+)* \d+$", line), line
 
     def test_run_trace_jsonl(self, tmp_path, capsys):
         import json
@@ -214,6 +227,64 @@ class TestObservability:
         assert doc["stale_entries"] == 0 and doc["entries"] == 1
 
 
+class TestResumeObservers:
+    """``--resume`` continues the checkpoint's own observers, so it must
+    refuse — before simulating — output flags they cannot serve."""
+
+    FOP = ["run", "fop", "--heap-mult", "2"]
+    LEG = FOP + ["--until-cycles", "600000", "--checkpoint-every", "300000"]
+
+    @pytest.fixture()
+    def disk(self, tmp_path):
+        from repro.harness import runner
+        from repro.harness.diskcache import DiskCache
+
+        runner.clear_cache()
+        runner.set_disk_cache(DiskCache(root=str(tmp_path / "cache")))
+        yield
+        runner.set_disk_cache(None)
+        runner.clear_cache()
+
+    def test_resume_refuses_observers_the_checkpoint_lacks(
+            self, disk, tmp_path, capsys):
+        from repro.harness import runner
+
+        main(self.LEG)
+        simulated = runner.SIM_CYCLES
+        trace, record = tmp_path / "t.json", tmp_path / "r.json"
+        for flags, lacking in ((["--trace", str(trace)], "telemetry"),
+                               (["--metrics"], "telemetry"),
+                               (["--record", str(record)],
+                                "decision ledger and health monitor")):
+            with pytest.raises(SystemExit) as exc:
+                main(self.FOP + ["--resume"] + flags)
+            message = str(exc.value)
+            assert lacking in message
+            assert "checkpoint at cycle 6" in message
+            assert "same flags" in message
+            assert "without --resume" in message
+        assert not trace.exists() and not record.exists()
+        assert runner.SIM_CYCLES == simulated, "refused before simulating"
+        main(self.FOP + ["--resume"])       # no observer asked for: fine
+        assert "resumed              : from cycle 6" in \
+            capsys.readouterr().out
+
+    def test_resume_exports_what_the_checkpoint_observed(
+            self, disk, tmp_path, capsys):
+        import json
+
+        record = tmp_path / "r.json"
+        main(self.LEG + ["--metrics", "--record", str(tmp_path / "leg.json")])
+        capsys.readouterr()
+        main(self.FOP + ["--resume", "--metrics", "--record", str(record)])
+        out = capsys.readouterr().out
+        assert "gauge vm.cycles" in out
+        doc = json.loads(record.read_text())
+        assert doc["lineage"]["entries"] and doc["health"]["phases"]
+        main(["doctor", "fop", "--from", str(record)])
+        assert "doctor: fop — verdict" in capsys.readouterr().out
+
+
 class TestAuditAndDiff:
     def test_audit_text_and_json(self, tmp_path, capsys):
         import json
@@ -318,9 +389,14 @@ class TestExplainCli:
         assert "justification chain for #" in out
         import json
 
+        from repro.lineage import LINEAGE_SCHEMA_VERSION, explain
+
         doc = json.loads(out_json.read_text())
         assert doc["problems"] == []
         assert doc["target"] in doc["chain"]
+        assert doc["lineage"]["schema"] == LINEAGE_SCHEMA_VERSION
+        assert doc["lineage"]["entries"], "ledger recorded nothing"
+        assert explain.validate(doc["lineage"]) == []
         ids = {e["id"] for e in doc["lineage"]["entries"]}
         assert all(p in ids for e in doc["lineage"]["entries"]
                    for p in e["parents"])
@@ -369,11 +445,35 @@ class TestExplainCli:
         doc = json.loads(path.read_text())
         assert {"benchmark", "verdict", "report", "storm", "problems",
                 "chains"} <= set(doc)
+        from repro.health.report import HEALTH_SCHEMA_VERSION
+
         assert doc["benchmark"] == "fop"
         assert doc["problems"] == []
-        assert doc["report"]["schema"] >= 1
+        assert doc["report"]["schema"] == HEALTH_SCHEMA_VERSION
+        assert doc["report"]["intervals"] > 0
         assert doc["report"]["phases"], "at least one phase segmented"
         assert doc["storm"] is None
+
+    def test_doctor_storm_json(self, tmp_path, capsys):
+        """A seeded revert storm on the phase-shifting workload: phases
+        segmented, the storm flagged critical, every finding grounded
+        in ledger entries that resolve into justification chains."""
+        import json
+
+        path = tmp_path / "doctor.json"
+        main(["doctor", "phased", "--coalloc", "--storm",
+              "--json", str(path)])
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        report = doc["report"]
+        assert len(report["phases"]) >= 2
+        findings = {f["detector"]: f for f in report["findings"]}
+        assert findings["revert_storm"]["severity"] == "critical"
+        assert findings["revert_storm"]["ledger_ids"]
+        assert doc["verdict"] == "critical"
+        assert doc["problems"] == []
+        assert doc["chains"], "no justification chains resolved"
+        assert doc["storm"]["reverted"] >= 2
 
     def test_doctor_from_record(self, record_with_lineage, capsys):
         main(["doctor", "fop", "--from", record_with_lineage])

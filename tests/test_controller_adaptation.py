@@ -10,6 +10,7 @@ from repro.core.controller import (
 )
 from repro.jit.codecache import CodeCache
 from repro.jit.opt import compile_opt
+from repro.observers import Observers
 from repro.telemetry import Telemetry
 from repro.vm.program import Program
 from repro.workloads.synth import Fn
@@ -41,7 +42,7 @@ def make(auto=True, monitor_config=None, telemetry=None):
         set_sampling_interval=intervals.append,
         auto_interval=auto,
         sampling_switch=switches.append,
-        telemetry=telemetry)
+        observers=Observers(telemetry=telemetry))
     controller.on_method_compiled(cm)
     interest = controller.resolver.interest_table(cm)
     ir_id = next(iter(interest))
@@ -114,6 +115,8 @@ class TestDutyCycle:
         assert controller.sampling_paused
         assert switches == [False]
         assert controller.duty_pauses == 1
+        # Statistics reach the registry when the component publishes.
+        controller.publish_metrics(tele.metrics)
         assert tele.metrics.value("controller.duty_pauses") == 1
 
     def test_resume_rearms_sampling(self):

@@ -9,8 +9,18 @@ the sha256 of the canonical record JSON (provenance excluded — it
 carries the code version) of the first 1.5 M cycles at the default
 fastpath, no observers.
 
-``tests/golden/digests.json`` changes only when simulated behaviour is
-meant to change.  Regenerate it with::
+``tests/golden/observers.json`` pins what the *observers* output: with
+telemetry, the decision ledger and the health monitor all attached, the
+sha256 of the ledger JSON, the health report JSON, the metrics
+snapshot, the Prometheus text and the tracer's spans, instants and
+samples in recorded order — for ``db`` with co-allocation to 8 M cycles
+and for a whole ``phased`` run under the revert storm ``repro doctor
+--storm`` seeds (all ten ledger kinds, verdict ``critical``).  The five
+outputs do not depend on the fastpath level or the hash seed, so the
+file holds at every ``REPRO_FASTPATH``.
+
+The golden files change only when simulated behaviour (or what an
+observer emits) is meant to change.  Regenerate both with::
 
     PYTHONPATH=src python tests/test_golden_digests.py
 """
@@ -21,12 +31,17 @@ import os
 
 import pytest
 
-from repro.harness import runner
+from repro.harness import experiments, runner
 from repro.harness.runner import RunSpec
+from repro.health import HealthMonitor
+from repro.lineage import DecisionLedger
+from repro.telemetry import Telemetry
+from repro.telemetry.export import prometheus_text
 from repro.workloads import suite
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "digests.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_PATH = os.path.join(GOLDEN_DIR, "digests.json")
+OBSERVERS_PATH = os.path.join(GOLDEN_DIR, "observers.json")
 UNTIL_CYCLES = 1_500_000
 
 CONFIGS = {
@@ -38,17 +53,60 @@ CASES = [f"{name}/{config}" for name in suite.all_names() + ["phased"]
          for config in CONFIGS]
 
 
+def _sha(doc) -> str:
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def digest(case: str) -> str:
     name, config = case.split("/")
     spec = RunSpec(name, until_cycles=UNTIL_CYCLES, **CONFIGS[config])
     doc = runner.record_from_result(spec, runner.execute(spec)).to_json()
     del doc["provenance"]
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return _sha(doc)
 
 
-def load_golden() -> dict:
-    with open(GOLDEN_PATH) as fh:
+def _db_8m(**observers):
+    return runner.execute(
+        RunSpec("db", coalloc=True, until_cycles=8_000_000), **observers)
+
+
+def _phased_storm(**observers):
+    """The run ``repro doctor phased --storm`` builds."""
+    vm, workload = runner.make_vm(
+        "phased", RunSpec("phased", coalloc=True), **observers)
+    field = experiments.resolve_field(vm.program, workload.hot_fields[0])
+    experiments.seed_revert_storm(vm, field, count=3)
+    return vm.run()
+
+
+OBSERVER_CASES = {"db-8M": _db_8m, "phased-storm": _phased_storm}
+
+
+def observer_digests(case: str) -> dict:
+    """sha256 of each of the five observer outputs of one pinned run."""
+    telemetry, ledger, health = Telemetry(), DecisionLedger(), HealthMonitor()
+    result = OBSERVER_CASES[case](telemetry=telemetry, lineage=ledger,
+                                  health=health)
+    tracer = telemetry.tracer
+    return {
+        "ledger": _sha(ledger.to_json()),
+        "health": _sha(health.report(result.cycles).to_json()),
+        "metrics": _sha(telemetry.metrics.snapshot()),
+        "prometheus": _sha(prometheus_text(telemetry.metrics)),
+        "trace": _sha({
+            "spans": [(e.name, e.cat, e.ts, e.dur, e.depth, e.args)
+                      for e in tracer.spans],
+            "instants": [(e.name, e.cat, e.ts, e.args)
+                         for e in tracer.instants],
+            "samples": [(e.name, e.cat, e.ts, e.value)
+                        for e in tracer.samples],
+        }),
+    }
+
+
+def load_golden(path: str = GOLDEN_PATH) -> dict:
+    with open(path) as fh:
         return json.load(fh)
 
 
@@ -63,10 +121,20 @@ def test_record_digest_matches_golden(case):
         f"regenerate with: python tests/test_golden_digests.py")
 
 
+@pytest.mark.parametrize("case", sorted(OBSERVER_CASES))
+def test_observer_outputs_match_golden(case):
+    assert observer_digests(case) == load_golden(OBSERVERS_PATH)[case], (
+        f"what the observers emit for {case} changed; if that is "
+        f"intended, regenerate with: python tests/test_golden_digests.py")
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump({case: digest(case) for case in CASES}, fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(CASES)} digests to {GOLDEN_PATH}")
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for path, pins in (
+            (GOLDEN_PATH, {case: digest(case) for case in CASES}),
+            (OBSERVERS_PATH, {case: observer_digests(case)
+                              for case in sorted(OBSERVER_CASES)})):
+        with open(path, "w") as fh:
+            json.dump(pins, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {len(pins)} pins to {path}")

@@ -6,9 +6,8 @@ Four layers:
   hysteresis, spike fold-back, warmup, running scales),
 * unit tests of every built-in pathology detector over synthetic
   interval/event streams,
-* the pure-observer invariant — attaching a health monitor changes no
-  simulated number at any fastpath level, and perturbs no decision-
-  ledger entry id,
+* the no-monitor path (the pure-observer matrix itself is
+  ``tests/test_observer_purity.py``),
 * end-to-end: a seeded revert storm and a phase-shifting workload are
   both detected by ``repro doctor``, with every finding's evidence
   resolving to valid ledger entries; records embed the report through
@@ -16,6 +15,7 @@ Four layers:
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,8 +23,7 @@ from repro.harness import experiments as ex
 from repro.harness.record import (COMPATIBLE_SCHEMAS, RunRecord,
                                   SCHEMA_VERSION)
 from repro.harness.runner import RunSpec, execute, make_vm
-from repro.health import (HealthMonitor, NULL_HEALTH, NullHealthMonitor,
-                          default_detectors)
+from repro.health import HealthMonitor, default_detectors
 from repro.health.detectors import (CacheThrashDetector, DETECTOR_REGISTRY,
                                     ExperimentEvent,
                                     PlacementRegressionDetector,
@@ -39,7 +38,7 @@ from repro.health.report import (HEALTH_SCHEMA_VERSION, Finding, HealthReport,
                                  format_phase_table, worst_severity)
 from repro.lineage import DecisionLedger, explain
 from repro.lineage.ledger import K_PERIOD, K_REVERT
-from repro.vm.snapshot import Snapshot
+from repro.observers import NO_OBSERVERS, Observers
 
 
 def make_interval(index, samples=10, miss=0.0, gc=0.0, alloc=0.0,
@@ -321,79 +320,24 @@ class TestReport:
         assert "none" in format_findings(empty)
 
 
-@pytest.fixture(scope="module")
-def db_health_sliced_and_resumed():
-    """The health document of db run in 500K-cycle slices, moved
-    through a snapshot halfway: what every unbroken run must report."""
-    vm, _ = make_vm("db", RunSpec(benchmark="db", coalloc=True),
-                    health=HealthMonitor())
-    vm.begin()
-    stop = 0
-    done = False
-    while not done:
-        stop += 500_000
-        done = vm.advance(until_cycles=stop)
-        if stop == 3_000_000:
-            assert not done
-            vm = Snapshot.capture(vm).restore()
-    return RunRecord.from_result(vm.finish()).health
-
-
 class TestPureObserver:
-    """The PR-1 invariant extended to health: diagnosing a run must not
-    change one simulated number — at every fastpath level — nor perturb
-    a single decision-ledger entry; and what it reports depends on the
-    run alone, not on the level or on how the run was sliced."""
-
-    @pytest.mark.parametrize("fastpath", [0, 1, 2])
-    def test_health_on_off_bit_identical(self, fastpath,
-                                         db_health_sliced_and_resumed):
-        spec = RunSpec(benchmark="db", coalloc=True)
-        off = execute(spec, fastpath=fastpath)
-        health = HealthMonitor()
-        on = execute(spec, health=health, fastpath=fastpath)
-        assert health.intervals  # it really observed the run
-        report = RunRecord.from_result(on).health
-        assert report == db_health_sliced_and_resumed
-        assert report["phases"][0]["centroid"]["miss_rate"] > 0
-        assert on.cycles == off.cycles
-        assert on.instructions == off.instructions
-        assert on.app_cycles == off.app_cycles
-        assert on.gc_cycles == off.gc_cycles
-        assert on.monitoring_cycles == off.monitoring_cycles
-        assert on.counters == off.counters
-        assert on.gc_stats.summary() == off.gc_stats.summary()
-        assert on.monitor_summary == off.monitor_summary
-        assert on.vm.pebs.samples_taken == off.vm.pebs.samples_taken
-        assert ([e.name for e in
-                 on.vm.controller.feedback.reverted_experiments()]
-                == [e.name for e in
-                    off.vm.controller.feedback.reverted_experiments()])
-        assert off.vm.health is NULL_HEALTH
-
-    def test_ledger_ids_unchanged_by_health(self):
-        spec = RunSpec(benchmark="db", coalloc=True)
-        solo = DecisionLedger()
-        execute(spec, lineage=solo)
-        observed = DecisionLedger()
-        health = HealthMonitor()
-        execute(spec, lineage=observed, health=health)
-        assert solo.to_json() == observed.to_json()
-        # Every id health captured is a real entry of that ledger.
-        report = health.report()
-        ids = {e["id"] for e in observed.to_json()["entries"]}
-        for finding in report.findings:
-            assert set(finding.ledger_ids) <= ids
-        for phase in report.phases:
-            assert set(phase.period_ids) <= ids
-            assert phase.period_ids  # ledger-linked boundaries
+    """The on == off matrix lives in ``tests/test_observer_purity.py``;
+    what stays here is the no-monitor path."""
 
     def test_null_health_is_shared_noop(self):
-        assert isinstance(NULL_HEALTH, NullHealthMonitor)
-        assert not NULL_HEALTH.enabled
-        NULL_HEALTH.on_interval(make_interval(0))
-        NULL_HEALTH.on_experiment_begin("x", "A::f", 0.0, 0, -1)
-        assert NULL_HEALTH.intervals == []
+        """No monitor attached: the shared default bundle's facts do
+        nothing; a monitor with no ledger beside it is handed id -1."""
+        fld = SimpleNamespace(qualified_name="A::f")
+        assert NO_OBSERVERS.health is None
+        NO_OBSERVERS.experiment_begin("x", fld, 0.0, 0, 0, 0.25, 3)
+        NO_OBSERVERS.interval(None, 1000, 0, 0, False)
+        events = []
+        health = HealthMonitor(detectors=[SimpleNamespace(
+            on_event=events.append)])
+        Observers(health=health).experiment_begin(
+            "x", fld, 0.0, 0, 0, 0.25, 3)
+        assert [(e.kind, e.field, e.ledger_id) for e in events] \
+            == [("begin", "A::f", -1)]
 
 
 class TestEndToEnd:

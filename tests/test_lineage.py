@@ -19,12 +19,13 @@ import pytest
 from repro.harness.record import RunRecord, SCHEMA_VERSION
 from repro.harness.runner import RunSpec, execute
 from repro.lineage import (DecisionLedger, LINEAGE_SCHEMA_VERSION,
-                           NULL_LEDGER, explain)
+                           explain)
 from repro.lineage.ledger import (DECISION_KINDS, E_CYCLE, E_ID, E_KIND,
                                   E_PARENTS, K_ATTRIBUTION, K_BATCH,
                                   K_EXPERIMENT, K_GAP, K_PERIOD,
                                   K_PLACEMENT, K_RANKING, K_RECOMPILE,
                                   K_REVERT, K_VERDICT)
+from repro.observers import NO_OBSERVERS
 from repro.vm.model import ClassInfo, FieldInfo, MethodInfo
 
 
@@ -120,13 +121,17 @@ class TestLedgerUnit:
         assert ledger.entries[eid][E_CYCLE] == 123
 
     def test_null_ledger_is_inert(self):
+        """No ledger attached: the bundle's facts record nothing, and
+        emitters are told not to build evidence tuples."""
         klass, fld = make_field()
-        assert NULL_LEDGER.enabled is False
-        assert NULL_LEDGER.sample_batch(5, "poll") == -1
-        assert NULL_LEDGER.experiment_begin("x", fld, 0, 0, 0, 0, 0) == -1
-        NULL_LEDGER.placement_pending(klass, fld, 1, 2, 0, 3)
-        assert NULL_LEDGER.placement_commit(1, 2) == -1
-        assert len(NULL_LEDGER.entries) == 0
+        assert NO_OBSERVERS.lineage is None
+        assert not NO_OBSERVERS.keeps_evidence
+        assert not NO_OBSERVERS.attached
+        NO_OBSERVERS.sample_batch(5, "poll")
+        NO_OBSERVERS.experiment_begin("x", fld, 0, 0, 0, 0, 0)
+        NO_OBSERVERS.placement_pending(klass, fld, 1, 2, 0, 3)
+        NO_OBSERVERS.placement_commit(1, 2)
+        NO_OBSERVERS.period_closed(0, 5, 3, ranking=None)
 
     def test_empty_ledger_still_attaches(self):
         """An empty ledger is falsy (len 0) but must still be honored
@@ -139,7 +144,7 @@ class TestLedgerUnit:
         config = SystemConfig(coalloc=True)
         config.lineage = ledger = DecisionLedger()
         vm = VM(workload.program, config, compilation_plan=workload.plan)
-        assert vm.lineage is ledger
+        assert vm.observers.lineage is ledger
 
     def test_to_json_renders_names_and_schema(self):
         ledger = DecisionLedger()
@@ -259,29 +264,6 @@ class TestExplain:
     def test_index_entries_rejects_non_ledger(self):
         with pytest.raises(ValueError):
             explain.index_entries({"spans": []})
-
-
-class TestPureObserver:
-    """The PR-1 invariant extended to the ledger: recording lineage
-    must not change one simulated number."""
-
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_ledger_on_off_bit_identical(self, fastpath):
-        spec = RunSpec(benchmark="db", coalloc=True)
-        off = execute(spec, fastpath=fastpath)
-        ledger = DecisionLedger()
-        on = execute(spec, lineage=ledger, fastpath=fastpath)
-        assert len(ledger.entries) > 0
-        assert on.cycles == off.cycles
-        assert on.instructions == off.instructions
-        assert on.app_cycles == off.app_cycles
-        assert on.gc_cycles == off.gc_cycles
-        assert on.monitoring_cycles == off.monitoring_cycles
-        assert on.counters == off.counters
-        assert on.gc_stats.summary() == off.gc_stats.summary()
-        assert on.monitor_summary == off.monitor_summary
-        assert on.vm.pebs.samples_taken == off.vm.pebs.samples_taken
-        assert off.vm.lineage is NULL_LEDGER
 
 
 class TestEndToEnd:

@@ -7,8 +7,7 @@ counters, PEBS sample count, revert log, lineage ids) is bit-identical
 to never having stopped, at every fastpath level and at any scheduler
 boundary the run was cut at.  On top of that sit the incremental
 layers: extending a cached ``until_cycles`` run simulates only the
-delta, ``measure(repeats)`` retargets seed-invariant prefixes at new
-seeds, and the engine splits runs into legs without changing a
+delta, and the engine splits runs into legs without changing a
 single bit.
 """
 
@@ -20,7 +19,6 @@ import pytest
 from repro.harness import engine, runner
 from repro.harness.diskcache import DiskCache
 from repro.harness.runner import RunSpec, execute
-from repro.vm import snapshot as snapshot_mod
 from repro.vm.snapshot import Snapshot, SnapshotError
 
 LEVELS = (0, 1, 2)
@@ -31,9 +29,6 @@ FOP = RunSpec(benchmark="fop", heap_mult=2.0, coalloc=True)
 #: Compress cut at 2M cycles: a *truncated* record end-to-end.
 COMPRESS = RunSpec(benchmark="compress", heap_mult=2.0, coalloc=True,
                    until_cycles=2_000_000)
-#: Monitoring off: the seed is never observable, so every checkpoint
-#: stays seed-invariant and ``measure`` reuse is maximal.
-CHEAP = RunSpec(benchmark="fop", heap_mult=1.0, monitoring=False)
 
 
 @pytest.fixture()
@@ -124,7 +119,7 @@ class TestBitIdentity:
         execute(FOP, fastpath=level, lineage=unbroken)
         resumed = run_broken(FOP, level, break_at=1_200_000,
                              lineage=DecisionLedger())
-        a, b = unbroken.to_json(), resumed.vm.lineage.to_json()
+        a, b = unbroken.to_json(), resumed.vm.observers.lineage.to_json()
         assert [e["id"] for e in a["entries"]] \
             == [e["id"] for e in b["entries"]]
         assert a == b
@@ -313,33 +308,10 @@ class TestIncremental:
 
 
 # ---------------------------------------------------------------------------
-# Seed retargeting: measure(repeats) reuses the seed-invariant prefix
+# measure(repeats): every repetition is its seed's own unbroken run
 # ---------------------------------------------------------------------------
 
 class TestReseed:
-    def test_reseed_retargets_an_early_checkpoint(self):
-        snaps = []
-        execute(replace(FOP, until_cycles=100_000),
-                on_checkpoint=snaps.append)
-        vm = snaps[-1].restore()
-        assert snapshot_mod.reseed(vm, new_seed=2)
-        vm.advance()
-        reseeded = fingerprint(vm.finish())
-        unbroken = fingerprint(execute(replace(FOP, seed=2)))
-        assert reseeded == unbroken
-
-    def test_reseed_refuses_once_seed_is_observable(self):
-        """After samples fired, the old seed is baked into history."""
-        snaps = []
-        execute(replace(FOP, until_cycles=2_000_000),
-                on_checkpoint=snaps.append)
-        vm = snaps[-1].restore()
-        assert vm.pebs.samples_taken > 0
-        assert not snapshot_mod.reseed(vm, new_seed=2)
-        # Refusal must leave the VM untouched: it still finishes as seed 1.
-        vm.advance()
-        assert fingerprint(vm.finish()) == fingerprint(execute(FOP))
-
     def test_measure_repeats_are_bit_exact_per_seed(self, disk):
         m = runner.measure(FOP, repeats=2)
         assert len(m.results) == 2
@@ -348,20 +320,6 @@ class TestReseed:
         for r, record in enumerate(m.results):
             fresh = runner.record_for(replace(FOP, seed=FOP.seed + r))
             assert record == fresh, f"repetition {r} diverged"
-
-    def test_measure_skips_resimulating_shared_prefix(self, disk):
-        """With monitoring off, later seeds reuse the deepest checkpoint."""
-        before = runner.SIM_CYCLES
-        m = runner.measure(CHEAP, repeats=3)
-        spent = runner.SIM_CYCLES - before
-        one_run = m.results[0].cycles
-        # Three full runs would cost ~3x one run; seeds 2 and 3 each
-        # resume past the deepest 1M-grid checkpoint instead.
-        assert spent < 2 * one_run
-        # The invariant holds *because* nothing sampled: monitored specs
-        # (whose samples consume the seed early) fall back to full runs,
-        # covered by test_measure_repeats_are_bit_exact_per_seed.
-        assert not m.results[0].monitor_summary
 
 
 # ---------------------------------------------------------------------------
