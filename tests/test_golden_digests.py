@@ -19,8 +19,15 @@ and for a whole ``phased`` run under the revert storm ``repro doctor
 outputs do not depend on the fastpath level or the hash seed, so the
 file holds at every ``REPRO_FASTPATH``.
 
+``tests/golden/superblocks.json`` pins what level 2 *executes*: for each
+suite guest plus ``phased``, every method compiled by both JITs (no
+simulation), the number of fused runs and the sha256 of the
+concatenated :func:`~repro.hw.translate.superblock_source` text — so a
+change to the emitted superblock bodies is a reviewed digest hunk.
+
 The golden files change only when simulated behaviour (or what an
-observer emits) is meant to change.  Regenerate both with::
+observer emits, or what the superblock emitter writes) is meant to
+change.  Regenerate all three with::
 
     PYTHONPATH=src python tests/test_golden_digests.py
 """
@@ -34,6 +41,9 @@ import pytest
 from repro.harness import experiments, runner
 from repro.harness.runner import RunSpec
 from repro.health import HealthMonitor
+from repro.hw.translate import superblock_source
+from repro.jit.baseline import compile_baseline
+from repro.jit.opt import compile_opt
 from repro.lineage import DecisionLedger
 from repro.telemetry import Telemetry
 from repro.telemetry.export import prometheus_text
@@ -42,6 +52,7 @@ from repro.workloads import suite
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "digests.json")
 OBSERVERS_PATH = os.path.join(GOLDEN_DIR, "observers.json")
+SUPERBLOCKS_PATH = os.path.join(GOLDEN_DIR, "superblocks.json")
 UNTIL_CYCLES = 1_500_000
 
 CONFIGS = {
@@ -49,8 +60,9 @@ CONFIGS = {
     "coalloc": dict(coalloc=True, monitoring=True),
 }
 
-CASES = [f"{name}/{config}" for name in suite.all_names() + ["phased"]
-         for config in CONFIGS]
+GUESTS = suite.all_names() + ["phased"]
+
+CASES = [f"{name}/{config}" for name in GUESTS for config in CONFIGS]
 
 
 def _sha(doc) -> str:
@@ -105,6 +117,19 @@ def observer_digests(case: str) -> dict:
     }
 
 
+def superblock_digest(guest: str) -> dict:
+    """Fused-run count and sha256 of the emitted superblock source of
+    every method of ``guest``, baseline- and opt-compiled."""
+    runs, text = 0, hashlib.sha256()
+    for method in suite.build(guest).program.all_methods():
+        for compile_method in (compile_baseline, compile_opt):
+            built = superblock_source(compile_method(method))
+            if built is not None:
+                runs += len(built[2])
+                text.update(built[0].encode())
+    return {"runs": runs, "sha256": text.hexdigest()}
+
+
 def load_golden(path: str = GOLDEN_PATH) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -128,12 +153,21 @@ def test_observer_outputs_match_golden(case):
         f"intended, regenerate with: python tests/test_golden_digests.py")
 
 
+@pytest.mark.parametrize("guest", GUESTS)
+def test_superblock_source_matches_golden(guest):
+    assert superblock_digest(guest) == load_golden(SUPERBLOCKS_PATH)[guest], (
+        f"the superblock bodies emitted for {guest} changed; if that is "
+        f"intended, regenerate with: python tests/test_golden_digests.py")
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for path, pins in (
             (GOLDEN_PATH, {case: digest(case) for case in CASES}),
             (OBSERVERS_PATH, {case: observer_digests(case)
-                              for case in sorted(OBSERVER_CASES)})):
+                              for case in sorted(OBSERVER_CASES)}),
+            (SUPERBLOCKS_PATH, {guest: superblock_digest(guest)
+                                for guest in GUESTS})):
         with open(path, "w") as fh:
             json.dump(pins, fh, indent=1, sort_keys=True)
             fh.write("\n")
