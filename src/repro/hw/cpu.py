@@ -33,6 +33,10 @@ Two drivers execute the same compiled code at three levels:
   fused straight-line superblock closures with batched memory
   simulation wherever the translation carries one (level 2, the
   default; a level-1 translation's block table is simply empty).
+  Both kinds of closure are generated from one per-opcode emitter in
+  :mod:`repro.hw.translate` — its *single* and *fused* flavours — so
+  what an instruction does is written down twice in all: there, and
+  in the reference chain below.
 
 The levels are bit-identical in every observable (cycles, instructions,
 memory-access order, the clock a hook reads mid-access, scheduler

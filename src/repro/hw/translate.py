@@ -9,13 +9,25 @@ numbers, the field offset, the branch target, the ALU operation, and
 the instruction's EIP (``code_addr + pc * 4``).
 
 This module resolves all of it exactly once per
-:class:`~repro.jit.codecache.CompiledMethod`: :func:`translate` maps
-each instruction to a specialized closure (a "template" instantiated
-with the operands baked in as default arguments, which CPython loads as
-fast locals), and execution becomes threaded dispatch —
-``pc = handlers[pc](frame, regs, slots)`` — with zero per-step operand
-decoding.  It is a template JIT for the simulator's own hot loop, the
-same once-against-the-profile-stable-operands trade the paper's online
+:class:`~repro.jit.codecache.CompiledMethod`.  What each straight-line
+opcode and branch *does* is written down once, in :class:`_Emitter`,
+which writes the Python source of one instruction; both executable
+forms are generated from it:
+
+* the **single** flavour — one handler template per opcode *shape*
+  (:func:`_shape`), compiled at import; :func:`translate` instantiates
+  it per instruction with the operands baked in as default arguments
+  (which CPython loads as fast locals), and execution becomes threaded
+  dispatch — ``pc = handlers[pc](frame, regs, slots)`` — with zero
+  per-step operand decoding;
+* the **fused** flavour — the body of a superblock closure, a
+  straight-line run executed in one call with its memory accesses
+  batched (fastpath level 2; see *Superblock compilation* below).
+
+Only the handlers that speak the driver's protocol (calls, returns,
+allocations, illegal instructions) are hand-written.  It is a template
+JIT for the simulator's own hot loop, the same
+once-against-the-profile-stable-operands trade the paper's online
 optimizations make for the guest program.
 
 Bit-identical contract
@@ -55,10 +67,12 @@ cache drops them when a method is recompiled (see
 from __future__ import annotations
 
 import functools
+import re
+from types import SimpleNamespace
 from typing import Callable, Dict, List
 
 from repro.hw.isa import (
-    GuestError, INSTRUCTION_BYTES,
+    GuestError, INSTRUCTION_BYTES, OP_NAMES,
     M_ALOAD, M_ALU, M_ALUI, M_ASTORE, M_BC, M_BR, M_CALL, M_CALLV,
     M_GETF, M_GETSTATIC, M_LDF, M_LEN, M_MOV, M_MOVI, M_NEW, M_NEWARR,
     M_NOP, M_NULLCHK, M_PUTF, M_PUTSTATIC, M_RET, M_STF,
@@ -116,431 +130,405 @@ def translation_for(cm, cpu) -> Translation:
 
 
 # ---------------------------------------------------------------------------
-# Handler templates.  Operands arrive as default arguments so the inner
-# function reads them as fast locals; the bodies replicate the reference
-# interpreter's per-opcode semantics (including fault messages and the
-# order of null/bounds checks relative to memory accesses) exactly.
+# The opcode emitter: the one definition of what every straight-line
+# opcode and branch does.  It replicates the reference interpreter's
+# per-opcode semantics (including fault messages and the order of
+# null/bounds checks relative to memory accesses) exactly.
 # ---------------------------------------------------------------------------
 
-def _h_movi(rd, imm, npc):
-    def h(frame, regs, slots, rd=rd, imm=imm, npc=npc):
-        regs[rd] = imm
-        return npc
-    return h
+#: Every ALU operation, as an expression over its operands: ``{a}``,
+#: ``{b}`` and the shift count ``{s}``.  ``div``/``rem`` follow the
+#: division prelude (scratch locals ``a``, ``v``, ``q``).
+_ALU_EXPRS = {
+    "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
+    "and": "{a} & {b}", "xor": "{a} ^ {b}", "or": "{a} | {b}",
+    "shl": "(({a} << {s}) & 0xFFFFFFFF)", "shr": "{a} >> {s}",
+    "neg": "-{a}", "div": "q", "rem": "a - q * v",
+}
+
+#: How the register/register and the register/immediate form name the
+#: operands of an ``_ALU_EXPRS`` entry (fields of the operand record
+#: ``x``, read only if the expression mentions them: ``neg`` has no
+#: immediate, and only the shifts mask one into a count).
+_ALU_OPERANDS = {
+    M_ALU: dict(a="regs[{x.rs1}]", b="regs[{x.rs2}]",
+                s="(regs[{x.rs2}] & 31)"),
+    M_ALUI: dict(a="regs[{x.rs1}]", b="{x.imm}", s="{x.sh}"),
+}
+
+#: The taken-test of every BC condition; ``{b}`` is the second register
+#: or, without one, zero.
+_BC_TESTS = {
+    "eq": "== {b}", "ne": "!= {b}", "lt": "< {b}", "ge": ">= {b}",
+    "gt": "> {b}", "le": "<= {b}", "null": "is None",
+    "nonnull": "is not None",
+}
+
+#: The bounds-fault message, verbatim from the reference interpreter
+#: (``i``/``e`` are the generated index/elements locals).
+_BOUNDS_MSG = 'f"index {i} out of bounds [0,{len(e)})"'
+
+#: Every operand emitted text can mention that is read off the
+#: instruction, as an attribute path from it.  The fused flavour
+#: inlines the value (:class:`_Literal`); the single flavour binds it
+#: under this name as a default argument.
+_OPERANDS = {
+    "rd": "rd", "rs1": "rs1", "rs2": "rs2", "imm": "imm",
+    "sh": "imm & 31",                              # ALUI shift count
+    "slot": "imm", "foff": "imm * 4",              # LDF/STF frame slot
+    "fi": "aux.index", "off": "aux.offset",        # GETF/PUTF field
+    "klass": "aux[0]", "fld": "aux[1]",            # GET/PUTSTATIC
+    "sv": "aux[0].static_values", "sfi": "aux[1].index",
+    "timm": "imm",                                 # BC/BR target
+}
 
 
-def _h_mov(rd, rs1, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, npc=npc):
-        regs[rd] = regs[rs1]
-        return npc
-    return h
+def _shape(inst) -> tuple:
+    """What selects the text emitted for ``inst``: its opcode, plus the
+    ALU operation, the branch condition and whether it compares two
+    registers, or whether a ``putf`` stores a reference."""
+    op = inst.op
+    if op == M_ALU or op == M_ALUI:
+        return (op, inst.aux)
+    if op == M_BC:
+        # The reference interpreter treats any unknown condition as
+        # "nonnull" (its final else); mirror that.
+        return (op, inst.aux if inst.aux in _BC_TESTS else "nonnull",
+                inst.rs2 is not None)
+    if op == M_PUTF:
+        return (op, inst.aux.kind == "ref")
+    return (op,)
 
 
-def _h_nop(npc):
-    def h(frame, regs, slots, npc=npc):
-        return npc
-    return h
+#: Every shape the emitter knows — for ALU operations and branch
+#: conditions, exactly the ones the reference chains accept (no
+#: register/register ``neg``, no immediate ``xor``/``or``).
+_SHAPES = (
+    [(op,) for op in (M_MOVI, M_MOV, M_NOP, M_NULLCHK, M_LDF, M_STF,
+                      M_GETF, M_ALOAD, M_ASTORE, M_LEN, M_GETSTATIC,
+                      M_PUTSTATIC, M_BR)]
+    + [(M_PUTF, is_ref) for is_ref in (False, True)]
+    + [(M_ALU, aux) for aux in _ALU_EXPRS if aux != "neg"]
+    + [(M_ALUI, aux) for aux in _ALU_EXPRS if aux not in ("xor", "or")]
+    + [(M_BC, cond, two_regs) for cond in _BC_TESTS
+       for two_regs in (False, True)]
+)
 
+
+class _Emitter:
+    """Writes the Python source of instructions, one :meth:`emit` each.
+
+    It does not know which executable form it is writing.  Operands
+    arrive as a record ``x`` whose fields render into the text
+    (``regs[{x.rd}]`` is ``regs[3]`` fused and ``regs[rd]`` single),
+    and the four things the flavours do differently are callables:
+    ``access(address, is_write, x)`` issues a data access,
+    ``fault(indent, message, x)`` raises a guest fault,
+    ``barrier(indent, args)`` runs the write barrier, and
+    ``name(operand)`` names an object operand.
+
+    Redundancy elimination: it tracks which register each scratch local
+    (``a``/``i``/``o``) currently mirrors, which registers are proven
+    non-null by an earlier check, and whether the current (array,
+    index) pair has already passed its bounds check — so repeated
+    accesses through the same registers skip the reloads and the
+    provably-passing checks.  Eliding a check never changes behavior:
+    it is only elided when the same unmodified register already passed
+    one (which fault message would have fired is then moot), and an
+    array store cannot change ``len(elements)``.  Any write to a
+    register drops every fact about it; div/rem clobbers the ``a``
+    scratch local.  (Facts are consulted before an instruction's own
+    register write, so they matter only across instructions: a
+    single-flavour template, one instruction long, checks everything.)
+    """
+
+    def __init__(self, write, access, fault, barrier, name):
+        self.write = write
+        self.access = access
+        self.fault = fault
+        self.barrier = barrier
+        self.name = name
+        self.a_reg = self.i_reg = self.o_reg = None
+        self.e_valid = self.bounds_ok = False
+        self.nonnull = set()
+
+    def invalidate(self, rd) -> None:
+        self.nonnull.discard(rd)
+        if rd == self.a_reg:
+            self.a_reg = None
+            self.e_valid = self.bounds_ok = False
+        if rd == self.i_reg:
+            self.i_reg = None
+            self.bounds_ok = False
+        if rd == self.o_reg:
+            self.o_reg = None
+
+    def bind_array(self, x, message) -> None:
+        rs1 = x.rs1
+        if self.a_reg != rs1:
+            self.write(f"        a = regs[{rs1}]")
+            self.a_reg = rs1
+            self.e_valid = self.bounds_ok = False
+        if rs1 not in self.nonnull:
+            self.write("        if a is None:")
+            self.fault("            ", message, x)
+            self.nonnull.add(rs1)
+
+    def bind_index_and_bounds(self, x) -> None:
+        rs2 = x.rs2
+        if self.i_reg != rs2:
+            self.write(f"        i = regs[{rs2}]")
+            self.i_reg = rs2
+            self.bounds_ok = False
+        if not self.e_valid:
+            self.write("        e = a.elements")
+            self.e_valid = True
+        if not self.bounds_ok:
+            self.write("        if i < 0 or i >= len(e):")
+            self.fault("            ", _BOUNDS_MSG, x)
+            self.bounds_ok = True
+
+    def bind_object(self, x, message) -> None:
+        rs1 = x.rs1
+        if self.o_reg != rs1:
+            self.write(f"        o = regs[{rs1}]")
+            self.o_reg = rs1
+        if rs1 not in self.nonnull:
+            self.write("        if o is None:")
+            self.fault("            ", message, x)
+            self.nonnull.add(rs1)
+
+    def emit(self, shape, x) -> None:
+        """Append the source of one instruction of ``shape``."""
+        W = self.write
+        op = shape[0]
+        if op == M_LDF:
+            rd = x.rd
+            self.access(f"{x.fb} + {x.foff}", False, x)
+            W(f"        regs[{rd}] = slots[{x.slot}]")
+            self.invalidate(rd)
+        elif op == M_STF:
+            self.access(f"{x.fb} + {x.foff}", True, x)
+            W(f"        slots[{x.slot}] = regs[{x.rs1}]")
+        elif op == M_MOVI:
+            imm = x.imm
+            W(f"        regs[{x.rd}] = {imm}")
+            self.invalidate(x.rd)
+            if isinstance(imm, int):    # a literal, and not None
+                self.nonnull.add(x.rd)
+        elif op == M_MOV:
+            W(f"        regs[{x.rd}] = regs[{x.rs1}]")
+            known = x.rs1 in self.nonnull
+            self.invalidate(x.rd)
+            if known and x.rd != x.rs1:
+                self.nonnull.add(x.rd)
+        elif op == M_ALU or op == M_ALUI:
+            aux = shape[1]
+            names = _ALU_OPERANDS[op]
+            if aux == "div" or aux == "rem":
+                # Replicate the reference's rounding.
+                W("        a = " + names["a"].format(x=x))
+                W("        v = " + names["b"].format(x=x))
+                W("        if v == 0:")
+                self.fault("            ", "'division by zero'", x)
+                W("        q = abs(a) // abs(v)")
+                W("        if (a >= 0) != (v >= 0):")
+                W("            q = -q")
+                self.a_reg = None    # ``a`` scratch local clobbered
+                self.e_valid = self.bounds_ok = False
+            W(f"        regs[{x.rd}] = "
+              + _ALU_EXPRS[aux].format(**names).format(x=x))
+            self.invalidate(x.rd)
+            self.nonnull.add(x.rd)    # arithmetic yields an int
+        elif op == M_GETF:
+            self.bind_object(x, "'null getfield'")
+            self.access(f"o.address + {x.off}", False, x)
+            W(f"        regs[{x.rd}] = o.slots[{x.fi}]")
+            self.invalidate(x.rd)
+        elif op == M_PUTF:
+            self.bind_object(x, "'null putfield'")
+            if shape[1]:    # a reference store: barrier after the store
+                W(f"        v = regs[{x.rs2}]")
+                self.access(f"o.address + {x.off}", True, x)
+                W(f"        o.slots[{x.fi}] = v")
+                self.barrier("        ", f"o, {x.fi}, v")
+            else:
+                self.access(f"o.address + {x.off}", True, x)
+                W(f"        o.slots[{x.fi}] = regs[{x.rs2}]")
+        elif op == M_ALOAD:
+            self.bind_array(x, "'null array load'")
+            self.bind_index_and_bounds(x)
+            self.access("a.address + 12 + i * a.esize", False, x)
+            W(f"        regs[{x.rd}] = e[i]")
+            self.invalidate(x.rd)
+        elif op == M_ASTORE:
+            self.bind_array(x, "'null array store'")
+            self.bind_index_and_bounds(x)
+            W(f"        v = regs[{x.rd}]")
+            self.access("a.address + 12 + i * a.esize", True, x)
+            W("        e[i] = v")
+            # ``a.kind`` is a runtime property of the array, not of the
+            # instruction: keep the reference interpreter's check (only
+            # the ref case has a write barrier).
+            W("        if a.kind == 'ref':")
+            self.barrier("            ", "a, i, v")
+        elif op == M_LEN:
+            self.bind_array(x, "'null arraylength'")
+            self.access("a.address + 8", False, x)
+            if self.e_valid:
+                W(f"        regs[{x.rd}] = len(e)")
+            else:
+                W(f"        regs[{x.rd}] = len(a.elements)")
+            self.invalidate(x.rd)
+            self.nonnull.add(x.rd)    # a length is an int
+        elif op == M_GETSTATIC or op == M_PUTSTATIC:
+            klass, fld = self.name(x.klass), self.name(x.fld)
+            values = self.name(x.sv)
+            # ``static_addr`` stays a runtime call at access time: its
+            # lazy base assignment depends on first-touch order.
+            address = f"static_addr({klass}, {fld})"
+            if op == M_GETSTATIC:
+                self.access(address, False, x)
+                W(f"        regs[{x.rd}] = {values}[{x.sfi}]")
+                self.invalidate(x.rd)
+            else:
+                self.access(address, True, x)
+                W(f"        {values}[{x.sfi}] = regs[{x.rs1}]")
+        elif op == M_NULLCHK:
+            if x.rs1 not in self.nonnull:
+                W(f"        if regs[{x.rs1}] is None:")
+                self.fault("            ", "'null receiver'", x)
+                self.nonnull.add(x.rs1)
+        elif op == M_BC:
+            test = _BC_TESTS[shape[1]].format(
+                b="regs[{x.rs2}]" if shape[2] else "0")
+            W(f"        return {x.timm} if regs[{x.rs1}] "
+              + test.format(x=x) + f" else {x.npc}")
+        elif op == M_BR:
+            W(f"        return {x.timm}")
+        elif op != M_NOP:
+            raise AssertionError(f"no emitter case for shape {shape}")
+
+
+# ---------------------------------------------------------------------------
+# The single flavour: one handler template per shape, compiled once at
+# import (a ``compile()`` per instruction or per method would cost more
+# than it saves).  Operands are parameters bound per instruction as
+# default arguments so the handler reads them as fast locals, the data
+# access is issued at once through ``mem_access``, a fault is raised
+# directly, and a reference store calls the write barrier.
+# ---------------------------------------------------------------------------
+
+#: The symbolic operand record: every field is its own name.  (The
+#: frame base is not bound per instruction; a handler reads it off its
+#: frame.)
+_SYMBOLIC = SimpleNamespace(fb="frame.base", pc="pc", npc="npc",
+                            **{name: name for name in _OPERANDS})
+
+#: What a handler can bind besides its instruction's ``_OPERANDS``, as
+#: expressions over the template factory's parameters.
+_CONTEXT = {
+    "cell": "cell", "mem_access": "mem_access", "wb": "wb",
+    "static_addr": "static_addr", "eip": "eip", "method": "method",
+    "pc": "pc", "npc": "pc + 1",
+}
+
+
+class _Template:
+    """The compiled single-flavour form of one shape, and what
+    generating it revealed about the shape."""
+
+    __slots__ = ("shape", "make", "load", "pure", "mem", "frame",
+                 "literal", "branch")
+
+    def __init__(self, shape):
+        lines: List[str] = []
+        W = lines.append
+        accesses = faults = False
+
+        def access(address, is_write, x):
+            nonlocal accesses
+            accesses = True
+            W(f"        cell[0] += mem_access({address}, {is_write}, eip)")
+
+        def fault(indent, message, x):
+            nonlocal faults
+            faults = True
+            W(f"{indent}raise GuestError({message}, method, {x.pc})")
+
+        def barrier(indent, args):
+            W(f"{indent}wb({args})")
+
+        _Emitter(W, access, fault, barrier, str).emit(shape, _SYMBOLIC)
+        self.shape = shape
+        self.branch = shape[0] in (M_BC, M_BR)
+        if not self.branch:
+            W(f"        return {_SYMBOLIC.npc}")
+        body = "\n".join(lines)
+        mentioned = set(re.findall(r"[A-Za-z_]\w*", body))
+        #: Issues a data access (one).
+        self.mem = accesses
+        #: An observation point for nobody: no ``mem.access``, no fault
+        #: (and no template switches frames).
+        self.pure = not (accesses or faults)
+        #: Reads the frame base / inlines its immediate when fused
+        #: (which then has to be writable as a literal).
+        self.frame = _SYMBOLIC.fb in body
+        self.literal = bool(mentioned & {"imm", "sh"})
+        # Bind as defaults only the names the body mentions.
+        operands = [(name, path) for name, path in _OPERANDS.items()
+                    if name in mentioned]
+        binds = [f"{name}={expr}" for name, expr in _CONTEXT.items()
+                 if name in mentioned]
+        binds += [f"{name}=inst.{path}" for name, path in operands]
+        source = (
+            "def make(inst, pc, eip, method, cell, mem_access, wb, "
+            "static_addr):\n"
+            f"    def h({', '.join(['frame', 'regs', 'slots'] + binds)}):\n"
+            f"{body}\n"
+            "    return h\n"
+            "def load(x, inst):\n"
+            + "".join(f"    x.{name} = inst.{path}\n"
+                      for name, path in operands)
+            + "    return x\n")
+        namespace = {"GuestError": GuestError}
+        name = " ".join([OP_NAMES[shape[0]], *map(str, shape[1:])])
+        exec(compile(source, f"<handler {name}>", "exec"), namespace)
+        #: ``make(inst, pc, eip, method, cell, mem_access, wb,
+        #: static_addr)`` instantiates the handler of one instruction;
+        #: ``load(x, inst)`` reads the same operands into a
+        #: :class:`_Literal` for the fused flavour to inline.
+        self.make = namespace["make"]
+        self.load = namespace["load"]
+
+
+_TEMPLATES = {shape: _Template(shape) for shape in _SHAPES}
+#: The templates of the shapes an opcode alone selects, by opcode.
+_PLAIN_TEMPLATES = {shape[0]: template
+                    for shape, template in _TEMPLATES.items()
+                    if len(shape) == 1}
+
+
+def _decode(code) -> List:
+    """The template of each instruction of ``code`` (``None`` where the
+    handler is hand-written) — worked out once per method and shared by
+    :func:`translate`, block discovery and the block emitter."""
+    plain, shaped = _PLAIN_TEMPLATES.get, _TEMPLATES.get
+    return [plain(inst.op) or shaped(_shape(inst)) for inst in code]
+
+
+# ---------------------------------------------------------------------------
+# The driver-protocol handlers stay hand-written: they stash operands on
+# the CPU and return sentinels the driver acts on (frame switches,
+# flushes, the two-phase allocation), which is a contract with
+# ``CPU._run_fast``, not an instruction's effect on guest state.
+# ---------------------------------------------------------------------------
 
 def _h_bad(message, method, pc):
     def h(frame, regs, slots, message=message, method=method, pc=pc):
         raise GuestError(message, method, pc)
     return h
 
-
-# -- ALU (register/register) ------------------------------------------------
-
-def _h_alu_add(rd, rs1, rs2, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc):
-        regs[rd] = regs[rs1] + regs[rs2]
-        return npc
-    return h
-
-
-def _h_alu_sub(rd, rs1, rs2, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc):
-        regs[rd] = regs[rs1] - regs[rs2]
-        return npc
-    return h
-
-
-def _h_alu_mul(rd, rs1, rs2, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc):
-        regs[rd] = regs[rs1] * regs[rs2]
-        return npc
-    return h
-
-
-def _h_alu_and(rd, rs1, rs2, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc):
-        regs[rd] = regs[rs1] & regs[rs2]
-        return npc
-    return h
-
-
-def _h_alu_xor(rd, rs1, rs2, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc):
-        regs[rd] = regs[rs1] ^ regs[rs2]
-        return npc
-    return h
-
-
-def _h_alu_or(rd, rs1, rs2, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc):
-        regs[rd] = regs[rs1] | regs[rs2]
-        return npc
-    return h
-
-
-def _h_alu_shl(rd, rs1, rs2, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc):
-        regs[rd] = (regs[rs1] << (regs[rs2] & 31)) & 0xFFFFFFFF
-        return npc
-    return h
-
-
-def _h_alu_shr(rd, rs1, rs2, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc):
-        regs[rd] = regs[rs1] >> (regs[rs2] & 31)
-        return npc
-    return h
-
-
-def _h_alu_divrem(rd, rs1, rs2, npc, method, pc, rem):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, rs2=rs2, npc=npc,
-          method=method, pc=pc, rem=rem):
-        a = regs[rs1]
-        b = regs[rs2]
-        if b == 0:
-            raise GuestError("division by zero", method, pc)
-        q = abs(a) // abs(b)
-        if (a >= 0) != (b >= 0):
-            q = -q
-        regs[rd] = a - q * b if rem else q
-        return npc
-    return h
-
-
-_ALU_FACTORIES = {
-    "add": _h_alu_add, "sub": _h_alu_sub, "mul": _h_alu_mul,
-    "and": _h_alu_and, "xor": _h_alu_xor, "or": _h_alu_or,
-    "shl": _h_alu_shl, "shr": _h_alu_shr,
-}
-
-
-# -- ALU (register/immediate) -----------------------------------------------
-
-def _h_alui_add(rd, rs1, imm, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, imm=imm, npc=npc):
-        regs[rd] = regs[rs1] + imm
-        return npc
-    return h
-
-
-def _h_alui_sub(rd, rs1, imm, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, imm=imm, npc=npc):
-        regs[rd] = regs[rs1] - imm
-        return npc
-    return h
-
-
-def _h_alui_mul(rd, rs1, imm, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, imm=imm, npc=npc):
-        regs[rd] = regs[rs1] * imm
-        return npc
-    return h
-
-
-def _h_alui_and(rd, rs1, imm, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, imm=imm, npc=npc):
-        regs[rd] = regs[rs1] & imm
-        return npc
-    return h
-
-
-def _h_alui_shl(rd, rs1, imm, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, sh=imm & 31, npc=npc):
-        regs[rd] = (regs[rs1] << sh) & 0xFFFFFFFF
-        return npc
-    return h
-
-
-def _h_alui_shr(rd, rs1, imm, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, sh=imm & 31, npc=npc):
-        regs[rd] = regs[rs1] >> sh
-        return npc
-    return h
-
-
-def _h_alui_neg(rd, rs1, imm, npc):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, npc=npc):
-        regs[rd] = -regs[rs1]
-        return npc
-    return h
-
-
-def _h_alui_divrem(rd, rs1, imm, npc, method, pc, rem):
-    def h(frame, regs, slots, rd=rd, rs1=rs1, b=imm, npc=npc,
-          method=method, pc=pc, rem=rem):
-        a = regs[rs1]
-        if b == 0:
-            raise GuestError("division by zero", method, pc)
-        q = abs(a) // abs(b)
-        if (a >= 0) != (b >= 0):
-            q = -q
-        regs[rd] = a - q * b if rem else q
-        return npc
-    return h
-
-
-_ALUI_FACTORIES = {
-    "add": _h_alui_add, "sub": _h_alui_sub, "mul": _h_alui_mul,
-    "and": _h_alui_and, "shl": _h_alui_shl, "shr": _h_alui_shr,
-    "neg": _h_alui_neg,
-}
-
-
-# -- branches ---------------------------------------------------------------
-
-def _h_bc_eq(rs1, rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, rs2=rs2, timm=timm, npc=npc):
-        return timm if regs[rs1] == regs[rs2] else npc
-    return h
-
-
-def _h_bc_ne(rs1, rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, rs2=rs2, timm=timm, npc=npc):
-        return timm if regs[rs1] != regs[rs2] else npc
-    return h
-
-
-def _h_bc_lt(rs1, rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, rs2=rs2, timm=timm, npc=npc):
-        return timm if regs[rs1] < regs[rs2] else npc
-    return h
-
-
-def _h_bc_ge(rs1, rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, rs2=rs2, timm=timm, npc=npc):
-        return timm if regs[rs1] >= regs[rs2] else npc
-    return h
-
-
-def _h_bc_gt(rs1, rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, rs2=rs2, timm=timm, npc=npc):
-        return timm if regs[rs1] > regs[rs2] else npc
-    return h
-
-
-def _h_bc_le(rs1, rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, rs2=rs2, timm=timm, npc=npc):
-        return timm if regs[rs1] <= regs[rs2] else npc
-    return h
-
-
-def _h_bc_eq0(rs1, _rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, timm=timm, npc=npc):
-        return timm if regs[rs1] == 0 else npc
-    return h
-
-
-def _h_bc_ne0(rs1, _rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, timm=timm, npc=npc):
-        return timm if regs[rs1] != 0 else npc
-    return h
-
-
-def _h_bc_lt0(rs1, _rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, timm=timm, npc=npc):
-        return timm if regs[rs1] < 0 else npc
-    return h
-
-
-def _h_bc_ge0(rs1, _rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, timm=timm, npc=npc):
-        return timm if regs[rs1] >= 0 else npc
-    return h
-
-
-def _h_bc_gt0(rs1, _rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, timm=timm, npc=npc):
-        return timm if regs[rs1] > 0 else npc
-    return h
-
-
-def _h_bc_le0(rs1, _rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, timm=timm, npc=npc):
-        return timm if regs[rs1] <= 0 else npc
-    return h
-
-
-def _h_bc_null(rs1, _rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, timm=timm, npc=npc):
-        return timm if regs[rs1] is None else npc
-    return h
-
-
-def _h_bc_nonnull(rs1, _rs2, timm, npc):
-    def h(frame, regs, slots, rs1=rs1, timm=timm, npc=npc):
-        return timm if regs[rs1] is not None else npc
-    return h
-
-
-_BC_FACTORIES = {
-    ("eq", True): _h_bc_eq, ("ne", True): _h_bc_ne,
-    ("lt", True): _h_bc_lt, ("ge", True): _h_bc_ge,
-    ("gt", True): _h_bc_gt, ("le", True): _h_bc_le,
-    ("eq", False): _h_bc_eq0, ("ne", False): _h_bc_ne0,
-    ("lt", False): _h_bc_lt0, ("ge", False): _h_bc_ge0,
-    ("gt", False): _h_bc_gt0, ("le", False): _h_bc_le0,
-    ("null", True): _h_bc_null, ("null", False): _h_bc_null,
-    ("nonnull", True): _h_bc_nonnull, ("nonnull", False): _h_bc_nonnull,
-}
-
-
-def _h_br(timm):
-    def h(frame, regs, slots, timm=timm):
-        return timm
-    return h
-
-
-# -- memory traffic ---------------------------------------------------------
-
-def _h_getf(cell, mem_access, rd, rs1, off, fi, eip, method, pc, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access, rd=rd,
-          rs1=rs1, off=off, fi=fi, eip=eip, method=method, pc=pc, npc=npc):
-        obj = regs[rs1]
-        if obj is None:
-            raise GuestError("null getfield", method, pc)
-        cell[0] += mem_access(obj.address + off, False, eip)
-        regs[rd] = obj.slots[fi]
-        return npc
-    return h
-
-
-def _h_putf(cell, mem_access, rs1, rs2, off, fi, eip, method, pc, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access, rs1=rs1,
-          rs2=rs2, off=off, fi=fi, eip=eip, method=method, pc=pc, npc=npc):
-        obj = regs[rs1]
-        if obj is None:
-            raise GuestError("null putfield", method, pc)
-        value = regs[rs2]
-        cell[0] += mem_access(obj.address + off, True, eip)
-        obj.slots[fi] = value
-        return npc
-    return h
-
-
-def _h_putf_ref(cell, mem_access, wb, rs1, rs2, off, fi, eip, method, pc,
-                npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access, wb=wb,
-          rs1=rs1, rs2=rs2, off=off, fi=fi, eip=eip, method=method, pc=pc,
-          npc=npc):
-        obj = regs[rs1]
-        if obj is None:
-            raise GuestError("null putfield", method, pc)
-        value = regs[rs2]
-        cell[0] += mem_access(obj.address + off, True, eip)
-        obj.slots[fi] = value
-        wb(obj, fi, value)
-        return npc
-    return h
-
-
-def _h_aload(cell, mem_access, rd, rs1, rs2, eip, method, pc, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access, rd=rd,
-          rs1=rs1, rs2=rs2, eip=eip, method=method, pc=pc, npc=npc):
-        arr = regs[rs1]
-        if arr is None:
-            raise GuestError("null array load", method, pc)
-        index = regs[rs2]
-        elems = arr.elements
-        if index < 0 or index >= len(elems):
-            raise GuestError(
-                f"index {index} out of bounds [0,{len(elems)})", method, pc)
-        cell[0] += mem_access(arr.address + 12 + index * arr.esize,
-                              False, eip)
-        regs[rd] = elems[index]
-        return npc
-    return h
-
-
-def _h_astore(cell, mem_access, wb, rd, rs1, rs2, eip, method, pc, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access, wb=wb,
-          rd=rd, rs1=rs1, rs2=rs2, eip=eip, method=method, pc=pc, npc=npc):
-        arr = regs[rs1]
-        if arr is None:
-            raise GuestError("null array store", method, pc)
-        index = regs[rs2]
-        elems = arr.elements
-        if index < 0 or index >= len(elems):
-            raise GuestError(
-                f"index {index} out of bounds [0,{len(elems)})", method, pc)
-        value = regs[rd]
-        cell[0] += mem_access(arr.address + 12 + index * arr.esize,
-                              True, eip)
-        elems[index] = value
-        # ``arr.kind`` is a runtime property of the array, not of the
-        # instruction: keep the reference interpreter's check.
-        if arr.kind == "ref":
-            wb(arr, index, value)
-        return npc
-    return h
-
-
-def _h_len(cell, mem_access, rd, rs1, eip, method, pc, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access, rd=rd,
-          rs1=rs1, eip=eip, method=method, pc=pc, npc=npc):
-        arr = regs[rs1]
-        if arr is None:
-            raise GuestError("null arraylength", method, pc)
-        cell[0] += mem_access(arr.address + 8, False, eip)
-        regs[rd] = len(arr.elements)
-        return npc
-    return h
-
-
-def _h_ldf(cell, mem_access, rd, off, si, eip, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access, rd=rd,
-          off=off, si=si, eip=eip, npc=npc):
-        cell[0] += mem_access(frame.base + off, False, eip)
-        regs[rd] = slots[si]
-        return npc
-    return h
-
-
-def _h_stf(cell, mem_access, rs1, off, si, eip, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access, rs1=rs1,
-          off=off, si=si, eip=eip, npc=npc):
-        cell[0] += mem_access(frame.base + off, True, eip)
-        slots[si] = regs[rs1]
-        return npc
-    return h
-
-
-def _h_getstatic(cell, mem_access, static_addr, klass, fld, sv, fi, rd,
-                 eip, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access,
-          static_addr=static_addr, klass=klass, fld=fld, sv=sv, fi=fi,
-          rd=rd, eip=eip, npc=npc):
-        cell[0] += mem_access(static_addr(klass, fld), False, eip)
-        regs[rd] = sv[fi]
-        return npc
-    return h
-
-
-def _h_putstatic(cell, mem_access, static_addr, klass, fld, sv, fi, rs1,
-                 eip, npc):
-    def h(frame, regs, slots, cell=cell, mem_access=mem_access,
-          static_addr=static_addr, klass=klass, fld=fld, sv=sv, fi=fi,
-          rs1=rs1, eip=eip, npc=npc):
-        cell[0] += mem_access(static_addr(klass, fld), True, eip)
-        sv[fi] = regs[rs1]
-        return npc
-    return h
-
-
-# -- calls, returns, allocation, checks -------------------------------------
 
 def _h_call(cpu, target, argregs, pc):
     n_args = len(argregs)
@@ -643,25 +631,9 @@ def _p2_newarr(alloc_array, kind, rd, rs1, cost):
     return p2
 
 
-def _h_nullchk(rs1, method, pc, npc):
-    def h(frame, regs, slots, rs1=rs1, method=method, pc=pc, npc=npc):
-        if regs[rs1] is None:
-            raise GuestError("null receiver", method, pc)
-        return npc
-    return h
-
-
 # ---------------------------------------------------------------------------
 # The translator.
 # ---------------------------------------------------------------------------
-
-#: Opcodes whose per-instruction handler is an observation point for
-#: nobody: no ``mem.access``, no fault, no frame switch (ALU/ALUI
-#: qualify too when their op is one of the non-faulting factories).
-#: ``new`` belongs here because its flush joins the pending log and a
-#: collection lands the log first; ``newarr`` can fault, so it does not.
-_PURE_OPS = frozenset({M_MOVI, M_MOV, M_NOP, M_BR, M_BC, M_NEW})
-
 
 def translate(cm, cpu) -> Translation:
     """Compile ``cm``'s instruction list into closures bound to ``cpu``."""
@@ -670,84 +642,25 @@ def translate(cm, cpu) -> Translation:
     plan = runtime.plan
     static_addr = runtime.static_addr
     wb = plan.write_barrier
-    alloc_object = plan.alloc_object
-    alloc_array = plan.alloc_array
     alloc_cost = plan.config.alloc_cost
     cell = cpu._cyc_cell
     method = cm.method
     base_eip = cm.code_addr
+    code = cm.code
+    templates = _decode(code)
 
     handlers: List[Handler] = []
     phase2: Dict[int, Callable] = {}
     pure: List[bool] = []
-    for pc, inst in enumerate(cm.code):
-        op = inst.op
+    for pc, (inst, template) in enumerate(zip(code, templates)):
         eip = base_eip + pc * INSTRUCTION_BYTES
-        npc = pc + 1
-        pure.append(op in _PURE_OPS
-                    or (op == M_ALU and inst.aux in _ALU_FACTORIES)
-                    or (op == M_ALUI and inst.aux in _ALUI_FACTORIES))
-        if op == M_GETF:
-            fld = inst.aux
-            h = _h_getf(cell, mem_access, inst.rd, inst.rs1, fld.offset,
-                        fld.index, eip, method, pc, npc)
-        elif op == M_ALOAD:
-            h = _h_aload(cell, mem_access, inst.rd, inst.rs1, inst.rs2,
-                         eip, method, pc, npc)
-        elif op == M_ALU:
-            aux = inst.aux
-            factory = _ALU_FACTORIES.get(aux)
-            if factory is not None:
-                h = factory(inst.rd, inst.rs1, inst.rs2, npc)
-            elif aux == "div" or aux == "rem":
-                h = _h_alu_divrem(inst.rd, inst.rs1, inst.rs2, npc,
-                                  method, pc, aux == "rem")
-            else:
-                h = _h_bad(f"bad alu op {aux}", method, pc)
-        elif op == M_BC:
-            factory = _BC_FACTORIES.get((inst.aux, inst.rs2 is not None))
-            if factory is None:
-                # The reference interpreter treats any unknown condition
-                # as "nonnull" (its final else); mirror that.
-                factory = _h_bc_nonnull
-            h = factory(inst.rs1, inst.rs2, inst.imm, npc)
-        elif op == M_ALUI:
-            aux = inst.aux
-            factory = _ALUI_FACTORIES.get(aux)
-            if factory is not None:
-                h = factory(inst.rd, inst.rs1, inst.imm, npc)
-            elif aux == "div" or aux == "rem":
-                h = _h_alui_divrem(inst.rd, inst.rs1, inst.imm, npc,
-                                   method, pc, aux == "rem")
-            else:
-                h = _h_bad(f"bad alui op {aux}", method, pc)
-        elif op == M_MOVI:
-            h = _h_movi(inst.rd, inst.imm, npc)
-        elif op == M_MOV:
-            h = _h_mov(inst.rd, inst.rs1, npc)
-        elif op == M_LDF:
-            h = _h_ldf(cell, mem_access, inst.rd, inst.imm * 4, inst.imm,
-                       eip, npc)
-        elif op == M_STF:
-            h = _h_stf(cell, mem_access, inst.rs1, inst.imm * 4, inst.imm,
-                       eip, npc)
-        elif op == M_ASTORE:
-            h = _h_astore(cell, mem_access, wb, inst.rd, inst.rs1,
-                          inst.rs2, eip, method, pc, npc)
-        elif op == M_PUTF:
-            fld = inst.aux
-            if fld.kind == "ref":
-                h = _h_putf_ref(cell, mem_access, wb, inst.rs1, inst.rs2,
-                                fld.offset, fld.index, eip, method, pc, npc)
-            else:
-                h = _h_putf(cell, mem_access, inst.rs1, inst.rs2,
-                            fld.offset, fld.index, eip, method, pc, npc)
-        elif op == M_BR:
-            h = _h_br(inst.imm)
-        elif op == M_LEN:
-            h = _h_len(cell, mem_access, inst.rd, inst.rs1, eip, method,
-                       pc, npc)
-        elif op == M_CALL:
+        if template is not None:
+            handlers.append(template.make(inst, pc, eip, method, cell,
+                                          mem_access, wb, static_addr))
+            pure.append(template.pure)
+            continue
+        op = inst.op
+        if op == M_CALL:
             h = _h_call(cpu, inst.aux, tuple(inst.imm), pc)
         elif op == M_CALLV:
             h = _h_callv(cell, mem_access, cpu, inst.rs1, inst.aux[1],
@@ -756,38 +669,32 @@ def translate(cm, cpu) -> Translation:
             h = _h_ret(cpu, inst.rs1)
         elif op == M_NEW:
             h = _h_new(pc)
-            phase2[pc] = _p2_new(alloc_object, inst.aux, inst.rd,
+            phase2[pc] = _p2_new(plan.alloc_object, inst.aux, inst.rd,
                                  alloc_cost)
         elif op == M_NEWARR:
             h = _h_newarr(inst.rs1, method, pc)
-            phase2[pc] = _p2_newarr(alloc_array, inst.aux, inst.rd,
+            phase2[pc] = _p2_newarr(plan.alloc_array, inst.aux, inst.rd,
                                     inst.rs1, alloc_cost)
-        elif op == M_GETSTATIC:
-            klass, fld = inst.aux
-            h = _h_getstatic(cell, mem_access, static_addr, klass, fld,
-                             klass.static_values, fld.index, inst.rd,
-                             eip, npc)
-        elif op == M_PUTSTATIC:
-            klass, fld = inst.aux
-            h = _h_putstatic(cell, mem_access, static_addr, klass, fld,
-                             klass.static_values, fld.index, inst.rs1,
-                             eip, npc)
-        elif op == M_NULLCHK:
-            h = _h_nullchk(inst.rs1, method, pc, npc)
-        elif op == M_NOP:
-            h = _h_nop(npc)
+        elif op == M_ALU:
+            h = _h_bad(f"bad alu op {inst.aux}", method, pc)
+        elif op == M_ALUI:
+            h = _h_bad(f"bad alui op {inst.aux}", method, pc)
         else:
             h = _h_bad(f"illegal opcode {op}", method, pc)
         handlers.append(h)
-    if getattr(cpu, "fastpath_level", 0) >= 2:
-        blocks = compile_superblocks(cm, cpu)
+        # The one hand-flagged pure handler: ``new`` cannot fault, and
+        # its flush joins the pending log (a collection lands the log
+        # first); ``newarr`` can fault, so it is not.
+        pure.append(op == M_NEW)
+    if cpu.fastpath_level >= 2:
+        blocks = compile_superblocks(cm, cpu, templates)
     else:
-        blocks = [None] * len(cm.code)
+        blocks = [None] * len(code)
     return Translation(cpu, handlers, phase2, blocks, pure)
 
 
 # ---------------------------------------------------------------------------
-# Superblock compilation (fastpath level 2).
+# Superblock compilation (fastpath level 2): the fused flavour.
 #
 # Straight-line runs of fusible instructions are compiled — via a small
 # source-level template JIT (one ``exec`` per method; the ``compile()``
@@ -833,29 +740,6 @@ MAX_SUPERBLOCK = 64
 #: Fusing a single instruction would only add overhead.
 MIN_SUPERBLOCK = 2
 
-#: Opcodes a superblock may contain (ALU/ALUI additionally need a known
-#: ``aux``; everything else — control flow, calls, allocations — is a
-#: block breaker handled per-instruction).
-_FUSIBLE_SIMPLE = frozenset({
-    M_MOVI, M_MOV, M_NOP, M_NULLCHK, M_LEN, M_LDF, M_STF, M_GETF,
-    M_PUTF, M_ALOAD, M_ASTORE, M_GETSTATIC, M_PUTSTATIC,
-})
-
-#: Opcodes that issue a data access (one each) inside a block.
-_MEM_OPS = frozenset({
-    M_GETF, M_PUTF, M_ALOAD, M_ASTORE, M_LEN, M_LDF, M_STF,
-    M_GETSTATIC, M_PUTSTATIC,
-})
-
-_ALU_EXPRS = {
-    "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
-    "and": "{a} & {b}", "xor": "{a} ^ {b}", "or": "{a} | {b}",
-}
-
-#: The bounds-fault message, verbatim from the reference interpreter
-#: (``i``/``e`` are the generated index/elements locals).
-_BOUNDS_MSG = 'f"index {i} out of bounds [0,{len(e)})"'
-
 
 def _is_literal(value) -> bool:
     """May ``value`` be inlined into generated source via ``repr``?"""
@@ -863,20 +747,19 @@ def _is_literal(value) -> bool:
                              and not isinstance(value, bool))
 
 
+def _fuses(inst, template) -> bool:
+    # Everything the emitter has a straight-line case for; a shape that
+    # inlines its immediate needs one that can be written as a literal.
+    return (template is not None and not template.branch
+            and (not template.literal or _is_literal(inst.imm)))
+
+
 def fusible(inst) -> bool:
     """Whether one instruction may live inside a superblock."""
-    op = inst.op
-    if op in _FUSIBLE_SIMPLE:
-        return op != M_MOVI or _is_literal(inst.imm)
-    if op == M_ALU:
-        return inst.aux in _ALU_FACTORIES or inst.aux in ("div", "rem")
-    if op == M_ALUI:
-        return _is_literal(inst.imm) and inst.imm is not None and (
-            inst.aux in _ALUI_FACTORIES or inst.aux in ("div", "rem"))
-    return False
+    return _fuses(inst, _TEMPLATES.get(_shape(inst)))
 
 
-def superblock_ranges(code) -> List[tuple]:
+def superblock_ranges(code, templates=None) -> List[tuple]:
     """Partition ``code`` into fusible ``(start, stop)`` runs.
 
     Leaders — pcs where control can enter other than by falling through
@@ -887,25 +770,29 @@ def superblock_ranges(code) -> List[tuple]:
     it (the classic superblock shape): the branch executes inside the
     closure and the closure returns the taken pc, saving one driver
     dispatch per block without moving any flush point.
+
+    ``templates`` is ``_decode(code)`` when the caller already has it.
     """
+    if templates is None:
+        templates = _decode(code)
     leaders = set()
-    for pc, inst in enumerate(code):
-        op = inst.op
-        if op == M_BC or op == M_BR:
-            leaders.add(inst.imm)
+    for pc, template in enumerate(templates):
+        if template is None:    # call, return, allocation (or illegal)
             leaders.add(pc + 1)
-        elif op in (M_CALL, M_CALLV, M_RET, M_NEW, M_NEWARR):
+        elif template.branch:
+            leaders.add(code[pc].imm)
             leaders.add(pc + 1)
+    fuses = list(map(_fuses, code, templates))
     ranges = []
     n = len(code)
     pc = 0
     while pc < n:
-        if not fusible(code[pc]):
+        if not fuses[pc]:
             pc += 1
             continue
         end = pc + 1
         while (end < n and end not in leaders and end - pc < MAX_SUPERBLOCK
-               and fusible(code[end])):
+               and fuses[end]):
             end += 1
         stop = end
         if (end < n and end not in leaders
@@ -917,29 +804,28 @@ def superblock_ranges(code) -> List[tuple]:
     return ranges
 
 
-#: Comparison operators of the two-operand / vs-zero BC conditions.
-_BC_OPERATORS = {"eq": "==", "ne": "!=", "lt": "<", "ge": ">=",
-                 "gt": ">", "le": "<="}
+class _Literal:
+    """An instruction's operands as the fused flavour inlines them: a
+    template's ``load`` fills in the literal value of every
+    ``_OPERANDS`` field its shape mentions."""
+
+    __slots__ = ("pc", *_OPERANDS)
+
+    #: The block header hoists ``frame.base`` into a local.
+    fb = "fb"
+    npc = property(lambda x: x.pc + 1)
 
 
-def _bc_condition(inst) -> str:
-    """The Python expression of a BC terminator's taken-test."""
-    a = f"regs[{inst.rs1}]"
-    aux = inst.aux
-    if aux == "null":
-        return f"{a} is None"
-    op = _BC_OPERATORS.get(aux)
-    if op is not None:
-        if inst.rs2 is not None:
-            return f"{a} {op} regs[{inst.rs2}]"
-        return f"{a} {op} 0"
-    # The reference interpreter treats any unknown condition as
-    # "nonnull" (its final else); mirror that.
-    return f"{a} is not None"
-
-
-def _emit_block(out, consts, const_ids, code, start, end, base_eip):
-    """Append the source of the fused closure for ``code[start:end]``."""
+def _emit_blocks(code, templates, ranges, base_eip):
+    """The source of the fused closures for ``ranges`` (as lines) and
+    the constants they reference."""
+    out: List[str] = []
+    consts: List[object] = []
+    const_ids: Dict[int, str] = {}
+    W = out.append
+    # The flavour's callables are made once per method; what they read
+    # of the block being emitted (``has_mem``, ``writes``/``eips`` and
+    # their const names, ``has_wb``) is rebound at each block's start.
 
     def const(obj) -> str:
         key = id(obj)
@@ -950,47 +836,22 @@ def _emit_block(out, consts, const_ids, code, start, end, base_eip):
             consts.append(obj)
         return name
 
-    insts = [code[pc] for pc in range(start, end)]
-    term = insts.pop() if insts[-1].op in (M_BC, M_BR) else None
-    has_mem = any(inst.op in _MEM_OPS for inst in insts)
-    has_frame = any(inst.op == M_LDF or inst.op == M_STF for inst in insts)
-    writes: List[bool] = []
-    eips: List[int] = []
-    if has_mem:
-        # Reserve the const slots for the block's access-metadata
-        # tuples now (they are referenced by flush/fault lines) and
-        # patch them in once every access has been emitted.
-        wslot = len(consts)
-        wname = f"K{wslot}"
-        consts.append(None)
-        eslot = len(consts)
-        ename = f"K{eslot}"
-        consts.append(None)
-
-    def meta(is_write: bool, eip: int) -> None:
+    def access(address, is_write, x):
+        # Appended to the batch; the is-write flag and the EIP are
+        # translate-time constants and travel in the metadata tuples.
         writes.append(is_write)
-        eips.append(eip)
+        eips.append(base_eip + x.pc * INSTRUCTION_BYTES)
+        W(f"        ap({address})")
 
-    W = out.append
-    W(f"    def _sb_{start}(frame, regs, slots):")
-    if has_mem:
-        W("        b = []")
-        W("        ap = b.append")
-        W("        s = 0")
-    if has_frame:
-        W("        fb = frame.base")
-
-    has_wb = False
-
-    def emit_fault(indent, msg_expr, pc):
+    def fault(indent, message, x):
         # Earlier blocks may have queued accesses even when this one
         # has none: every fault lands the log before it raises.
         if has_mem:
-            W(f"{indent}fault(b, {wname}, {ename}, s, {msg_expr}, {pc})")
+            W(f"{indent}fault(b, {wname}, {ename}, s, {message}, {x.pc})")
         else:
-            W(f"{indent}fault(None, None, None, 0, {msg_expr}, {pc})")
+            W(f"{indent}fault(None, None, None, 0, {message}, {x.pc})")
 
-    def emit_barrier(indent, args):
+    def barrier(indent, args):
         # The barrier's remembered-set bookkeeping reads no clock and
         # no cache state, so it happens at once; its charge joins the
         # log behind the batch so far — the segment is split here —
@@ -1006,237 +867,76 @@ def _emit_block(out, consts, const_ids, code, start, end, base_eip):
         W(f"{indent}ap = b.append")
         W(f"{indent}record_store({args})")
 
-    # Redundancy elimination: track which register each scratch local
-    # (``a``/``i``/``o``) currently mirrors, which registers are proven
-    # non-null by an earlier check in this block, and whether the
-    # current (array, index) pair has already passed its bounds check —
-    # so repeated accesses through the same registers skip the reloads
-    # and the provably-passing checks.  Eliding a check never changes
-    # behavior: it is only elided when the same unmodified register
-    # already passed one (which fault message would have fired is then
-    # moot), and an array store cannot change ``len(elements)``.  Any
-    # write to a register drops every fact about it; div/rem clobbers
-    # the ``a`` scratch local.
-    a_reg = i_reg = o_reg = None
-    e_valid = bounds_ok = False
-    nonnull = set()
+    x = _Literal()    # re-loaded for each instruction in turn
+    for start, end in ranges:
+        # A BC/BR terminator executes inside the closure: the return
+        # value IS the taken pc, so the driver skips a whole dispatch
+        # per block.
+        stop = end - 1 if templates[end - 1].branch else end
+        body = templates[start:stop]
+        has_mem = any(template.mem for template in body)
+        has_wb = False
+        writes: List[bool] = []
+        eips: List[int] = []
+        W(f"    def _sb_{start}(frame, regs, slots):")
+        if has_mem:
+            # Reserve the const slots for the block's access-metadata
+            # tuples now (they are referenced by flush/fault lines) and
+            # patch them in once every access has been emitted.
+            wslot = len(consts)
+            wname = f"K{wslot}"
+            consts.append(None)
+            eslot = len(consts)
+            ename = f"K{eslot}"
+            consts.append(None)
+            W("        b = []")
+            W("        ap = b.append")
+            W("        s = 0")
+        if any(template.frame for template in body):
+            W("        fb = frame.base")
 
-    def invalidate(rd):
-        nonlocal a_reg, i_reg, o_reg, e_valid, bounds_ok
-        nonnull.discard(rd)
-        if rd == a_reg:
-            a_reg = None
-            e_valid = bounds_ok = False
-        if rd == i_reg:
-            i_reg = None
-            bounds_ok = False
-        if rd == o_reg:
-            o_reg = None
+        # A fresh emitter: no fact survives a block boundary.
+        emit = _Emitter(W, access, fault, barrier, const).emit
+        for pc in range(start, stop):
+            template = templates[pc]
+            x.pc = pc
+            emit(template.shape, template.load(x, code[pc]))
 
-    def bind_array(rs1, msg_expr, pc):
-        nonlocal a_reg, e_valid, bounds_ok
-        if a_reg != rs1:
-            W(f"        a = regs[{rs1}]")
-            a_reg = rs1
-            e_valid = bounds_ok = False
-        if rs1 not in nonnull:
-            W("        if a is None:")
-            emit_fault("            ", msg_expr, pc)
-            nonnull.add(rs1)
-
-    def bind_index_and_bounds(rs2, pc):
-        nonlocal i_reg, e_valid, bounds_ok
-        if i_reg != rs2:
-            W(f"        i = regs[{rs2}]")
-            i_reg = rs2
-            bounds_ok = False
-        if not e_valid:
-            W("        e = a.elements")
-            e_valid = True
-        if not bounds_ok:
-            W("        if i < 0 or i >= len(e):")
-            emit_fault("            ", _BOUNDS_MSG, pc)
-            bounds_ok = True
-
-    def bind_object(rs1, msg_expr, pc):
-        nonlocal o_reg
-        if o_reg != rs1:
-            W(f"        o = regs[{rs1}]")
-            o_reg = rs1
-        if rs1 not in nonnull:
-            W("        if o is None:")
-            emit_fault("            ", msg_expr, pc)
-            nonnull.add(rs1)
-
-    for offset, inst in enumerate(insts):
-        pc = start + offset
-        eip = base_eip + pc * INSTRUCTION_BYTES
-        op = inst.op
-        if op == M_MOVI:
-            W(f"        regs[{inst.rd}] = {inst.imm!r}")
-            invalidate(inst.rd)
-            if inst.imm is not None:
-                nonnull.add(inst.rd)
-        elif op == M_MOV:
-            W(f"        regs[{inst.rd}] = regs[{inst.rs1}]")
-            known = inst.rs1 in nonnull
-            invalidate(inst.rd)
-            if known and inst.rd != inst.rs1:
-                nonnull.add(inst.rd)
-        elif op == M_NOP:
-            pass
-        elif op == M_NULLCHK:
-            if inst.rs1 not in nonnull:
-                W(f"        if regs[{inst.rs1}] is None:")
-                emit_fault("            ", "'null receiver'", pc)
-                nonnull.add(inst.rs1)
-        elif op == M_ALU or op == M_ALUI:
-            if op == M_ALU:
-                a, b = f"regs[{inst.rs1}]", f"regs[{inst.rs2}]"
-                shift = f"(regs[{inst.rs2}] & 31)"
+        if has_mem:
+            consts[wslot] = tuple(writes)
+            consts[eslot] = tuple(eips)
+            # The batch is not simulated here: it joins the CPU's
+            # pending log, replayed at the next observation point so
+            # the drain's setup cost amortizes over many chained blocks.
+            if has_wb:
+                # A write barrier may have emptied the batch mid-block.
+                W("        if b:")
+                W(f"            pend((b, {wname}, {ename}, s))")
             else:
-                a, b = f"regs[{inst.rs1}]", repr(inst.imm)
-                shift = repr(inst.imm & 31)
-            aux = inst.aux
-            if aux in _ALU_EXPRS and (op == M_ALU or aux != "neg"):
-                W(f"        regs[{inst.rd}] = "
-                  + _ALU_EXPRS[aux].format(a=a, b=b))
-            elif aux == "neg":
-                W(f"        regs[{inst.rd}] = -{a}")
-            elif aux == "shl":
-                W(f"        regs[{inst.rd}] = "
-                  f"(({a} << {shift}) & 0xFFFFFFFF)")
-            elif aux == "shr":
-                W(f"        regs[{inst.rd}] = {a} >> {shift}")
-            else:  # div / rem — replicate the reference's rounding
-                W(f"        a = {a}")
-                W(f"        v = {b}")
-                W("        if v == 0:")
-                emit_fault("            ", "'division by zero'", pc)
-                W("        q = abs(a) // abs(v)")
-                W("        if (a >= 0) != (v >= 0):")
-                W("            q = -q")
-                if aux == "div":
-                    W(f"        regs[{inst.rd}] = q")
-                else:
-                    W(f"        regs[{inst.rd}] = a - q * v")
-                a_reg = None    # ``a`` scratch local clobbered
-                e_valid = bounds_ok = False
-            invalidate(inst.rd)
-            nonnull.add(inst.rd)    # arithmetic yields an int
-        elif op == M_LDF:
-            meta(False, eip)
-            W(f"        ap(fb + {inst.imm * 4})")
-            W(f"        regs[{inst.rd}] = slots[{inst.imm}]")
-            invalidate(inst.rd)
-        elif op == M_STF:
-            meta(True, eip)
-            W(f"        ap(fb + {inst.imm * 4})")
-            W(f"        slots[{inst.imm}] = regs[{inst.rs1}]")
-        elif op == M_GETF:
-            fld = inst.aux
-            bind_object(inst.rs1, "'null getfield'", pc)
-            meta(False, eip)
-            W(f"        ap(o.address + {fld.offset})")
-            W(f"        regs[{inst.rd}] = o.slots[{fld.index}]")
-            invalidate(inst.rd)
-        elif op == M_PUTF:
-            fld = inst.aux
-            bind_object(inst.rs1, "'null putfield'", pc)
-            meta(True, eip)
-            if fld.kind == "ref":
-                W(f"        v = regs[{inst.rs2}]")
-                W(f"        ap(o.address + {fld.offset})")
-                W(f"        o.slots[{fld.index}] = v")
-                emit_barrier("        ", f"o, {fld.index}, v")
-            else:
-                W(f"        ap(o.address + {fld.offset})")
-                W(f"        o.slots[{fld.index}] = regs[{inst.rs2}]")
-        elif op == M_ALOAD:
-            bind_array(inst.rs1, "'null array load'", pc)
-            bind_index_and_bounds(inst.rs2, pc)
-            meta(False, eip)
-            W("        ap(a.address + 12 + i * a.esize)")
-            W(f"        regs[{inst.rd}] = e[i]")
-            invalidate(inst.rd)
-        elif op == M_ASTORE:
-            bind_array(inst.rs1, "'null array store'", pc)
-            bind_index_and_bounds(inst.rs2, pc)
-            W(f"        v = regs[{inst.rd}]")
-            meta(True, eip)
-            W("        ap(a.address + 12 + i * a.esize)")
-            W("        e[i] = v")
-            # ``a.kind`` is a runtime property; only the ref case has a
-            # write barrier (and hence splits the segment).
-            W("        if a.kind == 'ref':")
-            emit_barrier("            ", "a, i, v")
-        elif op == M_LEN:
-            bind_array(inst.rs1, "'null arraylength'", pc)
-            meta(False, eip)
-            W("        ap(a.address + 8)")
-            if e_valid:
-                W(f"        regs[{inst.rd}] = len(e)")
-            else:
-                W(f"        regs[{inst.rd}] = len(a.elements)")
-            invalidate(inst.rd)
-            nonnull.add(inst.rd)    # a length is an int
-        elif op == M_GETSTATIC or op == M_PUTSTATIC:
-            klass, fld = inst.aux
-            kk, kf = const(klass), const(fld)
-            ksv = const(klass.static_values)
-            # ``static_addr`` stays a runtime call at access-append time:
-            # its lazy base assignment depends on first-touch order.
-            if op == M_GETSTATIC:
-                meta(False, eip)
-                W(f"        ap(static_addr({kk}, {kf}))")
-                W(f"        regs[{inst.rd}] = {ksv}[{fld.index}]")
-                invalidate(inst.rd)
-            else:
-                meta(True, eip)
-                W(f"        ap(static_addr({kk}, {kf}))")
-                W(f"        {ksv}[{fld.index}] = regs[{inst.rs1}]")
-        else:  # pragma: no cover — superblock_ranges only admits the above
-            raise AssertionError(f"unfusible op {op} in superblock")
-
-    if has_mem:
-        consts[wslot] = tuple(writes)
-        consts[eslot] = tuple(eips)
-        # The batch is not simulated here: it joins the CPU's pending
-        # log, replayed at the next observation point so the drain's
-        # setup cost amortizes over many chained blocks.
-        if has_wb:
-            # A write barrier may have emptied the batch mid-block.
-            W("        if b:")
-            W(f"            pend((b, {wname}, {ename}, s))")
+                W(f"        pend((b, {wname}, {ename}, s))")
+        if stop == end:
+            W(f"        return {end}")
         else:
-            W(f"        pend((b, {wname}, {ename}, s))")
-    # A BC/BR terminator executes inside the closure: the return value
-    # IS the taken pc, so the driver skips a whole dispatch per block.
-    if term is None:
-        W(f"        return {end}")
-    elif term.op == M_BR:
-        W(f"        return {term.imm}")
-    else:
-        W(f"        return {term.imm} if {_bc_condition(term)} "
-          f"else {end}")
+            x.pc = stop
+            emit(templates[stop].shape, templates[stop].load(x, code[stop]))
+    return out, consts
 
 
-def superblock_source(cm) -> tuple:
+def superblock_source(cm, templates=None) -> tuple:
     """The factory source for all of ``cm``'s superblocks.
 
     Returns ``(source, consts, ranges)``; ``None`` when the method has
     no fusible run.  The factory binds the CPU-specific services once
-    and returns the block closures in ``ranges`` order.
+    and returns the block closures in ``ranges`` order.  ``templates``
+    is ``_decode(cm.code)`` when the caller already has it.
     """
-    ranges = superblock_ranges(cm.code)
+    code = cm.code
+    if templates is None:
+        templates = _decode(code)
+    ranges = superblock_ranges(code, templates)
     if not ranges:
         return None
-    consts: List[object] = []
-    const_ids: Dict[int, str] = {}
-    body: List[str] = []
-    for start, end in ranges:
-        _emit_block(body, consts, const_ids, cm.code, start, end,
-                    cm.code_addr)
+    body, consts = _emit_blocks(code, templates, ranges, cm.code_addr)
     lines = ["def _factory(cell, pend, drain, record_store, barrier, "
              "static_addr, GuestError, method, consts):"]
     if consts:
@@ -1268,9 +968,10 @@ def _factory_code(source: str, filename: str):
     return compile(source, filename, "exec")
 
 
-def compile_superblocks(cm, cpu) -> List:
-    """Build the per-pc superblock table for ``cm`` bound to ``cpu``."""
-    built = superblock_source(cm)
+def compile_superblocks(cm, cpu, templates=None) -> List:
+    """Build the per-pc superblock table for ``cm`` bound to ``cpu``
+    (``templates`` is ``_decode(cm.code)`` when the caller has it)."""
+    built = superblock_source(cm, templates)
     blocks: List = [None] * len(cm.code)
     if built is None:
         return blocks

@@ -589,3 +589,11 @@ class TestBenchCli:
         assert lines
         for line in lines:
             assert re.match(r"^\S+(;\S+)* \d+$", line), line
+        # A real case (the cheapest: two fop runs) attributes time to
+        # the simulated hardware and to the VM.
+        main(["bench", "profile", "lineage", "--param", 'benchmark="fop"',
+              "--param", "repeats=1", "--json", str(profile_json)])
+        doc = json.loads(profile_json.read_text())
+        assert doc["name"] == "lineage" and doc["total_self_s"] > 0
+        subsystems = {row["subsystem"] for row in doc["subsystems"]}
+        assert {"hw", "vm"} <= subsystems, subsystems

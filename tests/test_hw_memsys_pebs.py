@@ -167,8 +167,7 @@ class TestCounterIdentities:
 
 
 class TestAccessRun:
-    """The bulk path (``access_run`` / ``access_run_segments``) must be
-    a pure batching of ``access``: same latency total, same counters,
+    """The bulk path (``access_run_segments``) must be a pure batching of ``access``: same latency total, same counters,
     same armed-hook firings in the same order, for any traffic."""
 
     @staticmethod
@@ -192,8 +191,8 @@ class TestAccessRun:
                            for a, w, e in zip(addrs, writes, eips))
         total_batch = 0
         for i in range(0, len(addrs), 7):  # uneven chunks
-            total_batch += batch.access_run(addrs[i:i + 7], writes[i:i + 7],
-                                            eips[i:i + 7])
+            total_batch += batch.access_run_segments(
+                [(addrs[i:i + 7], writes[i:i + 7], eips[i:i + 7], 0)])
         assert total_batch == total_single
         assert fired_batch == fired_single
         assert batch.sync_counters().counts == single.sync_counters().counts
@@ -201,7 +200,7 @@ class TestAccessRun:
     def test_segments_match_flat(self):
         addrs, writes, eips = self.random_traffic(n=500, seed=4)
         flat, seg = make_memsys(), make_memsys()
-        total_flat = flat.access_run(addrs, writes, eips)
+        total_flat = flat.access_run_segments([(addrs, writes, eips, 0)])
         # Same traffic as three segments sharing metadata lists, each
         # consuming from its own ``start`` offset (the shape the
         # superblock driver produces when draining pending segments).
@@ -225,12 +224,12 @@ class TestAccessRun:
         eips = [0x5000 + i for i in range(k)]
         fired = []
         ms.arm_event("L1D_MISS", fired.append)
-        ms.access_run(addrs, [False] * k, eips)
+        ms.access_run_segments([(addrs, [False] * k, eips, 0)])
         assert fired == [eips[position]]
 
     def test_empty_batch(self):
         ms = make_memsys()
-        assert ms.access_run([], [], []) == 0
+        assert ms.access_run_segments([([], [], [], 0)]) == 0
         assert ms.access_run_segments(()) == 0
         assert ms.sync_counters().counts["L1D_ACCESS"] == 0
 

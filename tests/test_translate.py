@@ -10,6 +10,7 @@ into the experiment cache key.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,12 @@ from repro.gc.plan import HeapExhausted
 from repro.harness.runner import RunSpec, execute
 from repro.hw import translate
 from repro.hw.cpu import SCHED_QUANTUM
-from repro.hw.isa import GuestError, M_BC, M_BR
+from repro.hw.isa import (
+    ALU_OPS, BC_CONDS, GuestError, MInst,
+    M_ALOAD, M_ALU, M_ALUI, M_ASTORE, M_BC, M_BR, M_CALLV, M_GETF,
+    M_GETSTATIC, M_LDF, M_LEN, M_MOV, M_MOVI, M_NOP, M_NULLCHK, M_PUTF,
+    M_PUTSTATIC, M_RET, M_STF,
+)
 from repro.hw.translate import (MIN_SUPERBLOCK, superblock_ranges,
                                 superblock_source, translation_for)
 from repro.jit.aos import CompilationPlan
@@ -291,6 +297,39 @@ class TestSuperblocks:
         ranges = superblock_ranges(cm.code)
         assert any(cm.code[stop - 1].op in (M_BC, M_BR)
                    for _, stop in ranges)
+
+    def test_negate_fuses(self):
+        """``neg`` is an ALUI with no immediate (both JITs emit
+        ``imm=None``): the literal-immediate requirement applies only to
+        shapes that read theirs, so it does not break the run."""
+        outcomes = {}
+        for level in (0, 1, 2):
+            p = Program("neg")
+            app = p.define_class("App")
+            app.add_static("out", "int")
+            app.seal()
+            fn = Fn(p, app, "main")
+            v = fn.local()
+            fn.iconst(5).istore(v)
+            fn.iload(v).emit("ineg").iload(v).emit("iadd")
+            fn.putstatic(app, "out")
+            fn.ret()
+            p.set_main(fn.finish())
+            vm = _vm(p, fastpath=level)
+            code = vm.compiled_code_for(p.main).code
+            negs = [inst for inst in code
+                    if inst.op == M_ALUI and inst.aux == "neg"]
+            assert len(negs) == 1 and negs[0].imm is None
+            assert translate.fusible(negs[0])
+            # Everything up to the final ``ret`` is one run.
+            assert superblock_ranges(code) == [(0, len(code) - 1)]
+            result = vm.run()
+            outcomes[level] = (app.static_values[app.static("out").index],
+                               result.cycles, result.instructions,
+                               result.counters)
+        assert outcomes[0][0] == 0
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
 
     def test_superblock_invalidated_with_translation(self):
         """AOS recompilation drops the translation — and with it every
@@ -741,3 +780,210 @@ class TestCensus:
         assert len(compiled) == 1
         assert records[0] == records[1]
         assert closures[0] and not set(closures[0]) & set(closures[1])
+
+    def test_handlers_cost_no_compile(self, monkeypatch):
+        """Handler templates are compiled at import: translating a whole
+        javac code cache calls ``compile`` never at level 1, and at
+        level 2 once per distinct superblock factory source."""
+        vm, _ = runner.make_vm("javac", JAVAC)
+        vm.begin()
+        vm.advance(until_cycles=300_000)
+        methods = vm.codecache.methods
+        assert len(methods) > 30
+        translate._factory_code.cache_clear()
+        compiled = []
+        real_compile = compile
+        monkeypatch.setattr(
+            translate, "compile",
+            lambda *args: compiled.append(args[:2]) or real_compile(*args),
+            raising=False)
+        for level in (1, 2, 2):
+            vm.cpu.fastpath_level = level
+            for cm in methods:
+                assert len(translate.translate(cm, vm.cpu).handlers) \
+                    == len(cm.code)
+            if level == 1:
+                assert not compiled
+        sources = {(built[0], f"<superblock {cm.method.qualified_name}>")
+                   for cm in methods
+                   if (built := superblock_source(cm)) is not None}
+        assert sorted(compiled) == sorted(sources)
+
+
+# -- an opcode matrix at machine level -----------------------------------------
+
+#: Registers every matrix case starts from (``r8``/``r9`` are scratch).
+R_OBJ, R_INTS, R_REFS, R_NULL, R_SIX, R_NEG3, R_ZERO, R_TWO = range(8)
+
+
+def _matrix_cases():
+    """``(id, build)`` pairs; ``build(env)`` returns the one instruction
+    under test.  Every shape the translator's table has, plus what no
+    compiler emits and every fault."""
+    cases = []
+
+    def case(name, build):
+        cases.append(pytest.param(build, id=name))
+
+    def inst(*args, **kwargs):
+        return lambda env: MInst(*args, **kwargs)
+
+    case("movi", inst(M_MOVI, rd=8, imm=42))
+    case("movi-null", inst(M_MOVI, rd=8, imm=None))
+    case("movi-non-literal", inst(M_MOVI, rd=8, imm=2.5))
+    case("mov", inst(M_MOV, rd=8, rs1=R_SIX))
+    case("mov-ref", inst(M_MOV, rd=8, rs1=R_OBJ))
+    case("nop", inst(M_NOP))
+    case("nullchk", inst(M_NULLCHK, rs1=R_OBJ))
+    case("nullchk-null", inst(M_NULLCHK, rs1=R_NULL))
+    for aux in ALU_OPS + ("bogus",):
+        # -3 <op> 2: signs differ, so div/rem show the rounding.  The
+        # reference has no reg/reg ``neg`` and no immediate ``xor``/
+        # ``or``: those, like ``bogus``, are "bad alu(i) op" faults.
+        case(f"alu-{aux}", inst(M_ALU, rd=8, rs1=R_NEG3, rs2=R_TWO, aux=aux))
+        case(f"alui-{aux}", inst(M_ALUI, rd=8, rs1=R_NEG3, aux=aux,
+                                 imm=None if aux == "neg" else 2))
+    for aux in ("div", "rem"):
+        case(f"alu-{aux}-by-zero",
+             inst(M_ALU, rd=8, rs1=R_SIX, rs2=R_ZERO, aux=aux))
+        case(f"alui-{aux}-by-zero",
+             inst(M_ALUI, rd=8, rs1=R_SIX, aux=aux, imm=0))
+    for cond in BC_CONDS + ("bogus",):      # bogus: the final else, nonnull
+        # Ints compare (against zero, or a second register holding it);
+        # references test for null, whatever ``rs2`` says.
+        compares = cond in ("eq", "ne", "lt", "ge", "gt", "le")
+        for rs1 in (R_NEG3, R_ZERO, R_TWO) if compares else (R_NULL, R_OBJ):
+            case(f"bc-{cond}-r{rs1}", inst(M_BC, rs1=rs1, aux=cond))
+            case(f"bc-{cond}-r{rs1}-r{R_ZERO}",
+                 inst(M_BC, rs1=rs1, rs2=R_ZERO, aux=cond))
+    case("br", inst(M_BR))
+    case("ldf", inst(M_LDF, rd=8, imm=1))
+    case("stf", inst(M_STF, rs1=R_SIX, imm=2))
+    case("getf", lambda env: MInst(M_GETF, rd=8, rs1=R_OBJ, aux=env.v))
+    case("getf-ref", lambda env: MInst(M_GETF, rd=8, rs1=R_OBJ, aux=env.next))
+    case("getf-null", lambda env: MInst(M_GETF, rd=8, rs1=R_NULL, aux=env.v))
+    case("putf", lambda env: MInst(M_PUTF, rs1=R_OBJ, rs2=R_SIX, aux=env.v))
+    case("putf-ref",
+         lambda env: MInst(M_PUTF, rs1=R_OBJ, rs2=R_OBJ, aux=env.next))
+    case("putf-null",
+         lambda env: MInst(M_PUTF, rs1=R_NULL, rs2=R_SIX, aux=env.v))
+    case("putf-ref-null",
+         lambda env: MInst(M_PUTF, rs1=R_NULL, rs2=R_OBJ, aux=env.next))
+    for name, index in (("", R_TWO), ("-low", R_NEG3), ("-high", R_SIX)):
+        case(f"aload{name}",
+             inst(M_ALOAD, rd=8, rs1=R_INTS, rs2=index, aux="int"))
+        case(f"astore{name}",
+             inst(M_ASTORE, rd=R_SIX, rs1=R_INTS, rs2=index, aux="int"))
+    case("aload-null", inst(M_ALOAD, rd=8, rs1=R_NULL, rs2=R_TWO, aux="int"))
+    case("astore-null",
+         inst(M_ASTORE, rd=R_SIX, rs1=R_NULL, rs2=R_TWO, aux="int"))
+    case("astore-ref",
+         inst(M_ASTORE, rd=R_OBJ, rs1=R_REFS, rs2=R_ZERO, aux="ref"))
+    case("len", inst(M_LEN, rd=8, rs1=R_INTS))
+    case("len-null", inst(M_LEN, rd=8, rs1=R_NULL))
+    case("getstatic",
+         lambda env: MInst(M_GETSTATIC, rd=8, aux=(env.app, env.n)))
+    case("putstatic",
+         lambda env: MInst(M_PUTSTATIC, rs1=R_SIX, aux=(env.app, env.n)))
+    case("callv-null-receiver",
+         lambda env: MInst(M_CALLV, rd=8, rs1=R_NULL, aux=(env.box, 0),
+                           imm=()))
+    case("illegal-opcode", inst(99))
+    return cases
+
+
+def _matrix_program():
+    """A program with an empty main, and the classes and fields the
+    matrix instructions name."""
+    p = Program("matrix")
+    app = p.define_class("App")
+    app.add_static("n", "int")
+    app.seal()
+    box = p.define_class("Box")
+    box.add_field("v", "int")
+    box.add_field("next", "ref")
+    box.seal()
+    fn = Fn(p, app, "main")
+    fn.ret()
+    p.set_main(fn.finish())
+    return p, SimpleNamespace(app=app, n=app.static("n"), box=box,
+                              v=box.field("v"), next=box.field("next"))
+
+
+def _matrix_outcome(build, level, fused):
+    """Run the instruction ``build`` makes — alone, or as the second
+    instruction of a straight-line run — in a hand-assembled method and
+    return everything it can have changed."""
+    p, env = _matrix_program()
+    app, box = env.app, env.box
+    vm = _vm(p, fastpath=level)
+    app.static_values[env.n.index] = 77
+    obj = vm.plan.alloc_object(box)
+    obj.slots[env.v.index] = 7
+    ints = vm.plan.alloc_array("int", 4)
+    ints.elements[:] = [10, 20, 30, 40]
+    refs = vm.plan.alloc_array("ref", 2)
+
+    x = build(env)
+    code = [MInst(M_STF, rs1=R_SIX, imm=3)] if fused else []
+    if x.op in (M_BC, M_BR):
+        # Taken skips the marker write; a branch ends a fused run.
+        x.imm = len(code) + 2
+        code += [x, MInst(M_MOVI, rd=9, imm=1), MInst(M_RET)]
+    else:
+        code += [x, MInst(M_RET)]
+    # Install the list as main's compiled code before its first
+    # activation.
+    cm = vm.compiled_code_for(p.main)
+    cm.code, cm.reg_count, cm.frame_words = code, 10, 4
+    cpu = vm.cpu
+    cpu._push_frame(cm, ())
+    frame = cpu.frames[-1]
+    frame.regs[:8] = [obj, ints, refs, None, 6, -3, 0, 2]
+    frame.slots[:] = [11, 22, 33, 44]
+    if level == 2:
+        blocks = translation_for(cm, cpu).blocks
+        in_run = fused and (translate.fusible(x) or x.op in (M_BC, M_BR))
+        assert [blk is not None for blk in blocks[:2]] == [in_run, False]
+    fault = None
+    try:
+        cpu.run()
+    except GuestError as error:
+        fault = str(error)
+    names = {id(obj): "obj", id(ints): "ints", id(refs): "refs"}
+    seen = [names.get(id(value), value)
+            for value in (frame.regs + frame.slots + obj.slots
+                          + ints.elements + refs.elements
+                          + app.static_values)]
+    ms = vm.memsys
+    return (fault, seen, ms.n_loads, ms.n_stores, cpu.instructions,
+            cpu.cycles, vm.gc_cycles)
+
+
+class TestOpcodeMatrix:
+    """Per-opcode parity below the compilers: hand-assembled ``MInst``
+    methods, so shapes neither JIT emits and every fault are compared
+    too — through the per-instruction handler (alone) and inside a fused
+    run, against the reference interpreter."""
+
+    @pytest.mark.parametrize("build", _matrix_cases())
+    def test_matches_the_reference(self, build):
+        for fused in (False, True):
+            ref = _matrix_outcome(build, 0, fused)
+            assert _matrix_outcome(build, 1, fused) == ref
+            assert _matrix_outcome(build, 2, fused) == ref
+
+    def test_covers_every_shape_and_fault(self):
+        _, env = _matrix_program()
+        shapes = {translate._shape(param.values[0](env))
+                  for param in _matrix_cases()}
+        assert shapes >= set(translate._TEMPLATES)
+        faults = {_matrix_outcome(param.values[0], 0, False)[0]
+                  for param in _matrix_cases()}
+        assert faults == {None} | {f"{message} at App.main:0" for message in (
+            "null getfield", "null putfield", "null array load",
+            "null array store", "null arraylength", "null receiver",
+            "index -3 out of bounds [0,4)", "index 6 out of bounds [0,4)",
+            "division by zero", "bad alu op neg", "bad alu op bogus",
+            "bad alui op xor", "bad alui op or", "bad alui op bogus",
+            "illegal opcode 99")}
