@@ -11,8 +11,8 @@ doctor BENCH [options]    run-health report: online phase segmentation +
                           pathology detectors, evidence-linked to the
                           decision ledger
 diff A.json B.json        structured diff of two exported run records
-bench list|run|history|compare|profile
-                          host-side performance observatory (see below)
+bench list|run|compare|history|profile
+                          the ratio gate (see below)
 table1 | table2           regenerate a table
 fig2 .. fig8              regenerate a figure
 ablations                 run the ablation experiments
@@ -24,13 +24,16 @@ submit BENCH... [--wait]  submit a batch to the daemon
 jobs [JOB]                list the daemon's jobs (or one, --wait)
 watch [--from LOG]        live fleet dashboard (or offline replay)
 
-``bench`` runs the registered host-side benchmark cases (the CI perf
-gates) with warmup/repeats and robust stats, appends every run to the
-persistent ``results/bench_history.jsonl`` trajectory, scores runs
-against a baseline window with improved/ok/regressed verdicts
-(``compare`` exits nonzero on a regression), and self-profiles any
-case into a subsystem wall-time attribution table plus collapsed
-stacks for flamegraph.pl/speedscope (``profile``).
+``bench`` is the ratio gate: four A/B ratios of two times measured in
+one process (level 2 over the reference interpreter, level 2 over
+level 1, engine serial over parallel, observers on over off).  ``run``
+executes cases, appends each to the history under ``results/`` and
+writes its ``BENCH_<case>.json``; ``compare`` simulates nothing — it
+scores the newest history entry of each case against the window before
+it and exits nonzero on a regression; ``profile`` self-profiles a case
+into a subsystem wall-time attribution table plus collapsed stacks for
+flamegraph.pl/speedscope.  Absolute end-to-end numbers are
+``perfbench/``'s.
 
 Table/figure commands accept ``--jobs N`` to fan uncached runs across N
 worker processes (default: ``REPRO_JOBS`` or the CPU count; ``--jobs 1``
@@ -57,8 +60,8 @@ Examples::
     python -m repro run compress --until-cycles 8000000 --resume
     python -m repro cache stats --json
     python -m repro cache prune --max-bytes 50000000 --dry-run
-    python -m repro bench run --all --json BENCH_report.json
-    python -m repro bench compare --from BENCH_report.json
+    python -m repro bench run --all
+    python -m repro bench compare
     python -m repro bench profile interp --collapsed interp.collapsed
 """
 
@@ -68,6 +71,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.bench import cli as bench_cli
 from repro.harness import experiments as ex
 from repro.harness import report
 from repro.harness.runner import RunSpec, execute
@@ -126,9 +130,11 @@ def cmd_list(args) -> None:
         print(f"{row.name:10s} {row.description}")
 
 
-def _run_spec(args) -> RunSpec:
+def _run_spec(args, benchmark: Optional[str] = None) -> RunSpec:
+    """The spec the shared run options describe (``submit`` names its
+    benchmarks one by one; ``timeline`` has no ``--until-cycles``)."""
     return RunSpec(
-        benchmark=args.benchmark,
+        benchmark=benchmark or args.benchmark,
         heap_mult=args.heap_mult,
         coalloc=args.coalloc,
         monitoring=not args.no_monitoring,
@@ -626,19 +632,6 @@ def cmd_diff(args) -> None:
         raise SystemExit(1)
 
 
-def cmd_bench(args) -> None:
-    from repro.bench import cli as bench_cli
-
-    handlers = {
-        "list": bench_cli.cmd_list,
-        "run": bench_cli.cmd_run,
-        "history": bench_cli.cmd_history,
-        "compare": bench_cli.cmd_compare,
-        "profile": bench_cli.cmd_profile,
-    }
-    handlers[args.bench_command](args)
-
-
 def cmd_cache(args) -> None:
     from repro.harness import runner
     from repro.harness.diskcache import DiskCache, cache_enabled
@@ -705,21 +698,8 @@ def cmd_serve(args) -> None:
 def _submit_docs(args) -> List[dict]:
     from dataclasses import asdict
 
-    docs = []
-    for benchmark in args.submit_benchmarks:
-        spec = RunSpec(
-            benchmark=benchmark,
-            heap_mult=args.heap_mult,
-            coalloc=args.coalloc,
-            monitoring=not args.no_monitoring,
-            interval=args.interval,
-            gc_plan=args.gc_plan,
-            event=args.event,
-            seed=args.seed,
-            until_cycles=args.until_cycles,
-        )
-        docs.append(asdict(spec))
-    return docs
+    return [asdict(_run_spec(args, benchmark))
+            for benchmark in args.submit_benchmarks]
 
 
 def _fleet_client(args):
@@ -1017,100 +997,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     cache_p.add_argument("--json", action="store_true",
                          help="stats: print the raw stats document as JSON")
 
-    bench_p = sub.add_parser(
-        "bench", help="host-side performance observatory: run the "
-                      "registered benchmark cases, track history, "
-                      "score regressions, self-profile")
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
-
-    from repro.bench.history import DEFAULT_HISTORY
-
-    def add_bench_history_option(p) -> None:
-        p.add_argument("--history", metavar="PATH", default=DEFAULT_HISTORY,
-                       help=f"bench trajectory file "
-                            f"(default {DEFAULT_HISTORY})")
-
-    def add_bench_exec_options(p) -> None:
-        p.add_argument("cases", nargs="*", metavar="CASE",
-                       help="case names (see `bench list`)")
-        p.add_argument("--all", action="store_true",
-                       help="run every registered case")
-        p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                       help="override a case parameter (value parsed as "
-                            "JSON when possible; repeatable)")
-        p.add_argument("--repeats", type=positive_int, default=None,
-                       metavar="N", help="timed repetitions per case "
-                                         "(default: per-case)")
-        p.add_argument("--warmup", type=int, default=None, metavar="N",
-                       help="discarded warmup runs per case (default: "
-                            "per-case)")
-        p.add_argument("--out-dir", metavar="DIR", default=None,
-                       help="directory for BENCH_<case>.json artifacts "
-                            "(default: current directory)")
-        p.add_argument("--no-artifacts", action="store_true",
-                       help="skip writing BENCH_<case>.json artifacts")
-        p.add_argument("--no-history", action="store_true",
-                       help="do not append this run to the history")
-        p.add_argument("--json", metavar="PATH", default=None,
-                       help="write the full run report as JSON")
-        add_bench_history_option(p)
-
-    bench_sub.add_parser("list", help="list the registered cases, their "
-                                      "gates, and primary metrics")
-
-    bench_run_p = bench_sub.add_parser(
-        "run", help="execute cases with warmup/repeats; exit 1 on any "
-                    "gate failure")
-    add_bench_exec_options(bench_run_p)
-
-    bench_hist_p = bench_sub.add_parser(
-        "history", help="show the recorded bench trajectory")
-    bench_hist_p.add_argument("--case", metavar="NAME", default=None,
-                              help="restrict to one case")
-    bench_hist_p.add_argument("--limit", type=positive_int, default=20,
-                              metavar="N",
-                              help="show the last N entries (default 20)")
-    bench_hist_p.add_argument("--json", action="store_true",
-                              help="print the raw entries as JSON")
-    add_bench_history_option(bench_hist_p)
-
-    bench_cmp_p = bench_sub.add_parser(
-        "compare", help="score a run against the baseline window; exit 1 "
-                        "on a regressed or invalid verdict")
-    add_bench_exec_options(bench_cmp_p)
-    bench_cmp_p.add_argument("--from", dest="from_report",
-                             metavar="REPORT.json", default=None,
-                             help="score a previously written `bench run "
-                                  "--json` report instead of re-running")
-    bench_cmp_p.add_argument("--window", type=positive_int, default=5,
-                             metavar="N",
-                             help="baseline window: median of the last N "
-                                  "compatible entries (default 5)")
-    bench_cmp_p.add_argument("--threshold", type=float, default=None,
-                             help="override every case's relative verdict "
-                                  "threshold")
-    bench_cmp_p.add_argument("--baseline-code", metavar="VERSION",
-                             default=None,
-                             help="only accept baseline entries from this "
-                                  "code version")
-
-    bench_prof_p = bench_sub.add_parser(
-        "profile", help="run one case under cProfile: subsystem wall-time "
-                        "attribution + collapsed stacks")
-    bench_prof_p.add_argument("case", metavar="CASE")
-    bench_prof_p.add_argument("--param", action="append",
-                              metavar="KEY=VALUE",
-                              help="override a case parameter (repeatable)")
-    bench_prof_p.add_argument("--warmup", type=int, default=0, metavar="N",
-                              help="discarded warmup runs before profiling")
-    bench_prof_p.add_argument("--top", type=positive_int, default=12,
-                              metavar="N",
-                              help="subsystem rows to print (default 12)")
-    bench_prof_p.add_argument("--collapsed", metavar="PATH", default=None,
-                              help="write collapsed stacks (flamegraph.pl "
-                                   "/ speedscope input)")
-    bench_prof_p.add_argument("--json", metavar="PATH", default=None,
-                              help="write the attribution report as JSON")
+    bench_cli.add_parser(sub)
 
     serve_p = sub.add_parser(
         "serve", help="run the fleet daemon: an HTTP/JSON job queue over "
@@ -1222,7 +1109,8 @@ def main(argv: Optional[List[str]] = None) -> None:
         "fig2": cmd_fig2, "fig3": cmd_fig3, "fig4": cmd_fig4,
         "fig5": cmd_fig5, "fig6": cmd_fig6, "fig7": cmd_fig7,
         "fig8": cmd_fig8, "ablations": cmd_ablations,
-        "disasm": cmd_disasm, "cache": cmd_cache, "bench": cmd_bench,
+        "disasm": cmd_disasm, "cache": cmd_cache,
+        "bench": bench_cli.dispatch,
         "serve": cmd_serve, "submit": cmd_submit, "jobs": cmd_jobs,
         "watch": cmd_watch,
     }

@@ -1,16 +1,17 @@
-"""Handlers behind ``python -m repro bench ...``.
+"""``python -m repro bench ...``: the sub-parser and its handlers.
 
-Argument *parsing* lives in :mod:`repro.__main__` with the rest of the
-CLI; this module owns the behaviour: case selection, ``--param``
-overrides, artifact/report writing, history appends, verdict printing,
-and exit codes.
+Everything the command family knows about its flags lives here —
+:func:`add_parser` declares them, the ``cmd_*`` handlers beside it
+read them — so :mod:`repro.__main__` needs one hook and one dispatch
+entry.  ``run`` is the only command that simulates: it appends every
+executed case to the history and writes its ``BENCH_<case>.json``;
+``compare`` and ``history`` only read that history back.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Dict, List, Optional
 
 from repro.bench import compare as cmp
@@ -18,8 +19,8 @@ from repro.bench import history as hist
 from repro.bench.execute import CaseRun, run_case
 from repro.bench.registry import BenchCase, all_cases, get_case
 
-#: Schema of the ``bench run --json`` report envelope.
-REPORT_SCHEMA = 1
+#: How many trailing entries ``bench history`` shows.
+HISTORY_TAIL = 20
 
 
 def parse_params(pairs: Optional[List[str]]) -> Dict[str, object]:
@@ -53,14 +54,32 @@ def select_cases(names: List[str], all_flag: bool) -> List[BenchCase]:
         raise SystemExit(f"bench: {exc}")
 
 
-def check_override_keys(cases: List[BenchCase],
-                        overrides: Dict[str, object]) -> None:
-    """Every ``--param`` key must exist on at least one selected case."""
+def resolve_selection(cases: List[BenchCase],
+                      overrides: Dict[str, object]) -> List[Dict[str, object]]:
+    """Each selected case's share of the ``--param`` overrides, checked.
+
+    ``--param`` is shared across the selection, so every key must exist
+    on at least one selected case and each case receives only the keys
+    it declares; every value is validated here, before any case runs.
+    """
     for key in overrides:
         if not any(key in case.params for case in cases):
             known = sorted({k for case in cases for k in case.params})
             raise SystemExit(f"bench: no selected case has parameter "
                              f"{key!r}; known: {', '.join(known)}")
+    shares = [{k: v for k, v in overrides.items() if k in case.params}
+              for case in cases]
+    try:
+        for case, mine in zip(cases, shares):
+            case.resolve_params(mine)
+    except ValueError as exc:
+        raise SystemExit(f"bench: {exc}")
+    return shares
+
+
+def _unwritable(exc: OSError) -> SystemExit:
+    return SystemExit(f"bench: cannot write to {exc.filename!r}: "
+                      f"{exc.strerror}")
 
 
 def _gate_line(gate: dict) -> str:
@@ -71,82 +90,21 @@ def _gate_line(gate: dict) -> str:
 
 def _print_case_run(run: CaseRun) -> None:
     verdict = "PASS" if run.passed else "FAIL"
-    wall = run.wall
     primary = run.primary_value
     primary_txt = (f"{primary:.4g}" if isinstance(primary, float)
                    else str(primary))
-    print(f"{run.case.name:8s} {verdict}  "
+    print(f"{run.case.name:18s} {verdict}  "
           f"{run.case.primary_metric}={primary_txt}  "
-          f"wall median {wall['median']:.2f}s "
-          f"(mad {wall['mad']:.3f}, min {wall['min']:.2f}, "
-          f"n={wall['n']})")
+          f"wall {run.wall_s:.2f}s")
     for gate in run.gates:
         if not gate["passed"]:
             print(_gate_line(gate))
 
 
-def _execute_selection(args) -> List[dict]:
-    """Run the selected cases, returning their history entries.
-
-    Prints progress per case; writes ``BENCH_<case>.json`` artifacts
-    and appends history unless disabled.  The caller owns exit codes.
-    """
-    overrides = parse_params(getattr(args, "param", None))
-    cases = select_cases(getattr(args, "cases", []) or [],
-                         getattr(args, "all", False))
-    check_override_keys(cases, overrides)
-
-    entries: List[dict] = []
-    for case in cases:
-        mine = {k: v for k, v in overrides.items() if k in case.params}
-        run = run_case(case, mine, repeats=args.repeats, warmup=args.warmup)
-        _print_case_run(run)
-        entry = hist.build_entry(run)
-        entries.append(entry)
-        if not getattr(args, "no_artifacts", False):
-            out_dir = getattr(args, "out_dir", None) or "."
-            os.makedirs(out_dir, exist_ok=True)
-            artifact = os.path.join(out_dir, f"BENCH_{case.name}.json")
-            with open(artifact, "w") as fh:
-                json.dump(entry, fh, indent=1, default=str)
-                fh.write("\n")
-        if not getattr(args, "no_history", False):
-            hist.append(args.history, entry)
-    return entries
-
-
-def _write_report(path: str, entries: List[dict]) -> None:
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "ts": time.time(),
-        "entries": entries,
-        "passed": all(e.get("passed") for e in entries),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, default=str)
-        fh.write("\n")
-
-
-def _load_report(path: str) -> List[dict]:
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"bench: cannot read {path!r}: {exc}")
-    except ValueError:
-        raise SystemExit(f"bench: {path!r} is not a bench report "
-                         "(see `repro bench run --json`)")
-    if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA \
-            or not isinstance(doc.get("entries"), list):
-        raise SystemExit(f"bench: {path!r} is not a bench report "
-                         "(see `repro bench run --json`)")
-    return doc["entries"]
-
-
 def cmd_list(args) -> None:
     for case in all_cases():
         arrow = ("↓" if case.primary_direction == "lower" else "↑")
-        print(f"{case.name:8s} {case.primary_metric} {arrow} "
+        print(f"{case.name:18s} {case.primary_metric} {arrow} "
               f"(±{case.compare_threshold:.0%}), {len(case.gates)} gate(s)")
         print(f"         {case.description}")
         for gate in case.gates:
@@ -156,13 +114,32 @@ def cmd_list(args) -> None:
 
 
 def cmd_run(args) -> None:
-    entries = _execute_selection(args)
-    if args.json:
-        _write_report(args.json, entries)
-        print(f"report -> {args.json}")
-    if not getattr(args, "no_history", False):
-        print(f"history -> {args.history} (+{len(entries)} entries)")
-    failed = [e["case"] for e in entries if not e["passed"]]
+    cases = select_cases(args.cases, args.all)
+    shares = resolve_selection(cases, parse_params(args.param))
+    # Both destinations are opened before any case runs: a result that
+    # took minutes must not be lost to a mistyped path.
+    try:
+        hist.append(args.history)
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(exc)
+
+    failed = []
+    for case, mine in zip(cases, shares):
+        run = run_case(case, mine)
+        _print_case_run(run)
+        entry = hist.build_entry(run)
+        artifact = os.path.join(args.out_dir, f"BENCH_{case.name}.json")
+        try:
+            hist.append(args.history, entry)
+            with open(artifact, "w") as fh:
+                json.dump(entry, fh, indent=1, default=str)
+                fh.write("\n")
+        except OSError as exc:
+            raise _unwritable(exc)
+        if not run.passed:
+            failed.append(case.name)
+    print(f"history -> {args.history} (+{len(cases)} entries)")
     if failed:
         raise SystemExit(f"bench: gate failure in: {', '.join(failed)}")
 
@@ -171,7 +148,7 @@ def cmd_history(args) -> None:
     entries, skipped = hist.load(args.history)
     if args.case:
         entries = [e for e in entries if e.get("case") == args.case]
-    entries = entries[-args.limit:]
+    entries = entries[-HISTORY_TAIL:]
     if args.json:
         print(json.dumps(entries, indent=1, default=str))
         return
@@ -187,7 +164,7 @@ def cmd_history(args) -> None:
         value_txt = f"{value:.4g}" if isinstance(value, float) else str(value)
         sha = (e.get("git_sha") or "-")[:10]
         code = (e.get("code_version") or "-")[:10]
-        print(f"{e.get('iso', '?'):20s} {e.get('case', '?'):8s} "
+        print(f"{e.get('iso', '?'):20s} {e.get('case', '?'):18s} "
               f"{primary}={value_txt:<10s} code={code} git={sha}"
               + ("" if e.get("passed", True) else "  [FAILED]"))
     tail = f"{len(entries)} entr(y/ies) from {args.history}"
@@ -198,24 +175,19 @@ def cmd_history(args) -> None:
 
 def cmd_compare(args) -> None:
     history, skipped = hist.load(args.history)
-    if args.from_report:
-        entries = _load_report(args.from_report)
-    else:
-        entries = _execute_selection(args)
-        print()
-    scores = cmp.score_run(entries, history, window=args.window,
-                           threshold=args.threshold,
-                           code_version=args.baseline_code)
+    newest = cmp.newest_entries(history)
+    absent = [name for name in args.cases if name not in newest]
+    if absent:
+        raise SystemExit(f"bench: no entry in {args.history} for: "
+                         f"{', '.join(absent)} (see `repro bench run`)")
+    entries = [newest[name] for name in args.cases or newest]
+    if not entries:
+        print(f"bench compare: nothing to score in {args.history}")
+        return
+    scores = [cmp.score_entry(entry, history) for entry in entries]
     print(cmp.format_scores(scores))
     if skipped:
         print(f"({skipped} corrupt history line(s) skipped)")
-    if args.json:
-        doc = {"schema": REPORT_SCHEMA, "scores": scores,
-               "window": args.window, "history": args.history}
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1, default=str)
-            fh.write("\n")
-        print(f"verdicts -> {args.json}")
     gate_failures = [e["case"] for e in entries if not e.get("passed")]
     if gate_failures:
         raise SystemExit(
@@ -230,11 +202,10 @@ def cmd_profile(args) -> None:
     from repro.bench import profile as prof
     from repro.telemetry.export import write_collapsed
 
-    overrides = parse_params(getattr(args, "param", None))
-    case = select_cases([args.case], False)[0]
-    check_override_keys([case], overrides)
-    report = prof.profile_case(case, overrides, warmup=args.warmup)
-    print(prof.format_report(report, top=args.top))
+    [case] = select_cases([args.case], False)
+    [mine] = resolve_selection([case], parse_params(args.param))
+    report = prof.profile_case(case, mine)
+    print(prof.format_report(report))
     if args.collapsed:
         lines = write_collapsed(args.collapsed, report.stacks)
         print(f"collapsed stacks -> {args.collapsed} ({lines} lines; "
@@ -244,3 +215,77 @@ def cmd_profile(args) -> None:
             json.dump(report.to_json(), fh, indent=1)
             fh.write("\n")
         print(f"profile report -> {args.json}")
+
+
+def add_parser(sub) -> None:
+    """Attach the ``bench`` family to the top-level sub-parsers ``sub``;
+    each sub-command carries its handler as ``args.bench_handler``."""
+    bench_p = sub.add_parser(
+        "bench", help="the ratio gate: run the in-process A/B cases, "
+                      "keep their history, score regressions, "
+                      "self-profile")
+    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
+
+    def command(name: str, handler, help: str):
+        p = bench_sub.add_parser(name, help=help)
+        p.set_defaults(bench_handler=handler)
+        return p
+
+    def add_history_option(p) -> None:
+        p.add_argument("--history", metavar="PATH",
+                       default=hist.DEFAULT_HISTORY,
+                       help=f"bench trajectory file "
+                            f"(default {hist.DEFAULT_HISTORY})")
+
+    def add_param_option(p) -> None:
+        p.add_argument("--param", action="append", metavar="KEY=VALUE",
+                       help="override a case parameter (value parsed as "
+                            "JSON when possible; repeatable)")
+
+    command("list", cmd_list, "list the registered cases, their gates, "
+                              "and primary metrics")
+
+    run_p = command("run", cmd_run,
+                    "execute cases, append them to the history and write "
+                    "BENCH_<case>.json; exit 1 on any gate failure")
+    run_p.add_argument("cases", nargs="*", metavar="CASE",
+                       help="case names (see `bench list`)")
+    run_p.add_argument("--all", action="store_true",
+                       help="run every registered case")
+    add_param_option(run_p)
+    run_p.add_argument("--out-dir", metavar="DIR", default=".",
+                       help="directory for BENCH_<case>.json artifacts "
+                            "(default: current directory)")
+    add_history_option(run_p)
+
+    cmp_p = command("compare", cmd_compare,
+                    "score the newest history entry of each case against "
+                    "the window before it (no simulation); exit 1 on a "
+                    "regressed or invalid verdict")
+    cmp_p.add_argument("cases", nargs="*", metavar="CASE",
+                       help="cases to score (default: every case in the "
+                            "history)")
+    add_history_option(cmp_p)
+
+    hist_p = command("history", cmd_history,
+                     "show the recorded bench trajectory")
+    hist_p.add_argument("--case", metavar="NAME", default=None,
+                        help="restrict to one case")
+    hist_p.add_argument("--json", action="store_true",
+                        help="print the raw entries as JSON")
+    add_history_option(hist_p)
+
+    prof_p = command("profile", cmd_profile,
+                     "run one case under cProfile: subsystem wall-time "
+                     "attribution + collapsed stacks")
+    prof_p.add_argument("case", metavar="CASE")
+    add_param_option(prof_p)
+    prof_p.add_argument("--collapsed", metavar="PATH", default=None,
+                        help="write collapsed stacks (flamegraph.pl "
+                             "/ speedscope input)")
+    prof_p.add_argument("--json", metavar="PATH", default=None,
+                        help="write the attribution report as JSON")
+
+
+def dispatch(args) -> None:
+    args.bench_handler(args)

@@ -1,12 +1,12 @@
-"""Regression scoring: the current run vs a baseline history window.
+"""Regression scoring: a history entry vs the window before it.
 
-Each current entry is scored against the **median primary-metric value
-of the last N compatible history entries** (the baseline window).
-Compatibility is deliberately strict — same case, same history schema,
-same params fingerprint, same primary metric with a finite value — so
-a re-parameterized case can never be judged against numbers measured
-under a different configuration; an optional ``code_version`` filter
-additionally pins the baseline to one source revision.
+``repro bench compare`` never simulates: it takes the newest history
+entry of each case (:func:`newest_entries`) and scores it against the
+**median primary-metric value of the last N compatible entries** (the
+baseline window).  Compatibility is deliberately strict — same case,
+same history schema, same params fingerprint, same primary metric with
+a finite value — so a re-parameterized case can never be judged
+against numbers measured under a different configuration.
 
 Verdicts, for per-case relative threshold *t* on the delta in the
 "bad" direction:
@@ -26,7 +26,7 @@ import statistics
 from typing import Dict, List, Optional
 
 from repro.bench.history import HISTORY_SCHEMA
-from repro.bench.stats import is_finite_number
+from repro.bench.registry import is_finite_number
 
 #: Window size: how many compatible entries form the baseline.
 DEFAULT_WINDOW = 5
@@ -38,8 +38,7 @@ DEFAULT_THRESHOLD = 0.10
 FAILING_VERDICTS = ("regressed", "invalid")
 
 
-def compatible(entry: dict, current: dict,
-               code_version: Optional[str] = None) -> bool:
+def compatible(entry: dict, current: dict) -> bool:
     """Whether ``entry`` may serve as baseline evidence for ``current``."""
     if not isinstance(entry, dict) or entry.get("schema") != HISTORY_SCHEMA:
         return False
@@ -52,11 +51,8 @@ def compatible(entry: dict, current: dict,
     metric = current_primary.get("metric")
     if not metric or primary.get("metric") != metric:
         return False
-    if code_version is not None \
-            and entry.get("code_version") != code_version:
-        return False
-    # The entry must not be the current run itself (compare may score a
-    # report whose entries were already appended to the history).
+    # The entry must not be the current run itself (compare scores
+    # entries that are already in the history).
     if entry.get("ts") == current.get("ts"):
         return False
     metrics = entry.get("metrics")
@@ -65,19 +61,17 @@ def compatible(entry: dict, current: dict,
 
 
 def baseline_values(history: List[dict], current: dict,
-                    window: int = DEFAULT_WINDOW,
-                    code_version: Optional[str] = None) -> List[float]:
+                    window: int = DEFAULT_WINDOW) -> List[float]:
     """Primary values of the last ``window`` compatible entries."""
     metric = (current.get("primary") or {}).get("metric")
-    usable = [e for e in history if compatible(e, current, code_version)]
+    usable = [e for e in history if compatible(e, current)]
     usable.sort(key=lambda e: e.get("ts") or 0.0)
     return [float(e["metrics"][metric]) for e in usable[-window:]]
 
 
 def score_entry(current: dict, history: List[dict],
                 window: int = DEFAULT_WINDOW,
-                threshold: Optional[float] = None,
-                code_version: Optional[str] = None) -> dict:
+                threshold: Optional[float] = None) -> dict:
     """Verdict for one current entry against the history."""
     primary = current.get("primary") or {}
     metric = primary.get("metric")
@@ -99,7 +93,7 @@ def score_entry(current: dict, history: List[dict],
     if not is_finite_number(value):
         score["verdict"] = "invalid"
         return score
-    values = baseline_values(history, current, window, code_version)
+    values = baseline_values(history, current, window)
     if not values:
         score["verdict"] = "no-baseline"
         return score
@@ -126,13 +120,12 @@ def score_entry(current: dict, history: List[dict],
     return score
 
 
-def score_run(current_entries: List[dict], history: List[dict],
-              window: int = DEFAULT_WINDOW,
-              threshold: Optional[float] = None,
-              code_version: Optional[str] = None) -> List[dict]:
-    return [score_entry(entry, history, window=window, threshold=threshold,
-                        code_version=code_version)
-            for entry in current_entries]
+def newest_entries(history: List[dict]) -> Dict[str, dict]:
+    """The newest entry of every case in ``history``, by case name."""
+    newest: Dict[str, dict] = {}
+    for entry in sorted(history, key=lambda e: e.get("ts") or 0.0):
+        newest[entry["case"]] = entry
+    return newest
 
 
 def has_failures(scores: List[dict]) -> bool:

@@ -1,13 +1,13 @@
-"""Case execution: warmup, repeats, robust wall-time statistics.
+"""Case execution: one run, its gates, and the cache hygiene around it.
 
 :func:`run_case` is the one way a :class:`~repro.bench.registry.
-BenchCase` is executed — the CLI, the back-compat scripts, and the
-profiler all come through here, so every run gets the same cache
-hygiene (fresh in-process memo, no ambient disk layer) and the same
-measurement protocol: ``warmup`` discarded runs, then ``repeats``
-timed runs summarized by :func:`repro.bench.stats.robust_stats`.
-Metrics come from the **last** timed repetition; the wall-time
-statistics cover all of them.
+BenchCase` is executed — the CLI and the profiler both come through
+here — and the one place that does cache hygiene: the case body runs
+on a fresh in-process memo with no disk layer, so it really simulates,
+and whatever disk layer was installed before is installed again
+afterwards.  Repetition is the case's own business (best-of-
+``params["repeats"]`` inside ``run``); ``wall_s`` is the wall time of
+the whole body, kept for orientation and read by no gate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.bench.registry import BenchCase
-from repro.bench.stats import robust_stats
 
 
 @dataclass
@@ -27,7 +26,7 @@ class CaseRun:
     case: BenchCase
     params: Dict[str, object]
     metrics: Dict[str, object]
-    wall: Dict[str, float]
+    wall_s: float
     gates: List[dict] = field(default_factory=list)
 
     @property
@@ -40,54 +39,24 @@ class CaseRun:
 
 
 def run_case(case: BenchCase,
-             overrides: Optional[Dict[str, object]] = None,
-             repeats: Optional[int] = None,
-             warmup: Optional[int] = None) -> CaseRun:
-    """Execute ``case`` and evaluate its gates.
+             overrides: Optional[Dict[str, object]] = None) -> CaseRun:
+    """Execute ``case`` once and evaluate its gates.
 
-    The harness runner's global cache state is snapshotted around the
-    run: cases are free to install their own disk caches or clear the
-    memo, and unit tests (which pin their own state) see none of it
-    afterwards.
+    Cases are free to install their own disk caches or clear the memo;
+    the surrounding process sees none of it afterwards.
     """
     from repro.harness import runner
 
     params = case.resolve_params(overrides)
-    n_repeats = case.default_repeats if repeats is None else max(1, repeats)
-    n_warmup = case.default_warmup if warmup is None else max(0, warmup)
-
+    installed = runner._disk()
     runner.clear_cache()
     runner.set_disk_cache(None)
+    start = time.perf_counter()
     try:
-        for _ in range(n_warmup):
-            case.run(dict(params))
-        walls: List[float] = []
-        metrics: Dict[str, object] = {}
-        for _ in range(n_repeats):
-            start = time.perf_counter()
-            metrics = case.run(dict(params))
-            walls.append(time.perf_counter() - start)
+        metrics = case.run(dict(params))
     finally:
+        wall_s = time.perf_counter() - start
         runner.clear_cache()
-        runner.set_disk_cache(None)
-    gates = case.evaluate_gates(metrics, params)
-    return CaseRun(case=case, params=params, metrics=metrics,
-                   wall=robust_stats(walls), gates=gates)
-
-
-def run_cases(cases: List[BenchCase],
-              overrides: Optional[Dict[str, object]] = None,
-              repeats: Optional[int] = None,
-              warmup: Optional[int] = None) -> List[CaseRun]:
-    """Run several cases; per-case overrides keep only declared keys.
-
-    ``overrides`` is shared across the selection, so keys are filtered
-    per case (strict checking happens in the CLI, which knows the full
-    selection and can reject keys *no* selected case declares).
-    """
-    runs = []
-    for case in cases:
-        mine = {k: v for k, v in (overrides or {}).items()
-                if k in case.params}
-        runs.append(run_case(case, mine, repeats=repeats, warmup=warmup))
-    return runs
+        runner.set_disk_cache(installed)
+    return CaseRun(case=case, params=params, metrics=metrics, wall_s=wall_s,
+                   gates=case.evaluate_gates(metrics, params))

@@ -77,20 +77,23 @@ def build_entry(run: CaseRun, now: Optional[float] = None,
             "threshold": run.case.compare_threshold,
         },
         "metrics": dict(run.metrics),
-        "wall": dict(run.wall),
+        "wall_s": round(run.wall_s, 3),
         "gates": list(run.gates),
         "passed": run.passed,
     }
 
 
-def append(path: str, entry: dict) -> None:
-    """Append one entry; the directory is created on demand."""
+def append(path: str, *entries: dict) -> None:
+    """Append ``entries``; the file and its directory are created on
+    demand — with no entries that is all it does, which lets a caller
+    find out that ``path`` is unwritable before doing the work."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "a") as fh:
-        fh.write(json.dumps(entry, default=str))
-        fh.write("\n")
+        for entry in entries:
+            fh.write(json.dumps(entry, default=str))
+            fh.write("\n")
 
 
 def load(path: str) -> Tuple[List[dict], int]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cProfile
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -194,13 +193,13 @@ def profile_callable(fn, name: str = "callable") -> ProfileReport:
                          rows=rows, stacks=_collapsed(entries))
 
 
-def profile_case(case, overrides: Optional[Dict[str, object]] = None,
-                 warmup: int = 0) -> ProfileReport:
-    """Profile one registry case (a single repetition, gates ignored)."""
+def profile_case(case, overrides: Optional[Dict[str, object]] = None
+                 ) -> ProfileReport:
+    """Profile one registry case (a single execution, gates ignored)."""
     from repro.bench.execute import run_case
 
     def once():
-        run_case(case, overrides, repeats=1, warmup=warmup)
+        run_case(case, overrides)
 
     return profile_callable(once, name=case.name)
 
@@ -223,16 +222,3 @@ def format_report(report: ProfileReport, top: int = 12) -> str:
     if hidden > 0:
         lines.append(f"... {hidden} smaller subsystem(s) elided")
     return "\n".join(lines)
-
-
-def main_self_check() -> int:  # pragma: no cover - manual utility
-    """``python -m repro.bench.profile``: profile the suite case."""
-    from repro.bench.registry import get_case
-
-    report = profile_case(get_case("suite"))
-    print(format_report(report))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main_self_check())

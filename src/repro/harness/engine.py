@@ -52,12 +52,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from typing import Iterable, List, Optional, TextIO
-
-try:  # Protocol: typing on 3.8+, fallback keeps 3.7 importable
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
+from typing import Iterable, List, Optional, Protocol, TextIO
 
 from repro.harness import runner
 from repro.harness.diskcache import spec_key

@@ -9,8 +9,7 @@ deltas) and the feedback engine's experiment events.  It never charges
 cycles, never consumes randomness, and never mutates simulator state —
 runs with health on and off are bit-identical in cycles, instructions,
 counters, PEBS samples, the revert log, and lineage entry ids
-(enforced by ``tests/test_observer_purity.py`` and the
-``health_overhead`` bench gate).
+(enforced by ``tests/test_observer_purity.py``).
 
 At end of run :meth:`HealthMonitor.report` produces the aggregated
 :class:`repro.health.report.HealthReport` — online phase segmentation

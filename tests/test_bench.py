@@ -1,15 +1,14 @@
-"""Tests for the ``repro bench`` performance observatory.
+"""Tests for ``repro bench``, the ratio gate.
 
 The regression-detection edge cases are the heart of this file: empty
-history, a single-entry baseline, code-version mismatch filtering,
-zero/NaN metric guards, verdict thresholds straddling exactly-at-limit
-values, and history-file corruption tolerance.  The registry, the
-execution harness, the self-profiler, and the CLI surface are covered
-around them.
+history, a single-entry baseline, zero/NaN metric guards, verdict
+thresholds straddling exactly-at-limit values, and history-file
+corruption tolerance.  The registry, the execution harness (one run,
+cache state restored), the four built-in cases at toy parameters, the
+self-profiler, and the CLI surface are covered around them.
 """
 
 import json
-import math
 import os
 
 import pytest
@@ -18,16 +17,23 @@ from repro.__main__ import main
 from repro.bench import compare as cmp
 from repro.bench import history as hist
 from repro.bench import registry
-from repro.bench.execute import run_case, run_cases
+from repro.bench.execute import run_case
 from repro.bench.registry import (BenchCase, Gate, all_cases, get_case,
-                                  register)
-from repro.bench.stats import is_finite_number, robust_stats
+                                  is_finite_number)
+from repro.harness import runner
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 
 FAKE_PARAMS = {"value": 100.0, "floor": 0.0}
+
+#: The built-in cases in registration order, and parameters that make
+#: each a seconds-long smoke with its speed floor/ceiling neutralised.
+BUILTIN_CASES = ["interp", "interp_superblock", "engine",
+                 "observer_overhead"]
+TOY_PARAMS = {"benchmark": "fop", "repeats": 1, "benchmarks": ["fop"],
+              "heap_mults": [1.0], "min_speedup": 0.0, "max_ratio": 100.0}
 
 
 def make_case(name="fake", value=100.0, gates=(), direction="lower",
@@ -74,34 +80,6 @@ def entry(case="fake", value=100.0, ts=None, metric="value",
 
 
 # ---------------------------------------------------------------------------
-# Robust statistics
-# ---------------------------------------------------------------------------
-
-class TestRobustStats:
-    def test_empty_samples(self):
-        stats = robust_stats([])
-        assert stats["n"] == 0
-        assert math.isnan(stats["median"]) and math.isnan(stats["mad"])
-
-    def test_median_and_mad(self):
-        stats = robust_stats([1.0, 2.0, 3.0, 4.0, 100.0])
-        assert stats["n"] == 5
-        assert stats["median"] == 3.0
-        # Deviations |x - 3|: 2, 1, 0, 1, 97 -> median 1.
-        assert stats["mad"] == 1.0
-        assert stats["min"] == 1.0 and stats["max"] == 100.0
-        assert stats["mean"] == pytest.approx(22.0)
-
-    def test_is_finite_number_guards(self):
-        assert is_finite_number(1) and is_finite_number(1.5)
-        assert not is_finite_number(True), "bools are not measurements"
-        assert not is_finite_number(float("nan"))
-        assert not is_finite_number(float("inf"))
-        assert not is_finite_number(None)
-        assert not is_finite_number("1.5")
-
-
-# ---------------------------------------------------------------------------
 # Registry: gates, params, builtins
 # ---------------------------------------------------------------------------
 
@@ -137,6 +115,14 @@ class TestGates:
         assert not Gate("s", "<=", 1e9).evaluate(
             {"s": float("inf")}, {})["passed"]
 
+    def test_is_finite_number_guards(self):
+        assert is_finite_number(1) and is_finite_number(1.5)
+        assert not is_finite_number(True), "bools are not measurements"
+        assert not is_finite_number(float("nan"))
+        assert not is_finite_number(float("inf"))
+        assert not is_finite_number(None)
+        assert not is_finite_number("1.5")
+
 
 class TestBenchCase:
     def test_direction_validated(self):
@@ -147,13 +133,25 @@ class TestBenchCase:
         case = make_case()
         with pytest.raises(ValueError, match="no parameter 'typo'"):
             case.resolve_params({"typo": 1})
-        params = case.resolve_params({"typo": 1}, strict=False)
-        assert "typo" not in params
         assert case.resolve_params({"value": 7.0})["value"] == 7.0
 
+    def test_override_values_checked_before_anything_runs(self):
+        case = BenchCase(name="typed", description="", run=dict,
+                         params={"repeats": 2, "min_speedup": 1.5,
+                                 "benchmark": "fop", "benchmarks": ["fop"]})
+        assert case.resolve_params({"min_speedup": 2})["min_speedup"] == 2
+        for bad, message in (
+                ({"repeats": 0}, "'repeats' must be >= 1"),
+                ({"repeats": "many"}, "takes a int"),
+                ({"repeats": True}, "takes a int"),
+                ({"benchmarks": "fop"}, "takes a list"),
+                ({"benchmark": "nope"}, "unknown benchmark 'nope'"),
+                ({"benchmarks": ["fop", "nope"]}, "unknown benchmark 'nope'")):
+            with pytest.raises(ValueError, match=message):
+                case.resolve_params(bad)
+
     def test_builtin_cases_registered(self):
-        names = {case.name for case in all_cases()}
-        assert {"interp", "runner", "audit", "lineage", "suite"} <= names
+        assert [case.name for case in all_cases()] == BUILTIN_CASES
         interp = get_case("interp")
         assert any(g.limit == "min_speedup" for g in interp.gates)
         with pytest.raises(ValueError, match="unknown bench case"):
@@ -165,29 +163,17 @@ class TestBenchCase:
 # ---------------------------------------------------------------------------
 
 class TestRunCase:
-    def test_repeats_and_last_metrics(self):
+    def test_runs_once_and_times_the_body(self):
         calls = []
 
         def run(params):
-            calls.append(1)
-            return {"value": float(len(calls)), "identical": True}
+            calls.append(params)
+            return {"value": 3.0, "identical": True}
 
-        run_result = run_case(make_case(run=run), repeats=3)
-        assert len(calls) == 3
-        assert run_result.wall["n"] == 3
-        assert run_result.metrics["value"] == 3.0, "metrics from last repeat"
-        assert run_result.primary_value == 3.0
-
-    def test_warmup_discarded(self):
-        calls = []
-
-        def run(params):
-            calls.append(1)
-            return {"value": 1.0}
-
-        run_result = run_case(make_case(run=run), repeats=2, warmup=2)
-        assert len(calls) == 4
-        assert run_result.wall["n"] == 2, "warmup runs are not timed"
+        run_result = run_case(make_case(run=run))
+        assert calls == [FAKE_PARAMS]
+        assert run_result.metrics["value"] == run_result.primary_value == 3.0
+        assert run_result.wall_s >= 0.0
 
     def test_gate_verdicts(self):
         passing = run_case(make_case(gates=[Gate("value", "<=", "floor")]),
@@ -198,23 +184,48 @@ class TestRunCase:
         assert not failing.passed
         assert [g["passed"] for g in failing.gates] == [False]
 
-    def test_run_cases_filters_shared_overrides(self):
+    def test_cache_state_hidden_from_the_case_and_restored(self, tmp_path):
+        """The body runs on a fresh memo with no disk layer; the layer
+        that was installed before is installed again afterwards."""
+        from repro.harness.diskcache import DiskCache
+        from repro.harness.runner import RunSpec
+
+        spec = RunSpec(benchmark="fop", until_cycles=100_000)
         seen = {}
 
-        def run_a(params):
-            seen["a"] = params
+        def run(params):
+            seen["disk"] = runner._disk()
+            seen["cached"] = runner.cached_record(spec)
+            runner.set_disk_cache(DiskCache(root=str(tmp_path / "own")))
             return {"value": 1.0}
 
-        def run_b(params):
-            seen["b"] = params
-            return {"other": 1.0}
+        disk = DiskCache(root=str(tmp_path / "injected"))
+        runner.set_disk_cache(disk)
+        try:
+            record = runner.record_for(spec)
+            run_case(make_case(run=run))
+            assert seen == {"disk": None, "cached": None}
+            assert runner._disk() is disk
+            # The memo was dropped, so this read goes through the disk.
+            assert runner.cached_record(spec).to_json() == record.to_json()
+        finally:
+            runner.set_disk_cache(None)
+            runner.clear_cache()
 
-        case_a = make_case(name="a", run=run_a)
-        case_b = BenchCase(name="b", description="", run=run_b,
-                           params={"knob": 1}, primary_metric="other")
-        run_cases([case_a, case_b], overrides={"value": 9.0, "knob": 2})
-        assert seen["a"]["value"] == 9.0 and "knob" not in seen["a"]
-        assert seen["b"]["knob"] == 2 and "value" not in seen["b"]
+
+@pytest.mark.parametrize("name", BUILTIN_CASES)
+def test_builtin_case_runs_at_toy_parameters(name):
+    """Every metric a gate or the primary names exists and is finite,
+    and the gates pass — a renamed metric or a broken body fails here,
+    not in a CI job."""
+    case = get_case(name)
+    run = run_case(case, {k: v for k, v in TOY_PARAMS.items()
+                          if k in case.params})
+    named = {gate.metric for gate in case.gates} | {case.primary_metric}
+    for metric in named:
+        value = run.metrics.get(metric)
+        assert value is True or is_finite_number(value), (metric, value)
+    assert run.passed, run.gates
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +244,23 @@ class TestHistory:
         assert doc["primary"] == {"metric": "value", "direction": "higher",
                                   "threshold": 0.25}
         assert doc["metrics"]["value"] == 100.0 and doc["passed"]
+        assert isinstance(doc["wall_s"], float)
+
+    def test_committed_trajectory_still_loads(self):
+        """Lines written before ``wall_s`` replaced the ``wall`` dict
+        stay a usable baseline: same params key as today's cases."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            hist.DEFAULT_HISTORY)
+        with open(path) as fh:
+            lines = [line for line in fh if line.strip()]
+        entries, skipped = hist.load(path)
+        assert skipped == 0 and len(entries) == len(lines) >= 5
+        assert {e["case"] for e in entries} <= set(BUILTIN_CASES)
+        for name in ("interp", "interp_superblock"):
+            key = hist.params_key(dict(get_case(name).params))
+            assert key == "dc280a990f76dd7f"
+            assert any(e["params_key"] == key for e in entries
+                       if e["case"] == name)
 
     def test_params_key_is_order_insensitive(self):
         assert hist.params_key({"a": 1, "b": [2]}) \
@@ -322,18 +350,6 @@ class TestCompare:
         assert wide["baseline"] == 5.5 and wide["baseline_n"] == 10
         assert wide["verdict"] == "regressed"
 
-    def test_code_version_mismatch_filtering(self):
-        history = [entry(value=100.0, code="old"),
-                   entry(value=200.0, code="new")]
-        current = entry(value=200.0, code="new")
-        pinned = cmp.score_entry(current, history, code_version="new")
-        assert pinned["baseline"] == 200.0 and pinned["baseline_n"] == 1
-        assert pinned["verdict"] == "ok"
-        unpinned = cmp.score_entry(current, history)
-        assert unpinned["baseline"] == 150.0 and unpinned["baseline_n"] == 2
-        nowhere = cmp.score_entry(current, history, code_version="absent")
-        assert nowhere["verdict"] == "no-baseline"
-
     def test_current_entry_excluded_from_its_own_baseline(self):
         current = entry(value=50.0)
         history = [entry(value=100.0), dict(current)]
@@ -378,10 +394,18 @@ class TestCompare:
         score = cmp.score_entry(entry(value=105.0), history, threshold=0.01)
         assert score["verdict"] == "regressed"
 
+    def test_newest_entry_per_case(self):
+        old, new = entry(value=1.0, ts=5.0), entry(value=2.0, ts=9.0)
+        other = entry(case="other", value=3.0, ts=7.0)
+        newest = cmp.newest_entries([new, other, old])
+        assert list(newest) == ["fake", "other"]
+        assert newest["fake"] is new and newest["other"] is other
+        assert cmp.newest_entries([]) == {}
+
     def test_score_run_and_failure_detection(self):
         history = [entry(value=100.0)]
-        scores = cmp.score_run([entry(value=100.0), entry(value=150.0)],
-                               history)
+        scores = [cmp.score_entry(current, history)
+                  for current in (entry(value=100.0), entry(value=150.0))]
         assert [s["verdict"] for s in scores] == ["ok", "regressed"]
         assert cmp.has_failures(scores)
         table = cmp.format_scores(scores)
@@ -403,11 +427,11 @@ def _busy_run(params):
 class TestProfile:
     def test_subsystem_mapping(self):
         import repro.hw
-        import repro.bench.stats
+        import repro.bench.registry
         from repro.bench.profile import subsystem_of
 
         assert subsystem_of(repro.hw.__file__) == "hw"
-        assert subsystem_of(repro.bench.stats.__file__) == "bench"
+        assert subsystem_of(repro.bench.registry.__file__) == "bench"
         import repro
         top_level = os.path.join(os.path.dirname(repro.__file__),
                                  "something.py")
@@ -458,25 +482,22 @@ class TestBenchCli:
     def test_list_shows_registered_cases(self, capsys):
         main(["bench", "list"])
         out = capsys.readouterr().out
-        for name in ("interp", "runner", "audit", "lineage", "suite"):
-            assert name in out
+        assert [line.split()[0] for line in out.splitlines()
+                if not line.startswith(" ")] == BUILTIN_CASES
         assert "gate:" in out
 
     def test_run_writes_artifact_history_and_report(self, fake_case,
                                                     tmp_path, capsys):
         history = str(tmp_path / "h.jsonl")
-        report = str(tmp_path / "report.json")
         main(["bench", "run", "fake", "--history", history,
-              "--out-dir", str(tmp_path), "--json", report])
+              "--out-dir", str(tmp_path / "out")])
         out = capsys.readouterr().out
         assert "fake" in out and "PASS" in out
-        artifact = json.loads((tmp_path / "BENCH_fake.json").read_text())
+        artifact = json.loads(
+            (tmp_path / "out" / "BENCH_fake.json").read_text())
         assert artifact["case"] == "fake" and artifact["passed"]
         entries, skipped = hist.load(history)
-        assert len(entries) == 1 and skipped == 0
-        doc = json.loads(open(report).read())
-        assert doc["schema"] == 1 and doc["passed"]
-        assert [e["case"] for e in doc["entries"]] == ["fake"]
+        assert entries == [artifact] and skipped == 0
 
     def test_gate_failure_exits_nonzero(self, monkeypatch, tmp_path):
         all_cases()
@@ -501,14 +522,62 @@ class TestBenchCli:
         with pytest.raises(SystemExit, match="name at least one case"):
             main(["bench", "run", "--history", history])
 
+    @pytest.mark.parametrize("argv", [
+        ["interp", "--param", "repeats=0"],
+        ["engine", "--param", 'benchmarks=["nope"]'],
+        ["interp", "--history", "/proc/nope/h.jsonl"],
+        ["interp", "--out-dir", "/proc/nope"],
+    ], ids=["repeats", "benchmark-name", "history-path", "out-dir"])
+    def test_bad_outside_input_is_one_line_before_any_case_runs(
+            self, argv, tmp_path, monkeypatch):
+        from repro.bench import cli
+
+        def entered(*args, **kwargs):
+            raise AssertionError("a case ran before its input was checked")
+
+        monkeypatch.setattr(cli, "run_case", entered)
+        argv = ["bench", "run"] + argv
+        if "--history" not in argv:
+            argv += ["--history", str(tmp_path / "h.jsonl")]
+        if "--out-dir" not in argv:
+            argv += ["--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value)
+        assert message.startswith("bench: ") and "\n" not in message
+
     def test_param_overrides_reach_the_case(self, fake_case, tmp_path,
                                             capsys):
         history = str(tmp_path / "h.jsonl")
         main(["bench", "run", "fake", "--param", "value=42.5",
-              "--history", history, "--no-artifacts"])
+              "--history", history, "--out-dir", str(tmp_path)])
         entries, _ = hist.load(history)
         assert entries[0]["metrics"]["value"] == 42.5
         assert entries[0]["params"]["value"] == 42.5
+
+    def test_shared_overrides_filtered_per_case(self, monkeypatch, tmp_path,
+                                                capsys):
+        seen = {}
+
+        def run_a(params):
+            seen["a"] = params
+            return {"value": 1.0}
+
+        def run_b(params):
+            seen["b"] = params
+            return {"other": 1.0}
+
+        all_cases()
+        monkeypatch.setitem(registry.REGISTRY, "a",
+                            make_case(name="a", run=run_a))
+        monkeypatch.setitem(registry.REGISTRY, "b", BenchCase(
+            name="b", description="", run=run_b, params={"knob": 1},
+            primary_metric="other"))
+        main(["bench", "run", "a", "b", "--param", "value=9.0",
+              "--param", "knob=2", "--history", str(tmp_path / "h.jsonl"),
+              "--out-dir", str(tmp_path)])
+        assert seen["a"]["value"] == 9.0 and "knob" not in seen["a"]
+        assert seen["b"]["knob"] == 2 and "value" not in seen["b"]
 
     def test_history_listing(self, tmp_path, capsys):
         history = str(tmp_path / "h.jsonl")
@@ -521,41 +590,46 @@ class TestBenchCli:
         docs = json.loads(capsys.readouterr().out)
         assert [d["case"] for d in docs] == ["fake", "other"]
 
-    def test_compare_regression_exits_nonzero(self, fake_case, tmp_path,
-                                              capsys):
+    def test_compare_regression_exits_nonzero(self, tmp_path, capsys):
         history = str(tmp_path / "h.jsonl")
-        for value in (1.0, 1.0, 1.0):
-            hist.append(history, entry(value=value))
-        report = tmp_path / "r.json"
-        report.write_text(json.dumps(
-            {"schema": 1, "entries": [entry(value=2.0)]}))
+        hist.append(history, *(entry(value=v) for v in (1.0, 1.0, 1.0, 2.0)))
         with pytest.raises(SystemExit,
                            match="regression verdict in: fake"):
-            main(["bench", "compare", "--from", str(report),
-                  "--history", history])
+            main(["bench", "compare", "--history", history])
         assert "regressed" in capsys.readouterr().out
 
-    def test_compare_clean_run_exits_zero(self, fake_case, tmp_path, capsys):
+    def test_compare_clean_run_exits_zero(self, tmp_path, capsys):
+        """Compare reads the history and nothing else: the newest entry
+        of each selected case, no simulation."""
         history = str(tmp_path / "h.jsonl")
-        for value in (1.0, 1.0, 1.0):
-            hist.append(history, entry(value=value))
-        report = tmp_path / "r.json"
-        report.write_text(json.dumps(
-            {"schema": 1, "entries": [entry(value=1.02)]}))
-        verdicts = tmp_path / "verdicts.json"
-        main(["bench", "compare", "--from", str(report),
-              "--history", history, "--json", str(verdicts)])
+        hist.append(history, *(entry(value=v) for v in (1.0, 1.0, 1.0, 1.02)),
+                    entry(case="other", value=7.0))
+        sims = runner.SIM_RUNS
+        main(["bench", "compare", "--history", history])
         out = capsys.readouterr().out
-        assert "ok" in out
-        doc = json.loads(verdicts.read_text())
-        assert doc["scores"][0]["verdict"] == "ok"
+        assert [line.split()[:3] for line in out.splitlines()[1:]] == [
+            ["fake", "value", "ok"], ["other", "value", "no-baseline"]]
+        main(["bench", "compare", "other", "--history", history])
+        out = capsys.readouterr().out
+        assert "no-baseline" in out and "fake" not in out
+        assert runner.SIM_RUNS == sims
 
-    def test_compare_rejects_non_reports(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"unrelated": True}))
-        with pytest.raises(SystemExit, match="not a bench report"):
-            main(["bench", "compare", "--from", str(bogus),
-                  "--history", str(tmp_path / "h.jsonl")])
+    def test_compare_fails_on_a_failed_gate_or_an_unknown_case(
+            self, tmp_path):
+        history = str(tmp_path / "h.jsonl")
+        hist.append(history, entry(value=1.0), entry(value=1.0, passed=False))
+        with pytest.raises(SystemExit, match="gate failure in: fake"):
+            main(["bench", "compare", "--history", history])
+        with pytest.raises(SystemExit, match="no entry in .* for: typo"):
+            main(["bench", "compare", "typo", "--history", history])
+
+    def test_compare_with_nothing_to_score_exits_zero(self, tmp_path,
+                                                      capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for path in (empty, tmp_path / "absent.jsonl"):
+            main(["bench", "compare", "--history", str(path)])
+            assert "nothing to score" in capsys.readouterr().out
 
     def test_compare_ignores_stray_artifacts(self, fake_case, tmp_path,
                                              monkeypatch, capsys):
@@ -565,8 +639,9 @@ class TestBenchCli:
         (tmp_path / "BENCH_fake.json").write_text(json.dumps(
             {"value": 100.0, "identical": True, "passed": True}))
         history = str(tmp_path / "h.jsonl")
-        main(["bench", "compare", "fake", "--history", history,
-              "--no-artifacts"])
+        main(["bench", "run", "fake", "--history", history,
+              "--out-dir", str(tmp_path / "out")])
+        main(["bench", "compare", "fake", "--history", history])
         assert "no-baseline" in capsys.readouterr().out
         entries, _ = hist.load(history)
         assert [e["case"] for e in entries] == ["fake"]
@@ -591,9 +666,10 @@ class TestBenchCli:
             assert re.match(r"^\S+(;\S+)* \d+$", line), line
         # A real case (the cheapest: two fop runs) attributes time to
         # the simulated hardware and to the VM.
-        main(["bench", "profile", "lineage", "--param", 'benchmark="fop"',
-              "--param", "repeats=1", "--json", str(profile_json)])
+        main(["bench", "profile", "observer_overhead",
+              "--param", 'benchmark="fop"', "--param", "repeats=1",
+              "--json", str(profile_json)])
         doc = json.loads(profile_json.read_text())
-        assert doc["name"] == "lineage" and doc["total_self_s"] > 0
+        assert doc["name"] == "observer_overhead" and doc["total_self_s"] > 0
         subsystems = {row["subsystem"] for row in doc["subsystems"]}
         assert {"hw", "vm"} <= subsystems, subsystems

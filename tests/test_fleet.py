@@ -278,26 +278,50 @@ class TestFleetEndToEnd:
 
     def test_metrics_parse_and_fleet_series(self):
         spec = RunSpec(benchmark="compress", until_cycles=SMALL, seed=23)
+        other = RunSpec(benchmark="db", until_cycles=SMALL, seed=23)
         with BackgroundFleet(jobs=1) as fleet:
             client = FleetClient(fleet.base_url, timeout=60)
-            client.submit([json_spec(spec), json_spec(spec)], wait=True)
+            job = client.submit([json_spec(spec), json_spec(other),
+                                 json_spec(spec)], wait=True)
+            listed = client.jobs()
             text = client.metrics()
+        rows = job["spec_states"]
+        assert job["state"] == "done" and job["completed"] == 3
+        assert rows[0]["spec"] == rows[2]["spec"] != rows[1]["spec"]
+        assert [bool(row.get("coalesced")) for row in rows] \
+            == [False, False, True], "the duplicate rides on the first"
+        assert [doc["state"] for doc in listed] == ["done"]
         parsed = parse_prometheus_text(text)
-        assert parsed["repro_fleet_jobs_submitted"]["type"] == "counter"
+        types = {name: doc["type"] for name, doc in parsed.items()}
+        for family, kind in (
+                ("repro_fleet_jobs_submitted", "counter"),
+                ("repro_fleet_jobs_completed", "counter"),
+                ("repro_fleet_specs_submitted", "counter"),
+                ("repro_fleet_sim_runs", "counter"),
+                ("repro_fleet_cache_hits", "counter"),
+                ("repro_fleet_dedup_coalesced", "counter"),
+                ("repro_fleet_queue_depth", "gauge"),
+                ("repro_fleet_in_flight", "gauge"),
+                ("repro_fleet_uptime_seconds", "gauge"),
+                ("repro_fleet_wall_ms_compress", "histogram"),
+                ("repro_fleet_wall_ms_db", "histogram")):
+            assert types.get(family) == kind, (family, types.get(family))
         flat = {series: value
                 for doc in parsed.values()
                 for series, _labels, value in doc["samples"]}
         assert flat["repro_fleet_jobs_submitted"] == 1
         assert flat["repro_fleet_jobs_completed"] == 1
-        assert flat["repro_fleet_specs_submitted"] == 2
-        assert flat["repro_fleet_sim_runs"] == 1
+        assert flat["repro_fleet_specs_submitted"] == 3
+        assert flat["repro_fleet_sim_runs"] == 2, \
+            "three submitted specs, two unique: exactly two simulations"
         assert flat["repro_fleet_dedup_coalesced"] == 1
-        assert flat["repro_fleet_runner_sim_runs"] >= 1
+        assert flat["repro_fleet_queue_depth"] == 0
+        assert flat["repro_fleet_in_flight"] == 0
+        assert flat["repro_fleet_runner_sim_runs"] >= 2
         assert flat["repro_fleet_uptime_seconds"] > 0
-        # The per-benchmark wall-time histogram is complete.
-        hist = parsed["repro_fleet_wall_ms_compress"]
-        assert hist["type"] == "histogram"
+        # The per-benchmark wall-time histograms are complete.
         assert flat["repro_fleet_wall_ms_compress_count"] == 1
+        assert flat["repro_fleet_wall_ms_db_count"] == 1
 
     def test_leg_cycles_job_is_counted_like_any_other(self):
         """A legged job speaks the engine's one event vocabulary, so the
@@ -507,3 +531,58 @@ class TestEventsLog:
         assert state.sim_runs == 1
         assert state.jobs["b1"].state == "done"
         assert "done" in watch.render(state)
+
+
+# ---------------------------------------------------------------------------
+# The client commands: repro submit / jobs / watch
+# ---------------------------------------------------------------------------
+
+class TestFleetCli:
+    def test_submit_jobs_and_watch_commands(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        log = tmp_path / "events.jsonl"
+        with BackgroundFleet(jobs=1, events_log=str(log)) as fleet:
+            client = ["--url", fleet.base_url, "--timeout", "60"]
+            main(["jobs"] + client)
+            assert "no jobs submitted yet" in capsys.readouterr().out
+
+            main(["submit", "compress", "db", "compress", "--seed", "29",
+                  "--until-cycles", str(SMALL), "--wait", "--json"] + client)
+            job = json.loads(capsys.readouterr().out)
+            assert job["state"] == "done" and job["completed"] == 3
+            rows = job["spec_states"]
+            assert [row["benchmark"] for row in rows] \
+                == ["compress", "db", "compress"]
+            assert rows[0]["spec"] == spec_key(RunSpec(
+                benchmark="compress", seed=29, until_cycles=SMALL))
+            assert rows[2]["coalesced"] is True
+
+            main(["jobs", job["job"], "--json"] + client)
+            shown = json.loads(capsys.readouterr().out)
+            assert shown["state"] == "done"
+            assert shown["spec_states"] == rows
+            main(["jobs", job["job"]] + client)
+            out = capsys.readouterr().out
+            assert f"job {job['job']}: done (3/3 specs)" in out
+            assert out.count("coalesced") == 1
+            main(["jobs"] + client)
+            assert capsys.readouterr().out \
+                == f"job {job['job']}: done (3/3 specs)\n"
+
+            # The same batch again, summarised: nothing left to simulate.
+            main(["submit", "compress", "db", "--seed", "29",
+                  "--until-cycles", str(SMALL), "--wait"] + client)
+            assert "done (2/2 specs)" in capsys.readouterr().out
+            main(["jobs", "--json"] + client)
+            assert [doc["state"] for doc
+                    in json.loads(capsys.readouterr().out)] == ["done"] * 2
+
+        main(["watch", "--from", str(log)])
+        out = capsys.readouterr().out
+        assert "done" in out
+        state = watch.replay_file(str(log))
+        assert state.shutdown, "the event log ends with the drain"
+        assert state.sim_runs == 2 and state.coalesced == 1
+        with pytest.raises(SystemExit, match="watch: cannot read"):
+            main(["watch", "--from", str(tmp_path / "absent.jsonl")])
