@@ -33,7 +33,12 @@ Two drivers execute the same compiled code at three levels:
   fused straight-line superblock closures with batched memory
   simulation wherever the translation carries one (level 2, the
   default; a level-1 translation's block table is simply empty).
-  Both kinds of closure are generated from one per-opcode emitter in
+  Where the fused runs of a method close a loop, level 2 runs the
+  whole *ring* as one region function that keeps iterating, guest
+  registers in Python locals, until the quantum budget is spent; and
+  where every poll of the next ``BUDGET_QUANTA`` quanta is provably
+  idle, that budget spans all of them.
+  All kinds of closure are generated from one per-opcode emitter in
   :mod:`repro.hw.translate` — its *single* and *fused* flavours — so
   what an instruction does is written down twice in all: there, and
   in the reference chain below.
@@ -71,6 +76,11 @@ CALL_OVERHEAD = 4
 
 #: Instructions executed between scheduler polls.
 SCHED_QUANTUM = 128
+#: Quanta one budget of the fast driver spans where every poll in
+#: between is provably idle (see ``_run_fast``).  Measured: the gain
+#: plateaus from 4 on, and no budget is extended within this many
+#: horizons of a deadline (docs/INTERNALS.md, *Budget*).
+BUDGET_QUANTA = 4
 
 
 class Frame:
@@ -250,7 +260,10 @@ class CPU:
         At level 2 the translation also carries superblocks: when one
         starts at ``pc`` the fused closure executes the entire run, its
         memory accesses join the pending log, and the budget drops by
-        the run length.  The log is replayed in order, in one
+        the run length; a *region* entry (third field true) is handed
+        the budget, runs as many blocks of its ring as fit it and
+        returns ``(next pc, instructions executed)``, so the accounting
+        below is the same.  The log is replayed in order, in one
         ``access_run_segments`` call, only where the memory system or
         the clock is *read* — the **observation points**:
 
@@ -279,14 +292,33 @@ class CPU:
         the worst case (``horizon`` below).  The budget then stays on
         the 128-instruction grid, the log is landed and the counts
         flushed so the clock is exact for the next such test, and the
-        poll is skipped.  (That landing, not the boundary, is then the
-        last flush — the clock a guest fault would leave behind, which
-        nothing consumes.)  Otherwise — and for a branch landing
+        poll is skipped.  Otherwise — and for a branch landing
         mid-block — the run is split per-instruction up to the
         boundary, which keeps sliced ``until_cycles`` replay
         bit-identical.  At level 1 the block table is all ``None`` and
         the log stays empty, so every instruction takes the
         per-instruction path.
+
+        The same proof, made once for ``BUDGET_QUANTA`` quanta ahead
+        whenever the log has just landed on a boundary (the clock is
+        exact there), lets one budget span all of them: the polls in
+        between are the ones proven to do nothing, the grid of later
+        polls does not move, the drains merge, and a region iterates
+        that much longer per entry.  ``horizon`` bounds what
+        *instructions* add to the clock; a lazy compile or a profiler
+        (at a call or return) and a collection (at an allocation)
+        charge it directly, so each of those puts the budget back on
+        the grid — where the clock is flushed, or about to be landed
+        by the collection, and the one-quantum rules above apply again.
+        Scheduler events are only ever scheduled by other events, so
+        ``next_time`` cannot move closer in between.
+
+        (What a guest fault leaves on the clock is the last flush, as
+        in the reference; the flushes at skipped polls are skipped with
+        them, so without a hook a dead run's clock can trail the
+        reference's by up to one budget span — ``BUDGET_QUANTA *
+        SCHED_QUANTUM`` instructions — which nothing consumes.  With a
+        hook attached no poll is skipped and it is exact.)
         """
         config = self.config
         icost = config.instruction_cost
@@ -308,6 +340,8 @@ class CPU:
             + config.l2.hit_latency + config.memory_latency
             + gc_config.write_barrier_cost + gc_config.alloc_cost
             + CALL_OVERHEAD)
+        span = BUDGET_QUANTA * horizon
+        extension = (BUDGET_QUANTA - 1) * SCHED_QUANTUM
 
         while frames:
             frame = frames[-1]
@@ -322,6 +356,12 @@ class CPU:
             pc = frame.pc
             switch = False
             n = 0     # local instruction delta
+            if budget > SCHED_QUANTUM:
+                # A multi-quantum budget assumes the clock advances by
+                # at most ``horizon`` a quantum; a lazy compile or a
+                # profiler at a frame switch (and a collection at an
+                # allocation) may charge more: back onto the poll grid.
+                budget = (budget - 1) % SCHED_QUANTUM + 1
 
             while not switch:
                 blk = blocks[pc]
@@ -329,27 +369,98 @@ class CPU:
                         blk[0] <= budget
                         or self._boundary_idle(cell[0] + horizon,
                                                until_cycles)):
-                    k, fn = blk
+                    k, fn, region = blk
+                    if region:
+                        pc, k = fn(frame, regs, slots, budget)
+                    else:
+                        pc = fn(frame, regs, slots)
                     n += k
                     budget -= k
-                    pc = fn(frame, regs, slots)
-                    if budget > 0:
-                        continue
-                    # On the quantum boundary — or, after a straddle,
-                    # past it: land the log and flush, so the clock is
-                    # exact for the poll (or for the next straddle
-                    # test; the poll itself was proven idle).
-                    straddled = budget < 0
-                    budget += SCHED_QUANTUM
-                    if pending:
+                else:
+                    n += 1
+                    # A handler that issues its own ``mem.access``, can
+                    # fault, or switches frames is an observation point:
+                    # the log must land first.  Pure ones leave it
+                    # pending.
+                    if pending and not pure[pc]:
                         cell[0] += drain_segments(pending)
                         del pending[:]
-                    self.cycles += cell[0] + n * icost
-                    self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    if straddled:
-                        continue
+                    next_pc = handlers[pc](frame, regs, slots)
+                    if next_pc >= 0:
+                        pc = next_pc
+                    elif next_pc == CALL_SENT:
+                        self.cycles += cell[0] + n * icost + CALL_OVERHEAD
+                        self.instructions += n
+                        cell[0] = 0
+                        n = 0
+                        target = self._call_target
+                        args = self._call_args
+                        self._call_target = None
+                        self._call_args = None
+                        callee = runtime.compiled_code_for(target)
+                        if self.profiler is not None:
+                            self.profiler.on_call(target, self.cycles)
+                        self.calls += 1
+                        self._push_frame(callee, args)
+                        switch = True
+                    elif next_pc == RET_SENT:
+                        value = self._ret_value
+                        self._ret_value = None
+                        self.cycles += cell[0] + n * icost
+                        self.instructions += n
+                        cell[0] = 0
+                        n = 0
+                        if self.profiler is not None:
+                            self.profiler.on_return(self.cycles)
+                        frames.pop()
+                        if frames:
+                            caller = frames[-1]
+                            call_inst = caller.cm.code[caller.pc]
+                            if call_inst.rd is not None:
+                                caller.regs[call_inst.rd] = value
+                            caller.pc += 1
+                        else:
+                            self.exit_value = value
+                        switch = True
+                    else:
+                        # Allocation (GC point): flush, then run phase 2
+                        # so a collection sees a consistent clock and
+                        # roots.  With accesses still queued the flush
+                        # joins the log behind them; a collection lands
+                        # the log first (``safepoint``), and without one
+                        # nothing reads the clock here.
+                        pc = ~next_pc
+                        if pending:
+                            pending.append(
+                                (None, land_flush, cell[0] + n * icost, n))
+                        else:
+                            self.cycles += cell[0] + n * icost
+                            self.instructions += n
+                        cell[0] = 0
+                        n = 0
+                        alloc_cost = phase2[pc](regs)
+                        cell[0] += alloc_cost
+                        pc += 1
+                        if budget > SCHED_QUANTUM:    # as at a switch
+                            budget = (budget - 1) % SCHED_QUANTUM + 1
+                    budget -= 1
+
+                if budget > 0:
+                    continue
+                # On the quantum boundary — or, after a straddle, past
+                # it: land the log and flush, so the clock is exact for
+                # the poll (or for the next idle test; the poll a
+                # straddle skipped was proven idle).
+                straddled = budget < 0
+                budget += SCHED_QUANTUM
+                if pending:
+                    cell[0] += drain_segments(pending)
+                    del pending[:]
+                self.cycles += cell[0] + n * icost
+                self.instructions += n
+                cell[0] = 0
+                n = 0
+                if not straddled:
                     if scheduler is not None:
                         next_time = scheduler.next_time
                         if next_time is not None \
@@ -361,90 +472,9 @@ class CPU:
                         frame.pc = pc
                         self.sync_counters()
                         return
-                    continue
-                n += 1
-                # A handler that issues its own ``mem.access``, can
-                # fault, or switches frames is an observation point: the
-                # log must land first.  Pure ones leave it pending.
-                if pending and not pure[pc]:
-                    cell[0] += drain_segments(pending)
-                    del pending[:]
-                next_pc = handlers[pc](frame, regs, slots)
-                if next_pc >= 0:
-                    pc = next_pc
-                elif next_pc == CALL_SENT:
-                    self.cycles += cell[0] + n * icost + CALL_OVERHEAD
-                    self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    target = self._call_target
-                    args = self._call_args
-                    self._call_target = None
-                    self._call_args = None
-                    callee = runtime.compiled_code_for(target)
-                    if self.profiler is not None:
-                        self.profiler.on_call(target, self.cycles)
-                    self.calls += 1
-                    self._push_frame(callee, args)
-                    switch = True
-                elif next_pc == RET_SENT:
-                    value = self._ret_value
-                    self._ret_value = None
-                    self.cycles += cell[0] + n * icost
-                    self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    if self.profiler is not None:
-                        self.profiler.on_return(self.cycles)
-                    frames.pop()
-                    if frames:
-                        caller = frames[-1]
-                        call_inst = caller.cm.code[caller.pc]
-                        if call_inst.rd is not None:
-                            caller.regs[call_inst.rd] = value
-                        caller.pc += 1
-                    else:
-                        self.exit_value = value
-                    switch = True
-                else:
-                    # Allocation (GC point): flush, then run phase 2 so
-                    # a collection sees a consistent clock and roots.
-                    # With accesses still queued the flush joins the log
-                    # behind them; a collection lands the log first
-                    # (``safepoint``), and without one nothing reads
-                    # the clock here.
-                    pc = ~next_pc
-                    if pending:
-                        pending.append(
-                            (None, land_flush, cell[0] + n * icost, n))
-                    else:
-                        self.cycles += cell[0] + n * icost
-                        self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    alloc_cost = phase2[pc](regs)
-                    cell[0] += alloc_cost
-                    pc += 1
-
-                budget -= 1
-                if budget <= 0:
-                    budget = SCHED_QUANTUM
-                    if pending:
-                        cell[0] += drain_segments(pending)
-                        del pending[:]
-                    self.cycles += cell[0] + n * icost
-                    self.instructions += n
-                    cell[0] = 0
-                    n = 0
-                    if scheduler is not None:
-                        next_time = scheduler.next_time
-                        if next_time is not None and next_time <= self.cycles:
-                            frame.pc = pc
-                            scheduler.run_due(self.cycles)
-                    if until_cycles is not None and self.cycles >= until_cycles:
-                        frame.pc = pc
-                        self.sync_counters()
-                        return
+                if self._boundary_idle(span, until_cycles):
+                    # The next BUDGET_QUANTA - 1 polls are idle too.
+                    budget += extension
             if cell[0] or n:
                 self.cycles += cell[0] + n * icost
                 self.instructions += n

@@ -134,19 +134,20 @@ class MemorySystem:
                     self._observer_hook(eip)
             self._last_page = page
 
-        # L1 data cache (inlined probe, MRU-first, single scan).
+        # L1 data cache (inlined probe, MRU-first; a hit at LRU position
+        # 1 — two streams aliasing to one set — swaps in place).
         line = addr >> self._l1_shift
         ways = self._l1_sets[line & self._l1_mask]
         if ways:
             if ways[0] == line:
                 return latency + self._l1_hit_latency
-            try:
-                idx = ways.index(line, 1)
-            except ValueError:
-                pass
-            else:
-                del ways[idx]
-                ways.insert(0, line)
+            if line in ways:
+                if ways[1] == line:
+                    ways[1] = ways[0]
+                    ways[0] = line
+                else:
+                    ways.remove(line)
+                    ways.insert(0, line)
                 return latency + self._l1_hit_latency
         self.n_l1_miss += 1
         ways.insert(0, line)
@@ -278,13 +279,13 @@ class MemorySystem:
                     if ways[0] == line:
                         total += l1_hit
                         continue
-                    try:
-                        idx = ways.index(line, 1)
-                    except ValueError:
-                        pass
-                    else:
-                        del ways[idx]
-                        ways.insert(0, line)
+                    if line in ways:
+                        if ways[1] == line:
+                            ways[1] = ways[0]
+                            ways[0] = line
+                        else:
+                            ways.remove(line)
+                            ways.insert(0, line)
                         total += l1_hit
                         continue
                 l1_miss += 1

@@ -22,7 +22,11 @@ forms are generated from it:
   per-step operand decoding;
 * the **fused** flavour — the body of a superblock closure, a
   straight-line run executed in one call with its memory accesses
-  batched (fastpath level 2; see *Superblock compilation* below).
+  batched (fastpath level 2; see *Superblock compilation* below) —
+  and its **region** form, where the runs of a loop become one
+  function that iterates with the guest registers in Python locals
+  (see *Regions* below): the same text, renamed and re-indented by
+  the flavour's ``write`` callable.
 
 Only the handlers that speak the driver's protocol (calls, returns,
 allocations, illegal instructions) are hand-written.  It is a template
@@ -93,12 +97,14 @@ class Translation:
     """The compiled form of one method for one CPU.
 
     ``blocks`` is a per-pc table: ``blocks[pc]`` is ``(length,
-    closure)`` when a superblock starts at ``pc`` and ``None``
-    everywhere else (all ``None`` below fastpath level 2), so the
-    driver can test eligibility with one list index.  Mid-block pcs
-    are always ``None`` — a quantum split or branch landing inside a
-    fused run simply executes per-instruction until the next block
-    start.
+    closure, is_region)`` when a superblock starts at ``pc`` and
+    ``None`` everywhere else (all ``None`` below fastpath level 2), so
+    the driver can test eligibility with one list index.  Mid-block
+    pcs are always ``None`` — a quantum split or branch landing inside
+    a fused run simply executes per-instruction until the next block
+    start.  At the header of a ring the closure is the region (called
+    with the budget, returning ``(next pc, instructions)``) and
+    ``length`` is its first block's, the only one the driver admits.
 
     ``pure`` is the per-pc flag the driver reads before dispatching
     ``handlers[pc]`` with deferred accesses still queued: true when the
@@ -221,11 +227,13 @@ class _Emitter:
     It does not know which executable form it is writing.  Operands
     arrive as a record ``x`` whose fields render into the text
     (``regs[{x.rd}]`` is ``regs[3]`` fused and ``regs[rd]`` single),
-    and the four things the flavours do differently are callables:
+    and the five things the flavours do differently are callables:
     ``access(address, is_write, x)`` issues a data access,
     ``fault(indent, message, x)`` raises a guest fault,
-    ``barrier(indent, args)`` runs the write barrier, and
-    ``name(operand)`` names an object operand.
+    ``barrier(indent, args)`` runs the write barrier,
+    ``name(operand)`` names an object operand, and
+    ``branch(test, x)`` transfers control to ``x.timm`` — if ``test``
+    (an expression; ``None`` for always) holds, else to ``x.npc``.
 
     Redundancy elimination: it tracks which register each scratch local
     (``a``/``i``/``o``) currently mirrors, which registers are proven
@@ -242,12 +250,13 @@ class _Emitter:
     single-flavour template, one instruction long, checks everything.)
     """
 
-    def __init__(self, write, access, fault, barrier, name):
+    def __init__(self, write, access, fault, barrier, name, branch):
         self.write = write
         self.access = access
         self.fault = fault
         self.barrier = barrier
         self.name = name
+        self.branch = branch
         self.a_reg = self.i_reg = self.o_reg = None
         self.e_valid = self.bounds_ok = False
         self.nonnull = set()
@@ -402,12 +411,20 @@ class _Emitter:
         elif op == M_BC:
             test = _BC_TESTS[shape[1]].format(
                 b="regs[{x.rs2}]" if shape[2] else "0")
-            W(f"        return {x.timm} if regs[{x.rs1}] "
-              + test.format(x=x) + f" else {x.npc}")
+            self.branch(f"regs[{x.rs1}] " + test.format(x=x), x)
         elif op == M_BR:
-            W(f"        return {x.timm}")
+            self.branch(None, x)
         elif op != M_NOP:
             raise AssertionError(f"no emitter case for shape {shape}")
+
+
+def _returns(write):
+    """The ``branch`` of the flavours whose closures *return* the next
+    pc to the driver (single and fused)."""
+    def branch(test, x):
+        write(f"        return {x.timm}"
+              + (f" if {test} else {x.npc}" if test else ""))
+    return branch
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +476,8 @@ class _Template:
         def barrier(indent, args):
             W(f"{indent}wb({args})")
 
-        _Emitter(W, access, fault, barrier, str).emit(shape, _SYMBOLIC)
+        _Emitter(W, access, fault, barrier, str,
+                 _returns(W)).emit(shape, _SYMBOLIC)
         self.shape = shape
         self.branch = shape[0] in (M_BC, M_BR)
         if not self.branch:
@@ -726,8 +744,9 @@ def translate(cm, cpu) -> Translation:
 #   through the ``fault`` helper, which drains before raising.  It is
 #   the only place generated code drains.  (What a fault leaves on the
 #   *clock* is, as in the reference, the last flush — the partial
-#   quantum is dropped; after a straddle that flush sits at the end of
-#   the straddling run rather than on the boundary inside it.)
+#   quantum is dropped; where the driver skipped provably idle polls
+#   that flush can lie up to one budget span back, see
+#   ``CPU._run_fast``.)
 #
 # Block boundaries (branches and their targets, calls, returns,
 # allocations, unknown ALU ops) stay per-instruction, which keeps GC
@@ -816,16 +835,21 @@ class _Literal:
     npc = property(lambda x: x.pc + 1)
 
 
-def _emit_blocks(code, templates, ranges, base_eip):
-    """The source of the fused closures for ``ranges`` (as lines) and
-    the constants they reference."""
-    out: List[str] = []
+def _block_writer(code, templates, base_eip, W, branch, unwind=""):
+    """``(emit_block, consts)``: ``emit_block(start, end)`` writes, through
+    ``W``, the body of the fused run ``[start, end)`` — everything under
+    its ``def`` line — leaving through ``branch``; ``consts`` collects
+    the constants the bodies reference.  ``unwind`` is text put in front
+    of every fault call (a region stores its registers back there)."""
     consts: List[object] = []
     const_ids: Dict[int, str] = {}
-    W = out.append
     # The flavour's callables are made once per method; what they read
     # of the block being emitted (``has_mem``, ``writes``/``eips`` and
     # their const names, ``has_wb``) is rebound at each block's start.
+    has_mem = has_wb = False
+    writes: List[bool] = []
+    eips: List[int] = []
+    wname = ename = ""
 
     def const(obj) -> str:
         key = id(obj)
@@ -847,9 +871,11 @@ def _emit_blocks(code, templates, ranges, base_eip):
         # Earlier blocks may have queued accesses even when this one
         # has none: every fault lands the log before it raises.
         if has_mem:
-            W(f"{indent}fault(b, {wname}, {ename}, s, {message}, {x.pc})")
+            W(f"{indent}{unwind}fault(b, {wname}, {ename}, s, {message}, "
+              f"{x.pc})")
         else:
-            W(f"{indent}fault(None, None, None, 0, {message}, {x.pc})")
+            W(f"{indent}{unwind}fault(None, None, None, 0, {message}, "
+              f"{x.pc})")
 
     def barrier(indent, args):
         # The barrier's remembered-set bookkeeping reads no clock and
@@ -868,7 +894,9 @@ def _emit_blocks(code, templates, ranges, base_eip):
         W(f"{indent}record_store({args})")
 
     x = _Literal()    # re-loaded for each instruction in turn
-    for start, end in ranges:
+
+    def emit_block(start, end):
+        nonlocal has_mem, has_wb, writes, eips, wname, ename
         # A BC/BR terminator executes inside the closure: the return
         # value IS the taken pc, so the driver skips a whole dispatch
         # per block.
@@ -876,9 +904,7 @@ def _emit_blocks(code, templates, ranges, base_eip):
         body = templates[start:stop]
         has_mem = any(template.mem for template in body)
         has_wb = False
-        writes: List[bool] = []
-        eips: List[int] = []
-        W(f"    def _sb_{start}(frame, regs, slots):")
+        writes, eips = [], []
         if has_mem:
             # Reserve the const slots for the block's access-metadata
             # tuples now (they are referenced by flush/fault lines) and
@@ -896,7 +922,7 @@ def _emit_blocks(code, templates, ranges, base_eip):
             W("        fb = frame.base")
 
         # A fresh emitter: no fact survives a block boundary.
-        emit = _Emitter(W, access, fault, barrier, const).emit
+        emit = _Emitter(W, access, fault, barrier, const, branch).emit
         for pc in range(start, stop):
             template = templates[pc]
             x.pc = pc
@@ -914,21 +940,41 @@ def _emit_blocks(code, templates, ranges, base_eip):
                 W(f"            pend((b, {wname}, {ename}, s))")
             else:
                 W(f"        pend((b, {wname}, {ename}, s))")
+        x.pc = stop
         if stop == end:
-            W(f"        return {end}")
+            x.timm = end    # falls through: an unconditional branch on
+            branch(None, x)
         else:
-            x.pc = stop
             emit(templates[stop].shape, templates[stop].load(x, code[stop]))
-    return out, consts
+
+    return emit_block, consts
+
+
+def _factory_source(body, consts, names) -> str:
+    """The factory around the closures ``names`` defined by ``body``: it
+    binds the CPU-specific services once and returns the closures."""
+    lines = ["def _factory(cell, pend, drain, record_store, barrier, "
+             "static_addr, GuestError, method, consts):"]
+    if consts:
+        lines.append(f"    ({', '.join(f'K{i}' for i in range(len(consts)))},)"
+                     " = consts")
+    lines.append("    def fault(b, writes, eips, s, message, pc):")
+    lines.append("        if b:")
+    lines.append("            pend((b, writes, eips, s))")
+    lines.append("        cell[0] += drain()")
+    lines.append("        raise GuestError(message, method, pc)")
+    lines.extend(body)
+    lines.append(f"    return [{', '.join(names)}]")
+    return "\n".join(lines) + "\n"
 
 
 def superblock_source(cm, templates=None) -> tuple:
     """The factory source for all of ``cm``'s superblocks.
 
     Returns ``(source, consts, ranges)``; ``None`` when the method has
-    no fusible run.  The factory binds the CPU-specific services once
-    and returns the block closures in ``ranges`` order.  ``templates``
-    is ``_decode(cm.code)`` when the caller already has it.
+    no fusible run.  The factory returns the block closures in
+    ``ranges`` order.  ``templates`` is ``_decode(cm.code)`` when the
+    caller already has it.
     """
     code = cm.code
     if templates is None:
@@ -936,21 +982,154 @@ def superblock_source(cm, templates=None) -> tuple:
     ranges = superblock_ranges(code, templates)
     if not ranges:
         return None
-    body, consts = _emit_blocks(code, templates, ranges, cm.code_addr)
-    lines = ["def _factory(cell, pend, drain, record_store, barrier, "
-             "static_addr, GuestError, method, consts):"]
-    if consts:
-        names = ", ".join(f"K{i}" for i in range(len(consts)))
-        lines.append(f"    ({names},) = consts")
-    lines.append("    def fault(b, writes, eips, s, message, pc):")
-    lines.append("        if b:")
-    lines.append("            pend((b, writes, eips, s))")
-    lines.append("        cell[0] += drain()")
-    lines.append("        raise GuestError(message, method, pc)")
-    lines.extend(body)
-    names = ", ".join(f"_sb_{start}" for start, _ in ranges)
-    lines.append(f"    return [{names}]")
-    return "\n".join(lines) + "\n", consts, ranges
+    body: List[str] = []
+    emit_block, consts = _block_writer(code, templates, cm.code_addr,
+                                       body.append, _returns(body.append))
+    for start, end in ranges:
+        body.append(f"    def _sb_{start}(frame, regs, slots):")
+        emit_block(start, end)
+    names = [f"_sb_{start}" for start, _ in ranges]
+    return _factory_source(body, consts, names), consts, ranges
+
+
+# ---------------------------------------------------------------------------
+# Regions: the fused flavour's third form.  A *ring* of fused runs — a
+# loop with no call, allocation or unfusible instruction on its path —
+# compiles to ONE function that keeps iterating without returning to the
+# driver: guest registers live in Python locals, the quantum budget is
+# tested inline before each block, and every exit (the loop's own, a
+# side exit, a block that no longer fits the budget) stores the written
+# registers back and returns ``(next pc, instructions executed)``.
+# Each block execution queues its accesses exactly as the plain closure
+# would, so the pending log — and with it every observable — is the
+# one the driver produces running the same blocks one dispatch at a
+# time.
+# ---------------------------------------------------------------------------
+
+def superblock_rings(code, templates=None, ranges=None) -> List[List[tuple]]:
+    """The rings among the fused runs of ``code``, each a list of
+    ``(start, stop)`` runs in execution order from its header.
+
+    A ring closes where a run's last instruction leads back to a run at
+    or above it (the header); from the header, each run must have
+    exactly one successor that is itself a ring run — every other edge
+    (the loop exit, a branch to an unfused pc) is a side exit.  So a
+    path that forks inside the loop, or leaves the fused runs for a
+    call or an allocation, forms no ring: the rule is structural, not a
+    hotness threshold.
+    """
+    if templates is None:
+        templates = _decode(code)
+    if ranges is None:
+        ranges = superblock_ranges(code, templates)
+    stops = dict(ranges)
+
+    def successors(start) -> set:
+        stop = stops[start]
+        if not templates[stop - 1].branch:
+            return {stop}
+        last = code[stop - 1]
+        return {last.imm, stop} if last.op == M_BC else {last.imm}
+
+    rings, claimed = [], set()
+    for tail, _ in ranges:
+        for header in successors(tail):
+            if header > tail or header not in stops:
+                continue
+            ring = [header]
+            while ring[-1] != tail:
+                inside = [pc for pc in successors(ring[-1])
+                          if pc in stops and header < pc <= tail]
+                if len(inside) != 1 or inside[0] in ring:
+                    break
+                ring.append(inside[0])
+            else:
+                members = set(ring)
+                if not members & claimed and all(
+                        len(successors(pc) & members) == 1 for pc in ring):
+                    claimed |= members
+                    rings.append([(pc, stops[pc]) for pc in ring])
+    return rings
+
+
+#: A guest register in emitted text; a line that writes one.
+_REG = re.compile(r"regs\[(\d+)\]")
+_REG_WRITE = re.compile(r" *regs\[(\d+)\] = ")
+#: Stands for a region's register store-back until every block of the
+#: ring has been emitted (only then is the written set known).
+_STORE_BACK = "<store back>; "
+
+
+def region_source(cm, templates=None, ranges=None) -> tuple:
+    """The factory source for ``cm``'s regions: ``(source, consts,
+    rings)``, or ``None`` when its fused runs form no ring."""
+    code = cm.code
+    if templates is None:
+        templates = _decode(code)
+    rings = superblock_rings(code, templates, ranges)
+    if not rings:
+        return None
+    out: List[str] = []
+    mentioned, written = set(), set()
+
+    def local(match) -> str:
+        mentioned.add(int(match[1]))
+        return f"r{match[1]}"
+
+    def W(line):
+        # The emitter's text with ``regs[k]`` renamed to the local
+        # ``rk``, one level deeper: inside the ring's ``while True``.
+        write = _REG_WRITE.match(line)
+        if write is not None:
+            written.add(int(write[1]))
+        out.append("    " + _REG.sub(local, line))
+
+    def leave(indent, pc):
+        out.append(f"{indent}pc = {pc}")
+        out.append(f"{indent}break")
+
+    def branch(test, x):
+        # The one successor inside the ring is the next block in the
+        # text (the header, from the last): fall into it.  The other
+        # edge leaves the region.
+        if test is None or x.timm == x.npc:
+            return
+        test = _REG.sub(local, test)
+        if x.timm == inside:
+            out.append(f"            if not ({test}):")
+            leave("                ", x.npc)
+        else:
+            out.append(f"            if {test}:")
+            leave("                ", x.timm)
+
+    def fits(start, stop):
+        out.append(f"            if left < {stop - start}:")
+        leave("                ", start)
+
+    emit_block, consts = _block_writer(code, templates, cm.code_addr, W,
+                                       branch, _STORE_BACK)
+    for ring in rings:
+        first = len(out)
+        mentioned.clear()
+        written.clear()
+        for j, (start, stop) in enumerate(ring):
+            inside = ring[(j + 1) % len(ring)][0]
+            if j:            # the driver admitted the first block
+                fits(start, stop)
+            out.append(f"            left -= {stop - start}")
+            emit_block(start, stop)
+        fits(*ring[0])
+        store = "; ".join(f"regs[{reg}] = r{reg}"
+                          for reg in sorted(written)) or "pass"
+        out[first:] = (
+            [f"    def _rg_{ring[0][0]}(frame, regs, slots, budget):"]
+            + [f"        r{reg} = regs[{reg}]" for reg in sorted(mentioned)]
+            + ["        left = budget", "        while True:"]
+            + [line.replace(_STORE_BACK, store + "; ")
+               for line in out[first:]]
+            + [f"        {store}", "        return pc, budget - left"])
+    names = [f"_rg_{ring[0][0]}" for ring in rings]
+    return _factory_source(out, consts, names), consts, rings
 
 
 #: Distinct factory sources kept compiled — about three times what the
@@ -970,21 +1149,36 @@ def _factory_code(source: str, filename: str):
 
 def compile_superblocks(cm, cpu, templates=None) -> List:
     """Build the per-pc superblock table for ``cm`` bound to ``cpu``
-    (``templates`` is ``_decode(cm.code)`` when the caller has it)."""
-    built = superblock_source(cm, templates)
+    (``templates`` is ``_decode(cm.code)`` when the caller has it):
+    ``(length, closure, is_region)`` where a fused run starts — at a
+    ring's header the closure is the region and ``length`` its first
+    block's — and ``None`` everywhere else."""
+    if templates is None:
+        templates = _decode(cm.code)
     blocks: List = [None] * len(cm.code)
+    built = superblock_source(cm, templates)
     if built is None:
         return blocks
-    source, consts, ranges = built
-    filename = f"<superblock {cm.method.qualified_name}>"
-    namespace: Dict[str, object] = {}
-    exec(_factory_code(source, filename), namespace)
     plan = cpu.runtime.plan
-    closures = namespace["_factory"](
-        cpu._cyc_cell, cpu._pending.append, cpu.drain_accesses,
-        plan.remset.record_store,
-        (None, cpu._land_barrier, plan.config.write_barrier_cost, 0),
-        cpu.runtime.static_addr, GuestError, cm.method, tuple(consts))
-    for (start, end), closure in zip(ranges, closures):
-        blocks[start] = (end - start, closure)
+    services = (cpu._cyc_cell, cpu._pending.append, cpu.drain_accesses,
+                plan.remset.record_store,
+                (None, cpu._land_barrier, plan.config.write_barrier_cost, 0),
+                cpu.runtime.static_addr, GuestError, cm.method)
+
+    def closures(source, consts, kind):
+        filename = f"<{kind} {cm.method.qualified_name}>"
+        namespace: Dict[str, object] = {}
+        exec(_factory_code(source, filename), namespace)
+        return namespace["_factory"](*services, tuple(consts))
+
+    source, consts, ranges = built
+    for (start, stop), closure in zip(ranges,
+                                      closures(source, consts, "superblock")):
+        blocks[start] = (stop - start, closure, False)
+    built = region_source(cm, templates, ranges)
+    if built is not None:
+        source, consts, rings = built
+        for ring, closure in zip(rings, closures(source, consts, "region")):
+            start, stop = ring[0]
+            blocks[start] = (stop - start, closure, True)
     return blocks

@@ -140,6 +140,10 @@ class ClassInfo:
         )
         self.instance_bytes = superclass.instance_bytes if superclass else HEADER_BYTES
         self._sealed = False
+        #: A fresh instance's slots (``None`` per reference field, ``0``
+        #: otherwise), copied by every allocation; ``None`` until
+        #: :meth:`seal` fixes the layout.
+        self.slot_template: Optional[List[object]] = None
         #: Direct subclasses (class-hierarchy analysis for devirtualization).
         self.subclasses: List["ClassInfo"] = []
         if superclass is not None:
@@ -193,7 +197,12 @@ class ClassInfo:
         """Finalize the layout (alignment of the total instance size)."""
         self.instance_bytes = _align(self.instance_bytes, 4)
         self._sealed = True
+        self.slot_template = self.default_slots()
         return self
+
+    def default_slots(self) -> List[object]:
+        """One default value per instance field, in index order."""
+        return [None if f.is_ref else 0 for f in self.fields]
 
     def _check_open(self) -> None:
         # seal() freezes only the instance layout; methods and statics may

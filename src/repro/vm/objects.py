@@ -51,10 +51,13 @@ class HeapObject:
         self.class_info = class_info
         self.address = address
         self.space = space
-        # One slot per instance field, in FieldInfo.index order.
-        self.slots: List[object] = [
-            None if f.is_ref else 0 for f in class_info.fields
-        ]
+        # One slot per instance field, in FieldInfo.index order: a copy
+        # of the sealed class's template (an unsealed class may still
+        # grow fields, so its defaults are worked out per object).
+        template = class_info.slot_template
+        self.slots: List[object] = (
+            template[:] if template is not None
+            else class_info.default_slots())
         self.gc_mark = False
         #: True when this object was placed by the co-allocation policy
         #: (used for Figure 3's co-allocated-object counts).

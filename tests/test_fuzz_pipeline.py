@@ -17,7 +17,7 @@ from tests.helpers import BASELINE_ONLY
 from repro.core.config import GCConfig, SystemConfig
 from repro.jit.aos import CompilationPlan
 from repro.vm.program import Program
-from repro.vm.vmcore import run_program
+from repro.vm.vmcore import VM, run_program
 from repro.workloads.synth import Fn
 
 # One program recipe = a list of small composable "actions" interpreted
@@ -41,7 +41,11 @@ ACTIONS = st.lists(
 )
 
 
-def build_random_program(actions):
+def build_random_program(actions, rounds=1):
+    """The program a recipe describes; with ``rounds`` > 1 its actions
+    run that many times in a counted loop, the value on the stack
+    carried round in a local — so the loop's fused runs form rings
+    (unless an action allocates) nobody hand-wrote."""
     p = Program("fuzz")
     app = p.define_class("App")
     app.add_static("out", "int")
@@ -56,6 +60,27 @@ def build_random_program(actions):
     for slot in locals_:
         fn.iconst(0).istore(slot)
     fn.iload(0)  # seed on stack
+    if rounds > 1:
+        carried = fn.local()
+        fn.istore(carried)
+        with fn.loop(rounds):
+            fn.iload(carried)
+            _emit_actions(fn, actions, locals_, box)
+            fn.istore(carried)
+        fn.iload(carried)
+    else:
+        _emit_actions(fn, actions, locals_, box)
+    fn.iret()
+    work = fn.finish()
+
+    main = Fn(p, app, "main")
+    main.iconst(11).call(work).putstatic(app, "out")
+    main.ret()
+    p.set_main(main.finish())
+    return p, app
+
+
+def _emit_actions(fn, actions, locals_, box):
     for action in actions:
         kind = action[0]
         if kind == "push":
@@ -99,14 +124,6 @@ def build_random_program(actions):
             fn.emit("arrstore", "int")
             fn.rload(arr).iconst(length - 1).emit("arrload", "int")
             fn.iload(tmp).emit("iadd")
-    fn.iret()
-    work = fn.finish()
-
-    main = Fn(p, app, "main")
-    main.iconst(11).call(work).putstatic(app, "out")
-    main.ret()
-    p.set_main(main.finish())
-    return p, app
 
 
 def run_recipe(actions, plan_methods=(), **config_overrides):
@@ -119,9 +136,9 @@ def run_recipe(actions, plan_methods=(), **config_overrides):
     return app.static_values[app.static("out").index]
 
 
-def run_recipe_full(actions, plan_methods=(), **config_overrides):
+def run_recipe_full(actions, plan_methods=(), rounds=1, **config_overrides):
     """Like :func:`run_recipe` but also returns the RunResult."""
-    p, app = build_random_program(actions)
+    p, app = build_random_program(actions, rounds)
     kwargs = dict(monitoring=False, gc=GCConfig(heap_bytes=1024 * 1024))
     kwargs.update(config_overrides)
     cfg = SystemConfig(**kwargs)
@@ -185,6 +202,38 @@ class TestInterpreterEquivalenceFuzz:
     @settings(max_examples=10, deadline=None)
     def test_fastpath_matches_reference_monitoring(self, actions):
         self._differential(actions, monitoring=True)
+
+    @given(ACTIONS, st.integers(2, 30), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_looped_recipe_matches_reference(self, actions, rounds, opt):
+        """The recipe in a counted loop: generated rings (and loops
+        an allocating action keeps from being one) at every level."""
+        self._differential(actions, ["App.work"] if opt else (),
+                           rounds=rounds)
+
+    @given(ACTIONS, st.integers(2, 30), st.booleans(),
+           st.integers(200, 3000))
+    @settings(max_examples=20, deadline=None)
+    def test_looped_recipe_sliced_matches_reference(self, actions, rounds,
+                                                    opt, step):
+        """The same, driven in ``step``-cycle slices: the clock after
+        every slice is the reference's, so regions stop where the
+        per-instruction split would."""
+        traces = []
+        for level in (0, 2):
+            p, app = build_random_program(actions, rounds)
+            cfg = SystemConfig(monitoring=False, fastpath=level,
+                               gc=GCConfig(heap_bytes=1024 * 1024))
+            vm = VM(p, cfg, compilation_plan=CompilationPlan(
+                ["App.work"] if opt else []))
+            vm.begin()
+            trace = []
+            while not vm.advance(until_cycles=vm.cpu.cycles + step):
+                trace.append((vm.cpu.cycles, vm.cpu.instructions))
+            result = vm.finish()
+            traces.append((trace, self._observables(
+                app.static_values[app.static("out").index], result)))
+        assert traces[1] == traces[0]
 
 
 class TestGCUnderPressureFuzz:

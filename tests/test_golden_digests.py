@@ -24,10 +24,13 @@ suite guest plus ``phased``, every method compiled by both JITs (no
 simulation), the number of fused runs and the sha256 of the
 concatenated :func:`~repro.hw.translate.superblock_source` text — so a
 change to the emitted superblock bodies is a reviewed digest hunk.
+``tests/golden/regions.json`` does the same for the ring regions
+(:func:`~repro.hw.translate.region_source`): the number of rings found
+and the sha256 of the region text.
 
 The golden files change only when simulated behaviour (or what an
-observer emits, or what the superblock emitter writes) is meant to
-change.  Regenerate all three with::
+observer emits, or what the superblock or region emitter writes) is
+meant to change.  Regenerate all four with::
 
     PYTHONPATH=src python tests/test_golden_digests.py
 """
@@ -41,7 +44,7 @@ import pytest
 from repro.harness import experiments, runner
 from repro.harness.runner import RunSpec
 from repro.health import HealthMonitor
-from repro.hw.translate import superblock_source
+from repro.hw.translate import region_source, superblock_source
 from repro.jit.baseline import compile_baseline
 from repro.jit.opt import compile_opt
 from repro.lineage import DecisionLedger
@@ -53,6 +56,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "digests.json")
 OBSERVERS_PATH = os.path.join(GOLDEN_DIR, "observers.json")
 SUPERBLOCKS_PATH = os.path.join(GOLDEN_DIR, "superblocks.json")
+REGIONS_PATH = os.path.join(GOLDEN_DIR, "regions.json")
 UNTIL_CYCLES = 1_500_000
 
 CONFIGS = {
@@ -117,17 +121,27 @@ def observer_digests(case: str) -> dict:
     }
 
 
-def superblock_digest(guest: str) -> dict:
-    """Fused-run count and sha256 of the emitted superblock source of
-    every method of ``guest``, baseline- and opt-compiled."""
-    runs, text = 0, hashlib.sha256()
+def _emitted_digest(guest: str, source, counted: str) -> dict:
+    """Count and sha256 of what ``source`` emits for every method of
+    ``guest``, baseline- and opt-compiled."""
+    count, text = 0, hashlib.sha256()
     for method in suite.build(guest).program.all_methods():
         for compile_method in (compile_baseline, compile_opt):
-            built = superblock_source(compile_method(method))
+            built = source(compile_method(method))
             if built is not None:
-                runs += len(built[2])
+                count += len(built[2])
                 text.update(built[0].encode())
-    return {"runs": runs, "sha256": text.hexdigest()}
+    return {counted: count, "sha256": text.hexdigest()}
+
+
+def superblock_digest(guest: str) -> dict:
+    """Fused-run count and sha256 of the emitted superblock source."""
+    return _emitted_digest(guest, superblock_source, "runs")
+
+
+def region_digest(guest: str) -> dict:
+    """Ring count and sha256 of the emitted region source."""
+    return _emitted_digest(guest, region_source, "rings")
 
 
 def load_golden(path: str = GOLDEN_PATH) -> dict:
@@ -160,6 +174,13 @@ def test_superblock_source_matches_golden(guest):
         f"intended, regenerate with: python tests/test_golden_digests.py")
 
 
+@pytest.mark.parametrize("guest", GUESTS)
+def test_region_source_matches_golden(guest):
+    assert region_digest(guest) == load_golden(REGIONS_PATH)[guest], (
+        f"the regions emitted for {guest} changed; if that is intended, "
+        f"regenerate with: python tests/test_golden_digests.py")
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for path, pins in (
@@ -167,7 +188,9 @@ if __name__ == "__main__":
             (OBSERVERS_PATH, {case: observer_digests(case)
                               for case in sorted(OBSERVER_CASES)}),
             (SUPERBLOCKS_PATH, {guest: superblock_digest(guest)
-                                for guest in GUESTS})):
+                                for guest in GUESTS}),
+            (REGIONS_PATH, {guest: region_digest(guest)
+                            for guest in GUESTS})):
         with open(path, "w") as fh:
             json.dump(pins, fh, indent=1, sort_keys=True)
             fh.write("\n")

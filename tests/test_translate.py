@@ -22,19 +22,22 @@ from repro.harness.record import RunRecord
 from repro.gc.plan import HeapExhausted
 from repro.harness.runner import RunSpec, execute
 from repro.hw import translate
-from repro.hw.cpu import SCHED_QUANTUM
+from repro.hw.cpu import BUDGET_QUANTA, SCHED_QUANTUM
 from repro.hw.isa import (
     ALU_OPS, BC_CONDS, GuestError, MInst,
-    M_ALOAD, M_ALU, M_ALUI, M_ASTORE, M_BC, M_BR, M_CALLV, M_GETF,
-    M_GETSTATIC, M_LDF, M_LEN, M_MOV, M_MOVI, M_NOP, M_NULLCHK, M_PUTF,
-    M_PUTSTATIC, M_RET, M_STF,
+    M_ALOAD, M_ALU, M_ALUI, M_ASTORE, M_BC, M_BR, M_CALL, M_CALLV, M_GETF,
+    M_GETSTATIC, M_LDF, M_LEN, M_MOV, M_MOVI, M_NEW, M_NOP, M_NULLCHK,
+    M_PUTF, M_PUTSTATIC, M_RET, M_STF,
 )
-from repro.hw.translate import (MIN_SUPERBLOCK, superblock_ranges,
+from repro.hw.translate import (MIN_SUPERBLOCK, region_source,
+                                superblock_ranges, superblock_rings,
                                 superblock_source, translation_for)
 from repro.jit.aos import CompilationPlan
+from repro.vm.objects import HeapObject
 from repro.vm.program import Program
 from repro.vm.snapshot import Snapshot
 from repro.vm.vmcore import VM, run_program
+from repro.workloads import suite
 from repro.workloads.synth import Fn
 
 
@@ -120,9 +123,10 @@ class TestKnob:
         starts = [pc for pc, blk in enumerate(blocks) if blk is not None]
         assert starts  # the loop body really fused
         for pc in starts:
-            length, closure = blocks[pc]
+            length, closure, is_region = blocks[pc]
             assert length >= MIN_SUPERBLOCK
             assert callable(closure)
+            assert is_region is False    # ``new`` in the loop: no ring
             # Mid-block pcs carry no entry: a branch landing inside a
             # fused run executes per-instruction.
             for mid in range(pc + 1, pc + length):
@@ -560,10 +564,12 @@ class TestFaultParity:
         always.  What it leaves on the clock is the last *flush* (the
         partial quantum is dropped, as in the reference): exactly the
         reference's whenever something could have read it — a hook
-        attached — and otherwise a flush point less than a quantum from
-        the reference's (a straddle lands at the end of its run, not on
-        the boundary inside it).  Sweep the array length so the
-        faulting iteration meets the boundary at every offset."""
+        attached — and otherwise a flush point less than one budget
+        span (``BUDGET_QUANTA`` quanta) from the reference's: a
+        straddle lands at the end of its run, not on the boundary
+        inside it, and the polls a multi-quantum budget skips are
+        flush points too.  Sweep the array length so the faulting
+        iteration meets the boundary at every offset."""
         def outcome(length, level, observer):
             p = Program("sweep")
             app = p.define_class("App")
@@ -593,7 +599,7 @@ class TestFaultParity:
             assert outcome(length, 2, observer=True) == ref
             memory, instructions, _ = outcome(length, 2, observer=False)
             assert memory == ref[0]
-            assert abs(instructions - ref[1]) < SCHED_QUANTUM
+            assert abs(instructions - ref[1]) < BUDGET_QUANTA * SCHED_QUANTUM
             moved += instructions != ref[1]
         assert moved       # the sweep did put a straddle before a fault
 
@@ -755,6 +761,44 @@ class TestCensus:
         share, record = self._compress_cut(dispatches, leg=20_000)
         assert share > 0.05 and record == ref
 
+    def test_compress_runs_inside_regions(self, regions):
+        """Exact counts at ``BUDGET_QUANTA`` = 4: 97.4 % of the
+        instructions run inside a region (the rest, bar 0.03 %, is the
+        ring's body straddling the end of a budget span through its
+        plain block) at 2.2 region entries per kilo-instruction."""
+        vm, _ = runner.make_vm("compress", RunSpec("compress",
+                                                   monitoring=False))
+        vm.begin()
+        assert vm.advance()
+        instructions = vm.cpu.instructions
+        assert regions.instructions / instructions >= 0.97
+        assert 1000 * regions.entries / instructions <= 3
+        assert regions.budget == BUDGET_QUANTA * SCHED_QUANTUM
+
+    @pytest.mark.parametrize("how", ["observer", "pebs", "deadline"])
+    def test_budget_never_extended_where_a_poll_could_matter(self, regions,
+                                                             how):
+        """A budget spans more than one quantum only where every poll
+        inside is provably idle: never with an observer attached or
+        PEBS armed, and never with ``until_cycles`` always within
+        ``BUDGET_QUANTA`` horizons (100 K-cycle legs; one horizon is
+        34 K cycles, so straddles still happen).  The regions run all
+        the same, on one-quantum budgets, and the record is the
+        reference's."""
+        spec = dataclasses.replace(self.COMPRESS_CUT,
+                                   monitoring=how == "pebs")
+        ref = RunRecord.from_result(execute(spec, fastpath=0)).to_json()
+        vm, _ = runner.make_vm("compress", spec, fastpath=2)
+        if how == "observer":
+            vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+        leg = 100_000 if how == "deadline" else 400_000
+        vm.begin()
+        for until in range(leg, 400_001, leg):
+            vm.advance(until_cycles=until)
+        assert RunRecord.from_result(vm.finish()).to_json() == ref
+        assert regions.entries > 1000
+        assert regions.budget <= SCHED_QUANTUM
+
     def test_second_translation_reuses_the_code_object(self, monkeypatch):
         """``compile()`` runs once per distinct factory source in the
         process; a fresh CPU still gets its own closures, and the run
@@ -808,6 +852,269 @@ class TestCensus:
                    for cm in methods
                    if (built := superblock_source(cm)) is not None}
         assert sorted(compiled) == sorted(sources)
+
+
+# -- ring regions ---------------------------------------------------------------
+
+@pytest.fixture()
+def regions(monkeypatch):
+    """Count what the region closures of every table built while the
+    fixture is live do: entries, instructions executed inside, and the
+    largest budget one was handed."""
+    real = translate.compile_superblocks
+    seen = SimpleNamespace(entries=0, instructions=0, budget=0)
+
+    def counting(region):
+        def wrapped(frame, regs, slots, budget):
+            pc, used = region(frame, regs, slots, budget)
+            seen.entries += 1
+            seen.instructions += used
+            seen.budget = max(seen.budget, budget)
+            return pc, used
+        return wrapped
+
+    def counted(cm, cpu, templates=None):
+        table = real(cm, cpu, templates)
+        return [(blk[0], counting(blk[1]), True) if blk and blk[2] else blk
+                for blk in table]
+
+    monkeypatch.setattr(translate, "compile_superblocks", counted)
+    return seen
+
+
+# Registers of the hand-assembled loops below.
+L_INTS, L_I, L_ACC, L_LIMIT, L_T, L_REFS, L_ARRS, L_U, L_ZERO = range(9)
+
+
+def _counted_loop(body, limit=100):
+    """``for i in range(limit): acc += 1; body; i += 1`` at machine
+    level: a two-instruction header at pc 0, ``body`` (branch targets in
+    it are absolute pcs; the body starts at pc 3), the increment and
+    the back edge, then ``ret acc``."""
+    exit_pc = 3 + len(body) + 2
+    return [MInst(M_MOVI, rd=L_LIMIT, imm=limit),
+            MInst(M_BC, rs1=L_I, rs2=L_LIMIT, aux="ge", imm=exit_pc),
+            MInst(M_ALUI, rd=L_ACC, rs1=L_ACC, aux="add", imm=1),
+            *body,
+            MInst(M_ALUI, rd=L_I, rs1=L_I, aux="add", imm=1),
+            MInst(M_BR, imm=0),
+            MInst(M_RET, rs1=L_ACC)]
+
+
+class TestRingFormation:
+    """``superblock_rings`` is structural: a ring is a cycle of fused
+    runs in which every run has exactly one successor inside."""
+
+    def test_header_and_body(self):
+        code = _counted_loop([MInst(M_ALU, rd=L_T, rs1=L_ACC, rs2=L_I,
+                                    aux="add")])
+        assert superblock_ranges(code) == [(0, 2), (2, 6)]
+        assert superblock_rings(code) == [[(0, 2), (2, 6)]]
+
+    def test_side_exit_through_an_unfused_pc(self):
+        """``App.scan``'s shape: the body branches over a call.  The
+        call's pc starts no run, so that edge is a side exit and the
+        runs around it still close the ring."""
+        code = _counted_loop([
+            MInst(M_BC, rs1=L_ACC, aux="ne", imm=6),          # pc 3
+            MInst(M_CALL, rd=L_T, aux=None, imm=()),          # pc 4
+            MInst(M_NOP),                                     # pc 5
+            MInst(M_ALU, rd=L_T, rs1=L_ACC, rs2=L_I, aux="add"),
+        ])
+        assert superblock_rings(code) == [[(0, 2), (2, 4), (6, 9)]]
+
+    def test_a_fork_inside_the_loop_forms_no_ring(self):
+        """An if/else diamond: the forking run has two successors on
+        the way back to the header."""
+        code = _counted_loop([
+            MInst(M_BC, rs1=L_ACC, aux="ne", imm=7),          # pc 3
+            MInst(M_ALUI, rd=L_T, rs1=L_ACC, aux="add", imm=2),
+            MInst(M_ALUI, rd=L_T, rs1=L_T, aux="mul", imm=3),
+            MInst(M_NOP),
+            MInst(M_ALU, rd=L_U, rs1=L_T, rs2=L_I, aux="add"),  # pc 7
+        ])
+        assert (4, 7) in superblock_ranges(code)
+        assert superblock_rings(code) == []
+
+    @pytest.mark.parametrize("inside", [
+        MInst(M_CALL, rd=L_T, aux=None, imm=()),
+        MInst(M_NEW, rd=L_T, aux=None),
+        MInst(M_MOVI, rd=L_T, imm=2.5),
+        MInst(M_ALU, rd=L_T, rs1=L_ACC, rs2=L_I, aux="bogus"),
+    ], ids=["call", "allocation", "non-literal", "bad-alu-op"])
+    def test_an_instruction_that_does_not_fuse_breaks_the_ring(self, inside):
+        code = _counted_loop([
+            MInst(M_ALU, rd=L_U, rs1=L_ACC, rs2=L_I, aux="add"),
+            inside,
+            MInst(M_ALU, rd=L_U, rs1=L_U, rs2=L_I, aux="add"),
+        ])
+        assert len(superblock_ranges(code)) == 3
+        assert superblock_rings(code) == []
+
+    def test_branch_into_the_middle_still_splits_the_leader(self):
+        """A rotated loop entered in the middle of its body: the entry
+        target is a leader, so the body is two runs — both in the
+        ring — and each stays in the table for that side entry."""
+        code = [MInst(M_MOVI, rd=L_I, imm=0),
+                MInst(M_BR, imm=6)] + [
+            MInst(M_MOVI, rd=L_LIMIT, imm=9),                 # pc 2: header
+            MInst(M_BC, rs1=L_I, rs2=L_LIMIT, aux="ge", imm=10),
+            MInst(M_ALUI, rd=L_ACC, rs1=L_ACC, aux="add", imm=1),
+            MInst(M_ALUI, rd=L_ACC, rs1=L_ACC, aux="add", imm=2),
+            MInst(M_ALUI, rd=L_I, rs1=L_I, aux="add", imm=1),   # pc 6
+            MInst(M_ALUI, rd=L_ACC, rs1=L_ACC, aux="mul", imm=3),
+            MInst(M_BR, imm=2),
+            MInst(M_NOP),
+            MInst(M_RET, rs1=L_ACC)]
+        assert superblock_rings(code) == [[(2, 4), (4, 6), (6, 9)]]
+        outcomes = {level: _ring_outcome(code, level) for level in (0, 1, 2)}
+        assert outcomes[0][0] is None and outcomes[0][1][L_I] == 9
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+    def test_a_ring_that_writes_no_register(self):
+        """``while True: pass`` is a one-run ring with nothing to store
+        back; it spins to the deadline like the reference."""
+        code = [MInst(M_NOP), MInst(M_NOP), MInst(M_BR, imm=0)]
+        assert superblock_rings(code) == [[(0, 3)]]
+        clocks = {}
+        for level in (0, 2):
+            p, _ = _matrix_program()
+            vm = _vm(p, fastpath=level)
+            cm = vm.compiled_code_for(p.main)
+            cm.code = code
+            vm.cpu._push_frame(cm, ())
+            vm.cpu.run(until_cycles=5000)
+            clocks[level] = (vm.cpu.cycles, vm.cpu.instructions)
+        assert clocks[2] == clocks[0] and clocks[0][0] >= 5000
+
+    def test_the_table_keeps_every_plain_block(self):
+        """A region replaces only its header's entry; the other ring
+        blocks keep their plain closures, and the region text reads
+        registers as locals."""
+        code = _counted_loop([MInst(M_ALU, rd=L_T, rs1=L_ACC, rs2=L_LIMIT,
+                                    aux="add")])
+        p, _ = _matrix_program()
+        vm = _vm(p)
+        cm = vm.compiled_code_for(p.main)
+        cm.code, cm.reg_count = code, 9
+        table = translation_for(cm, vm.cpu).blocks
+        assert [blk and blk[::2] for blk in table[:3]] == [
+            (2, True), None, (4, False)]
+        entry, loop = region_source(cm)[0].split("        while True:\n")
+        loop, exit = loop.rsplit("\n        regs[", 1)
+        assert f"r{L_I} = regs[{L_I}]" in entry
+        assert "regs[" not in loop          # (this ring cannot fault)
+        assert f"if r{L_I} >= r{L_LIMIT}:" in loop      # the loop's exit
+        assert f"r{L_T} = r{L_ACC} + r{L_LIMIT}" in loop
+        assert f"{L_ACC}] = r{L_ACC}; " in exit and "return pc, " in exit
+
+
+def _ring_outcome(code, level, observer=False):
+    """Run hand-assembled ``code`` (a list, or what to call with the
+    program's ``env`` to get one) as main and return the fault (or
+    ``None``), every register, what the memory system saw and the
+    clock."""
+    p, env = _matrix_program()
+    if callable(code):
+        code = code(env)
+    vm = _vm(p, fastpath=level)
+    box = env.box
+    ints = vm.plan.alloc_array("int", 8)
+    ints.elements[:] = range(10, 90, 10)
+    refs = vm.plan.alloc_array("ref", 8)
+    arrs = vm.plan.alloc_array("ref", 8)
+    for index in range(8):
+        if index != 5:      # ``RING_FAULTS`` find the nulls here
+            refs.elements[index] = vm.plan.alloc_object(box)
+            arrs.elements[index] = ints
+    cm = vm.compiled_code_for(p.main)
+    cm.code, cm.reg_count, cm.frame_words = code, 9, 4
+    if observer:
+        vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+    cpu = vm.cpu
+    cpu._push_frame(cm, ())
+    frame = cpu.frames[-1]
+    frame.regs[:] = [ints, 0, 0, 0, 0, refs, arrs, 0, 0]
+    fault = None
+    try:
+        cpu.run()
+    except GuestError as error:
+        fault = str(error)
+    names = {id(ints): "ints", id(refs): "refs", id(arrs): "arrs"}
+    regs = [names.get(id(value), value) if not isinstance(value, HeapObject)
+            else "box" for value in frame.regs]
+    ms = vm.memsys
+    return (fault, regs, (ms.n_loads, ms.n_stores, ms.n_l1_miss,
+                          ms.n_dtlb_miss), (cpu.instructions, cpu.cycles))
+
+
+#: Loop bodies that fault in the sixth iteration (ninth, out of
+#: bounds), after the iteration has already written registers.
+RING_FAULTS = {
+    "index 8 out of bounds [0,8)": lambda env: [
+        MInst(M_ALOAD, rd=L_T, rs1=L_INTS, rs2=L_I, aux="int")],
+    "null getfield": lambda env: [
+        MInst(M_ALOAD, rd=L_T, rs1=L_REFS, rs2=L_I, aux="ref"),
+        MInst(M_GETF, rd=L_U, rs1=L_T, aux=env.v)],
+    "null array load": lambda env: [
+        MInst(M_ALOAD, rd=L_T, rs1=L_ARRS, rs2=L_I, aux="ref"),
+        MInst(M_ALOAD, rd=L_U, rs1=L_T, rs2=L_ZERO, aux="int")],
+    "division by zero": lambda env: [
+        MInst(M_ALUI, rd=L_T, rs1=L_I, aux="sub", imm=5),
+        MInst(M_ALU, rd=L_U, rs1=L_LIMIT, rs2=L_T, aux="div")],
+}
+
+
+class TestRingFaults:
+    @pytest.mark.parametrize("fault", RING_FAULTS)
+    def test_fault_in_the_nth_iteration(self, fault):
+        """A fault deep inside a region leaves what the reference
+        leaves: every access of the earlier iterations landed, every
+        register the region wrote stored back — and, under a hook, the
+        clock."""
+        def code(env):
+            return _counted_loop(RING_FAULTS[fault](env))
+
+        listing = code(_matrix_program()[1])
+        assert len(superblock_rings(listing)) == 1
+        ref = _ring_outcome(code, 0)
+        # The body's last instruction: three follow it.
+        assert ref[0] == f"{fault} at App.main:{len(listing) - 4}"
+        assert ref[1][L_ACC] == ref[1][L_I] + 1 >= 6
+        for level in (1, 2):
+            assert _ring_outcome(code, level)[:3] == ref[:3]
+            assert _ring_outcome(code, level, observer=True) == ref
+
+    def test_no_fault(self):
+        code = _counted_loop(RING_FAULTS["division by zero"](None)[:1],
+                             limit=700)
+        ref = _ring_outcome(code, 0)
+        assert ref[0] is None and ref[1][L_ACC] == 700
+        assert _ring_outcome(code, 1) == ref
+        assert _ring_outcome(code, 2) == ref
+
+
+class TestRegionBitIdentity:
+    """Every suite guest, bounded: the record at level 2 — unbroken,
+    and driven in 20 K-cycle legs (where no straddle and no budget
+    extension is ever provable) — is the reference's.  All but
+    ``javac`` spend 27–94 % of the bound's instructions in regions."""
+
+    CYCLES = 400_000
+
+    @pytest.mark.parametrize("name", suite.all_names())
+    def test_record_identical_unbroken_and_in_legs(self, name, regions):
+        spec = RunSpec(name, monitoring=False, until_cycles=self.CYCLES)
+        ref = RunRecord.from_result(execute(spec, fastpath=0)).to_json()
+        assert regions.entries == 0            # level 0 builds no table
+        for leg in (self.CYCLES, 20_000):
+            vm, _ = runner.make_vm(name, spec, fastpath=2)
+            vm.begin()
+            for until in range(leg, self.CYCLES + 1, leg):
+                vm.advance(until_cycles=until)
+            assert RunRecord.from_result(vm.finish()).to_json() == ref
+        assert (regions.entries > 0) == (name != "javac")
 
 
 # -- an opcode matrix at machine level -----------------------------------------
