@@ -6,18 +6,48 @@ compared, correct normalization) cheaply, so refactoring the harness is
 safe without a 10-minute run.
 """
 
+import os
+
 import pytest
 
 from repro.harness import experiments as ex
+from repro.harness import report
 from repro.harness.runner import RunSpec, clear_cache, measure
 
 SMALL = ["fop"]
+
+#: The formatted text of every spec-keyed figure on ``fop`` (13
+#: simulations).  Regenerate by running this file:
+#: ``PYTHONPATH=src python tests/test_experiments_plumbing.py``.
+FIGURES_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                            "figures_fop.txt")
+
+
+def figures_text() -> str:
+    heaps = (1.0, 4.0)
+    return "\n\n".join([
+        report.format_table2(ex.table2(SMALL)),
+        report.format_fig2(ex.fig2_sampling_overhead(SMALL)),
+        report.format_fig3(ex.fig3_coalloc_counts(SMALL)),
+        report.format_fig4(ex.fig4_l1_reduction(SMALL)),
+        report.format_fig5(ex.fig5_exec_time(SMALL, heap_mults=heaps)),
+        report.format_fig6(ex.fig6_gencopy_vs_genms("fop",
+                                                    heap_mults=heaps)),
+        report.format_fig7(ex.fig7_db_timeline("fop")),
+    ]) + "\n"
 
 
 @pytest.fixture(autouse=True, scope="module")
 def _warm_cache():
     yield
     clear_cache()
+
+
+def test_figure_text_matches_golden():
+    """What the figure drivers print is pinned byte for byte, so a
+    harness refactor that moves a number or a column shows up here."""
+    with open(FIGURES_PATH) as fh:
+        assert figures_text() == fh.read()
 
 
 class TestFig2Plumbing:
@@ -75,3 +105,12 @@ class TestTimelinePlumbing:
         result = ex.fig8_revert("fop", intervene_fraction=0.3)
         assert result.gap_applied_period >= 0
         assert len(result.moving_average) == len(result.per_period)
+
+
+if __name__ == "__main__":
+    from repro.harness import runner
+
+    runner.set_disk_cache(None)
+    with open(FIGURES_PATH, "w") as fh:
+        fh.write(figures_text())
+    print(f"wrote {FIGURES_PATH}")
