@@ -6,10 +6,10 @@ share configurations (Figure 4's large-heap points are Figure 5's 4x
 points) pay for them once — and a re-run against unchanged code pays
 for nothing at all.
 
-A session-scoped fixture warms the entire suite's run matrix through
+A session-scoped fixture runs the entire suite's run matrix through
 the parallel engine before the first test, so on a multi-core machine
-the figures' serial ``measure`` loops are pure cache hits.  Control the
-worker count with ``REPRO_JOBS`` (1 = serial).
+every figure's own pass over its matrix is pure cache hits.  Control
+the worker count with ``REPRO_JOBS`` (1 = serial).
 
 Set ``REPRO_QUICK=1`` to run a reduced matrix (three benchmarks, two
 heap sizes) — useful while iterating; the full matrix is the default
@@ -44,7 +44,7 @@ def pytest_report_header(config):
 def _warm_suite():
     """Precompute the suite's run matrix across cores (or recall it from
     the disk cache) before the first figure asserts on it."""
-    engine.warm(ex.figure_specs(list(BENCHMARKS), tuple(HEAP_MULTS)))
+    engine.run_specs(ex.figure_specs(list(BENCHMARKS), tuple(HEAP_MULTS)))
 
 
 @pytest.fixture(scope="session")

@@ -47,17 +47,14 @@ def test_fig6_gencopy_vs_genms(benchmark, heap_mults):
 def test_fig6_gencopy_full_gc_pressure(benchmark, heap_mults):
     """The mechanism behind the crossover: GenCopy's copy reserve forces
     far more full collections at the minimum heap."""
-    from repro.harness.runner import RunSpec, measure
+    from repro.harness.runner import record_for
 
     small = min(heap_mults)
 
     def run_both():
-        genms = measure(RunSpec(benchmark="db", heap_mult=small,
-                                coalloc=False, monitoring=False))
-        gencopy = measure(RunSpec(benchmark="db", heap_mult=small,
-                                  coalloc=False, monitoring=False,
-                                  gc_plan="gencopy"))
-        return genms.result.gc_stats, gencopy.result.gc_stats
+        genms = record_for(ex.plain("db", small))
+        gencopy = record_for(ex.plain("db", small, gc_plan="gencopy"))
+        return genms.gc_stats, gencopy.gc_stats
 
     genms_stats, gencopy_stats = benchmark.pedantic(run_both, rounds=1,
                                                     iterations=1)

@@ -15,7 +15,7 @@ from conftest import write_result
 
 from repro.harness import experiments as ex
 from repro.harness.report import format_fig7
-from repro.harness.runner import RunSpec, measure
+from repro.harness.runner import record_for
 from repro.workloads import suite
 
 
@@ -57,8 +57,7 @@ def test_fig7_coalloc_cuts_string_misses(benchmark):
     without (paper: ~60% reduction on those objects)."""
 
     def run_off():
-        res = measure(RunSpec(benchmark="db", heap_mult=4.0, coalloc=False,
-                              monitoring=True)).result
+        res = record_for(ex.monitored("db"))
         name = suite.build("db").program.string_class.field(
             "value").qualified_name
         return [n for _, n in res.series(name)]

@@ -40,12 +40,10 @@ def test_fig8_revert(benchmark):
 
 def test_fig8_no_revert_without_regression(benchmark):
     """Control: with no gap, the feedback engine never reverts."""
-    from repro.harness.runner import RunSpec, measure
+    from repro.harness.runner import record_for
 
     def run_normal():
-        res = measure(RunSpec(benchmark="db", heap_mult=4.0, coalloc=True,
-                              monitoring=True)).result
-        return res.reverted_experiments
+        return record_for(ex.full("db")).reverted_experiments
 
     reverted = benchmark.pedantic(run_normal, rounds=1, iterations=1)
     assert reverted == []

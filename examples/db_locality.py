@@ -14,7 +14,8 @@ rate timeline with the co-allocation "bend".
 Run:  python examples/db_locality.py
 """
 
-from repro.harness.runner import RunSpec, measure
+from repro.harness import experiments as ex
+from repro.harness.runner import record_for
 from repro.workloads import suite
 
 
@@ -36,15 +37,11 @@ def sparkline(values, width=64, height=8):
 
 def main() -> None:
     print("building and running db (three configurations)...\n")
-    plain = measure(RunSpec(benchmark="db", heap_mult=4.0, coalloc=False,
-                            monitoring=False))
-    monitored = measure(RunSpec(benchmark="db", heap_mult=4.0, coalloc=False,
-                                monitoring=True))
-    full = measure(RunSpec(benchmark="db", heap_mult=4.0, coalloc=True,
-                           monitoring=True))
+    plain = record_for(ex.plain("db"))
+    monitored = record_for(ex.monitored("db"))
+    full = record_for(ex.full("db"))
 
-    def row(label, m):
-        r = m.result
+    def row(label, r):
         print(f"{label:24s} cycles={r.cycles:>12,}  "
               f"L1 misses={r.counters['L1D_MISS']:>9,}  "
               f"GC={r.gc_stats.minor_gcs}/{r.gc_stats.full_gcs}  "
@@ -54,19 +51,18 @@ def main() -> None:
     row("monitoring only", monitored)
     row("monitoring + coalloc", full)
 
-    overhead = monitored.cycles_mean / plain.cycles_mean - 1
-    speedup = 1 - full.cycles_mean / plain.cycles_mean
+    overhead = monitored.cycles / plain.cycles - 1
+    speedup = 1 - full.cycles / plain.cycles
     miss_red = 1 - full.l1_misses / plain.l1_misses
     print(f"\nsampling overhead       : {overhead:+.2%}   (paper: <1% avg)")
     print(f"L1 miss reduction       : {miss_red:.1%}    (paper: up to 28%)")
     print(f"execution-time reduction: {speedup:.1%}    (paper: up to 13.9%)")
 
     # Figure 7(b): the String::value miss-rate timeline.
-    record = full.result
     name = suite.build("db").program.string_class.field(
         "value").qualified_name
-    series = [n for _, n in record.series(name)]
-    smooth = record.moving_average(series)
+    series = [n for _, n in full.series(name)]
+    smooth = full.moving_average(series)
     print("\nString::value estimated misses per period "
           "(moving average, Figure 7b):")
     print(sparkline(smooth))

@@ -13,7 +13,7 @@ Run:  python examples/gc_plan_comparison.py
 """
 
 from repro.harness import experiments as ex
-from repro.harness.runner import RunSpec, measure
+from repro.harness.runner import record_for
 
 
 def main() -> None:
@@ -33,9 +33,7 @@ def main() -> None:
           "the copy reserve):")
     for mult in (min(heaps), max(heaps)):
         for plan in ("genms", "gencopy"):
-            stats = measure(RunSpec(benchmark="db", heap_mult=mult,
-                                    coalloc=False, monitoring=False,
-                                    gc_plan=plan)).result.gc_stats
+            stats = record_for(ex.plain("db", mult, gc_plan=plan)).gc_stats
             print(f"  heap {mult:>3.1f}x {plan:8s}: "
                   f"{stats.minor_gcs:>3d} minor / {stats.full_gcs:>2d} full "
                   f"collections, {stats.gc_cycles:>9,} GC cycles")

@@ -74,7 +74,8 @@ from typing import List, Optional
 from repro.bench import cli as bench_cli
 from repro.harness import experiments as ex
 from repro.harness import report
-from repro.harness.runner import RunSpec, execute
+from repro.harness.runner import INTERVAL_NAMES, RunSpec, execute
+from repro.hw.events import PEBS_EVENTS
 from repro.workloads import suite
 
 
@@ -356,45 +357,9 @@ def cmd_timeline(args) -> None:
         print(format_phase_table(health_report))
 
 
-def cmd_table1(args) -> None:
-    print(report.format_table1(ex.table1()))
-
-
-def cmd_table2(args) -> None:
-    print(report.format_table2(ex.table2(args.benchmark_names,
-                                         jobs=args.jobs)))
-
-
-def cmd_fig2(args) -> None:
-    print(report.format_fig2(ex.fig2_sampling_overhead(args.benchmark_names,
-                                                       jobs=args.jobs)))
-
-
-def cmd_fig3(args) -> None:
-    print(report.format_fig3(ex.fig3_coalloc_counts(args.benchmark_names,
-                                                    jobs=args.jobs)))
-
-
-def cmd_fig4(args) -> None:
-    print(report.format_fig4(ex.fig4_l1_reduction(args.benchmark_names,
-                                                  jobs=args.jobs)))
-
-
-def cmd_fig5(args) -> None:
-    print(report.format_fig5(ex.fig5_exec_time(args.benchmark_names,
-                                               jobs=args.jobs)))
-
-
-def cmd_fig6(args) -> None:
-    print(report.format_fig6(ex.fig6_gencopy_vs_genms(jobs=args.jobs)))
-
-
-def cmd_fig7(args) -> None:
-    print(report.format_fig7(ex.fig7_db_timeline()))
-
-
-def cmd_fig8(args) -> None:
-    print(report.format_fig8(ex.fig8_revert()))
+def cmd_figure(args) -> None:
+    print(report.FIGURES[args.command].text(
+        getattr(args, "benchmark_names", None), jobs=args.jobs))
 
 
 def cmd_disasm(args) -> None:
@@ -443,9 +408,9 @@ def cmd_audit(args) -> None:
     intervals = tuple(v.strip() for v in args.intervals.split(",")
                       if v.strip())
     for name in intervals:
-        if name not in ("25K", "50K", "100K", "auto"):
+        if name not in INTERVAL_NAMES:
             raise SystemExit(f"unknown interval {name!r}; "
-                             "known: 25K, 50K, 100K, auto")
+                             f"known: {', '.join(INTERVAL_NAMES)}")
     report = fidelity.audit_benchmark(
         args.benchmark, intervals=intervals, seed=args.seed,
         top_n=args.top, event=args.event, coalloc=args.coalloc)
@@ -802,29 +767,39 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     sub.add_parser("list", help="list the benchmark programs")
 
-    def add_run_options(p) -> None:
+    def add_run_options(p, positional: str = "benchmark",
+                        **positional_kwargs) -> None:
+        """The options that spell a :class:`RunSpec` (see `_run_spec`).
+
+        ``submit`` names several benchmarks, so the positional is a
+        parameter; the rest has one spelling.
+        """
         # Table 1 plus the adversarial probes (e.g. "phased", the
         # health observatory's phase-shift workload).
-        p.add_argument("benchmark", choices=suite.extended_names())
+        p.add_argument(positional, choices=suite.extended_names(),
+                       **positional_kwargs)
         p.add_argument("--heap-mult", type=float, default=4.0,
                        help="heap as a multiple of the minimum (default 4)")
         p.add_argument("--coalloc", action="store_true",
                        help="enable HPM-guided co-allocation")
         p.add_argument("--no-monitoring", action="store_true",
                        help="disable event sampling")
-        p.add_argument("--interval", default="auto",
-                       choices=["25K", "50K", "100K", "auto"])
+        p.add_argument("--interval", default="auto", choices=INTERVAL_NAMES)
         p.add_argument("--gc-plan", default="genms",
                        choices=["genms", "gencopy"])
-        p.add_argument("--event", default="L1D_MISS",
-                       choices=["L1D_MISS", "L2_MISS", "DTLB_MISS"])
+        p.add_argument("--event", default="L1D_MISS", choices=PEBS_EVENTS)
         p.add_argument("--seed", type=int, default=1)
+
+    def add_local_run_options(p) -> None:
+        """One benchmark, run in this process: the interpreter is a
+        choice too (it is not part of the spec, so ``submit`` has none)."""
+        add_run_options(p)
         p.add_argument("--no-fastpath", action="store_true",
                        help="run the reference interpreter instead of the "
                             "translated fast path (same results, slower)")
 
     run_p = sub.add_parser("run", help="run one benchmark")
-    add_run_options(run_p)
+    add_local_run_options(run_p)
     run_p.add_argument("--until-cycles", type=int, default=None, metavar="N",
                        help="stop at the first scheduler boundary past N "
                             "cycles, record the truncated run, and leave a "
@@ -855,7 +830,7 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     tl_p = sub.add_parser("timeline",
                           help="run one benchmark, print a text timeline")
-    add_run_options(tl_p)
+    add_local_run_options(tl_p)
     tl_p.add_argument("--width", type=int, default=72,
                       help="timeline width in columns (default 72)")
     tl_p.add_argument("--from", dest="from_trace", metavar="PATH",
@@ -897,10 +872,9 @@ def main(argv: Optional[List[str]] = None) -> None:
         add_jobs_option(fig_p)
         return fig_p
 
-    for name in ("table2", "fig2", "fig3", "fig4", "fig5"):
-        add_figure_parser(name, f"regenerate {name}", benchmarks=True)
-    for name in ("table1", "fig6", "fig7", "fig8"):
-        add_figure_parser(name, f"regenerate {name}")
+    for name, figure in report.FIGURES.items():
+        add_figure_parser(name, f"regenerate {name}",
+                          benchmarks=figure.benchmarks)
     add_figure_parser("ablations", "run the ablations")
 
     audit_p = sub.add_parser(
@@ -914,8 +888,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     audit_p.add_argument("--top", type=positive_int, default=10,
                          metavar="N", help="hot-set size for the overlap "
                                            "coefficient (default 10)")
-    audit_p.add_argument("--event", default="L1D_MISS",
-                         choices=["L1D_MISS", "L2_MISS", "DTLB_MISS"])
+    audit_p.add_argument("--event", default="L1D_MISS", choices=PEBS_EVENTS)
     audit_p.add_argument("--coalloc", action="store_true",
                          help="audit with co-allocation enabled (default "
                               "off, the Figure 2 configuration)")
@@ -925,7 +898,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     explain_p = sub.add_parser(
         "explain", help="print the justification chain behind an online "
                         "optimization decision (decision lineage)")
-    add_run_options(explain_p)
+    add_local_run_options(explain_p)
     add_jobs_option(explain_p)
     source = explain_p.add_mutually_exclusive_group()
     source.add_argument("--from", dest="from_record", metavar="RECORD.json",
@@ -953,7 +926,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     doctor_p = sub.add_parser(
         "doctor", help="run-health report: online phase segmentation, "
                        "pathology detectors, ledger-backed evidence")
-    add_run_options(doctor_p)
+    add_local_run_options(doctor_p)
     doctor_p.add_argument("--from", dest="from_record",
                           metavar="RECORD.json", default=None,
                           help="diagnose a previously exported run record "
@@ -1027,19 +1000,9 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     submit_p = sub.add_parser(
         "submit", help="submit a batch of benchmarks to the fleet daemon")
-    submit_p.add_argument("submit_benchmarks", nargs="+", metavar="BENCH",
-                          choices=suite.extended_names(),
-                          help="benchmarks to run (one spec each)")
-    submit_p.add_argument("--heap-mult", type=float, default=4.0)
-    submit_p.add_argument("--coalloc", action="store_true")
-    submit_p.add_argument("--no-monitoring", action="store_true")
-    submit_p.add_argument("--interval", default="auto",
-                          choices=["25K", "50K", "100K", "auto"])
-    submit_p.add_argument("--gc-plan", default="genms",
-                          choices=["genms", "gencopy"])
-    submit_p.add_argument("--event", default="L1D_MISS",
-                          choices=["L1D_MISS", "L2_MISS", "DTLB_MISS"])
-    submit_p.add_argument("--seed", type=int, default=1)
+    add_run_options(submit_p, "submit_benchmarks", nargs="+",
+                    metavar="BENCH",
+                    help="benchmarks to run (one spec each)")
     submit_p.add_argument("--until-cycles", type=int, default=None,
                           metavar="N")
     submit_p.add_argument("--leg-cycles", type=positive_int, default=None,
@@ -1084,6 +1047,16 @@ def main(argv: Optional[List[str]] = None) -> None:
     if hasattr(args, "benchmarks"):
         args.benchmark_names = _benchmark_list(args.benchmarks)
 
+    if getattr(args, "jobs", 0) is None:
+        # No --jobs: the worker count comes from REPRO_JOBS, which is
+        # outside input like the flag and gets the same one-line refusal.
+        from repro.harness import engine
+
+        try:
+            engine.resolve_jobs()
+        except ValueError as exc:
+            raise SystemExit(f"{args.command}: {exc}")
+
     progress_sink = None
     if getattr(args, "progress", False) or getattr(args, "progress_log",
                                                    None):
@@ -1104,11 +1077,8 @@ def main(argv: Optional[List[str]] = None) -> None:
     handlers = {
         "list": cmd_list, "run": cmd_run, "timeline": cmd_timeline,
         "audit": cmd_audit, "diff": cmd_diff, "explain": cmd_explain,
-        "doctor": cmd_doctor,
-        "table1": cmd_table1, "table2": cmd_table2,
-        "fig2": cmd_fig2, "fig3": cmd_fig3, "fig4": cmd_fig4,
-        "fig5": cmd_fig5, "fig6": cmd_fig6, "fig7": cmd_fig7,
-        "fig8": cmd_fig8, "ablations": cmd_ablations,
+        "doctor": cmd_doctor, **dict.fromkeys(report.FIGURES, cmd_figure),
+        "ablations": cmd_ablations,
         "disasm": cmd_disasm, "cache": cmd_cache,
         "bench": bench_cli.dispatch,
         "serve": cmd_serve, "submit": cmd_submit, "jobs": cmd_jobs,

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.config import GCConfig, SystemConfig
-from repro.harness import engine
-from repro.harness.runner import RunSpec, measure
-from repro.vm.vmcore import RunResult, run_program
+from repro.harness.experiments import full, plain, run_matrix
+from repro.vm.vmcore import run_program
 from repro.workloads import suite
 
 
@@ -40,21 +39,15 @@ def event_driver_ablation(benchmark: str = "pseudojbb",
                           heap_mult: float = 4.0,
                           jobs: Optional[int] = None) -> EventDriverResult:
     """Co-allocation guided by L1 vs DTLB misses (section 6.3's aside)."""
-    engine.warm([RunSpec(benchmark=benchmark, heap_mult=heap_mult,
-                         coalloc=False, monitoring=False)]
-                + [RunSpec(benchmark=benchmark, heap_mult=heap_mult,
-                           coalloc=True, monitoring=True, event=event)
-                   for event in ("L1D_MISS", "DTLB_MISS")], jobs=jobs)
-    base = measure(RunSpec(benchmark=benchmark, heap_mult=heap_mult,
-                           coalloc=False, monitoring=False))
+    base = plain(benchmark, heap_mult)
+    guided = {event: full(benchmark, heap_mult, event=event)
+              for event in ("L1D_MISS", "DTLB_MISS")}
+    records = run_matrix([base, *guided.values()], jobs)
     by_event = {}
-    for event in ("L1D_MISS", "DTLB_MISS"):
-        m = measure(RunSpec(benchmark=benchmark, heap_mult=heap_mult,
-                            coalloc=True, monitoring=True, event=event))
-        r = m.result
-        by_event[event] = (r.cycles, r.counters["L1D_MISS"],
-                           r.gc_stats.coallocated_objects)
-    return EventDriverResult(benchmark, by_event, int(base.cycles_mean))
+    for event, spec in guided.items():
+        r = records[spec]
+        by_event[event] = (r.cycles, r.l1_misses, r.coallocated)
+    return EventDriverResult(benchmark, by_event, records[base].cycles)
 
 
 @dataclass
@@ -85,14 +78,8 @@ def static_oracle_ablation(benchmark: str = "db",
     very first collection — the upper bound on what co-allocation can
     deliver.
     """
-    engine.warm([RunSpec(benchmark=benchmark, heap_mult=heap_mult,
-                         coalloc=False, monitoring=False),
-                 RunSpec(benchmark=benchmark, heap_mult=heap_mult,
-                         coalloc=True, monitoring=True)], jobs=jobs)
-    base = measure(RunSpec(benchmark=benchmark, heap_mult=heap_mult,
-                           coalloc=False, monitoring=False))
-    online = measure(RunSpec(benchmark=benchmark, heap_mult=heap_mult,
-                             coalloc=True, monitoring=True))
+    base, online = plain(benchmark, heap_mult), full(benchmark, heap_mult)
+    records = run_matrix([base, online], jobs)
 
     workload = suite.build(benchmark)
     table = {}
@@ -108,10 +95,10 @@ def static_oracle_ablation(benchmark: str = "db",
                          hot_field_override=lambda k: table.get(k))
     return OracleResult(
         benchmark=benchmark,
-        baseline_cycles=int(base.cycles_mean),
-        online_cycles=int(online.cycles_mean),
+        baseline_cycles=records[base].cycles,
+        online_cycles=records[online].cycles,
         oracle_cycles=oracle.cycles,
-        online_coalloc=online.result.gc_stats.coallocated_objects,
+        online_coalloc=records[online].coallocated,
         oracle_coalloc=oracle.gc_stats.coallocated_objects,
     )
 

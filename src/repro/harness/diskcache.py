@@ -85,6 +85,24 @@ def spec_key(spec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:24]
 
 
+def _write_atomically(path: str, payload: "str | bytes") -> None:
+    """tmp file + ``os.replace``.  A failed write removes its tmp file
+    on the way out — :meth:`DiskCache._walk_entries` skips such names,
+    so neither ``stats`` nor ``prune`` would ever find it."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb" if isinstance(payload, bytes) else "w") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class DiskCache:
     """One directory of spec-keyed run records for one code version."""
 
@@ -132,14 +150,9 @@ class DiskCache:
 
     def put(self, spec, record: RunRecord) -> None:
         """Store ``record`` atomically (tmp file + rename)."""
-        path = self._entry_path(spec)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         doc = {"version": self.version, "spec": asdict(spec),
                "record": record.to_json()}
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
+        _write_atomically(self._entry_path(spec), json.dumps(doc))
 
     # -- snapshots -----------------------------------------------------------
     #
@@ -175,11 +188,7 @@ class DiskCache:
     def put_snapshot(self, spec, snapshot: Snapshot) -> str:
         """Store one checkpoint atomically; returns its path."""
         path = self._snapshot_path(spec, snapshot.cycle)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(snapshot.to_bytes())
-        os.replace(tmp, path)
+        _write_atomically(path, snapshot.to_bytes())
         return path
 
     def get_snapshot(self, spec, max_cycle: Optional[int] = None,

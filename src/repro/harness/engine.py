@@ -12,9 +12,9 @@ spec as a *chain of legs* through one worker entry point
 (:func:`_run_leg`) and accepts every leg's outcome in one place (its
 ``absorb`` step), which installs the leg's checkpoint and — once the
 chain ends — its portable :class:`~repro.harness.record.RunRecord`
-into the runner's memo and the persistent disk cache as it arrives.  A
-warmed engine therefore leaves every later ``measure()`` call a cache
-hit, and a batch that fails midway keeps what it finished.
+into the runner's memo and the persistent disk cache as it arrives.
+Every later ``run_specs``/``record_for`` of the same spec is therefore
+a cache hit, and a batch that fails midway keeps what it finished.
 
 Knobs:
 
@@ -24,10 +24,6 @@ Knobs:
 * ``leg_cycles`` — when set, each run is cut on that absolute cycle
   grid and shipped leg by leg as wire-form snapshots, so the legs of
   many long runs interleave on the pool; unset, a chain is one leg,
-* ``trace_dir`` — when set, every worker builds a
-  :class:`~repro.telemetry.Telemetry` bundle for its run and exports a
-  per-run Chrome trace into the directory, preserving span export from
-  worker processes,
 * ``progress`` — a :class:`ProgressSink` receiving structured job
   events (queued / started / leg / finished / cache-hit, with an ETA
   derived from completed-job wall times; :func:`run_specs` gives the
@@ -240,8 +236,16 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit arg > ``REPRO_JOBS`` > ``os.cpu_count()``."""
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
-        jobs = int(env) if env else (os.cpu_count() or 1)
-    if jobs < 1:
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            jobs = int(env)
+        except ValueError:
+            jobs = 0    # refused below, quoting the text as given
+        if jobs < 1:
+            raise ValueError(f"REPRO_JOBS must be an integer >= 1, "
+                             f"got {env!r}")
+    elif jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
 
@@ -257,40 +261,24 @@ def _run_leg(payload) -> dict:
     as a checkpoint), and the record, minted in-worker, once the chain
     reached its end state (else None).
 
-    Top-level (picklable) and self-contained.  With ``trace_dir`` the
-    run carries a fresh telemetry bundle and exports its spans before
-    returning, so tracing survives process boundaries; a traced run's
-    end state is not captured — it would carry the live tracer.
+    Top-level (picklable) and self-contained.
     """
-    spec_dict, snap_data, leg_cycles, trace_dir = payload
+    spec_dict, snap_data, leg_cycles = payload
     spec = RunSpec(**spec_dict)
-    telemetry = None
-    if trace_dir:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
     vm = runner.start(
-        spec, telemetry=telemetry,
+        spec,
         resume_from=Snapshot.from_bytes(snap_data) if snap_data else None)
     snaps: List[Snapshot] = []
     result = runner.drive(
         vm, until_cycles=spec.until_cycles, checkpoint_every=leg_cycles,
-        on_checkpoint=None if trace_dir else snaps.append, one_leg=True)
+        on_checkpoint=snaps.append, one_leg=True)
     record = None if result is None \
         else runner.record_from_result(spec, result).to_json()
-    if trace_dir:
-        from repro.telemetry.export import write_chrome_trace
-
-        path = os.path.join(
-            trace_dir, f"{spec.benchmark}-{spec_key(spec)[:10]}.json")
-        write_chrome_trace(path, telemetry.tracer, telemetry.metrics,
-                           dict(spec_dict))
     return {"snapshot": snaps[-1].to_bytes() if snaps else None,
             "record": record}
 
 
 def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
-              trace_dir: Optional[str] = None,
               progress: Optional[ProgressSink] = None,
               batch: Optional[str] = None,
               leg_cycles: Optional[int] = None) -> List[RunRecord]:
@@ -325,19 +313,13 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     ``finished`` (with ``wall_s`` and ``eta_s``); ``cache-hit`` for a
     spec that needed no chain.  ``batch`` tags every emitted event
     with the submitter's batch id so concurrent engine calls sharing
-    one sink stay demuxable.  ``trace_dir`` cannot be combined with
-    ``leg_cycles``: a trace does not span legs.
+    one sink stay demuxable.
     """
-    if leg_cycles is not None:
-        if leg_cycles < 1:
-            raise ValueError(f"leg_cycles must be >= 1, got {leg_cycles}")
-        if trace_dir:
-            raise ValueError("trace_dir cannot be combined with leg_cycles")
+    if leg_cycles is not None and leg_cycles < 1:
+        raise ValueError(f"leg_cycles must be >= 1, got {leg_cycles}")
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     progress = _resolve_progress(progress)
-    if trace_dir:
-        os.makedirs(trace_dir, exist_ok=True)
 
     missing: List[RunSpec] = []
     seen = set()
@@ -365,13 +347,13 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
                                        **fields))
 
         def payload(i: int, snap_data: Optional[bytes]) -> tuple:
-            return (asdict(missing[i]), snap_data, leg_cycles, trace_dir)
+            return (asdict(missing[i]), snap_data, leg_cycles)
 
         def launch(i: int) -> tuple:
             """Start chain ``i``: its first leg's payload."""
             emit("started", i)
             chain_t0[i] = time.monotonic()
-            snap = None if trace_dir else runner.best_snapshot(missing[i])
+            snap = runner.best_snapshot(missing[i])
             return payload(i, snap.to_bytes() if snap is not None else None)
 
         def absorb(i: int, outcome: dict) -> Optional[tuple]:
@@ -426,19 +408,3 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
 
     return [runner.record_for(spec) for spec in specs]
 
-
-def warm(specs: Iterable[RunSpec], jobs: Optional[int] = None,
-         trace_dir: Optional[str] = None,
-         progress: Optional[ProgressSink] = None,
-         batch: Optional[str] = None) -> int:
-    """Precompute records for ``specs``; returns how many were missing.
-
-    After warming, serial harness code (``measure`` loops in the figure
-    drivers) does zero simulation work for these specs.
-    """
-    specs = list(specs)
-    uncached = sum(1 for spec in dict.fromkeys(specs)
-                   if runner.cached_record(spec) is None)
-    run_specs(specs, jobs=jobs, trace_dir=trace_dir, progress=progress,
-              batch=batch)
-    return uncached

@@ -1,5 +1,13 @@
 """One entry point per table and figure of the paper's evaluation.
 
+A figure is its run matrix, written once as a ``*_specs(...)`` function
+over the three configurations the paper compares (:func:`plain`,
+:func:`monitored`, :func:`full`), and a pure function of that matrix's
+records: each driver makes one engine pass over its matrix (parallel
+for what is missing, memo/disk for the rest) and computes its rows from
+the returned records.  :func:`figure_specs` is the concatenation of the
+``*_specs`` functions, so it cannot drift from what the figures run.
+
 Each function returns a plain-data result object that the report module
 formats like the paper's rows/series; the benchmark suite under
 ``benchmarks/`` asserts the *shapes* (who wins, roughly by how much,
@@ -18,11 +26,12 @@ Conventions (section 6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.harness import engine
-from repro.harness.runner import RunSpec, make_vm, measure
+from repro.harness.record import RunRecord
+from repro.harness.runner import RunSpec, make_vm, record_for
 from repro.jit.baseline import compile_baseline
 from repro.jit.maps import MapSizes, method_map_sizes
 from repro.vm.program import Program
@@ -37,57 +46,56 @@ INTERVALS = ("25K", "50K", "100K")
 
 
 # ---------------------------------------------------------------------------
-# Spec enumeration + parallel warm-up
+# The three configurations, and a figure's one engine pass
 # ---------------------------------------------------------------------------
 
-def _expand_repeats(specs: List[RunSpec], repeats: int) -> List[RunSpec]:
-    """Mirror ``measure(spec, repeats)``'s per-seed expansion."""
-    if repeats <= 1:
-        return specs
-    return [spec if r == 0 else replace(spec, seed=spec.seed + r)
-            for spec in specs for r in range(repeats)]
+def plain(benchmark: str, heap_mult: float = 4.0,
+          gc_plan: str = "genms") -> RunSpec:
+    """The baseline VM: no event sampling, no co-allocation."""
+    return RunSpec(benchmark, heap_mult, coalloc=False, monitoring=False,
+                   gc_plan=gc_plan)
 
 
-def _warm(specs: List[RunSpec], jobs: Optional[int],
-          repeats: int = 1) -> None:
-    """Precompute a figure's runs across cores before its serial loop.
+def monitored(benchmark: str, interval: str = "auto") -> RunSpec:
+    """Figure 2's run: sampling on, nothing acting on it, heap = 4x."""
+    return RunSpec(benchmark, coalloc=False, monitoring=True,
+                   interval=interval)
 
-    With everything cached this costs a few dictionary lookups, so the
-    figure drivers call it unconditionally.
+
+def full(benchmark: str, heap_mult: float = 4.0, interval: str = "auto",
+         event: str = "L1D_MISS") -> RunSpec:
+    """The full system: sampling drives co-allocation."""
+    return RunSpec(benchmark, heap_mult, coalloc=True, monitoring=True,
+                   interval=interval, event=event)
+
+
+def run_matrix(specs: List[RunSpec],
+               jobs: Optional[int]) -> Dict[RunSpec, RunRecord]:
+    """One engine pass over a figure's matrix: spec -> record.
+
+    With everything cached this costs a few dictionary lookups.
     """
-    engine.warm(_expand_repeats(specs, repeats), jobs=jobs)
+    return dict(zip(specs, engine.run_specs(specs, jobs=jobs)))
 
 
 def figure_specs(benchmarks: Optional[List[str]] = None,
                  heap_mults: Tuple[float, ...] = HEAP_MULTS,
                  intervals: Tuple[str, ...] = INTERVALS) -> List[RunSpec]:
-    """Every spec-keyed run the table/figure suite performs.
+    """Every spec-keyed run the table/figure suite performs, once each.
 
-    The union over Table 2 and Figures 2-8 (the intervened run of
-    Figure 8 is intrinsically uncacheable and excluded).  Warming these
-    once leaves the entire suite free of simulation work.
+    The union of the matrices of Table 2 and Figures 2-8 (Figures 7 and
+    8 read ``full(db)``, a Figure 4 point; the intervened run of Figure
+    8 is intrinsically uncacheable and excluded).  Running these once
+    leaves the entire suite free of simulation work.
     """
-    specs: List[RunSpec] = []
-    for name in benchmarks or suite.all_names():
-        for mult in heap_mults:
-            specs.append(RunSpec(benchmark=name, heap_mult=mult,
-                                 coalloc=False, monitoring=False))
-            specs.append(RunSpec(benchmark=name, heap_mult=mult,
-                                 coalloc=True, monitoring=True))
-        for interval in intervals + ("auto",):
-            specs.append(RunSpec(benchmark=name, heap_mult=4.0,
-                                 coalloc=False, monitoring=True,
-                                 interval=interval))
-        for interval in intervals:
-            specs.append(RunSpec(benchmark=name, heap_mult=4.0,
-                                 coalloc=True, monitoring=True,
-                                 interval=interval))
-    if "db" in (benchmarks or suite.all_names()):
-        for mult in heap_mults:
-            specs.append(RunSpec(benchmark="db", heap_mult=mult,
-                                 coalloc=False, monitoring=False,
-                                 gc_plan="gencopy"))
-    return specs
+    names = benchmarks or suite.all_names()
+    specs = (fig5_specs(names, heap_mults)
+             + fig2_specs(names, intervals + ("auto",))
+             + fig3_specs(names, intervals)
+             + fig4_specs(names) + table2_specs(names))
+    if "db" in names:
+        specs += fig6_specs("db", heap_mults)
+    return list(dict.fromkeys(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +174,18 @@ def boot_image_growth() -> float:
     return sizes.mc_maps / base
 
 
+def table2_specs(names: List[str]) -> List[RunSpec]:
+    return [plain(name) for name in names]
+
+
 def table2(benchmarks: Optional[List[str]] = None,
            jobs: Optional[int] = None) -> List[Table2Row]:
     """Machine code / GC map / MC map sizes per benchmark + boot image."""
     names = benchmarks or suite.all_names()
-    specs = [RunSpec(benchmark=name, heap_mult=4.0, coalloc=False,
-                     monitoring=False) for name in names]
-    _warm(specs, jobs)
-    rows = []
-    for name, spec in zip(names, specs):
-        result = measure(spec).result
-        kb = MapSizes(*result.map_sizes).kb()
-        rows.append(Table2Row(name, kb[0], kb[1], kb[2]))
-    boot = _boot_corpus_sizes().kb()
-    rows.append(Table2Row("boot image", boot[0], boot[1], boot[2]))
+    records = run_matrix(table2_specs(names), jobs)
+    rows = [Table2Row(name, *MapSizes(*records[plain(name)].map_sizes).kb())
+            for name in names]
+    rows.append(Table2Row("boot image", *_boot_corpus_sizes().kb()))
     return rows
 
 
@@ -194,31 +200,24 @@ class OverheadRow:
     overhead: Dict[str, float]
 
 
+def fig2_specs(names: List[str],
+               intervals: Tuple[str, ...]) -> List[RunSpec]:
+    return [spec for name in names
+            for spec in [plain(name)] + [monitored(name, interval)
+                                         for interval in intervals]]
+
+
 def fig2_sampling_overhead(benchmarks: Optional[List[str]] = None,
                            intervals: Tuple[str, ...] = INTERVALS + ("auto",),
-                           repeats: int = 1,
                            jobs: Optional[int] = None) -> List[OverheadRow]:
     """Execution-time overhead of event sampling (no co-allocation),
     relative to the no-monitoring baseline, at heap = 4x min."""
     names = benchmarks or suite.all_names()
-    _warm([RunSpec(benchmark=name, heap_mult=4.0, coalloc=False,
-                   monitoring=mon, interval=interval)
-           for name in names
-           for mon, interval in ([(False, "auto")]
-                                 + [(True, i) for i in intervals])],
-          jobs, repeats)
-    rows = []
-    for name in names:
-        base = measure(RunSpec(benchmark=name, heap_mult=4.0, coalloc=False,
-                               monitoring=False), repeats)
-        overheads = {}
-        for interval in intervals:
-            mon = measure(RunSpec(benchmark=name, heap_mult=4.0,
-                                  coalloc=False, monitoring=True,
-                                  interval=interval), repeats)
-            overheads[interval] = mon.cycles_mean / base.cycles_mean - 1.0
-        rows.append(OverheadRow(name, overheads))
-    return rows
+    records = run_matrix(fig2_specs(names, intervals), jobs)
+    return [OverheadRow(name, {
+        interval: (records[monitored(name, interval)].cycles
+                   / records[plain(name)].cycles - 1.0)
+        for interval in intervals}) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +231,21 @@ class CoallocRow:
     counts: Dict[str, int]
 
 
+def fig3_specs(names: List[str],
+               intervals: Tuple[str, ...]) -> List[RunSpec]:
+    return [full(name, interval=interval)
+            for name in names for interval in intervals]
+
+
 def fig3_coalloc_counts(benchmarks: Optional[List[str]] = None,
                         intervals: Tuple[str, ...] = INTERVALS,
                         jobs: Optional[int] = None) -> List[CoallocRow]:
     """Co-allocated objects at different sampling intervals, heap = 4x."""
     names = benchmarks or suite.all_names()
-    _warm([RunSpec(benchmark=name, heap_mult=4.0, coalloc=True,
-                   monitoring=True, interval=interval)
-           for name in names for interval in intervals], jobs)
-    rows = []
-    for name in names:
-        counts = {}
-        for interval in intervals:
-            m = measure(RunSpec(benchmark=name, heap_mult=4.0, coalloc=True,
-                                monitoring=True, interval=interval))
-            counts[interval] = m.coallocated
-        rows.append(CoallocRow(name, counts))
-    return rows
+    records = run_matrix(fig3_specs(names, intervals), jobs)
+    return [CoallocRow(name, {
+        interval: records[full(name, interval=interval)].coallocated
+        for interval in intervals}) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +266,18 @@ class MissReductionRow:
         return 1.0 - self.coalloc_misses / self.baseline_misses
 
 
+def fig4_specs(names: List[str]) -> List[RunSpec]:
+    return [config(name) for name in names for config in (plain, full)]
+
+
 def fig4_l1_reduction(benchmarks: Optional[List[str]] = None,
                       jobs: Optional[int] = None) -> List[MissReductionRow]:
     """L1 miss reduction with co-allocation on, heap = 4x min."""
     names = benchmarks or suite.all_names()
-    _warm([RunSpec(benchmark=name, heap_mult=4.0, coalloc=co,
-                   monitoring=co)
-           for name in names for co in (False, True)], jobs)
-    rows = []
-    for name in names:
-        base = measure(RunSpec(benchmark=name, heap_mult=4.0, coalloc=False,
-                               monitoring=False))
-        co = measure(RunSpec(benchmark=name, heap_mult=4.0, coalloc=True,
-                             monitoring=True))
-        rows.append(MissReductionRow(name, base.l1_misses, co.l1_misses))
-    return rows
+    records = run_matrix(fig4_specs(names), jobs)
+    return [MissReductionRow(name, records[plain(name)].l1_misses,
+                             records[full(name)].l1_misses)
+            for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +291,23 @@ class ExecTimeRow:
     normalized: Dict[float, float]
 
 
+def fig5_specs(names: List[str],
+               heap_mults: Tuple[float, ...]) -> List[RunSpec]:
+    return [config(name, mult) for name in names for mult in heap_mults
+            for config in (plain, full)]
+
+
 def fig5_exec_time(benchmarks: Optional[List[str]] = None,
                    heap_mults: Tuple[float, ...] = HEAP_MULTS,
-                   repeats: int = 1,
                    jobs: Optional[int] = None) -> List[ExecTimeRow]:
     """Execution time of the full system relative to the plain VM,
     heap sizes 1x..4x, auto-selected sampling interval."""
     names = benchmarks or suite.all_names()
-    _warm([RunSpec(benchmark=name, heap_mult=mult, coalloc=co,
-                   monitoring=co)
-           for name in names for mult in heap_mults
-           for co in (False, True)], jobs, repeats)
-    rows = []
-    for name in names:
-        normalized = {}
-        for mult in heap_mults:
-            base = measure(RunSpec(benchmark=name, heap_mult=mult,
-                                   coalloc=False, monitoring=False), repeats)
-            co = measure(RunSpec(benchmark=name, heap_mult=mult, coalloc=True,
-                                 monitoring=True), repeats)
-            normalized[mult] = co.cycles_mean / base.cycles_mean
-        rows.append(ExecTimeRow(name, normalized))
-    return rows
+    records = run_matrix(fig5_specs(names, heap_mults), jobs)
+    return [ExecTimeRow(name, {
+        mult: (records[full(name, mult)].cycles
+               / records[plain(name, mult)].cycles)
+        for mult in heap_mults}) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -336,30 +325,27 @@ class GCPlanComparison:
         return self.cycles[mult][config] / self.cycles[mult]["genms"]
 
 
+def _fig6_configs(benchmark: str, mult: float) -> Dict[str, RunSpec]:
+    return {"genms": plain(benchmark, mult),
+            "genms+coalloc": full(benchmark, mult),
+            "gencopy": plain(benchmark, mult, gc_plan="gencopy")}
+
+
+def fig6_specs(benchmark: str,
+               heap_mults: Tuple[float, ...]) -> List[RunSpec]:
+    return [spec for mult in heap_mults
+            for spec in _fig6_configs(benchmark, mult).values()]
+
+
 def fig6_gencopy_vs_genms(benchmark: str = "db",
                           heap_mults: Tuple[float, ...] = HEAP_MULTS,
                           jobs: Optional[int] = None) -> GCPlanComparison:
     """db under GenMS, GenMS+co-allocation, and GenCopy (section 6.3)."""
-    _warm([RunSpec(benchmark=benchmark, heap_mult=mult, coalloc=co,
-                   monitoring=co, gc_plan=plan)
-           for mult in heap_mults
-           for co, plan in ((False, "genms"), (True, "genms"),
-                            (False, "gencopy"))], jobs)
-    cycles: Dict[float, Dict[str, int]] = {}
-    for mult in heap_mults:
-        genms = measure(RunSpec(benchmark=benchmark, heap_mult=mult,
-                                coalloc=False, monitoring=False))
-        coalloc = measure(RunSpec(benchmark=benchmark, heap_mult=mult,
-                                  coalloc=True, monitoring=True))
-        gencopy = measure(RunSpec(benchmark=benchmark, heap_mult=mult,
-                                  coalloc=False, monitoring=False,
-                                  gc_plan="gencopy"))
-        cycles[mult] = {
-            "genms": int(genms.cycles_mean),
-            "genms+coalloc": int(coalloc.cycles_mean),
-            "gencopy": int(gencopy.cycles_mean),
-        }
-    return GCPlanComparison(benchmark, cycles)
+    records = run_matrix(fig6_specs(benchmark, heap_mults), jobs)
+    return GCPlanComparison(benchmark, {
+        mult: {config: records[spec].cycles
+               for config, spec in _fig6_configs(benchmark, mult).items()}
+        for mult in heap_mults})
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +366,7 @@ class TimelineResult:
 def fig7_db_timeline(benchmark: str = "db") -> TimelineResult:
     """Cumulative (7a) and per-period (7b) misses attributed to
     ``String::value`` while co-allocation is active."""
-    result = measure(RunSpec(benchmark=benchmark, heap_mult=4.0,
-                             coalloc=True, monitoring=True)).result
+    result = record_for(full(benchmark))
     name = suite.build(benchmark).program.string_class.field(
         "value").qualified_name
     per_period = result.series(name)
@@ -391,7 +376,7 @@ def fig7_db_timeline(benchmark: str = "db") -> TimelineResult:
         per_period=per_period,
         cumulative=result.cumulative_series(name),
         moving_average=result.moving_average([n for _, n in per_period]),
-        coallocated=result.gc_stats.coallocated_objects,
+        coallocated=result.coallocated,
     )
 
 
@@ -425,14 +410,10 @@ def fig8_revert(benchmark: str = "db",
     recorded; ``repro explain --fig8`` reads it back.
     """
     # Expected run length from the normal co-allocation run.
-    normal = measure(RunSpec(benchmark=benchmark, heap_mult=4.0,
-                             coalloc=True, monitoring=True)).result
-    intervene_at = int(normal.cycles * intervene_fraction)
+    spec = full(benchmark)
+    intervene_at = int(record_for(spec).cycles * intervene_fraction)
 
-    vm, workload = make_vm(benchmark, RunSpec(benchmark=benchmark,
-                                              heap_mult=4.0, coalloc=True,
-                                              monitoring=True),
-                           lineage=lineage)
+    vm, workload = make_vm(benchmark, spec, lineage=lineage)
     fld = vm.program.string_class.field("value")
     state = {"gap_period": -1}
 

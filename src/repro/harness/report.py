@@ -8,7 +8,7 @@ harness can be compared against the published numbers side by side
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.harness import experiments as ex
 
@@ -129,3 +129,38 @@ def format_fig8(result: ex.RevertResult) -> str:
             marker = "  <- reverted"
         out.append(f"{i:>6d} {n:>8d} {result.moving_average[i]:>8.1f}{marker}")
     return "\n".join(out)
+
+
+class Figure(NamedTuple):
+    """One table/figure: what computes it and what prints it."""
+
+    compute: Callable
+    format: Callable
+    #: Takes a benchmark subset (the CLI's ``--benchmarks``) first.
+    benchmarks: bool = False
+    #: Takes ``jobs=`` (its matrix is more than one run).
+    jobs: bool = False
+
+    def text(self, benchmarks: Optional[List[str]] = None,
+             jobs: Optional[int] = None) -> str:
+        args = (benchmarks,) if self.benchmarks else ()
+        kwargs = {"jobs": jobs} if self.jobs else {}
+        return self.format(self.compute(*args, **kwargs))
+
+
+#: Every table and figure of the paper's evaluation, by CLI name.
+FIGURES = {
+    "table1": Figure(ex.table1, format_table1),
+    "table2": Figure(ex.table2, format_table2, benchmarks=True, jobs=True),
+    "fig2": Figure(ex.fig2_sampling_overhead, format_fig2,
+                   benchmarks=True, jobs=True),
+    "fig3": Figure(ex.fig3_coalloc_counts, format_fig3,
+                   benchmarks=True, jobs=True),
+    "fig4": Figure(ex.fig4_l1_reduction, format_fig4,
+                   benchmarks=True, jobs=True),
+    "fig5": Figure(ex.fig5_exec_time, format_fig5,
+                   benchmarks=True, jobs=True),
+    "fig6": Figure(ex.fig6_gencopy_vs_genms, format_fig6, jobs=True),
+    "fig7": Figure(ex.fig7_db_timeline, format_fig7),
+    "fig8": Figure(ex.fig8_revert, format_fig8),
+}

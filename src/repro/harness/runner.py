@@ -3,8 +3,8 @@
 The experiment figures share many configurations (Figure 4's large-heap
 runs are Figure 5's 4x points, ...), so results are cached in layers:
 
-1. an in-process memo of :class:`Measurement` aggregates and per-seed
-   :class:`~repro.harness.record.RunRecord` results,
+1. an in-process memo of :class:`~repro.harness.record.RunRecord`
+   results and resumable snapshots, keyed by spec,
 2. a persistent on-disk cache (:mod:`repro.harness.diskcache`) keyed by
    the spec plus a code-version hash, so re-running any figure across
    processes or CI runs is near-instant,
@@ -12,21 +12,20 @@ runs are Figure 5's 4x points, ...), so results are cached in layers:
    guest programs carry mutable static state, so each run builds a new
    program.
 
-``measure`` traffics in portable :class:`RunRecord` results (no live VM
-reference), which is what lets the parallel scheduler in
+:func:`record_for` traffics in portable :class:`RunRecord` results (no
+live VM reference), which is what lets the parallel scheduler in
 :mod:`repro.harness.engine` compute them in worker processes and the
 disk cache replay them without any simulation work.
 
 The paper reports timing as averages over 3 executions; the simulator
-is deterministic for a fixed seed, so repetition happens over seeds and
-the reported deviation is across-seed.
+is deterministic for a fixed seed, so one run per spec is the number,
+and a different ``seed`` is a different spec with its own cache entry.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import GCConfig, SystemConfig, scaled_interval
 from repro.harness import diskcache
@@ -68,8 +67,8 @@ class RunSpec:
 
     def base(self) -> "RunSpec":
         """The spec with the cycle bound stripped — the snapshot key."""
-        return replace(self, until_cycles=None) if self.until_cycles \
-            else self
+        return replace(self, until_cycles=None) \
+            if self.until_cycles is not None else self
 
     def system_config(self, min_heap_bytes: int) -> SystemConfig:
         sampling = (None if self.interval == "auto"
@@ -85,31 +84,6 @@ class RunSpec:
         )
 
 
-@dataclass
-class Measurement:
-    """Aggregate over the repetition seeds of one spec."""
-
-    spec: RunSpec
-    cycles_mean: float
-    cycles_std: float
-    results: List[RunRecord] = field(repr=False, default_factory=list)
-
-    @property
-    def result(self) -> RunRecord:
-        """The first repetition (used for counters and GC statistics —
-        identical across seeds except for sampling jitter)."""
-        return self.results[0]
-
-    @property
-    def l1_misses(self) -> int:
-        return self.result.counters["L1D_MISS"]
-
-    @property
-    def coallocated(self) -> int:
-        return self.result.gc_stats.coallocated_objects
-
-
-_CACHE: Dict[RunSpec, Measurement] = {}
 _RECORDS: Dict[RunSpec, RunRecord] = {}
 #: In-process checkpoint memo: base spec -> {cycle: Snapshot}.
 _SNAPSHOTS: Dict[RunSpec, Dict[int, Snapshot]] = {}
@@ -162,7 +136,7 @@ def execute(spec: RunSpec, telemetry=None, fastpath=None,
 
     ``telemetry``, ``lineage``, ``health``, and ``fastpath`` ride on
     the :class:`SystemConfig`, never on the frozen spec, so they cannot
-    pollute the memoization key used by :func:`measure` (nor the
+    pollute the memoization key used by :func:`record_for` (nor the
     disk-cache key): telemetry, the lineage ledger, and the health
     monitor are pure observers, and the interpreters are bit-identical,
     so a record computed under any knob setting is valid for all of
@@ -317,31 +291,8 @@ def record_for(spec: RunSpec) -> RunRecord:
     return record
 
 
-def measure(spec: RunSpec, repeats: int = 1) -> Measurement:
-    """Run (cached) with ``repeats`` seeds; aggregate cycle counts.
-
-    Each repetition seed is cached independently, so raising ``repeats``
-    only computes the seeds not already measured.
-    """
-    cached = _CACHE.get(spec)
-    if cached is not None and len(cached.results) >= repeats:
-        return cached
-    records = [record_for(replace(spec, seed=spec.seed + r))
-               for r in range(repeats)]
-    cycles = [r.cycles for r in records]
-    measurement = Measurement(
-        spec=spec,
-        cycles_mean=statistics.fmean(cycles),
-        cycles_std=statistics.pstdev(cycles) if len(cycles) > 1 else 0.0,
-        results=records,
-    )
-    _CACHE[spec] = measurement
-    return measurement
-
-
 def clear_cache(disk: bool = False) -> None:
     """Drop the in-process memo; with ``disk=True`` also the disk layer."""
-    _CACHE.clear()
     _RECORDS.clear()
     _SNAPSHOTS.clear()
     if disk:

@@ -1,12 +1,12 @@
 """Shared pytest fixtures.
 
-The harness runner memoizes :class:`~repro.harness.runner.Measurement`
-objects in a process-wide ``_CACHE``.  Tests within one module may rely
-on that reuse (``test_experiments_plumbing`` deliberately warms the
-cache once per module), but results must never leak *across* modules —
-a module that tweaks global state before running a spec would otherwise
-poison later modules' measurements.  The module-scoped autouse fixture
-clears the cache at each module boundary.
+The harness runner memoizes records and snapshots process-wide, keyed
+by spec.  Tests within one module may rely on that reuse
+(``test_experiments_plumbing`` deliberately warms the memo once per
+module), but results must never leak *across* modules — a module that
+tweaks global state before running a spec would otherwise poison later
+modules' records.  The module-scoped autouse fixture clears the memo at
+each module boundary.
 
 The persistent disk cache is disabled for the whole unit-test session:
 these tests mutate simulator globals mid-run, and results produced under

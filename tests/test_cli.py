@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import _benchmark_list, main
+from repro.harness import report
 
 
 class TestArgumentHandling:
@@ -53,6 +54,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 4" in out
         assert "fop" in out
+
+    @pytest.mark.parametrize("name", [
+        name for name, figure in report.FIGURES.items() if figure.benchmarks])
+    def test_figure_command_prints_the_registry_text(self, name, capsys):
+        main([name, "--benchmarks", "fop", "--jobs", "1"])
+        assert capsys.readouterr().out == \
+            report.FIGURES[name].text(["fop"]) + "\n"
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_repro_jobs_is_one_line(self, value, monkeypatch):
+        """``REPRO_JOBS`` is outside input like ``--jobs``: refused in
+        one line naming the variable and the value, never a traceback."""
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "--benchmarks", "fop"])
+        assert "REPRO_JOBS" in str(exc.value)
+        assert repr(value) in str(exc.value)
 
 
 class TestObservability:

@@ -9,13 +9,14 @@ warmed cache must leave the harness doing zero simulation work.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.harness import engine, runner
 from repro.harness.diskcache import DiskCache, code_version, spec_key
 from repro.harness.record import RunRecord, SCHEMA_VERSION
-from repro.harness.runner import RunSpec, measure
+from repro.harness.runner import RunSpec
 
 
 CHEAP = RunSpec(benchmark="fop", heap_mult=1.0, coalloc=False,
@@ -100,6 +101,21 @@ class TestDiskCache:
         assert disk.get(CHEAP) == record, "old version's entry intact"
         assert other.stats()["stale_entries"] >= 1
 
+    def test_failed_put_leaves_no_tmp_file(self, disk, tmp_path,
+                                           monkeypatch):
+        """``stats``/``prune`` skip ``*.tmp.*`` names, so a tmp file a
+        failed write left behind would stay forever."""
+        record = runner.record_for(CHEAP2)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            disk.put(CHEAP, record)
+        names = os.listdir(tmp_path / "v-test")
+        assert not [n for n in names if ".tmp." in n], names
+
     def test_corrupt_entry_recomputed_not_trusted(self, disk, tmp_path):
         runner.record_for(CHEAP)
         runner.clear_cache()
@@ -179,14 +195,12 @@ class TestEngine:
                                                records[0].cycles]
 
     def test_warm_then_measure_is_pure_cache(self, disk):
-        missing = engine.warm([CHEAP, CHEAP2], jobs=1)
-        assert missing == 2
         before = sim_runs()
-        m1 = measure(CHEAP)
-        m2 = measure(CHEAP2)
-        assert sim_runs() == before, "warmed measure() does no simulation"
-        assert m1.cycles_mean > 0 and m2.cycles_mean > 0
-        assert engine.warm([CHEAP, CHEAP2], jobs=1) == 0
+        warmed = engine.run_specs([CHEAP, CHEAP2], jobs=1)
+        assert sim_runs() == before + 2
+        assert [runner.record_for(CHEAP), runner.record_for(CHEAP2)] == warmed
+        assert engine.run_specs([CHEAP, CHEAP2], jobs=1) == warmed
+        assert sim_runs() == before + 2, "a warmed spec is never re-simulated"
 
     def test_parallel_results_cached_to_disk(self, disk):
         engine.run_specs([CHEAP, CHEAP2], jobs=2)
@@ -206,22 +220,20 @@ class TestEngine:
         engine.run_specs([CHEAP], jobs=jobs)
         assert sim_runs() == before
 
-    def test_trace_dir_with_leg_cycles_rejected(self, disk, tmp_path):
-        with pytest.raises(ValueError, match="trace_dir"):
-            engine.run_specs([CHEAP], jobs=1, leg_cycles=200_000,
-                             trace_dir=str(tmp_path / "traces"))
+    def test_nonpositive_leg_cycles_rejected(self, disk):
         with pytest.raises(ValueError, match="leg_cycles"):
             engine.run_specs([CHEAP], jobs=1, leg_cycles=0)
 
-    def test_measure_repeats_reuse_cached_seeds(self, disk):
+    def test_seeds_are_independent_cache_entries(self, disk):
+        reseeded = replace(CHEAP, seed=CHEAP.seed + 1)
         before = sim_runs()
-        measure(CHEAP, repeats=2)
+        runner.record_for(CHEAP)
+        runner.record_for(reseeded)
+        assert sim_runs() == before + 2, "one seed never serves another"
+        assert disk.stats()["entries"] == 2
+        runner.record_for(CHEAP)
+        runner.record_for(reseeded)
         assert sim_runs() == before + 2
-        m = measure(CHEAP, repeats=3)
-        assert sim_runs() == before + 3, "only the new seed is simulated"
-        assert len(m.results) == 3
-        cycles = {r.cycles for r in m.results}
-        assert len(cycles) >= 1  # seeds may or may not perturb cycles
 
 
 # ---------------------------------------------------------------------------

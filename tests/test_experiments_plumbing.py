@@ -10,9 +10,10 @@ import os
 
 import pytest
 
+from repro.harness import engine, runner
 from repro.harness import experiments as ex
 from repro.harness import report
-from repro.harness.runner import RunSpec, clear_cache, measure
+from repro.harness.runner import clear_cache, record_for
 
 SMALL = ["fop"]
 
@@ -50,16 +51,36 @@ def test_figure_text_matches_golden():
         assert figures_text() == fh.read()
 
 
+class TestFigureSpecs:
+    def test_figures_simulate_nothing_beyond_figure_specs(self):
+        """``figure_specs`` is the union of what the figures run: after
+        one pass over it, no figure has anything left to simulate."""
+        engine.run_specs(ex.figure_specs(SMALL), jobs=1)
+        before = runner.SIM_RUNS
+        for figure in report.FIGURES.values():
+            if figure.benchmarks:
+                figure.text(SMALL, jobs=1)
+        assert runner.SIM_RUNS == before
+
+    def test_single_benchmark_order_is_perfbench_matrix(self):
+        """perfbench/ indexes this matrix by position."""
+        assert ex.figure_specs(["antlr"], (4.0,), ("25K",)) == [
+            ex.plain("antlr"), ex.full("antlr"),
+            ex.monitored("antlr", "25K"), ex.monitored("antlr", "auto"),
+            ex.full("antlr", interval="25K")]
+
+    def test_matrix_sizes(self):
+        assert len(ex.figure_specs()) == 277
+        assert len(ex.figure_specs(["fop", "compress"], (1.0, 4.0))) == 22
+
+
 class TestFig2Plumbing:
     def test_overhead_relative_to_no_monitoring(self):
         rows = ex.fig2_sampling_overhead(SMALL, intervals=("auto",))
         (row,) = rows
-        base = measure(RunSpec(benchmark="fop", heap_mult=4.0,
-                               coalloc=False, monitoring=False))
-        mon = measure(RunSpec(benchmark="fop", heap_mult=4.0,
-                              coalloc=False, monitoring=True,
-                              interval="auto"))
-        expected = mon.cycles_mean / base.cycles_mean - 1.0
+        base = record_for(ex.plain("fop"))
+        mon = record_for(ex.monitored("fop", "auto"))
+        expected = mon.cycles / base.cycles - 1.0
         assert row.overhead["auto"] == pytest.approx(expected)
 
     def test_requested_intervals_only(self):
@@ -70,19 +91,15 @@ class TestFig2Plumbing:
 class TestFig4Fig5Plumbing:
     def test_fig4_counts_match_measurements(self):
         (row,) = ex.fig4_l1_reduction(SMALL)
-        base = measure(RunSpec(benchmark="fop", heap_mult=4.0,
-                               coalloc=False, monitoring=False))
+        base = record_for(ex.plain("fop"))
         assert row.baseline_misses == base.l1_misses
         assert 0 <= abs(row.reduction) <= 1
 
     def test_fig5_normalization(self):
         (row,) = ex.fig5_exec_time(SMALL, heap_mults=(4.0,))
-        base = measure(RunSpec(benchmark="fop", heap_mult=4.0,
-                               coalloc=False, monitoring=False))
-        co = measure(RunSpec(benchmark="fop", heap_mult=4.0,
-                             coalloc=True, monitoring=True))
-        assert row.normalized[4.0] == pytest.approx(
-            co.cycles_mean / base.cycles_mean)
+        base = record_for(ex.plain("fop"))
+        co = record_for(ex.full("fop"))
+        assert row.normalized[4.0] == pytest.approx(co.cycles / base.cycles)
 
 
 class TestFig6Plumbing:
@@ -108,8 +125,6 @@ class TestTimelinePlumbing:
 
 
 if __name__ == "__main__":
-    from repro.harness import runner
-
     runner.set_disk_cache(None)
     with open(FIGURES_PATH, "w") as fh:
         fh.write(figures_text())

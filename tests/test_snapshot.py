@@ -12,6 +12,7 @@ single bit.
 """
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -308,18 +309,21 @@ class TestIncremental:
 
 
 # ---------------------------------------------------------------------------
-# measure(repeats): every repetition is its seed's own unbroken run
+# Reseeding: every seed's cached/resumed record is its own unbroken run
 # ---------------------------------------------------------------------------
 
 class TestReseed:
-    def test_measure_repeats_are_bit_exact_per_seed(self, disk):
-        m = runner.measure(FOP, repeats=2)
-        assert len(m.results) == 2
+    def test_each_seed_is_bit_exact(self, disk):
+        seeds = [replace(FOP, seed=FOP.seed + r) for r in range(2)]
+        for spec in seeds:      # leave each seed a checkpoint to resume
+            runner.record_for(replace(spec, until_cycles=400_000))
+        resumed = [runner.record_for(spec) for spec in seeds]
+        assert disk.snapshot_hits >= 2
         runner.set_disk_cache(None)
         runner.clear_cache()
-        for r, record in enumerate(m.results):
-            fresh = runner.record_for(replace(FOP, seed=FOP.seed + r))
-            assert record == fresh, f"repetition {r} diverged"
+        for spec, record in zip(seeds, resumed):
+            assert record == runner.record_for(spec), \
+                f"seed {spec.seed} diverged"
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +358,29 @@ class TestDiskCacheSnapshots:
         assert stats["snapshots"]["bytes"] > 0
         assert stats["entries"] == (stats["records"]["entries"]
                                     + stats["snapshots"]["entries"])
+
+    def test_zero_bound_shares_the_checkpoint_family(self):
+        """``until_cycles=0`` is a bound like any other: its checkpoint
+        is filed under the same base spec every other bound looks up."""
+        zero = replace(FOP, until_cycles=0)
+        assert zero.base() == FOP
+        assert zero.base() == replace(FOP, until_cycles=500_000).base()
+        assert FOP.base() is FOP
+
+    def test_failed_put_snapshot_leaves_no_tmp_file(self, disk, tmp_path,
+                                                    monkeypatch):
+        snaps = []
+        execute(replace(FOP, until_cycles=200_000),
+                on_checkpoint=snaps.append)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            disk.put_snapshot(FOP, snaps[-1])
+        assert not [name for _dir, _sub, names in os.walk(tmp_path)
+                    for name in names if ".tmp." in name]
 
     def test_corrupt_snapshot_is_a_miss_not_a_crash(self, disk, tmp_path):
         short = replace(COMPRESS, until_cycles=500_000)

@@ -4,7 +4,8 @@ import pytest
 
 from tests.helpers import BASELINE_ONLY, int_main, run_main
 from repro.core.config import GCConfig, SystemConfig, scaled_interval
-from repro.harness.runner import INTERVAL_NAMES, RunSpec, clear_cache, measure
+from repro.harness.runner import (INTERVAL_NAMES, RunSpec, clear_cache,
+                                  record_for)
 from repro.vm.program import Program
 from repro.workloads import suite
 from repro.workloads.synth import Fn, define_string_factory, local_ref
@@ -177,9 +178,7 @@ class TestHarness:
     def test_measure_memoizes(self):
         clear_cache()
         spec = RunSpec(benchmark="fop", heap_mult=2.0)
-        first = measure(spec)
-        second = measure(spec)
-        assert first is second
+        assert record_for(spec) is record_for(spec)
         clear_cache()
 
     def test_interval_names_cover_paper(self):
