@@ -52,21 +52,19 @@ class Cache:
     def access_line(self, line: int) -> bool:
         """Touch ``line``; return True on hit, False on miss (line filled)."""
         ways = self._sets[line & self.set_mask]
-        # Single scan: index() both probes and locates the LRU position,
-        # where ``in`` + ``remove`` would walk the set twice.
-        try:
-            idx = ways.index(line)
-        except ValueError:
-            self.misses += 1
-            ways.insert(0, line)
-            if len(ways) > self.ways:
-                ways.pop()
-            return False
-        if idx:
-            del ways[idx]
-            ways.insert(0, line)
-        self.hits += 1
-        return True
+        # A membership test, not ``index()`` in a ``try``: a miss then
+        # costs no raised and caught exception, and an MRU hit one scan.
+        if line in ways:
+            if ways[0] != line:
+                ways.remove(line)
+                ways.insert(0, line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        ways.insert(0, line)
+        if len(ways) > self.ways:
+            ways.pop()
+        return False
 
     def access(self, addr: int) -> bool:
         """Touch the line containing byte address ``addr``."""

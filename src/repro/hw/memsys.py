@@ -9,8 +9,13 @@ sampling *precise* in the sense of section 3.1).
 This is the hottest path of the whole simulator, so it is written for
 speed: event counts are plain integer attributes folded into the
 :class:`EventCounters` bank on :meth:`sync_counters`, the L1 probe is
-inlined against the cache's set lists, and a last-page shortcut skips
-the TLB LRU bookkeeping for consecutive same-page accesses.
+inlined against the cache's set lists, a last-page shortcut skips the
+TLB LRU bookkeeping for consecutive same-page accesses, and a last-line
+shortcut skips everything for an access to the line touched just before
+(it is L1's MRU line, on the current page).  Level 2 of the CPU defers
+its accesses and replays them in order through
+:meth:`MemorySystem.access_run_segments` (the *drain*), which also
+probes L2 inline and adds the L1 latency per batch.
 Equivalences used by the fold: every data access translates exactly one
 address and probes L1 exactly once, so ``DTLB_ACCESS == L1D_ACCESS ==
 LOADS + STORES``.
@@ -55,8 +60,14 @@ class MemorySystem:
         self._l1_mask = self.l1.set_mask
         self._l1_ways = self.l1.ways
         self._l2_shift = self.l2.line_shift
+        self._l2_sets = self.l2._sets
+        self._l2_mask = self.l2.set_mask
+        self._l2_ways = self.l2.ways
         self._page_shift = self.tlb.page_shift
+        if self._l1_shift > self._page_shift:
+            raise ValueError("an L1 line must fit in a page")
         self._last_page = -1
+        self._last_line = -1
         self._l1_hit_latency = config.l1.hit_latency
         self._l2_hit_latency = config.l2.hit_latency
         self._memory_latency = config.memory_latency
@@ -117,6 +128,12 @@ class MemorySystem:
             self.n_stores += 1
         else:
             self.n_loads += 1
+        # The line touched just before is L1's MRU line on the current
+        # page: touching it again is a hit that changes no state.
+        line = addr >> self._l1_shift
+        if line == self._last_line:
+            return self._l1_hit_latency
+        self._last_line = line
         latency = 0
 
         # Address translation (same-page shortcut skips LRU bookkeeping;
@@ -136,7 +153,6 @@ class MemorySystem:
 
         # L1 data cache (inlined probe, MRU-first; a hit at LRU position
         # 1 — two streams aliasing to one set — swaps in place).
-        line = addr >> self._l1_shift
         ways = self._l1_sets[line & self._l1_mask]
         if ways:
             if ways[0] == line:
@@ -183,15 +199,13 @@ class MemorySystem:
         """Perform a run of deferred-access segments in one call.
 
         Each segment is an ``(addrs, writes, eips, start)`` quadruple:
-        ``addrs`` is one superblock's address batch in program order,
-        and ``writes[start + j]`` / ``eips[start + j]`` carry the
+        ``addrs`` is one batch of addresses in program order, and
+        ``writes[start + j]`` / ``eips[start + j]`` carry the
         translate-time constant is-write flag and EIP of its ``j``-th
-        access (a block may queue its accesses in several segments —
-        a write barrier splits one — so ``start`` re-anchors the batch
-        into the block's full metadata tuples).  Consecutive superblocks
-        executed since the last drain contribute one segment each, so
-        the whole scheduler quantum's accesses are usually simulated
-        here in a single call.  Returns the summed latency.
+        access.  A superblock queues one segment per execution, a region
+        one per *entry* (its tuples are the ring's, repeated to cover
+        the most one entry runs); a write barrier splits a batch, and
+        ``start`` re-anchors each piece.  Returns the summed latency.
 
         The run is an ordered log: between access segments it may carry
         *clock entries* ``(None, land, cycles, n)`` — a charge or a
@@ -205,14 +219,18 @@ class MemorySystem:
         Per-access semantics are exactly :meth:`access` — same probe
         order, same counter totals at every flush point, same
         PEBS/observer hook firing points with the same EIPs — so
-        counters, cache/TLB state, and samples are bit-identical to
-        issuing the accesses one at a time.  The batch additionally
-        exploits what a single ``access`` call cannot: geometry, hook
-        state, and the TLB's LRU dict are hoisted into locals once per
-        drain, the raw event tallies accumulate in locals and fold at
-        the end, and the EIP is only ever *read* on miss paths.  All of
-        that is invisible mid-batch because nothing a PEBS/observer
-        hook can reach reads the tallies or re-arms the hooks, and
+        counters, cache/TLB state and statistics, and samples are
+        bit-identical to issuing the accesses one at a time.  The batch
+        additionally hoists geometry, hook state, the TLB's LRU dict and
+        L2's set lists into locals once per drain, accumulates the raw
+        event tallies (and the TLB's and L2's statistics) in locals, and
+        reads the EIP only on miss paths.  Three shortcuts: an access to
+        the line touched just before is an L1 MRU hit on the same page
+        that changes no state (``_last_line``); the L1 latency every
+        access pays is added as a count at each clock entry and at the
+        end; and L2 is probed inline.  All of that is invisible
+        mid-batch because nothing a PEBS/observer hook can reach reads
+        the tallies or the latency so far, or re-arms the hooks, and
         cache pollution only happens at GC points, which drain the
         pending segments first.
         """
@@ -222,17 +240,20 @@ class MemorySystem:
         l1_mask = self._l1_mask
         l1_ways = self._l1_ways
         l2_shift = self._l2_shift
+        l2_sets = self._l2_sets
+        l2_mask = self._l2_mask
+        l2_ways = self._l2_ways
         l1_hit = self._l1_hit_latency
         l2_hit = self._l2_hit_latency
-        memory_latency = self._memory_latency
+        l2_miss_latency = l2_hit + self._memory_latency
         tlb_penalty = self._tlb_penalty
-        l2_access_line = self._l2_access_line
         observe_miss = self._observe_miss
         armed = self._armed_event
         observed = self._observed_event
         pebs_hook = self._pebs_hook
         observer_hook = self._observer_hook
         last_page = self._last_page
+        last_line = self._last_line
         # The TLB hit path is inlined against its LRU dict (the miss
         # path replicates TLB.access_page's insert + evict); its own
         # hit/miss statistics accumulate locally like the event tallies.
@@ -240,21 +261,29 @@ class MemorySystem:
         tlb_pages = tlb._pages
         tlb_move = tlb_pages.move_to_end
         tlb_capacity = tlb.entries
-        loads = stores = l1_miss = l2_access = l2_miss = 0
+        accesses = landed = stores = l1_miss = l2_miss = 0
         tlb_hits = tlb_misses = 0
         total = 0
         for addrs, writes, eips, start in segments:
             if addrs is None:
+                # The L1 latency of the accesses since the last clock
+                # entry lands with this one.
                 land, cycles = writes, eips
-                total = land(total, cycles, start)
+                total = land(total + (accesses - landed) * l1_hit,
+                             cycles, start)
+                landed = accesses
                 continue
+            accesses += len(addrs)
             index = start
             for addr in addrs:
                 if writes[index]:
                     stores += 1
-                else:
-                    loads += 1
                 index += 1
+
+                line = addr >> l1_shift
+                if line == last_line:
+                    continue
+                last_line = line
 
                 page = addr >> page_shift
                 if page != last_page:
@@ -273,11 +302,9 @@ class MemorySystem:
                             observer_hook(eips[index - 1])
                     last_page = page
 
-                line = addr >> l1_shift
                 ways = l1_sets[line & l1_mask]
                 if ways:
                     if ways[0] == line:
-                        total += l1_hit
                         continue
                     if line in ways:
                         if ways[1] == line:
@@ -286,7 +313,6 @@ class MemorySystem:
                         else:
                             ways.remove(line)
                             ways.insert(0, line)
-                        total += l1_hit
                         continue
                 l1_miss += 1
                 ways.insert(0, line)
@@ -296,32 +322,42 @@ class MemorySystem:
                     pebs_hook(eips[index - 1])
                 if observed == "L1D_MISS":
                     observer_hook(eips[index - 1])
-                total += l1_hit
 
-                l2_access += 1
-                l2_line = addr >> l2_shift
-                if l2_access_line(l2_line):
+                # Every L1 miss probes L2 (inlined ``Cache.access_line``).
+                line = addr >> l2_shift
+                ways = l2_sets[line & l2_mask]
+                if line in ways:
+                    if ways[0] != line:
+                        ways.remove(line)
+                        ways.insert(0, line)
                     total += l2_hit
                     continue
                 l2_miss += 1
+                ways.insert(0, line)
+                if len(ways) > l2_ways:
+                    ways.pop()
                 if armed == "L2_MISS":
                     pebs_hook(eips[index - 1])
                 if observed == "L2_MISS":
                     observer_hook(eips[index - 1])
-                total += l2_hit + memory_latency
+                total += l2_miss_latency
 
-                prefetched = observe_miss(l2_line)
+                prefetched = observe_miss(line)
                 if prefetched:
                     self.n_prefetch += prefetched
+        total += (accesses - landed) * l1_hit
         self._last_page = last_page
-        self.n_loads += loads
+        self._last_line = last_line
+        self.n_loads += accesses - stores
         self.n_stores += stores
         self.n_l1_miss += l1_miss
-        self.n_l2_access += l2_access
+        self.n_l2_access += l1_miss
         self.n_l2_miss += l2_miss
         self.n_dtlb_miss += tlb_misses
         tlb.hits += tlb_hits
         tlb.misses += tlb_misses
+        self.l2.hits += l1_miss - l2_miss
+        self.l2.misses += l2_miss
         return total
 
     # -- counter folding --------------------------------------------------------
@@ -349,6 +385,7 @@ class MemorySystem:
         self.tlb.invalidate_all()
         self.prefetcher.reset()
         self._last_page = -1
+        self._last_line = -1
 
     def pollute_full(self) -> None:
         """Model the displacement caused by a full-heap collection."""

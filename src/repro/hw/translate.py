@@ -836,20 +836,23 @@ class _Literal:
 
 
 def _block_writer(code, templates, base_eip, W, branch, unwind=""):
-    """``(emit_block, consts)``: ``emit_block(start, end)`` writes, through
-    ``W``, the body of the fused run ``[start, end)`` — everything under
-    its ``def`` line — leaving through ``branch``; ``consts`` collects
-    the constants the bodies reference.  ``unwind`` is text put in front
-    of every fault call (a region stores its registers back there)."""
+    """``(emit_block, emit_ring, consts)``: ``emit_block(start, end)``
+    writes, through ``W``, the body of the fused run ``[start, end)`` —
+    everything under its ``def`` line — leaving through ``branch``;
+    ``emit_ring`` writes the blocks of a ring as one batch (see there);
+    ``consts`` collects the constants the bodies reference.  ``unwind``
+    is text put in front of every fault call (a region stores its
+    registers back there)."""
     consts: List[object] = []
     const_ids: Dict[int, str] = {}
     # The flavour's callables are made once per method; what they read
-    # of the block being emitted (``has_mem``, ``writes``/``eips`` and
-    # their const names, ``has_wb``) is rebound at each block's start.
-    has_mem = has_wb = False
+    # of the batch being emitted (``has_mem``, ``writes``/``eips`` and
+    # their const names, ``shared``) and of the block (``has_wb``) is
+    # rebound where each starts.
+    has_mem = has_wb = shared = False
     writes: List[bool] = []
     eips: List[int] = []
-    wname = ename = ""
+    wslot = eslot = 0
 
     def const(obj) -> str:
         key = id(obj)
@@ -871,7 +874,7 @@ def _block_writer(code, templates, base_eip, W, branch, unwind=""):
         # Earlier blocks may have queued accesses even when this one
         # has none: every fault lands the log before it raises.
         if has_mem:
-            W(f"{indent}{unwind}fault(b, {wname}, {ename}, s, {message}, "
+            W(f"{indent}{unwind}fault(b, K{wslot}, K{eslot}, s, {message}, "
               f"{x.pc})")
         else:
             W(f"{indent}{unwind}fault(None, None, None, 0, {message}, "
@@ -883,38 +886,48 @@ def _block_writer(code, templates, base_eip, W, branch, unwind=""):
         # log behind the batch so far — the segment is split here —
         # and lands in program order at the next drain.  (``b`` is
         # never empty: the barrier's own store was appended just
-        # above.)
+        # above.)  In a ring, where the batch started is known only at
+        # run time.
         nonlocal has_wb
         has_wb = True
-        W(f"{indent}pend((b, {wname}, {ename}, s))")
+        W(f"{indent}pend((b, K{wslot}, K{eslot}, s))")
         W(f"{indent}pend(barrier)")
-        W(f"{indent}s = {len(writes)}")
+        W(f"{indent}s += len(b)" if shared else f"{indent}s = {len(writes)}")
         W(f"{indent}b = []")
         W(f"{indent}ap = b.append")
         W(f"{indent}record_store({args})")
 
+    def open_batch(runs) -> bool:
+        # Reserve the const slots for the batch's access-metadata tuples
+        # now (they are referenced by flush/fault lines); ``seal``
+        # patches them in once every access has been emitted.
+        nonlocal has_mem, writes, eips, wslot, eslot
+        has_mem = any(template.mem for start, stop in runs
+                      for template in templates[start:stop])
+        writes, eips = [], []
+        if has_mem:
+            wslot = len(consts)
+            eslot = wslot + 1
+            consts.extend((None, None))
+        return has_mem
+
+    def seal(repeat):
+        if has_mem:
+            consts[wslot] = tuple(writes) * repeat
+            consts[eslot] = tuple(eips) * repeat
+
     x = _Literal()    # re-loaded for each instruction in turn
 
     def emit_block(start, end):
-        nonlocal has_mem, has_wb, writes, eips, wname, ename
+        nonlocal has_wb
         # A BC/BR terminator executes inside the closure: the return
         # value IS the taken pc, so the driver skips a whole dispatch
         # per block.
         stop = end - 1 if templates[end - 1].branch else end
         body = templates[start:stop]
-        has_mem = any(template.mem for template in body)
+        own = not shared and open_batch([(start, stop)])
         has_wb = False
-        writes, eips = [], []
-        if has_mem:
-            # Reserve the const slots for the block's access-metadata
-            # tuples now (they are referenced by flush/fault lines) and
-            # patch them in once every access has been emitted.
-            wslot = len(consts)
-            wname = f"K{wslot}"
-            consts.append(None)
-            eslot = len(consts)
-            ename = f"K{eslot}"
-            consts.append(None)
+        if own:
             W("        b = []")
             W("        ap = b.append")
             W("        s = 0")
@@ -928,18 +941,17 @@ def _block_writer(code, templates, base_eip, W, branch, unwind=""):
             x.pc = pc
             emit(template.shape, template.load(x, code[pc]))
 
-        if has_mem:
-            consts[wslot] = tuple(writes)
-            consts[eslot] = tuple(eips)
+        if own:
+            seal(1)
             # The batch is not simulated here: it joins the CPU's
             # pending log, replayed at the next observation point so
             # the drain's setup cost amortizes over many chained blocks.
             if has_wb:
                 # A write barrier may have emptied the batch mid-block.
                 W("        if b:")
-                W(f"            pend((b, {wname}, {ename}, s))")
+                W(f"            pend((b, K{wslot}, K{eslot}, s))")
             else:
-                W(f"        pend((b, {wname}, {ename}, s))")
+                W(f"        pend((b, K{wslot}, K{eslot}, s))")
         x.pc = stop
         if stop == end:
             x.timm = end    # falls through: an unconditional branch on
@@ -947,7 +959,22 @@ def _block_writer(code, templates, base_eip, W, branch, unwind=""):
         else:
             emit(templates[stop].shape, templates[stop].load(x, code[stop]))
 
-    return emit_block, consts
+    def emit_ring(ring, enter, most):
+        """Write the blocks of ``ring`` in order — ``enter(j, start,
+        stop)`` writes what goes in front of the ``j``-th — appending to
+        ONE batch the caller opens and pends: its metadata is the
+        ring's, repeated to cover ``most`` instructions.  Returns the
+        metadata's const names, ``None`` if the ring accesses nothing."""
+        nonlocal shared
+        shared = open_batch(ring)
+        for j, (start, stop) in enumerate(ring):
+            enter(j, start, stop)
+            emit_block(start, stop)
+        shared = False
+        seal(-(-most // sum(stop - start for start, stop in ring)))
+        return (f"K{wslot}", f"K{eslot}") if has_mem else None
+
+    return emit_block, emit_ring, consts
 
 
 def _factory_source(body, consts, names) -> str:
@@ -983,8 +1010,8 @@ def superblock_source(cm, templates=None) -> tuple:
     if not ranges:
         return None
     body: List[str] = []
-    emit_block, consts = _block_writer(code, templates, cm.code_addr,
-                                       body.append, _returns(body.append))
+    emit_block, _, consts = _block_writer(code, templates, cm.code_addr,
+                                          body.append, _returns(body.append))
     for start, end in ranges:
         body.append(f"    def _sb_{start}(frame, regs, slots):")
         emit_block(start, end)
@@ -1000,10 +1027,11 @@ def superblock_source(cm, templates=None) -> tuple:
 # tested inline before each block, and every exit (the loop's own, a
 # side exit, a block that no longer fits the budget) stores the written
 # registers back and returns ``(next pc, instructions executed)``.
-# Each block execution queues its accesses exactly as the plain closure
-# would, so the pending log — and with it every observable — is the
-# one the driver produces running the same blocks one dispatch at a
-# time.
+# The whole entry appends to ONE access batch, pended at that exit (a
+# write barrier still splits it, a fault pends it before it drains), so
+# the pending log holds the accesses, charges and flushes the driver
+# queues running the same blocks one dispatch at a time, in the same
+# order — in one segment instead of one per block execution.
 # ---------------------------------------------------------------------------
 
 def superblock_rings(code, templates=None, ranges=None) -> List[List[tuple]]:
@@ -1106,28 +1134,43 @@ def region_source(cm, templates=None, ranges=None) -> tuple:
         out.append(f"            if left < {stop - start}:")
         leave("                ", start)
 
-    emit_block, consts = _block_writer(code, templates, cm.code_addr, W,
-                                       branch, _STORE_BACK)
+    def enter(j, start, stop):
+        nonlocal inside
+        inside = ring[(j + 1) % len(ring)][0]
+        if j:            # the driver admitted the first block
+            fits(start, stop)
+        out.append(f"            left -= {stop - start}")
+
+    # The most instructions one entry runs: the driver hands a region at
+    # most a ``BUDGET_QUANTA``-quanta budget, and admits its first block
+    # whatever is left of it.
+    from repro.hw.cpu import BUDGET_QUANTA, SCHED_QUANTUM
+    ceiling = BUDGET_QUANTA * SCHED_QUANTUM
+    _, emit_ring, consts = _block_writer(code, templates, cm.code_addr, W,
+                                         branch, _STORE_BACK)
     for ring in rings:
         first = len(out)
         mentioned.clear()
         written.clear()
-        for j, (start, stop) in enumerate(ring):
-            inside = ring[(j + 1) % len(ring)][0]
-            if j:            # the driver admitted the first block
-                fits(start, stop)
-            out.append(f"            left -= {stop - start}")
-            emit_block(start, stop)
+        inside = None
+        batch = emit_ring(ring, enter, ceiling + ring[0][1] - ring[0][0])
         fits(*ring[0])
         store = "; ".join(f"regs[{reg}] = r{reg}"
                           for reg in sorted(written)) or "pass"
+        opening = closing = []
+        if batch is not None:    # opened at entry, pended at the one exit
+            opening = [f"        {line}" for line in
+                       ("b = []", "ap = b.append", "s = 0")]
+            closing = ["        if b:",
+                       "            pend((b, %s, %s, s))" % batch]
         out[first:] = (
             [f"    def _rg_{ring[0][0]}(frame, regs, slots, budget):"]
             + [f"        r{reg} = regs[{reg}]" for reg in sorted(mentioned)]
-            + ["        left = budget", "        while True:"]
+            + opening + ["        left = budget", "        while True:"]
             + [line.replace(_STORE_BACK, store + "; ")
                for line in out[first:]]
-            + [f"        {store}", "        return pc, budget - left"])
+            + [f"        {store}"] + closing
+            + ["        return pc, budget - left"])
     names = [f"_rg_{ring[0][0]}" for ring in rings]
     return _factory_source(out, consts, names), consts, rings
 

@@ -36,6 +36,7 @@ ACTIONS = st.lists(
         st.tuples(st.just("field"), st.integers(-100, 100)),
         st.tuples(st.just("array"), st.integers(1, 6),
                   st.integers(-100, 100)),
+        st.tuples(st.just("link"), st.integers(0, 1), st.integers(0, 1)),
     ),
     min_size=1, max_size=10,
 )
@@ -45,7 +46,9 @@ def build_random_program(actions, rounds=1):
     """The program a recipe describes; with ``rounds`` > 1 its actions
     run that many times in a counted loop, the value on the stack
     carried round in a local — so the loop's fused runs form rings
-    (unless an action allocates) nobody hand-wrote."""
+    (unless an action allocates) nobody hand-wrote.  Two boxes are
+    allocated up front for ``link`` actions to store references into:
+    a write barrier that allocates nothing, so it lands inside a ring."""
     p = Program("fuzz")
     app = p.define_class("App")
     app.add_static("out", "int")
@@ -59,17 +62,21 @@ def build_random_program(actions, rounds=1):
     locals_ = [fn.local() for _ in range(4)]
     for slot in locals_:
         fn.iconst(0).istore(slot)
+    boxes = [fn.local() for _ in range(2)]
+    for value, slot in enumerate(boxes, 1):
+        fn.new(box).rstore(slot)
+        fn.rload(slot).iconst(value).putfield(box, "v")
     fn.iload(0)  # seed on stack
     if rounds > 1:
         carried = fn.local()
         fn.istore(carried)
         with fn.loop(rounds):
             fn.iload(carried)
-            _emit_actions(fn, actions, locals_, box)
+            _emit_actions(fn, actions, locals_, boxes, box)
             fn.istore(carried)
         fn.iload(carried)
     else:
-        _emit_actions(fn, actions, locals_, box)
+        _emit_actions(fn, actions, locals_, boxes, box)
     fn.iret()
     work = fn.finish()
 
@@ -80,7 +87,7 @@ def build_random_program(actions, rounds=1):
     return p, app
 
 
-def _emit_actions(fn, actions, locals_, box):
+def _emit_actions(fn, actions, locals_, boxes, box):
     for action in actions:
         kind = action[0]
         if kind == "push":
@@ -124,6 +131,14 @@ def _emit_actions(fn, actions, locals_, box):
             fn.emit("arrstore", "int")
             fn.rload(arr).iconst(length - 1).emit("arrload", "int")
             fn.iload(tmp).emit("iadd")
+        elif kind == "link":
+            # holder.next = target (a reference store: a write barrier),
+            # then add the value found through the link.
+            _, holder, target = action
+            fn.rload(boxes[holder]).rload(boxes[target])
+            fn.putfield(box, "next")
+            fn.rload(boxes[holder]).getfield(box, "next")
+            fn.getfield(box, "v").emit("iadd")
 
 
 def run_recipe(actions, plan_methods=(), **config_overrides):
@@ -210,6 +225,15 @@ class TestInterpreterEquivalenceFuzz:
         an allocating action keeps from being one) at every level."""
         self._differential(actions, ["App.work"] if opt else (),
                            rounds=rounds)
+
+    @given(ACTIONS, st.integers(2, 30), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_looped_recipe_monitored_matches_reference(self, actions, rounds,
+                                                       opt):
+        """The looped recipe with PEBS armed: its hook fires on misses
+        the region entries queued, mid-drain, at every level alike."""
+        self._differential(actions, ["App.work"] if opt else (),
+                           rounds=rounds, monitoring=True)
 
     @given(ACTIONS, st.integers(2, 30), st.booleans(),
            st.integers(200, 3000))

@@ -308,6 +308,177 @@ class TestAccessRun:
         assert cpu_l._pending == []
 
 
+#: L1 and L2 set strides of the default geometry (16 and 1024 sets of
+#: 128-byte lines) and the page size.
+L1_STRIDE, L2_STRIDE, PAGE = 16 * 128, 1024 * 128, 4096
+
+
+def locality_script(seed, steps=160):
+    """Traffic with the locality the drain's shortcuts exist for, as a
+    script: ``("drain", [(addr, is_write, eip), ...])`` — one drain of
+    that traffic, split into segments and flush entries at random —
+    ``("access", addr, is_write, eip)``, ``("pollute_minor",)`` and
+    ``("pollute_full",)`` between drains.  The runs mix same-line
+    repeats, two streams aliasing one L1 set across two pages
+    (``compress``'s pattern), lines re-touched in L2 below its MRU
+    way after L1 lost them, and uniform misses.  Between drains,
+    ``access()`` re-touches the line the last drain ended on or evicts
+    it from L1, and a drain often starts on that line again — so a
+    stale last-line shortcut would show."""
+    rng = random.Random(seed)
+    eip = iter(range(0x4000, 1 << 30, 4))
+    base = 0x100000
+
+    def same_line():
+        line = base + rng.randrange(64) * 128
+        return [line + rng.randrange(0, 128, 4)
+                for _ in range(rng.randrange(2, 9))]
+
+    def aliasing():
+        a = base + rng.randrange(0, L1_STRIDE, 4)
+        b = a + PAGE * rng.randrange(1, 4)
+        out = []
+        for i in range(0, rng.randrange(4, 40) * 4, 4):
+            out += [a + i, b + i] + [b + i] * rng.randrange(2)
+        return out
+
+    def below_mru():
+        x = base + rng.randrange(0, L1_STRIDE, 128)
+        evict = [x + k * L1_STRIDE for k in range(1, 10)]
+        bury = [x + k * L2_STRIDE for k in range(1, rng.randrange(2, 6))]
+        return [x] + bury + evict + [x, x + 4]
+
+    def uniform():
+        return [base + rng.randrange(0, 1 << 21, 4)
+                for _ in range(rng.randrange(1, 20))]
+
+    kinds = (same_line, aliasing, below_mru, uniform)
+    script, last = [], base
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.7:
+            traffic = [last] * rng.randrange(2) + [
+                addr for _ in range(rng.randrange(1, 5))
+                for addr in rng.choice(kinds)()]
+            script.append(("drain", [(addr, rng.random() < 0.3, next(eip))
+                                     for addr in traffic]))
+            last = traffic[-1]
+        elif roll < 0.85:
+            touched = ([last + 4] if rng.random() < 0.5 else
+                       [last + k * L1_STRIDE for k in range(1, 10)])
+            script += [("access", addr, rng.random() < 0.3, next(eip))
+                       for addr in touched]
+        elif roll < 0.95:
+            script.append(("pollute_minor",))
+        else:
+            script.append(("pollute_full",))
+    return script
+
+
+def memsys_state(ms):
+    """Everything an access can change, bar the raw tallies."""
+    return (ms.sync_counters().counts.copy(),
+            [list(ways) for ways in ms.l1._sets],
+            [list(ways) for ways in ms.l2._sets],
+            list(ms.tlb._pages), list(ms.prefetcher._streams.items()),
+            (ms.l1.hits, ms.l1.misses, ms.l2.hits, ms.l2.misses,
+             ms.tlb.hits, ms.tlb.misses))
+
+
+class TestDrainLocality:
+    """The drain against one access at a time on traffic that reaches
+    its shortcuts — same-line repeats, aliasing streams, L2 hits below
+    MRU — with ``access()`` calls and pollution between drains.  The
+    oracle is ``access()`` with the last-line shortcut defeated (the
+    line forgotten before every call) or intact."""
+
+    @pytest.mark.parametrize("shortcut", [False, True],
+                             ids=["no-shortcut", "access"])
+    @pytest.mark.parametrize("armed,observed", [
+        ("L1D_MISS", "L2_MISS"), ("L2_MISS", "DTLB_MISS"),
+        ("DTLB_MISS", "L1D_MISS")])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drains_match_one_access_at_a_time(self, seed, armed, observed,
+                                               shortcut):
+        script = locality_script(seed)
+        rng = random.Random(seed + 100)
+        fired = {}
+        systems = {}
+        for side in ("single", "drain"):
+            ms = systems[side] = make_memsys()
+            log = fired[side] = []
+            ms.arm_event(armed, lambda e, log=log: log.append(("pebs", e)))
+            ms.attach_observer(observed,
+                               lambda e, log=log: log.append(("obs", e)))
+
+        single, drained = systems["single"], systems["drain"]
+        latencies = {"single": [], "drain": []}
+        pending = 0
+        for step in script:
+            if step[0] == "drain":
+                traffic = step[1]
+                addrs = [a for a, _, _ in traffic]
+                writes = tuple(w for _, w, _ in traffic)
+                eips = tuple(e for _, _, e in traffic)
+                # Segments over the shared metadata, flush entries
+                # between some of them.
+                log, lo = [], 0
+                while lo < len(addrs):
+                    hi = min(len(addrs), lo + rng.randrange(1, 30))
+                    log.append((addrs[lo:hi], writes, eips, lo))
+                    for j in range(lo, hi):
+                        if not shortcut:
+                            single._last_line = -1
+                        pending += single.access(addrs[j], writes[j],
+                                                 eips[j])
+                    lo = hi
+                    if rng.random() < 0.3:
+                        log.append((None, lambda total, c, n: latencies[
+                            "drain"].append(total) or 0, 0, 0))
+                        latencies["single"].append(pending)
+                        pending = 0
+                latencies["drain"].append(drained.access_run_segments(log))
+                latencies["single"].append(pending)
+                pending = 0
+            elif step[0] == "access":
+                for side, ms in systems.items():
+                    if side == "single" and not shortcut:
+                        ms._last_line = -1
+                    latencies[side].append(ms.access(*step[1:]))
+            else:
+                for ms in systems.values():
+                    getattr(ms, step[0])()
+        assert latencies["drain"] == latencies["single"]
+        assert fired["drain"] == fired["single"]
+        assert memsys_state(drained) == memsys_state(single)
+        counts = drained.sync_counters().counts
+        assert counts["L1D_MISS"] > 100 and counts["L2_MISS"] > 10
+        assert drained.l2.hits > 50 and len(fired["drain"]) > 20
+
+    def test_the_traffic_reaches_the_shortcuts(self):
+        """A sixth of the drained accesses repeat the line just
+        touched, and dozens of L2 hits land below MRU."""
+        ms = make_memsys()
+        repeats = below = accesses = 0
+        real = ms.l2.access_line
+
+        def l2_probe(line):
+            nonlocal below
+            ways = ms.l2._sets[line & ms.l2.set_mask]
+            below += line in ways[1:]
+            return real(line)
+
+        ms._l2_access_line = l2_probe
+        for step in locality_script(0):
+            if step[0] == "drain":
+                for addr, is_write, eip in step[1]:
+                    line = addr >> 7
+                    repeats += line == ms._last_line
+                    accesses += 1
+                    ms.access(addr, is_write, eip)
+        assert repeats > accesses / 6 and below > 20
+
+
 class TestPEBS:
     def make_unit(self, interval=10, **cfg_overrides):
         cfg = PEBSConfig(**cfg_overrides)

@@ -676,12 +676,16 @@ class TestNoAccessDropped:
 
 def _count_drains(vm):
     """Count ``access_run_segments`` calls from outside (no counter
-    lives under ``src/``)."""
+    lives under ``src/``): ``[drains, access segments, accesses]``."""
     real = vm.memsys.access_run_segments
-    calls = [0]
+    calls = [0, 0, 0]
 
     def counted(segments):
         calls[0] += 1
+        for addrs, _, _, _ in segments:
+            if addrs is not None:
+                calls[1] += 1
+                calls[2] += len(addrs)
         return real(segments)
 
     vm.memsys.access_run_segments = counted
@@ -1093,6 +1097,90 @@ class TestRingFaults:
         assert ref[0] is None and ref[1][L_ACC] == 700
         assert _ring_outcome(code, 1) == ref
         assert _ring_outcome(code, 2) == ref
+
+
+def _region_text(code):
+    """The region source of hand-assembled ``code`` as main."""
+    p, _ = _matrix_program()
+    cm = _vm(p).compiled_code_for(p.main)
+    cm.code, cm.reg_count, cm.frame_words = code, 9, 4
+    return region_source(cm)[0]
+
+
+class TestRegionBatching:
+    """A region queues ONE access segment per entry, however many
+    blocks and iterations it runs: its metadata tuples are the ring's,
+    repeated to cover the most one entry can run.  A write barrier
+    still splits the batch."""
+
+    @staticmethod
+    def barrier_loop(env):
+        """Every iteration stores references into objects allocated
+        before the loop — a ref putfield and a ref array store, each a
+        barrier inside the ring — with accesses around both."""
+        return _counted_loop([
+            MInst(M_ALUI, rd=L_U, rs1=L_I, aux="and", imm=3),
+            MInst(M_ALOAD, rd=L_T, rs1=L_REFS, rs2=L_U, aux="ref"),
+            MInst(M_PUTF, rs1=L_T, rs2=L_T, aux=env.next),
+            MInst(M_ASTORE, rd=L_T, rs1=L_REFS, rs2=L_U, aux="ref"),
+            MInst(M_GETF, rd=L_U, rs1=L_T, aux=env.v),
+        ], limit=700)
+
+    def test_a_barrier_in_every_iteration(self):
+        listing = self.barrier_loop(_matrix_program()[1])
+        assert len(superblock_rings(listing)) == 1
+        text = _region_text(listing)
+        assert text.count("s += len(b)") == 2
+        assert text.count("pend((b, K") == 3       # two barriers, the exit
+        ref = _ring_outcome(self.barrier_loop, 0)
+        assert ref[0] is None and ref[1][L_ACC] == 700
+        for observer in (False, True):
+            for level in (1, 2):
+                assert _ring_outcome(self.barrier_loop, level,
+                                     observer) == ref
+
+    def test_compress_drains_long_segments(self):
+        """``compress`` drains its 1.18 M accesses as 25.6 K access
+        segments, 46 accesses each (393 K of 3.0 while every block
+        execution queued its own)."""
+        vm, _ = runner.make_vm("compress", RunSpec("compress",
+                                                   monitoring=False))
+        calls = _count_drains(vm)
+        vm.begin()
+        assert vm.advance()
+        _, segments, accesses = calls
+        assert accesses / segments >= 20
+
+    def test_the_tightest_ring_stays_inside_its_metadata(self, regions):
+        """A two-instruction ring with one access an iteration, on the
+        largest extended budget: one entry's 256 accesses go into one
+        segment, every segment indexes inside its metadata, and the run
+        is the reference's."""
+        code = [MInst(M_LDF, rd=L_T, imm=1), MInst(M_BR, imm=0)]
+        assert superblock_rings(code) == [[(0, 2)]]
+        outcomes, segments = {}, []
+        for level in (0, 2):
+            p, _ = _matrix_program()
+            vm = _vm(p, fastpath=level)
+            cm = vm.compiled_code_for(p.main)
+            cm.code, cm.reg_count, cm.frame_words = code, 9, 4
+            real = vm.memsys.access_run_segments
+
+            def drain(log, real=real):
+                segments.extend(entry for entry in log if entry[0])
+                return real(log)
+
+            vm.memsys.access_run_segments = drain
+            vm.cpu._push_frame(cm, ())
+            vm.cpu.run(until_cycles=1_000_000)
+            outcomes[level] = (vm.cpu.cycles, vm.cpu.instructions,
+                               vm.memsys.n_loads)
+        assert outcomes[2] == outcomes[0]
+        assert regions.budget == BUDGET_QUANTA * SCHED_QUANTUM
+        assert max(len(addrs) for addrs, _, _, _ in segments) \
+            == BUDGET_QUANTA * SCHED_QUANTUM // 2
+        assert all(start + len(addrs) <= len(writes) == len(eips)
+                   for addrs, writes, eips, start in segments)
 
 
 class TestRegionBitIdentity:
