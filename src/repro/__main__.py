@@ -756,7 +756,8 @@ def cmd_watch(args) -> None:
         pass
 
 
-def main(argv: Optional[List[str]] = None) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: every command and its options."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=("Reproduction of 'Online Optimizations Driven by "
@@ -1042,8 +1043,11 @@ def main(argv: Optional[List[str]] = None) -> None:
     dis_p.add_argument("method", help="qualified name, e.g. App.scan")
     dis_p.add_argument("--baseline", action="store_true",
                        help="use the baseline compiler instead of opt")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> None:
+    args = build_parser().parse_args(argv)
     if hasattr(args, "benchmarks"):
         args.benchmark_names = _benchmark_list(args.benchmarks)
 

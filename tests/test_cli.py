@@ -1,9 +1,64 @@
-"""Tests for the ``python -m repro`` command-line interface."""
+"""Tests for the ``python -m repro`` command-line interface.
+
+``tests/golden/cli.json`` pins the command-line surface: for every
+parser (the top level, each command, each ``bench`` subcommand) its
+help and description, and for each of its actions the option strings,
+dest, default, choices, nargs, metavar, required flag and help.  It is
+the structure, not the rendered ``--help`` text, because argparse
+renders help differently across Python versions.  Regenerate it with
+``PYTHONPATH=src python tests/test_cli.py`` when a change is *meant*
+to move the surface.
+"""
+
+import argparse
+import json
+import os
 
 import pytest
 
-from repro.__main__ import _benchmark_list, main
+from repro.__main__ import _benchmark_list, build_parser, main
 from repro.harness import report
+
+CLI_PATH = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
+
+
+def _action_surface(action: argparse.Action) -> dict:
+    choices = action.choices
+    if choices is not None:
+        # A sub-parser table pins its command names, in order.
+        choices = list(choices)
+    return {"option_strings": list(action.option_strings),
+            "dest": action.dest, "default": action.default,
+            "choices": choices, "nargs": action.nargs,
+            "metavar": action.metavar, "required": action.required,
+            "help": action.help}
+
+
+def cli_surface() -> dict:
+    """Every parser path -> its help, description and actions."""
+    surface = {}
+
+    def walk(path: str, parser: argparse.ArgumentParser, help) -> None:
+        surface[path] = {"help": help, "description": parser.description,
+                         "actions": [_action_surface(a)
+                                     for a in parser._actions]}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                helps = {c.dest: c.help for c in action._choices_actions}
+                for name, child in action.choices.items():
+                    walk(f"{path} {name}", child, helps.get(name))
+
+    walk("repro", build_parser(), None)
+    return surface
+
+
+def test_cli_surface_matches_golden():
+    with open(CLI_PATH) as fh:
+        golden = json.load(fh)
+    surface = json.loads(json.dumps(cli_surface()))
+    assert sorted(surface) == sorted(golden), "parser paths moved"
+    for path in golden:
+        assert surface[path] == golden[path], path
 
 
 class TestArgumentHandling:
@@ -554,3 +609,12 @@ class TestExplainCli:
               "--field", fields[-1]])
         out = capsys.readouterr().out
         assert fields[-1] in out
+
+
+if __name__ == "__main__":
+    with open(CLI_PATH, "w") as fh:
+        surface = cli_surface()
+        json.dump({path: surface[path] for path in sorted(surface)}, fh,
+                  indent=1)
+        fh.write("\n")
+    print(f"wrote {CLI_PATH}")
