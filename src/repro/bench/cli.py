@@ -1,11 +1,11 @@
 """``python -m repro bench ...``: the sub-parser and its handlers.
 
 Everything the command family knows about its flags lives here —
-:func:`add_parser` declares them, the ``cmd_*`` handlers beside it
-read them — so :mod:`repro.__main__` needs one hook and one dispatch
-entry.  ``run`` is the only command that simulates: it appends every
-executed case to the history and writes its ``BENCH_<case>.json``;
-``compare`` and ``history`` only read that history back.
+:func:`add_parser` declares them and hands each sub-command its
+``cmd_*`` handler (see :mod:`repro.harness.cli`).  ``run`` is the only
+command that simulates: it appends every executed case to the history
+and writes its ``BENCH_<case>.json``; ``compare`` and ``history`` only
+read that history back.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.bench import compare as cmp
 from repro.bench import history as hist
 from repro.bench.execute import CaseRun, run_case
 from repro.bench.registry import BenchCase, all_cases, get_case
+from repro.harness.cli import write_or_exit
 
 #: How many trailing entries ``bench history`` shows.
 HISTORY_TAIL = 20
@@ -77,11 +78,6 @@ def resolve_selection(cases: List[BenchCase],
     return shares
 
 
-def _unwritable(exc: OSError) -> SystemExit:
-    return SystemExit(f"bench: cannot write to {exc.filename!r}: "
-                      f"{exc.strerror}")
-
-
 def _gate_line(gate: dict) -> str:
     status = "ok" if gate["passed"] else "FAIL"
     return (f"    [{status}] {gate['metric']} {gate['op']} "
@@ -118,11 +114,9 @@ def cmd_run(args) -> None:
     shares = resolve_selection(cases, parse_params(args.param))
     # Both destinations are opened before any case runs: a result that
     # took minutes must not be lost to a mistyped path.
-    try:
-        hist.append(args.history)
-        os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise _unwritable(exc)
+    write_or_exit("bench", "history", args.history, hist.append)
+    write_or_exit("bench", "artifacts", args.out_dir,
+                  lambda path: os.makedirs(path, exist_ok=True))
 
     failed = []
     for case, mine in zip(cases, shares):
@@ -130,13 +124,9 @@ def cmd_run(args) -> None:
         _print_case_run(run)
         entry = hist.build_entry(run)
         artifact = os.path.join(args.out_dir, f"BENCH_{case.name}.json")
-        try:
-            hist.append(args.history, entry)
-            with open(artifact, "w") as fh:
-                json.dump(entry, fh, indent=1, default=str)
-                fh.write("\n")
-        except OSError as exc:
-            raise _unwritable(exc)
+        write_or_exit("bench", "history", args.history,
+                      lambda path: hist.append(path, entry))
+        write_or_exit("bench", "artifact", artifact, entry)
         if not run.passed:
             failed.append(case.name)
     print(f"history -> {args.history} (+{len(cases)} entries)")
@@ -207,19 +197,19 @@ def cmd_profile(args) -> None:
     report = prof.profile_case(case, mine)
     print(prof.format_report(report))
     if args.collapsed:
-        lines = write_collapsed(args.collapsed, report.stacks)
+        lines = write_or_exit(
+            "bench", "collapsed stacks", args.collapsed,
+            lambda path: write_collapsed(path, report.stacks))
         print(f"collapsed stacks -> {args.collapsed} ({lines} lines; "
               "feed to flamegraph.pl or speedscope)")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_json(), fh, indent=1)
-            fh.write("\n")
+        write_or_exit("bench", "profile report", args.json,
+                      report.to_json())
         print(f"profile report -> {args.json}")
 
 
 def add_parser(sub) -> None:
-    """Attach the ``bench`` family to the top-level sub-parsers ``sub``;
-    each sub-command carries its handler as ``args.bench_handler``."""
+    """Attach the ``bench`` family to the top-level sub-parsers ``sub``."""
     bench_p = sub.add_parser(
         "bench", help="the ratio gate: run the in-process A/B cases, "
                       "keep their history, score regressions, "
@@ -228,7 +218,7 @@ def add_parser(sub) -> None:
 
     def command(name: str, handler, help: str):
         p = bench_sub.add_parser(name, help=help)
-        p.set_defaults(bench_handler=handler)
+        p.set_defaults(handler=handler)
         return p
 
     def add_history_option(p) -> None:
@@ -285,7 +275,3 @@ def add_parser(sub) -> None:
                              "/ speedscope input)")
     prof_p.add_argument("--json", metavar="PATH", default=None,
                         help="write the attribution report as JSON")
-
-
-def dispatch(args) -> None:
-    args.bench_handler(args)

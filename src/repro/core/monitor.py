@@ -146,15 +146,6 @@ class OnlineMonitor:
             out.append((p.end_cycle, total))
         return out
 
-    def class_series(self, klass: ClassInfo) -> List[Tuple[int, int]]:
-        """Per-period events summed over all fields of ``klass``."""
-        out = []
-        for p in self.periods:
-            events = sum(n for f, n in p.field_counts.items()
-                         if f.declaring_class is klass)
-            out.append((p.end_cycle, events))
-        return out
-
     def moving_average(self, values: List[int],
                        window: Optional[int] = None) -> List[float]:
         """Trailing moving average at the configured window (see the
@@ -170,32 +161,3 @@ class OnlineMonitor:
         if not recent:
             return 0.0
         return sum(p.field_counts.get(field, 0) for p in recent) / len(recent)
-
-    def detect_phase_changes(self, field: FieldInfo,
-                             threshold: float = 0.5,
-                             window: Optional[int] = None) -> List[int]:
-        """Detect sustained level shifts in a field's miss rate.
-
-        "The rate of events for each reference field is measured
-        throughout the execution and this allows detecting phase changes
-        in the execution" (section 5.3).  A phase change is reported at
-        period *i* when the moving average shifts by more than
-        ``threshold`` (relative) against the previous window and the new
-        level persists for a full window.  Returns the period indices.
-        """
-        w = window or self.config.moving_average_window
-        values = [n for _, n in self.series(field)]
-        if len(values) < 2 * w:
-            return []
-        changes: List[int] = []
-        i = w
-        while i + w <= len(values):
-            before = sum(values[i - w:i]) / w
-            after = sum(values[i:i + w]) / w
-            base = max(before, 1e-9)
-            if abs(after - before) / base > threshold:
-                changes.append(i)
-                i += w  # skip past the shift before looking again
-            else:
-                i += 1
-        return changes

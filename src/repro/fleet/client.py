@@ -173,3 +173,23 @@ class FleetClient:
             raise FleetClientError(f"event stream dropped: {exc}")
         finally:
             conn.close()
+
+
+def format_job(doc: dict) -> str:
+    """A job document (``GET /jobs/<id>``) as one summary line plus a
+    line per spec."""
+    lines = [f"job {doc['job']}: {doc['state']} "
+             f"({doc['completed']}/{doc['specs']} specs)"
+             + (f" error: {doc['error']}" if doc.get("error") else "")]
+    for row in doc.get("spec_states", ()):
+        flags = []
+        if row.get("coalesced"):
+            flags.append("coalesced")
+        if row.get("wall_s") is not None:
+            flags.append(f"{row['wall_s']:.2f}s")
+        if row.get("error"):
+            flags.append(f"error: {row['error']}")
+        tail = ("  (" + ", ".join(flags) + ")") if flags else ""
+        lines.append(f"  {row['state']:>9}  {row['benchmark']:<10} "
+                     f"{row['spec']}{tail}")
+    return "\n".join(lines)

@@ -116,9 +116,6 @@ class FreeListSpace:
     def live_cells(self) -> int:
         return len(self.cells)
 
-    def free_cells(self) -> int:
-        return sum(len(b) for b in self._free)
-
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self._block_cursor
 

@@ -76,9 +76,5 @@ class LargeObjectSpace:
     def contains(self, addr: int) -> bool:
         return addr in self._live
 
-    @property
-    def live_objects(self) -> int:
-        return len(self._live)
-
     def free_extents(self) -> int:
         return len(self._free)

@@ -518,29 +518,29 @@ class StormDriver:
                    if e.name.startswith("storm-"))
 
 
-def resolve_field(program: Program, qualified: str):
-    """``"Class::field"`` -> the live :class:`FieldInfo` of ``program``."""
-    class_name, field_name = qualified.split("::")
-    return program.klass(class_name).field(field_name)
+def revert_storm(spec: RunSpec, count: int = 3, fastpath=None,
+                 **observers) -> Tuple[object, StormDriver]:
+    """Run ``spec`` with a revert storm seeded on its workload's first
+    hot field (``String::value`` when it names none): the run ``repro
+    doctor --storm`` builds.  ``observers`` are :func:`make_vm`'s
+    ``telemetry``/``lineage``/``health``.
 
-
-def seed_revert_storm(vm, field, count: int = 3, gap: int = 128,
-                      cooldown_periods: int = 2) -> StormDriver:
-    """Attach a :class:`StormDriver` to a co-allocating, monitored VM.
-
-    Call before ``vm.run()``; the driver paces itself off the
-    measurement period.  Returns the driver so callers can report how
-    many experiments were begun/reverted.
+    Returns ``(result, driver)``; the driver says which field the storm
+    hit and how many experiments were begun and reverted.
     """
+    vm, workload = make_vm(spec.benchmark, spec, fastpath=fastpath,
+                           **observers)
     if vm.coalloc_policy is None:
-        raise ValueError("seed_revert_storm needs a co-allocating VM "
+        raise ValueError("a revert storm needs co-allocation "
                          "(RunSpec coalloc=True)")
     if vm.controller is None:
-        raise ValueError("seed_revert_storm needs a monitored VM "
+        raise ValueError("a revert storm needs monitoring "
                          "(RunSpec monitoring=True)")
-    driver = StormDriver(vm, field, count=count, gap=gap,
-                         cooldown_periods=cooldown_periods)
+    class_name, field_name = (workload.hot_fields[0] if workload.hot_fields
+                              else "String::value").split("::")
+    driver = StormDriver(vm, vm.program.klass(class_name).field(field_name),
+                         count=count)
     # Offset by one cycle so each firing sorts after the controller's
     # period close on the scheduler heap.
     vm.scheduler.every(1, vm.config.monitor.period_cycles, driver.on_period)
-    return driver
+    return vm.run(), driver

@@ -29,15 +29,11 @@ from repro.gc.stats import GCStats
 #: added ``exit_value`` (the guest main's return value — None for runs
 #: truncated by ``until_cycles``), which the snapshot bit-identity
 #: gates compare; version 5 added the optional ``health`` document (the
-#: serialized :class:`repro.health.HealthReport`).  Older records load
-#: fine — they simply carry the field defaults — so caches survive the
-#: bumps.
+#: serialized :class:`repro.health.HealthReport`).  Only this version
+#: loads: the disk cache is keyed by code version anyway, so an older
+#: document is a hand-saved file, to be re-exported with ``repro run
+#: --record``.
 SCHEMA_VERSION = 5
-
-#: Schemas :meth:`RunRecord.from_json` accepts.  Every historical
-#: version is listed: each bump since 1 only *added* fields with safe
-#: defaults, so legacy documents construct correctly via ``doc.get``.
-COMPATIBLE_SCHEMAS = (1, 2, 3, 4, 5)
 
 
 @dataclass
@@ -67,16 +63,16 @@ class RunRecord:
     #: records built directly from a RunResult.
     provenance: Optional[dict] = None
     #: The guest main method's return value (a guest int, or None for
-    #: a run truncated by an ``until_cycles`` bound or a legacy
-    #: record).  Must stay JSON-representable.
+    #: a run truncated by an ``until_cycles`` bound).  Must stay
+    #: JSON-representable.
     exit_value: object = None
     #: Serialized decision ledger (:meth:`DecisionLedger.to_json`):
     #: ``{"schema", "entries", "dropped"}``.  None when the run carried
-    #: no ledger (the default) and for legacy schema-2 records.
+    #: no ledger (the default).
     lineage: Optional[dict] = None
     #: Serialized health report (:meth:`repro.health.HealthReport.to_json`):
     #: ``{"schema", "verdict", "phases", "findings", ...}``.  None when
-    #: the run carried no health monitor and for pre-schema-5 records.
+    #: the run carried no health monitor.
     health: Optional[dict] = None
 
     # -- RunResult-compatible read surface -----------------------------------
@@ -196,8 +192,10 @@ class RunRecord:
         if not isinstance(doc, dict):
             raise ValueError(f"record document must be an object, "
                              f"got {type(doc).__name__}")
-        if doc.get("schema") not in COMPATIBLE_SCHEMAS:
-            raise ValueError(f"unsupported record schema {doc.get('schema')!r}")
+        if doc.get("schema") != SCHEMA_VERSION:
+            raise ValueError(f"record schema {doc.get('schema')!r} is not "
+                             f"{SCHEMA_VERSION}; re-export it with `repro "
+                             f"run --record`")
         return cls(
             program=doc["program"],
             cycles=doc["cycles"],

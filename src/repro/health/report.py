@@ -155,6 +155,14 @@ class HealthReport:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HealthReport":
+        """The report :meth:`to_json` wrote; ValueError for anything
+        that is not an object of :data:`HEALTH_SCHEMA_VERSION`."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"health report must be an object, "
+                             f"got {type(doc).__name__}")
+        if doc.get("schema") != HEALTH_SCHEMA_VERSION:
+            raise ValueError(f"unsupported health report schema "
+                             f"{doc.get('schema')!r}")
         return cls(
             verdict=doc.get("verdict", SEVERITY_OK),
             phases=[PhaseRecord.from_json(p) for p in doc.get("phases") or []],

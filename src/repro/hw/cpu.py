@@ -194,12 +194,6 @@ class CPU:
         self.runtime.plan.hooks.charge(cycles)
         return latency
 
-    def call_main(self, method) -> object:
-        """Execute a no-argument method to completion; returns its value."""
-        self.begin_main(method)
-        self.run()
-        return self.exit_value
-
     def begin_main(self, method) -> None:
         """Push the entry frame without running (for sliced execution)."""
         cm = self.runtime.compiled_code_for(method)

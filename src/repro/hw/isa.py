@@ -102,9 +102,6 @@ class MInst:
         self.bc_index = bc_index
         self.ir_id = ir_id
 
-    def is_gc_point(self) -> bool:
-        return self.op in GC_POINT_OPS
-
     def __repr__(self) -> str:
         parts = [OP_NAMES.get(self.op, f"op{self.op}")]
         for label, value in (("rd", self.rd), ("rs1", self.rs1),

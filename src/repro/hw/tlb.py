@@ -30,9 +30,6 @@ class TLB:
         self.hits = 0
         self.misses = 0
 
-    def page_of(self, addr: int) -> int:
-        return addr >> self.page_shift
-
     def access(self, addr: int) -> bool:
         """Translate ``addr``; return True on TLB hit."""
         return self.access_page(addr >> self.page_shift)

@@ -101,13 +101,6 @@ class AdaptiveOptimizationSystem:
         pending, self._pending = self._pending, []
         return pending
 
-    def recorded_plan(self) -> CompilationPlan:
-        """Export the decisions taken so far as a pseudo-adaptive plan."""
-        plan = CompilationPlan()
-        for method in self._decided:
-            plan.add(method)
-        return plan
-
     def hotness(self, method: MethodInfo) -> float:
         """Fraction of samples attributed to ``method``."""
         if self.total_samples == 0:

@@ -160,9 +160,5 @@ class CodeCache:
     def methods(self) -> List[CompiledMethod]:
         return list(self._entries)
 
-    @property
-    def total_code_bytes(self) -> int:
-        return self._cursor - layout.CODE_BASE
-
     def __len__(self) -> int:
         return len(self._entries)

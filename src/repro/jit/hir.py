@@ -108,9 +108,6 @@ class HIRFunction:
         for block in self.blocks:
             yield from block.insts
 
-    def inst_by_id(self) -> Dict[int, HIRInst]:
-        return {inst.id: inst for inst in self.all_insts()}
-
 
 def _leaders(method: MethodInfo) -> List[int]:
     """Bytecode indices that start basic blocks."""

@@ -18,7 +18,7 @@ an earlier entry).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.lineage.ledger import (
     DECISION_KINDS,
@@ -52,18 +52,31 @@ def index_entries(doc: dict) -> Dict[int, dict]:
 def validate(doc: dict) -> List[str]:
     """Check the ledger invariants; returns problems (empty == valid).
 
+    A valid document can be indexed and walked by id, kind and parents
+    without a type error.
+
+    * the document and each entry are objects,
     * the schema version is one we understand,
     * entry ids are unique and strictly increasing,
     * every parent id resolves to an *earlier* entry (DAG by
       construction).
     """
-    problems: List[str] = []
+    if not isinstance(doc, dict):
+        return [f"lineage document is a {type(doc).__name__}, not an object"]
     if doc.get("schema") != LINEAGE_SCHEMA_VERSION:
-        problems.append(f"unsupported lineage schema {doc.get('schema')!r}")
-        return problems
+        return [f"unsupported lineage schema {doc.get('schema')!r}"]
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        return [f"lineage entries are a {type(entries).__name__}, "
+                f"not a list"]
+    problems: List[str] = []
     last_id = -1
     seen = set()
-    for entry in doc.get("entries", []):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            problems.append(f"entry [{i}] is a {type(entry).__name__}, "
+                            f"not an object")
+            continue
         eid = entry.get("id")
         if not isinstance(eid, int) or eid in seen:
             problems.append(f"duplicate or invalid entry id {eid!r}")
@@ -72,11 +85,13 @@ def validate(doc: dict) -> List[str]:
             problems.append(f"entry ids not strictly increasing at {eid}")
         seen.add(eid)
         last_id = max(last_id, eid)
-        if "kind" not in entry or "parents" not in entry:
+        if not isinstance(entry.get("kind"), str) \
+                or not isinstance(entry.get("parents"), list):
             problems.append(f"entry {eid} missing kind/parents")
             continue
         for parent in entry["parents"]:
-            if parent not in seen or parent == eid:
+            if not isinstance(parent, int) or parent not in seen \
+                    or parent == eid:
                 problems.append(
                     f"entry {eid} parent {parent} does not resolve to an "
                     f"earlier entry")
@@ -125,6 +140,28 @@ def chain_ids(by_id: Dict[int, dict], target_id: int) -> List[int]:
         seen.add(eid)
         stack.extend(by_id[eid]["parents"])
     return sorted(seen)
+
+
+def resolve_evidence(doc: dict,
+                     findings) -> Tuple[Dict[int, List[int]], List[str]]:
+    """Resolve health findings' evidence against a valid ledger.
+
+    Returns the justification chain (:func:`chain_ids`) behind each
+    finding's primary evidence entry — the last of its ``ledger_ids``
+    the ledger holds, which is the chain's last id — by finding index,
+    and one problem per evidence id the ledger does not hold.
+    """
+    by_id = index_entries(doc)
+    chains: Dict[int, List[int]] = {}
+    problems: List[str] = []
+    for i, finding in enumerate(findings):
+        resolved = [eid for eid in finding.ledger_ids if eid in by_id]
+        problems.extend(f"finding[{i}] ({finding.detector}): evidence id "
+                        f"{eid} not in ledger"
+                        for eid in finding.ledger_ids if eid not in by_id)
+        if resolved:
+            chains[i] = chain_ids(by_id, resolved[-1])
+    return chains, problems
 
 
 # ---------------------------------------------------------------------------

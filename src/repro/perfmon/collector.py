@@ -55,7 +55,7 @@ class CollectorThread:
     def drain_now(self) -> int:
         """Synchronous final drain (end of execution)."""
         self._trace.begin("collector.drain", cat="perfmon")
-        eips = self.userlib.read_samples_with_fill()
+        eips = self.userlib.read_samples()
         if eips:
             self._obs.sample_batch(len(eips), "drain")
             self.deliver(eips)
@@ -70,7 +70,7 @@ class CollectorThread:
             return
         self.polls += 1
         self._trace.begin("collector.poll", cat="perfmon")
-        eips = self.userlib.read_samples_with_fill()
+        eips = self.userlib.read_samples()
         if eips:
             self._obs.sample_batch(len(eips), "poll")
             self.deliver(eips)

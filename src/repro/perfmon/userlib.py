@@ -60,16 +60,3 @@ class UserSampleLibrary:
         self.charge(self.config.user_copy_cost * len(batch))
         self.samples_copied += len(batch)
         return [s.eip for s in batch]
-
-    @property
-    def fill_ratio_last(self) -> float:
-        """How full the user buffer was on the last poll (adaptivity input)."""
-        return 0.0 if self.capacity == 0 else self._last_fill
-
-    _last_fill = 0.0
-
-    def read_samples_with_fill(self) -> List[int]:
-        """Like :meth:`read_samples`, also recording the fill ratio."""
-        eips = self.read_samples()
-        self._last_fill = len(eips) / self.capacity if self.capacity else 0.0
-        return eips

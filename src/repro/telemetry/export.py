@@ -40,7 +40,7 @@ from typing import Dict, List, Optional
 
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
                                      MetricsRegistry)
-from repro.telemetry.tracer import Tracer
+from repro.telemetry.tracer import SpanEvent, Tracer
 
 #: Stable thread-id assignment so traces from different runs line up.
 _KNOWN_CATEGORIES = ("vm", "jit", "gc", "perfmon", "controller", "feedback")
@@ -131,6 +131,28 @@ def write_jsonl(path: str, tracer: Tracer,
         for record in jsonl_records(tracer, metrics):
             fh.write(json.dumps(record))
             fh.write("\n")
+
+
+def read_trace_spans(path: str) -> List[SpanEvent]:
+    """The span events of a trace :func:`write_chrome_trace` (JSON) or
+    :func:`write_jsonl` (``.jsonl``) wrote; empty for an empty file.
+
+    Raises OSError when ``path`` cannot be read, and ValueError,
+    KeyError, TypeError or AttributeError when it is not such a trace.
+    """
+    with open(path, "r") as fh:
+        text = fh.read()
+    if not text.strip():
+        return []
+    if path.endswith(".jsonl"):
+        docs = [json.loads(line) for line in text.splitlines() if line.strip()]
+        return [SpanEvent(d["name"], d["cat"], d["ts"], d["dur"],
+                          d.get("depth", 0), d.get("args"))
+                for d in docs if d.get("type") == "span"]
+    return [SpanEvent(ev["name"], ev.get("cat", "vm"), ev["ts"], ev["dur"],
+                      0, ev.get("args"))
+            for ev in json.loads(text).get("traceEvents", [])
+            if ev.get("ph") == "X"]
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,6 @@ class HeapArray:
                 f"{SPACE_NAMES.get(self.space, '?')}>")
 
 
-def object_size(obj) -> int:
-    """Size in bytes of any heap object or array."""
-    return obj.size
-
-
 def same_cache_line(a, b, line_bytes: int = 128) -> bool:
     """True when the *headers* of two objects share a cache line.
 

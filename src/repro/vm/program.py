@@ -84,16 +84,6 @@ class Program:
             methods.extend(klass.methods.values())
         return methods
 
-    def static_roots(self):
-        """Yield (ClassInfo, FieldInfo) for every reference-kind static.
-
-        These are GC roots alongside the thread stacks.
-        """
-        for klass in self.classes.values():
-            for field in klass.static_fields.values():
-                if field.is_ref:
-                    yield klass, field
-
     def total_bytecodes(self) -> int:
         return sum(len(m.code) for m in self.all_methods())
 

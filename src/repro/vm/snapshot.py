@@ -119,10 +119,6 @@ class Snapshot:
 
     # -- serialization -----------------------------------------------------
 
-    @property
-    def payload_bytes(self) -> int:
-        return len(self._payload)
-
     def to_bytes(self) -> bytes:
         """Self-describing wire form: magic, JSON header, payload.
 

@@ -16,8 +16,9 @@ import os
 
 import pytest
 
-from repro.__main__ import _benchmark_list, build_parser, main
+from repro.__main__ import build_parser, main
 from repro.harness import report
+from repro.harness.cli import benchmark_list
 
 CLI_PATH = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
@@ -63,13 +64,13 @@ def test_cli_surface_matches_golden():
 
 class TestArgumentHandling:
     def test_benchmark_list_parsing(self):
-        assert _benchmark_list("db,compress") == ["db", "compress"]
-        assert _benchmark_list("") is None
-        assert _benchmark_list(None) is None
+        assert benchmark_list("db,compress") == ["db", "compress"]
+        assert benchmark_list("") is None
+        assert benchmark_list(None) is None
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
-            _benchmark_list("db,eclipse")
+            benchmark_list("db,eclipse")
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -435,6 +436,70 @@ class TestAuditAndDiff:
         assert docs and all(d["type"] == "job" for d in docs)
         assert {"queued", "started", "finished"} <= {d["kind"]
                                                      for d in docs}
+
+
+@pytest.fixture(scope="module")
+def coalloc_record_doc(tmp_path_factory):
+    """A ``repro run fop --coalloc --record`` document: it carries both
+    the decision ledger and the health report."""
+    path = tmp_path_factory.mktemp("record") / "rec.json"
+    main(["run", "fop", "--heap-mult", "2", "--coalloc",
+          "--record", str(path)])
+    return json.loads(path.read_text())
+
+
+def _drop_first_kind(doc):
+    del doc["lineage"]["entries"][0]["kind"]
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _set_health_schema(doc):
+    doc["health"]["schema"] = 99
+
+
+class TestMalformedRecordDocuments:
+    """A record whose embedded ledger or health report is malformed is
+    refused in one line before anything walks it — never a traceback,
+    never a clean verdict."""
+
+    @pytest.mark.parametrize("command,mutate,message", [
+        ("explain", _drop_first_kind, "decision ledger is invalid"),
+        ("explain", _set("lineage", [1, 2]), "decision ledger is invalid"),
+        ("doctor", _set("lineage", [1, 2]), "decision ledger is invalid"),
+        ("doctor", _set("health", [1, 2]), "not an exported run record"),
+        ("doctor", _set_health_schema, "not an exported run record"),
+    ], ids=["entry-without-kind", "lineage-list-explain",
+            "lineage-list-doctor", "health-list", "health-schema-99"])
+    def test_refused_in_one_line(self, command, mutate, message,
+                                 coalloc_record_doc, tmp_path, capsys):
+        doc = json.loads(json.dumps(coalloc_record_doc))
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "fop", "--from", str(path)])
+        assert isinstance(exc.value.code, str)
+        assert message in exc.value.code and "\n" not in exc.value.code
+        assert "verdict" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("schema", [4, "next"])
+    def test_other_record_schema_refused(self, schema, coalloc_record_doc,
+                                         tmp_path):
+        from repro.harness.record import SCHEMA_VERSION
+
+        doc = dict(coalloc_record_doc,
+                   schema=SCHEMA_VERSION + 1 if schema == "next" else schema)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", str(path), str(path)])
+        assert "re-export it with `repro run" in exc.value.code
+        assert "\n" not in exc.value.code
 
 
 class TestExplainCli:

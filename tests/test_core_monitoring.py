@@ -296,40 +296,6 @@ class TestController:
         assert summary["interest_pairs"] == 1
 
 
-class TestPhaseDetection:
-    def make(self, rates):
-        _, f1, _ = TestOnlineMonitor().fields()
-        mon = OnlineMonitor(MonitorConfig(moving_average_window=3))
-        for rate in rates:
-            if rate:
-                mon.record(f1, rate)
-            mon.close_period(0)
-        return mon, f1
-
-    def test_level_shift_detected(self):
-        mon, f1 = self.make([10] * 8 + [50] * 8)
-        changes = mon.detect_phase_changes(f1)
-        assert changes
-        assert 6 <= changes[0] <= 10  # near the true shift at period 8
-
-    def test_steady_rate_reports_nothing(self):
-        mon, f1 = self.make([10] * 16)
-        assert mon.detect_phase_changes(f1) == []
-
-    def test_small_drift_below_threshold_ignored(self):
-        mon, f1 = self.make([10] * 8 + [12] * 8)
-        assert mon.detect_phase_changes(f1, threshold=0.5) == []
-
-    def test_two_phases_both_found(self):
-        mon, f1 = self.make([10] * 8 + [60] * 8 + [10] * 8)
-        changes = mon.detect_phase_changes(f1)
-        assert len(changes) >= 2
-
-    def test_short_series_returns_empty(self):
-        mon, f1 = self.make([10, 10])
-        assert mon.detect_phase_changes(f1) == []
-
-
 class TestMethodAttribution:
     def test_resolved_samples_credit_methods(self):
         controller, cm, a, hot_eip, _, _ = TestController().make()

@@ -88,12 +88,10 @@ def _db_8m(**observers):
 
 
 def _phased_storm(**observers):
-    """The run ``repro doctor phased --storm`` builds."""
-    vm, workload = runner.make_vm(
-        "phased", RunSpec("phased", coalloc=True), **observers)
-    field = experiments.resolve_field(vm.program, workload.hot_fields[0])
-    experiments.seed_revert_storm(vm, field, count=3)
-    return vm.run()
+    """The run ``repro doctor phased --storm --storm-count 3`` builds."""
+    result, _driver = experiments.revert_storm(
+        RunSpec("phased", coalloc=True), count=3, **observers)
+    return result
 
 
 OBSERVER_CASES = {"db-8M": _db_8m, "phased-storm": _phased_storm}

@@ -11,7 +11,7 @@ Four layers:
 * end-to-end: a seeded revert storm and a phase-shifting workload are
   both detected by ``repro doctor``, with every finding's evidence
   resolving to valid ledger entries; records embed the report through
-  schema 5 and tolerate every legacy schema.
+  schema 5 and refuse every other schema.
 """
 
 import json
@@ -20,9 +20,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.harness import experiments as ex
-from repro.harness.record import (COMPATIBLE_SCHEMAS, RunRecord,
-                                  SCHEMA_VERSION)
-from repro.harness.runner import RunSpec, execute, make_vm
+from repro.harness.record import RunRecord, SCHEMA_VERSION
+from repro.harness.runner import RunSpec, execute
 from repro.health import HealthMonitor, default_detectors
 from repro.health.detectors import (CacheThrashDetector, DETECTOR_REGISTRY,
                                     ExperimentEvent,
@@ -304,6 +303,13 @@ class TestReport:
         assert back.findings[0] == self.finding()
         assert back.intervals == 5
 
+    @pytest.mark.parametrize("doc", [
+        [], {"verdict": "ok"}, {"schema": HEALTH_SCHEMA_VERSION + 98}],
+        ids=["list", "no-schema", "schema-99"])
+    def test_from_json_rejects_other_documents(self, doc):
+        with pytest.raises(ValueError):
+            HealthReport.from_json(doc)
+
     def test_rendering_smoke(self):
         phase = PhaseRecord(index=0, start_period=0, end_period=4,
                             start_cycle=0, end_cycle=5000, intervals=5,
@@ -347,12 +353,9 @@ class TestEndToEnd:
         evidence resolving to valid ledger entries."""
         ledger = DecisionLedger()
         health = HealthMonitor()
-        vm, workload = make_vm("phased",
-                               RunSpec(benchmark="phased", coalloc=True),
-                               lineage=ledger, health=health)
-        fld = ex.resolve_field(vm.program, workload.hot_fields[0])
-        driver = ex.seed_revert_storm(vm, fld, count=4)
-        result = vm.run()
+        result, driver = ex.revert_storm(
+            RunSpec(benchmark="phased", coalloc=True), count=4,
+            lineage=ledger, health=health)
         assert driver.begun >= 3
         assert driver.reverted() >= 2
 
@@ -423,49 +426,18 @@ class TestRecordEmbedding:
         assert RunRecord.from_json(record.to_json()).health is None
 
 
-#: Fields added after each historical schema: a document claiming
-#: schema N must load with all later fields absent.
-_FIELDS_SINCE = {
-    1: ("provenance", "lineage", "exit_value", "health"),
-    2: ("lineage", "exit_value", "health"),
-    3: ("exit_value", "health"),
-    4: ("health",),
-    5: (),
-}
-
-
 class TestSchemaTolerance:
-    def test_compatible_schemas_cover_history(self):
-        assert COMPATIBLE_SCHEMAS == tuple(range(1, SCHEMA_VERSION + 1))
-        assert set(_FIELDS_SINCE) == set(COMPATIBLE_SCHEMAS)
-
-    @pytest.mark.parametrize("schema", sorted(_FIELDS_SINCE))
-    def test_legacy_schema_loads_with_defaults(self, schema,
-                                               compress_health_record):
+    def test_explicit_none_health_tolerated(self, compress_health_record):
         doc = compress_health_record.to_json()
-        doc["schema"] = schema
-        for missing in _FIELDS_SINCE[schema]:
-            doc.pop(missing, None)
-        record = RunRecord.from_json(doc)
-        assert record.cycles == compress_health_record.cycles
-        for missing in _FIELDS_SINCE[schema]:
-            assert getattr(record, missing) is None
-        if "health" not in _FIELDS_SINCE[schema]:
-            assert record.health == compress_health_record.health
-
-    @pytest.mark.parametrize("schema", sorted(_FIELDS_SINCE))
-    def test_explicit_none_health_tolerated(self, schema,
-                                            compress_health_record):
-        doc = compress_health_record.to_json()
-        doc["schema"] = schema
         doc["health"] = None
         record = RunRecord.from_json(doc)
         assert record.health is None
 
-    def test_unknown_schema_rejected(self, compress_health_record):
+    @pytest.mark.parametrize("schema", [4, SCHEMA_VERSION + 1])
+    def test_unknown_schema_rejected(self, schema, compress_health_record):
         doc = compress_health_record.to_json()
-        doc["schema"] = SCHEMA_VERSION + 1
-        with pytest.raises(ValueError):
+        doc["schema"] = schema
+        with pytest.raises(ValueError, match="re-export"):
             RunRecord.from_json(doc)
 
 

@@ -166,15 +166,6 @@ class TestAOS:
         aos.sample(methods[1])
         assert aos.hotness(methods[0]) == pytest.approx(2 / 3)
 
-    def test_recorded_plan(self):
-        _, methods = make_methods(n=1)
-        aos = self.make(hot_samples=2)
-        for _ in range(5):
-            aos.sample(methods[0])
-        aos.poll_decisions()
-        plan = aos.recorded_plan()
-        assert methods[0] in plan
-
 
 class TestCompilationPlan:
     def test_contains_by_qualified_name(self):

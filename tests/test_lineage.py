@@ -331,15 +331,6 @@ class TestEndToEnd:
         record = RunRecord.from_result(result)
         assert record.lineage is None
 
-    def test_legacy_schema2_record_loads(self):
-        result = execute(RunSpec(benchmark="fop"))
-        doc = RunRecord.from_result(result).to_json()
-        doc["schema"] = 2
-        del doc["lineage"]
-        legacy = RunRecord.from_json(doc)
-        assert legacy.lineage is None
-        assert legacy.cycles == result.cycles
-
     def test_diff_reports_first_diverging_decision(self):
         from repro.analysis.diff import diff_records, format_diff
 

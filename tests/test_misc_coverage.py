@@ -1,13 +1,10 @@
-"""Coverage for smaller APIs: GC stats, monitor class series, workload
-metadata used by the oracle ablation, and the ablation helpers."""
+"""Coverage for smaller APIs: GC stats, workload metadata used by the
+oracle ablation, and the ablation helpers."""
 
 import pytest
 
-from repro.core.config import MonitorConfig
-from repro.core.monitor import OnlineMonitor
 from repro.gc.stats import GCStats
 from repro.harness import ablations as ab
-from repro.vm.model import ClassInfo
 from repro.workloads import suite
 
 
@@ -27,24 +24,6 @@ class TestGCStats:
         text = stats.summary()
         assert "3 minor" in text and "1 full" in text
         assert "2 objs" in text
-
-
-class TestMonitorClassSeries:
-    def test_class_series_sums_fields(self):
-        k = ClassInfo("A")
-        f1 = k.add_field("x", "ref")
-        f2 = k.add_field("y", "ref")
-        k.seal()
-        other = ClassInfo("B")
-        f3 = other.add_field("z", "ref")
-        other.seal()
-        mon = OnlineMonitor(MonitorConfig())
-        mon.record(f1, 5)
-        mon.record(f2, 7)
-        mon.record(f3, 100)  # different class: excluded
-        mon.close_period(10)
-        assert mon.class_series(k) == [(10, 12)]
-        assert mon.class_series(other) == [(10, 100)]
 
 
 class TestWorkloadMetadata:

@@ -241,13 +241,3 @@ class TestProgram:
         p.define_class("A")
         with pytest.raises(ValueError):
             p.define_class("A")
-
-    def test_static_roots(self):
-        p = Program("t")
-        k = p.define_class("G")
-        k.add_static("data", "ref")
-        k.add_static("count", "int")
-        k.seal()
-        roots = list(p.static_roots())
-        assert len(roots) == 1
-        assert roots[0][1].name == "data"
