@@ -14,7 +14,10 @@ The plan talks to the rest of the VM through :class:`GCHooks`:
   (DESIGN.md §5: the collector does not run through the cache simulator),
 * ``safepoint()`` runs before an allocation-triggered collection reads
   the clock or the roots, so a CPU that defers memory accesses and
-  charges can land them first.
+  charges can land them first,
+* ``land_charge(latency, cycles, n)`` is ``charge`` as a clock entry of
+  such a CPU's log (a write barrier's deferred charge): it returns
+  ``latency`` untouched.
 """
 
 from __future__ import annotations
@@ -54,12 +57,15 @@ class GCHooks:
                  charge: Callable[[int], None] = lambda cycles: None,
                  pollute_minor: Callable[[], None] = lambda: None,
                  pollute_full: Callable[[], None] = lambda: None,
-                 safepoint: Callable[[], None] = lambda: None):
+                 safepoint: Callable[[], None] = lambda: None,
+                 land_charge: Optional[Callable[[int, int, int], int]] = None):
         self.roots = roots
         self.charge = charge
         self.pollute_minor = pollute_minor
         self.pollute_full = pollute_full
         self.safepoint = safepoint
+        self.land_charge = land_charge or (
+            lambda latency, cycles, n: (charge(cycles), latency)[1])
 
 
 class Plan:

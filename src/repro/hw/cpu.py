@@ -33,9 +33,10 @@ Two drivers execute the same compiled code at three levels:
   fused straight-line superblock closures with batched memory
   simulation wherever the translation carries one (level 2, the
   default; a level-1 translation's block table is simply empty).
-  Where the fused runs of a method close a loop, level 2 runs the
-  whole *ring* as one region function that keeps iterating, guest
-  registers in Python locals, until the quantum budget is spent; and
+  Where the runs of a method close a loop — forks and allocations
+  included — level 2 runs the whole *ring* as one region function
+  that keeps iterating, guest registers in Python locals, until the
+  quantum budget is spent or a collection is due; and
   where every poll of the next ``BUDGET_QUANTA`` quanta is provably
   idle, that budget spans all of them.
   All kinds of closure are generated from one per-opcode emitter in
@@ -188,12 +189,6 @@ class CPU:
         self.instructions += n
         return 0
 
-    def _land_barrier(self, latency: int, cycles: int, n: int) -> int:
-        """Log entry: the charge of a write barrier inside a fused run
-        (its remembered-set bookkeeping was done at once)."""
-        self.runtime.plan.hooks.charge(cycles)
-        return latency
-
     def begin_main(self, method) -> None:
         """Push the entry frame without running (for sliced execution)."""
         cm = self.runtime.compiled_code_for(method)
@@ -255,9 +250,10 @@ class CPU:
         starts at ``pc`` the fused closure executes the entire run, its
         memory accesses join the pending log, and the budget drops by
         the run length; a *region* entry (third field true) is handed
-        the budget, runs as many blocks of its ring as fit it and
-        returns ``(next pc, instructions executed)``, so the accounting
-        below is the same.  The log is replayed in order, in one
+        the budget and ``n``, runs as many blocks of its ring as fit it
+        and returns ``(next pc, instructions executed, n)`` — ``n``
+        restarted by each allocation flush it queued, as below — so the
+        accounting is the same.  The log is replayed in order, in one
         ``access_run_segments`` call, only where the memory system or
         the clock is *read* — the **observation points**:
 
@@ -300,10 +296,13 @@ class CPU:
         polls does not move, the drains merge, and a region iterates
         that much longer per entry.  ``horizon`` bounds what
         *instructions* add to the clock; a lazy compile or a profiler
-        (at a call or return) and a collection (at an allocation)
-        charge it directly, so each of those puts the budget back on
-        the grid — where the clock is flushed, or about to be landed
-        by the collection, and the one-quantum rules above apply again.
+        (at a call or return) and a collection charge it directly, so
+        each of those puts the budget back on the grid — where the
+        clock is flushed, or about to be landed by the collection, and
+        the one-quantum rules above apply again.  A collection only
+        happens at an allocation the driver runs: a region's inline
+        one cannot collect (it leaves for the driver where it would),
+        so it keeps the budget.
         Scheduler events are only ever scheduled by other events, so
         ``next_time`` cannot move closer in between.
 
@@ -365,10 +364,10 @@ class CPU:
                                                until_cycles)):
                     k, fn, region = blk
                     if region:
-                        pc, k = fn(frame, regs, slots, budget)
+                        pc, k, n = fn(frame, regs, slots, budget, n)
                     else:
                         pc = fn(frame, regs, slots)
-                    n += k
+                        n += k
                     budget -= k
                 else:
                     n += 1

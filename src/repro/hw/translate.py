@@ -29,8 +29,8 @@ forms are generated from it:
   the flavour's ``write`` callable.
 
 Only the handlers that speak the driver's protocol (calls, returns,
-allocations, illegal instructions) are hand-written.  It is a template
-JIT for the simulator's own hot loop, the same
+allocations outside a region, illegal instructions) are hand-written.
+It is a template JIT for the simulator's own hot loop, the same
 once-against-the-profile-stable-operands trade the paper's online
 optimizations make for the guest program.
 
@@ -56,7 +56,9 @@ cheap to maintain:
   operands on the CPU, and allocations return ``~pc`` so the driver can
   flush — or, at level 2, queue the flush behind accesses still
   pending — *before* running the second phase from
-  :attr:`Translation.phase2` (collection may only happen there).
+  :attr:`Translation.phase2` (collection may only happen there).  A
+  region bumps the nursery inline and queues that flush itself; an
+  allocation that would collect leaves it for the driver's two phases.
 * Anything that is **not** constant after compilation stays a runtime
   lookup, exactly as in the reference: ``arr.esize`` / ``arr.kind``,
   vtable dispatch through the receiver, and ``static_addr`` (whose
@@ -81,6 +83,8 @@ from repro.hw.isa import (
     M_GETF, M_GETSTATIC, M_LDF, M_LEN, M_MOV, M_MOVI, M_NEW, M_NEWARR,
     M_NOP, M_NULLCHK, M_PUTF, M_PUTSTATIC, M_RET, M_STF,
 )
+from repro.vm.model import ARRAY_HEADER_BYTES, KIND_BYTES
+from repro.vm.objects import HeapArray, HeapObject
 
 #: Sentinel returned by call handlers (target/args stashed on the CPU).
 CALL_SENT = -(1 << 30)
@@ -227,13 +231,15 @@ class _Emitter:
     It does not know which executable form it is writing.  Operands
     arrive as a record ``x`` whose fields render into the text
     (``regs[{x.rd}]`` is ``regs[3]`` fused and ``regs[rd]`` single),
-    and the five things the flavours do differently are callables:
+    and what the flavours do differently are callables:
     ``access(address, is_write, x)`` issues a data access,
     ``fault(indent, message, x)`` raises a guest fault,
     ``barrier(indent, args)`` runs the write barrier,
-    ``name(operand)`` names an object operand, and
+    ``name(operand)`` names an object operand,
     ``branch(test, x)`` transfers control to ``x.timm`` — if ``test``
-    (an expression; ``None`` for always) holds, else to ``x.npc``.
+    (an expression; ``None`` for always) holds, else to ``x.npc`` —
+    and, for an allocation (only a region has one), ``leave(indent,
+    pc)`` exits to the driver and ``flush(indent)`` queues its flush.
 
     Redundancy elimination: it tracks which register each scratch local
     (``a``/``i``/``o``) currently mirrors, which registers are proven
@@ -250,13 +256,16 @@ class _Emitter:
     single-flavour template, one instruction long, checks everything.)
     """
 
-    def __init__(self, write, access, fault, barrier, name, branch):
+    def __init__(self, write, access, fault, barrier, name, branch,
+                 leave=None, flush=None):
         self.write = write
         self.access = access
         self.fault = fault
         self.barrier = barrier
         self.name = name
         self.branch = branch
+        self.leave = leave
+        self.flush = flush
         self.a_reg = self.i_reg = self.o_reg = None
         self.e_valid = self.bounds_ok = False
         self.nonnull = set()
@@ -414,6 +423,34 @@ class _Emitter:
             self.branch(f"regs[{x.rs1}] " + test.format(x=x), x)
         elif op == M_BR:
             self.branch(None, x)
+        elif op == M_NEW or op == M_NEWARR:
+            # Bump the nursery inline.  A negative length, an object the
+            # LOS takes and a nursery that cannot fit it are the
+            # driver's: ``leave`` for it at this pc, nothing done.
+            rd, aux = x.rd, x.aux
+            if op == M_NEW:
+                size = aux.instance_bytes
+                make = f"HeapObject({self.name(aux)}, c)"
+            else:
+                W(f"        z = regs[{x.rs1}]")
+                W("        if z < 0:")
+                self.leave("            ", x.pc)
+                W(f"        y = ({ARRAY_HEADER_BYTES + 3}"
+                  f" + {KIND_BYTES[aux]} * z) & ~3")
+                size, make = "y", f"HeapArray({aux!r}, z, c)"
+            W("        c = nursery.cursor")
+            W(f"        if {size} > cell_max"
+              f" or c + {size} > nursery.base + nursery.capacity:")
+            self.leave("            ", x.pc)
+            self.flush("        ")
+            W(f"        frame.pc = {x.pc}")
+            W(f"        nursery.cursor = c + {size}")
+            W(f"        regs[{rd}] = {make}")
+            W(f"        nursery_objects.append(regs[{rd}])")
+            W("        stats.alloc_objects += 1")
+            W(f"        stats.alloc_bytes += {size}")
+            self.invalidate(rd)
+            self.nonnull.add(rd)
         elif op != M_NOP:
             raise AssertionError(f"no emitter case for shape {shape}")
 
@@ -750,7 +787,8 @@ def translate(cm, cpu) -> Translation:
 #
 # Block boundaries (branches and their targets, calls, returns,
 # allocations, unknown ALU ops) stay per-instruction, which keeps GC
-# safepoints, profiler callbacks, and ``frame.pc`` anchoring untouched.
+# safepoints, profiler callbacks, and ``frame.pc`` anchoring untouched
+# (a region's allocation anchors ``frame.pc`` and never collects).
 # ---------------------------------------------------------------------------
 
 #: Fused runs are capped so a run usually fits the remaining scheduler
@@ -826,23 +864,34 @@ def superblock_ranges(code, templates=None) -> List[tuple]:
 class _Literal:
     """An instruction's operands as the fused flavour inlines them: a
     template's ``load`` fills in the literal value of every
-    ``_OPERANDS`` field its shape mentions."""
+    ``_OPERANDS`` field its shape mentions (an allocation's are loaded
+    by hand, ``aux`` among them)."""
 
-    __slots__ = ("pc", *_OPERANDS)
+    __slots__ = ("pc", "aux", *_OPERANDS)
 
     #: The block header hoists ``frame.base`` into a local.
     fb = "fb"
     npc = property(lambda x: x.pc + 1)
 
 
-def _block_writer(code, templates, base_eip, W, branch, unwind=""):
+def _allocates(inst) -> bool:
+    """Whether an allocation may run inside a region: a ``new`` of a
+    sealed class (its size is fixed) or a ``newarr`` of a known kind."""
+    if inst.op == M_NEW:
+        return getattr(inst.aux, "slot_template", None) is not None
+    return inst.op == M_NEWARR and inst.aux in KIND_BYTES
+
+
+def _block_writer(code, templates, base_eip, W, branch, unwind="",
+                  leave=None):
     """``(emit_block, emit_ring, consts)``: ``emit_block(start, end)``
     writes, through ``W``, the body of the fused run ``[start, end)`` —
     everything under its ``def`` line — leaving through ``branch``;
-    ``emit_ring`` writes the blocks of a ring as one batch (see there);
-    ``consts`` collects the constants the bodies reference.  ``unwind``
-    is text put in front of every fault call (a region stores its
-    registers back there)."""
+    ``emit_ring`` writes the blocks of a ring (see there); ``consts``
+    collects the constants the bodies reference.  ``unwind`` is text
+    put in front of every fault call (a region stores its registers
+    back there); ``leave(indent, pc)`` writes a region's exit, which an
+    allocation the inline path cannot serve takes."""
     consts: List[object] = []
     const_ids: Dict[int, str] = {}
     # The flavour's callables are made once per method; what they read
@@ -897,12 +946,31 @@ def _block_writer(code, templates, base_eip, W, branch, unwind=""):
         W(f"{indent}ap = b.append")
         W(f"{indent}record_store({args})")
 
+    def flush(indent):
+        # The flush the driver queues at an allocation, for its local
+        # count ``n`` since the last one: in a region, the count it was
+        # entered with plus what the entry has run — the allocation
+        # included, which its block's ``left`` skipped.  It joins the
+        # log as a barrier's charge does, splitting a shared batch.
+        if shared and has_mem:
+            W(f"{indent}if b:")
+            W(f"{indent}    pend((b, K{wslot}, K{eslot}, s))")
+            W(f"{indent}    s += len(b)")
+            W(f"{indent}    b = []")
+            W(f"{indent}    ap = b.append")
+        W(f"{indent}left -= 1")
+        W(f"{indent}m = n + budget - left")
+        W(f"{indent}pend((None, land_flush, cell[0] + m * icost, m))")
+        W(f"{indent}n = left - budget")
+        W(f"{indent}cell[0] = alloc_cost")
+
     def open_batch(runs) -> bool:
         # Reserve the const slots for the batch's access-metadata tuples
         # now (they are referenced by flush/fault lines); ``seal``
         # patches them in once every access has been emitted.
         nonlocal has_mem, writes, eips, wslot, eslot
-        has_mem = any(template.mem for start, stop in runs
+        has_mem = any(template is not None and template.mem
+                      for start, stop in runs
                       for template in templates[start:stop])
         writes, eips = [], []
         if has_mem:
@@ -920,6 +988,17 @@ def _block_writer(code, templates, base_eip, W, branch, unwind=""):
 
     def emit_block(start, end):
         nonlocal has_wb
+        # A fresh emitter: no fact survives a block boundary.
+        emit = _Emitter(W, access, fault, barrier, const, branch, leave,
+                        flush).emit
+        if templates[start] is None:
+            # A ring's allocation, a run of its own: it falls through.
+            inst = code[start]
+            x.pc, x.rd, x.rs1, x.aux = start, inst.rd, inst.rs1, inst.aux
+            emit((inst.op,), x)
+            x.pc = x.timm = end
+            branch(None, x)
+            return
         # A BC/BR terminator executes inside the closure: the return
         # value IS the taken pc, so the driver skips a whole dispatch
         # per block.
@@ -934,8 +1013,6 @@ def _block_writer(code, templates, base_eip, W, branch, unwind=""):
         if any(template.frame for template in body):
             W("        fb = frame.base")
 
-        # A fresh emitter: no fact survives a block boundary.
-        emit = _Emitter(W, access, fault, barrier, const, branch).emit
         for pc in range(start, stop):
             template = templates[pc]
             x.pc = pc
@@ -961,27 +1038,33 @@ def _block_writer(code, templates, base_eip, W, branch, unwind=""):
 
     def emit_ring(ring, enter, most):
         """Write the blocks of ``ring`` in order — ``enter(j, start,
-        stop)`` writes what goes in front of the ``j``-th — appending to
-        ONE batch the caller opens and pends: its metadata is the
-        ring's, repeated to cover ``most`` instructions.  Returns the
-        metadata's const names, ``None`` if the ring accesses nothing."""
+        stop)`` writes what goes in front of the ``j``-th.  Given
+        ``most`` (the ring does not fork) they append to ONE batch the
+        caller opens and pends, whose metadata — the ring's, repeated
+        to cover ``most`` instructions — is named in the result;
+        otherwise, or if the ring accesses nothing (``None``), each
+        block pends its own, as a plain one does."""
         nonlocal shared
-        shared = open_batch(ring)
+        shared = most is not None and open_batch(ring)
         for j, (start, stop) in enumerate(ring):
             enter(j, start, stop)
             emit_block(start, stop)
+        if not shared:
+            return None
         shared = False
         seal(-(-most // sum(stop - start for start, stop in ring)))
-        return (f"K{wslot}", f"K{eslot}") if has_mem else None
+        return f"K{wslot}", f"K{eslot}"
 
     return emit_block, emit_ring, consts
 
 
-def _factory_source(body, consts, names) -> str:
+def _factory_source(body, consts, names, extra=()) -> str:
     """The factory around the closures ``names`` defined by ``body``: it
-    binds the CPU-specific services once and returns the closures."""
+    binds the CPU-specific services (and the ``extra`` ones a region
+    takes) once and returns the closures."""
     lines = ["def _factory(cell, pend, drain, record_store, barrier, "
-             "static_addr, GuestError, method, consts):"]
+             "static_addr, GuestError, method, consts"
+             + "".join(f", {name}" for name in extra) + "):"]
     if consts:
         lines.append(f"    ({', '.join(f'K{i}' for i in range(len(consts)))},)"
                      " = consts")
@@ -1020,63 +1103,86 @@ def superblock_source(cm, templates=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Regions: the fused flavour's third form.  A *ring* of fused runs — a
-# loop with no call, allocation or unfusible instruction on its path —
-# compiles to ONE function that keeps iterating without returning to the
-# driver: guest registers live in Python locals, the quantum budget is
-# tested inline before each block, and every exit (the loop's own, a
-# side exit, a block that no longer fits the budget) stores the written
-# registers back and returns ``(next pc, instructions executed)``.
-# The whole entry appends to ONE access batch, pended at that exit (a
-# write barrier still splits it, a fault pends it before it drains), so
-# the pending log holds the accesses, charges and flushes the driver
-# queues running the same blocks one dispatch at a time, in the same
-# order — in one segment instead of one per block execution.
+# Regions: the fused flavour's third form.  A *ring* — a loop whose runs
+# may fork forward and rejoin, and allocate, with no call or unfusible
+# instruction on the path — compiles to ONE function that keeps
+# iterating without returning to the driver: guest registers live in
+# Python locals, the blocks sit in pc order in a ``while True`` (one not
+# simply fallen into from the block before is guarded by ``pc``), the
+# quantum budget is tested inline before each block, and every exit
+# (the loop's own, a side exit, the budget, an allocation only the
+# driver can serve) stores the written registers back and returns
+# ``(next pc, instructions executed, n)`` — ``n`` the driver's local
+# count, which the allocation flushes the region queued restart.  A ring
+# that does not fork appends the entry to ONE access batch, pended at
+# that exit (a barrier or an allocation splits it, a fault pends it
+# before it drains); a forking one pends a batch per block.  Either way
+# the log holds what the driver queues running the same blocks one
+# dispatch at a time, in the same order.
 # ---------------------------------------------------------------------------
 
-def superblock_rings(code, templates=None, ranges=None) -> List[List[tuple]]:
-    """The rings among the fused runs of ``code``, each a list of
-    ``(start, stop)`` runs in execution order from its header.
+def _ring_runs(code, templates, ranges) -> Dict[int, int]:
+    """``{start: stop}`` of the runs a ring may be made of: the fused
+    runs, and runs of one — every allocation :func:`_allocates` admits,
+    every branch no fused run ends with."""
+    runs = dict(ranges)
+    ends = set(runs.values())
+    for pc, template in enumerate(templates):
+        if template is None:
+            if _allocates(code[pc]):
+                runs[pc] = pc + 1
+        elif template.branch and pc + 1 not in ends:
+            runs[pc] = pc + 1
+    return runs
 
-    A ring closes where a run's last instruction leads back to a run at
-    or above it (the header); from the header, each run must have
-    exactly one successor that is itself a ring run — every other edge
-    (the loop exit, a branch to an unfused pc) is a side exit.  So a
-    path that forks inside the loop, or leaves the fused runs for a
-    call or an allocation, forms no ring: the rule is structural, not a
-    hotness threshold.
+
+def _run_successors(code, templates, start, stop) -> set:
+    """Where control goes after the run ``[start, stop)``."""
+    template = templates[stop - 1]
+    if template is None or not template.branch:
+        return {stop}
+    last = code[stop - 1]
+    return {last.imm, stop} if last.op == M_BC else {last.imm}
+
+
+def superblock_rings(code, templates=None, ranges=None) -> List[List[tuple]]:
+    """The rings among the runs of ``code``, each a list of ``(start,
+    stop)`` runs in pc order, the header first.
+
+    A ring closes where a run (the *tail*) leads back to a fused run at
+    or above it (the *header*).  Its members are the runs reached from
+    the header by edges that go forward, up to the tail — so the body
+    may fork and rejoin — and the tail must be one of them.  Every other
+    edge (the loop's exit, a branch to a pc that starts no run, any
+    backward branch but the tail's) is a side exit.  Besides the fused
+    runs, allocations and lone branches are runs (:func:`_ring_runs`);
+    a call or an unfusible instruction on the path is not, so a loop
+    through one forms no ring.  The rule is structural, not a hotness
+    threshold; a run belongs to at most one ring, inner loops first.
     """
     if templates is None:
         templates = _decode(code)
     if ranges is None:
         ranges = superblock_ranges(code, templates)
-    stops = dict(ranges)
-
-    def successors(start) -> set:
-        stop = stops[start]
-        if not templates[stop - 1].branch:
-            return {stop}
-        last = code[stop - 1]
-        return {last.imm, stop} if last.op == M_BC else {last.imm}
-
+    fused = dict(ranges)
+    runs = _ring_runs(code, templates, ranges)
     rings, claimed = [], set()
-    for tail, _ in ranges:
-        for header in successors(tail):
-            if header > tail or header not in stops:
+    for tail in sorted(runs):
+        for header in _run_successors(code, templates, tail, runs[tail]):
+            if header > tail or header not in fused:
                 continue
-            ring = [header]
-            while ring[-1] != tail:
-                inside = [pc for pc in successors(ring[-1])
-                          if pc in stops and header < pc <= tail]
-                if len(inside) != 1 or inside[0] in ring:
-                    break
-                ring.append(inside[0])
-            else:
-                members = set(ring)
-                if not members & claimed and all(
-                        len(successors(pc) & members) == 1 for pc in ring):
-                    claimed |= members
-                    rings.append([(pc, stops[pc]) for pc in ring])
+            members, todo = {header}, [header]
+            while todo:
+                start = todo.pop()
+                for pc in _run_successors(code, templates, start,
+                                          runs[start]):
+                    if start < pc <= tail and pc in runs \
+                            and pc not in members:
+                        members.add(pc)
+                        todo.append(pc)
+            if tail in members and not members & claimed:
+                claimed |= members
+                rings.append([(pc, runs[pc]) for pc in sorted(members)])
     return rings
 
 
@@ -1090,15 +1196,18 @@ _STORE_BACK = "<store back>; "
 
 def region_source(cm, templates=None, ranges=None) -> tuple:
     """The factory source for ``cm``'s regions: ``(source, consts,
-    rings)``, or ``None`` when its fused runs form no ring."""
+    rings)``, or ``None`` when its runs form no ring."""
     code = cm.code
     if templates is None:
         templates = _decode(code)
     rings = superblock_rings(code, templates, ranges)
     if not rings:
         return None
-    out: List[str] = []
+    out: List[str] = ["    nursery, stats = plan.nursery, plan.stats",
+                      "    cell_max = plan.config.max_cell_bytes"]
     mentioned, written = set(), set()
+    pad = "    "    # into the ``while True``; one level more in a guard
+    start = None    # of the block being written
 
     def local(match) -> str:
         mentioned.add(int(match[1]))
@@ -1106,40 +1215,52 @@ def region_source(cm, templates=None, ranges=None) -> tuple:
 
     def W(line):
         # The emitter's text with ``regs[k]`` renamed to the local
-        # ``rk``, one level deeper: inside the ring's ``while True``.
+        # ``rk``, re-indented into the ring's ``while True:``.
         write = _REG_WRITE.match(line)
         if write is not None:
             written.add(int(write[1]))
-        out.append("    " + _REG.sub(local, line))
+        out.append(pad + _REG.sub(local, line))
 
     def leave(indent, pc):
-        out.append(f"{indent}pc = {pc}")
-        out.append(f"{indent}break")
+        W(f"{indent}pc = {pc}")
+        W(f"{indent}break")
 
     def branch(test, x):
-        # The one successor inside the ring is the next block in the
-        # text (the header, from the last): fall into it.  The other
-        # edge leaves the region.
-        if test is None or x.timm == x.npc:
+        # Edges inside the ring stay in the text — telling a guarded
+        # block its pc; the next one in the text, or from the tail the
+        # header, is simply reached — and the others leave.
+        taken, fall = x.timm, x.npc
+        edges = {taken} if test is None or taken == fall else {taken, fall}
+        stays = edges & here[start]
+        if len(edges) == 2 and len(stays) != 1:    # both guarded, or out
+            W(f"        pc = {taken} if {test} else {fall}")
+            if not stays:
+                W("        break")
             return
-        test = _REG.sub(local, test)
-        if x.timm == inside:
-            out.append(f"            if not ({test}):")
-            leave("                ", x.npc)
-        else:
-            out.append(f"            if {test}:")
-            leave("                ", x.timm)
+        if len(edges) == 2:
+            W(f"        if {test}:" if fall in stays
+              else f"        if not ({test}):")
+            leave("            ", taken if fall in stays else fall)
+        elif not stays:
+            leave("        ", taken)
+        for pc in stays & guarded:
+            W(f"        pc = {pc}")
 
-    def fits(start, stop):
-        out.append(f"            if left < {stop - start}:")
-        leave("                ", start)
+    def fits(first, stop):
+        W(f"        if left < {stop - first}:")
+        leave("            ", first)
 
-    def enter(j, start, stop):
-        nonlocal inside
-        inside = ring[(j + 1) % len(ring)][0]
+    def enter(j, first, stop):
+        nonlocal pad, start
+        start = first
+        if first in guarded:
+            pad = "    "
+            W(f"        if pc == {first}:")
+            pad = "        "
         if j:            # the driver admitted the first block
-            fits(start, stop)
-        out.append(f"            left -= {stop - start}")
+            fits(first, stop)
+        if templates[first] is not None:    # an allocation counts itself
+            W(f"        left -= {stop - first}")
 
     # The most instructions one entry runs: the driver hands a region at
     # most a ``BUDGET_QUANTA``-quanta budget, and admits its first block
@@ -1147,13 +1268,24 @@ def region_source(cm, templates=None, ranges=None) -> tuple:
     from repro.hw.cpu import BUDGET_QUANTA, SCHED_QUANTUM
     ceiling = BUDGET_QUANTA * SCHED_QUANTUM
     _, emit_ring, consts = _block_writer(code, templates, cm.code_addr, W,
-                                         branch, _STORE_BACK)
+                                         branch, _STORE_BACK, leave)
     for ring in rings:
-        first = len(out)
+        top = len(out)
         mentioned.clear()
         written.clear()
-        inside = None
-        batch = emit_ring(ring, enter, ceiling + ring[0][1] - ring[0][0])
+        starts = [run[0] for run in ring]
+        header, tail = starts[0], starts[-1]
+        here = {run[0]: {pc for pc in _run_successors(code, templates, *run)
+                         if pc in starts and (pc > run[0] or run[0] == tail)}
+                for run in ring}
+        # A block needs a guard unless its one way in is from the block
+        # before it in the text, whose one way on it is.
+        guarded = {b for a, b in zip(starts, starts[1:])
+                   if here[a] != {b} or any(b in here[c] for c in starts
+                                            if c != a)}
+        batch = emit_ring(ring, enter, None if guarded else
+                          ceiling + ring[0][1] - ring[0][0])
+        pad = "    "
         fits(*ring[0])
         store = "; ".join(f"regs[{reg}] = r{reg}"
                           for reg in sorted(written)) or "pass"
@@ -1163,16 +1295,24 @@ def region_source(cm, templates=None, ranges=None) -> tuple:
                        ("b = []", "ap = b.append", "s = 0")]
             closing = ["        if b:",
                        "            pend((b, %s, %s, s))" % batch]
-        out[first:] = (
-            [f"    def _rg_{ring[0][0]}(frame, regs, slots, budget):"]
+        if any(templates[pc] is None for pc in starts):
+            # A collection replaces the list, but only the driver's
+            # slow path collects.
+            opening = (["        nursery_objects = plan.nursery_objects"]
+                       + opening)
+        out[top:] = (
+            [f"    def _rg_{header}(frame, regs, slots, budget, n):"]
             + [f"        r{reg} = regs[{reg}]" for reg in sorted(mentioned)]
             + opening + ["        left = budget", "        while True:"]
             + [line.replace(_STORE_BACK, store + "; ")
-               for line in out[first:]]
+               for line in out[top:]]
             + [f"        {store}"] + closing
-            + ["        return pc, budget - left"])
+            + ["        return pc, budget - left, n + budget - left"])
     names = [f"_rg_{ring[0][0]}" for ring in rings]
-    return _factory_source(out, consts, names), consts, rings
+    # Besides the plain services, a region binds the allocation path's.
+    extra = ("plan", "land_flush", "icost", "alloc_cost", "HeapObject",
+             "HeapArray")
+    return _factory_source(out, consts, names, extra), consts, rings
 
 
 #: Distinct factory sources kept compiled — about three times what the
@@ -1205,14 +1345,15 @@ def compile_superblocks(cm, cpu, templates=None) -> List:
     plan = cpu.runtime.plan
     services = (cpu._cyc_cell, cpu._pending.append, cpu.drain_accesses,
                 plan.remset.record_store,
-                (None, cpu._land_barrier, plan.config.write_barrier_cost, 0),
+                (None, plan.hooks.land_charge, plan.config.write_barrier_cost,
+                 0),
                 cpu.runtime.static_addr, GuestError, cm.method)
 
-    def closures(source, consts, kind):
+    def closures(source, consts, kind, *extra):
         filename = f"<{kind} {cm.method.qualified_name}>"
         namespace: Dict[str, object] = {}
         exec(_factory_code(source, filename), namespace)
-        return namespace["_factory"](*services, tuple(consts))
+        return namespace["_factory"](*services, tuple(consts), *extra)
 
     source, consts, ranges = built
     for (start, stop), closure in zip(ranges,
@@ -1221,7 +1362,10 @@ def compile_superblocks(cm, cpu, templates=None) -> List:
     built = region_source(cm, templates, ranges)
     if built is not None:
         source, consts, rings = built
-        for ring, closure in zip(rings, closures(source, consts, "region")):
+        for ring, closure in zip(rings, closures(
+                source, consts, "region", plan, cpu._land_flush,
+                cpu.config.instruction_cost, plan.config.alloc_cost,
+                HeapObject, HeapArray)):
             start, stop = ring[0]
             blocks[start] = (stop - start, closure, True)
     return blocks

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from tests.helpers import BASELINE_ONLY
 from repro.core.config import GCConfig, SystemConfig
+from repro.hw import translate
+from repro.hw.isa import M_NEW, M_NEWARR
+from repro.hw.translate import region_source, superblock_rings
 from repro.jit.aos import CompilationPlan
+from repro.jit.baseline import compile_baseline
+from repro.jit.opt import compile_opt
 from repro.vm.program import Program
 from repro.vm.vmcore import VM, run_program
 from repro.workloads.synth import Fn
@@ -45,10 +50,11 @@ ACTIONS = st.lists(
 def build_random_program(actions, rounds=1):
     """The program a recipe describes; with ``rounds`` > 1 its actions
     run that many times in a counted loop, the value on the stack
-    carried round in a local — so the loop's fused runs form rings
-    (unless an action allocates) nobody hand-wrote.  Two boxes are
-    allocated up front for ``link`` actions to store references into:
-    a write barrier that allocates nothing, so it lands inside a ring."""
+    carried round in a local — so the loop's runs form rings nobody
+    hand-wrote, the allocating (``field``, ``array``) and forking
+    (``branch``) actions' included.  Two boxes are allocated up front
+    for ``link`` actions to store references into: a write barrier
+    inside the ring, behind no allocation of its own."""
     p = Program("fuzz")
     app = p.define_class("App")
     app.add_static("out", "int")
@@ -221,8 +227,8 @@ class TestInterpreterEquivalenceFuzz:
     @given(ACTIONS, st.integers(2, 30), st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_looped_recipe_matches_reference(self, actions, rounds, opt):
-        """The recipe in a counted loop: generated rings (and loops
-        an allocating action keeps from being one) at every level."""
+        """The recipe in a counted loop: generated rings, allocating
+        and forking ones included, at every level."""
         self._differential(actions, ["App.work"] if opt else (),
                            rounds=rounds)
 
@@ -234,6 +240,20 @@ class TestInterpreterEquivalenceFuzz:
         the region entries queued, mid-drain, at every level alike."""
         self._differential(actions, ["App.work"] if opt else (),
                            rounds=rounds, monitoring=True)
+
+    @given(ACTIONS, st.integers(300, 600), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_looped_recipe_filling_the_nursery_matches_reference(
+            self, actions, rounds, opt):
+        """The looped recipe behind a ``field`` action, monitored, on a
+        4 KB nursery: the rounds fill it mid-ring, so collections are
+        taken from inside regions — at every level alike."""
+        self._differential([("field", 1)] + actions,
+                           ["App.work"] if opt else (), rounds=rounds,
+                           monitoring=True, gc=GCConfig(
+                               heap_bytes=1024 * 1024,
+                               min_nursery_bytes=4096,
+                               max_nursery_bytes=4096))
 
     @given(ACTIONS, st.integers(2, 30), st.booleans(),
            st.integers(200, 3000))
@@ -258,6 +278,46 @@ class TestInterpreterEquivalenceFuzz:
             traces.append((trace, self._observables(
                 app.static_values[app.static("out").index], result)))
         assert traces[1] == traces[0]
+
+
+class TestLoopedRecipeRings:
+    """The looped differentials are not vacuous: fixed recipes of each
+    allocating and forking action form a ring around that action, under
+    both compilers, and run mostly inside its region."""
+
+    @pytest.mark.parametrize("action", [
+        ("field", 5), ("array", 3, 7), ("branch", "lt", 10)],
+        ids=["field", "array", "branch"])
+    @pytest.mark.parametrize("opt", [False, True], ids=["baseline", "opt"])
+    def test_the_action_runs_inside_a_region(self, action, opt,
+                                             monkeypatch):
+        _, app = build_random_program([("push", 1), action], rounds=200)
+        cm = (compile_opt if opt else compile_baseline)(app.methods["work"])
+        (ring,) = superblock_rings(cm.code)
+        if action[0] == "branch":    # a fork: a block behind a guard
+            assert "if pc == " in region_source(cm)[0]
+        else:
+            op = {"field": M_NEW, "array": M_NEWARR}[action[0]]
+            assert any(cm.code[start].op == op for start, _ in ring)
+
+        seen = [0]
+        real = translate.compile_superblocks
+
+        def counted(cm, cpu, templates=None):
+            def counting(region):
+                def wrapped(frame, regs, slots, budget, n):
+                    pc, used, n = region(frame, regs, slots, budget, n)
+                    seen[0] += used
+                    return pc, used, n
+                return wrapped
+            return [blk and (blk[0], counting(blk[1]), True) if blk and blk[2]
+                    else blk for blk in real(cm, cpu, templates)]
+
+        monkeypatch.setattr(translate, "compile_superblocks", counted)
+        _, result = run_recipe_full([("push", 1), action],
+                                    ["App.work"] if opt else (), rounds=200,
+                                    fastpath=2)
+        assert seen[0] / result.instructions >= 0.5
 
 
 class TestGCUnderPressureFuzz:

@@ -33,11 +33,18 @@ observer emits, or what the superblock or region emitter writes) is
 meant to change.  Regenerate all four with::
 
     PYTHONPATH=src python tests/test_golden_digests.py
+
+or name the ones to regenerate (``digests``, ``observers``,
+``superblocks``, ``regions``), so a deliberate change to one pin file
+cannot rewrite the others in the same step::
+
+    PYTHONPATH=src python tests/test_golden_digests.py regions
 """
 
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -155,40 +162,54 @@ def test_golden_file_covers_exactly_the_cases():
 def test_record_digest_matches_golden(case):
     assert digest(case) == load_golden()[case], (
         f"simulated behaviour of {case} changed; if that is intended, "
-        f"regenerate with: python tests/test_golden_digests.py")
+        f"regenerate with: python tests/test_golden_digests.py digests")
 
 
 @pytest.mark.parametrize("case", sorted(OBSERVER_CASES))
 def test_observer_outputs_match_golden(case):
     assert observer_digests(case) == load_golden(OBSERVERS_PATH)[case], (
         f"what the observers emit for {case} changed; if that is "
-        f"intended, regenerate with: python tests/test_golden_digests.py")
+        f"intended, regenerate with: python tests/test_golden_digests.py "
+        f"observers")
 
 
 @pytest.mark.parametrize("guest", GUESTS)
 def test_superblock_source_matches_golden(guest):
     assert superblock_digest(guest) == load_golden(SUPERBLOCKS_PATH)[guest], (
         f"the superblock bodies emitted for {guest} changed; if that is "
-        f"intended, regenerate with: python tests/test_golden_digests.py")
+        f"intended, regenerate with: python tests/test_golden_digests.py "
+        f"superblocks")
 
 
 @pytest.mark.parametrize("guest", GUESTS)
 def test_region_source_matches_golden(guest):
     assert region_digest(guest) == load_golden(REGIONS_PATH)[guest], (
         f"the regions emitted for {guest} changed; if that is intended, "
-        f"regenerate with: python tests/test_golden_digests.py")
+        f"regenerate with: python tests/test_golden_digests.py regions")
+
+
+#: Each pin file by name: its path and what regenerates its pins.
+PIN_FILES = {
+    "digests": (GOLDEN_PATH, lambda: {case: digest(case) for case in CASES}),
+    "observers": (OBSERVERS_PATH, lambda: {
+        case: observer_digests(case) for case in sorted(OBSERVER_CASES)}),
+    "superblocks": (SUPERBLOCKS_PATH, lambda: {
+        guest: superblock_digest(guest) for guest in GUESTS}),
+    "regions": (REGIONS_PATH, lambda: {
+        guest: region_digest(guest) for guest in GUESTS}),
+}
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(PIN_FILES)
+    unknown = [name for name in names if name not in PIN_FILES]
+    if unknown:
+        sys.exit(f"unknown pin file {', '.join(unknown)}: "
+                 f"choose from {', '.join(PIN_FILES)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for path, pins in (
-            (GOLDEN_PATH, {case: digest(case) for case in CASES}),
-            (OBSERVERS_PATH, {case: observer_digests(case)
-                              for case in sorted(OBSERVER_CASES)}),
-            (SUPERBLOCKS_PATH, {guest: superblock_digest(guest)
-                                for guest in GUESTS}),
-            (REGIONS_PATH, {guest: region_digest(guest)
-                            for guest in GUESTS})):
+    for name in names:
+        path, regenerate = PIN_FILES[name]
+        pins = regenerate()
         with open(path, "w") as fh:
             json.dump(pins, fh, indent=1, sort_keys=True)
             fh.write("\n")

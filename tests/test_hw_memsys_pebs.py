@@ -292,7 +292,8 @@ class TestAccessRun:
             if step[0] == "access":
                 log.append((addrs[step[1]:step[2]], writes, eips, step[1]))
             elif step[0] == "charge":
-                log.append((None, cpu_l._land_barrier, step[1], 0))
+                log.append((None, cpu_l.runtime.plan.hooks.land_charge,
+                            step[1], 0))
             else:
                 log.append((None, cpu_l._land_flush, step[1], step[2]))
         cpu_l._pending.extend(log)

@@ -9,7 +9,9 @@ and dropped on recompilation, and the ``fastpath`` knob never leaks
 into the experiment cache key.
 """
 
+import collections
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import pytest
@@ -26,13 +28,15 @@ from repro.hw.cpu import BUDGET_QUANTA, SCHED_QUANTUM
 from repro.hw.isa import (
     ALU_OPS, BC_CONDS, GuestError, MInst,
     M_ALOAD, M_ALU, M_ALUI, M_ASTORE, M_BC, M_BR, M_CALL, M_CALLV, M_GETF,
-    M_GETSTATIC, M_LDF, M_LEN, M_MOV, M_MOVI, M_NEW, M_NOP, M_NULLCHK,
-    M_PUTF, M_PUTSTATIC, M_RET, M_STF,
+    M_GETSTATIC, M_LDF, M_LEN, M_MOV, M_MOVI, M_NEW, M_NEWARR, M_NOP,
+    M_NULLCHK, M_PUTF, M_PUTSTATIC, M_RET, M_STF,
 )
 from repro.hw.translate import (MIN_SUPERBLOCK, region_source,
                                 superblock_ranges, superblock_rings,
                                 superblock_source, translation_for)
+from repro.gc import layout
 from repro.jit.aos import CompilationPlan
+from repro.jit.baseline import compile_baseline
 from repro.vm.objects import HeapObject
 from repro.vm.program import Program
 from repro.vm.snapshot import Snapshot
@@ -122,11 +126,13 @@ class TestKnob:
         assert len(blocks) == len(cm.code)
         starts = [pc for pc, blk in enumerate(blocks) if blk is not None]
         assert starts  # the loop body really fused
+        # ``new`` in the loop joins its ring: a region at the header.
+        (ring,) = superblock_rings(cm.code)
         for pc in starts:
             length, closure, is_region = blocks[pc]
             assert length >= MIN_SUPERBLOCK
             assert callable(closure)
-            assert is_region is False    # ``new`` in the loop: no ring
+            assert is_region == (pc == ring[0][0])
             # Mid-block pcs carry no entry: a branch landing inside a
             # fused run executes per-instruction.
             for mid in range(pc + 1, pc + length):
@@ -779,6 +785,27 @@ class TestCensus:
         assert 1000 * regions.entries / instructions <= 3
         assert regions.budget == BUDGET_QUANTA * SCHED_QUANTUM
 
+    #: ``perfbench``'s ``sim_churn`` guests: young-object churn at 1.0x.
+    CHURN = [RunSpec(name, heap_mult=1.0, coalloc=True)
+             for name in ("javac", "jack", "fop", "antlr")] + [
+        RunSpec(name, heap_mult=1.0, gc_plan="gencopy")
+        for name in ("javac", "fop")]
+
+    def test_churn_runs_inside_regions(self, regions):
+        """Their allocating, forking kernel loops are rings: exact
+        counts, 86.7 % of the 5.84 M instructions run inside a region
+        and 15.1 plain blocks are entered per kilo-instruction (23.8 %
+        and 165 while an allocation or a fork kept a loop from being
+        one)."""
+        instructions = 0
+        for spec in self.CHURN:
+            vm, _ = runner.make_vm(spec.benchmark, spec)
+            vm.begin()
+            assert vm.advance()
+            instructions += vm.cpu.instructions
+        assert regions.instructions / instructions >= 0.8
+        assert 1000 * regions.plain / instructions <= 30
+
     @pytest.mark.parametrize("how", ["observer", "pebs", "deadline"])
     def test_budget_never_extended_where_a_poll_could_matter(self, regions,
                                                              how):
@@ -805,8 +832,8 @@ class TestCensus:
 
     def test_second_translation_reuses_the_code_object(self, monkeypatch):
         """``compile()`` runs once per distinct factory source in the
-        process; a fresh CPU still gets its own closures, and the run
-        is unchanged."""
+        process — the loop's superblocks and its region; a fresh CPU
+        still gets its own closures, and the run is unchanged."""
         translate._factory_code.cache_clear()
         compiled = []
         real_compile = compile
@@ -825,14 +852,15 @@ class TestCensus:
             tr = translate.translate(cm, vm.cpu)
             closures.append([blk[1] for blk in tr.blocks if blk])
             records.append(RunRecord.from_result(vm.run()).to_json())
-        assert len(compiled) == 1
+        assert compiled == ["<superblock App.main>", "<region App.main>"]
         assert records[0] == records[1]
         assert closures[0] and not set(closures[0]) & set(closures[1])
 
     def test_handlers_cost_no_compile(self, monkeypatch):
         """Handler templates are compiled at import: translating a whole
         javac code cache calls ``compile`` never at level 1, and at
-        level 2 once per distinct superblock factory source."""
+        level 2 once per distinct superblock and region factory
+        source."""
         vm, _ = runner.make_vm("javac", JAVAC)
         vm.begin()
         vm.advance(until_cycles=300_000)
@@ -852,9 +880,12 @@ class TestCensus:
                     == len(cm.code)
             if level == 1:
                 assert not compiled
-        sources = {(built[0], f"<superblock {cm.method.qualified_name}>")
+        sources = {(built[0], f"<{kind} {cm.method.qualified_name}>")
                    for cm in methods
-                   if (built := superblock_source(cm)) is not None}
+                   for kind, source in (("superblock", superblock_source),
+                                        ("region", region_source))
+                   if (built := source(cm)) is not None}
+        assert any(name.startswith("<region") for _, name in sources)
         assert sorted(compiled) == sorted(sources)
 
 
@@ -862,24 +893,34 @@ class TestCensus:
 
 @pytest.fixture()
 def regions(monkeypatch):
-    """Count what the region closures of every table built while the
-    fixture is live do: entries, instructions executed inside, and the
-    largest budget one was handed."""
+    """Count what the block closures of every table built while the
+    fixture is live do: region entries, the instructions executed
+    inside, the largest budget one was handed and the pcs they left at;
+    and plain-block entries."""
     real = translate.compile_superblocks
-    seen = SimpleNamespace(entries=0, instructions=0, budget=0)
+    seen = SimpleNamespace(entries=0, instructions=0, budget=0,
+                           exits=collections.Counter(), plain=0)
 
     def counting(region):
-        def wrapped(frame, regs, slots, budget):
-            pc, used = region(frame, regs, slots, budget)
+        def wrapped(frame, regs, slots, budget, n):
+            pc, used, n = region(frame, regs, slots, budget, n)
             seen.entries += 1
             seen.instructions += used
             seen.budget = max(seen.budget, budget)
-            return pc, used
+            seen.exits[pc] += 1
+            return pc, used, n
+        return wrapped
+
+    def plain(block):
+        def wrapped(frame, regs, slots):
+            seen.plain += 1
+            return block(frame, regs, slots)
         return wrapped
 
     def counted(cm, cpu, templates=None):
         table = real(cm, cpu, templates)
-        return [(blk[0], counting(blk[1]), True) if blk and blk[2] else blk
+        return [blk and (blk[0], (counting if blk[2] else plain)(blk[1]),
+                         blk[2])
                 for blk in table]
 
     monkeypatch.setattr(translate, "compile_superblocks", counted)
@@ -927,25 +968,41 @@ class TestRingFormation:
         ])
         assert superblock_rings(code) == [[(0, 2), (2, 4), (6, 9)]]
 
-    def test_a_fork_inside_the_loop_forms_no_ring(self):
-        """An if/else diamond: the forking run has two successors on
-        the way back to the header."""
+    def test_a_diamond_forms_one_ring(self):
+        """An if/else diamond — the forking run has two successors on
+        the way back to the header, a lone ``br`` jumps over the else
+        arm — is one ring.  Its blocks sit in pc order; the ones not
+        simply fallen into from the block before are guarded by
+        ``pc``, and the run is the reference's at every level."""
         code = _counted_loop([
-            MInst(M_BC, rs1=L_ACC, aux="ne", imm=7),          # pc 3
-            MInst(M_ALUI, rd=L_T, rs1=L_ACC, aux="add", imm=2),
-            MInst(M_ALUI, rd=L_T, rs1=L_T, aux="mul", imm=3),
-            MInst(M_NOP),
-            MInst(M_ALU, rd=L_U, rs1=L_T, rs2=L_I, aux="add"),  # pc 7
+            MInst(M_ALUI, rd=L_T, rs1=L_I, aux="and", imm=1),  # pc 3
+            MInst(M_BC, rs1=L_T, aux="ne", imm=8),
+            MInst(M_ALUI, rd=L_ACC, rs1=L_ACC, aux="add", imm=2),
+            MInst(M_ALUI, rd=L_U, rs1=L_U, aux="add", imm=3),
+            MInst(M_BR, imm=10),                              # pc 7
+            MInst(M_ALUI, rd=L_U, rs1=L_U, aux="mul", imm=3),  # pc 8
+            MInst(M_ALUI, rd=L_U, rs1=L_U, aux="and", imm=255),
+            MInst(M_ALU, rd=L_U, rs1=L_U, rs2=L_I, aux="add"),  # pc 10
         ])
-        assert (4, 7) in superblock_ranges(code)
-        assert superblock_rings(code) == []
+        assert superblock_ranges(code) == [(0, 2), (2, 5), (5, 8), (8, 10),
+                                           (10, 13)]
+        assert superblock_rings(code) == [[(0, 2), (2, 5), (5, 8), (8, 10),
+                                           (10, 13)]]
+        text = _region_text(code)
+        assert [pc for pc in range(13) if f"if pc == {pc}:" in text] == [
+            5, 8, 10]
+        assert f"pc = 8 if r{L_T} != 0 else 5" in text
+        ref = _ring_outcome(code, 0)
+        assert ref[0] is None and ref[1][L_ACC] == 100 + 2 * 50
+        assert _ring_outcome(code, 1) == ref
+        assert _ring_outcome(code, 2) == ref
+        assert _ring_outcome(code, 2, observer=True) == ref
 
     @pytest.mark.parametrize("inside", [
         MInst(M_CALL, rd=L_T, aux=None, imm=()),
-        MInst(M_NEW, rd=L_T, aux=None),
         MInst(M_MOVI, rd=L_T, imm=2.5),
         MInst(M_ALU, rd=L_T, rs1=L_ACC, rs2=L_I, aux="bogus"),
-    ], ids=["call", "allocation", "non-literal", "bad-alu-op"])
+    ], ids=["call", "non-literal", "bad-alu-op"])
     def test_an_instruction_that_does_not_fuse_breaks_the_ring(self, inside):
         code = _counted_loop([
             MInst(M_ALU, rd=L_U, rs1=L_ACC, rs2=L_I, aux="add"),
@@ -954,6 +1011,22 @@ class TestRingFormation:
         ])
         assert len(superblock_ranges(code)) == 3
         assert superblock_rings(code) == []
+
+    @pytest.mark.parametrize("op", [M_NEW, M_NEWARR], ids=["new", "newarr"])
+    def test_an_allocation_joins_the_ring(self, op):
+        """An allocation is a run of its own inside the ring (a ``new``
+        of a sealed class, a ``newarr`` of a known kind); the loop's
+        fused runs around it still split there."""
+        inside = (MInst(M_NEW, rd=L_T, aux=_matrix_program()[1].box)
+                  if op == M_NEW else
+                  MInst(M_NEWARR, rd=L_T, rs1=L_I, aux="int"))
+        code = _counted_loop([
+            MInst(M_ALU, rd=L_U, rs1=L_ACC, rs2=L_I, aux="add"),
+            inside,                                           # pc 4
+            MInst(M_ALU, rd=L_U, rs1=L_U, rs2=L_I, aux="add"),
+        ])
+        assert superblock_ranges(code) == [(0, 2), (2, 4), (5, 8)]
+        assert superblock_rings(code) == [[(0, 2), (2, 4), (4, 5), (5, 8)]]
 
     def test_branch_into_the_middle_still_splits_the_leader(self):
         """A rotated loop entered in the middle of its body: the entry
@@ -1186,8 +1259,8 @@ class TestRegionBatching:
 class TestRegionBitIdentity:
     """Every suite guest, bounded: the record at level 2 — unbroken,
     and driven in 20 K-cycle legs (where no straddle and no budget
-    extension is ever provable) — is the reference's.  All but
-    ``javac`` spend 27–94 % of the bound's instructions in regions."""
+    extension is ever provable) — is the reference's.  Every guest
+    enters regions."""
 
     CYCLES = 400_000
 
@@ -1202,7 +1275,171 @@ class TestRegionBitIdentity:
             for until in range(leg, self.CYCLES + 1, leg):
                 vm.advance(until_cycles=until)
             assert RunRecord.from_result(vm.finish()).to_json() == ref
-        assert (regions.entries > 0) == (name != "javac")
+        assert regions.entries > 0
+
+
+def _alloc_program(iters, length=None, negative_at=None, zero_at=None):
+    """``main`` allocating in a counted loop: a ``Box`` every iteration,
+    linked to the one kept last on every other iteration (a fork in the
+    ring) and, given ``length``, an int array of that many elements —
+    or, given ``negative_at``, of ``negative_at - i``, negative from
+    iteration ``negative_at + 1`` on.  Given ``zero_at``, iteration
+    ``zero_at`` divides by zero right after its ``new``."""
+    p = Program("alloc")
+    app = p.define_class("App")
+    app.add_static("out", "int")
+    app.seal()
+    box = p.define_class("Box")
+    box.add_field("v", "int")
+    box.add_field("next", "ref")
+    box.seal()
+    fn = Fn(p, app, "main")
+    acc, kept, obj, arr = (fn.local() for _ in range(4))
+    fn.iconst(0).istore(acc)
+    fn.emit("aconst_null").rstore(kept)
+    with fn.loop(iters) as i:
+        fn.new(box).rstore(obj)
+        if zero_at is not None:
+            fn.iload(acc).iconst(zero_at).iload(i).emit("isub")
+            fn.emit("idiv").istore(acc)
+        fn.rload(obj).iload(i).putfield(box, "v")
+        fn.iload(i).iconst(1).emit("iand").iconst(0)
+        with fn.if_cond("eq"):
+            fn.rload(obj).rload(kept).putfield(box, "next")
+            fn.rload(obj).rstore(kept)
+        if length is not None or negative_at is not None:
+            if negative_at is None:
+                fn.iconst(length)
+            else:
+                fn.iconst(negative_at).iload(i).emit("isub")
+            fn.emit("newarray", "int").rstore(arr)
+            fn.iload(acc).rload(arr).emit("arraylength").emit("iadd")
+            fn.istore(acc)
+        fn.iload(acc).rload(obj).getfield(box, "v").emit("iadd").istore(acc)
+    fn.iload(acc).putstatic(app, "out")
+    fn.ret()
+    p.set_main(fn.finish())
+    return p
+
+
+#: How a :class:`TestRegionAllocation` case is driven.
+ALLOC_MODES = {"unbroken": {}, "legs": dict(legs=True),
+               "pebs": dict(monitoring=True), "observer": dict(observer=True)}
+
+
+def _alloc_outcome(build, level, gc_plan, nursery, legs=False,
+                   monitoring=False, observer=False):
+    """Run the program ``build()`` returns on a ``nursery``-byte nursery
+    (20 K-cycle legs if ``legs``) and return its fault, its record
+    (``None`` after a fault),
+    the clock and memory counts, and the plan state allocation leaves:
+    the nursery cursor, the statistics, and the nursery's and the LOS's
+    objects in order."""
+    gc = GCConfig(min_nursery_bytes=nursery, max_nursery_bytes=nursery)
+    vm = VM(build(), SystemConfig(monitoring=monitoring, fastpath=level,
+                                  gc_plan=gc_plan, gc=gc),
+            compilation_plan=BASELINE_ONLY)
+    if observer:
+        vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+    vm.begin()
+    fault = record = None
+    try:
+        until = 20_000 if legs else None
+        while not vm.advance(until_cycles=until):
+            until += 20_000
+        record = RunRecord.from_result(vm.finish()).to_json()
+    except GuestError as error:
+        fault = str(error)
+    plan, ms, cpu = vm.plan, vm.memsys, vm.cpu
+    objects = [[(o.kind if o.is_array else o.class_info.name, o.address,
+                 o.size) for o in space]
+               for space in (plan.nursery_objects, plan.los_objects)]
+    return (fault, record, cpu.cycles, cpu.instructions, vm.gc_cycles,
+            (ms.n_loads, ms.n_stores, ms.n_l1_miss, ms.n_dtlb_miss),
+            plan.nursery.cursor, dataclasses.asdict(plan.stats), objects,
+            [frame.pc for frame in cpu.frames])
+
+
+class TestRegionAllocation:
+    """A region bumps the nursery inline and leaves for the driver
+    where only the driver can allocate: a collection, the LOS, a
+    negative length.  At every level, unbroken, in 20 K-cycle legs,
+    with PEBS armed and with an observer attached, under both plans,
+    the run — and the plan state ``Plan.alloc_object``/``alloc_array``
+    leave — is the reference's."""
+
+    ITERS = 300
+
+    @staticmethod
+    def allocation_pcs(build):
+        """The allocations of main that sit in a ring."""
+        code = compile_baseline(build().main).code
+        return {pc for ring in superblock_rings(code) for pc, _ in ring
+                if code[pc].op in (M_NEW, M_NEWARR)}
+
+    def check(self, build, gc_plan, nursery, mode, regions):
+        ref = _alloc_outcome(build, 0, gc_plan, nursery, **ALLOC_MODES[mode])
+        assert regions.entries == 0
+        for level in (1, 2):
+            assert _alloc_outcome(build, level, gc_plan, nursery,
+                                  **ALLOC_MODES[mode]) == ref
+        assert regions.entries > 0
+        return ref
+
+    def nursery_bytes(self, build, gc_plan):
+        """What the program allocates in all (on a nursery it cannot
+        fill)."""
+        return _alloc_outcome(build, 0, gc_plan, 1 << 20)[6] \
+            - layout.NURSERY_BASE
+
+    @pytest.mark.parametrize("mode", ALLOC_MODES)
+    @pytest.mark.parametrize("gc_plan", ["genms", "gencopy"])
+    @pytest.mark.parametrize("over", [0, 1], ids=["exact", "one-over"])
+    def test_a_nursery_filled_inside_the_ring(self, over, gc_plan, mode,
+                                              regions):
+        """The nursery fits the run's allocations exactly — or one byte
+        less, so the last ``new`` leaves the region for a collection."""
+        program = functools.partial(_alloc_program, self.ITERS, length=3)
+        pcs = self.allocation_pcs(program)
+        assert len(pcs) == 2
+        total = self.nursery_bytes(program, gc_plan)
+        ref = self.check(program, gc_plan, total - over, mode, regions)
+        assert ref[0] is None
+        assert ref[7]["minor_gcs"] == over
+        assert ref[7]["alloc_objects"] == 2 * self.ITERS
+        if over:
+            assert regions.exits.keys() & pcs
+
+    @pytest.mark.parametrize("mode", ALLOC_MODES)
+    @pytest.mark.parametrize("gc_plan", ["genms", "gencopy"])
+    def test_a_large_array_in_the_ring(self, gc_plan, mode, regions):
+        """Every iteration's array is LOS-sized: each leaves the region
+        for the driver; the boxes stay inline."""
+        program = functools.partial(_alloc_program, 40, length=1100)
+        ref = self.check(program, gc_plan, 1 << 16, mode, regions)
+        assert ref[7]["los_objects"] == 40 == len(ref[8][1])
+        assert len(self.allocation_pcs(program)) == 2
+
+    @pytest.mark.parametrize("mode", ALLOC_MODES)
+    @pytest.mark.parametrize("gc_plan", ["genms", "gencopy"])
+    @pytest.mark.parametrize("fault", ["negative-length", "after-new"])
+    def test_a_fault_in_the_nth_iteration(self, fault, gc_plan, mode,
+                                          regions):
+        """A negative ``newarr`` length leaves the region for the
+        driver's fault; a fault right after an inline ``new`` leaves
+        ``frame.pc`` anchored at it, as the reference does."""
+        negative = fault == "negative-length"
+        program = functools.partial(
+            _alloc_program, self.ITERS, length=None if negative else 2,
+            negative_at=150 if negative else None,
+            zero_at=None if negative else 150)
+        ref = self.check(program, gc_plan, 1 << 16, mode, regions)
+        message = "negative array size" if negative else "division by zero"
+        assert ref[0].startswith(f"{message} at App.main:")
+        assert ref[7]["alloc_objects"] == (303 if negative else 301)
+        fault_pc = int(ref[0].rsplit(":", 1)[1])
+        new_pc = min(self.allocation_pcs(program))
+        assert ref[9] == [fault_pc if negative else new_pc]
 
 
 # -- an opcode matrix at machine level -----------------------------------------
