@@ -5,8 +5,10 @@ in the functional state of the VM; see DESIGN.md section 5).  Each access
 reports whether it hit, and the memory system converts hits/misses into
 cycles and hardware events.
 
-Geometry defaults (16 KB L1D / 1 MB L2, 128-byte lines, 8-way) follow the
-paper's experimental platform (section 6.1).
+Geometry defaults (16 KB L1D, 128-byte lines, 8-way) follow the paper's
+experimental platform (section 6.1); L2 defaults to a scaled 128 KB
+where the paper's machine has 1 MB (``MachineConfig.l2``, DESIGN.md
+section 2).
 """
 
 from __future__ import annotations

@@ -1,12 +1,25 @@
 """Shared test helpers: small guest programs and VM drivers."""
 
-from repro.core.config import GCConfig, SystemConfig
+from repro.core.config import (CacheConfig, GCConfig, MachineConfig,
+                               SystemConfig, TLBConfig)
 from repro.jit.aos import CompilationPlan
 from repro.vm.program import Program
 from repro.vm.vmcore import VM, run_program
 from repro.workloads.synth import Fn
 
 BASELINE_ONLY = CompilationPlan([])
+
+#: Machine geometries the memory-system tests run on: the default; a
+#: direct-mapped 1 KB L1 with a one-entry DTLB, where touching a line
+#: can evict the line touched before it, or its page (four lines of a
+#: page share each set); and a 2-way 4 KB L1 with a two-entry DTLB.
+GEOMETRIES = {
+    "default": MachineConfig,
+    "1way-1tlb": lambda: MachineConfig(l1=CacheConfig(1024, 128, 1, 2),
+                                       tlb=TLBConfig(entries=1)),
+    "2way4k-2tlb": lambda: MachineConfig(l1=CacheConfig(4 * 1024, 128, 2, 2),
+                                         tlb=TLBConfig(entries=2)),
+}
 
 
 def run_main(program, *, config=None, plan=BASELINE_ONLY, **kwargs):

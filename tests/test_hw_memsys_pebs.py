@@ -1,5 +1,6 @@
 """Tests for the memory system and the PEBS sampling unit."""
 
+import collections
 import random
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from repro.gc.plan import GCHooks
 from repro.hw.cpu import CPU
 from repro.hw.memsys import MemorySystem
 from repro.hw.pebs import PEBSUnit, Sample
+from tests.helpers import GEOMETRIES
 
 
 def make_memsys():
@@ -309,26 +311,29 @@ class TestAccessRun:
         assert cpu_l._pending == []
 
 
-#: L1 and L2 set strides of the default geometry (16 and 1024 sets of
-#: 128-byte lines) and the page size.
-L1_STRIDE, L2_STRIDE, PAGE = 16 * 128, 1024 * 128, 4096
-
-
-def locality_script(seed, steps=160):
+def locality_script(seed, config, steps=160):
     """Traffic with the locality the drain's shortcuts exist for, as a
     script: ``("drain", [(addr, is_write, eip), ...])`` — one drain of
     that traffic, split into segments and flush entries at random —
     ``("access", addr, is_write, eip)``, ``("pollute_minor",)`` and
     ``("pollute_full",)`` between drains.  The runs mix same-line
     repeats, two streams aliasing one L1 set across two pages
-    (``compress``'s pattern), lines re-touched in L2 below its MRU
-    way after L1 lost them, and uniform misses.  Between drains,
-    ``access()`` re-touches the line the last drain ended on or evicts
-    it from L1, and a drain often starts on that line again — so a
-    stale last-line shortcut would show."""
+    (``compress``'s pattern), ping-pongs and three-line rotations in
+    one set, lines re-touched in L2 below its MRU way after L1 lost
+    them, and uniform misses.  Between drains, ``access()`` re-touches
+    the line the last drain ended on, evicts it or the line before it
+    from L1, or touches one more line in the latter's set; and a drain
+    often starts on one of the last drain's two lines or resumes its
+    ping-pong — so a stale last-line or line-before-last shortcut
+    would show."""
     rng = random.Random(seed)
     eip = iter(range(0x4000, 1 << 30, 4))
     base = 0x100000
+    l1_stride = config.l1.num_sets * config.l1.line_bytes
+    l2_stride = config.l2.num_sets * config.l2.line_bytes
+    # The next line in the same L1 set on another page.
+    alias = max(l1_stride, config.tlb.page_bytes)
+    ways, line_bytes = config.l1.ways, config.l1.line_bytes
 
     def same_line():
         line = base + rng.randrange(64) * 128
@@ -336,37 +341,52 @@ def locality_script(seed, steps=160):
                 for _ in range(rng.randrange(2, 9))]
 
     def aliasing():
-        a = base + rng.randrange(0, L1_STRIDE, 4)
-        b = a + PAGE * rng.randrange(1, 4)
+        a = base + rng.randrange(0, l1_stride, 4)
+        b = a + alias * rng.randrange(1, 4)
         out = []
         for i in range(0, rng.randrange(4, 40) * 4, 4):
             out += [a + i, b + i] + [b + i] * rng.randrange(2)
         return out
 
+    def ping_pong():
+        a = base + rng.randrange(0, l1_stride, 4)
+        b = a + l1_stride * rng.randrange(1, 4)
+        return [a, b] * rng.randrange(1, 6) + [a] * rng.randrange(2)
+
+    def rotation():
+        a = base + rng.randrange(0, l1_stride, 4)
+        b, c = a + alias, a + 2 * alias
+        return rng.choice(([a, b, c], [a, b, a, c])) * rng.randrange(1, 6)
+
     def below_mru():
-        x = base + rng.randrange(0, L1_STRIDE, 128)
-        evict = [x + k * L1_STRIDE for k in range(1, 10)]
-        bury = [x + k * L2_STRIDE for k in range(1, rng.randrange(2, 6))]
+        x = base + rng.randrange(0, l1_stride, 128)
+        evict = [x + k * l1_stride for k in range(1, ways + 2)]
+        bury = [x + k * l2_stride for k in range(1, rng.randrange(2, 6))]
         return [x] + bury + evict + [x, x + 4]
 
     def uniform():
         return [base + rng.randrange(0, 1 << 21, 4)
                 for _ in range(rng.randrange(1, 20))]
 
-    kinds = (same_line, aliasing, below_mru, uniform)
-    script, last = [], base
+    kinds = (same_line, aliasing, ping_pong, rotation, below_mru, uniform)
+    script, last, before = [], base, base
     for _ in range(steps):
         roll = rng.random()
         if roll < 0.7:
-            traffic = [last] * rng.randrange(2) + [
+            traffic = rng.choice(([], [last], [before], [before, last])) + [
                 addr for _ in range(rng.randrange(1, 5))
                 for addr in rng.choice(kinds)()]
             script.append(("drain", [(addr, rng.random() < 0.3, next(eip))
                                      for addr in traffic]))
             last = traffic[-1]
+            before = next((addr for addr in reversed(traffic)
+                           if addr // line_bytes != last // line_bytes), last)
         elif roll < 0.85:
-            touched = ([last + 4] if rng.random() < 0.5 else
-                       [last + k * L1_STRIDE for k in range(1, 10)])
+            touched = rng.choice((
+                [last + 4],
+                [rng.choice((last, before)) + k * l1_stride
+                 for k in range(1, ways + 2)],
+                [before + alias]))
             script += [("access", addr, rng.random() < 0.3, next(eip))
                        for addr in touched]
         elif roll < 0.95:
@@ -374,6 +394,11 @@ def locality_script(seed, steps=160):
         else:
             script.append(("pollute_full",))
     return script
+
+
+#: (armed, observed) hook pairs the drain is checked under.
+HOOK_PAIRS = [("L1D_MISS", "L2_MISS"), ("L2_MISS", "DTLB_MISS"),
+              ("DTLB_MISS", "L1D_MISS")]
 
 
 def memsys_state(ms):
@@ -388,25 +413,20 @@ def memsys_state(ms):
 
 class TestDrainLocality:
     """The drain against one access at a time on traffic that reaches
-    its shortcuts — same-line repeats, aliasing streams, L2 hits below
-    MRU — with ``access()`` calls and pollution between drains.  The
-    oracle is ``access()`` with the last-line shortcut defeated (the
-    line forgotten before every call) or intact."""
+    its shortcuts — same-line repeats, returns to the line before last,
+    aliasing streams, L2 hits below MRU — with ``access()`` calls and
+    pollution between drains.  The oracle is ``access()`` with the
+    last-line shortcut defeated (the line forgotten before every call)
+    or intact."""
 
-    @pytest.mark.parametrize("shortcut", [False, True],
-                             ids=["no-shortcut", "access"])
-    @pytest.mark.parametrize("armed,observed", [
-        ("L1D_MISS", "L2_MISS"), ("L2_MISS", "DTLB_MISS"),
-        ("DTLB_MISS", "L1D_MISS")])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_drains_match_one_access_at_a_time(self, seed, armed, observed,
-                                               shortcut):
-        script = locality_script(seed)
+    @staticmethod
+    def check_drains(config, seed, armed, observed, shortcut):
+        script = locality_script(seed, config)
         rng = random.Random(seed + 100)
         fired = {}
         systems = {}
         for side in ("single", "drain"):
-            ms = systems[side] = make_memsys()
+            ms = systems[side] = MemorySystem(config)
             log = fired[side] = []
             ms.arm_event(armed, lambda e, log=log: log.append(("pebs", e)))
             ms.attach_observer(observed,
@@ -456,11 +476,33 @@ class TestDrainLocality:
         assert counts["L1D_MISS"] > 100 and counts["L2_MISS"] > 10
         assert drained.l2.hits > 50 and len(fired["drain"]) > 20
 
+    @pytest.mark.parametrize("shortcut", [False, True],
+                             ids=["no-shortcut", "access"])
+    @pytest.mark.parametrize("armed,observed", HOOK_PAIRS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drains_match_one_access_at_a_time(self, seed, armed, observed,
+                                               shortcut):
+        self.check_drains(MachineConfig(), seed, armed, observed, shortcut)
+
+    @pytest.mark.parametrize("shortcut", [False, True],
+                             ids=["no-shortcut", "access"])
+    @pytest.mark.parametrize("geometry", ["1way-1tlb", "2way4k-2tlb"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drains_match_where_a_line_evicts_the_one_before(
+            self, seed, geometry, shortcut):
+        """The two small ``GEOMETRIES``: a direct-mapped L1 or a
+        one-entry DTLB, where the line before last can be gone."""
+        self.check_drains(GEOMETRIES[geometry](), seed, *HOOK_PAIRS[seed],
+                          shortcut)
+
     def test_the_traffic_reaches_the_shortcuts(self):
-        """A sixth of the drained accesses repeat the line just
-        touched, and dozens of L2 hits land below MRU."""
-        ms = make_memsys()
-        repeats = below = accesses = 0
+        """A tenth of the accesses repeat the line just touched, a
+        quarter return to the line before it, and dozens of L2 hits
+        land below MRU; in the drain, dozens of those returns leave the
+        two lines' LRU order to be settled by a swap."""
+        config = MachineConfig()
+        ms = MemorySystem(config)
+        repeats = returns = below = accesses = 0
         real = ms.l2.access_line
 
         def l2_probe(line):
@@ -470,14 +512,36 @@ class TestDrainLocality:
             return real(line)
 
         ms._l2_access_line = l2_probe
-        for step in locality_script(0):
+        drained = MemorySystem(config)
+        settled = collections.Counter()
+        settle = drained._settle
+
+        def counted(line, page):
+            ways = drained.l1._sets[line & drained.l1.set_mask]
+            settled[ways[0] != line] += 1
+            settle(line, page)
+
+        drained._settle = counted
+        before = -1
+        for step in locality_script(0, config):
             if step[0] == "drain":
+                drained.access_run_segments([([a for a, _, _ in step[1]],
+                                              [w for _, w, _ in step[1]],
+                                              [e for _, _, e in step[1]], 0)])
                 for addr, is_write, eip in step[1]:
                     line = addr >> 7
                     repeats += line == ms._last_line
+                    if line != ms._last_line:
+                        returns += line == before
+                        before = ms._last_line
                     accesses += 1
                     ms.access(addr, is_write, eip)
-        assert repeats > accesses / 6 and below > 20
+            else:
+                for side in (drained, ms):
+                    getattr(side, step[0])(*step[1:])
+                before = -1
+        assert repeats > accesses / 10 and returns > accesses / 4
+        assert below > 50 and settled[True] > 50
 
 
 class TestPEBS:
