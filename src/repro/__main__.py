@@ -58,22 +58,19 @@ def main(argv: Optional[List[str]] = None) -> None:
         except ValueError as exc:
             raise SystemExit(f"{args.command}: {exc}")
 
-    sinks = []
+    bus = engine.EventBus(retain=0)
     if getattr(args, "progress", False):
-        sinks.append(engine.StderrProgress())
+        bus.subscribe(engine.StderrProgress())
     if getattr(args, "progress_log", None):
-        sinks.append(harness_cli.write_or_exit(
+        bus.subscribe(harness_cli.write_or_exit(
             args.command, "progress log", args.progress_log,
-            engine.JsonlProgress))
-    progress_sink = engine.TeeProgress(*sinks) if sinks else None
-    if progress_sink is not None:
-        engine.set_default_progress(progress_sink)
+            engine.JsonlLog))
+    engine.set_default_progress(bus.publish)
     try:
         args.handler(args)
     finally:
-        if progress_sink is not None:
-            engine.set_default_progress(None)
-            progress_sink.close()
+        engine.set_default_progress(None)
+        bus.close()
 
 
 if __name__ == "__main__":

@@ -2,15 +2,17 @@
 
 The single-run harness already has the hard parts — deterministic
 ``RunSpec -> RunRecord`` execution, a content-keyed disk cache, a
-process-pool engine with structured :class:`JobEvent` progress, and
-Prometheus exposition.  This package wraps them in a job daemon so a
-*fleet* of runs becomes observable live instead of post-hoc:
+process-pool engine narrating its jobs as JSON documents on an
+:class:`~repro.harness.engine.EventBus`, and Prometheus exposition.
+This package wraps them in a job daemon so a *fleet* of runs becomes
+observable live instead of post-hoc:
 
 * :mod:`repro.fleet.scheduler` — the asyncio job queue: batches of
   specs admitted one engine call at a time, server-side dedup of
   in-flight identical spec keys (concurrent submitters share one
-  simulation, backed by the disk cache), an event bus multiplexing
-  every batch's engine events, and live fleet metrics.
+  simulation, backed by the disk cache), one event bus carrying every
+  batch's engine documents and the fleet's own, and live fleet
+  metrics.
 * :mod:`repro.fleet.server` — a small stdlib-only HTTP/JSON API on
   asyncio streams: ``POST /jobs``, ``GET /jobs[/<id>]``,
   ``GET /records/<key>``, ``GET /diff``, ``GET /events`` (SSE or
@@ -21,8 +23,8 @@ Prometheus exposition.  This package wraps them in a job daemon so a
   replays recorded event streams offline (``watch --from``).
 """
 
-from repro.fleet.scheduler import (EventBus, FleetError,  # noqa: F401
-                                   FleetScheduler, FleetUnavailable)
+from repro.fleet.scheduler import (FleetError, FleetScheduler,  # noqa: F401
+                                   FleetUnavailable)
 from repro.fleet.server import (DEFAULT_HOST, DEFAULT_PORT,  # noqa: F401
                                 BackgroundFleet, FleetServer, serve)
 from repro.fleet.client import FleetClient, FleetClientError  # noqa: F401

@@ -15,10 +15,11 @@ simulation jobs at scale:
   specs share exactly one simulation.  Completed entries are served
   from the runner's record cache (memo + disk), so the dedup layer is
   simply the in-flight slice of the cache.
-* **Event bus** — engine :class:`~repro.harness.engine.JobEvent`\\ s
-  (tagged with their batch id) plus fleet-level job lifecycle events
-  are multiplexed onto one stream that any number of subscribers
-  (``GET /events`` connections) can tail live.
+* **Event bus** — one :class:`~repro.harness.engine.EventBus`, the
+  engine's own: every batch's engine job documents (tagged with their
+  batch id) and the fleet-level job lifecycle documents are published
+  on it, and any number of subscribers (``GET /events`` connections,
+  the ``--events-log`` file) tail it live.
 * **Fleet metrics** — queue depth, in-flight specs, cache hit/miss,
   coalesced submissions, simulations launched, per-benchmark wall-time
   histograms — rendered by ``GET /metrics`` via the same Prometheus
@@ -26,15 +27,15 @@ simulation jobs at scale:
 
 The scheduler is loop-affine: every public method must run on the
 event loop that created it (the HTTP server guarantees this).  The
-blocking engine call runs in a worker thread; its progress events hop
-back onto the loop via ``call_soon_threadsafe``.
+blocking engine call runs in a worker thread; its job documents hop
+back onto the loop via ``call_soon_threadsafe`` before they reach the
+bus.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from functools import partial
@@ -42,7 +43,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.harness import engine, runner
 from repro.harness.diskcache import spec_key
-from repro.harness.engine import JobEvent
 from repro.harness.runner import RunSpec
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads import suite
@@ -59,39 +59,6 @@ class FleetError(ValueError):
 
 class FleetUnavailable(RuntimeError):
     """The daemon is draining and no longer accepts jobs."""
-
-
-class EventBus:
-    """Multiplexed event stream with bounded replayable history.
-
-    ``publish`` fans a JSON-ready dict out to every subscriber queue
-    and appends it to a bounded history; ``subscribe(backlog=True)``
-    seeds a fresh queue with that history so a late-joining dashboard
-    reconstructs the fleet state before going live.
-    """
-
-    def __init__(self, retain: int = 4096):
-        self.history: deque = deque(maxlen=retain)
-        self.published = 0
-        self._subscribers: List[asyncio.Queue] = []
-
-    def publish(self, doc: dict) -> None:
-        self.history.append(doc)
-        self.published += 1
-        for queue in self._subscribers:
-            queue.put_nowait(doc)
-
-    def subscribe(self, backlog: bool = True) -> asyncio.Queue:
-        queue: asyncio.Queue = asyncio.Queue()
-        if backlog:
-            for doc in self.history:
-                queue.put_nowait(doc)
-        self._subscribers.append(queue)
-        return queue
-
-    def unsubscribe(self, queue: asyncio.Queue) -> None:
-        if queue in self._subscribers:
-            self._subscribers.remove(queue)
 
 
 class SpecEntry:
@@ -149,7 +116,7 @@ class FleetScheduler:
                  retain_events: int = 4096):
         self.jobs = engine.resolve_jobs(jobs)
         self.engine_call = engine_call
-        self.bus = EventBus(retain=retain_events)
+        self.bus = engine.EventBus(retain=retain_events)
         self.metrics = MetricsRegistry()
         self.started_at = time.monotonic()
         self.draining = False
@@ -268,12 +235,12 @@ class FleetScheduler:
             self._cache_misses.inc()
             fresh.append(spec)
 
-        self.publish({"type": "fleet", "kind": "job-submitted",
-                      "batch": job.id, "ts": round(time.monotonic(), 4),
-                      "specs": len(job.specs), "fresh": len(fresh),
-                      "cache_hits": hits, "coalesced": coalesced,
-                      "benchmarks": sorted({s.benchmark
-                                            for s in job.specs})})
+        self.bus.publish({"type": "fleet", "kind": "job-submitted",
+                          "batch": job.id, "ts": round(time.monotonic(), 4),
+                          "specs": len(job.specs), "fresh": len(fresh),
+                          "cache_hits": hits, "coalesced": coalesced,
+                          "benchmarks": sorted({s.benchmark
+                                                for s in job.specs})})
         task = asyncio.get_running_loop().create_task(
             self._run_job(job, fresh))
         self._tasks.append(task)
@@ -289,14 +256,17 @@ class FleetScheduler:
             self._queue_depth.dec()
             job.state = "running"
             job.started = time.monotonic()
-            self.publish({"type": "fleet", "kind": "job-started",
-                          "batch": job.id,
-                          "ts": round(job.started, 4)})
+            self.bus.publish({"type": "fleet", "kind": "job-started",
+                              "batch": job.id,
+                              "ts": round(job.started, 4)})
             owned = [s for s in fresh
                      if self._entries[spec_key(s)].owner == job.id]
             try:
                 if owned:
-                    bridge = _BridgeSink(self, loop)
+                    # Each engine document hops onto the loop, where
+                    # the entry states change before the bus sees it.
+                    bridge = partial(loop.call_soon_threadsafe,
+                                     self._on_engine_event)
                     await loop.run_in_executor(
                         self._engine_pool,
                         partial(self.engine_call or engine.run_specs,
@@ -334,39 +304,37 @@ class FleetScheduler:
         else:
             self._jobs_completed.inc()
         job.finished = time.monotonic()
-        self.publish({"type": "fleet", "kind": "job-finished",
-                      "batch": job.id, "state": job.state,
-                      "ts": round(job.finished, 4),
-                      "wall_s": round(job.finished - job.created, 4),
-                      "error": job.error})
+        self.bus.publish({"type": "fleet", "kind": "job-finished",
+                          "batch": job.id, "state": job.state,
+                          "ts": round(job.finished, 4),
+                          "wall_s": round(job.finished - job.created, 4),
+                          "error": job.error})
         job.done_event.set()
 
-    def _on_engine_event(self, event: JobEvent) -> None:
-        """Loop-side handler for one engine progress event."""
-        entry = self._entries.get(event.spec_key)
+    def _on_engine_event(self, doc: dict) -> None:
+        """Loop-side handler for one engine job document."""
+        entry = self._entries.get(doc["spec"])
         if entry is not None:
-            if event.kind == "started":
+            kind = doc["kind"]
+            if kind == "started":
                 entry.state = "running"
                 self._in_flight.inc()
-            elif event.kind == "cache-hit":
+            elif kind == "cache-hit":
                 # Another process warmed the shared disk cache between
                 # submission and admission; the engine skipped the run.
                 entry.state = "cache-hit"
                 self._cache_hits.inc()
-            elif event.kind == "finished":
+            elif kind == "finished":
                 if entry.state == "running":
                     self._in_flight.dec()
                 entry.state = "done"
-                entry.wall_s = event.wall_s
+                entry.wall_s = doc.get("wall_s")
                 self._sim_runs.inc()
-                wall_ms = int((event.wall_s or 0.0) * 1000)
+                wall_ms = int((entry.wall_s or 0.0) * 1000)
                 self.metrics.histogram(
-                    f"fleet.wall_ms.{event.benchmark}",
+                    f"fleet.wall_ms.{doc['benchmark']}",
                     "per-benchmark simulation wall time (ms)"
                 ).observe(wall_ms)
-        self.publish(event.to_json())
-
-    def publish(self, doc: dict) -> None:
         self.bus.publish(doc)
 
     # -- views ---------------------------------------------------------------
@@ -428,24 +396,9 @@ class FleetScheduler:
         pending = list(self._tasks)
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        self.publish({"type": "fleet", "kind": "shutdown",
-                      "ts": round(time.monotonic(), 4),
-                      "jobs": len(self._order)})
+        self.bus.publish({"type": "fleet", "kind": "shutdown",
+                          "ts": round(time.monotonic(), 4),
+                          "jobs": len(self._order)})
         self._engine_pool.shutdown(wait=True)
         return len(pending)
 
-
-class _BridgeSink:
-    """ProgressSink that hops engine-thread events onto the loop."""
-
-    def __init__(self, scheduler: FleetScheduler,
-                 loop: asyncio.AbstractEventLoop):
-        self.scheduler = scheduler
-        self.loop = loop
-
-    def emit(self, event: JobEvent) -> None:
-        self.loop.call_soon_threadsafe(
-            self.scheduler._on_engine_event, event)
-
-    def close(self) -> None:
-        pass

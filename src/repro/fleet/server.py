@@ -33,11 +33,13 @@ import json
 import signal
 import threading
 import urllib.parse
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.analysis.diff import DEFAULT_THRESHOLD, diff_docs
 from repro.fleet.scheduler import FleetError, FleetScheduler, FleetUnavailable
-from repro.harness import runner
+from repro.harness import engine, runner
+from repro.harness.cli import write_or_exit
 from repro.harness.diskcache import DiskCache
 from repro.telemetry.export import prometheus_text
 
@@ -265,7 +267,8 @@ class FleetServer:
                       f"Content-Type: {content_type}\r\n"
                       f"Cache-Control: no-store\r\n"
                       f"Connection: close\r\n\r\n").encode("latin-1"))
-        queue = self.scheduler.bus.subscribe(backlog=backlog)
+        queue: asyncio.Queue = asyncio.Queue()
+        self.scheduler.bus.subscribe(queue.put_nowait, backlog=backlog)
         try:
             while True:
                 doc = await queue.get()
@@ -281,7 +284,7 @@ class FleetServer:
         except (ConnectionError, OSError):
             pass
         finally:
-            self.scheduler.bus.unsubscribe(queue)
+            self.scheduler.bus.unsubscribe(queue.put_nowait)
 
 
 def _parse_json_body(body: bytes) -> dict:
@@ -296,56 +299,33 @@ def _parse_json_body(body: bytes) -> dict:
     return doc
 
 
-class _EventLogSink:
-    """Server-side tee of every bus event into a JSONL file.
-
-    ``repro serve --events-log`` uses this so CI can upload the whole
-    fleet's event stream as an artifact without holding a socket open.
-    """
-
-    def __init__(self, scheduler: FleetScheduler, path: str):
-        self.fh = open(path, "w")
-        original = scheduler.publish
-
-        def tee(doc: dict) -> None:
-            original(doc)
-            self.fh.write(json.dumps(doc, sort_keys=True) + "\n")
-            self.fh.flush()
-
-        scheduler.publish = tee  # type: ignore[method-assign]
-
-    def close(self) -> None:
-        self.fh.close()
-
-
 async def _serve_async(host: str, port: int, jobs: Optional[int],
-                       events_log: Optional[str],
+                       events_log: Optional[engine.JsonlLog],
                        ready: Optional[threading.Event] = None,
                        server_box: Optional[list] = None,
                        install_signals: bool = True) -> None:
     scheduler = FleetScheduler(jobs=jobs)
-    log_sink = (_EventLogSink(scheduler, events_log)
-                if events_log else None)
-    server = FleetServer(scheduler, host, port)
-    await server.start()
-    if server_box is not None:
-        server_box.append(server)
-    if install_signals:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, server.request_shutdown)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-main thread or platform without signals
-        print(f"repro fleet: serving on {server.base_url} "
-              f"(jobs={scheduler.jobs})", flush=True)
-    if ready is not None:
-        ready.set()
+    if events_log is not None:
+        scheduler.bus.subscribe(events_log)
     try:
+        server = FleetServer(scheduler, host, port)
+        await server.start()
+        if server_box is not None:
+            server_box.append(server)
+        if install_signals:
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, server.request_shutdown)
+                except (NotImplementedError, RuntimeError):
+                    pass  # non-main thread or platform without signals
+            print(f"repro fleet: serving on {server.base_url} "
+                  f"(jobs={scheduler.jobs})", flush=True)
+        if ready is not None:
+            ready.set()
         await server.serve_forever()
     finally:
-        if log_sink is not None:
-            log_sink.close()
+        scheduler.bus.close()  # the events log, if one is subscribed
 
 
 def serve(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
@@ -356,10 +336,15 @@ def serve(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
     Runs until SIGTERM/SIGINT (or ``POST /shutdown``), then drains:
     new jobs are refused, accepted ones finish, the bus announces
     ``shutdown`` to every streaming client, and the server exits 0.
+    An ``events_log`` that cannot be written exits with one line
+    before the port is bound.
     """
+    log = (write_or_exit("serve", "events log", events_log,
+                         partial(engine.JsonlLog, mode="w"))
+           if events_log else None)
     if cache_dir:
         runner.set_disk_cache(DiskCache(root=cache_dir))
-    asyncio.run(_serve_async(host, port, jobs, events_log))
+    asyncio.run(_serve_async(host, port, jobs, log))
     print("repro fleet: drained, bye", flush=True)
     return 0
 
@@ -380,8 +365,9 @@ class BackgroundFleet:
                  port: int = 0, events_log: Optional[str] = None):
         self._ready = threading.Event()
         self._box: list = []
+        log = engine.JsonlLog(events_log, mode="w") if events_log else None
         self._thread = threading.Thread(
-            target=self._run, args=(host, port, jobs, events_log),
+            target=self._run, args=(host, port, jobs, log),
             name="fleet-server", daemon=True)
         self._thread.start()
         if not self._ready.wait(timeout=30):
@@ -389,7 +375,7 @@ class BackgroundFleet:
         self.server: FleetServer = self._box[0]
 
     def _run(self, host: str, port: int, jobs: Optional[int],
-             events_log: Optional[str]) -> None:
+             events_log: Optional[engine.JsonlLog]) -> None:
         asyncio.run(_serve_async(host, port, jobs, events_log,
                                  ready=self._ready, server_box=self._box,
                                  install_signals=False))

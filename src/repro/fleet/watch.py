@@ -66,7 +66,7 @@ class FleetState:
         if doc.get("type") == "fleet":
             self._apply_fleet(doc)
             return
-        # Engine JobEvent documents: demuxed by their batch tag.
+        # Engine job documents: demuxed by their batch tag.
         batch = doc.get("batch")
         kind = doc.get("kind")
         view = self._job(batch) if batch else None

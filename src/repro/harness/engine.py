@@ -7,12 +7,14 @@ across cores with a :class:`~concurrent.futures.ProcessPoolExecutor` and
 collects results in input order, which (with a fixed seed per spec)
 makes parallel output bit-identical to serial output.
 
-:func:`run_specs` is the only batch driver.  It runs every uncached
-spec as a *chain of legs* through one worker entry point
-(:func:`_run_leg`) and accepts every leg's outcome in one place (its
-``absorb`` step), which installs the leg's checkpoint and — once the
-chain ends — its portable :class:`~repro.harness.record.RunRecord`
-into the runner's memo and the persistent disk cache as it arrives.
+:func:`run_specs` is the only path from a spec to a cached record
+(:func:`~repro.harness.runner.record_for` simulates through it too).
+It runs every uncached spec as a *chain of legs* through one worker
+entry point (:func:`_run_leg`) and accepts every leg's outcome in one
+place (its ``absorb`` step), which installs the leg's checkpoint and —
+once the chain ends — its portable
+:class:`~repro.harness.record.RunRecord` into the runner's memo and the
+persistent disk cache as it arrives.
 Every later ``run_specs``/``record_for`` of the same spec is therefore
 a cache hit, and a batch that fails midway keeps what it finished.
 
@@ -24,14 +26,16 @@ Knobs:
 * ``leg_cycles`` — when set, each run is cut on that absolute cycle
   grid and shipped leg by leg as wire-form snapshots, so the legs of
   many long runs interleave on the pool; unset, a chain is one leg,
-* ``progress`` — a :class:`ProgressSink` receiving structured job
-  events (queued / started / leg / finished / cache-hit, with an ETA
-  derived from completed-job wall times; :func:`run_specs` gives the
-  order).  :class:`StderrProgress` renders them as one-line updates,
-  :class:`JsonlProgress` appends them to an
-  append-only JSONL event log, and :func:`set_default_progress`
+* ``progress`` — a callable receiving one JSON document per job event
+  (queued / started / leg / finished / cache-hit, with an ETA derived
+  from completed-job wall times; :func:`run_specs` gives the order).
+  :class:`EventBus` fans such a stream out to its subscribers —
+  :class:`StderrProgress` renders one-line updates, :class:`JsonlLog`
+  appends a JSONL event log — and :func:`set_default_progress`
   installs a process-wide default so the figure drivers stay
   signature-stable (the CLI's ``--progress`` / ``--progress-log``).
+  The fleet daemon publishes on a bus of its own, so one document
+  format serves the terminal, the logs and ``GET /events``.
 
 Progress events carry harness wall-clock times — they describe the
 *fleet*, not the simulation, so they are exempt from (and irrelevant
@@ -46,9 +50,10 @@ import os
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass
-from typing import Iterable, List, Optional, Protocol, TextIO
+from dataclasses import asdict
+from typing import Callable, Iterable, List, Optional, TextIO
 
 from repro.harness import runner
 from repro.harness.diskcache import spec_key
@@ -60,6 +65,10 @@ from repro.vm.snapshot import Snapshot
 # ---------------------------------------------------------------------------
 # Fleet progress
 # ---------------------------------------------------------------------------
+
+#: What receives the host-side event stream: one JSON document per call.
+Subscriber = Callable[[dict], None]
+
 
 def estimate_eta(elapsed: float, completed: int, total: int) -> Optional[float]:
     """Remaining wall time from the mean pace so far, or None.
@@ -80,129 +89,84 @@ def estimate_eta(elapsed: float, completed: int, total: int) -> Optional[float]:
     return max(0.0, eta)
 
 
-@dataclass
-class JobEvent:
-    """One structured fleet event.
-
-    ``kind`` is ``queued`` / ``started`` / ``leg`` / ``finished`` /
-    ``cache-hit``.  ``wall_s`` (finished only) is the job's wall time,
-    first leg to record; ``eta_s`` (finished only) extrapolates the
-    remaining work from the mean wall time of the jobs completed so
-    far.
-
-    ``ts`` (monotonic seconds, stamped at construction unless given)
-    orders events when several streams are multiplexed into one log;
-    ``batch`` tags every event of one engine call with the submitter's
-    batch id, so a consumer tailing a shared stream — the fleet
-    server's ``/events`` endpoint — can demux concurrent batches.
-    Both are additive: consumers of the pre-existing keys are
-    unaffected, and ``batch`` is omitted from the JSON when unset.
-    """
-
-    kind: str
-    benchmark: str
-    spec_key: str
-    index: int            # position within this batch (0-based)
-    total: int            # jobs in this batch (cache hits excluded)
-    completed: int = 0    # jobs finished so far, including this one
-    wall_s: Optional[float] = None
-    eta_s: Optional[float] = None
-    ts: Optional[float] = None     # monotonic seconds (auto-stamped)
-    batch: Optional[str] = None    # submitting batch id, if any
-
-    def __post_init__(self):
-        if self.ts is None:
-            self.ts = time.monotonic()
-
-    def to_json(self) -> dict:
-        doc = {"type": "job", "kind": self.kind,
-               "benchmark": self.benchmark, "spec": self.spec_key,
-               "index": self.index, "total": self.total,
-               "completed": self.completed}
-        if self.ts is not None and math.isfinite(self.ts):
-            doc["ts"] = round(self.ts, 4)
-        if self.batch is not None:
-            doc["batch"] = self.batch
-        if self.wall_s is not None and math.isfinite(self.wall_s):
-            doc["wall_s"] = round(self.wall_s, 4)
-        if self.eta_s is not None and math.isfinite(self.eta_s):
-            doc["eta_s"] = round(self.eta_s, 1)
-        return doc
-
-
-class ProgressSink(Protocol):
-    """Receiver of :class:`JobEvent` streams."""
-
-    def emit(self, event: JobEvent) -> None:  # pragma: no cover - protocol
-        ...
-
-    def close(self) -> None:  # pragma: no cover - protocol
-        ...
-
-
 class StderrProgress:
-    """One line per event on stderr (never stdout: reports stay clean)."""
+    """One line per job document on stderr (never stdout: reports stay
+    clean)."""
 
     def __init__(self, stream: Optional[TextIO] = None):
         self.stream = stream if stream is not None else sys.stderr
 
-    def emit(self, event: JobEvent) -> None:
-        parts = [f"[engine] {event.kind:>9} {event.benchmark}"
-                 f" ({event.spec_key[:10]})"]
-        if event.kind == "finished":
-            parts.append(f" {event.completed}/{event.total}")
-            if event.wall_s is not None:
-                parts.append(f" in {event.wall_s:.1f}s")
-            if event.eta_s is not None and math.isfinite(event.eta_s) \
-                    and event.completed < event.total:
-                parts.append(f", eta {event.eta_s:.0f}s")
+    def __call__(self, doc: dict) -> None:
+        parts = [f"[engine] {doc['kind']:>9} {doc['benchmark']}"
+                 f" ({doc['spec'][:10]})"]
+        if doc["kind"] == "finished":
+            parts.append(f" {doc['completed']}/{doc['total']}")
+            if "wall_s" in doc:
+                parts.append(f" in {doc['wall_s']:.1f}s")
+            if "eta_s" in doc and doc["completed"] < doc["total"]:
+                parts.append(f", eta {doc['eta_s']:.0f}s")
         print("".join(parts), file=self.stream, flush=True)
 
-    def close(self) -> None:
-        pass
 
+class JsonlLog:
+    """JSONL event log: one sorted-key JSON document per line.
 
-class JsonlProgress:
-    """Append-only JSONL event log (one self-describing object/line)."""
+    ``mode`` is ``"a"`` to append (``--progress-log``) or ``"w"`` to
+    start afresh (``serve --events-log``); missing parent directories
+    are created.
+    """
 
-    def __init__(self, path: str):
-        self.path = path
+    def __init__(self, path: str, mode: str = "a"):
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._fh = open(path, "a")
+        self._fh = open(path, mode)
 
-    def emit(self, event: JobEvent) -> None:
-        self._fh.write(json.dumps(event.to_json()))
-        self._fh.write("\n")
+    def __call__(self, doc: dict) -> None:
+        self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()
 
 
-class TeeProgress:
-    """Fan one event stream out to several sinks.
+class EventBus:
+    """The host-side event stream: JSON documents fanned out to
+    subscriber callables, with a bounded replayable history.
 
-    ``close()`` is exception-safe: every sink's ``close`` runs even
-    when an earlier one raises (the first failure is re-raised after
-    the sweep).  The fleet server tees one engine stream to many
-    subscriber sinks, and one subscriber's broken pipe must not leak
-    the others' file handles.
+    ``publish`` appends a document to the history and hands it to every
+    subscriber; ``subscribe(backlog=True)`` first replays that history,
+    so a late-joining dashboard reconstructs the fleet state before
+    going live.  ``close()`` closes every subscriber that has a
+    ``close``, even when an earlier one raises (the first failure is
+    re-raised after the sweep): one subscriber's broken file must not
+    leak the others' handles.
     """
 
-    def __init__(self, *sinks: ProgressSink):
-        self.sinks = [s for s in sinks if s is not None]
+    def __init__(self, retain: int = 4096):
+        self.history: deque = deque(maxlen=retain)
+        self._subscribers: List[Subscriber] = []
 
-    def emit(self, event: JobEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
+    def publish(self, doc: dict) -> None:
+        self.history.append(doc)
+        for fn in self._subscribers:
+            fn(doc)
+
+    def subscribe(self, fn: Subscriber, backlog: bool = True) -> None:
+        if backlog:
+            for doc in self.history:
+                fn(doc)
+        self._subscribers.append(fn)
+
+    def unsubscribe(self, fn: Subscriber) -> None:
+        if fn in self._subscribers:
+            self._subscribers.remove(fn)
 
     def close(self) -> None:
         first_error: Optional[BaseException] = None
-        for sink in self.sinks:
+        for fn in self._subscribers:
             try:
-                sink.close()
+                getattr(fn, "close", lambda: None)()
             except Exception as exc:
                 if first_error is None:
                     first_error = exc
@@ -210,22 +174,23 @@ class TeeProgress:
             raise first_error
 
 
-#: Process-wide default sink (installed by the CLI's --progress flags);
-#: an explicit ``progress=`` argument always wins.  Guarded by a lock:
-#: the fleet server installs/clears sinks from its event loop thread
-#: while engine calls resolve them from worker threads.
-_DEFAULT_PROGRESS: Optional[ProgressSink] = None
+#: Process-wide default subscriber (installed by the CLI's --progress
+#: flags); an explicit ``progress=`` argument always wins.  Guarded by a
+#: lock: :func:`run_specs` is a library call that may run on any
+#: thread, so a resolve racing an install or clear must not depend on
+#: the interpreter's guarantees about global stores.
+_DEFAULT_PROGRESS: Optional[Subscriber] = None
 _DEFAULT_PROGRESS_LOCK = threading.Lock()
 
 
-def set_default_progress(sink: Optional[ProgressSink]) -> None:
-    """Install (or clear, with None) the process-wide progress sink."""
+def set_default_progress(fn: Optional[Subscriber]) -> None:
+    """Install (or clear, with None) the process-wide progress callable."""
     global _DEFAULT_PROGRESS
     with _DEFAULT_PROGRESS_LOCK:
-        _DEFAULT_PROGRESS = sink
+        _DEFAULT_PROGRESS = fn
 
 
-def _resolve_progress(progress: Optional[ProgressSink]) -> Optional[ProgressSink]:
+def _resolve_progress(progress: Optional[Subscriber]) -> Optional[Subscriber]:
     if progress is not None:
         return progress
     with _DEFAULT_PROGRESS_LOCK:
@@ -279,7 +244,7 @@ def _run_leg(payload) -> dict:
 
 
 def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
-              progress: Optional[ProgressSink] = None,
+              progress: Optional[Subscriber] = None,
               batch: Optional[str] = None,
               leg_cycles: Optional[int] = None) -> List[RunRecord]:
     """Compute (or recall) records for ``specs``; results in input order.
@@ -308,18 +273,42 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     knob can change a result, only how fast it arrives.
 
     ``progress`` (or the default installed via
-    :func:`set_default_progress`) observes the fleet: per chain
-    ``queued``, ``started``, one ``leg`` per shipped boundary,
-    ``finished`` (with ``wall_s`` and ``eta_s``); ``cache-hit`` for a
-    spec that needed no chain.  ``batch`` tags every emitted event
-    with the submitter's batch id so concurrent engine calls sharing
-    one sink stay demuxable.
+    :func:`set_default_progress`) is called with one ``"type": "job"``
+    document per event: per chain ``queued``, ``started``, one ``leg``
+    per shipped boundary, ``finished`` (with ``wall_s`` and ``eta_s``);
+    ``cache-hit`` for a spec that needed no chain.  Every document
+    carries ``ts`` (monotonic seconds), which orders events when
+    several streams are multiplexed into one log, and — when ``batch``
+    is given — the submitter's batch id, so a consumer tailing a shared
+    stream (the fleet server's ``/events``) can demux concurrent
+    batches.  ``wall_s`` is a job's wall time, first leg to record;
+    ``eta_s`` extrapolates the remaining work from the mean wall time
+    of the jobs completed so far; either is left out when not finite.
     """
     if leg_cycles is not None and leg_cycles < 1:
         raise ValueError(f"leg_cycles must be >= 1, got {leg_cycles}")
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     progress = _resolve_progress(progress)
+
+    def publish(kind: str, spec: RunSpec, key: str, index: int, total: int,
+                completed: int = 0, wall_s: Optional[float] = None,
+                eta_s: Optional[float] = None) -> None:
+        if progress is None:
+            return
+        doc = {"type": "job", "kind": kind, "benchmark": spec.benchmark,
+               "spec": key, "index": index, "total": total,
+               "completed": completed}
+        ts = time.monotonic()
+        if math.isfinite(ts):
+            doc["ts"] = round(ts, 4)
+        if batch is not None:
+            doc["batch"] = batch
+        if wall_s is not None and math.isfinite(wall_s):
+            doc["wall_s"] = round(wall_s, 4)
+        if eta_s is not None and math.isfinite(eta_s):
+            doc["eta_s"] = round(eta_s, 1)
+        progress(doc)
 
     missing: List[RunSpec] = []
     seen = set()
@@ -329,9 +318,8 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
             if runner.cached_record(spec) is None:
                 missing.append(spec)
             elif progress is not None:
-                progress.emit(JobEvent("cache-hit", spec.benchmark,
-                                       spec_key(spec), index=len(seen) - 1,
-                                       total=0, batch=batch))
+                publish("cache-hit", spec, spec_key(spec),
+                        index=len(seen) - 1, total=0)
 
     if missing:
         total = len(missing)
@@ -341,10 +329,8 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
         completed = 0
 
         def emit(kind: str, i: int, **fields) -> None:
-            if progress is not None:
-                progress.emit(JobEvent(kind, missing[i].benchmark, keys[i],
-                                       index=i, total=total, batch=batch,
-                                       **fields))
+            publish(kind, missing[i], keys[i], index=i, total=total,
+                    **fields)
 
         def payload(i: int, snap_data: Optional[bytes]) -> tuple:
             return (asdict(missing[i]), snap_data, leg_cycles)
@@ -406,5 +392,5 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
                 if failure is not None:
                     raise failure
 
-    return [runner.record_for(spec) for spec in specs]
+    return [runner.cached_record(spec) for spec in specs]
 

@@ -219,9 +219,8 @@ def record_from_result(spec: RunSpec, result: RunResult,
                        fastpath: "bool | None" = None) -> RunRecord:
     """Extract a portable record and stamp its provenance manifest.
 
-    This is the one place records destined for the cache layers are
-    minted (both the serial path here and the worker path in
-    :mod:`repro.harness.engine` go through it), so every stored record
+    This is the one place records are minted (the engine's legs and
+    ``repro run --record`` go through it), so every stored record
     carries the inputs it is a pure function of.
     """
     from repro.analysis import provenance
@@ -272,23 +271,15 @@ def best_snapshot(spec: RunSpec) -> Optional[Snapshot]:
 def record_for(spec: RunSpec) -> RunRecord:
     """One spec's portable result: memo -> disk -> simulate.
 
-    Simulation resumes from the best cached checkpoint when one
-    exists, and a run truncated by ``until_cycles`` deposits its end
-    state back into the snapshot layers — so extending a bounded run's
-    horizon simulates only the delta (``SIM_CYCLES`` proves it).
+    This is ``engine.run_specs([spec], jobs=1)``, the engine in
+    process: simulation resumes from the best cached checkpoint when
+    one exists, and a run truncated by ``until_cycles`` deposits its
+    end state back into the snapshot layers — so extending a bounded
+    run's horizon simulates only the delta (``SIM_CYCLES`` proves it).
     """
-    record = cached_record(spec)
-    if record is not None:
-        return record
-    on_checkpoint = None
-    if spec.until_cycles is not None:
-        def on_checkpoint(snap, _spec=spec):
-            store_snapshot(_spec, snap)
-    result = execute(spec, resume_from=best_snapshot(spec),
-                     on_checkpoint=on_checkpoint)
-    record = record_from_result(spec, result)
-    store_record(spec, record)
-    return record
+    from repro.harness import engine  # engine imports this module
+
+    return engine.run_specs([spec], jobs=1)[0]
 
 
 def clear_cache(disk: bool = False) -> None:

@@ -241,20 +241,20 @@ class TestEngine:
 # ---------------------------------------------------------------------------
 
 class Recorder:
-    """Test sink: keeps every JobEvent, remembers close()."""
+    """Test subscriber: keeps every job document, remembers close()."""
 
     def __init__(self):
-        self.events = []
+        self.docs = []
         self.closed = False
 
-    def emit(self, event):
-        self.events.append(event)
+    def __call__(self, doc):
+        self.docs.append(doc)
 
     def close(self):
         self.closed = True
 
     def kinds(self):
-        return [e.kind for e in self.events]
+        return [d["kind"] for d in self.docs]
 
 
 class TestProgress:
@@ -264,15 +264,15 @@ class TestProgress:
         # All queued events first, then started/finished per job.
         assert rec.kinds() == ["queued", "queued", "started", "finished",
                                "started", "finished"]
-        finished = [e for e in rec.events if e.kind == "finished"]
-        assert [e.completed for e in finished] == [1, 2]
-        assert all(e.total == 2 for e in rec.events)
-        assert all(e.wall_s is not None and e.wall_s >= 0
-                   for e in finished)
-        assert all(e.eta_s is not None for e in finished)
-        assert finished[-1].eta_s == 0.0, "nothing left after the last job"
-        assert finished[0].benchmark == CHEAP.benchmark
-        assert finished[0].spec_key == spec_key(CHEAP)
+        finished = [d for d in rec.docs if d["kind"] == "finished"]
+        assert [d["completed"] for d in finished] == [1, 2]
+        assert all(d["total"] == 2 for d in rec.docs)
+        assert all(d["wall_s"] >= 0 for d in finished)
+        assert all("eta_s" in d for d in finished)
+        assert finished[-1]["eta_s"] == 0.0, \
+            "nothing left after the last job"
+        assert finished[0]["benchmark"] == CHEAP.benchmark
+        assert finished[0]["spec"] == spec_key(CHEAP)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("leg_cycles", [None, 200_000])
@@ -284,13 +284,13 @@ class TestProgress:
         engine.run_specs([CHEAP, CHEAP2], jobs=jobs, progress=rec,
                          leg_cycles=leg_cycles)
         for spec in (CHEAP, CHEAP2):
-            chain = [e for e in rec.events if e.spec_key == spec_key(spec)]
-            kinds = [e.kind for e in chain]
+            chain = [d for d in rec.docs if d["spec"] == spec_key(spec)]
+            kinds = [d["kind"] for d in chain]
             legs = kinds.count("leg")
             assert kinds == ["queued", "started"] + ["leg"] * legs \
                 + ["finished"]
             assert (legs > 0) == (leg_cycles is not None)
-            assert chain[-1].wall_s > 0 and chain[-1].eta_s is not None
+            assert chain[-1]["wall_s"] > 0 and "eta_s" in chain[-1]
 
     def test_warm_engine_emits_cache_hits_only(self, disk):
         engine.run_specs([CHEAP, CHEAP2], jobs=1)
@@ -307,32 +307,36 @@ class TestProgress:
         assert kinds.count("queued") == 2
         assert kinds.count("started") == 2
         assert kinds.count("finished") == 2
-        completed = sorted(e.completed for e in rec.events
-                           if e.kind == "finished")
+        completed = sorted(d["completed"] for d in rec.docs
+                           if d["kind"] == "finished")
         assert completed == [1, 2]
 
     def test_event_json_shape(self, disk):
         rec = Recorder()
         engine.run_specs([CHEAP], jobs=1, progress=rec)
-        for event in rec.events:
-            doc = event.to_json()
+        for doc in rec.docs:
             assert doc["type"] == "job"
             assert {"kind", "benchmark", "spec", "index", "total",
                     "completed"} <= set(doc)
-        finished = rec.events[-1].to_json()
+            json.dumps(doc, allow_nan=False)  # plain JSON, nothing else
+        finished = rec.docs[-1]
         assert "wall_s" in finished and "eta_s" in finished
 
     def test_jsonl_progress_appends(self, tmp_path, disk):
         path = tmp_path / "logs" / "events.jsonl"  # parent auto-created
-        sink = engine.JsonlProgress(str(path))
-        engine.run_specs([CHEAP], jobs=1, progress=sink)
-        engine.run_specs([CHEAP], jobs=1, progress=sink)  # memo hit
-        sink.close()
-        docs = [json.loads(line)
-                for line in path.read_text().splitlines()]
+        log = engine.JsonlLog(str(path))
+        engine.run_specs([CHEAP], jobs=1, progress=log)
+        log.close()
+        log = engine.JsonlLog(str(path))  # appends by default
+        engine.run_specs([CHEAP], jobs=1, progress=log)  # memo hit
+        log.close()
+        lines = path.read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
         assert [d["kind"] for d in docs] == ["queued", "started",
                                              "finished", "cache-hit"]
         assert all(d["type"] == "job" for d in docs)
+        assert lines == [json.dumps(d, sort_keys=True) for d in docs], \
+            "one sorted-key document per line"
 
     def test_stderr_progress_renders_lines(self, disk):
         import io
@@ -356,23 +360,28 @@ class TestProgress:
         explicit = Recorder()
         engine.set_default_progress(rec)
         try:
-            count = len(rec.events)
+            count = len(rec.docs)
             runner.clear_cache()
             engine.run_specs([CHEAP], jobs=1, progress=explicit)
         finally:
             engine.set_default_progress(None)
-        assert explicit.events, "explicit sink receives the events"
-        assert len(rec.events) == count, "explicit argument beats default"
+        assert explicit.docs, "explicit sink receives the events"
+        assert len(rec.docs) == count, "explicit argument beats default"
         engine.run_specs([CHEAP], jobs=1)
-        assert len(rec.events) == count, "cleared default stays silent"
+        assert len(rec.docs) == count, "cleared default stays silent"
 
     def test_tee_fans_out_and_closes(self, disk):
+        """The bus tees one engine stream to every subscriber, and its
+        close() closes those that have a close()."""
         a, b = Recorder(), Recorder()
-        tee = engine.TeeProgress(a, b, None)  # None sinks dropped
+        bus = engine.EventBus()
+        bus.subscribe(a)
+        bus.subscribe(b)
+        bus.subscribe([].append)  # no close(): skipped by bus.close()
         runner.clear_cache(disk=True)
-        engine.run_specs([CHEAP], jobs=1, progress=tee)
-        assert a.kinds() == b.kinds() != []
-        tee.close()
+        engine.run_specs([CHEAP], jobs=1, progress=bus.publish)
+        assert a.docs == b.docs != []
+        bus.close()
         assert a.closed and b.closed
 
     def test_progress_does_not_perturb_results(self, disk):
@@ -384,43 +393,55 @@ class TestProgress:
 
 
 class TestEventTsAndBatch:
-    """Additive JobEvent fields: monotonic ``ts`` and ``batch`` tag."""
+    """Every job document's monotonic ``ts`` and ``batch`` tag."""
 
-    def test_ts_stamped_and_serialized(self):
+    def test_ts_stamped_and_serialized(self, disk):
         import time
 
+        rec = Recorder()
         before = time.monotonic()
-        event = engine.JobEvent("queued", "fop", "k", 0, 1)
+        engine.run_specs([CHEAP], jobs=1, progress=rec)
         after = time.monotonic()
-        assert before <= event.ts <= after
-        doc = event.to_json()
-        assert doc["ts"] == round(event.ts, 4)
+        stamps = [d["ts"] for d in rec.docs]
+        assert len(stamps) == 3
+        assert stamps == sorted(stamps), "stamped as emitted"
+        assert round(before, 4) <= stamps[0]
+        assert stamps[-1] <= round(after, 4)
+        assert all(ts == round(ts, 4) for ts in stamps)
 
-    def test_explicit_ts_preserved(self):
-        event = engine.JobEvent("queued", "fop", "k", 0, 1, ts=12.5)
-        assert event.to_json()["ts"] == 12.5
+    def test_explicit_ts_preserved(self, tmp_path):
+        """The bus carries a document as published: a fleet document's
+        own ``ts`` reaches subscribers and the log unchanged."""
+        path = tmp_path / "events.jsonl"
+        rec = Recorder()
+        bus = engine.EventBus()
+        bus.subscribe(rec)
+        bus.subscribe(engine.JsonlLog(str(path), mode="w"))
+        bus.publish({"type": "fleet", "kind": "shutdown", "ts": 12.5})
+        bus.close()
+        assert rec.docs[0]["ts"] == 12.5
+        assert json.loads(path.read_text())["ts"] == 12.5
 
     def test_batch_omitted_when_unset(self, disk):
         rec = Recorder()
         engine.run_specs([CHEAP], jobs=1, progress=rec)
-        for event in rec.events:
-            assert event.batch is None
-            assert "batch" not in event.to_json(), \
-                "untagged streams must serialize exactly as before"
+        assert rec.docs, "sanity"
+        for doc in rec.docs:
+            assert "batch" not in doc, \
+                "untagged streams carry no batch key"
 
     def test_batch_tags_every_event(self, disk):
         rec = Recorder()
         runner.clear_cache(disk=True)
         engine.run_specs([CHEAP, CHEAP2], jobs=1, progress=rec,
                          batch="b7")
-        assert rec.events, "sanity"
-        assert all(e.batch == "b7" for e in rec.events)
-        assert all(e.to_json()["batch"] == "b7" for e in rec.events)
+        assert rec.docs, "sanity"
+        assert all(d["batch"] == "b7" for d in rec.docs)
         # Cache hits are tagged too.
         rec2 = Recorder()
         engine.run_specs([CHEAP], jobs=1, progress=rec2, batch="b8")
         assert rec2.kinds() == ["cache-hit"]
-        assert rec2.events[0].batch == "b8"
+        assert rec2.docs[0]["batch"] == "b8"
 
     def test_sharded_batch_tagging(self, disk):
         rec = Recorder()
@@ -428,43 +449,45 @@ class TestEventTsAndBatch:
         engine.run_specs([CHEAP], leg_cycles=200_000, jobs=1,
                          progress=rec, batch="b9")
         assert "leg" in rec.kinds()
-        assert all(e.batch == "b9" for e in rec.events)
+        assert all(d["batch"] == "b9" for d in rec.docs)
 
 
 class TestProgressRobustness:
-    """Satellite hardening: lock-guarded default sink, safe tee close."""
+    """Lock-guarded default subscriber, safe bus close."""
 
     def test_tee_close_survives_failing_sink(self):
         class Exploding:
-            closed = False
-
-            def emit(self, event):
+            def __call__(self, doc):
                 pass
 
             def close(self):
                 raise OSError("disk full")
 
         a, boom, b = Recorder(), Exploding(), Recorder()
-        tee = engine.TeeProgress(a, boom, b)
+        bus = engine.EventBus()
+        for fn in (a, boom, b):
+            bus.subscribe(fn)
         with pytest.raises(OSError, match="disk full"):
-            tee.close()
+            bus.close()
         assert a.closed and b.closed, \
-            "one failing sink must not skip the rest"
+            "one failing subscriber must not skip the rest"
 
     def test_tee_close_reports_first_of_many_errors(self):
         class Exploding:
             def __init__(self, message):
                 self.message = message
 
-            def emit(self, event):
+            def __call__(self, doc):
                 pass
 
             def close(self):
                 raise ValueError(self.message)
 
-        tee = engine.TeeProgress(Exploding("first"), Exploding("second"))
+        bus = engine.EventBus()
+        bus.subscribe(Exploding("first"))
+        bus.subscribe(Exploding("second"))
         with pytest.raises(ValueError, match="first"):
-            tee.close()
+            bus.close()
 
     def test_default_progress_thread_safety(self, disk):
         """Concurrent set/resolve must never corrupt the default sink
@@ -523,29 +546,48 @@ class TestEtaEstimate:
         assert engine.estimate_eta(float("nan"), 2, 4) is None
         assert engine.estimate_eta(-1.0, 2, 4) is None
 
-    def test_event_json_drops_non_finite_fields(self):
-        event = engine.JobEvent(kind="finished", benchmark="fop",
-                                spec_key="k" * 24, index=0, total=2,
-                                completed=1, wall_s=float("inf"),
-                                eta_s=float("nan"))
-        doc = event.to_json()
-        assert "wall_s" not in doc and "eta_s" not in doc
-        event.wall_s, event.eta_s = 1.25, 3.0
-        doc = event.to_json()
-        assert doc["wall_s"] == 1.25 and doc["eta_s"] == 3.0
+    @staticmethod
+    def _non_finite_clock(monkeypatch):
+        """Make every wall time the engine measures, and every ETA it
+        estimates, non-finite."""
+        import types
 
-    def test_stderr_progress_never_prints_non_finite_eta(self):
+        monkeypatch.setattr(engine, "time", types.SimpleNamespace(
+            monotonic=lambda: float("inf")))
+        monkeypatch.setattr(engine, "estimate_eta",
+                            lambda *args: float("nan"))
+
+    def test_event_json_drops_non_finite_fields(self, disk, monkeypatch):
+        self._non_finite_clock(monkeypatch)
+        rec = Recorder()
+        engine.run_specs([CHEAP, CHEAP2], jobs=1, progress=rec)
+        finished = [d for d in rec.docs if d["kind"] == "finished"]
+        assert len(finished) == 2
+        for doc in rec.docs:
+            assert not {"ts", "wall_s", "eta_s"} & set(doc), doc
+            json.dumps(doc, allow_nan=False)
+        # Finite values are kept, rounded.
+        monkeypatch.undo()
+        monkeypatch.setattr(engine, "estimate_eta", lambda *args: 3.04)
+        runner.clear_cache(disk=True)
+        rec = Recorder()
+        engine.run_specs([CHEAP], jobs=1, progress=rec)
+        doc = rec.docs[-1]
+        assert doc["kind"] == "finished" and doc["eta_s"] == 3.0
+        assert doc["wall_s"] > 0 and doc["wall_s"] == round(doc["wall_s"], 4)
+
+    def test_stderr_progress_never_prints_non_finite_eta(self, disk,
+                                                          monkeypatch):
         import io
 
+        self._non_finite_clock(monkeypatch)
         stream = io.StringIO()
-        sink = engine.StderrProgress(stream)
-        sink.emit(engine.JobEvent(kind="finished", benchmark="fop",
-                                  spec_key="k" * 24, index=0, total=3,
-                                  completed=1, wall_s=0.5,
-                                  eta_s=float("inf")))
-        line = stream.getvalue()
-        assert "inf" not in line and "nan" not in line
-        assert "eta" not in line
+        engine.run_specs([CHEAP, CHEAP2], jobs=1,
+                         progress=engine.StderrProgress(stream))
+        text = stream.getvalue()
+        assert "finished fop" in text and "1/2" in text
+        assert "inf" not in text and "nan" not in text
+        assert "eta" not in text
 
     def test_all_cache_hit_batch_emits_clean_events(self, disk):
         engine.run_specs([CHEAP, CHEAP2], jobs=1)
@@ -553,9 +595,9 @@ class TestEtaEstimate:
         rec = Recorder()
         engine.run_specs([CHEAP, CHEAP2], jobs=1, progress=rec)
         assert rec.kinds() == ["cache-hit", "cache-hit"]
-        for event in rec.events:
-            doc = json.dumps(event.to_json())
-            assert "Infinity" not in doc and "NaN" not in doc
+        for doc in rec.docs:
+            text = json.dumps(doc)
+            assert "Infinity" not in text and "NaN" not in text
 
 
 # ---------------------------------------------------------------------------

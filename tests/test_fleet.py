@@ -21,9 +21,9 @@ from repro.analysis.diff import diff_docs
 from repro.fleet import (BackgroundFleet, FleetClient, FleetClientError,
                          FleetError, FleetScheduler, FleetUnavailable)
 from repro.fleet import watch
-from repro.fleet.scheduler import EventBus
 from repro.harness import engine, runner
 from repro.harness.diskcache import spec_key
+from repro.harness.engine import EventBus
 from repro.harness.runner import RunSpec
 from repro.telemetry.export import parse_prometheus_text
 
@@ -42,31 +42,27 @@ def spec_doc(benchmark="compress", **kw):
 
 class TestEventBus:
     def test_backlog_seeds_late_subscriber(self):
-        async def scenario():
-            bus = EventBus(retain=3)
-            for i in range(5):
-                bus.publish({"i": i})
-            queue = bus.subscribe(backlog=True)
-            # Bounded history: only the last 3 survive.
-            got = [queue.get_nowait()["i"] for _ in range(queue.qsize())]
-            assert got == [2, 3, 4]
-            bus.publish({"i": 5})
-            assert queue.get_nowait()["i"] == 5
-            assert bus.published == 6
-
-        asyncio.run(scenario())
+        bus = EventBus(retain=3)
+        for i in range(5):
+            bus.publish({"i": i})
+        got = []
+        bus.subscribe(got.append, backlog=True)
+        # Bounded history: only the last 3 survive.
+        assert [d["i"] for d in got] == [2, 3, 4]
+        bus.publish({"i": 5})
+        assert [d["i"] for d in got] == [2, 3, 4, 5]
 
     def test_no_backlog_and_unsubscribe(self):
-        async def scenario():
-            bus = EventBus()
-            bus.publish({"i": 0})
-            queue = bus.subscribe(backlog=False)
-            assert queue.qsize() == 0
-            bus.unsubscribe(queue)
-            bus.publish({"i": 1})
-            assert queue.qsize() == 0
-
-        asyncio.run(scenario())
+        bus = EventBus()
+        bus.publish({"i": 0})
+        got = []
+        bus.subscribe(got.append, backlog=False)
+        assert got == []
+        bus.publish({"i": 1})
+        assert got == [{"i": 1}]
+        bus.unsubscribe(got.append)
+        bus.publish({"i": 2})
+        assert got == [{"i": 1}]
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +527,56 @@ class TestEventsLog:
         assert state.sim_runs == 1
         assert state.jobs["b1"].state == "done"
         assert "done" in watch.render(state)
+
+    def test_unwritable_log_exits_with_one_line(self, tmp_path):
+        from repro.__main__ import main
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "events.jsonl"  # under a regular file
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--events-log", str(path)])
+        assert str(exc.value).startswith(
+            f"serve: cannot write events log to {str(path)!r}: ")
+
+    def test_log_parent_directories_are_created(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "events.jsonl"
+        with BackgroundFleet(jobs=1, events_log=str(path)):
+            pass
+        assert watch.replay_file(str(path)).shutdown
+
+    def test_progress_log_and_events_log_fold_alike(self, tmp_path):
+        """``--progress-log`` and ``serve --events-log`` are one format:
+        the same job documents, one sorted-key line each."""
+        progress_log = tmp_path / "progress.jsonl"
+        events_log = tmp_path / "events.jsonl"
+        local = RunSpec(benchmark="compress", until_cycles=SMALL, seed=31)
+        served = RunSpec(benchmark="compress", until_cycles=SMALL, seed=32)
+        log = engine.JsonlLog(str(progress_log))
+        engine.run_specs([local], jobs=1, progress=log)
+        log.close()
+        with BackgroundFleet(jobs=1, events_log=str(events_log)) as fleet:
+            FleetClient(fleet.base_url, timeout=60).submit(
+                [json_spec(served)], wait=True)
+
+        def job_docs(path):
+            lines = path.read_text().splitlines()
+            docs = [json.loads(line) for line in lines]
+            assert lines == [json.dumps(d, sort_keys=True) for d in docs]
+            return [d for d in docs if d["type"] == "job"]
+
+        local_docs = job_docs(progress_log)
+        served_docs = job_docs(events_log)
+        assert [d["kind"] for d in local_docs] \
+            == [d["kind"] for d in served_docs] \
+            == ["queued", "started", "finished"]
+        assert [set(d) | {"batch"} for d in local_docs] \
+            == [set(d) for d in served_docs]
+        for path, docs in ((progress_log, local_docs),
+                           (events_log, served_docs)):
+            state = watch.replay_file(str(path))
+            assert state.sim_runs == 1
+            assert state.sim_wall_s == docs[-1]["wall_s"]
 
 
 # ---------------------------------------------------------------------------
