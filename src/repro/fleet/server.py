@@ -48,6 +48,9 @@ DEFAULT_PORT = 8077
 
 #: Largest request body the daemon will read (1 MiB of spec JSON).
 MAX_BODY = 1 << 20
+#: Seconds a draining daemon waits for its event streams to send the
+#: ``shutdown`` announcement (a stalled client is then cut off).
+STREAM_DRAIN_S = 5.0
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -117,6 +120,7 @@ class FleetServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
+        self._streams: set = set()    # handler tasks tailing the bus
         self.loop: Optional[asyncio.AbstractEventLoop] = None
 
     async def start(self) -> None:
@@ -141,6 +145,10 @@ class FleetServer:
 
     async def shutdown(self) -> None:
         await self.scheduler.drain()
+        # Let every event stream write the ``shutdown`` announcement and
+        # end, rather than be cancelled mid-write when the loop closes.
+        if self._streams:
+            await asyncio.wait(self._streams, timeout=STREAM_DRAIN_S)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -162,7 +170,8 @@ class FleetServer:
             url = urllib.parse.urlsplit(target)
             query = dict(urllib.parse.parse_qsl(url.query))
             try:
-                await self._route(method, url.path, query, body, writer)
+                await self._route(method, url.path, query, body, reader,
+                                  writer)
             except _HttpError as exc:
                 writer.write(_json_response(exc.status,
                                             {"error": exc.message}))
@@ -182,7 +191,8 @@ class FleetServer:
                 pass
 
     async def _route(self, method: str, path: str, query: dict,
-                     body: bytes, writer: asyncio.StreamWriter) -> None:
+                     body: bytes, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
         sched = self.scheduler
         if path == "/healthz":
             writer.write(_json_response(200, {
@@ -201,7 +211,7 @@ class FleetServer:
         if path == "/events":
             if method != "GET":
                 raise _HttpError(405, "GET only")
-            await self._stream_events(query, writer)
+            await self._stream_events(query, reader, writer)
             return
         if path == "/jobs" and method == "POST":
             doc = _parse_json_body(body)
@@ -252,12 +262,14 @@ class FleetServer:
         raise _HttpError(404, f"no route for {method} {path}")
 
     async def _stream_events(self, query: dict,
+                             reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         """Tail the bus: SSE by default, JSONL with ``?format=jsonl``.
 
         The stream ends when the daemon announces ``shutdown`` on the
-        bus or the client disconnects; each write is drained so a slow
-        consumer backpressures its own queue, not the bus.
+        bus or the client disconnects — seen as end of input even while
+        the bus is quiet; each write is drained so a slow consumer
+        backpressures its own queue, not the bus.
         """
         jsonl = query.get("format") == "jsonl"
         backlog = query.get("backlog") not in ("0", "false")
@@ -269,9 +281,13 @@ class FleetServer:
                       f"Connection: close\r\n\r\n").encode("latin-1"))
         queue: asyncio.Queue = asyncio.Queue()
         self.scheduler.bus.subscribe(queue.put_nowait, backlog=backlog)
+        hangup = asyncio.ensure_future(_end_of_input(reader, queue))
+        self._streams.add(asyncio.current_task())
         try:
             while True:
                 doc = await queue.get()
+                if doc is None:     # the client hung up
+                    break
                 line = json.dumps(doc, sort_keys=True)
                 if jsonl:
                     writer.write((line + "\n").encode("utf-8"))
@@ -284,7 +300,21 @@ class FleetServer:
         except (ConnectionError, OSError):
             pass
         finally:
+            hangup.cancel()
             self.scheduler.bus.unsubscribe(queue.put_nowait)
+            self._streams.discard(asyncio.current_task())
+
+
+async def _end_of_input(reader: asyncio.StreamReader,
+                        queue: asyncio.Queue) -> None:
+    """Queue ``None`` once the client has closed its end (or reset
+    it), so its stream ends even while the bus is quiet."""
+    try:
+        while await reader.read(4096):
+            pass
+    except (ConnectionError, OSError):
+        pass
+    queue.put_nowait(None)
 
 
 def _parse_json_body(body: bytes) -> dict:

@@ -107,14 +107,3 @@ class CoallocationPolicy:
                               ("too_large", self.too_large)):
             if count:
                 rejected.labels(reason).inc(count)
-
-
-def static_hot_fields(table: dict) -> HotFieldProvider:
-    """Build a provider from a fixed {ClassInfo: FieldInfo} table.
-
-    Used by unit tests and by ablation benchmarks that bypass the online
-    monitoring (e.g. to measure the oracle upper bound).
-    """
-    def provider(klass: ClassInfo) -> Optional[FieldInfo]:
-        return table.get(klass)
-    return provider

@@ -46,30 +46,3 @@ def in_code_space(addr: int) -> bool:
     (kernel space, native libraries) immediately — section 4.2.
     """
     return CODE_BASE <= addr < CODE_LIMIT
-
-
-def in_nursery(addr: int) -> bool:
-    return NURSERY_BASE <= addr < NURSERY_LIMIT
-
-
-def in_mature(addr: int) -> bool:
-    return MATURE_BASE <= addr < MATURE_LIMIT
-
-
-def in_los(addr: int) -> bool:
-    return LOS_BASE <= addr < LOS_LIMIT
-
-
-def region_name(addr: int) -> str:
-    """Human-readable region for diagnostics."""
-    for base, limit, name in (
-        (STACK_BASE, STACK_LIMIT, "stack"),
-        (STATICS_BASE, STATICS_LIMIT, "statics"),
-        (CODE_BASE, CODE_LIMIT, "code"),
-        (NURSERY_BASE, NURSERY_LIMIT, "nursery"),
-        (MATURE_BASE, MATURE_LIMIT, "mature"),
-        (LOS_BASE, LOS_LIMIT, "los"),
-    ):
-        if base <= addr < limit:
-            return name
-    return "unmapped"

@@ -38,7 +38,8 @@ Two drivers execute the same compiled code at three levels:
   that keeps iterating, guest registers in Python locals, until the
   quantum budget is spent or a collection is due; and
   where every poll of the next ``BUDGET_QUANTA`` quanta is provably
-  idle, that budget spans all of them.
+  idle — the ring's own worst case and the PEBS unit's exact state
+  bound the clock — that budget spans all of them.
   All kinds of closure are generated from one per-opcode emitter in
   :mod:`repro.hw.translate` — its *single* and *fused* flavours — so
   what an instruction does is written down twice in all: there, and
@@ -79,8 +80,9 @@ CALL_OVERHEAD = 4
 SCHED_QUANTUM = 128
 #: Quanta one budget of the fast driver spans where every poll in
 #: between is provably idle (see ``_run_fast``).  Measured: the gain
-#: plateaus from 4 on, and no budget is extended within this many
-#: horizons of a deadline (docs/INTERNALS.md, *Budget*).
+#: plateaus from 4 on, and no budget is extended where a deadline is
+#: nearer than this many quanta at the ring's worst case
+#: (docs/INTERNALS.md, *Budget*).
 BUDGET_QUANTA = 4
 
 
@@ -275,46 +277,42 @@ class CPU:
 
         A run that does not fit the remaining quantum budget may still
         execute whole — *straddle* the boundary — when the poll there
-        is provably idle: no PEBS event armed and no observer attached
-        (no hook can fire, so nothing reads the clock mid-run), and the
-        clock cannot reach ``scheduler.next_time`` or ``until_cycles``
-        by the boundary even if each of the quantum's instructions paid
-        the worst case (``horizon`` below).  The budget then stays on
-        the 128-instruction grid, the log is landed and the counts
-        flushed so the clock is exact for the next such test, and the
-        poll is skipped.  Otherwise — and for a branch landing
+        is provably idle (:meth:`_boundary_idle`): with the log landed
+        the clock is exact, and neither it plus the run's worst case
+        (``rate`` per instruction, from the block table) nor the hooks'
+        bounded charges reach ``scheduler.next_time`` or
+        ``until_cycles``.  Otherwise — and for a branch landing
         mid-block — the run is split per-instruction up to the
         boundary, which keeps sliced ``until_cycles`` replay
         bit-identical.  At level 1 the block table is all ``None`` and
         the log stays empty, so every instruction takes the
         per-instruction path.
 
-        The same proof, made once for ``BUDGET_QUANTA`` quanta ahead
-        whenever the log has just landed on a boundary (the clock is
-        exact there), lets one budget span all of them: the polls in
-        between are the ones proven to do nothing, the grid of later
-        polls does not move, the drains merge, and a region iterates
-        that much longer per entry.  ``horizon`` bounds what
-        *instructions* add to the clock; a lazy compile or a profiler
-        (at a call or return) and a collection charge it directly, so
-        each of those puts the budget back on the grid — where the
-        clock is flushed, or about to be landed by the collection, and
-        the one-quantum rules above apply again.  A collection only
-        happens at an allocation the driver runs: a region's inline
-        one cannot collect (it leaves for the driver where it would),
-        so it keeps the budget.
-        Scheduler events are only ever scheduled by other events, so
-        ``next_time`` cannot move closer in between.
+        A region entered on a one-quantum budget gets the same proof
+        for ``BUDGET_QUANTA`` quanta at its ring's ``rate``; then one
+        budget spans them all: the polls in between are the ones
+        proven to do nothing, the grid of later polls does not move,
+        the drains merge, and the region iterates that much longer.
+        Only ring instructions are bounded so: a region that leaves its
+        ring (or stops at an allocation the driver serves) with more
+        than a quantum left puts the budget back on the grid.  A
+        collection, a lazy compile or a profiler charges the clock only
+        outside a region, and scheduler events are only ever scheduled
+        by other events, so ``next_time`` cannot move closer in between.
+
+        A hook may read the clock only where the reference flushed it
+        last: so nothing is granted with an observer attached, and with
+        telemetry on (the PMU interrupt's handler stamps the trace)
+        nothing where the DS buffer could reach its watermark before the
+        next poll — a straddle's flush is not the reference's till then.
 
         (What a guest fault leaves on the clock is the last flush, as
-        in the reference; the flushes at skipped polls are skipped with
-        them, so without a hook a dead run's clock can trail the
-        reference's by up to one budget span — ``BUDGET_QUANTA *
-        SCHED_QUANTUM`` instructions — which nothing consumes.  With a
-        hook attached no poll is skipped and it is exact.)
+        in the reference; polls skipped skip their flushes, and the
+        driver flushes where it grants a span — so a dead run's clock
+        can differ from the reference's by less than one budget span,
+        which nothing consumes; with an observer attached it is exact.)
         """
-        config = self.config
-        icost = config.instruction_cost
+        icost = self.config.instruction_cost
         runtime = self.runtime
         scheduler = self.scheduler
         frames = self.frames
@@ -323,17 +321,8 @@ class CPU:
         pending = self._pending
         drain_segments = self.mem.access_run_segments
         land_flush = self._land_flush
+        idle = self._boundary_idle
         budget = SCHED_QUANTUM
-        # The most the clock can advance over one quantum: every
-        # instruction a TLB miss to main memory, a barrier charge, an
-        # allocation and a call.
-        gc_config = runtime.plan.config
-        horizon = SCHED_QUANTUM * (
-            icost + config.tlb.miss_penalty + config.l1.hit_latency
-            + config.l2.hit_latency + config.memory_latency
-            + gc_config.write_barrier_cost + gc_config.alloc_cost
-            + CALL_OVERHEAD)
-        span = BUDGET_QUANTA * horizon
         extension = (BUDGET_QUANTA - 1) * SCHED_QUANTUM
 
         while frames:
@@ -349,26 +338,40 @@ class CPU:
             pc = frame.pc
             switch = False
             n = 0     # local instruction delta
-            if budget > SCHED_QUANTUM:
-                # A multi-quantum budget assumes the clock advances by
-                # at most ``horizon`` a quantum; a lazy compile or a
-                # profiler at a frame switch (and a collection at an
-                # allocation) may charge more: back onto the poll grid.
-                budget = (budget - 1) % SCHED_QUANTUM + 1
 
             while not switch:
                 blk = blocks[pc]
-                if blk is not None and (
-                        blk[0] <= budget
-                        or self._boundary_idle(cell[0] + horizon,
-                                               until_cycles)):
-                    k, fn, region = blk
+                if blk is not None:
+                    k, fn, region, rate = blk
+                    if region and budget <= SCHED_QUANTUM and idle(
+                            n * icost + (budget + extension) * rate,
+                            budget + extension, until_cycles):
+                        # The next BUDGET_QUANTA - 1 polls are idle too,
+                        # as far as the ring runs; the log has landed.
+                        self.cycles += cell[0] + n * icost
+                        self.instructions += n
+                        cell[0] = 0
+                        n = 0
+                        budget += extension
+                    # Hooks stay bounded up to the next poll: until
+                    # then a straddle's flush is not the reference's.
+                    if k > budget and not idle(n * icost + k * rate,
+                                               k + SCHED_QUANTUM,
+                                               until_cycles):
+                        blk = None
+                if blk is not None:
                     if region:
                         pc, k, n = fn(frame, regs, slots, budget, n)
+                        budget -= k
+                        if budget > SCHED_QUANTUM:
+                            # Out of the ring (or to an allocation the
+                            # driver serves) with budget to spare: back
+                            # onto the poll grid.
+                            budget = (budget - 1) % SCHED_QUANTUM + 1
                     else:
                         pc = fn(frame, regs, slots)
                         n += k
-                    budget -= k
+                        budget -= k
                 else:
                     n += 1
                     # A handler that issues its own ``mem.access``, can
@@ -434,16 +437,13 @@ class CPU:
                         alloc_cost = phase2[pc](regs)
                         cell[0] += alloc_cost
                         pc += 1
-                        if budget > SCHED_QUANTUM:    # as at a switch
-                            budget = (budget - 1) % SCHED_QUANTUM + 1
                     budget -= 1
 
                 if budget > 0:
                     continue
                 # On the quantum boundary — or, after a straddle, past
                 # it: land the log and flush, so the clock is exact for
-                # the poll (or for the next idle test; the poll a
-                # straddle skipped was proven idle).
+                # the poll (the poll a straddle skipped was proven idle).
                 straddled = budget < 0
                 budget += SCHED_QUANTUM
                 if pending:
@@ -465,28 +465,32 @@ class CPU:
                         frame.pc = pc
                         self.sync_counters()
                         return
-                if self._boundary_idle(span, until_cycles):
-                    # The next BUDGET_QUANTA - 1 polls are idle too.
-                    budget += extension
             if cell[0] or n:
                 self.cycles += cell[0] + n * icost
                 self.instructions += n
                 cell[0] = 0
         self.sync_counters()
 
-    def _boundary_idle(self, slack: int,
+    def _boundary_idle(self, slack: int, instructions: int,
                        until_cycles: Optional[int]) -> bool:
-        """Whether the next quantum poll provably does nothing: no hook
-        can fire before it (so nothing reads the clock mid-run), and
-        the clock, advancing by at most ``slack`` until then, reaches
+        """Whether every quantum poll the next ``instructions`` pass
+        provably does nothing.  The log lands first, so the clock is
+        ``self.cycles`` plus the cell plus what ``slack`` bounds (the
+        instructions since the last flush, and these), and the hooks'
+        state is exact: they must read no clock and charge no more than
+        they bound for that many accesses.  Then the clock may reach
         neither the next scheduler event nor ``until_cycles``."""
-        if not self.mem.hooks_idle:
+        limit = self.scheduler and self.scheduler.next_time
+        if until_cycles is not None and (limit is None
+                                         or until_cycles < limit):
+            limit = until_cycles
+        if limit is not None and self.cycles + slack >= limit:
             return False
-        bound = self.cycles + slack
-        scheduler = self.scheduler
-        next_time = scheduler.next_time if scheduler is not None else None
-        return ((next_time is None or bound < next_time)
-                and (until_cycles is None or bound < until_cycles))
+        self._cyc_cell[0] += self.drain_accesses()
+        charges = self.mem.hook_charges(instructions)
+        return charges is not None and (limit is None or self.cycles
+                                        + self._cyc_cell[0] + slack
+                                        + charges < limit)
 
     def _run_reference(self, until_cycles: Optional[int] = None) -> None:
         """The reference if/elif interpreter (the differential oracle)."""

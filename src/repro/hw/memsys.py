@@ -47,6 +47,7 @@ class MemorySystem:
         # PEBS hook: set via arm_event().
         self._armed_event: Optional[str] = None
         self._pebs_hook: Optional[Callable[[int], None]] = None
+        self._pebs_bound: Optional[Callable] = None
         # Pure-observer hook: set via attach_observer().  Unlike the PEBS
         # unit it sees *every* occurrence of its event (no interval, no
         # cost charged), which is what makes it usable as an exact
@@ -88,14 +89,18 @@ class MemorySystem:
 
     # -- PEBS attachment ----------------------------------------------------
 
-    def arm_event(self, event: str, hook: Callable[[int], None]) -> None:
-        """Arm PEBS-style sampling: ``hook(eip)`` fires on every ``event``."""
+    def arm_event(self, event: str, hook: Callable[[int], None],
+                  charge_bound: Optional[Callable] = None) -> None:
+        """Arm PEBS-style sampling: ``hook(eip)`` fires on every
+        ``event``; ``charge_bound(events)`` bounds what it can charge
+        over that many firings (``None``: it could read the clock)."""
         self._armed_event = validate_event(event, pebs=True)
         self._pebs_hook = hook
+        self._pebs_bound = charge_bound
 
     def disarm(self) -> None:
         self._armed_event = None
-        self._pebs_hook = None
+        self._pebs_hook = self._pebs_bound = None
 
     # -- exact-observer attachment ------------------------------------------
 
@@ -115,12 +120,15 @@ class MemorySystem:
         self._observed_event = None
         self._observer_hook = None
 
-    @property
-    def hooks_idle(self) -> bool:
-        """No PEBS event armed and no observer attached: no access can
-        call out of the memory system, so nothing can read the clock
-        mid-run."""
-        return self._armed_event is None and self._observed_event is None
+    def hook_charges(self, accesses: int) -> Optional[int]:
+        """The most cycles the hooks can charge over the next
+        ``accesses`` (one event each at most); ``None`` if one could
+        read the clock mid-run — an observer, or as the PEBS bound says."""
+        if self._observed_event is not None:
+            return None
+        bound = self._pebs_bound
+        return 0 if self._armed_event is None else (
+            bound and bound(accesses))
 
     # -- the hot path ---------------------------------------------------------
 

@@ -57,6 +57,8 @@ class PEBSUnit:
         DS-buffer contents when the watermark is reached.
     rng:
         Source of the interval randomization.
+    handler_reads_clock:
+        Whether ``interrupt_handler`` reads the clock (telemetry on).
     """
 
     def __init__(
@@ -65,13 +67,15 @@ class PEBSUnit:
         cost_sink: Callable[[int], None],
         interrupt_handler: Callable[[List[Sample]], None],
         rng: Optional[random.Random] = None,
+        handler_reads_clock: bool = False,
     ):
         self.config = config
         self.cost_sink = cost_sink
         self.interrupt_handler = interrupt_handler
         self.rng = rng if rng is not None else random.Random(0)
+        self.handler_reads_clock = handler_reads_clock
         self.event: Optional[str] = None
-        self.interval = 0
+        self._adopt(0)
         self._countdown = 0
         self._ds_buffer: List[Sample] = []
         self._watermark = max(1, int(config.ds_capacity * config.watermark))
@@ -88,7 +92,7 @@ class PEBSUnit:
         if interval < 1:
             raise ValueError("sampling interval must be >= 1")
         self.event = validate_event(event, pebs=True)
-        self.interval = interval
+        self._adopt(interval)
         self._countdown = self._next_countdown()
         self.enabled = True
 
@@ -96,12 +100,20 @@ class PEBSUnit:
         """Change the sampling interval (used by the adaptive "auto" mode)."""
         if interval < 1:
             raise ValueError("sampling interval must be >= 1")
-        self.interval = interval
+        self._adopt(interval)
         if self._countdown > interval:
             self._countdown = self._next_countdown()
 
     def stop(self) -> None:
         self.enabled = False
+
+    def _adopt(self, interval: int) -> None:
+        """Take ``interval``, its number of randomized bits (see
+        :meth:`_next_countdown`) and the smallest reset value they allow."""
+        self.interval = interval
+        self._bits = min(max(0, self.config.randomize_bits),
+                         max(1, interval.bit_length() - 3))
+        self._floor = max(1, interval - (1 << self._bits >> 1))
 
     def _next_countdown(self) -> int:
         """Interval with randomized low bits (mean-preserving jitter).
@@ -114,12 +126,27 @@ class PEBSUnit:
         measuring biased results by sampling at the same locations over
         and over", section 6.1); see the bias tests/ablation.
         """
-        if self.config.randomize_bits <= 0:
+        bits = self._bits
+        if not bits:
             return self.interval
-        bits = min(self.config.randomize_bits,
-                   max(1, self.interval.bit_length() - 3))
         jitter = self.rng.getrandbits(bits) - (1 << (bits - 1))
         return max(1, self.interval + jitter)
+
+    def charge_bound(self, events: int) -> Optional[int]:
+        """The most cycles the next ``events`` occurrences of the event
+        can charge (``None``: one can interrupt a handler that reads the
+        clock).  Exact: the first sample comes as the countdown runs out,
+        each later one at least ``_floor`` events on, and every interrupt
+        needs a watermark's worth in the DS buffer."""
+        if not self.enabled or events < self._countdown:
+            return 0
+        samples = 1 + (events - self._countdown) // self._floor
+        interrupts = (len(self._ds_buffer) + samples) // self._watermark
+        if interrupts and self.handler_reads_clock:
+            return None
+        cfg = self.config
+        return samples * cfg.microcode_cost + interrupts * (
+            cfg.interrupt_cost + cfg.kernel_copy_cost * self._watermark)
 
     # -- the event path --------------------------------------------------------
 

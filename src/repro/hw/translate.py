@@ -101,7 +101,7 @@ class Translation:
     """The compiled form of one method for one CPU.
 
     ``blocks`` is a per-pc table: ``blocks[pc]`` is ``(length,
-    closure, is_region)`` when a superblock starts at ``pc`` and
+    closure, is_region, rate)`` when a superblock starts at ``pc`` and
     ``None`` everywhere else (all ``None`` below fastpath level 2), so
     the driver can test eligibility with one list index.  Mid-block
     pcs are always ``None`` — a quantum split or branch landing inside
@@ -109,6 +109,8 @@ class Translation:
     start.  At the header of a ring the closure is the region (called
     with the budget, returning ``(next pc, instructions)``) and
     ``length`` is its first block's, the only one the driver admits.
+    ``rate`` bounds the cycles per instruction what the closure runs
+    can add to the clock (see :func:`compile_superblocks`).
 
     ``pure`` is the per-pc flag the driver reads before dispatching
     ``handlers[pc]`` with deferred accesses still queued: true when the
@@ -782,7 +784,7 @@ def translate(cm, cpu) -> Translation:
 #   the only place generated code drains.  (What a fault leaves on the
 #   *clock* is, as in the reference, the last flush — the partial
 #   quantum is dropped; where the driver skipped provably idle polls
-#   that flush can lie up to one budget span back, see
+#   that flush can lie up to one budget span off, see
 #   ``CPU._run_fast``.)
 #
 # Block boundaries (branches and their targets, calls, returns,
@@ -1333,9 +1335,15 @@ def _factory_code(source: str, filename: str):
 def compile_superblocks(cm, cpu, templates=None) -> List:
     """Build the per-pc superblock table for ``cm`` bound to ``cpu``
     (``templates`` is ``_decode(cm.code)`` when the caller has it):
-    ``(length, closure, is_region)`` where a fused run starts — at a
-    ring's header the closure is the region and ``length`` its first
-    block's — and ``None`` everywhere else."""
+    ``(length, closure, is_region, rate)`` where a fused run starts — at
+    a ring's header the closure is the region and ``length`` its first
+    block's — and ``None`` everywhere else.
+
+    ``rate`` bounds the cycles per instruction the closure adds to the
+    clock, the PEBS unit's charges aside: a block's worst case (every
+    access a TLB miss to memory, every store a barrier's, every
+    allocation its cost) over its length — for a region, which runs
+    whole blocks of its ring, the densest block's."""
     if templates is None:
         templates = _decode(cm.code)
     blocks: List = [None] * len(cm.code)
@@ -1343,6 +1351,18 @@ def compile_superblocks(cm, cpu, templates=None) -> List:
     if built is None:
         return blocks
     plan = cpu.runtime.plan
+    config, gc_config = cpu.config, plan.config
+    access = (config.tlb.miss_penalty + config.l1.hit_latency
+              + config.l2.hit_latency + config.memory_latency)
+    worst = [config.instruction_cost
+             + access * (template is not None and template.mem)
+             + gc_config.write_barrier_cost * (inst.op in (M_PUTF, M_ASTORE))
+             + gc_config.alloc_cost * (template is None)
+             for inst, template in zip(cm.code, templates)]
+
+    def rate(runs):
+        return max(-(-sum(worst[start:stop]) // (stop - start))
+                   for start, stop in runs)
     services = (cpu._cyc_cell, cpu._pending.append, cpu.drain_accesses,
                 plan.remset.record_store,
                 (None, plan.hooks.land_charge, plan.config.write_barrier_cost,
@@ -1358,7 +1378,8 @@ def compile_superblocks(cm, cpu, templates=None) -> List:
     source, consts, ranges = built
     for (start, stop), closure in zip(ranges,
                                       closures(source, consts, "superblock")):
-        blocks[start] = (stop - start, closure, False)
+        blocks[start] = (stop - start, closure, False,
+                         rate([(start, stop)]))
     built = region_source(cm, templates, ranges)
     if built is not None:
         source, consts, rings = built
@@ -1367,5 +1388,5 @@ def compile_superblocks(cm, cpu, templates=None) -> List:
                 cpu.config.instruction_cost, plan.config.alloc_cost,
                 HeapObject, HeapArray)):
             start, stop = ring[0]
-            blocks[start] = (stop - start, closure, True)
+            blocks[start] = (stop - start, closure, True, rate(ring))
     return blocks

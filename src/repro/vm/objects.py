@@ -141,18 +141,3 @@ class HeapArray:
     def __repr__(self) -> str:
         return (f"<{self.kind}[{len(self.elements)}]@{self.address:#x} "
                 f"{SPACE_NAMES.get(self.space, '?')}>")
-
-
-def same_cache_line(a, b, line_bytes: int = 128) -> bool:
-    """True when the *headers* of two objects share a cache line.
-
-    This is the spatial-locality predicate the co-allocation optimization
-    tries to make true for hot parent/child pairs (section 5.2: "increases
-    the chance that both objects lie in the same cache line").
-    """
-    return (a.address // line_bytes) == (b.address // line_bytes)
-
-
-def is_adjacent(parent, child) -> bool:
-    """True when ``child`` is placed directly after ``parent`` in memory."""
-    return child.address == parent.address + parent.size

@@ -172,11 +172,13 @@ class VM:
         self.pebs = PEBSUnit(
             cfg.pebs, cost_sink=self._charge_monitoring,
             interrupt_handler=self._pebs_interrupt,
-            rng=random.Random(cfg.seed ^ 0x5EB5))
+            rng=random.Random(cfg.seed ^ 0x5EB5),
+            handler_reads_clock=obs.tracer.enabled)
         interval = cfg.sampling_interval or AUTO_INITIAL_INTERVAL
         session = self.kernel.create_session(self.pebs, cfg.sampled_event,
                                              interval)
-        self.memsys.arm_event(cfg.sampled_event, self.pebs.on_event)
+        self.memsys.arm_event(cfg.sampled_event, self.pebs.on_event,
+                              self.pebs.charge_bound)
         self.controller = OnlineOptimizationController(
             self.codecache, cfg.monitor, cfg.perfmon,
             charge=self._charge_monitoring,

@@ -184,33 +184,6 @@ def local_ref(index: int) -> LocalRef:
     return LocalRef(index)
 
 
-def define_string_factory(program: Program) -> MethodInfo:
-    """``String makeString(int length, int seed)``.
-
-    Allocates a String with a fresh char[] and fills it — the standard
-    allocation pattern of the db workload's records (and the object pair
-    of Figures 7/8).
-    """
-    string_class = program.string_class
-    fn = Fn(program, string_class, "make", args=["int", "int"], returns="ref")
-    length, seed = 0, 1
-    s = fn.local()
-    arr = fn.local()
-    # char[] value = new char[length];
-    fn.iload(length).emit("newarray", "char").rstore(arr)
-    # fill with (seed + i) & 0xff
-    with fn.loop(local_ref(length)) as i:
-        fn.rload(arr).iload(i)
-        fn.iload(seed).iload(i).emit("iadd").iconst(0xFF).emit("iand")
-        fn.emit("arrstore", "char")
-    # String s = new String; s.value = arr; s.count = length;
-    fn.new(string_class).rstore(s)
-    fn.rload(s).rload(arr).putfield(string_class, "value")
-    fn.rload(s).iload(length).putfield(string_class, "count")
-    fn.rload(s).rret()
-    return fn.finish()
-
-
 def lcg_step(fn: Fn, state_local: int, modulus: int) -> None:
     """Advance an LCG and leave ``(state >> 7) % modulus`` on the stack —
     a deterministic shuffled access pattern.

@@ -415,6 +415,33 @@ class TestFleetEndToEnd:
             FleetClient(fleet.base_url, timeout=5).health()
 
 
+    def test_hung_up_event_client_unsubscribes_on_a_quiet_bus(self, caplog):
+        """A client that connects to ``/events`` and hangs up while
+        nothing is published is unsubscribed at once — not at the next
+        publish — and leaves no traceback in the log."""
+        import logging
+        import socket
+        import time
+
+        def subscribers(count):
+            deadline = time.monotonic() + 10
+            while len(bus._subscribers) != count:
+                assert time.monotonic() < deadline, len(bus._subscribers)
+                time.sleep(0.01)
+
+        caplog.set_level(logging.DEBUG)
+        with BackgroundFleet(jobs=1) as fleet:
+            bus = fleet.server.scheduler.bus
+            subscribers(0)
+            sock = socket.create_connection(("127.0.0.1", fleet.port))
+            sock.sendall(b"GET /events HTTP/1.1\r\nHost: x\r\n\r\n")
+            subscribers(1)
+            sock.close()
+            subscribers(0)
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+
+
 def json_spec(spec: RunSpec) -> dict:
     from dataclasses import asdict
 

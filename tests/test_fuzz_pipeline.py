@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import BASELINE_ONLY
+from tests.helpers import BASELINE_ONLY, check_claims
 from repro.core.config import GCConfig, SystemConfig
 from repro.hw import translate
 from repro.hw.isa import M_NEW, M_NEWARR
@@ -280,6 +280,24 @@ class TestInterpreterEquivalenceFuzz:
         assert traces[1] == traces[0]
 
 
+    @given(ACTIONS, st.integers(30, 300), st.booleans(), st.booleans(),
+           st.sampled_from([None, 300, 2000]))
+    @settings(max_examples=30, deadline=None)
+    def test_looped_recipe_skips_only_idle_polls(self, actions, rounds, opt,
+                                                 monitoring, step):
+        """The claim checker under the looped recipe, monitored or not,
+        whole or in ``step``-cycle slices: every quantum poll level 2
+        skips was idle, within the bound it was granted on."""
+        def make_vm():
+            p, _ = build_random_program(actions, rounds)
+            cfg = SystemConfig(monitoring=monitoring, fastpath=2,
+                               gc=GCConfig(heap_bytes=1024 * 1024))
+            return VM(p, cfg, compilation_plan=CompilationPlan(
+                ["App.work"] if opt else []))
+
+        check_claims(make_vm, step=step)
+
+
 class TestLoopedRecipeRings:
     """The looped differentials are not vacuous: fixed recipes of each
     allocating and forking action form a ring around that action, under
@@ -310,8 +328,9 @@ class TestLoopedRecipeRings:
                     seen[0] += used
                     return pc, used, n
                 return wrapped
-            return [blk and (blk[0], counting(blk[1]), True) if blk and blk[2]
-                    else blk for blk in real(cm, cpu, templates)]
+            return [blk and (blk[0], counting(blk[1]), *blk[2:])
+                    if blk and blk[2] else blk
+                    for blk in real(cm, cpu, templates)]
 
         monkeypatch.setattr(translate, "compile_superblocks", counted)
         _, result = run_recipe_full([("push", 1), action],

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.helpers import is_adjacent, same_cache_line, static_hot_fields
 from repro.core.config import GCConfig
-from repro.gc.coalloc import CoallocationPolicy, static_hot_fields
+from repro.gc.coalloc import CoallocationPolicy
 from repro.gc.gencopy import GenCopyPlan, make_plan
 from repro.gc.genms import GenMSPlan
 from repro.gc.plan import GCHooks, HeapExhausted
@@ -13,8 +14,6 @@ from repro.vm.objects import (
     SPACE_LOS,
     SPACE_MATURE,
     SPACE_NURSERY,
-    is_adjacent,
-    same_cache_line,
 )
 from repro.vm.program import Program
 

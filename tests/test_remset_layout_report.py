@@ -3,6 +3,7 @@ the report formatters."""
 
 import pytest
 
+from tests.helpers import in_los, in_mature, in_nursery, region_name
 from repro.gc import layout
 from repro.gc.remset import RememberedSet
 from repro.harness import experiments as ex
@@ -114,14 +115,14 @@ class TestLayout:
     def test_region_predicates(self):
         assert layout.in_code_space(layout.CODE_BASE)
         assert not layout.in_code_space(layout.CODE_LIMIT)
-        assert layout.in_nursery(layout.NURSERY_BASE + 8)
-        assert layout.in_mature(layout.MATURE_BASE + 8)
-        assert layout.in_los(layout.LOS_BASE + 8)
+        assert in_nursery(layout.NURSERY_BASE + 8)
+        assert in_mature(layout.MATURE_BASE + 8)
+        assert in_los(layout.LOS_BASE + 8)
 
     def test_region_name(self):
-        assert layout.region_name(layout.CODE_BASE) == "code"
-        assert layout.region_name(layout.NURSERY_BASE) == "nursery"
-        assert layout.region_name(0) == "unmapped"
+        assert region_name(layout.CODE_BASE) == "code"
+        assert region_name(layout.NURSERY_BASE) == "nursery"
+        assert region_name(0) == "unmapped"
 
 
 class TestReportFormatting:

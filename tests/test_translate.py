@@ -37,6 +37,7 @@ from repro.hw.translate import (MIN_SUPERBLOCK, region_source,
 from repro.gc import layout
 from repro.jit.aos import CompilationPlan
 from repro.jit.baseline import compile_baseline
+from repro.telemetry import Telemetry
 from repro.vm.objects import HeapObject
 from repro.vm.program import Program
 from repro.vm.snapshot import Snapshot
@@ -129,7 +130,7 @@ class TestKnob:
         # ``new`` in the loop joins its ring: a region at the header.
         (ring,) = superblock_rings(cm.code)
         for pc in starts:
-            length, closure, is_region = blocks[pc]
+            length, closure, is_region, rate = blocks[pc]
             assert length >= MIN_SUPERBLOCK
             assert callable(closure)
             assert is_region == (pc == ring[0][0])
@@ -759,17 +760,32 @@ class TestCensus:
             self, dispatches):
         """The straddle is taken only when nothing can observe the
         skipped poll.  With a hook attached, or the deadline always
-        within one horizon (20 K-cycle legs), the exact per-instruction
-        split is taken (the parent's 8.6 % share is back) — and either
-        way the record is the reference's."""
+        within a few straddled blocks' worst case (1 K-cycle legs; a
+        straddle bounds only its own block, a few hundred cycles), the
+        exact per-instruction split is taken (the parent's 8.6 % share
+        is back) — and either way the record is the reference's."""
         ref = RunRecord.from_result(
             execute(self.COMPRESS_CUT, fastpath=0)).to_json()
         share, record = self._compress_cut(dispatches)
         assert share < 0.02 and record == ref
         share, record = self._compress_cut(dispatches, observer=True)
         assert share > 0.05 and record == ref
-        share, record = self._compress_cut(dispatches, leg=20_000)
+        share, record = self._compress_cut(dispatches, leg=1_000)
         assert share > 0.05 and record == ref
+
+    def test_monitored_compress_per_instruction_share(self, dispatches):
+        """With PEBS armed the polls are bounded, not refused: 0.05 % of
+        a monitored 1 M-cycle ``compress`` dispatches one at a time (8.6 %
+        while an armed unit refused every straddle and span), and the
+        record is the reference's."""
+        spec = RunSpec("compress", until_cycles=1_000_000)
+        ref = RunRecord.from_result(execute(spec, fastpath=0)).to_json()
+        dispatches[0] = 0
+        vm, _ = runner.make_vm("compress", spec, fastpath=2)
+        vm.begin()
+        vm.advance(until_cycles=spec.until_cycles)
+        assert dispatches[0] / vm.cpu.instructions <= 0.01
+        assert RunRecord.from_result(vm.finish()).to_json() == ref
 
     def test_compress_runs_inside_regions(self, regions):
         """Exact counts at ``BUDGET_QUANTA`` = 4: 97.4 % of the
@@ -839,29 +855,71 @@ class TestCensus:
         assert regions.instructions / instructions >= 0.8
         assert 1000 * regions.plain / instructions <= 30
 
-    @pytest.mark.parametrize("how", ["observer", "pebs", "deadline"])
-    def test_budget_never_extended_where_a_poll_could_matter(self, regions,
-                                                             how):
-        """A budget spans more than one quantum only where every poll
-        inside is provably idle: never with an observer attached or
-        PEBS armed, and never with ``until_cycles`` always within
-        ``BUDGET_QUANTA`` horizons (100 K-cycle legs; one horizon is
-        34 K cycles, so straddles still happen).  The regions run all
-        the same, on one-quantum budgets, and the record is the
-        reference's."""
-        spec = dataclasses.replace(self.COMPRESS_CUT,
-                                   monitoring=how == "pebs")
+    def _sliced_cut(self, spec, leg=400_000, observer=False):
+        """``spec`` at level 2 in ``leg``-cycle slices; its record must
+        be the reference's."""
         ref = RunRecord.from_result(execute(spec, fastpath=0)).to_json()
         vm, _ = runner.make_vm("compress", spec, fastpath=2)
-        if how == "observer":
+        if observer:
             vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
-        leg = 100_000 if how == "deadline" else 400_000
         vm.begin()
         for until in range(leg, 400_001, leg):
             vm.advance(until_cycles=until)
         assert RunRecord.from_result(vm.finish()).to_json() == ref
+
+    @pytest.mark.parametrize("how", ["observer", "deadline"])
+    def test_budget_never_extended_where_a_poll_could_matter(self, regions,
+                                                             how):
+        """A budget spans more than one quantum only where every poll
+        inside is provably idle: never with an observer attached, and
+        never with ``until_cycles`` always within the ring's span
+        (20 K-cycle legs; ``compress``'s ring bounds 55 cycles an
+        instruction, 28 K a span, so straddles still happen).  The
+        regions run all the same, on one-quantum budgets, and the
+        record is the reference's."""
+        self._sliced_cut(self.COMPRESS_CUT, observer=how == "observer",
+                         leg=20_000 if how == "deadline" else 400_000)
         assert regions.entries > 1000
         assert regions.budget <= SCHED_QUANTUM
+
+    def test_budget_extended_under_pebs(self, regions):
+        """With PEBS armed the unit's exact state bounds what the span
+        can charge, so the budget spans ``BUDGET_QUANTA`` quanta — and
+        the record is still the reference's."""
+        self._sliced_cut(dataclasses.replace(self.COMPRESS_CUT,
+                                             monitoring=True))
+        assert regions.entries > 300
+        assert regions.budget == BUDGET_QUANTA * SCHED_QUANTUM
+
+    @pytest.mark.parametrize("ds_capacity", [100, 2])
+    def test_trace_identical_under_extended_budgets(self, regions,
+                                                    ds_capacity):
+        """Telemetry on: a span or a straddle is refused wherever the
+        PMU interrupt, whose handler stamps the trace, could fire before
+        the clock is flushed where the reference flushes it; so every
+        instant and counter sample — timestamps included — is the
+        reference's, with budgets extended all the same.  A 2-sample DS
+        buffer interrupts on every sample (42 times in this slice)."""
+        spec = RunSpec("db", coalloc=True, until_cycles=1_500_000)
+        traces = []
+        for level in (0, 2):
+            workload = suite.build("db")
+            config = spec.system_config(workload.min_heap_bytes)
+            config.pebs = dataclasses.replace(config.pebs,
+                                              ds_capacity=ds_capacity)
+            config.telemetry = telemetry = Telemetry()
+            config.fastpath = level
+            vm = VM(workload.program, config,
+                    compilation_plan=workload.plan)
+            vm.begin()
+            vm.advance(until_cycles=spec.until_cycles)
+            tracer = telemetry.tracer
+            traces.append((
+                [(e.name, e.cat, e.ts, e.args) for e in tracer.instants],
+                [(e.name, e.cat, e.ts, e.value) for e in tracer.samples]))
+        assert traces[1] == traces[0]
+        assert len(traces[0][1]) >= (40 if ds_capacity == 2 else 2)
+        assert regions.budget == BUDGET_QUANTA * SCHED_QUANTUM
 
     def test_second_translation_reuses_the_code_object(self, monkeypatch):
         """``compile()`` runs once per distinct factory source in the
@@ -953,7 +1011,7 @@ def regions(monkeypatch):
     def counted(cm, cpu, templates=None):
         table = real(cm, cpu, templates)
         return [blk and (blk[0], (counting if blk[2] else plain)(blk[1]),
-                         blk[2])
+                         *blk[2:])
                 for blk in table]
 
     monkeypatch.setattr(translate, "compile_superblocks", counted)

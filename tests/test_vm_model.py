@@ -2,6 +2,7 @@
 
 import pytest
 
+from tests.helpers import is_adjacent, same_cache_line
 from repro.vm.model import (
     ARRAY_HEADER_BYTES,
     HEADER_BYTES,
@@ -15,8 +16,6 @@ from repro.vm.objects import (
     SPACE_NURSERY,
     HeapArray,
     HeapObject,
-    is_adjacent,
-    same_cache_line,
 )
 from repro.vm.program import Program
 

@@ -2,12 +2,13 @@
 
 import pytest
 
-from tests.helpers import BASELINE_ONLY, hog_program, run_main
+from tests.helpers import (BASELINE_ONLY, define_string_factory,
+                           hog_program, run_main)
 from repro.core.config import GCConfig, SystemConfig
 from repro.jit.aos import CompilationPlan
 from repro.vm.program import Program
 from repro.vm.vmcore import VM, run_program
-from repro.workloads.synth import Fn, define_string_factory, lcg_step
+from repro.workloads.synth import Fn, lcg_step
 
 
 def churn_program(n=800, rounds=24):

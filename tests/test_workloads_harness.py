@@ -2,13 +2,14 @@
 
 import pytest
 
-from tests.helpers import BASELINE_ONLY, int_main, run_main
+from tests.helpers import (BASELINE_ONLY, define_string_factory, int_main,
+                           run_main)
 from repro.core.config import GCConfig, SystemConfig, scaled_interval
 from repro.harness.runner import (INTERVAL_NAMES, RunSpec, clear_cache,
                                   record_for)
 from repro.vm.program import Program
 from repro.workloads import suite
-from repro.workloads.synth import Fn, define_string_factory, local_ref
+from repro.workloads.synth import Fn, local_ref
 from repro.workloads.patterns import (
     add_filler_methods,
     define_pair_classes,
