@@ -16,8 +16,8 @@ The plan talks to the rest of the VM through :class:`GCHooks`:
   the clock or the roots, so a CPU that defers memory accesses and
   charges can land them first,
 * ``land_charge(latency, cycles, n)`` is ``charge`` as a clock entry of
-  such a CPU's log (a write barrier's deferred charge): it returns
-  ``latency`` untouched.
+  such a CPU's log (a write barrier's deferred charge, or the summed
+  charges a region exit lands): it returns ``latency`` untouched.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ frame switches.  Reentrant charges (PEBS microcode costs arriving
 through ``charge`` *during* a memory access) remain correct because
 cycle accounting is purely additive.  At level 2 memory accesses, write
 barrier charges and allocation flushes are not applied as they occur
-but appended to an ordered log (``CPU._pending``) that is replayed
-wherever something can observe the memory system or the clock — see
-:meth:`CPU._run_fast` for the list of observation points.
+but appended to an ordered log (``CPU._pending``), replayed where the
+memory system or the clock can be observed (:meth:`CPU._run_fast`) —
+a region's as counts landed once per exit, where nothing reads the clock.
 
 Two drivers execute the same compiled code at three levels:
 
@@ -142,6 +142,8 @@ class CPU:
         #: :meth:`_run_fast`); it is empty whenever :meth:`run` returns
         #: or raises.
         self._pending: list = []
+        #: Regions keep clock entries as counts (no hook reads the clock).
+        self.counted = True
         # Sentinel mailboxes: call/return handlers stash their operands
         # here for the fastpath driver (see repro.hw.translate).
         self._call_target = None
@@ -271,9 +273,10 @@ class CPU:
         allocation that does not collect append a *clock entry* to the
         log instead (the barrier's charge; the flush the reference does
         at ``new``), so whatever a PEBS or observer hook reads of the
-        clock mid-replay is what the reference shows it; pure
-        per-instruction handlers (moves, branches, non-faulting ALU
-        ops, ``new``) run with the log still pending.
+        clock mid-replay is what the reference shows it — where none
+        reads it (``counted``) a region lands one charge and one flush
+        per exit; pure per-instruction handlers (moves, branches,
+        non-faulting ALU ops, ``new``) run with the log still pending.
 
         A run that does not fit the remaining quantum budget may still
         execute whole — *straddle* the boundary — when the poll there
@@ -324,6 +327,8 @@ class CPU:
         idle = self._boundary_idle
         budget = SCHED_QUANTUM
         extension = (BUDGET_QUANTA - 1) * SCHED_QUANTUM
+        self.counted = self.mem._observed_event is None and not getattr(
+            getattr(runtime, "pebs", None), "handler_reads_clock", False)
 
         while frames:
             frame = frames[-1]

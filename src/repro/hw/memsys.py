@@ -220,7 +220,8 @@ class MemorySystem:
 
         The run is an ordered log: between access segments it may carry
         *clock entries* ``(None, land, cycles, n)`` — a charge or a
-        flush the CPU deferred so that it lands in program order (see
+        flush the CPU deferred to land in program order, or, where no
+        hook reads the clock, a region exit's one of each for all (see
         :meth:`repro.hw.cpu.CPU._run_fast`).  ``land(total, cycles, n)``
         receives the latency summed so far and returns what remains of
         it (a flush takes it to the clock; a charge leaves it), so a

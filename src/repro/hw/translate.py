@@ -117,10 +117,10 @@ class Translation:
     handler neither touches the memory system, nor can fault, nor
     switches frames (moves, branches, non-faulting ALU ops, and ``new``,
     whose flush rides the queue), so nothing it does can observe that
-    the queue has not landed yet.
+    the queue has not landed yet.  ``counted`` is the form it was built in.
     """
 
-    __slots__ = ("cpu", "handlers", "phase2", "blocks", "pure")
+    __slots__ = ("cpu", "handlers", "phase2", "blocks", "pure", "counted")
 
     def __init__(self, cpu, handlers: List[Handler],
                  phase2: Dict[int, Callable], blocks: List,
@@ -130,12 +130,13 @@ class Translation:
         self.phase2 = phase2
         self.blocks = blocks
         self.pure = pure
+        self.counted = cpu.counted
 
 
 def translation_for(cm, cpu) -> Translation:
-    """The cached translation of ``cm``, built on first use."""
+    """The cached translation of ``cm``, built on first use (per form)."""
     tr = cm.translation
-    if tr is None or tr.cpu is not cpu:
+    if tr is None or tr.cpu is not cpu or tr.counted is not cpu.counted:
         tr = translate(cm, cpu)
         cm.translation = tr
     return tr
@@ -777,7 +778,8 @@ def translate(cm, cpu) -> Translation:
 #   (it reads neither clock nor cache) and appends its charge to the
 #   log as a clock entry, splitting the access segment there
 #   (unconditionally for a ref putfield, behind the runtime
-#   ``kind == 'ref'`` check for an array store) — it does not drain;
+#   ``kind == 'ref'`` check for an array store) — it does not drain —
+#   or, in a counted region (see *Regions*), only counts it;
 # * a **guest fault** must observe everything queued before it — this
 #   block's batch and earlier blocks' entries — so every fault routes
 #   through the ``fault`` helper, which drains before raising.  It is
@@ -884,6 +886,15 @@ def _allocates(inst) -> bool:
     return inst.op == M_NEWARR and inst.aux in KIND_BYTES
 
 
+def _counts(inst) -> bool:
+    """Whether a counted ring keeps ``inst``'s clock entry as a count: an
+    allocation's, a typed reference store's (other barriers stay ordered)."""
+    op = inst.op
+    return (op == M_NEW or op == M_NEWARR
+            or op == M_PUTF and inst.aux.kind == "ref"
+            or op == M_ASTORE and inst.aux == "ref")
+
+
 def _block_writer(code, templates, base_eip, W, branch, unwind="",
                   leave=None):
     """``(emit_block, emit_ring, consts)``: ``emit_block(start, end)``
@@ -898,9 +909,10 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
     const_ids: Dict[int, str] = {}
     # The flavour's callables are made once per method; what they read
     # of the batch being emitted (``has_mem``, ``writes``/``eips`` and
-    # their const names, ``shared``) and of the block (``has_wb``) is
-    # rebound where each starts.
+    # their const names, ``shared``), the block (``has_wb``) and the
+    # ring (``tail``) is rebound where each starts.
     has_mem = has_wb = shared = False
+    tail = ""
     writes: List[bool] = []
     eips: List[int] = []
     wslot = eslot = 0
@@ -926,10 +938,10 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         # has none: every fault lands the log before it raises.
         if has_mem:
             W(f"{indent}{unwind}fault(b, K{wslot}, K{eslot}, s, {message}, "
-              f"{x.pc})")
+              f"{x.pc}{tail})")
         else:
             W(f"{indent}{unwind}fault(None, None, None, 0, {message}, "
-              f"{x.pc})")
+              f"{x.pc}{tail})")
 
     def barrier(indent, args):
         # The barrier's remembered-set bookkeeping reads no clock and
@@ -940,6 +952,10 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         # above.)  In a ring, where the batch started is known only at
         # run time.
         nonlocal has_wb
+        if tail and _counts(code[x.pc]):
+            W(f"{indent}w += 1")
+            W(f"{indent}record_store({args})")
+            return
         has_wb = True
         W(f"{indent}pend((b, K{wslot}, K{eslot}, s))")
         W(f"{indent}pend(barrier)")
@@ -953,8 +969,9 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         # count ``n`` since the last one: in a region, the count it was
         # entered with plus what the entry has run — the allocation
         # included, which its block's ``left`` skipped.  It joins the
-        # log as a barrier's charge does, splitting a shared batch.
-        if shared and has_mem:
+        # log as a barrier's charge does, splitting a shared batch — or,
+        # counted, notes where, and ``cell[0]`` before its cost.
+        if shared and has_mem and not tail:
             W(f"{indent}if b:")
             W(f"{indent}    pend((b, K{wslot}, K{eslot}, s))")
             W(f"{indent}    s += len(b)")
@@ -962,6 +979,13 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
             W(f"{indent}    ap = b.append")
         W(f"{indent}left -= 1")
         W(f"{indent}m = n + budget - left")
+        if tail:
+            W(f"{indent}fp = len(pending)")
+            if shared and has_mem:
+                W(f"{indent}fo = len(b)")
+            W(f"{indent}fc = cell[0]")
+            W(f"{indent}cell[0] += alloc_cost")
+            return
         W(f"{indent}pend((None, land_flush, cell[0] + m * icost, m))")
         W(f"{indent}n = left - budget")
         W(f"{indent}cell[0] = alloc_cost")
@@ -1038,19 +1062,22 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         else:
             emit(templates[stop].shape, templates[stop].load(x, code[stop]))
 
-    def emit_ring(ring, enter, most):
+    def emit_ring(ring, enter, most, counts):
         """Write the blocks of ``ring`` in order — ``enter(j, start,
         stop)`` writes what goes in front of the ``j``-th.  Given
         ``most`` (the ring does not fork) they append to ONE batch the
         caller opens and pends, whose metadata — the ring's, repeated
         to cover ``most`` instructions — is named in the result;
         otherwise, or if the ring accesses nothing (``None``), each
-        block pends its own, as a plain one does."""
-        nonlocal shared
+        block pends its own, as a plain one does.  ``counts`` names what
+        a fault lands in a counted ring (see *Regions*)."""
+        nonlocal shared, tail
+        tail = counts
         shared = most is not None and open_batch(ring)
         for j, (start, stop) in enumerate(ring):
             enter(j, start, stop)
             emit_block(start, stop)
+        tail = ""
         if not shared:
             return None
         shared = False
@@ -1060,19 +1087,42 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
     return emit_block, emit_ring, consts
 
 
-def _factory_source(body, consts, names, extra=()) -> str:
+#: A counted ring's helpers: ``land`` pends batch ``b``, the flush of ``m``
+#: instructions at entry ``p``, ``o`` accesses in, and ``w`` barriers.
+_LAND = """\
+    pending = pend.__self__
+    def land(b, writes, eips, s, w=0, m=0, p=0, o=0, c=0):
+        if b:
+            pend((b, writes, eips, s))
+        if m:
+            if o:
+                a, writes, eips, s = pending[p]
+                p += 1
+                if o < len(a):
+                    pending[p - 1:p] = ((a[:o], writes, eips, s),
+                                        (a[o:], writes, eips, s + o))
+            pending.insert(p, (None, land_flush, c + m * icost, m))
+            cell[0] -= c
+        if w:
+            pend((None, barrier[1], w * barrier[2], 0))
+    def fault(b, writes, eips, s, message, pc, *counts):
+        land(b, writes, eips, s, *counts)""".split("\n")
+
+
+def _factory_source(body, consts, names, extra=(), kept=False) -> str:
     """The factory around the closures ``names`` defined by ``body``: it
     binds the CPU-specific services (and the ``extra`` ones a region
-    takes) once and returns the closures."""
+    takes) once and returns the closures (``kept``: with ``_LAND``)."""
     lines = ["def _factory(cell, pend, drain, record_store, barrier, "
              "static_addr, GuestError, method, consts"
              + "".join(f", {name}" for name in extra) + "):"]
     if consts:
         lines.append(f"    ({', '.join(f'K{i}' for i in range(len(consts)))},)"
                      " = consts")
-    lines.append("    def fault(b, writes, eips, s, message, pc):")
-    lines.append("        if b:")
-    lines.append("            pend((b, writes, eips, s))")
+    lines += _LAND if kept else [
+        "    def fault(b, writes, eips, s, message, pc):",
+        "        if b:",
+        "            pend((b, writes, eips, s))"]
     lines.append("        cell[0] += drain()")
     lines.append("        raise GuestError(message, method, pc)")
     lines.extend(body)
@@ -1120,7 +1170,11 @@ def superblock_source(cm, templates=None) -> tuple:
 # that exit (a barrier or an allocation splits it, a fault pends it
 # before it drains); a forking one pends a batch per block.  Either way
 # the log holds what the driver queues running the same blocks one
-# dispatch at a time, in the same order.
+# dispatch at a time, in the same order — unless no hook reads the
+# clock mid-replay (``CPU.counted``): then a typed reference store and
+# an inline allocation split no batch; each exit or fault lands one
+# charge for the ring's ``w`` barriers and one flush where its last
+# allocation's would be (``land``), as every earlier one only adds.
 # ---------------------------------------------------------------------------
 
 def _ring_runs(code, templates, ranges) -> Dict[int, int]:
@@ -1196,9 +1250,9 @@ _REG_WRITE = re.compile(r" *regs\[(\d+)\] = ")
 _STORE_BACK = "<store back>; "
 
 
-def region_source(cm, templates=None, ranges=None) -> tuple:
-    """The factory source for ``cm``'s regions: ``(source, consts,
-    rings)``, or ``None`` when its runs form no ring."""
+def region_source(cm, templates=None, ranges=None, counted=False) -> tuple:
+    """The factory source for ``cm``'s regions in the ordered or the
+    ``counted`` form: ``(source, consts, rings)``, ``None`` if no ring."""
     code = cm.code
     if templates is None:
         templates = _decode(code)
@@ -1271,6 +1325,7 @@ def region_source(cm, templates=None, ranges=None) -> tuple:
     ceiling = BUDGET_QUANTA * SCHED_QUANTUM
     _, emit_ring, consts = _block_writer(code, templates, cm.code_addr, W,
                                          branch, _STORE_BACK, leave)
+    kept = False
     for ring in rings:
         top = len(out)
         mentioned.clear()
@@ -1285,8 +1340,10 @@ def region_source(cm, templates=None, ranges=None) -> tuple:
         guarded = {b for a, b in zip(starts, starts[1:])
                    if here[a] != {b} or any(b in here[c] for c in starts
                                             if c != a)}
+        counts = ", w, m, fp, fo, fc" * (counted and any(
+            _counts(code[pc]) for run in ring for pc in range(*run)))
         batch = emit_ring(ring, enter, None if guarded else
-                          ceiling + ring[0][1] - ring[0][0])
+                          ceiling + ring[0][1] - ring[0][0], counts)
         pad = "    "
         fits(*ring[0])
         store = "; ".join(f"regs[{reg}] = r{reg}"
@@ -1297,6 +1354,12 @@ def region_source(cm, templates=None, ranges=None) -> tuple:
                        ("b = []", "ap = b.append", "s = 0")]
             closing = ["        if b:",
                        "            pend((b, %s, %s, s))" % batch]
+        if counts:               # kept from entry, landed at the exit
+            kept = True
+            opening = opening + ["        w = m = fp = fo = fc = 0"]
+            closing = ["        land(%s%s)" % (
+                "b, %s, %s, s" % batch if batch else "None, None, None, 0",
+                counts)]
         if any(templates[pc] is None for pc in starts):
             # A collection replaces the list, but only the driver's
             # slow path collects.
@@ -1309,12 +1372,13 @@ def region_source(cm, templates=None, ranges=None) -> tuple:
             + [line.replace(_STORE_BACK, store + "; ")
                for line in out[top:]]
             + [f"        {store}"] + closing
-            + ["        return pc, budget - left, n + budget - left"])
+            + ["        return pc, budget - left, n + budget - left"
+               + " - m" * bool(counts)])
     names = [f"_rg_{ring[0][0]}" for ring in rings]
     # Besides the plain services, a region binds the allocation path's.
     extra = ("plan", "land_flush", "icost", "alloc_cost", "HeapObject",
              "HeapArray")
-    return _factory_source(out, consts, names, extra), consts, rings
+    return _factory_source(out, consts, names, extra, kept), consts, rings
 
 
 #: Distinct factory sources kept compiled — about three times what the
@@ -1380,7 +1444,7 @@ def compile_superblocks(cm, cpu, templates=None) -> List:
                                       closures(source, consts, "superblock")):
         blocks[start] = (stop - start, closure, False,
                          rate([(start, stop)]))
-    built = region_source(cm, templates, ranges)
+    built = region_source(cm, templates, ranges, cpu.counted)
     if built is not None:
         source, consts, rings = built
         for ring, closure in zip(rings, closures(

@@ -222,8 +222,8 @@ class VM:
         self.cpu.charge(cycles)
 
     def _land_gc_charge(self, latency: int, cycles: int, n: int) -> int:
-        """``_charge_gc`` as one log-entry call: the charge of a write
-        barrier in fused code lands here, once per reference store."""
+        """``_charge_gc`` as one log-entry call: fused code's barrier
+        charges land here, once per store or per counted region exit."""
         self.gc_cycles += cycles
         self.plan.stats.gc_cycles += cycles
         self.cpu.cycles += cycles

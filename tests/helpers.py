@@ -1,6 +1,8 @@
 """Shared test helpers: small guest programs and VM drivers."""
 
 import collections
+import os
+import sys
 
 from repro.core.config import (CacheConfig, GCConfig, MachineConfig,
                                SystemConfig, TLBConfig)
@@ -280,3 +282,42 @@ def check_claims(make_vm, until_cycles=None, step=None):
         assert claim.bound is not None and claim.clock <= claim.bound, claim
         assert claim.limit is None or claim.clock < claim.limit, claim
     return claims
+
+
+# -- the opcode ledger ---------------------------------------------------------
+
+def host_opcodes(vm, until_cycles):
+    """The host bytecodes CPython executes advancing ``vm`` (begun) to
+    ``until_cycles``, by layer: a ``Counter`` keyed by source file
+    (its path under ``repro/``, or the file name of code outside the
+    package), generated code by its kind — ``<region>``,
+    ``<superblock>`` or ``<handler>``.  Exact and repeatable, unlike
+    host seconds; ``sys.settrace`` with ``f_trace_opcodes`` costs about
+    100x, so tier-1 does not run it."""
+    by_code = collections.Counter()
+
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            by_code[frame.f_code] += 1
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return opcode
+
+    sys.settrace(call)
+    try:
+        vm.advance(until_cycles=until_cycles)
+    finally:
+        sys.settrace(None)
+    layers = collections.Counter()
+    for code, count in by_code.items():
+        name = code.co_filename
+        if name.startswith("<"):
+            name = name.split()[0].rstrip(">") + ">"
+        else:
+            _, package, path = name.rpartition(f"{os.sep}repro{os.sep}")
+            name = path if package else os.path.basename(name)
+        layers[name] += count
+    return layers

@@ -6,12 +6,13 @@ how much: the exact clock at each skipped boundary (from a second run
 that skips none) against ``scheduler.next_time``, ``until_cycles`` and
 the bound the skip was granted on.  Short slices of all 17 guests,
 monitored (PEBS armed, co-allocation on) and unmonitored, one with
-telemetry on, and sliced runs; the fuzzed recipes are checked in
-``tests/test_fuzz_pipeline.py``.
+telemetry on, sliced runs, and ``sim_churn``'s guests at heap 1.0x; the
+fuzzed recipes are checked in ``tests/test_fuzz_pipeline.py``.
 
-Run as a script for a report on longer slices (CI does, monitored)::
+Run as a script for a report on longer slices, monitored, at a heap
+multiplier (CI does, at the default 4.0 and at 1.0)::
 
-    PYTHONPATH=src:. python -m tests.test_claims [CYCLES]
+    PYTHONPATH=src:. python -m tests.test_claims [CYCLES [HEAP_MULT]]
 """
 
 import statistics
@@ -32,8 +33,9 @@ SLICE_CYCLES = 200_000
 
 
 def guest_claims(name: str, monitored: bool, cycles: int,
-                 telemetry: bool = False):
-    spec = RunSpec(name, coalloc=monitored, monitoring=monitored)
+                 telemetry: bool = False, **options):
+    options.setdefault("coalloc", monitored)
+    spec = RunSpec(name, monitoring=monitored, **options)
     return check_claims(
         lambda: runner.make_vm(name, spec, fastpath=2, telemetry=(
             Telemetry() if telemetry else None))[0],
@@ -56,6 +58,19 @@ def test_with_telemetry_on():
     assert len(claims) > 1000
 
 
+@pytest.mark.parametrize("name, gc_plan", [
+    ("javac", "genms"), ("fop", "genms"), ("javac", "gencopy"),
+    ("fop", "gencopy")])
+def test_at_heap_1x(name, gc_plan):
+    """``sim_churn``'s configuration: no heap headroom, so regions
+    allocate inline and, unobserved, land one flush per exit — the
+    ``n`` and ``cell[0]`` a grant is computed from.  Co-allocating
+    under GenMS."""
+    claims = guest_claims(name, True, SLICE_CYCLES, heap_mult=1.0,
+                          gc_plan=gc_plan, coalloc=gc_plan == "genms")
+    assert len(claims) > 100
+
+
 @pytest.mark.parametrize("step", [7_000, 30_000])
 def test_in_slices(step):
     """``until_cycles`` a few spans ahead: the skipped polls stay below
@@ -68,14 +83,14 @@ def test_in_slices(step):
     assert all(claim.limit is not None for claim in claims)
 
 
-def report(cycles: int) -> None:
-    """Every guest, monitored, for ``cycles``: skipped polls, and the
-    margins they held by (limit − exact clock) and their bounds were
-    loose by (bound − exact clock), smallest and median."""
+def report(cycles: int, heap_mult: float = 4.0) -> None:
+    """Every guest, monitored, for ``cycles`` at ``heap_mult``: skipped
+    polls, and the margins they held by (limit − exact clock) and their
+    bounds were loose by (bound − exact clock), smallest and median."""
     print(f"{'guest':10s} {'skipped':>8s} {'margin min':>11s} "
           f"{'median':>8s} {'slack min':>10s} {'median':>8s}")
     for name in GUESTS:
-        claims = guest_claims(name, True, cycles)
+        claims = guest_claims(name, True, cycles, heap_mult=heap_mult)
         margins = [c.limit - c.clock for c in claims if c.limit is not None]
         slack = [c.bound - c.clock for c in claims]
         print(f"{name:10s} {len(claims):8d} {min(margins):11d} "
@@ -84,4 +99,5 @@ def report(cycles: int) -> None:
 
 
 if __name__ == "__main__":
-    report(int(sys.argv[1]) if len(sys.argv) > 1 else 3_000_000)
+    report(int(sys.argv[1]) if len(sys.argv) > 1 else 3_000_000,
+           *map(float, sys.argv[2:3]))

@@ -421,6 +421,29 @@ class TestHookVisibleClock:
         assert _hook_log(spec, 1, cycles) == ref
         assert _hook_log(spec, 2, cycles) == ref
 
+    def test_observer_attached_mid_run(self):
+        """Without a hook level 2 keeps a region's clock entries as
+        counts; an observer attached between two slices must get
+        ordered code at once — the translations built counted are
+        rebuilt — so what it reads from its first firing on is level
+        0's."""
+        logs, forms = {}, {}
+        for level in (0, 2):
+            vm, _ = runner.make_vm("javac", JAVAC, fastpath=level)
+            cpu = vm.cpu
+            log = logs[level] = []
+            vm.begin()
+            vm.advance(until_cycles=400_000)
+            counted = cpu.counted
+            vm.memsys.attach_observer("L1D_MISS", lambda eip: log.append(
+                (eip, cpu.cycles, cpu.instructions, vm.gc_cycles,
+                 vm.monitoring_cycles)))
+            vm.advance(until_cycles=900_000)
+            forms[level] = counted, cpu.counted
+        assert forms[2] == (True, False)
+        assert len(logs[0]) > 1000
+        assert logs[2] == logs[0]
+
 
 # -- the pending log: never dropped, landed before anything reads it ---------
 
@@ -683,9 +706,10 @@ class TestNoAccessDropped:
 
 def _count_drains(vm):
     """Count ``access_run_segments`` calls from outside (no counter
-    lives under ``src/``): ``[drains, access segments, accesses]``."""
+    lives under ``src/``): ``[drains, access segments, accesses, clock
+    entries]``."""
     real = vm.memsys.access_run_segments
-    calls = [0, 0, 0]
+    calls = [0, 0, 0, 0]
 
     def counted(segments):
         calls[0] += 1
@@ -693,6 +717,8 @@ def _count_drains(vm):
             if addrs is not None:
                 calls[1] += 1
                 calls[2] += len(addrs)
+            else:
+                calls[3] += 1
         return real(segments)
 
     vm.memsys.access_run_segments = counted
@@ -732,6 +758,32 @@ class TestCensus:
         vm.begin()
         vm.advance(until_cycles=1_500_000)
         assert 1000 * calls[0] / vm.cpu.instructions <= 12
+
+    def _javac_log(self, observer):
+        """Per kilo-instruction clock entries and accesses per segment
+        of monitored ``javac`` at 1.0x, and its record."""
+        vm, _ = runner.make_vm("javac", JAVAC, fastpath=2)
+        if observer:
+            vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+        calls = _count_drains(vm)
+        vm.begin()
+        vm.advance(until_cycles=1_500_000)
+        _, segments, accesses, entries = calls
+        return (1000 * entries / vm.cpu.instructions, accesses / segments,
+                RunRecord.from_result(vm.finish()).to_json())
+
+    def test_javac_clock_entries_kept_as_counts(self):
+        """With no hook to read the clock mid-replay, a region lands one
+        charge and one flush per exit: exact counts, 9.7 clock entries
+        per kilo-instruction and 2.58 accesses per segment (93.0 and
+        1.76 while every barrier and allocation queued its own entry).
+        A no-op observer brings the ordered form back (90.9 and 1.76;
+        no poll is skipped under it), and the record is the same."""
+        entries, per_segment, record = self._javac_log(observer=False)
+        assert entries <= 12 and per_segment >= 2.4
+        ordered, per_segment, observed = self._javac_log(observer=True)
+        assert ordered >= 80 and per_segment < 2
+        assert observed == record
 
     def test_compress_per_instruction_share(self, dispatches):
         spec = RunSpec("compress", monitoring=False)
@@ -971,10 +1023,11 @@ class TestCensus:
                     == len(cm.code)
             if level == 1:
                 assert not compiled
+        region = functools.partial(region_source, counted=vm.cpu.counted)
         sources = {(built[0], f"<{kind} {cm.method.qualified_name}>")
                    for cm in methods
                    for kind, source in (("superblock", superblock_source),
-                                        ("region", region_source))
+                                        ("region", region))
                    if (built := source(cm)) is not None}
         assert any(name.startswith("<region") for _, name in sources)
         assert sorted(compiled) == sorted(sources)
@@ -1263,19 +1316,19 @@ class TestRingFaults:
         assert _ring_outcome(code, 2) == ref
 
 
-def _region_text(code):
+def _region_text(code, counted=False):
     """The region source of hand-assembled ``code`` as main."""
     p, _ = _matrix_program()
     cm = _vm(p).compiled_code_for(p.main)
     cm.code, cm.reg_count, cm.frame_words = code, 9, 4
-    return region_source(cm)[0]
+    return region_source(cm, counted=counted)[0]
 
 
 class TestRegionBatching:
     """A region queues ONE access segment per entry, however many
     blocks and iterations it runs: its metadata tuples are the ring's,
-    repeated to cover the most one entry can run.  A write barrier
-    still splits the batch."""
+    repeated to cover the most one entry can run.  In the ordered form
+    a write barrier still splits the batch."""
 
     @staticmethod
     def barrier_loop(env):
@@ -1303,6 +1356,41 @@ class TestRegionBatching:
                 assert _ring_outcome(self.barrier_loop, level,
                                      observer) == ref
 
+    @staticmethod
+    def mixed_loop(env, fault=False):
+        """Every iteration allocates, stores a reference through a typed
+        field and stores it again through an array store typed ``int``
+        into a reference array: counted, the first two keep counts and
+        the third is an ordered entry, splitting the batch after the
+        allocation noted its place in it.  With ``fault``, the sixth
+        iteration then divides by zero."""
+        return _counted_loop([
+            MInst(M_ALUI, rd=L_U, rs1=L_I, aux="and", imm=3),
+            MInst(M_ALOAD, rd=L_ZERO, rs1=L_INTS, rs2=L_U, aux="int"),
+            MInst(M_NEW, rd=L_T, aux=env.box),
+            MInst(M_PUTF, rs1=L_T, rs2=L_T, aux=env.next),
+            MInst(M_ASTORE, rd=L_T, rs1=L_REFS, rs2=L_U, aux="int"),
+            MInst(M_GETF, rd=L_U, rs1=L_T, aux=env.v),
+        ] + ([MInst(M_ALUI, rd=L_U, rs1=L_I, aux="sub", imm=5),
+              MInst(M_ALU, rd=L_U, rs1=L_LIMIT, rs2=L_U, aux="div")]
+             if fault else []), limit=300)
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_counts_and_ordered_entries_in_one_ring(self, fault):
+        """Unobserved, the flush lands where the last allocation's
+        would, inside a batch an ordered barrier has since pended: the
+        run, and the clock a fault leaves, are the reference's."""
+        code = functools.partial(self.mixed_loop, fault=fault)
+        listing = code(_matrix_program()[1])
+        assert len(superblock_rings(listing)) == 1
+        text = _region_text(listing, counted=True)
+        assert text.count("w += 1") == text.count("pend(barrier)") == 1
+        assert "fo = len(b)" in text
+        ref = _ring_outcome(code, 0)
+        assert (ref[0] is not None) == fault
+        for observer in (False, True):
+            assert _ring_outcome(code, 2, observer) == ref
+
     def test_compress_drains_long_segments(self):
         """``compress`` drains its 1.18 M accesses as 25.6 K access
         segments, 46 accesses each (393 K of 3.0 while every block
@@ -1312,7 +1400,7 @@ class TestRegionBatching:
         calls = _count_drains(vm)
         vm.begin()
         assert vm.advance()
-        _, segments, accesses = calls
+        _, segments, accesses, _ = calls
         assert accesses / segments >= 20
 
     def test_the_tightest_ring_stays_inside_its_metadata(self, regions):
