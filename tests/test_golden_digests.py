@@ -7,7 +7,12 @@ them all.  This file pins what a run *is*: for each suite workload plus
 ``phased``, with monitoring off and with co-allocation + monitoring,
 the sha256 of the canonical record JSON (provenance excluded — it
 carries the code version) of the first 1.5 M cycles at the default
-fastpath, no observers.
+fastpath, no observers.  Those runs (heap 4x) reach no full collection
+and never run GenCopy, so three more pin the collectors at heap 1.0x:
+a whole ``javac`` run under GenCopy (9 minor, 2 full collections),
+``pseudojbb`` co-allocating to 6 M cycles (8 minor, 3 full, 2,834
+objects co-allocated) and ``db`` under GenCopy to 6 M cycles (3 minor,
+2 full).
 
 ``tests/golden/observers.json`` pins what the *observers* output: with
 telemetry, the decision ledger and the health monitor all attached, the
@@ -76,7 +81,17 @@ CONFIGS = {
 
 GUESTS = suite.all_names() + ["phased"]
 
-CASES = [f"{name}/{config}" for name in GUESTS for config in CONFIGS]
+#: The collector pins: each case's full :class:`RunSpec` arguments.
+GC_CASES = {
+    "javac/gencopy-1x": dict(gc_plan="gencopy", heap_mult=1.0),
+    "pseudojbb/coalloc-1x-6M": dict(coalloc=True, heap_mult=1.0,
+                                    until_cycles=6_000_000),
+    "db/gencopy-1x-6M": dict(gc_plan="gencopy", heap_mult=1.0,
+                             until_cycles=6_000_000),
+}
+
+CASES = [f"{name}/{config}" for name in GUESTS for config in CONFIGS] \
+    + list(GC_CASES)
 
 
 def _sha(doc) -> str:
@@ -86,7 +101,8 @@ def _sha(doc) -> str:
 
 def digest(case: str) -> str:
     name, config = case.split("/")
-    spec = RunSpec(name, until_cycles=UNTIL_CYCLES, **CONFIGS[config])
+    spec = (RunSpec(name, **GC_CASES[case]) if case in GC_CASES else
+            RunSpec(name, until_cycles=UNTIL_CYCLES, **CONFIGS[config]))
     doc = runner.record_from_result(spec, runner.execute(spec)).to_json()
     del doc["provenance"]
     return _sha(doc)
