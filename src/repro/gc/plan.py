@@ -2,8 +2,23 @@
 
 A *plan* (MMTk terminology) owns the heap spaces, the allocation entry
 points used by the CPU's ``alloc`` instructions, the write barrier, and
-the collection triggers.  :class:`GenMSPlan` and :class:`GenCopyPlan`
-specialize promotion and full collection.
+the collection triggers.  :class:`Plan` holds the one collection both
+plans run: the minor collection (trace the nursery from the roots and
+the remembered set, promote the survivors in trace order), the full
+collection (mark the whole heap, reclaim the mature space, sweep the
+LOS, unmark, pollute, check the budget, resize the nursery) and the
+charges, statistics and ``gc.minor``/``gc.full`` spans around them.
+:class:`GenMSPlan` and :class:`GenCopyPlan` supply only what differs:
+
+* ``_promote(obj)`` places one nursery survivor in the mature space
+  (a free-list cell, co-allocated or not; or a to-space bump) — no
+  survivor goes to the LOS, which takes every larger object when it is
+  allocated;
+* ``_reclaim_mature(live)`` frees the mature space's dead objects in a
+  full collection (a free-list sweep, or a semispace evacuation) and
+  returns how many there were;
+* ``_before_minor()`` runs as a minor collection opens (GenCopy
+  guarantees its copy reserve there; nothing by default).
 
 The plan talks to the rest of the VM through :class:`GCHooks`:
 
@@ -90,6 +105,7 @@ class Plan:
         self.los_objects: List[object] = []
         #: All nursery-resident objects since the last minor collection.
         self.nursery_objects: List[object] = []
+        self.mature_objects: List[object] = []
         self.nursery = BumpAllocator(layout.NURSERY_BASE,
                                      self._initial_nursery())
         self._collecting = False
@@ -186,9 +202,93 @@ class Plan:
     # -- collection -------------------------------------------------------------------
 
     def collect_minor(self) -> None:
-        raise NotImplementedError
+        if self._collecting:
+            return
+        self._collecting = True
+        self._trace.begin("gc.minor", cat="gc")
+        promoted_before = self.stats.promoted_objects
+        try:
+            cfg = self.config
+            self._before_minor()
+            self.stats.minor_gcs += 1
+            self.hooks.charge(cfg.minor_fixed_cost)
+            order = self._trace_live_nursery(self._minor_roots())
+            self.hooks.charge(cfg.scan_object_cost * len(order))
+            for obj in order:
+                if obj.space == SPACE_NURSERY:
+                    self._promote(obj)
+            self.nursery_objects = []
+            self.remset.clear()
+            footprint = self.mature_footprint()
+            if footprint > self.stats.peak_footprint:
+                self.stats.peak_footprint = footprint
+            if cfg.pollute_caches:
+                self.hooks.pollute_minor()
+            if self.heap_pressure():
+                self._full()
+            self._resize_nursery()
+        finally:
+            span = self._trace.end(
+                promoted=self.stats.promoted_objects - promoted_before)
+            if span is not None:
+                self._m_pause.observe(span.dur)
+            self._collecting = False
 
     def collect_full(self) -> None:
+        if self._collecting:
+            return
+        self._collecting = True
+        try:
+            self._full()
+        finally:
+            self._collecting = False
+
+    def _full(self) -> None:
+        """The full collection, with ``_collecting`` already set."""
+        cfg = self.config
+        self.stats.full_gcs += 1
+        self._trace.begin("gc.full", cat="gc")
+        try:
+            self.hooks.charge(cfg.full_fixed_cost)
+            live = self._trace_all_live()
+            self.hooks.charge(cfg.mark_object_cost * len(live))
+            dead = self._reclaim_mature(live)
+            # Sweep the large-object space.
+            los_survivors = []
+            for obj in self.los_objects:
+                if obj.gc_mark:
+                    los_survivors.append(obj)
+                else:
+                    self.los.free(obj.address)
+                    dead += 1
+            self.los_objects = los_survivors
+            self.stats.swept_objects += dead
+            for obj in live:
+                obj.gc_mark = False
+            if cfg.pollute_caches:
+                self.hooks.pollute_full()
+            footprint = self.mature_footprint()
+            if footprint > cfg.heap_bytes:
+                raise HeapExhausted(
+                    f"live data ({footprint} B) exceeds the heap budget "
+                    f"({cfg.heap_bytes} B)")
+            if not self.nursery_objects:
+                self._resize_nursery()
+        finally:
+            span = self._trace.end()
+            if span is not None:
+                self._m_pause.observe(span.dur)
+
+    def _before_minor(self) -> None:
+        """Runs as a minor collection opens, before it counts itself."""
+
+    def _promote(self, obj) -> None:
+        """Move one nursery survivor into the mature space."""
+        raise NotImplementedError
+
+    def _reclaim_mature(self, live: List[object]) -> int:
+        """Free the mature space's unmarked objects (``live`` is the
+        marked heap in trace order); return how many there were."""
         raise NotImplementedError
 
     def _minor_roots(self) -> List[object]:

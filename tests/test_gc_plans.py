@@ -1,4 +1,10 @@
-"""Tests for the GenMS / GenCopy plans, write barrier, and co-allocation."""
+"""Tests for the GenMS / GenCopy plans, write barrier, and co-allocation.
+
+The collection is one skeleton shared by both plans, so what holds for
+any plan is written once in a ``...Cases`` class and run by a GenMS and
+a GenCopy ``Test...`` class (the reachability property draws its plan);
+free-list, cell and semispace facts stay with their plan.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +16,7 @@ from repro.gc.coalloc import CoallocationPolicy
 from repro.gc.gencopy import GenCopyPlan, make_plan
 from repro.gc.genms import GenMSPlan
 from repro.gc.plan import GCHooks, HeapExhausted
+from repro.vm.model import ARRAY_HEADER_BYTES, KIND_BYTES
 from repro.vm.objects import (
     SPACE_LOS,
     SPACE_MATURE,
@@ -37,12 +44,20 @@ class RootBag:
         return list(self.objects)
 
 
-def make_genms(heap=1 << 20, coalloc=None, roots=None, charges=None):
-    hooks = GCHooks(
+def _hooks(roots, charges):
+    return GCHooks(
         roots=roots if roots is not None else lambda: (),
         charge=(charges.append if charges is not None else lambda c: None),
     )
-    return GenMSPlan(GCConfig(heap_bytes=heap), hooks, coalloc)
+
+
+def make_genms(heap=1 << 20, coalloc=None, roots=None, charges=None):
+    return GenMSPlan(GCConfig(heap_bytes=heap), _hooks(roots, charges),
+                     coalloc)
+
+
+def make_gencopy(heap=1 << 20, roots=None, charges=None):
+    return GenCopyPlan(GCConfig(heap_bytes=heap), _hooks(roots, charges))
 
 
 class TestAllocation:
@@ -75,11 +90,13 @@ class TestAllocation:
         assert plan.stats.alloc_bytes > 0
 
 
-class TestMinorCollection:
+class MinorCollectionCases:
+    """What a minor collection does under either plan (``make``)."""
+
     def test_nursery_full_triggers_minor_gc(self):
         p, node = fresh_program()
         roots = RootBag()
-        plan = make_genms(heap=1 << 20, roots=roots)
+        plan = self.make(heap=1 << 20, roots=roots)
         n = plan.nursery.capacity // node.instance_bytes + 10
         for _ in range(n):
             roots.objects = [plan.alloc_object(node)]  # only last survives
@@ -88,7 +105,7 @@ class TestMinorCollection:
     def test_live_objects_promoted_dead_dropped(self):
         p, node = fresh_program()
         roots = RootBag()
-        plan = make_genms(roots=roots)
+        plan = self.make(roots=roots)
         live = plan.alloc_object(node)
         plan.alloc_object(node)  # dead
         roots.objects = [live]
@@ -99,7 +116,7 @@ class TestMinorCollection:
     def test_transitive_reachability(self):
         p, node = fresh_program()
         roots = RootBag()
-        plan = make_genms(roots=roots)
+        plan = self.make(roots=roots)
         a = plan.alloc_object(node)
         b = plan.alloc_object(node)
         c = plan.alloc_object(node)
@@ -112,7 +129,7 @@ class TestMinorCollection:
     def test_field_values_preserved_across_gc(self):
         p, node = fresh_program()
         roots = RootBag()
-        plan = make_genms(roots=roots)
+        plan = self.make(roots=roots)
         a = plan.alloc_object(node)
         a.write(1, 1234)
         roots.objects = [a]
@@ -122,7 +139,7 @@ class TestMinorCollection:
     def test_remset_keeps_nursery_object_alive(self):
         p, node = fresh_program()
         roots = RootBag()
-        plan = make_genms(roots=roots)
+        plan = self.make(roots=roots)
         parent = plan.alloc_object(node)
         roots.objects = [parent]
         plan.collect_minor()
@@ -139,7 +156,7 @@ class TestMinorCollection:
         # mature->nursery edge.
         p, node = fresh_program()
         roots = RootBag()
-        plan = make_genms(roots=roots)
+        plan = self.make(roots=roots)
         parent = plan.alloc_object(node)
         roots.objects = [parent]
         plan.collect_minor()
@@ -152,7 +169,7 @@ class TestMinorCollection:
     def test_nursery_reset_after_gc(self):
         p, node = fresh_program()
         roots = RootBag()
-        plan = make_genms(roots=roots)
+        plan = self.make(roots=roots)
         plan.alloc_object(node)
         plan.collect_minor()
         assert plan.nursery.used == 0
@@ -161,13 +178,77 @@ class TestMinorCollection:
         p, node = fresh_program()
         roots = RootBag()
         charges = []
-        plan = make_genms(roots=roots, charges=charges)
+        plan = self.make(roots=roots, charges=charges)
         roots.objects = [plan.alloc_object(node)]
         plan.collect_minor()
         assert sum(charges) >= plan.config.minor_fixed_cost
 
+    def test_no_survivor_promoted_to_los(self):
+        # The LOS takes every object larger than a cell when it is
+        # allocated, so the largest nursery object fits one and each
+        # survivor of a minor collection lands in the mature space.
+        p, node = fresh_program()
+        roots = RootBag()
+        plan = self.make(roots=roots)
+        cell_max = plan.config.max_cell_bytes
+        length = (cell_max - ARRAY_HEADER_BYTES) // KIND_BYTES["int"]
+        largest = plan.alloc_array("int", length)
+        larger = plan.alloc_array("int", length + 1)
+        assert largest.size == cell_max and largest.space == SPACE_NURSERY
+        assert larger.space == SPACE_LOS
+        young = [largest, plan.alloc_object(node), plan.alloc_array("ref", 3)]
+        roots.objects = young + [larger]
+        plan.collect_minor()
+        assert all(obj.space == SPACE_MATURE for obj in young)
+        assert plan.los_objects == [larger]
 
-class TestFullCollection:
+
+class TestMinorCollection(MinorCollectionCases):
+    make = staticmethod(make_genms)
+
+
+class TestMinorCollectionGenCopy(MinorCollectionCases):
+    make = staticmethod(make_gencopy)
+
+
+class FullCollectionCases:
+    """What a full collection does under either plan (``make``)."""
+
+    def test_full_gc_clears_marks(self):
+        p, node = fresh_program()
+        roots = RootBag()
+        plan = self.make(roots=roots)
+        a = plan.alloc_object(node)
+        roots.objects = [a]
+        plan.collect_minor()
+        plan.collect_full()
+        assert a.gc_mark is False
+
+    def test_los_swept(self):
+        roots = RootBag()
+        plan = self.make(roots=roots)
+        arr = plan.alloc_array("int", 3000)
+        roots.objects = [arr]
+        plan.collect_full()
+        assert plan.los.bytes_in_use > 0
+        roots.objects = []
+        plan.collect_full()
+        assert plan.los.bytes_in_use == 0
+
+    def test_heap_exhaustion_raises(self):
+        p, node = fresh_program()
+        roots = RootBag()
+        keep = []
+        roots.objects = keep
+        plan = self.make(heap=160 * 1024, roots=lambda: keep)
+        with pytest.raises(HeapExhausted):
+            for _ in range(20000):
+                keep.append(plan.alloc_object(node))
+
+
+class TestFullCollection(FullCollectionCases):
+    make = staticmethod(make_genms)
+
     def test_dead_mature_objects_swept(self):
         p, node = fresh_program()
         roots = RootBag()
@@ -183,36 +264,9 @@ class TestFullCollection:
         assert plan.stats.swept_objects == 1
         assert a.space == SPACE_MATURE
 
-    def test_full_gc_clears_marks(self):
-        p, node = fresh_program()
-        roots = RootBag()
-        plan = make_genms(roots=roots)
-        a = plan.alloc_object(node)
-        roots.objects = [a]
-        plan.collect_minor()
-        plan.collect_full()
-        assert a.gc_mark is False
 
-    def test_los_swept(self):
-        roots = RootBag()
-        plan = make_genms(roots=roots)
-        arr = plan.alloc_array("int", 3000)
-        roots.objects = [arr]
-        plan.collect_full()
-        assert plan.los.bytes_in_use > 0
-        roots.objects = []
-        plan.collect_full()
-        assert plan.los.bytes_in_use == 0
-
-    def test_heap_exhaustion_raises(self):
-        p, node = fresh_program()
-        roots = RootBag()
-        keep = []
-        roots.objects = keep
-        plan = make_genms(heap=160 * 1024, roots=lambda: keep)
-        with pytest.raises(HeapExhausted):
-            for _ in range(20000):
-                keep.append(plan.alloc_object(node))
+class TestFullCollectionGenCopy(FullCollectionCases):
+    make = staticmethod(make_gencopy)
 
 
 class TestCoallocation:
@@ -426,14 +480,17 @@ class TestGenCopy:
 class TestGCProperties:
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
                     min_size=1, max_size=40),
-           st.lists(st.booleans(), min_size=10, max_size=10))
-    @settings(max_examples=40, deadline=None)
-    def test_reachable_objects_survive_arbitrary_graphs(self, edges, root_mask):
-        """Build a random 10-node graph, run minor+full GC, and check that
-        exactly the reachable nodes survive with values intact."""
+           st.lists(st.booleans(), min_size=10, max_size=10),
+           st.sampled_from([make_genms, make_gencopy]))
+    @settings(max_examples=80, deadline=None)
+    def test_reachable_objects_survive_arbitrary_graphs(self, edges, root_mask,
+                                                        make):
+        """Build a random 10-node graph, run minor+full GC under either
+        plan, and check that exactly the reachable nodes survive with
+        values intact."""
         p, node = fresh_program()
         roots = RootBag()
-        plan = make_genms(roots=roots)
+        plan = make(roots=roots)
         objs = [plan.alloc_object(node) for _ in range(10)]
         for i, obj in enumerate(objs):
             obj.write(1, i * 100)
