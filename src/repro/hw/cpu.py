@@ -470,10 +470,6 @@ class CPU:
                         frame.pc = pc
                         self.sync_counters()
                         return
-            if cell[0] or n:
-                self.cycles += cell[0] + n * icost
-                self.instructions += n
-                cell[0] = 0
         self.sync_counters()
 
     def _boundary_idle(self, slack: int, instructions: int,
@@ -790,9 +786,6 @@ class CPU:
                         frame.pc = pc
                         self.sync_counters()
                         return
-            if cyc or n:
-                self.cycles += cyc
-                self.instructions += n
         self.sync_counters()
 
     def sync_counters(self) -> None:
