@@ -26,18 +26,19 @@ frontier on real PEBS hardware).
 The oracle is subject to the telemetry invariant: attaching it must
 leave cycles, counters, and the PEBS sample stream bit-identical
 (enforced by ``tests/test_fidelity.py``).  It charges no cycles,
-consumes no randomness, and keeps its own interest tables so it never
+consumes no randomness, and resolves through a
+:class:`~repro.core.mapping.SampleResolver` of its own, so it never
 touches the controller's resolver statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import scaled_interval
-from repro.core.interest import analyze_compiled_method
-from repro.jit.codecache import LEVEL_OPT, CodeCache
+from repro.core.mapping import SampleResolver
+from repro.jit.codecache import CodeCache
 
 #: Bump when the audit report layout changes (checked by the CI smoke job).
 AUDIT_SCHEMA_VERSION = 1
@@ -53,18 +54,25 @@ DEFAULT_TOP_N = 10
 class ExactAttributionOracle:
     """Exhaustive, zero-cost sample resolution: the ground truth.
 
-    Mirrors :class:`repro.core.mapping.SampleResolver` semantics —
-    foreign EIPs are dropped, baseline-compiled methods carry no
+    Resolves through its own :class:`repro.core.mapping.SampleResolver`
+    — foreign EIPs are dropped, baseline-compiled methods carry no
     interest information, opt methods attribute through the interest
-    table — but sees every event instead of every *n*-th, charges no
-    mapping cost, and accumulates into its own tables keyed by
-    qualified names (portable, comparison-ready).
+    table (built on a method's first event) — but sees every event
+    instead of every *n*-th, charges no mapping cost, and accumulates
+    into its own tables keyed by qualified names (portable,
+    comparison-ready).  The drop and attribution counters are views of
+    the resolver's statistics.
     """
 
+    attributed = property(lambda self: self.resolver.stats.attributed)
+    unattributed = property(lambda self: self.resolver.stats.unattributed)
+    dropped_foreign = property(
+        lambda self: self.resolver.stats.dropped_foreign)
+    dropped_baseline = property(
+        lambda self: self.resolver.stats.dropped_baseline)
+
     def __init__(self, codecache: CodeCache):
-        self.codecache = codecache
-        #: id(cm) -> InterestMap, computed lazily on first miss in cm.
-        self._interest: Dict[int, dict] = {}
+        self.resolver = SampleResolver(codecache)
         #: qualified method name -> exact events in its code.
         self.method_events: Dict[str, int] = {}
         #: qualified field name -> exact events attributed to it.
@@ -72,10 +80,6 @@ class ExactAttributionOracle:
         #: (qualified method name, bytecode index) -> exact events.
         self.bytecode_events: Dict[Tuple[str, int], int] = {}
         self.total_events = 0
-        self.dropped_foreign = 0
-        self.dropped_baseline = 0
-        self.unattributed = 0
-        self.attributed = 0
 
     def attach(self, vm) -> None:
         """Tap ``vm``'s memory system for its monitored event."""
@@ -84,31 +88,16 @@ class ExactAttributionOracle:
     def on_event(self, eip: int) -> None:
         """Observe one event occurrence (the memory-system hook)."""
         self.total_events += 1
-        cm = self.codecache.lookup(eip)
-        if cm is None:
-            self.dropped_foreign += 1
+        resolved = self.resolver.resolve(eip)
+        if resolved is None:
             return
-        if cm.level != LEVEL_OPT:
-            self.dropped_baseline += 1
-            return
-        pc = cm.pc_of_eip(eip)
-        name = cm.method.qualified_name
+        name = resolved.cm.method.qualified_name
         self.method_events[name] = self.method_events.get(name, 0) + 1
-        bc_key = (name, cm.bc_map[pc])
+        bc_key = (name, resolved.bc_index)
         self.bytecode_events[bc_key] = self.bytecode_events.get(bc_key, 0) + 1
-        key = id(cm)
-        interest = self._interest.get(key)
-        if interest is None and key not in self._interest:
-            interest = analyze_compiled_method(cm)
-            self._interest[key] = interest
-        ir_id = cm.ir_map[pc]
-        fld = interest.get(ir_id) if (interest and ir_id is not None) else None
-        if fld is None:
-            self.unattributed += 1
-            return
-        self.attributed += 1
-        fname = fld.qualified_name
-        self.field_events[fname] = self.field_events.get(fname, 0) + 1
+        if resolved.field is not None:
+            fname = resolved.field.qualified_name
+            self.field_events[fname] = self.field_events.get(fname, 0) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A :class:`~repro.harness.record.RunRecord` is a pure function of the
 simulator's code and its :class:`~repro.harness.runner.RunSpec`, so two
 records can only legitimately differ when one of those inputs differs.
 The provenance manifest embeds exactly those inputs — code version,
-spec (and its cache key), seed, the resolved fastpath knob, and the
+spec (and its cache key), seed, the resolved execution level, and the
 record schema — so a record on disk is self-explaining: ``repro diff``
 can tell "same experiment, different code" from "same code, different
 seed" without access to the processes that produced either file.
@@ -18,20 +18,21 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-from repro.core.config import fastpath_enabled
+from repro.core.config import fastpath_level
 from repro.harness import diskcache
 from repro.harness.record import SCHEMA_VERSION
 
-#: Bump when the manifest layout changes.
-MANIFEST_VERSION = 1
+#: Bump when the manifest layout changes.  Version 2 records the
+#: execution level (0, 1 or 2) under ``fastpath`` instead of a bool.
+MANIFEST_VERSION = 2
 
 
-def manifest(spec, fastpath: "bool | None" = None) -> dict:
+def manifest(spec, fastpath: "int | None" = None) -> dict:
     """The provenance manifest for one run of ``spec``.
 
-    ``fastpath`` is the knob the run actually used (``None`` resolves
-    the environment default, the same way :func:`fastpath_enabled`
-    does for an execution).
+    ``fastpath`` is the level the run actually used (``None`` resolves
+    the environment default, the same way
+    :func:`~repro.core.config.fastpath_level` does for an execution).
     """
     return {
         "manifest_version": MANIFEST_VERSION,
@@ -39,7 +40,7 @@ def manifest(spec, fastpath: "bool | None" = None) -> dict:
         "spec": asdict(spec),
         "spec_key": diskcache.spec_key(spec),
         "seed": spec.seed,
-        "fastpath": fastpath_enabled(fastpath),
+        "fastpath": fastpath_level(fastpath),
         "record_schema": SCHEMA_VERSION,
     }
 
@@ -53,4 +54,4 @@ def describe(prov: "dict | None") -> str:
             f"spec={prov.get('spec_key', '?')[:10]} "
             f"seed={prov.get('seed', '?')} "
             f"code={prov.get('code_version', '?')} "
-            f"fastpath={'on' if prov.get('fastpath') else 'off'}")
+            f"level={prov.get('fastpath', '?')}")

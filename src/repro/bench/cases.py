@@ -26,11 +26,10 @@ from typing import Dict
 from repro.bench.registry import BenchCase, Gate, register
 
 
-def _register_interp_case(name: str, description: str, slow, fast,
+def _register_interp_case(name: str, description: str, slow: int, fast: int,
                           slow_label: str, fast_label: str) -> None:
-    """One interpreter A/B: ``slow`` and ``fast`` are
-    :func:`repro.core.config.fastpath_level` settings (a bool — False =
-    reference, True = fastest — or an explicit level 0/1/2), the labels
+    """One interpreter A/B: ``slow`` and ``fast`` are execution levels
+    (0/1/2, see :func:`repro.core.config.fastpath_level`), the labels
     name the two sides in the metrics and gate texts (the committed
     history is keyed by those metric names)."""
     slow_text = slow_label.replace("_", "-")
@@ -90,7 +89,7 @@ def _register_interp_case(name: str, description: str, slow, fast,
 _register_interp_case(
     "interp", "translated fast path (level 2) vs reference interpreter "
               "(bit-identity + speedup floor)",
-    slow=False, fast=True, slow_label="reference", fast_label="fastpath")
+    slow=0, fast=2, slow_label="reference", fast_label="fastpath")
 _register_interp_case(
     "interp_superblock", "superblock fast path (level 2) vs "
                          "per-instruction fast path (level 1) "

@@ -30,7 +30,7 @@ INTERVAL_SCALE = 100
 PAPER_INTERVALS = {"25K": 25_000, "50K": 50_000, "100K": 100_000}
 
 
-def fastpath_level(setting: "bool | int | None" = None) -> int:
+def fastpath_level(setting: "int | None" = None) -> int:
     """Resolve the translated-interpreter knob to an execution level.
 
     * ``0`` — the reference if/elif interpreter (the oracle),
@@ -38,22 +38,15 @@ def fastpath_level(setting: "bool | int | None" = None) -> int:
     * ``2`` — superblock dispatch: straight-line runs fused into single
       closures with batched memory simulation (the default).
 
-    An explicit ``setting`` (``SystemConfig.fastpath``; ``True`` means
-    "fastest", ``False`` means "reference", an int names a level) wins;
-    otherwise the ``REPRO_FASTPATH`` environment variable decides
-    (``0``/``1``/anything else → level 2).  The knob selects *how*
-    guest code is executed, never *what* it computes: all three levels
-    are bit-identical (cycles, instructions, every event counter, PEBS
-    samples), which is why the knob is deliberately absent from
-    :class:`~repro.harness.runner.RunSpec` and therefore from the
-    disk-cache key.
+    An explicit ``setting`` (``SystemConfig.fastpath``, clamped to
+    0..2) wins; otherwise the ``REPRO_FASTPATH`` environment variable
+    decides (``0``/``1``/anything else → level 2).  The knob selects
+    *how* guest code is executed, never *what* it computes: all three
+    levels are bit-identical (cycles, instructions, every event
+    counter, PEBS samples), which is why the knob is deliberately
+    absent from :class:`~repro.harness.runner.RunSpec` and therefore
+    from the disk-cache key.
     """
-    # ``is True`` / ``is False`` before the int clamp: True == 1 in
-    # Python, but a bool True means "the fastest level", not level 1.
-    if setting is True:
-        return 2
-    if setting is False:
-        return 0
     if setting is not None:
         return min(2, max(0, int(setting)))
     raw = os.environ.get("REPRO_FASTPATH", "2")
@@ -62,16 +55,6 @@ def fastpath_level(setting: "bool | int | None" = None) -> int:
     if raw == "1":
         return 1
     return 2
-
-
-def fastpath_enabled(setting: "bool | int | None" = None) -> bool:
-    """Whether any translated level is selected (level > 0).
-
-    Kept as the boolean surface provenance manifests and older call
-    sites use: levels 1 and 2 are bit-identical, so a bool is the only
-    distinction a run record can ever observe.
-    """
-    return fastpath_level(setting) > 0
 
 
 def scaled_interval(name: str) -> int:
@@ -142,9 +125,6 @@ class MachineConfig:
     #: a stream, and prefetch depth in lines.
     prefetch_trigger: int = 2
     prefetch_depth: int = 4
-    #: Clock rate, used only to convert the paper's wall-clock polling
-    #: intervals into cycles.
-    clock_hz: int = 3_000_000_000
 
 
 @dataclass
@@ -207,16 +187,18 @@ class PerfmonConfig:
 
 @dataclass
 class MonitorConfig:
-    """The online monitoring module (sections 4.2, 5.3, 6.4)."""
+    """The online monitoring module (sections 4.2, 5.3, 6.4).
+
+    Auto mode's sample-rate target is not a field: the controller steers
+    to :data:`repro.core.controller.AUTO_TARGET_PER_PERIOD` samples per
+    period, the paper's "default of 200 samples/sec" after scaling.
+    """
 
     #: Length of one measurement period in cycles; per-field miss-rate time
     #: series (Figure 7) are aggregated per period.
     period_cycles: int = 200_000
     #: Moving-average window, in periods, for the Figure 7(b) trend line.
     moving_average_window: int = 3
-    #: Auto mode targets this many samples per simulated second
-    #: (paper: "a default of 200 samples/sec provides reasonable accuracy").
-    auto_samples_per_second: int = 200
     #: Number of consecutive regressed periods before a placement policy is
     #: reverted (Figure 8's "simple heuristic").
     revert_patience: int = 3
@@ -264,9 +246,6 @@ class GCConfig:
     mark_object_cost: int = 30
     write_barrier_cost: int = 2
     alloc_cost: int = 12
-    #: Whether a minor GC invalidates the L1/TLB (cache pollution model) and
-    #: a full GC additionally invalidates the L2.
-    pollute_caches: bool = True
 
 
 @dataclass
@@ -286,7 +265,6 @@ class JITConfig:
     opt_speedup: float = 2.5
     #: Method inlining in the opt compiler (small static callees).
     inline: bool = True
-    inline_max_bytecodes: int = 24
     #: Class-hierarchy-based devirtualization of monomorphic callv sites.
     devirtualize: bool = True
 
@@ -314,13 +292,11 @@ class SystemConfig:
     method_profiling: bool = False
     #: GC plan: "genms" (paper) or "gencopy" (Figure 6 comparator).
     gc_plan: str = "genms"
-    #: Guest-code execution strategy: ``True`` forces the fastest
-    #: translated level (superblocks), ``False`` the reference if/elif
-    #: interpreter, an int names a level (0 reference, 1 per-instruction
-    #: closures, 2 superblocks), ``None`` (default) defers to
-    #: ``REPRO_FASTPATH``.  Every level produces bit-identical results;
-    #: see :func:`fastpath_level`.
-    fastpath: "bool | int | None" = None
+    #: Guest-code execution level (0 reference if/elif interpreter,
+    #: 1 per-instruction closures, 2 superblocks); ``None`` (default)
+    #: defers to ``REPRO_FASTPATH``.  Every level produces bit-identical
+    #: results; see :func:`fastpath_level`.
+    fastpath: "int | None" = None
     #: Seed for all randomized components.
     seed: int = 42
     # The run's pure observers.  The VM resolves the three fields once

@@ -9,7 +9,9 @@ Glue between the sampling stack and the consumers of performance data:
   and the :class:`FeedbackEngine` (Figure 8's revert logic),
 * runs the measurement-period timer and the adaptive "auto" sampling
   interval ("adapts the sampling interval to obtain a certain number of
-  samples per second", section 6.3).
+  samples per second", section 6.3): it steers to
+  :data:`AUTO_TARGET_PER_PERIOD` samples per period, the paper's "default
+  of 200 samples/sec" after scaling.
 """
 
 from __future__ import annotations
@@ -163,11 +165,10 @@ class OnlineOptimizationController:
         self._samples_this_period = 0
         self._attributed_this_period = 0
 
-    def _ranking_evidence(self, max_classes: int = 16,
-                          max_fields: int = 4) -> tuple:
-        """The hot-field ranking as the ledger records it: the hottest
-        classes (by total estimated events), each with its top fields as
-        ``(field, events, raw_samples)``.  Bounded so a snapshot per
+    def _ranking_evidence(self) -> tuple:
+        """The hot-field ranking as the ledger records it: the 16 hottest
+        classes (by total estimated events), each with its top 4 fields
+        as ``(field, events, raw_samples)``.  Bounded so a snapshot per
         period stays cheap on benchmarks with many sampled classes."""
         monitor = self.monitor
         ranked = []
@@ -175,10 +176,10 @@ class OnlineOptimizationController:
             ranked.append((klass, sum(per_class.values())))
         ranked.sort(key=lambda kv: -kv[1])
         out = []
-        for klass, _total in ranked[:max_classes]:
+        for klass, _total in ranked[:16]:
             fields = tuple(
                 (field, events, monitor.sample_counts.get(field, 0))
-                for field, events in monitor.ranked_fields(klass)[:max_fields])
+                for field, events in monitor.ranked_fields(klass)[:4])
             out.append((klass, fields))
         return tuple(out)
 

@@ -22,8 +22,8 @@ itself against:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.hw.events import COUNTED_EVENTS, EventCounters, validate_event
 from repro.vm.model import MethodInfo
@@ -88,8 +88,8 @@ class MethodProfiler:
     """Software instrumentation at every method entry and exit.
 
     Attached to the CPU (``cpu.profiler``), it is invoked on every call
-    and return with the current cycle count and the value of one chosen
-    event counter; deltas between boundaries are attributed
+    and return with the current cycle count and the value of the L1D_MISS
+    counter; deltas between boundaries are attributed
     *exclusively* to the method on top of the (mirrored) call stack.
     Each boundary charges :data:`COUNTER_READ_COST` cycles through
     ``charge`` — the software-profiling overhead the paper's sampling
@@ -97,11 +97,9 @@ class MethodProfiler:
     """
 
     def __init__(self, event_reader: Callable[[], int],
-                 charge: Callable[[int], None],
-                 event_name: str = "L1D_MISS"):
+                 charge: Callable[[int], None]):
         self.event_reader = event_reader
         self.charge = charge
-        self.event_name = validate_event(event_name)
         self.profiles: Dict[MethodInfo, MethodProfile] = {}
         self._stack: List[MethodInfo] = []
         self._last_cycles = 0

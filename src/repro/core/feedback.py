@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 from repro.core.config import MonitorConfig
 from repro.core.monitor import OnlineMonitor
 from repro.observers import NO_OBSERVERS
-from repro.vm.model import ClassInfo, FieldInfo
+from repro.vm.model import FieldInfo
 
 
 @dataclass
@@ -60,14 +60,13 @@ class FeedbackEngine:
         self._obs = observers
 
     def begin_experiment(self, name: str, field: FieldInfo,
-                         revert: Callable[[], None],
-                         baseline_window: Optional[int] = None) -> Experiment:
+                         revert: Callable[[], None]) -> Experiment:
         """Start observing a policy change applied *now*.
 
         The baseline is the moving-average rate over the periods before
         the change.
         """
-        baseline = self.monitor.recent_rate(field, baseline_window)
+        baseline = self.monitor.recent_rate(field)
         exp = Experiment(name=name, field=field, revert=revert,
                          baseline_rate=baseline,
                          started_period=len(self.monitor.periods))

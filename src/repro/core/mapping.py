@@ -49,7 +49,8 @@ class SampleResolver:
 
     Interest tables are computed once per compiled method, at the time
     the method is registered (i.e., at compilation time, as in the
-    paper), and cached here.
+    paper), and cached here.  A method the resolver was not told about
+    gets its table on its first sample.
     """
 
     def __init__(self, codecache: CodeCache):
@@ -86,9 +87,9 @@ class SampleResolver:
         bc_index = cm.bc_map[pc]
         ir_id = cm.ir_map[pc]
         interest = self._interest.get(cm)
-        fld: Optional[FieldInfo] = None
-        if interest is not None and ir_id is not None:
-            fld = interest.get(ir_id)
+        if interest is None:
+            interest = self.register_method(cm)
+        fld = interest.get(ir_id) if ir_id is not None else None
         self.stats.resolved += 1
         if fld is not None:
             self.stats.attributed += 1

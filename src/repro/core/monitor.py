@@ -146,18 +146,14 @@ class OnlineMonitor:
             out.append((p.end_cycle, total))
         return out
 
-    def moving_average(self, values: List[int],
-                       window: Optional[int] = None) -> List[float]:
+    def moving_average(self, values: List[int]) -> List[float]:
         """Trailing moving average at the configured window (see the
         module-level :func:`moving_average`)."""
-        return moving_average(values, window or
-                              self.config.moving_average_window)
+        return moving_average(values, self.config.moving_average_window)
 
-    def recent_rate(self, field: FieldInfo,
-                    window: Optional[int] = None) -> float:
+    def recent_rate(self, field: FieldInfo) -> float:
         """Moving-average events/period for ``field`` over recent periods."""
-        w = window or self.config.moving_average_window
-        recent = self.periods[-w:]
+        recent = self.periods[-self.config.moving_average_window:]
         if not recent:
             return 0.0
         return sum(p.field_counts.get(field, 0) for p in recent) / len(recent)

@@ -4,10 +4,9 @@ One :class:`FleetScheduler` owns everything a daemon needs to serve
 simulation jobs at scale:
 
 * **Job queue** — a submitted batch becomes one :class:`Job`; batches
-  are admitted to the engine one at a time (``max_concurrent_batches``
-  raises that), so the engine's own process pool keeps every core busy
-  within a batch while further batches wait with a real, observable
-  queue depth.
+  are admitted to the engine one at a time, so the engine's own
+  process pool keeps every core busy within a batch while further
+  batches wait with a real, observable queue depth.
 * **In-flight dedup** — every spec key ever seen maps to one
   :class:`SpecEntry`.  A batch submitting a key that is already queued
   or running *coalesces*: it waits for the owning batch's simulation
@@ -111,12 +110,10 @@ class FleetScheduler:
     """
 
     def __init__(self, jobs: Optional[int] = None,
-                 max_concurrent_batches: int = 1,
-                 engine_call: Optional[Callable] = None,
-                 retain_events: int = 4096):
+                 engine_call: Optional[Callable] = None):
         self.jobs = engine.resolve_jobs(jobs)
         self.engine_call = engine_call
-        self.bus = engine.EventBus(retain=retain_events)
+        self.bus = engine.EventBus()
         self.metrics = MetricsRegistry()
         self.started_at = time.monotonic()
         self.draining = False
@@ -124,10 +121,9 @@ class FleetScheduler:
         self._order: List[str] = []
         self._entries: Dict[str, SpecEntry] = {}
         self._next_id = 0
-        self._admission = asyncio.Semaphore(max_concurrent_batches)
+        self._admission = asyncio.Lock()
         self._engine_pool = ThreadPoolExecutor(
-            max_workers=max_concurrent_batches,
-            thread_name_prefix="fleet-engine")
+            max_workers=1, thread_name_prefix="fleet-engine")
         self._tasks: List[asyncio.Task] = []
 
         m = self.metrics

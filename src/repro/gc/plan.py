@@ -222,8 +222,7 @@ class Plan:
             footprint = self.mature_footprint()
             if footprint > self.stats.peak_footprint:
                 self.stats.peak_footprint = footprint
-            if cfg.pollute_caches:
-                self.hooks.pollute_minor()
+            self.hooks.pollute_minor()
             if self.heap_pressure():
                 self._full()
             self._resize_nursery()
@@ -265,8 +264,7 @@ class Plan:
             self.stats.swept_objects += dead
             for obj in live:
                 obj.gc_mark = False
-            if cfg.pollute_caches:
-                self.hooks.pollute_full()
+            self.hooks.pollute_full()
             footprint = self.mature_footprint()
             if footprint > cfg.heap_bytes:
                 raise HeapExhausted(

@@ -101,9 +101,9 @@ def run_spec(args, benchmark: Optional[str] = None) -> RunSpec:
     )
 
 
-def fastpath(args) -> Optional[bool]:
-    """The ``fastpath`` knob ``--no-fastpath`` asks for (None: default)."""
-    return False if args.no_fastpath else None
+def fastpath(args) -> Optional[int]:
+    """The execution level ``--no-fastpath`` asks for (None: default)."""
+    return 0 if args.no_fastpath else None
 
 
 def write_or_exit(command: str, what: str, path: str, content):

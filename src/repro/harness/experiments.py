@@ -468,19 +468,21 @@ class StormDriver:
     callbacks, not closures, so the scheduler heap stays picklable.
     """
 
-    def __init__(self, vm, field, count: int = 3, gap: int = 128,
-                 cooldown_periods: int = 2, recover_factor: float = 1.5):
+    #: The bad placement gap, in bytes: one cache line, as in Figure 8.
+    GAP = 128
+    #: Periods to wait after a revert before the next experiment opens.
+    COOLDOWN_PERIODS = 2
+    #: Re-arm only once the rate has fallen back to within this factor
+    #: of the first experiment's baseline: after a revert the rate
+    #: recovers *gradually* (mature objects keep their bad placement,
+    #: Figure 8), and an experiment begun against that still-elevated
+    #: baseline can never regress 25% further.
+    RECOVER_FACTOR = 1.5
+
+    def __init__(self, vm, field, count: int = 3):
         self.vm = vm
         self.field = field
-        self.gap = gap
         self.remaining = count
-        self.cooldown_periods = cooldown_periods
-        #: Re-arm only once the rate has fallen back to within this
-        #: factor of the first experiment's baseline: after a revert the
-        #: rate recovers *gradually* (mature objects keep their bad
-        #: placement, Figure 8), and an experiment begun against that
-        #: still-elevated baseline can never regress 25% further.
-        self.recover_factor = recover_factor
         self._baseline0: Optional[float] = None
         self._cooldown = 0
         self.begun = 0
@@ -498,12 +500,12 @@ class StormDriver:
         if rate <= 0:
             return
         if self._baseline0 is not None \
-                and rate > self._baseline0 * self.recover_factor:
+                and rate > self._baseline0 * self.RECOVER_FACTOR:
             return
-        self.vm.coalloc_policy.set_gap(self.gap)
+        self.vm.coalloc_policy.set_gap(self.GAP)
         self.begun += 1
         self.remaining -= 1
-        self._cooldown = self.cooldown_periods
+        self._cooldown = self.COOLDOWN_PERIODS
         exp = feedback.begin_experiment(f"storm-{self.begun}", self.field,
                                         revert=self._revert)
         if self._baseline0 is None:

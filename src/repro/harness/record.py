@@ -104,9 +104,8 @@ class RunRecord:
             out.append((end_cycle, total))
         return out
 
-    def moving_average(self, values: List[int],
-                       window: Optional[int] = None) -> List[float]:
-        return moving_average(values, window or self.moving_average_window)
+    def moving_average(self, values: List[int]) -> List[float]:
+        return moving_average(values, self.moving_average_window)
 
     # -- construction --------------------------------------------------------
 

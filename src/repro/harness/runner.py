@@ -216,7 +216,7 @@ def store_record(spec: RunSpec, record: RunRecord) -> None:
 
 
 def record_from_result(spec: RunSpec, result: RunResult,
-                       fastpath: "bool | None" = None) -> RunRecord:
+                       fastpath: "int | None" = None) -> RunRecord:
     """Extract a portable record and stamp its provenance manifest.
 
     This is the one place records are minted (the engine's legs and

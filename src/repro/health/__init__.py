@@ -68,9 +68,8 @@ def _zero_clock() -> int:
 class HealthMonitor:
     """Collects intervals + experiment events; segments and diagnoses."""
 
-    def __init__(self, tracker: Optional[PhaseTracker] = None,
-                 detectors: Optional[List[Detector]] = None):
-        self.tracker = tracker or PhaseTracker()
+    def __init__(self, detectors: Optional[List[Detector]] = None):
+        self.tracker = PhaseTracker()
         self.detectors = (detectors if detectors is not None
                           else default_detectors())
         self.intervals: List[Interval] = []

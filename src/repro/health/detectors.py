@@ -247,13 +247,13 @@ class CacheThrashDetector(Detector):
     """
 
     name = "cache_thrash"
+    #: A period counts as at the ceiling when its miss rate reaches
+    #: this fraction of the run's peak.
+    CEILING_FRACTION = 0.9
 
-    def __init__(self, ceiling_fraction: float = 0.9,
-                 rate_floor: float = 0.05, min_run: int = 8):
-        self.ceiling_fraction = ceiling_fraction
+    def __init__(self, rate_floor: float = 0.05, min_run: int = 8):
         self.rate_floor = rate_floor
         self.min_run = min_run
-        self._wins = 0       # experiments begun and never reverted
         self._begun = 0
         self._reverted = 0
 
@@ -268,7 +268,7 @@ class CacheThrashDetector(Detector):
         if not intervals:
             return []
         peak = max(iv.miss_rate for iv in intervals)
-        ceiling = max(self.rate_floor, self.ceiling_fraction * peak)
+        ceiling = max(self.rate_floor, self.CEILING_FRACTION * peak)
         if peak < self.rate_floor:
             return []
         best_run: List[Interval] = []

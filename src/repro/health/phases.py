@@ -13,9 +13,9 @@ stream into *phases* online with a change-point rule:
 * the tracker keeps a rolling centroid of the current phase and
   computes the normalized Euclidean distance of each new interval from
   it;
-* a boundary is committed only after ``hysteresis`` *consecutive*
-  intervals exceed ``threshold`` (single-interval spikes — a GC burst,
-  one compilation storm — must not flap the segmentation).
+* a boundary is committed only after :data:`HYSTERESIS` *consecutive*
+  intervals exceed :data:`THRESHOLD` (single-interval spikes — a GC
+  burst, one compilation storm — must not flap the segmentation).
 
 Everything is plain deterministic arithmetic over observed values: no
 randomness, no clock reads, no simulator mutation — the pure-observer
@@ -36,9 +36,9 @@ FEATURES = ("miss_rate", "gc_fraction", "alloc_rate", "samples",
 
 #: Normalized distance above which an interval counts against the
 #: current phase (see :class:`PhaseTracker`).
-DEFAULT_THRESHOLD = 0.30
+THRESHOLD = 0.30
 #: Consecutive exceeding intervals required to commit a boundary.
-DEFAULT_HYSTERESIS = 2
+HYSTERESIS = 2
 #: Intervals always absorbed into the first phase while scales settle.
 WARMUP_INTERVALS = 3
 
@@ -76,11 +76,7 @@ class Interval:
 class PhaseTracker:
     """Segments the interval stream into phases, online."""
 
-    def __init__(self, threshold: float = DEFAULT_THRESHOLD,
-                 hysteresis: int = DEFAULT_HYSTERESIS,
-                 warmup: int = WARMUP_INTERVALS):
-        self.threshold = threshold
-        self.hysteresis = max(1, hysteresis)
+    def __init__(self, warmup: int = WARMUP_INTERVALS):
         self.warmup = warmup
         self.phases: List[PhaseRecord] = []
         #: Per-dimension running scale (max magnitude observed).
@@ -89,7 +85,7 @@ class PhaseTracker:
         self._current: List[Interval] = []
         #: Intervals provisionally outside the current phase (the
         #: hysteresis buffer); committed as a new phase only once
-        #: ``hysteresis`` of them arrive back to back.
+        #: :data:`HYSTERESIS` of them arrive back to back.
         self._pending: List[Interval] = []
         self._seen = 0
 
@@ -133,7 +129,7 @@ class PhaseTracker:
         if self._seen <= self.warmup or not self._current:
             self._current.append(interval)
             return None
-        if self.distance(interval) <= self.threshold:
+        if self.distance(interval) <= THRESHOLD:
             # Interval belongs to the current phase; any pending
             # outliers were a transient — fold them back in.
             self._current.extend(self._pending)
@@ -141,7 +137,7 @@ class PhaseTracker:
             self._current.append(interval)
             return None
         self._pending.append(interval)
-        if len(self._pending) < self.hysteresis:
+        if len(self._pending) < HYSTERESIS:
             return None
         # Boundary committed: the pending run becomes the new phase.
         closed = self._close_current()

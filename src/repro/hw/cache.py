@@ -14,7 +14,7 @@ section 2).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List
 
 from repro.core.config import CacheConfig
 

@@ -115,7 +115,7 @@ class CPU:
     """
 
     def __init__(self, config: MachineConfig, mem: MemorySystem, runtime,
-                 scheduler=None, fastpath: "bool | int | None" = None):
+                 scheduler=None, fastpath: "int | None" = None):
         self.config = config
         self.mem = mem
         self.runtime = runtime

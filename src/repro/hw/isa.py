@@ -20,7 +20,7 @@ the characteristic baseline/opt performance gap of Jikes RVM.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 # Opcodes.  Dense small ints; dispatch in the CPU is an if/elif chain
 # ordered roughly by dynamic frequency.

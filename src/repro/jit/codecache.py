@@ -11,7 +11,7 @@ bisect-maintained method table.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.gc import layout

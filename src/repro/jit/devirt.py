@@ -14,8 +14,6 @@ deoptimize on conflicting class load).
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.jit.hir import HIRFunction, HIRInst
 
 

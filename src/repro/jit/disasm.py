@@ -11,9 +11,9 @@ examples; handy when debugging compiler changes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.hw.isa import OP_NAMES, M_BC, M_BR, M_CALL, M_CALLV
+from repro.hw.isa import OP_NAMES, M_BC, M_BR
 from repro.jit.codecache import LEVEL_OPT, CompiledMethod
 from repro.vm.bytecode import BRANCH_OPS
 from repro.vm.model import ClassInfo, FieldInfo, MethodInfo
@@ -89,11 +89,7 @@ def format_machine_code(cm: CompiledMethod,
 
 
 def format_compiled_method(cm: CompiledMethod,
-                           interest: Optional[dict] = None,
-                           with_bytecode: bool = True) -> str:
-    """Full listing: bytecode (if requested) plus annotated machine code."""
-    parts = []
-    if with_bytecode:
-        parts.append(format_bytecode(cm.method))
-    parts.append(format_machine_code(cm, interest))
-    return "\n\n".join(parts)
+                           interest: Optional[dict] = None) -> str:
+    """Full listing: bytecode plus annotated machine code."""
+    return (format_bytecode(cm.method) + "\n\n"
+            + format_machine_code(cm, interest))

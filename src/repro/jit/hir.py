@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.vm.bytecode import (
     BRANCH_OPS,
-    T_REF,
     TERMINAL_OPS,
     Analysis,
     analyze,

@@ -118,17 +118,14 @@ class _Splicer:
             jump.a = end
 
 
-def inline_bytecode(method: MethodInfo,
-                    max_callee_bytecodes: int = MAX_CALLEE_BYTECODES,
-                    max_growth: float = MAX_GROWTH,
-                    ) -> Tuple[List[Instr], int, int]:
+def inline_bytecode(method: MethodInfo) -> Tuple[List[Instr], int, int]:
     """Inline eligible call sites of ``method``.
 
     Returns ``(new code, new max_locals, inlined site count)``.  The
     original method is left untouched (instructions are copied).
     """
     code = method.code
-    budget = int(len(code) * max_growth)
+    budget = int(len(code) * MAX_GROWTH)
     out: List[Instr] = []
     old2new: List[int] = [0] * len(code)
     caller_branches: List[Tuple[Instr, int]] = []
@@ -139,7 +136,7 @@ def inline_bytecode(method: MethodInfo,
         old2new[idx] = len(out)
         op = instr.op
         if op == "invokestatic" and len(out) < budget \
-                and can_inline(method, instr.a, max_callee_bytecodes):
+                and can_inline(method, instr.a):
             callee: MethodInfo = instr.a
             # All splice sites share the slot range right above the
             # caller's frame: inlined locals are never live across
@@ -161,9 +158,7 @@ def inline_bytecode(method: MethodInfo,
     return out, method.max_locals + extra_locals, inlined
 
 
-def inlined_view(method: MethodInfo,
-                 max_callee_bytecodes: int = MAX_CALLEE_BYTECODES,
-                 max_growth: float = MAX_GROWTH) -> Optional[MethodInfo]:
+def inlined_view(method: MethodInfo) -> Optional[MethodInfo]:
     """A shadow MethodInfo with inlined code, or None if nothing inlined.
 
     The shadow is what the HIR builder consumes; the produced
@@ -172,8 +167,7 @@ def inlined_view(method: MethodInfo,
     (the call site's expansion), mirroring how real inlining maps
     machine code back through inline frames.
     """
-    new_code, new_locals, count = inline_bytecode(
-        method, max_callee_bytecodes, max_growth)
+    new_code, new_locals, count = inline_bytecode(method)
     if count == 0:
         return None
     shadow = MethodInfo(

@@ -13,7 +13,7 @@ how a sampled EIP resolves to an instructions-of-interest entry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.hw.isa import (
     MInst,

@@ -11,8 +11,6 @@ compilation time", section 5.1).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.jit.codecache import LEVEL_OPT, CompiledMethod
 from repro.jit.devirt import devirtualize
 from repro.jit.hir import build_hir
@@ -24,7 +22,6 @@ from repro.vm.model import MethodInfo
 
 
 def compile_opt(method: MethodInfo, *, inline: bool = True,
-                inline_max_bytecodes: Optional[int] = None,
                 devirt: bool = True) -> CompiledMethod:
     """Compile ``method`` at the optimizing level.
 
@@ -35,10 +32,7 @@ def compile_opt(method: MethodInfo, *, inline: bool = True,
     """
     source = method
     if inline:
-        kwargs = {}
-        if inline_max_bytecodes is not None:
-            kwargs["max_callee_bytecodes"] = inline_max_bytecodes
-        shadow = inlined_view(method, **kwargs)
+        shadow = inlined_view(method)
         if shadow is not None:
             source = shadow
     func = build_hir(source)

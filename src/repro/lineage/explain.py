@@ -39,6 +39,8 @@ from repro.lineage.ledger import (
 #: recent entry wins.
 _TARGET_PRIORITY = (K_REVERT, K_EXPERIMENT, K_GAP, K_PLACEMENT,
                     K_RECOMPILE, K_RANKING)
+#: Parents narrated per entry in a chain; the rest are counted.
+MAX_PARENTS = 3
 
 
 def index_entries(doc: dict) -> Dict[int, dict]:
@@ -227,9 +229,10 @@ def narrate(entry: dict) -> str:
     return f"{kind} entry"
 
 
-def _ordered_parents(entry: dict, by_id: Dict[int, dict],
-                     limit: int) -> "tuple[List[int], int]":
-    """Parents to narrate, most informative first, capped at ``limit``.
+def _ordered_parents(entry: dict,
+                     by_id: Dict[int, dict]) -> "tuple[List[int], int]":
+    """Parents to narrate, most informative first, capped at
+    :data:`MAX_PARENTS`.
 
     Periods can have dozens of attribution parents; prefer the ones
     that actually attributed samples, and report how many were elided.
@@ -241,10 +244,10 @@ def _ordered_parents(entry: dict, by_id: Dict[int, dict],
         return (-(parent.get("attributed") or 0), -pid)
 
     parents.sort(key=weight)
-    return parents[:limit], max(0, len(parents) - limit)
+    return parents[:MAX_PARENTS], max(0, len(parents) - MAX_PARENTS)
 
 
-def format_chain(doc: dict, target: dict, max_parents: int = 3) -> str:
+def format_chain(doc: dict, target: dict) -> str:
     """The indented justification narrative for one decision."""
     by_id = index_entries(doc)
     lines: List[str] = []
@@ -260,7 +263,7 @@ def format_chain(doc: dict, target: dict, max_parents: int = 3) -> str:
         entry = by_id[eid]
         lines.append(f"{indent}{arrow}#{eid} [cycle {entry['cycle']:,}] "
                      f"{narrate(entry)}")
-        parents, elided = _ordered_parents(entry, by_id, max_parents)
+        parents, elided = _ordered_parents(entry, by_id)
         for parent in parents:
             emit(parent, depth + 1)
         if elided:

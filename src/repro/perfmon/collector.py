@@ -15,7 +15,7 @@ polls come back nearly empty.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.core.config import PerfmonConfig
 from repro.observers import NO_OBSERVERS

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from repro.core.config import PerfmonConfig
+from repro.core.config import PEBSConfig, PerfmonConfig
 from repro.perfmon.kernel import PerfmonSession
 
 
@@ -37,7 +37,7 @@ class UserSampleLibrary:
         #: (provided by the VM; None in standalone tests).
         self.gc_guard = gc_guard
         #: Buffer capacity in samples: 80 KB / 40-byte samples.
-        self.capacity = config.user_buffer_bytes // 40
+        self.capacity = config.user_buffer_bytes // PEBSConfig.sample_bytes
         self.polls = 0
         self.samples_copied = 0
 

@@ -38,8 +38,7 @@ import json
 import re
 from typing import Dict, List, Optional
 
-from repro.telemetry.metrics import (Counter, Gauge, Histogram,
-                                     MetricsRegistry)
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.tracer import SpanEvent, Tracer
 
 #: Stable thread-id assignment so traces from different runs line up.
@@ -408,12 +407,13 @@ def _occupancy_row(spans, start: int, bucket: int, width: int) -> str:
 
 
 def format_timeline(tracer: Tracer, total_cycles: Optional[int] = None,
-                    width: int = 72, top_spans: int = 3) -> str:
+                    width: int = 72) -> str:
     """Render the trace as a text Gantt of per-category occupancy.
 
     Each row is one telemetry category (gc, perfmon, ...); each column
     covers ``total/width`` simulated cycles; the glyph encodes how much
     of that slice the category's spans occupied (' ' none .. '█' all).
+    The three longest spans follow the rows.
     """
     end = max(total_cycles or 0, tracer.end_cycle())
     if end <= 0 or not tracer.spans:
@@ -436,10 +436,8 @@ def format_timeline(tracer: Tracer, total_cycles: Optional[int] = None,
         lines.append(f"{cat:>{label_w}} |{row}| "
                      f"{len(spans)} spans, {busy:,} cy "
                      f"({busy / end:.1%})")
-    if top_spans:
-        lines.append("")
-        lines.append("longest spans:")
-        for ev in sorted(tracer.spans, key=lambda e: -e.dur)[:top_spans]:
-            lines.append(f"  {ev.cat}/{ev.name}: {ev.dur:,} cy "
-                         f"@ {ev.ts:,}")
+    lines.append("")
+    lines.append("longest spans:")
+    for ev in sorted(tracer.spans, key=lambda e: -e.dur)[:3]:
+        lines.append(f"  {ev.cat}/{ev.name}: {ev.dur:,} cy @ {ev.ts:,}")
     return "\n".join(lines)

@@ -22,7 +22,7 @@ Two properties matter for the paper's methodology:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 class Counter:

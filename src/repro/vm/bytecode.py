@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.vm.model import ClassInfo, FieldInfo, MethodInfo
+from repro.vm.model import ClassInfo, MethodInfo
 
 # ---------------------------------------------------------------------------
 # Instructions

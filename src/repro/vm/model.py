@@ -14,7 +14,7 @@ once per class, using 32-bit-era sizes (4-byte references and ints,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Object header size in bytes (status word + type information block).
 HEADER_BYTES = 8
@@ -86,7 +86,7 @@ class MethodInfo:
     __slots__ = (
         "name", "declaring_class", "is_static", "arg_kinds", "return_kind",
         "max_locals", "code", "vtable_slot",
-        "baseline_code", "opt_code", "current_code", "compile_count",
+        "opt_code", "current_code", "compile_count",
     )
 
     def __init__(self, name: str, declaring_class: "ClassInfo", *,
@@ -102,7 +102,6 @@ class MethodInfo:
         self.code = code
         self.vtable_slot: Optional[int] = None
         # JIT state.
-        self.baseline_code = None
         self.opt_code = None
         self.current_code = None
         self.compile_count = 0

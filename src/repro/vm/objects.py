@@ -14,10 +14,9 @@ the write barrier and the generational collectors dispatch on them.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.vm.model import (
-    ARRAY_HEADER_BYTES,
     KIND_BYTES,
     ClassInfo,
     array_bytes,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.vm.bytecode import Asm, BytecodeError, Instr, analyze
-from repro.vm.model import ClassInfo, FieldInfo, MethodInfo
+from repro.vm.model import ClassInfo, MethodInfo
 
 
 class Program:

@@ -101,7 +101,7 @@ class Snapshot:
         return cls(zlib.compress(raw), vm.cpu.cycles, vm.program.name,
                    pure=not vm.observers.attached)
 
-    def restore(self, fastpath: "bool | int | None" = None):
+    def restore(self, fastpath: "int | None" = None):
         """Materialize an independent VM, ready for ``advance()``.
 
         ``fastpath`` optionally overrides the execution level for the

@@ -284,7 +284,6 @@ class VM:
             self._charge_compile(
                 self.config.jit.baseline_cost_per_bc
                 * max(1, len(method.code)))
-        method.baseline_code = cm
         method.current_code = cm
         method.compile_count += 1
         if self.controller is not None:
@@ -299,7 +298,6 @@ class VM:
                              method=method.qualified_name):
             obs.compiled("opt", len(method.code))
             cm = compile_opt(method, inline=self.config.jit.inline,
-                             inline_max_bytecodes=self.config.jit.inline_max_bytecodes,
                              devirt=self.config.jit.devirtualize)
             self.codecache.install(cm)
             self._charge_compile(

@@ -74,6 +74,36 @@ def build_db() -> Workload:
     )
 
 
+def _stream_benchmark(name: str, *, buffer_len: int, rounds: int,
+                      kernel: str, fillers: int,
+                      description: str) -> Workload:
+    """Two int buffers streamed through one kernel, ``rounds`` times:
+    the shape compress and mpegaudio share."""
+    p = Program(name)
+    app = make_app_class(p)
+    stream = add_stream_kernel(p, app, buffer_len=buffer_len, name=kernel)
+    filler_methods = add_filler_methods(p, app, fillers)
+
+    fn = Fn(p, app, "main")
+    src = fn.local()
+    dst = fn.local()
+    fn.iconst(buffer_len).emit("newarray", "int").rstore(src)
+    fn.iconst(buffer_len).emit("newarray", "int").rstore(dst)
+    call_fillers(fn, app, filler_methods)
+    with fn.loop(rounds):
+        fn.rload(src).rload(dst).call(stream)
+        fn.getstatic(app, "checksum").emit("iadd").putstatic(app, "checksum")
+    _finish_main(fn, app)
+
+    return Workload(
+        name=name, program=p,
+        plan=CompilationPlan([stream.qualified_name]),
+        min_heap_bytes=320 * 1024,
+        description=description,
+        no_candidates=True,
+    )
+
+
 def build_compress() -> Workload:
     """_201_compress: block compression over large byte/int buffers.
 
@@ -81,31 +111,11 @@ def build_compress() -> Workload:
     LOS); there are no reference fields, hence *zero* co-allocation
     candidates (Figure 3).
     """
-    BUF = 96 * 1024 // 4  # 96 KB int buffers: the pair exceeds the L2
-    ROUNDS = 16
-    p = Program("compress")
-    app = make_app_class(p)
-    process = add_stream_kernel(p, app, buffer_len=BUF)
-    fillers = add_filler_methods(p, app, 10)
-
-    fn = Fn(p, app, "main")
-    src = fn.local()
-    dst = fn.local()
-    fn.iconst(BUF).emit("newarray", "int").rstore(src)
-    fn.iconst(BUF).emit("newarray", "int").rstore(dst)
-    call_fillers(fn, app, fillers)
-    with fn.loop(ROUNDS):
-        fn.rload(src).rload(dst).call(process)
-        fn.getstatic(app, "checksum").emit("iadd").putstatic(app, "checksum")
-    _finish_main(fn, app)
-
-    return Workload(
-        name="compress", program=p,
-        plan=CompilationPlan([process.qualified_name]),
-        min_heap_bytes=320 * 1024,
-        description="sequential compression over LOS-resident buffers",
-        no_candidates=True,
-    )
+    return _stream_benchmark(
+        "compress",
+        # 96 KB int buffers: the pair exceeds the L2.
+        buffer_len=96 * 1024 // 4, rounds=16, kernel="process", fillers=10,
+        description="sequential compression over LOS-resident buffers")
 
 
 def build_mpegaudio() -> Workload:
@@ -116,31 +126,11 @@ def build_mpegaudio() -> Workload:
     ("mpegaudio shows varying numbers ... from the event monitoring and
     processing", section 6.3).
     """
-    TABLE = 6 * 1024 // 4  # 6 KB tables: inside L1 after warm-up
-    ROUNDS = 130
-    p = Program("mpegaudio")
-    app = make_app_class(p)
-    decode = add_stream_kernel(p, app, buffer_len=TABLE, name="decode")
-    fillers = add_filler_methods(p, app, 65)
-
-    fn = Fn(p, app, "main")
-    coeff = fn.local()
-    frame = fn.local()
-    fn.iconst(TABLE).emit("newarray", "int").rstore(coeff)
-    fn.iconst(TABLE).emit("newarray", "int").rstore(frame)
-    call_fillers(fn, app, fillers)
-    with fn.loop(ROUNDS):
-        fn.rload(coeff).rload(frame).call(decode)
-        fn.getstatic(app, "checksum").emit("iadd").putstatic(app, "checksum")
-    _finish_main(fn, app)
-
-    return Workload(
-        name="mpegaudio", program=p,
-        plan=CompilationPlan([decode.qualified_name]),
-        min_heap_bytes=320 * 1024,
-        description="decode loops over cache-resident tables",
-        no_candidates=True,
-    )
+    return _stream_benchmark(
+        "mpegaudio",
+        # 6 KB tables: inside L1 after warm-up.
+        buffer_len=6 * 1024 // 4, rounds=130, kernel="decode", fillers=65,
+        description="decode loops over cache-resident tables")
 
 
 def build_jess() -> Workload:

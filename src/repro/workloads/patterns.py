@@ -25,7 +25,7 @@ and these kernels reproduce them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.jit.aos import CompilationPlan
 from repro.vm.model import ClassInfo, MethodInfo
@@ -51,13 +51,11 @@ class Workload:
     no_candidates: bool = False
 
 
-def make_app_class(program: Program, extra_statics: int = 0) -> ClassInfo:
+def make_app_class(program: Program) -> ClassInfo:
     """The benchmark's driver class with a checksum static."""
     app = program.define_class("App")
     app.add_static("checksum", "int")
     app.add_static("rngstate", "int")
-    for i in range(extra_statics):
-        app.add_static(f"g{i}", "int")
     app.seal()
     return app
 
@@ -67,7 +65,6 @@ def make_app_class(program: Program, extra_statics: int = 0) -> ClassInfo:
 # ---------------------------------------------------------------------------
 
 def define_pair_classes(program: Program, parent_name: str,
-                        payload_kind: str = "char",
                         pad_ints: int = 0) -> ClassInfo:
     """``class Parent { ref data; int pad0..padK }`` with an array child."""
     parent = program.define_class(parent_name)
@@ -122,8 +119,6 @@ def define_pair_factory(program: Program, app: ClassInfo, parent: ClassInfo,
 def add_pair_kernel(program: Program, app: ClassInfo, parent: ClassInfo,
                     make: MethodInfo, *, n: int, churn_mask: int,
                     payload_len: int, payload_kind: str = "char",
-                    shuffled: bool = True,
-                    deref_payload: bool = True,
                     data_field: str = "data",
                     key_field: str = "key") -> MethodInfo:
     """``static int scan(ref table)``: one pass of shuffled lookups.
@@ -143,12 +138,9 @@ def add_pair_kernel(program: Program, app: ClassInfo, parent: ClassInfo,
     obj = fn.local()
     fn.getstatic(app, "rngstate").istore(state)
     fn.iconst(0).istore(acc)
-    with fn.loop(n) as i:
-        if shuffled:
-            lcg_step(fn, state, n)
-            fn.istore(idx)
-        else:
-            fn.iload(i).istore(idx)
+    with fn.loop(n):
+        lcg_step(fn, state, n)
+        fn.istore(idx)
         if churn_mask >= 0:
             # if ((state >> 16) & mask) == 0: table[idx] = make(idx)
             # (decided from the LCG's high bits, independent of idx)
@@ -166,14 +158,13 @@ def add_pair_kernel(program: Program, app: ClassInfo, parent: ClassInfo,
         fn.iload(acc)
         fn.rload(obj).getfield(parent, key_field)
         fn.emit("iadd").istore(acc)
-        if deref_payload:
-            # acc += obj.data[idx % obj.data.length]  <- the attributed miss
-            fn.iload(acc)
-            fn.rload(obj).getfield(parent, data_field)
-            fn.emit("dup").emit("arraylength")
-            fn.iload(idx).emit("swap").emit("irem")
-            fn.emit("arrload", payload_kind)
-            fn.emit("iadd").istore(acc)
+        # acc += obj.data[idx % obj.data.length]  <- the attributed miss
+        fn.iload(acc)
+        fn.rload(obj).getfield(parent, data_field)
+        fn.emit("dup").emit("arraylength")
+        fn.iload(idx).emit("swap").emit("irem")
+        fn.emit("arrload", payload_kind)
+        fn.emit("iadd").istore(acc)
     fn.iload(state).putstatic(app, "rngstate")
     fn.iload(acc).iret()
     return fn.finish()
@@ -198,7 +189,7 @@ def add_pair_setup(program: Program, app: ClassInfo, make: MethodInfo,
 # ---------------------------------------------------------------------------
 
 def add_stream_kernel(program: Program, app: ClassInfo, *, buffer_len: int,
-                      kind: str = "int", name: str = "process") -> MethodInfo:
+                      name: str = "process") -> MethodInfo:
     """``static int process(ref src, ref dst)``: sequential transform.
 
     The buffers are large enough for the LOS; accesses are sequential so
@@ -213,12 +204,12 @@ def add_stream_kernel(program: Program, app: ClassInfo, *, buffer_len: int,
     with fn.loop(buffer_len) as i:
         # dst[i] = (src[i] * 31 + acc) & 0xffff; acc ^= dst[i]
         fn.rload(dst).iload(i)
-        fn.rload(src).iload(i).emit("arrload", kind)
+        fn.rload(src).iload(i).emit("arrload", "int")
         fn.iconst(31).emit("imul").iload(acc).emit("iadd")
         fn.iconst(0xFFFF).emit("iand")
-        fn.emit("arrstore", kind)
+        fn.emit("arrstore", "int")
         fn.iload(acc)
-        fn.rload(dst).iload(i).emit("arrload", kind)
+        fn.rload(dst).iload(i).emit("arrload", "int")
         fn.emit("ixor").istore(acc)
     fn.iload(acc).iret()
     return fn.finish()

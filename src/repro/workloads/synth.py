@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import count
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.vm.bytecode import Asm
-from repro.vm.model import ClassInfo, FieldInfo, MethodInfo
+from repro.vm.model import ClassInfo, MethodInfo
 from repro.vm.program import Program
 
 

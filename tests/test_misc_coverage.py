@@ -1,8 +1,13 @@
 """Coverage for smaller APIs: GC stats, workload metadata used by the
-oracle ablation, and the ablation helpers."""
+oracle ablation, the ablation helpers, and the configuration surface."""
+
+import ast
+import dataclasses
+import pathlib
 
 import pytest
 
+from repro.core import config
 from repro.gc.stats import GCStats
 from repro.harness import ablations as ab
 from repro.workloads import suite
@@ -66,3 +71,28 @@ class TestAblationHelpers:
         assert result.baseline_cycles > 0
         # The oracle co-allocates at least as much as online guidance.
         assert result.oracle_coalloc >= result.online_coalloc
+
+
+class TestConfigSurface:
+    def test_every_config_field_is_read(self):
+        """A config field (or config property) nothing under
+        ``src/repro`` reads as ``.name`` is a setting without a user:
+        make it a constant or delete it."""
+        package = pathlib.Path(config.__file__).parents[1]
+        read = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+        unread = []
+        for cls in vars(config).values():
+            if not (dataclasses.is_dataclass(cls)
+                    and cls.__module__ == config.__name__):
+                continue
+            names = [f.name for f in dataclasses.fields(cls)]
+            names += [name for name, value in vars(cls).items()
+                      if isinstance(value, property)]
+            unread += [f"{cls.__name__}.{name}" for name in names
+                       if name not in read]
+        assert unread == []

@@ -17,8 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from tests.helpers import BASELINE_ONLY, hog_program
-from repro.core.config import (GCConfig, SystemConfig, fastpath_enabled,
-                               fastpath_level)
+from repro.core.config import GCConfig, SystemConfig, fastpath_level
 from repro.harness import diskcache, runner
 from repro.harness.record import RunRecord
 from repro.gc.plan import HeapExhausted
@@ -71,7 +70,7 @@ def _loop_program(iters=200):
     return p, app
 
 
-def _vm(program, fastpath=True, plan=BASELINE_ONLY):
+def _vm(program, fastpath=2, plan=BASELINE_ONLY):
     cfg = SystemConfig(monitoring=False,
                        gc=GCConfig(heap_bytes=2 * 1024 * 1024),
                        fastpath=fastpath)
@@ -81,24 +80,22 @@ def _vm(program, fastpath=True, plan=BASELINE_ONLY):
 class TestKnob:
     def test_explicit_setting_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert fastpath_enabled(True) is True
+        assert fastpath_level(2) == 2
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert fastpath_enabled(False) is False
+        assert fastpath_level(0) == 0
 
     def test_env_default_is_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert fastpath_enabled() is True
+        assert fastpath_level() == 2
         monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert fastpath_enabled() is False
+        assert fastpath_level() == 0
 
     def test_levels(self, monkeypatch):
-        # Bools mean "reference" / "fastest", not levels 0/1 (True == 1
-        # in Python; the bool check must win over the int clamp).
-        assert fastpath_level(True) == 2
-        assert fastpath_level(False) == 0
+        assert fastpath_level(2) == 2
+        assert fastpath_level(0) == 0
         for setting, level in ((0, 0), (1, 1), (2, 2), (5, 2), (-3, 0)):
             assert fastpath_level(setting) == level
-        assert fastpath_enabled(1) is True
+        assert fastpath_level(1) > 0
         monkeypatch.setenv("REPRO_FASTPATH", "1")
         assert fastpath_level() == 1
         monkeypatch.setenv("REPRO_FASTPATH", "0")
@@ -108,8 +105,8 @@ class TestKnob:
 
     def test_cpu_fastpath_follows_config(self):
         p, _ = _loop_program()
-        assert _vm(p, fastpath=True).cpu.fastpath_level == 2
-        assert _vm(p, fastpath=False).cpu.fastpath_level == 0
+        assert _vm(p, fastpath=2).cpu.fastpath_level == 2
+        assert _vm(p, fastpath=0).cpu.fastpath_level == 0
         assert _vm(p, fastpath=1).cpu.fastpath_level == 1
 
     def test_level1_translation_has_no_blocks(self):
@@ -184,7 +181,7 @@ class TestBitIdentity:
         RunSpec(benchmark="db", monitoring=False),
     ], ids=["fop-monitored", "fop-coalloc-gencopy", "db-unmonitored"])
     def test_records_identical(self, spec, level):
-        ref = RunRecord.from_result(execute(spec, fastpath=False))
+        ref = RunRecord.from_result(execute(spec, fastpath=0))
         fast = RunRecord.from_result(execute(spec, fastpath=level))
         assert fast.to_json() == ref.to_json()
 
