@@ -36,14 +36,22 @@ execute and in the counted form the others do (``counted_sha256``; the
 same text where no ring has a typed reference store or an allocation,
 as in ``compress`` and ``mpegaudio``).
 
+``tests/golden/programs.json`` pins what each guest *is*, before any
+of it runs: the sha256 of a canonical dump of the built workload — its
+classes with field offsets and statics, every method's signature,
+``max_locals`` and bytecode, the compilation plan, minimum heap, hot
+fields and description — for each suite guest plus ``phased``.  It
+takes well under a second, so a change to how the guests are composed
+shows here before any simulated number moves.
+
 The golden files change only when simulated behaviour (or what an
-observer emits, or what the superblock or region emitter writes) is
-meant to change.  Regenerate all four with::
+observer emits, what the superblock or region emitter writes, or what
+a guest program is) is meant to change.  Regenerate all five with::
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
 or name the ones to regenerate (``digests``, ``observers``,
-``superblocks``, ``regions``), so a deliberate change to one pin file
+``superblocks``, ``regions``, ``programs``), so a deliberate change to one pin file
 cannot rewrite the others in the same step::
 
     PYTHONPATH=src python tests/test_golden_digests.py regions
@@ -72,6 +80,7 @@ GOLDEN_PATH = os.path.join(GOLDEN_DIR, "digests.json")
 OBSERVERS_PATH = os.path.join(GOLDEN_DIR, "observers.json")
 SUPERBLOCKS_PATH = os.path.join(GOLDEN_DIR, "superblocks.json")
 REGIONS_PATH = os.path.join(GOLDEN_DIR, "regions.json")
+PROGRAMS_PATH = os.path.join(GOLDEN_DIR, "programs.json")
 UNTIL_CYCLES = 1_500_000
 
 CONFIGS = {
@@ -174,6 +183,45 @@ def region_digest(guest: str) -> dict:
                            counted_sha256={"counted": True})
 
 
+def program_dump(guest: str) -> dict:
+    """The built workload ``guest`` as plain data: every class in
+    definition order with its layout, statics and methods (bytecode by
+    ``repr``, branch targets already resolved to pcs), plus the
+    workload's metadata."""
+    workload = suite.build(guest)
+    program = workload.program
+    return {
+        "name": workload.name,
+        "plan": workload.plan.opt_methods,
+        "min_heap_bytes": workload.min_heap_bytes,
+        "description": workload.description,
+        "hot_fields": workload.hot_fields,
+        "no_candidates": workload.no_candidates,
+        "main": program.main.qualified_name,
+        "classes": [{
+            "name": klass.name,
+            "super": klass.superclass and klass.superclass.name,
+            "instance_bytes": klass.instance_bytes,
+            "fields": [repr(f) for f in klass.fields],
+            "statics": [[repr(f), value] for f, value in zip(
+                klass.static_fields.values(), klass.static_values)],
+            "methods": [{
+                "name": m.name,
+                "static": m.is_static,
+                "args": m.arg_kinds,
+                "returns": m.return_kind,
+                "max_locals": m.max_locals,
+                "code": [repr(instr) for instr in m.code],
+            } for m in klass.methods.values()],
+        } for klass in program.classes.values()],
+    }
+
+
+def program_digest(guest: str) -> str:
+    """sha256 of :func:`program_dump`."""
+    return _sha(program_dump(guest))
+
+
 def load_golden(path: str = GOLDEN_PATH) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -213,6 +261,13 @@ def test_region_source_matches_golden(guest):
         f"regenerate with: python tests/test_golden_digests.py regions")
 
 
+@pytest.mark.parametrize("guest", GUESTS)
+def test_program_matches_golden(guest):
+    assert program_digest(guest) == load_golden(PROGRAMS_PATH)[guest], (
+        f"the program built for {guest} changed; if that is intended, "
+        f"regenerate with: python tests/test_golden_digests.py programs")
+
+
 def test_counted_form_only_where_a_count_is_kept():
     """``compress`` and ``mpegaudio`` (``sim_compute``) have no ring
     with a typed reference store or an allocation: both forms are one
@@ -233,6 +288,8 @@ PIN_FILES = {
         guest: superblock_digest(guest) for guest in GUESTS}),
     "regions": (REGIONS_PATH, lambda: {
         guest: region_digest(guest) for guest in GUESTS}),
+    "programs": (PROGRAMS_PATH, lambda: {
+        guest: program_digest(guest) for guest in GUESTS}),
 }
 
 
