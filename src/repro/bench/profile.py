@@ -32,6 +32,9 @@ _MIN_STACK_S = 1e-6
 #: Depth bound for the proportional stack walk (recursion guard).
 _MAX_DEPTH = 64
 
+#: Subsystems :func:`format_report` lists before eliding the rest.
+_REPORT_ROWS = 12
+
 
 def subsystem_of(filename: Optional[str]) -> str:
     """Map a frame's filename to a repro subsystem bucket.
@@ -204,8 +207,9 @@ def profile_case(case, overrides: Optional[Dict[str, object]] = None
     return profile_callable(once, name=case.name)
 
 
-def format_report(report: ProfileReport, top: int = 12) -> str:
-    """Render the subsystem attribution table."""
+def format_report(report: ProfileReport) -> str:
+    """Render the subsystem attribution table (the ``_REPORT_ROWS``
+    largest subsystems)."""
     total = report.total_self_s or 1.0
     lines = [f"profile of {report.name!r}: wall {report.wall_s:.2f}s, "
              f"profiled self time {report.total_self_s:.2f}s, "
@@ -214,11 +218,11 @@ def format_report(report: ProfileReport, top: int = 12) -> str:
              f"{'calls':>10}  hottest frame"
     lines.append(header)
     lines.append("-" * len(header))
-    for row in report.rows[:top]:
+    for row in report.rows[:_REPORT_ROWS]:
         lines.append(f"{row.subsystem:<10} {row.self_s:>8.3f} "
                      f"{row.self_s / total:>6.1%} {row.calls:>10,}  "
                      f"{row.top_label}")
-    hidden = len(report.rows) - top
+    hidden = len(report.rows) - _REPORT_ROWS
     if hidden > 0:
         lines.append(f"... {hidden} smaller subsystem(s) elided")
     return "\n".join(lines)

@@ -138,16 +138,13 @@ class FleetClient:
     def shutdown(self) -> dict:
         return self._request("POST", "/shutdown")
 
-    def events(self, fmt: str = "jsonl",
-               backlog: bool = True) -> Iterator[dict]:
-        """Tail ``GET /events`` as parsed JSON docs until the daemon
+    def events(self, backlog: bool = True) -> Iterator[dict]:
+        """Tail ``GET /events`` as JSONL, parsed, until the daemon
         announces shutdown or the connection drops."""
-        query = {"format": fmt} if fmt == "jsonl" else {}
+        query = {"format": "jsonl"}
         if not backlog:
             query["backlog"] = "0"
-        path = "/events"
-        if query:
-            path += "?" + urllib.parse.urlencode(query)
+        path = "/events?" + urllib.parse.urlencode(query)
         conn = self._connect(None)  # stream: no read timeout
         try:
             conn.request("GET", path)
@@ -163,8 +160,6 @@ class FleetClient:
                 text = line.decode("utf-8").strip()
                 if not text:
                     continue
-                if text.startswith("data:"):  # SSE framing
-                    text = text[len("data:"):].strip()
                 try:
                     yield json.loads(text)
                 except json.JSONDecodeError:

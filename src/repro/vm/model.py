@@ -165,16 +165,15 @@ class ClassInfo:
         self.instance_bytes = offset + size
         return field
 
-    def add_static(self, name: str, kind: str, initial: object = None) -> FieldInfo:
+    def add_static(self, name: str, kind: str) -> FieldInfo:
+        """Append a static field, initially ``0`` (``None`` for a ref)."""
         if name in self.static_fields:
             raise ValueError(f"duplicate static {self.name}.{name}")
         index = len(self.static_values)
         field = FieldInfo(name, kind, self, offset=index * 4, index=index,
                           is_static=True)
         self.static_fields[name] = field
-        if initial is None and kind != REF_KIND:
-            initial = 0
-        self.static_values.append(initial)
+        self.static_values.append(None if kind == REF_KIND else 0)
         return field
 
     def add_method(self, method: MethodInfo) -> MethodInfo:

@@ -49,7 +49,7 @@ def build_phased() -> Workload:
     p = Program("phased")
     app = make_app_class(p)
     rec = define_pair_classes(p, "Rec", pad_ints=2)
-    make = define_pair_factory(p, app, rec, PAYLOAD, payload_span=16)
+    make = define_pair_factory(p, rec, PAYLOAD, payload_span=16)
     setup = add_pair_setup(p, app, make, N)
     scan = add_pair_kernel(p, app, rec, make, n=N, churn_mask=3,
                            payload_len=PAYLOAD)

@@ -76,10 +76,9 @@ def define_pair_classes(program: Program, parent_name: str,
     return parent
 
 
-def define_pair_factory(program: Program, app: ClassInfo, parent: ClassInfo,
+def define_pair_factory(program: Program, parent: ClassInfo,
                         payload_len: int, payload_kind: str = "char",
-                        fill: bool = True, data_field: str = "data",
-                        key_field: str = "key",
+                        data_field: str = "data", key_field: str = "key",
                         payload_span: int = 0) -> MethodInfo:
     """``static Parent make(int seed)``: child array + parent object.
 
@@ -89,8 +88,6 @@ def define_pair_factory(program: Program, app: ClassInfo, parent: ClassInfo,
     coarse size classes and *increase* internal fragmentation, the
     small-heap cost the paper observes in section 6.3.
     """
-    from repro.workloads.synth import local_ref
-
     fn = Fn(program, parent, "make", args=["int"], returns="ref")
     seed = 0
     arr = fn.local()
@@ -104,11 +101,10 @@ def define_pair_factory(program: Program, app: ClassInfo, parent: ClassInfo,
     else:
         fn.iconst(payload_len).istore(length)
     fn.iload(length).emit("newarray", payload_kind).rstore(arr)
-    if fill:
-        with fn.loop(local_ref(length)) as i:
-            fn.rload(arr).iload(i)
-            fn.iload(seed).iload(i).emit("iadd").iconst(0xFF).emit("iand")
-            fn.emit("arrstore", payload_kind)
+    with fn.loop(local_ref(length)) as i:
+        fn.rload(arr).iload(i)
+        fn.iload(seed).iload(i).emit("iadd").iconst(0xFF).emit("iand")
+        fn.emit("arrstore", payload_kind)
     fn.new(parent).rstore(obj)
     fn.rload(obj).rload(arr).putfield(parent, data_field)
     fn.rload(obj).iload(seed).putfield(parent, key_field)

@@ -7,6 +7,9 @@ locals, loops, branches, objects, arrays, calls — and checks:
 * results are independent of monitoring / co-allocation / GC plan,
 * GC pressure never corrupts live data (field values survive arbitrary
   collection schedules).
+
+It also draws whole suite rows (:class:`repro.workloads.suite.Analog`)
+nobody wrote, composed by the same :func:`build_analog` as Table 1.
 """
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import BASELINE_ONLY, check_claims
 from repro.core.config import GCConfig, SystemConfig
+from repro.harness.record import RunRecord
 from repro.hw import translate
 from repro.hw.isa import M_NEW, M_NEWARR
 from repro.hw.translate import region_source, superblock_rings
@@ -23,6 +27,7 @@ from repro.jit.baseline import compile_baseline
 from repro.jit.opt import compile_opt
 from repro.vm.program import Program
 from repro.vm.vmcore import VM, run_program
+from repro.workloads.suite import Analog, Pair, Stream, Young, build_analog
 from repro.workloads.synth import Fn
 
 # One program recipe = a list of small composable "actions" interpreted
@@ -45,6 +50,29 @@ ACTIONS = st.lists(
     ),
     min_size=1, max_size=10,
 )
+
+# A suite row nobody wrote: at most one of each kernel, in a drawn
+# order, at tiny sizes.
+PAIRS = st.builds(Pair, parent=st.sampled_from(["String", "Node"]),
+                  n=st.integers(1, 32), churn_mask=st.integers(-1, 3),
+                  payload_len=st.integers(1, 8),
+                  payload_span=st.integers(0, 4), pad_ints=st.integers(0, 2),
+                  payload_kind=st.sampled_from(["char", "int", "long"]))
+YOUNGS = st.builds(
+    lambda burst, every, refs, ints: Young(
+        "Tmp", burst, every, keep_len=burst // every + 1, ref_fields=refs,
+        int_fields=ints),
+    st.integers(1, 64), st.integers(1, 8), st.integers(1, 2),
+    st.integers(1, 3))
+STREAMS = st.builds(Stream, buffer_len=st.integers(1, 64))
+ANALOGS = st.builds(
+    Analog, name=st.just("drawn"),
+    kernels=st.permutations([PAIRS, YOUNGS, STREAMS]).flatmap(
+        lambda order: st.integers(1, 3).flatmap(
+            lambda k: st.tuples(*order[:k]))),
+    rounds=st.integers(1, 8), fillers=st.integers(0, 3),
+    min_heap_kb=st.integers(12, 32), description=st.just("drawn row"),
+    seed=st.none() | st.integers(0, 2 ** 31 - 1))
 
 
 def build_random_program(actions, rounds=1):
@@ -223,6 +251,25 @@ class TestInterpreterEquivalenceFuzz:
     @settings(max_examples=10, deadline=None)
     def test_fastpath_matches_reference_monitoring(self, actions):
         self._differential(actions, monitoring=True)
+
+    @given(ANALOGS, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_analog_matches_reference(self, row, coalloc):
+        """A composed suite row, co-allocating or not, on a 4 KB
+        nursery (about a third of the rows collect): the whole-run
+        record is the same at every level."""
+        records = []
+        for level in (0, 1, 2):
+            workload = build_analog(row)
+            config = SystemConfig(
+                monitoring=coalloc, coalloc=coalloc, fastpath=level,
+                gc=GCConfig(heap_bytes=row.min_heap_kb * 1024,
+                            min_nursery_bytes=4096, max_nursery_bytes=4096))
+            result = VM(workload.program, config,
+                        compilation_plan=workload.plan).run()
+            records.append(RunRecord.from_result(result).to_json())
+        assert records[1] == records[0]
+        assert records[2] == records[0]
 
     @given(ACTIONS, st.integers(2, 30), st.booleans())
     @settings(max_examples=30, deadline=None)

@@ -73,7 +73,7 @@ class TestPatterns:
         p = Program("t")
         app = make_app_class(p)
         parent = define_pair_classes(p, "Rec")
-        make = define_pair_factory(p, app, parent, payload_len=8,
+        make = define_pair_factory(p, parent, payload_len=8,
                                    payload_span=16)
         fn = Fn(p, app, "main")
         r = fn.local()
