@@ -49,7 +49,7 @@ def add_run_options(p, positional: str = "benchmark",
     ``submit`` names several benchmarks, so the positional is a
     parameter; the rest has one spelling.
     """
-    # Table 1 plus the adversarial probes (e.g. "phased", the health
+    # Table 1 plus the probes of suite.PROBES (e.g. "phased", the health
     # observatory's phase-shift workload).
     p.add_argument(positional, choices=suite.extended_names(),
                    **positional_kwargs)

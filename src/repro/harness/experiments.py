@@ -36,7 +36,7 @@ from repro.jit.baseline import compile_baseline
 from repro.jit.maps import MapSizes, method_map_sizes
 from repro.vm.program import Program
 from repro.workloads import suite
-from repro.workloads.patterns import add_filler_methods, make_app_class
+from repro.workloads.suite import add_filler_methods, make_app_class
 
 #: The heap sizes of Figures 5 and 6, as multiples of the minimum heap.
 HEAP_MULTS = (1.0, 1.5, 2.0, 3.0, 4.0)

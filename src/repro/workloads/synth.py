@@ -131,27 +131,6 @@ class Fn:
         self.emit("goto", head)
         self.label(done)
 
-    @contextmanager
-    def if_nonzero(self):
-        """Emit an if-block guarded by the int on top of the stack."""
-        skip = self.fresh_label("skip")
-        self.emit("ifz", "eq", skip)
-        yield
-        self.label(skip)
-
-    @contextmanager
-    def if_cond(self, cond: str):
-        """If-block comparing the two ints on top of the stack.
-
-        ``cond`` is the condition under which the block *runs*.
-        """
-        inverse = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt",
-                   "gt": "le", "le": "gt"}[cond]
-        skip = self.fresh_label("skip")
-        self.emit("if_icmp", inverse, skip)
-        yield
-        self.label(skip)
-
     # -- finalization ---------------------------------------------------------------
 
     def ret(self) -> "Fn":

@@ -3,6 +3,7 @@
 import collections
 import os
 import sys
+from contextlib import contextmanager
 
 from repro.core.config import (CacheConfig, GCConfig, MachineConfig,
                                SystemConfig, TLBConfig)
@@ -102,6 +103,29 @@ def define_string_factory(program):
     fn.rload(s).iload(length).putfield(string_class, "count")
     fn.rload(s).rret()
     return fn.finish()
+
+
+@contextmanager
+def if_nonzero(fn):
+    """Emit an if-block in ``fn`` guarded by the int on top of the stack."""
+    skip = fn.fresh_label("skip")
+    fn.emit("ifz", "eq", skip)
+    yield
+    fn.label(skip)
+
+
+@contextmanager
+def if_cond(fn, cond: str):
+    """If-block in ``fn`` comparing the two ints on top of the stack.
+
+    ``cond`` is the condition under which the block *runs*.
+    """
+    inverse = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt",
+               "gt": "le", "le": "gt"}[cond]
+    skip = fn.fresh_label("skip")
+    fn.emit("if_icmp", inverse, skip)
+    yield
+    fn.label(skip)
 
 
 def static_hot_fields(table: dict):

@@ -8,7 +8,7 @@ registers across GC points inside loops.
 
 import pytest
 
-from tests.helpers import BASELINE_ONLY
+from tests.helpers import BASELINE_ONLY, if_nonzero
 from repro.core.config import GCConfig, SystemConfig
 from repro.jit.aos import CompilationPlan
 from repro.vm.program import Program
@@ -111,7 +111,7 @@ class TestParallelMoves:
         def body(fn, app, node):
             fn.iconst(5).iconst(9)
             fn.iload(0)
-            with fn.if_nonzero():
+            with if_nonzero(fn):
                 fn.emit("swap")
             fn.emit("isub").iret()
         assert agree(body, args_value=1) == 4    # swapped: 9 - 5

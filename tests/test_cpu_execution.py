@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import BASELINE_ONLY, int_main, run_main
+from tests.helpers import BASELINE_ONLY, if_cond, int_main, run_main
 from repro.core.config import GCConfig, SystemConfig
 from repro.hw.isa import GuestError
 from repro.jit.aos import CompilationPlan
@@ -89,7 +89,7 @@ class TestControlFlow:
             out = fn.local()
             fn.iconst(0).istore(out)
             fn.iconst(3).iconst(5)
-            with fn.if_cond("lt"):
+            with if_cond(fn, "lt"):
                 fn.iconst(77).istore(out)
             fn.iload(out)
         assert arith(body) == 77
@@ -290,7 +290,7 @@ class TestCompilerEquivalence:
             work.iconst(0xFFFF).emit("iand")
             work.istore(acc)
             work.iload(acc).iconst(100)
-            with work.if_cond("gt"):
+            with if_cond(work, "gt"):
                 work.iload(acc).iconst(7).emit("irem").istore(acc)
         work.iload(acc).iload(n).emit("iadd").iret()
         return work.finish()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import BASELINE_ONLY, check_claims
+from tests.helpers import BASELINE_ONLY, check_claims, if_cond
 from repro.core.config import GCConfig, SystemConfig
 from repro.harness.record import RunRecord
 from repro.hw import translate
@@ -59,11 +59,11 @@ PAIRS = st.builds(Pair, parent=st.sampled_from(["String", "Node"]),
                   payload_span=st.integers(0, 4), pad_ints=st.integers(0, 2),
                   payload_kind=st.sampled_from(["char", "int", "long"]))
 YOUNGS = st.builds(
-    lambda burst, every, refs, ints: Young(
-        "Tmp", burst, every, keep_len=burst // every + 1, ref_fields=refs,
-        int_fields=ints),
-    st.integers(1, 64), st.integers(1, 8), st.integers(1, 2),
-    st.integers(1, 3))
+    lambda burst, every, slack, refs, ints: Young(
+        "Tmp", burst, every, keep_len=(burst - 1) // every + 1 + slack,
+        ref_fields=refs, int_fields=ints),
+    st.integers(1, 64), st.integers(1, 8), st.integers(0, 2),
+    st.integers(1, 2), st.integers(1, 3))
 STREAMS = st.builds(Stream, buffer_len=st.integers(1, 64))
 ANALOGS = st.builds(
     Analog, name=st.just("drawn"),
@@ -145,7 +145,7 @@ def _emit_actions(fn, actions, locals_, boxes, box):
             out = fn.local()
             fn.istore(out)
             fn.iload(out).iconst(threshold)
-            with fn.if_cond(cond):
+            with if_cond(fn, cond):
                 fn.iload(out).iconst(3).emit("imul").istore(out)
             fn.iload(out)
         elif kind == "field":

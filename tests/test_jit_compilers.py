@@ -2,6 +2,7 @@
 
 import pytest
 
+from tests.helpers import if_nonzero
 from repro.hw.isa import (
     GC_POINT_OPS,
     M_BC, M_BR, M_CALL, M_GETF, M_LDF, M_MOV, M_NEW, M_STF,
@@ -132,7 +133,7 @@ class TestHIR:
         p, app, box = simple_program()
         fn = Fn(p, app, "cond", args=["int"], returns="int")
         fn.iload(0)
-        with fn.if_nonzero():
+        with if_nonzero(fn):
             fn.iconst(1).putstatic(app, "out")
         fn.iconst(0).iret()
         func = build_hir(fn.finish())

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tests.helpers import BASELINE_ONLY, hog_program
+from tests.helpers import BASELINE_ONLY, hog_program, if_cond, if_nonzero
 from repro.core.config import GCConfig, SystemConfig, fastpath_level
 from repro.harness import diskcache, runner
 from repro.harness.record import RunRecord
@@ -564,7 +564,7 @@ class TestFaultParity:
             work.rload(arr).iconst(1).iload(0).emit("arrstore", "int")
             work.iconst(3).istore(acc)
             work.iload(0)
-            with work.if_nonzero():      # ends the storing block
+            with if_nonzero(work):      # ends the storing block
                 work.iconst(9).istore(acc)
             work.iload(acc).iconst(2).emit("imul").iload(0).emit("idiv")
             work.iret()
@@ -1480,7 +1480,7 @@ def _alloc_program(iters, length=None, negative_at=None, zero_at=None):
             fn.emit("idiv").istore(acc)
         fn.rload(obj).iload(i).putfield(box, "v")
         fn.iload(i).iconst(1).emit("iand").iconst(0)
-        with fn.if_cond("eq"):
+        with if_cond(fn, "eq"):
             fn.rload(obj).rload(kept).putfield(box, "next")
             fn.rload(obj).rstore(kept)
         if length is not None or negative_at is not None:

@@ -10,12 +10,8 @@ from repro.harness.runner import (INTERVAL_NAMES, RunSpec, clear_cache,
 from repro.vm.program import Program
 from repro.workloads import suite
 from repro.workloads.synth import Fn, local_ref
-from repro.workloads.patterns import (
-    add_filler_methods,
-    define_pair_classes,
-    define_pair_factory,
-    make_app_class,
-)
+from repro.workloads.suite import (Pair, Young, add_filler_methods,
+                                  make_app_class)
 
 
 class TestSynthDSL:
@@ -72,19 +68,25 @@ class TestPatterns:
     def test_pair_factory_variable_payload_span(self):
         p = Program("t")
         app = make_app_class(p)
-        parent = define_pair_classes(p, "Rec")
-        make = define_pair_factory(p, parent, payload_len=8,
-                                   payload_span=16)
+        Pair("Rec", n=1, churn_mask=-1, payload_len=8,
+             payload_span=16).define(p, app)
         fn = Fn(p, app, "main")
         r = fn.local()
-        fn.iconst(3).call(make).rstore(r)
-        fn.rload(r).getfield(parent, "data").emit("arraylength")
+        fn.iconst(3).call(p.klass("Rec").methods["make"]).rstore(r)
+        fn.rload(r).getfield("Rec", "data").emit("arraylength")
         fn.putstatic(app, "checksum")
         fn.ret()
         p.set_main(fn.finish())
         run_main(p)
         length = app.static_values[app.static("checksum").index]
         assert 8 <= length < 24
+
+    def test_young_keep_array_too_short_rejected(self):
+        # keep[i / keep_every] for i < burst needs (burst-1)//keep_every+1
+        # slots; one fewer used to fail only at run time, out of bounds.
+        with pytest.raises(ValueError, match="keep_len 2 < 10"):
+            Young("A", 10, 1, 2)
+        assert Young("A", 10, 1, 10).keep_len == 10
 
     def test_filler_methods_compile_and_run(self):
         p = Program("t")
