@@ -18,9 +18,11 @@ objects co-allocated) and ``db`` under GenCopy to 6 M cycles (3 minor,
 telemetry, the decision ledger and the health monitor all attached, the
 sha256 of the ledger JSON, the health report JSON, the metrics
 snapshot, the Prometheus text and the tracer's spans, instants and
-samples in recorded order — for ``db`` with co-allocation to 8 M cycles
-and for a whole ``phased`` run under the revert storm ``repro doctor
---storm`` seeds (all ten ledger kinds, verdict ``critical``).  The five
+samples in recorded order — for ``db`` with co-allocation to 8 M cycles,
+for a whole ``phased`` run under the revert storm ``repro doctor
+--storm`` seeds (all ten ledger kinds, verdict ``critical``) and for a
+whole co-allocating ``lusearch`` run (the one pinned run where
+``cache_thrash`` fires).  The five
 outputs do not depend on the fastpath level or the hash seed, so the
 file holds at every ``REPRO_FASTPATH``.
 
@@ -129,7 +131,12 @@ def _phased_storm(**observers):
     return result
 
 
-OBSERVER_CASES = {"db-8M": _db_8m, "phased-storm": _phased_storm}
+def _lusearch(**observers):
+    return runner.execute(RunSpec("lusearch", coalloc=True), **observers)
+
+
+OBSERVER_CASES = {"db-8M": _db_8m, "phased-storm": _phased_storm,
+                  "lusearch": _lusearch}
 
 
 def observer_digests(case: str) -> dict:

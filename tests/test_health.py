@@ -23,12 +23,7 @@ from repro.harness import experiments as ex
 from repro.harness.record import RunRecord, SCHEMA_VERSION
 from repro.harness.runner import RunSpec, execute
 from repro.health import HealthMonitor, default_detectors
-from repro.health.detectors import (CacheThrashDetector, DETECTOR_REGISTRY,
-                                    ExperimentEvent,
-                                    PlacementRegressionDetector,
-                                    RankingOscillationDetector,
-                                    RevertStormDetector,
-                                    SamplingStarvationDetector)
+from repro.health.detectors import DETECTOR_REGISTRY, ExperimentEvent
 from repro.health.phases import FEATURES, Interval, PhaseTracker
 from repro.health.report import (HEALTH_SCHEMA_VERSION, Finding, HealthReport,
                                  PhaseRecord, SEVERITY_CRITICAL, SEVERITY_OK,
@@ -50,6 +45,20 @@ def make_interval(index, samples=10, miss=0.0, gc=0.0, alloc=0.0,
         alloc_rate=alloc, recompiles=recompiles, sampling_paused=paused,
         top_fields=tuple(top_fields), ledger_period_id=period_id,
         ledger_ranking_id=ranking_id)
+
+
+def detect(name, stream):
+    """The findings (as JSON) detector ``name`` reports over ``stream``,
+    a list of intervals and experiment events in arrival order."""
+    detector = DETECTOR_REGISTRY[name]()
+    intervals = []
+    for item in stream:
+        if isinstance(item, Interval):
+            intervals.append(item)
+            detector.on_interval(item)
+        else:
+            detector.on_event(item)
+    return [f.to_json() for f in detector.finalize(intervals, 0)]
 
 
 class TestPhaseTracker:
@@ -125,10 +134,13 @@ class TestPhaseTracker:
 
 
 class TestDetectors:
+    """Each detector over a stream sized to its default thresholds,
+    checked against the whole finding it emits."""
+
     def test_registry_has_the_required_five(self):
-        assert {"revert_storm", "ranking_oscillation",
-                "sampling_starvation", "cache_thrash",
-                "placement_regression"} <= set(DETECTOR_REGISTRY)
+        assert list(DETECTOR_REGISTRY) == [
+            "revert_storm", "ranking_oscillation", "sampling_starvation",
+            "cache_thrash", "placement_regression"]
         names = [d.name for d in default_detectors()]
         assert len(names) == len(set(names))
 
@@ -136,139 +148,170 @@ class TestDetectors:
         return ExperimentEvent(kind="revert", name=name, cycle=cycle,
                                ledger_id=eid)
 
+    def begin(self, cycle, eid, name="exp", baseline=100.0):
+        return ExperimentEvent(kind="begin", name=name, cycle=cycle,
+                               ledger_id=eid, field="A::x",
+                               baseline=baseline)
+
+    def verdict(self, cycle, eid, name="exp", rate=100.0):
+        return ExperimentEvent(kind="verdict", name=name, cycle=cycle,
+                               ledger_id=eid, rate=rate)
+
+    def storm_stream(self, n, revert_after):
+        """``n`` intervals; a revert arrives after interval ``i`` for
+        each ``i`` in ``revert_after``."""
+        stream = []
+        for i in range(n):
+            stream.append(make_interval(i))
+            if i in revert_after:
+                stream.append(self.revert((i + 1) * 1000, eid=i,
+                                          name=f"storm-{i}"))
+        return stream
+
     def test_revert_storm_fires_on_clustered_reverts(self):
-        det = RevertStormDetector(min_reverts=2, window_intervals=10)
-        for i in range(20):
-            det.on_interval(make_interval(i))
-            if i in (4, 8):
-                det.on_event(self.revert((i + 1) * 1000, eid=i,
-                                         name=f"storm-{i}"))
-        findings = det.finalize([], 20000)
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.severity == SEVERITY_CRITICAL
-        assert f.ledger_ids == (4, 8)
-        assert f.evidence["reverts"] == 2
-        assert sorted(f.evidence["experiments"]) == ["storm-4", "storm-8"]
+        assert detect("revert_storm",
+                      self.storm_stream(60, (4, 8, 50))) == [{
+            "detector": "revert_storm", "severity": SEVERITY_CRITICAL,
+            "summary": "2 experiment reverts within 40 intervals",
+            "start_cycle": 5000, "end_cycle": 9000,
+            "evidence": {"reverts": 2, "window_intervals": 40,
+                         "experiments": ["storm-4", "storm-8"]},
+            "ledger_ids": [4, 8],
+            "remediation": "raise revert_patience or "
+                           "min_samples_for_guidance so placements are "
+                           "only tried on stable evidence"}]
 
     def test_revert_storm_quiet_when_spread_out(self):
-        det = RevertStormDetector(min_reverts=2, window_intervals=10)
-        for i in range(40):
-            det.on_interval(make_interval(i))
-            if i in (4, 30):
-                det.on_event(self.revert((i + 1) * 1000, eid=i))
-        assert det.finalize([], 40000) == []
+        # 40 intervals apart: just outside the window.
+        assert detect("revert_storm", self.storm_stream(60, (4, 44))) == []
 
     def test_revert_storm_quiet_on_single_revert(self):
-        det = RevertStormDetector()
-        det.on_interval(make_interval(0))
-        det.on_event(self.revert(500, eid=1))
-        assert det.finalize([], 1000) == []
+        assert detect("revert_storm", self.storm_stream(60, (4,))) == []
+
+    def ranked_stream(self, n, tops, samples=5):
+        return [make_interval(i, samples=samples,
+                              top_fields=((tops[i % len(tops)], 10),),
+                              ranking_id=100 + i)
+                for i in range(n)]
 
     def test_ranking_oscillation_flags_churn(self):
-        det = RankingOscillationDetector(window=6, churn_threshold=0.5)
-        for i in range(8):
-            top = "A::x" if i % 2 else "B::y"
-            det.on_interval(make_interval(i, samples=5,
-                                          top_fields=((top, 10),),
-                                          ranking_id=100 + i))
-        findings = det.finalize([], 8000)
-        assert len(findings) == 1
-        assert findings[0].severity == SEVERITY_WARN
-        assert findings[0].evidence["churn"] == 1.0
-        assert all(eid >= 100 for eid in findings[0].ledger_ids)
+        # Six changes in eleven steps: churn 6/11 >= 0.5.
+        tops = ["A::x"] * 6 + ["B::y", "A::x"] * 3
+        stream = [make_interval(i, samples=5, top_fields=((top, 10),),
+                                ranking_id=100 + i)
+                  for i, top in enumerate(tops)]
+        assert detect("ranking_oscillation", stream) == [{
+            "detector": "ranking_oscillation", "severity": SEVERITY_WARN,
+            "summary": "top-field churn 0.55 over 12 ranked intervals",
+            "start_cycle": 0, "end_cycle": 12000,
+            "evidence": {"churn": 0.545, "window_intervals": 12,
+                         "distinct_tops": 2},
+            "ledger_ids": list(range(100, 112)),
+            "remediation": "widen moving_average_window or raise the "
+                           "sampling interval so the ranking integrates "
+                           "more evidence"}]
 
     def test_ranking_oscillation_quiet_on_stable_top(self):
-        det = RankingOscillationDetector(window=6)
-        for i in range(12):
-            det.on_interval(make_interval(i, samples=5,
-                                          top_fields=(("A::x", 10),)))
-        assert det.finalize([], 12000) == []
+        # Five changes in eleven steps is below the threshold.
+        tops = ["A::x"] * 7 + ["B::y", "A::x"] * 2 + ["B::y"]
+        stream = [make_interval(i, samples=5, top_fields=((top, 10),))
+                  for i, top in enumerate(tops)]
+        assert detect("ranking_oscillation", stream) == []
 
     def test_ranking_oscillation_ignores_unranked_intervals(self):
-        det = RankingOscillationDetector(window=6)
-        for i in range(12):
-            det.on_interval(make_interval(i, samples=0,
-                                          top_fields=(("A::x", 1),)))
-        assert det.finalize([], 12000) == []
+        stream = self.ranked_stream(16, ["A::x", "B::y"], samples=0)
+        assert detect("ranking_oscillation", stream) == []
 
     def test_starvation_counts_only_active_intervals(self):
-        det = SamplingStarvationDetector(min_samples=4, min_fraction=0.5,
-                                         min_intervals=6)
-        intervals = [make_interval(i, samples=0, period_id=i)
-                     for i in range(8)]
-        findings = det.finalize(intervals, 8000)
-        assert len(findings) == 1
-        assert findings[0].evidence["starved_intervals"] == 8
-        assert findings[0].ledger_ids == tuple(range(8))
+        stream = [make_interval(i, samples=0, period_id=i) for i in range(8)]
+        assert detect("sampling_starvation", stream) == [{
+            "detector": "sampling_starvation", "severity": SEVERITY_WARN,
+            "summary": "8 of 8 active intervals below 4 samples",
+            "start_cycle": 0, "end_cycle": 8000,
+            "evidence": {"starved_intervals": 8, "active_intervals": 8,
+                         "fraction": 1.0, "min_samples": 4},
+            "ledger_ids": list(range(8)),
+            "remediation": "lower the sampling interval (or use auto mode) "
+                           "so each period sees enough PEBS samples to "
+                           "rank"}]
         # The same stream entirely duty-paused is not starvation.
         paused = [make_interval(i, samples=0, paused=True) for i in range(8)]
-        assert det.finalize(paused, 8000) == []
+        assert detect("sampling_starvation", paused) == []
+        # Nor is one too short to judge.
+        assert detect("sampling_starvation", stream[:5]) == []
 
     def test_starvation_quiet_when_fed(self):
-        det = SamplingStarvationDetector(min_samples=4, min_fraction=0.5,
-                                         min_intervals=6)
-        intervals = [make_interval(i, samples=20) for i in range(8)]
-        assert det.finalize(intervals, 8000) == []
+        stream = [make_interval(i, samples=20) for i in range(8)]
+        assert detect("sampling_starvation", stream) == []
+
+    def thrash_stream(self, n=10, miss=0.2):
+        return [make_interval(i, miss=miss, period_id=i) for i in range(n)]
+
+    def thrash(self, severity, begun, reverted):
+        return {
+            "detector": "cache_thrash", "severity": severity,
+            "summary": "miss rate pinned at ceiling for 8 intervals "
+                       "with no winning experiment",
+            "start_cycle": 2000, "end_cycle": 10000,
+            "evidence": {"intervals": 8, "mean_miss_rate": 0.2,
+                         "ceiling": 0.18, "experiments_begun": begun,
+                         "experiments_reverted": reverted},
+            "ledger_ids": list(range(2, 10)),
+            "remediation": "the hot access pattern resists the current "
+                           "placement policy; try a different sampled "
+                           "event (L2_MISS/DTLB_MISS) or a larger "
+                           "co-allocation cell"}
 
     def test_cache_thrash_warn_without_experiments(self):
-        det = CacheThrashDetector(min_run=4)
-        intervals = [make_interval(i, miss=0.2, period_id=i)
-                     for i in range(6)]
-        findings = det.finalize(intervals, 6000)
-        assert len(findings) == 1
-        assert findings[0].severity == SEVERITY_WARN
+        # Eight intervals at the ceiling after two below it.
+        stream = self.thrash_stream()
+        stream[0].miss_rate = stream[1].miss_rate = 0.1
+        assert detect("cache_thrash", stream) == [
+            self.thrash(SEVERITY_WARN, 0, 0)]
+        # Seven in a row are not a sustained run.
+        assert detect("cache_thrash", stream[:9]) == []
 
     def test_cache_thrash_critical_when_experiments_all_reverted(self):
-        det = CacheThrashDetector(min_run=4)
-        det.on_event(ExperimentEvent(kind="begin", name="e", cycle=0))
-        det.on_event(self.revert(100, eid=1, name="e"))
-        intervals = [make_interval(i, miss=0.2) for i in range(6)]
-        findings = det.finalize(intervals, 6000)
-        assert len(findings) == 1
-        assert findings[0].severity == SEVERITY_CRITICAL
+        stream = [self.begin(0, 1, name="e"), self.revert(100, 2, name="e")]
+        stream += self.thrash_stream()
+        stream[2].miss_rate = stream[3].miss_rate = 0.1
+        assert detect("cache_thrash", stream) == [
+            self.thrash(SEVERITY_CRITICAL, 1, 1)]
 
     def test_cache_thrash_suppressed_by_winning_experiment(self):
-        det = CacheThrashDetector(min_run=4)
-        det.on_event(ExperimentEvent(kind="begin", name="win", cycle=0))
-        intervals = [make_interval(i, miss=0.2) for i in range(6)]
-        assert det.finalize(intervals, 6000) == []
+        stream = [self.begin(0, 1, name="win")] + self.thrash_stream()
+        assert detect("cache_thrash", stream) == []
 
     def test_cache_thrash_quiet_below_rate_floor(self):
-        det = CacheThrashDetector(min_run=4, rate_floor=0.05)
-        intervals = [make_interval(i, miss=0.01) for i in range(6)]
-        assert det.finalize(intervals, 6000) == []
+        assert detect("cache_thrash", self.thrash_stream(miss=0.049)) == []
 
     def test_placement_regression_on_kept_regression(self):
-        det = PlacementRegressionDetector(margin=0.10)
-        det.on_event(ExperimentEvent(kind="begin", name="gap", cycle=100,
-                                     ledger_id=3, field="A::x",
-                                     baseline=100.0))
-        det.on_event(ExperimentEvent(kind="verdict", name="gap", cycle=900,
-                                     ledger_id=7, rate=150.0))
-        findings = det.finalize([], 1000)
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.severity == SEVERITY_WARN
-        assert f.ledger_ids == (3, 7)
-        assert f.evidence["experiment"] == "gap"
+        stream = [self.begin(100, 3, name="gap"),
+                  self.verdict(500, 5, name="gap", rate=100.0),
+                  self.verdict(900, 7, name="gap", rate=111.0)]
+        assert detect("placement_regression", stream) == [{
+            "detector": "placement_regression", "severity": SEVERITY_WARN,
+            "summary": "experiment 'gap' kept but ended 11% over its "
+                       "baseline",
+            "start_cycle": 100, "end_cycle": 900,
+            "evidence": {"experiment": "gap", "field": "A::x",
+                         "baseline_rate": 100.0, "final_rate": 111.0,
+                         "margin": 0.1},
+            "ledger_ids": [3, 7],
+            "remediation": "lower revert_threshold or revert_patience so "
+                           "oscillating regressions still trip the "
+                           "revert"}]
 
     def test_placement_regression_quiet_after_revert(self):
-        det = PlacementRegressionDetector()
-        det.on_event(ExperimentEvent(kind="begin", name="gap", cycle=100,
-                                     baseline=100.0))
-        det.on_event(ExperimentEvent(kind="verdict", name="gap", cycle=900,
-                                     rate=150.0))
-        det.on_event(self.revert(950, eid=9, name="gap"))
-        assert det.finalize([], 1000) == []
+        stream = [self.begin(100, 3, name="gap"),
+                  self.verdict(900, 7, name="gap", rate=150.0),
+                  self.revert(950, 9, name="gap")]
+        assert detect("placement_regression", stream) == []
 
     def test_placement_regression_quiet_within_margin(self):
-        det = PlacementRegressionDetector(margin=0.10)
-        det.on_event(ExperimentEvent(kind="begin", name="gap", cycle=100,
-                                     baseline=100.0))
-        det.on_event(ExperimentEvent(kind="verdict", name="gap", cycle=900,
-                                     rate=105.0))
-        assert det.finalize([], 1000) == []
+        stream = [self.begin(100, 3, name="gap"),
+                  self.verdict(900, 7, name="gap", rate=110.0)]
+        assert detect("placement_regression", stream) == []
 
 
 class TestReport:
