@@ -11,9 +11,12 @@ runs with health on and off are bit-identical in cycles, instructions,
 counters, PEBS samples, the revert log, and lineage entry ids
 (enforced by ``tests/test_observer_purity.py``).
 
-At end of run :meth:`HealthMonitor.report` produces the aggregated
+The monitor keeps both streams (``intervals`` and ``events``, each
+event stamped with the interval it precedes).  At end of run
+:meth:`HealthMonitor.report` produces the aggregated
 :class:`repro.health.report.HealthReport` — online phase segmentation
-plus pathology findings — which ``RunRecord`` embeds (schema 5),
+plus the findings of each detector function of
+:data:`repro.health.detectors.DETECTORS` over the two streams — which ``RunRecord`` embeds (schema 5),
 ``repro doctor`` prints, and the metrics registry exports as Prometheus
 gauges.
 
@@ -25,12 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.health.detectors import (
-    DETECTOR_REGISTRY,
-    Detector,
-    ExperimentEvent,
-    default_detectors,
-)
+from repro.health.detectors import DETECTORS, ExperimentEvent
 from repro.health.phases import Interval, PhaseTracker
 from repro.health.report import (
     HEALTH_SCHEMA_VERSION,
@@ -43,8 +41,7 @@ from repro.health.report import (
 
 __all__ = [
     "HEALTH_SCHEMA_VERSION",
-    "DETECTOR_REGISTRY",
-    "Detector",
+    "DETECTORS",
     "ExperimentEvent",
     "Finding",
     "HealthMonitor",
@@ -52,7 +49,6 @@ __all__ = [
     "Interval",
     "PhaseRecord",
     "PhaseTracker",
-    "default_detectors",
 ]
 
 
@@ -66,13 +62,13 @@ def _zero_clock() -> int:
 
 
 class HealthMonitor:
-    """Collects intervals + experiment events; segments and diagnoses."""
+    """Keeps intervals + experiment events; segments online and
+    diagnoses once, at end of run."""
 
-    def __init__(self, detectors: Optional[List[Detector]] = None):
+    def __init__(self):
         self.tracker = PhaseTracker()
-        self.detectors = (detectors if detectors is not None
-                          else default_detectors())
         self.intervals: List[Interval] = []
+        self.events: List[ExperimentEvent] = []
         self._clock: Callable[[], int] = _zero_clock
         self._tracer = None
         self._report: Optional[HealthReport] = None
@@ -130,8 +126,6 @@ class HealthMonitor:
 
     def on_interval(self, interval: Interval) -> None:
         self.intervals.append(interval)
-        for detector in self.detectors:
-            detector.on_interval(interval)
         closed = self.tracker.observe(interval)
         if closed is not None:
             self._emit_phase(closed)
@@ -140,7 +134,7 @@ class HealthMonitor:
 
     def on_experiment_begin(self, name: str, field: str, baseline: float,
                             started_period: int, ledger_id: int) -> None:
-        self._fan_out(ExperimentEvent(
+        self.on_event(ExperimentEvent(
             kind="begin", name=name, cycle=self._clock(),
             ledger_id=ledger_id, field=field, baseline=baseline,
             period=started_period))
@@ -148,7 +142,7 @@ class HealthMonitor:
     def on_experiment_verdict(self, name: str, rate: float, threshold: float,
                               regressed: bool, streak: int,
                               ledger_id: int) -> None:
-        self._fan_out(ExperimentEvent(
+        self.on_event(ExperimentEvent(
             kind="verdict", name=name, cycle=self._clock(),
             ledger_id=ledger_id, rate=rate, threshold=threshold,
             regressed=regressed, streak=streak))
@@ -156,14 +150,16 @@ class HealthMonitor:
     def on_experiment_revert(self, name: str, field: str, period: int,
                              rate: float, baseline: float,
                              ledger_id: int) -> None:
-        self._fan_out(ExperimentEvent(
+        self.on_event(ExperimentEvent(
             kind="revert", name=name, cycle=self._clock(),
             ledger_id=ledger_id, field=field, period=period, rate=rate,
             baseline=baseline))
 
-    def _fan_out(self, event: ExperimentEvent) -> None:
-        for detector in self.detectors:
-            detector.on_event(event)
+    def on_event(self, event: ExperimentEvent) -> None:
+        """Keep ``event``, stamped with the interval it precedes."""
+        event.interval = (self.intervals[-1].index + 1 if self.intervals
+                          else 0)
+        self.events.append(event)
 
     # -- phase telemetry ---------------------------------------------------
 
@@ -192,9 +188,8 @@ class HealthMonitor:
         if total_cycles is None:
             total_cycles = (self.intervals[-1].end_cycle
                             if self.intervals else self._clock())
-        findings: List[Finding] = []
-        for detector in self.detectors:
-            findings.extend(detector.finalize(self.intervals, total_cycles))
+        findings = [finding for detector in DETECTORS
+                    for finding in detector(self.intervals, self.events)]
         findings.sort(key=lambda f: (-SEVERITY_RANK.get(f.severity, 0),
                                      f.start_cycle, f.detector))
         self._report = build_report(phases, findings, len(self.intervals),
@@ -215,7 +210,7 @@ class HealthMonitor:
                       "measurement intervals observed").set(report.intervals)
         findings = metrics.gauge("health.findings",
                                  "pathology findings, by detector")
-        for name in DETECTOR_REGISTRY:
-            findings.labels(name).set(0)
+        for detector in DETECTORS:
+            findings.labels(detector.__name__).set(0)
         for name, count in report.findings_by_detector().items():
             findings.labels(name).set(count)

@@ -76,8 +76,7 @@ class Interval:
 class PhaseTracker:
     """Segments the interval stream into phases, online."""
 
-    def __init__(self, warmup: int = WARMUP_INTERVALS):
-        self.warmup = warmup
+    def __init__(self):
         self.phases: List[PhaseRecord] = []
         #: Per-dimension running scale (max magnitude observed).
         self._scales = [0.0] * len(FEATURES)
@@ -126,7 +125,7 @@ class PhaseTracker:
         """Feed one interval; returns the phase just *closed*, if any."""
         self._seen += 1
         self._update_scales(interval.features())
-        if self._seen <= self.warmup or not self._current:
+        if self._seen <= WARMUP_INTERVALS or not self._current:
             self._current.append(interval)
             return None
         if self.distance(interval) <= THRESHOLD:

@@ -22,8 +22,8 @@ import pytest
 from repro.harness import experiments as ex
 from repro.harness.record import RunRecord, SCHEMA_VERSION
 from repro.harness.runner import RunSpec, execute
-from repro.health import HealthMonitor, default_detectors
-from repro.health.detectors import DETECTOR_REGISTRY, ExperimentEvent
+from repro.health import DETECTORS, HealthMonitor
+from repro.health.detectors import ExperimentEvent
 from repro.health.phases import FEATURES, Interval, PhaseTracker
 from repro.health.report import (HEALTH_SCHEMA_VERSION, Finding, HealthReport,
                                  PhaseRecord, SEVERITY_CRITICAL, SEVERITY_OK,
@@ -49,16 +49,17 @@ def make_interval(index, samples=10, miss=0.0, gc=0.0, alloc=0.0,
 
 def detect(name, stream):
     """The findings (as JSON) detector ``name`` reports over ``stream``,
-    a list of intervals and experiment events in arrival order."""
-    detector = DETECTOR_REGISTRY[name]()
-    intervals = []
+    a list of intervals and experiment events in arrival order, as a
+    monitor keeps it."""
+    monitor = HealthMonitor()
     for item in stream:
         if isinstance(item, Interval):
-            intervals.append(item)
-            detector.on_interval(item)
+            monitor.on_interval(item)
         else:
-            detector.on_event(item)
-    return [f.to_json() for f in detector.finalize(intervals, 0)]
+            monitor.on_event(item)
+    detector = {d.__name__: d for d in DETECTORS}[name]
+    return [f.to_json()
+            for f in detector(monitor.intervals, monitor.events)]
 
 
 class TestPhaseTracker:
@@ -103,7 +104,7 @@ class TestPhaseTracker:
         assert phases[0].intervals == 10
 
     def test_warmup_absorbs_wild_start(self):
-        tracker = PhaseTracker(warmup=3)
+        tracker = PhaseTracker()
         # Wildly different vectors inside the warmup never split.
         tracker.observe(make_interval(0, samples=0, miss=0.9))
         tracker.observe(make_interval(1, samples=40, miss=0.0))
@@ -138,11 +139,9 @@ class TestDetectors:
     checked against the whole finding it emits."""
 
     def test_registry_has_the_required_five(self):
-        assert list(DETECTOR_REGISTRY) == [
+        assert [d.__name__ for d in DETECTORS] == [
             "revert_storm", "ranking_oscillation", "sampling_starvation",
             "cache_thrash", "placement_regression"]
-        names = [d.name for d in default_detectors()]
-        assert len(names) == len(set(names))
 
     def revert(self, cycle, eid, name="exp"):
         return ExperimentEvent(kind="revert", name=name, cycle=cycle,
@@ -380,12 +379,10 @@ class TestPureObserver:
         assert NO_OBSERVERS.health is None
         NO_OBSERVERS.experiment_begin("x", fld, 0.0, 0, 0, 0.25, 3)
         NO_OBSERVERS.interval(None, 1000, 0, 0, False)
-        events = []
-        health = HealthMonitor(detectors=[SimpleNamespace(
-            on_event=events.append)])
+        health = HealthMonitor()
         Observers(health=health).experiment_begin(
             "x", fld, 0.0, 0, 0, 0.25, 3)
-        assert [(e.kind, e.field, e.ledger_id) for e in events] \
+        assert [(e.kind, e.field, e.ledger_id) for e in health.events] \
             == [("begin", "A::f", -1)]
 
 
