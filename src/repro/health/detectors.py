@@ -37,12 +37,10 @@ STORM_WINDOW = 40
 #: and the fraction of them whose top field changes that is churn.
 RANKING_WINDOW = 12
 CHURN_THRESHOLD = 0.5
-#: ``sampling_starvation``: an active interval is starved below
-#: :data:`MIN_SAMPLES` samples; the run is judged once it has
-#: :data:`MIN_INTERVALS` active intervals, and warns when at least
-#: :data:`MIN_FRACTION` of them are starved.
+#: ``sampling_starvation``: the run is judged once it has
+#: :data:`MIN_INTERVALS` active intervals, and starved when they carry
+#: fewer than :data:`MIN_SAMPLES` samples on average.
 MIN_SAMPLES = 4
-MIN_FRACTION = 0.5
 MIN_INTERVALS = 6
 #: ``cache_thrash``: a period counts as at the ceiling when its miss
 #: rate reaches :data:`CEILING_FRACTION` of the run's peak (and at
@@ -153,29 +151,32 @@ def ranking_oscillation(intervals: List[Interval],
 
 def sampling_starvation(intervals: List[Interval],
                         events: List[ExperimentEvent]) -> List[Finding]:
-    """Most intervals carry too few PEBS samples to rank anything.
+    """The active intervals carry too few PEBS samples to rank anything.
 
     The paper's auto mode targets a fixed samples/second; when the
     observed stream stays far below that, hot-field guidance is
-    statistically meaningless and co-allocation never engages.
+    statistically meaningless and co-allocation never engages.  The
+    run is judged by its mean: samples reach the monitor one drain
+    batch every few periods, so many intervals of a well-fed run hold
+    none.
     """
-    considered = [iv for iv in intervals if not iv.sampling_paused]
-    if len(considered) < MIN_INTERVALS:
+    active = [iv for iv in intervals if not iv.sampling_paused]
+    if len(active) < MIN_INTERVALS:
         return []
-    starved = [iv for iv in considered if iv.samples < MIN_SAMPLES]
-    fraction = len(starved) / len(considered)
-    if fraction < MIN_FRACTION:
+    mean = sum(iv.samples for iv in active) / len(active)
+    if mean >= MIN_SAMPLES:
         return []
+    starved = [iv for iv in active if iv.samples < MIN_SAMPLES]
     return [Finding(
         detector="sampling_starvation",
         severity=SEVERITY_WARN,
-        summary="%d of %d active intervals below %d samples" % (
-            len(starved), len(considered), MIN_SAMPLES),
+        summary="%.2f samples per active interval over %d intervals, "
+                "below %d" % (mean, len(active), MIN_SAMPLES),
         start_cycle=starved[0].start_cycle,
         end_cycle=starved[-1].end_cycle,
-        evidence={"starved_intervals": len(starved),
-                  "active_intervals": len(considered),
-                  "fraction": round(fraction, 3),
+        evidence={"mean_samples": round(mean, 3),
+                  "starved_intervals": len(starved),
+                  "active_intervals": len(active),
                   "min_samples": MIN_SAMPLES},
         ledger_ids=tuple(iv.ledger_period_id for iv in starved[:8]
                          if iv.ledger_period_id >= 0),

@@ -225,10 +225,11 @@ class TestDetectors:
         stream = [make_interval(i, samples=0, period_id=i) for i in range(8)]
         assert detect("sampling_starvation", stream) == [{
             "detector": "sampling_starvation", "severity": SEVERITY_WARN,
-            "summary": "8 of 8 active intervals below 4 samples",
+            "summary": "0.00 samples per active interval over 8 "
+                       "intervals, below 4",
             "start_cycle": 0, "end_cycle": 8000,
-            "evidence": {"starved_intervals": 8, "active_intervals": 8,
-                         "fraction": 1.0, "min_samples": 4},
+            "evidence": {"mean_samples": 0.0, "starved_intervals": 8,
+                         "active_intervals": 8, "min_samples": 4},
             "ledger_ids": list(range(8)),
             "remediation": "lower the sampling interval (or use auto mode) "
                            "so each period sees enough PEBS samples to "
@@ -242,6 +243,27 @@ class TestDetectors:
     def test_starvation_quiet_when_fed(self):
         stream = [make_interval(i, samples=20) for i in range(8)]
         assert detect("sampling_starvation", stream) == []
+
+    def test_starvation_quiet_on_batched_samples(self):
+        # Samples arrive one drain batch every few periods: most
+        # intervals of a well-fed run are empty.
+        stream = [make_interval(i, samples=20 * (i % 2)) for i in range(8)]
+        assert detect("sampling_starvation", stream) == []
+
+    def test_starvation_fires_on_a_thin_stream(self):
+        stream = [make_interval(i, samples=i % 2, period_id=i)
+                  for i in range(8)]
+        assert detect("sampling_starvation", stream) == [{
+            "detector": "sampling_starvation", "severity": SEVERITY_WARN,
+            "summary": "0.50 samples per active interval over 8 "
+                       "intervals, below 4",
+            "start_cycle": 0, "end_cycle": 8000,
+            "evidence": {"mean_samples": 0.5, "starved_intervals": 8,
+                         "active_intervals": 8, "min_samples": 4},
+            "ledger_ids": list(range(8)),
+            "remediation": "lower the sampling interval (or use auto mode) "
+                           "so each period sees enough PEBS samples to "
+                           "rank"}]
 
     def thrash_stream(self, n=10, miss=0.2):
         return [make_interval(i, miss=miss, period_id=i) for i in range(n)]
