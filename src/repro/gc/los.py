@@ -76,5 +76,3 @@ class LargeObjectSpace:
     def contains(self, addr: int) -> bool:
         return addr in self._live
 
-    def free_extents(self) -> int:
-        return len(self._free)

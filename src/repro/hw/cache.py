@@ -47,10 +47,6 @@ class Cache:
 
     # -- core operations ----------------------------------------------------
 
-    def line_of(self, addr: int) -> int:
-        """Return the line number containing byte address ``addr``."""
-        return addr >> self.line_shift
-
     def access_line(self, line: int) -> bool:
         """Touch ``line``; return True on hit, False on miss (line filled)."""
         ways = self._sets[line & self.set_mask]
@@ -94,10 +90,6 @@ class Cache:
         """Drop every line (models cache pollution by the collector)."""
         for ways in self._sets:
             ways.clear()
-
-    def resident_lines(self) -> int:
-        """Total number of valid lines currently cached."""
-        return sum(len(ways) for ways in self._sets)
 
 
 class StreamPrefetcher:

@@ -55,5 +55,3 @@ class TLB:
     def invalidate_all(self) -> None:
         self._pages.clear()
 
-    def resident_pages(self) -> int:
-        return len(self._pages)

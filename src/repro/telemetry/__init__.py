@@ -40,7 +40,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
-    REGISTRY,
 )
 from repro.telemetry.tracer import NullTracer, SpanEvent, Tracer
 
@@ -79,7 +78,6 @@ __all__ = [
     "NullMetricsRegistry",
     "NullTracer",
     "NULL_TELEMETRY",
-    "REGISTRY",
     "SpanEvent",
     "Telemetry",
     "Tracer",

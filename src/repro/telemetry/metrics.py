@@ -253,8 +253,3 @@ class NullMetricsRegistry(MetricsRegistry):
 
     def histogram(self, name: str, help: str = "") -> Histogram:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-
-#: The default process-wide registry (the CLI uses a fresh one per run;
-#: library users who want cross-run aggregation can share this).
-REGISTRY = MetricsRegistry()

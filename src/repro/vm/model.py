@@ -238,14 +238,6 @@ class ClassInfo:
         except KeyError:
             raise KeyError(f"no virtual method {self.name}.{name}") from None
 
-    def is_subclass_of(self, other: "ClassInfo") -> bool:
-        klass: Optional[ClassInfo] = self
-        while klass is not None:
-            if klass is other:
-                return True
-            klass = klass.superclass
-        return False
-
     def ref_fields(self) -> List[FieldInfo]:
         """Instance fields of reference kind, in layout order."""
         return [f for f in self.fields if f.is_ref]

@@ -175,6 +175,35 @@ def is_adjacent(parent, child) -> bool:
     return child.address == parent.address + parent.size
 
 
+def is_subclass_of(klass, other) -> bool:
+    """True when ``klass`` is ``other`` or inherits from it."""
+    while klass is not None:
+        if klass is other:
+            return True
+        klass = klass.superclass
+    return False
+
+
+def line_of(cache, addr: int) -> int:
+    """The number of the ``cache`` line holding byte address ``addr``."""
+    return addr >> cache.line_shift
+
+
+def resident_lines(cache) -> int:
+    """The valid lines ``cache`` holds."""
+    return sum(len(ways) for ways in cache._sets)
+
+
+def resident_pages(tlb) -> int:
+    """The pages ``tlb`` maps."""
+    return len(tlb._pages)
+
+
+def free_extents(los) -> int:
+    """The free extents of large-object space ``los``."""
+    return len(los._free)
+
+
 def hog_program():
     """A main that keeps every node it allocates alive through a
     static list head: it outgrows any small heap."""

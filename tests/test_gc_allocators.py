@@ -8,6 +8,7 @@ from repro.gc.bump import BumpAllocator
 from repro.gc.freelist import BLOCK_BYTES, FreeListSpace, OutOfMemory
 from repro.gc.los import LargeObjectSpace
 from repro.gc.sizeclass import SizeClasses, build_size_classes
+from tests.helpers import free_extents
 
 
 class TestSizeClasses:
@@ -232,7 +233,7 @@ class TestLOS:
         los.free(a)
         los.free(c)
         los.free(b)  # middle free must merge all three extents
-        assert los.free_extents() == 1
+        assert free_extents(los) == 1
         assert los.alloc(3 * 4096) == a
 
     def test_unknown_free_rejected(self):
@@ -249,7 +250,7 @@ class TestLOS:
         assert all(a is not None for a in addrs)
         for a in addrs:
             los.free(a)
-        assert los.free_extents() == 1
+        assert free_extents(los) == 1
         assert los.bytes_in_use == 0
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import CacheConfig
 from repro.hw.cache import Cache, StreamPrefetcher
+from tests.helpers import line_of, resident_lines
 
 
 def small_cache(ways=2, sets=4, line=64):
@@ -90,13 +91,13 @@ class TestAccess:
 
     def test_fill_line_does_not_count_access(self):
         c = small_cache()
-        assert c.fill_line(c.line_of(0x2000)) is True
+        assert c.fill_line(line_of(c, 0x2000)) is True
         assert c.hits == 0 and c.misses == 0
         assert c.access(0x2000) is True
 
     def test_fill_line_idempotent(self):
         c = small_cache()
-        line = c.line_of(0x2000)
+        line = line_of(c, 0x2000)
         assert c.fill_line(line) is True
         assert c.fill_line(line) is False
 
@@ -104,7 +105,7 @@ class TestAccess:
         c = small_cache()
         c.access(0x0)
         c.access(0x40)
-        assert c.resident_lines() == 2
+        assert resident_lines(c) == 2
 
 
 class TestCapacityBehaviour:
@@ -171,7 +172,7 @@ class TestCacheProperties:
         c = small_cache(ways=2, sets=4)
         for a in addrs:
             c.access(a)
-            assert c.resident_lines() <= 8
+            assert resident_lines(c) <= 8
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1,
                     max_size=200))

@@ -12,6 +12,7 @@ from repro.hw.events import (
     validate_event,
 )
 from repro.hw.tlb import TLB
+from tests.helpers import resident_pages
 
 
 class TestTLB:
@@ -62,7 +63,7 @@ class TestTLB:
         tlb = TLB(TLBConfig(entries=8))
         for a in addrs:
             tlb.access(a)
-            assert tlb.resident_pages() <= 8
+            assert resident_pages(tlb) <= 8
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 24), min_size=1,
                     max_size=300))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import is_adjacent, same_cache_line
+from tests.helpers import is_adjacent, is_subclass_of, same_cache_line
 from repro.vm.model import (
     ARRAY_HEADER_BYTES,
     HEADER_BYTES,
@@ -131,8 +131,8 @@ class TestVtable:
     def test_is_subclass_of(self):
         base = ClassInfo("Base")
         sub = ClassInfo("Sub", base)
-        assert sub.is_subclass_of(base)
-        assert not base.is_subclass_of(sub)
+        assert is_subclass_of(sub, base)
+        assert not is_subclass_of(base, sub)
 
 
 class TestArrays:
