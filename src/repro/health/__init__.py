@@ -15,10 +15,10 @@ The monitor keeps both streams (``intervals`` and ``events``, each
 event stamped with the interval it precedes).  At end of run
 :meth:`HealthMonitor.report` produces the aggregated
 :class:`repro.health.report.HealthReport` — online phase segmentation
-plus the findings of each detector function of
-:data:`repro.health.detectors.DETECTORS` over the two streams — which ``RunRecord`` embeds (schema 5),
-``repro doctor`` prints, and the metrics registry exports as Prometheus
-gauges.
+plus what each function of :data:`repro.health.detectors.DETECTORS`
+finds in the two streams — which ``RunRecord`` embeds (schema 5),
+``repro doctor`` prints, and the metrics registry exports as
+Prometheus gauges.
 
 With no monitor attached the bundle's ``health`` is ``None`` and
 nothing here runs.

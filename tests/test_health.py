@@ -147,12 +147,11 @@ class TestDetectors:
         return ExperimentEvent(kind="revert", name=name, cycle=cycle,
                                ledger_id=eid)
 
-    def begin(self, cycle, eid, name="exp", baseline=100.0):
+    def begin(self, cycle, eid, name):
         return ExperimentEvent(kind="begin", name=name, cycle=cycle,
-                               ledger_id=eid, field="A::x",
-                               baseline=baseline)
+                               ledger_id=eid, field="A::x", baseline=100.0)
 
-    def verdict(self, cycle, eid, name="exp", rate=100.0):
+    def verdict(self, cycle, eid, name, rate):
         return ExperimentEvent(kind="verdict", name=name, cycle=cycle,
                                ledger_id=eid, rate=rate)
 
@@ -187,18 +186,15 @@ class TestDetectors:
     def test_revert_storm_quiet_on_single_revert(self):
         assert detect("revert_storm", self.storm_stream(60, (4,))) == []
 
-    def ranked_stream(self, n, tops, samples=5):
-        return [make_interval(i, samples=samples,
-                              top_fields=((tops[i % len(tops)], 10),),
+    def ranked_stream(self, tops, samples=5):
+        """One interval per top field in ``tops``."""
+        return [make_interval(i, samples=samples, top_fields=((top, 10),),
                               ranking_id=100 + i)
-                for i in range(n)]
+                for i, top in enumerate(tops)]
 
     def test_ranking_oscillation_flags_churn(self):
         # Six changes in eleven steps: churn 6/11 >= 0.5.
-        tops = ["A::x"] * 6 + ["B::y", "A::x"] * 3
-        stream = [make_interval(i, samples=5, top_fields=((top, 10),),
-                                ranking_id=100 + i)
-                  for i, top in enumerate(tops)]
+        stream = self.ranked_stream(["A::x"] * 6 + ["B::y", "A::x"] * 3)
         assert detect("ranking_oscillation", stream) == [{
             "detector": "ranking_oscillation", "severity": SEVERITY_WARN,
             "summary": "top-field churn 0.55 over 12 ranked intervals",
@@ -212,13 +208,12 @@ class TestDetectors:
 
     def test_ranking_oscillation_quiet_on_stable_top(self):
         # Five changes in eleven steps is below the threshold.
-        tops = ["A::x"] * 7 + ["B::y", "A::x"] * 2 + ["B::y"]
-        stream = [make_interval(i, samples=5, top_fields=((top, 10),))
-                  for i, top in enumerate(tops)]
+        stream = self.ranked_stream(
+            ["A::x"] * 7 + ["B::y", "A::x"] * 2 + ["B::y"])
         assert detect("ranking_oscillation", stream) == []
 
     def test_ranking_oscillation_ignores_unranked_intervals(self):
-        stream = self.ranked_stream(16, ["A::x", "B::y"], samples=0)
+        stream = self.ranked_stream(["A::x", "B::y"] * 8, samples=0)
         assert detect("ranking_oscillation", stream) == []
 
     def test_starvation_counts_only_active_intervals(self):
