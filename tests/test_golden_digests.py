@@ -22,7 +22,9 @@ samples in recorded order — for ``db`` with co-allocation to 8 M cycles,
 for a whole ``phased`` run under the revert storm ``repro doctor
 --storm`` seeds (all ten ledger kinds, verdict ``critical``) and for a
 whole co-allocating ``lusearch`` run (the one pinned run where
-``cache_thrash`` fires).  The five
+``cache_thrash`` fires), and for ``compress`` at a fixed ``25K``
+interval without co-allocation to 3 M cycles (the one pinned run whose
+sampling interval never adapts).  The five
 outputs do not depend on the fastpath level or the hash seed, so the
 file holds at every ``REPRO_FASTPATH``.
 
@@ -135,8 +137,14 @@ def _lusearch(**observers):
     return runner.execute(RunSpec("lusearch", coalloc=True), **observers)
 
 
+def _compress_25k(**observers):
+    return runner.execute(
+        RunSpec("compress", interval="25K", until_cycles=3_000_000),
+        **observers)
+
+
 OBSERVER_CASES = {"db-8M": _db_8m, "phased-storm": _phased_storm,
-                  "lusearch": _lusearch}
+                  "lusearch": _lusearch, "compress-25K": _compress_25k}
 
 
 def observer_digests(case: str) -> dict:
