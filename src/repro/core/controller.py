@@ -54,9 +54,6 @@ class OnlineOptimizationController:
                                        observers=observers)
         self.perfmon_config = perfmon_config
         self._trace = observers.tracer
-        self._m_interval = observers.metrics.gauge(
-            "controller.sampling_interval",
-            "current hardware sampling interval (events between samples)")
         self.charge = charge
         self._set_interval = set_sampling_interval
         self.auto_interval = auto_interval
@@ -233,7 +230,6 @@ class OnlineOptimizationController:
                                 observed=observed)
             self.current_interval = new
             self._set_interval(new)
-            self._m_interval.set(new)
 
     # -- summaries ----------------------------------------------------------------------
 
@@ -268,6 +264,10 @@ class OnlineOptimizationController:
         the counts this controller and its feedback engine keep."""
         for key, value in self._summary_items():
             metrics.gauge(f"controller.summary.{key}").set(value)
+        metrics.gauge(
+            "controller.sampling_interval",
+            "current hardware sampling interval (events between samples)"
+        ).set(self.current_interval)
         stats = self.resolver.stats
         metrics.counter("controller.batches", "sample batches processed"
                         ).inc(self.batches_processed)

@@ -20,7 +20,7 @@ The policy layer is deliberately separate from the collector:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.observers import NO_OBSERVERS
 from repro.vm.model import ClassInfo, FieldInfo
@@ -36,7 +36,6 @@ class CoallocationPolicy:
     def __init__(self, hot_field_provider: HotFieldProvider,
                  max_combined_bytes: int = 4096,
                  gap_bytes: int = 0,
-                 enabled: bool = True,
                  observers=NO_OBSERVERS):
         self.hot_field_provider = hot_field_provider
         self._obs = observers
@@ -44,16 +43,14 @@ class CoallocationPolicy:
         #: Empty space inserted between parent and child (0 normally;
         #: 128 in Figure 8's deliberately poor configuration).
         self.gap_bytes = gap_bytes
-        self.enabled = enabled
-        self._m_accepted = observers.metrics.counter(
-            "gc.coalloc.accepted",
-            "co-allocations performed, labeled (class, field)")
         # Decision statistics.
         self.considered = 0
         self.no_hot_field = 0
         self.child_unavailable = 0
         self.too_large = 0
         self.accepted = 0
+        #: Accepted co-allocations by ``(ClassInfo, FieldInfo)``.
+        self.accepted_by_field: Dict[tuple, int] = {}
 
     def select_child(self, obj) -> "tuple | None":
         """Return ``(child, combined_size)`` when ``obj`` should be
@@ -64,8 +61,6 @@ class CoallocationPolicy:
         been promoted yet and the combined allocation fits the free-list
         limit (section 5.4).
         """
-        if not self.enabled:
-            return None
         klass = obj.class_info
         if klass is None:  # arrays have no per-class hot-field entry
             return None
@@ -83,7 +78,8 @@ class CoallocationPolicy:
             self.too_large += 1
             return None
         self.accepted += 1
-        self._m_accepted.labels(klass.name, field.name).inc()
+        key = (klass, field)
+        self.accepted_by_field[key] = self.accepted_by_field.get(key, 0) + 1
         self._obs.placement_pending(klass, field, obj.size, child.size,
                                     self.gap_bytes, combined)
         return child, combined
@@ -100,6 +96,11 @@ class CoallocationPolicy:
         metrics.counter("gc.coalloc.considered",
                         "promotions examined for co-allocation"
                         ).inc(self.considered)
+        accepted = metrics.counter(
+            "gc.coalloc.accepted",
+            "co-allocations performed, labeled (class, field)")
+        for (klass, field), count in self.accepted_by_field.items():
+            accepted.labels(klass.name, field.name).inc(count)
         rejected = metrics.counter("gc.coalloc.rejected",
                                    "co-allocation rejections, by reason")
         for reason, count in (("no_hot_field", self.no_hot_field),

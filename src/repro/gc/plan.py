@@ -97,8 +97,6 @@ class Plan:
         self.stats = GCStats()
         self._obs = observers
         self._trace = observers.tracer
-        self._m_pause = observers.metrics.histogram(
-            "gc.pause_cycles", "simulated cycles per collection")
         self.remset = RememberedSet()
         self.los = LargeObjectSpace(layout.LOS_BASE,
                                     layout.LOS_LIMIT - layout.LOS_BASE)
@@ -123,6 +121,11 @@ class Plan:
         metrics.counter("gc.promoted_bytes",
                         "bytes promoted out of the nursery"
                         ).inc(stats.promoted_bytes)
+        pauses = metrics.histogram("gc.pause_cycles",
+                                   "simulated cycles per collection")
+        for span in self._trace.spans:
+            if span.name in ("gc.minor", "gc.full"):
+                pauses.observe(span.dur)
 
     # -- sizing ------------------------------------------------------------------
 
@@ -227,10 +230,8 @@ class Plan:
                 self._full()
             self._resize_nursery()
         finally:
-            span = self._trace.end(
+            self._trace.end(
                 promoted=self.stats.promoted_objects - promoted_before)
-            if span is not None:
-                self._m_pause.observe(span.dur)
             self._collecting = False
 
     def collect_full(self) -> None:
@@ -273,9 +274,7 @@ class Plan:
             if not self.nursery_objects:
                 self._resize_nursery()
         finally:
-            span = self._trace.end()
-            if span is not None:
-                self._m_pause.observe(span.dur)
+            self._trace.end()
 
     def _before_minor(self) -> None:
         """Runs as a minor collection opens, before it counts itself."""

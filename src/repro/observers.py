@@ -8,9 +8,9 @@ resolves the three ``SystemConfig`` fields once into one
 :class:`Observers` bundle and hands it to every layer; this is the only
 module that knows which of them is attached.
 
-Span sites and pushed instruments use ``obs.tracer`` / ``obs.metrics``
-directly (the null ones when telemetry is off).  Everything else is a
-*fact*: one method per event of the loop, running ledger → health →
+Span sites use ``obs.tracer`` directly (the null one when telemetry is
+off); metrics are not pushed in flight but read off the finished run in
+one sweep, :meth:`Observers.publish`.  Everything else is a *fact*: one method per event of the loop, running ledger → health →
 trace instant — the ledger first, because it returns the entry id the
 health monitor cites (``-1`` without a ledger).  No observer charges
 cycles, consumes randomness or mutates simulator state, so a run is
@@ -20,6 +20,7 @@ spine") tabulates where each fact is emitted.
 
 from __future__ import annotations
 
+from repro.jit.codecache import LEVEL_OPT
 from repro.telemetry import NULL_TELEMETRY
 
 
@@ -30,7 +31,6 @@ class Observers:
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.tracer = self.telemetry.tracer
-        self.metrics = self.telemetry.metrics
         #: The decision ledger / health monitor, or None.  (Never test
         #: the ledger's truth value: an empty one has ``len() == 0``.)
         self.lineage = lineage
@@ -166,15 +166,6 @@ class Observers:
 
     # -- JIT ---------------------------------------------------------------
 
-    def compiled(self, level: str, bytecodes: int) -> None:
-        """One method compiled at ``"baseline"`` or ``"opt"`` level."""
-        self.metrics.counter(
-            "jit.compilations", "methods compiled, by level"
-        ).labels(level).inc()
-        self.metrics.counter(
-            "jit.compiled_bytecodes", "bytecodes compiled, by level"
-        ).labels(level).inc(bytecodes)
-
     def recompile(self, method, reason: str, samples: int, benefit: float,
                   cost: float, devirt_sites: int) -> None:
         """A method was selected for opt recompilation, on this
@@ -187,12 +178,13 @@ class Observers:
 
     def publish(self, cycles: int, overhead: int) -> None:
         """Fill the registry with the end-of-run aggregates: the VM's
-        cycle buckets and hardware counters, the statistics each
-        component keeps (its ``publish_metrics``), the health verdict.
-        The registry is complete once this has run, not in flight."""
-        metrics = self.metrics
-        if not metrics.enabled:
+        cycle buckets and hardware counters, the compiled methods, the
+        statistics each component keeps (its ``publish_metrics``), the
+        health verdict.  The registry is complete once this has run,
+        not in flight."""
+        if not self.telemetry.enabled:
             return
+        metrics = self.telemetry.metrics
         vm = self._vm
         for name, value in (
                 ("vm.cycles", cycles),
@@ -205,6 +197,16 @@ class Observers:
         counters = metrics.gauge("hw.counters")
         for event, count in vm.counters.snapshot().items():
             counters.labels(event).set(count)
+        # Every compiled version stays installed (code never moves), so
+        # the code cache holds each compilation once.
+        compilations = metrics.counter("jit.compilations",
+                                       "methods compiled, by level")
+        bytecodes = metrics.counter("jit.compiled_bytecodes",
+                                    "bytecodes compiled, by level")
+        for cm in vm.codecache.methods:
+            level = "opt" if cm.level == LEVEL_OPT else "baseline"
+            compilations.labels(level).inc()
+            bytecodes.labels(level).inc(len(cm.method.code))
         for component in (vm.plan, vm.coalloc_policy, vm.kernel,
                           vm.collector, vm.controller, self.health):
             if component is not None:

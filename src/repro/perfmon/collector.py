@@ -40,8 +40,6 @@ class CollectorThread:
         self.samples_delivered = 0
         self._running = False
         self._trace = observers.tracer
-        self._m_batch = observers.metrics.histogram(
-            "perfmon.collector.batch_size", "samples per poll")
 
     def start(self, now: int = 0) -> None:
         if self._running:
@@ -75,7 +73,6 @@ class CollectorThread:
             self._obs.sample_batch(len(eips), "poll")
             self.deliver(eips)
             self.samples_delivered += len(eips)
-        self._m_batch.observe(len(eips))
         self._adapt(len(eips))
         self._trace.end(batch=len(eips), next_poll=self.poll_interval)
         self.scheduler.after(now, self.poll_interval, self._tick)
@@ -103,3 +100,8 @@ class CollectorThread:
         metrics.gauge("perfmon.collector.poll_interval",
                       "adaptive polling delay in cycles"
                       ).set(self.poll_interval)
+        batches = metrics.histogram("perfmon.collector.batch_size",
+                                    "samples per poll")
+        for span in self._trace.spans:
+            if span.name == "collector.poll":
+                batches.observe(span.args["batch"])

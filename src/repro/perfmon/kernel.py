@@ -36,9 +36,9 @@ class PerfmonSession:
         self._buffer: List[Sample] = []
         self.samples_received = 0
         self.samples_dropped = 0
+        #: Interrupt-handler entries, read-path drains included.
+        self.interrupts = 0
         self._trace = observers.tracer
-        self._m_interrupts = observers.metrics.counter(
-            "perfmon.kernel.interrupts", "watermark interrupts handled")
         pebs.configure(event, interval)
 
     # -- interrupt side ---------------------------------------------------------
@@ -47,7 +47,7 @@ class PerfmonSession:
         """PMU interrupt handler: move DS samples into the kernel buffer."""
         capacity = self.config.kernel_buffer_capacity
         room = capacity - len(self._buffer)
-        self._m_interrupts.inc()
+        self.interrupts += 1
         if room >= len(batch):
             self._buffer.extend(batch)
             self.samples_received += len(batch)
@@ -87,6 +87,8 @@ class PerfmonSession:
 
     def publish_metrics(self, metrics) -> None:
         """Export the buffer statistics (call once per run)."""
+        metrics.counter("perfmon.kernel.interrupts",
+                        "watermark interrupts handled").inc(self.interrupts)
         metrics.counter("perfmon.kernel.samples_received",
                         "samples moved DS buffer -> kernel buffer"
                         ).inc(self.samples_received)

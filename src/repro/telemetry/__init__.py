@@ -5,7 +5,7 @@ package makes our reproduction of that pipeline observable instead of a
 black box.  It bundles:
 
 * :mod:`repro.telemetry.metrics` — a registry of labeled
-  Counters/Gauges/Histograms with an O(1) hot path,
+  Counters/Gauges/Histograms,
 * :mod:`repro.telemetry.tracer` — span tracing stamped with the
   **simulated cycle clock** (never wall time),
 * :mod:`repro.telemetry.export` — Chrome trace-event JSON (Perfetto),
@@ -18,44 +18,34 @@ Usage::
     result = run_program(program, SystemConfig(telemetry=tele))
     export.write_chrome_trace("out.json", tele.tracer, tele.metrics)
 
-Read the registry after the run has finished: the statistics a
-component already keeps are exported from the statistic itself in one
-end-of-run sweep (:meth:`repro.observers.Observers.publish`), so the
-registry is complete once ``VM.finish()`` has run, not in flight.
+In flight a component reaches telemetry only through its tracer.  The
+registry is read after the run: each statistic a component keeps — a
+tally, or the recorded spans themselves — is exported in one end-of-run
+sweep (:meth:`repro.observers.Observers.publish`), so the registry is
+complete once ``VM.finish()`` has run.  One :class:`Telemetry` observes
+one run.
 
 The hard invariant: telemetry is a pure observer.  Instrumented code
 paths never charge cycles, consume randomness, or mutate VM state on
 behalf of telemetry, so a run with telemetry enabled is cycle-identical
 to a run without it — and the disabled default (:data:`NULL_TELEMETRY`)
-routes every record into shared no-op instruments.
+records no span and fills no instrument.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.tracer import NullTracer, SpanEvent, Tracer
 
 
 class Telemetry:
     """One metrics registry + one tracer, enabled or null."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None, enabled: bool = True):
-        if enabled:
-            self.metrics = metrics if metrics is not None else MetricsRegistry()
-            self.tracer = tracer if tracer is not None else Tracer()
-        else:
-            self.metrics = metrics if metrics is not None \
-                else NullMetricsRegistry()
-            self.tracer = tracer if tracer is not None else NullTracer()
+    def __init__(self, enabled: bool = True):
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer() if enabled else NullTracer()
         self.enabled = enabled
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
@@ -64,10 +54,10 @@ class Telemetry:
             self.tracer.clock = clock
 
 
-#: Shared disabled instance: recording through it stores nothing.  The
-#: VM uses this whenever ``SystemConfig.telemetry`` is None (the
-#: default), which is what keeps un-instrumented runs bit-identical to
-#: the pre-telemetry behavior.
+#: Shared disabled instance: it records nothing, and its registry stays
+#: empty.  The VM uses this whenever ``SystemConfig.telemetry`` is None
+#: (the default), which is what keeps un-instrumented runs bit-identical
+#: to the pre-telemetry behavior.
 NULL_TELEMETRY = Telemetry(enabled=False)
 
 __all__ = [
@@ -75,7 +65,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "NullTracer",
     "NULL_TELEMETRY",
     "SpanEvent",

@@ -1,23 +1,19 @@
-"""Labeled metrics with an O(1) hot path and a free "off" switch.
+"""Labeled metrics, filled once a run has finished.
 
 The registry is deliberately minimal — three instrument kinds, no
 timestamps, no background threads — because it records *simulated*
 quantities: every number in here is derived from the virtual cycle
-clock and the deterministic event streams of the simulation, so a
-sample-on-write model is exact, not approximate.
+clock and the deterministic event streams of the simulation, so it is
+exact, not approximate.
 
-Two properties matter for the paper's methodology:
-
-* **Recording must not perturb the simulation.**  Instruments never
-  touch the cycle clock, the RNGs, or any VM state; they are pure
-  observers.  The telemetry invariant test
-  (``tests/test_telemetry.py``) asserts that runs with and without
-  telemetry produce bit-identical :class:`~repro.vm.vmcore.RunResult`
-  numbers.
-* **Disabled telemetry must cost (almost) nothing.**  The null
-  registry hands out one shared no-op instrument, so instrumented code
-  holds a reference whose ``inc``/``set``/``observe`` are empty
-  methods — no branches at the call sites.
+Nothing writes to it in flight.  Each component keeps its statistics
+as plain tallies (or reads them off the tracer's recorded spans) and
+exports them in the end-of-run sweep,
+:meth:`repro.observers.Observers.publish`; so recording cannot perturb
+the simulation, and a run without telemetry touches no instrument at
+all.  ``tests/test_observer_purity.py`` asserts that runs with and
+without telemetry produce bit-identical
+:class:`~repro.vm.vmcore.RunResult` numbers.
 """
 
 from __future__ import annotations
@@ -118,15 +114,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-wide named-instrument registry.
+    """Named-instrument registry of one run (or of the fleet daemon).
 
     Factories are idempotent: asking twice for the same name returns the
-    same instrument, so instrumented components can re-declare their
-    metrics cheaply in ``__init__`` and share series across VM runs that
-    reuse one :class:`~repro.telemetry.Telemetry`.
+    same instrument, and the first declaration's help string stays.
+    Components declare and fill their instruments in one place, their
+    ``publish_metrics``, after the run.
     """
-
-    enabled = True
 
     def __init__(self):
         self._metrics: Dict[str, object] = {}
@@ -200,56 +194,3 @@ class MetricsRegistry:
                     lines.append(f"{kind} {name}{{{','.join(key)}}} "
                                  f"{child.value}")
         return "\n".join(lines)
-
-
-class _NullInstrument:
-    """Shared no-op stand-in for every instrument kind."""
-
-    __slots__ = ()
-    name = "null"
-    help = ""
-    value = 0
-    count = 0
-    sum = 0
-    mean = 0.0
-    children: Dict[Tuple[str, ...], object] = {}
-    buckets: Dict[int, int] = {}
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def dec(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-    def labels(self, *values: str) -> "_NullInstrument":
-        return self
-
-    def bucket_bounds(self):
-        return []
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """Registry whose instruments record nothing and store nothing."""
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__()
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]

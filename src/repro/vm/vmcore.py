@@ -278,7 +278,6 @@ class VM:
         obs = self.observers
         with obs.tracer.span("jit.compile_baseline", cat="jit",
                              method=method.qualified_name):
-            obs.compiled("baseline", len(method.code))
             cm = compile_baseline(method)
             self.codecache.install(cm)
             self._charge_compile(
@@ -296,7 +295,6 @@ class VM:
         obs = self.observers
         with obs.tracer.span("jit.compile_opt", cat="jit",
                              method=method.qualified_name):
-            obs.compiled("opt", len(method.code))
             cm = compile_opt(method, inline=self.config.jit.inline,
                              devirt=self.config.jit.devirtualize)
             self.codecache.install(cm)

@@ -94,6 +94,7 @@ class TestAdaptiveInterval:
         tele = Telemetry()
         controller, _, _, _ = make(telemetry=tele)
         controller.on_period(1000)
+        controller.publish_metrics(tele.metrics)
         assert (tele.metrics.value("controller.sampling_interval")
                 == controller.current_interval)
         names = [e.name for e in tele.tracer.instants]

@@ -15,7 +15,7 @@ from repro.telemetry.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import NullTracer, Tracer
 
 
@@ -88,15 +88,11 @@ class TestMetricsRegistry:
         assert "gauge g 3" in text
 
     def test_null_registry_records_nothing(self):
-        reg = NullMetricsRegistry()
-        assert not reg.enabled
-        c = reg.counter("anything")
-        c.inc(100)
-        c.labels("x").inc()
-        assert c.value == 0
-        assert reg.snapshot() == {}
-        # All kinds share one no-op instrument.
-        assert reg.counter("a") is reg.gauge("b") is reg.histogram("c")
+        # A run without telemetry publishes nothing: the shared null
+        # bundle's registry stays empty.
+        execute(RunSpec(benchmark="fop", heap_mult=2.0,
+                        until_cycles=300_000))
+        assert NULL_TELEMETRY.metrics.snapshot() == {}
 
 
 class TestTracer:
@@ -173,7 +169,6 @@ class TestTracer:
 
     def test_null_telemetry_singleton_disabled(self):
         assert not NULL_TELEMETRY.enabled
-        assert not NULL_TELEMETRY.metrics.enabled
         # Binding a clock on the null bundle must stay a no-op.
         NULL_TELEMETRY.bind_clock(lambda: 99)
         NULL_TELEMETRY.tracer.begin("a")
@@ -244,7 +239,6 @@ class TestTelemetryBundle:
         tele = Telemetry()
         assert tele.enabled
         assert isinstance(tele.metrics, MetricsRegistry)
-        assert not isinstance(tele.metrics, NullMetricsRegistry)
         assert not isinstance(tele.tracer, NullTracer)
 
     def test_bind_clock(self):
@@ -266,6 +260,14 @@ class TestVMIntegration:
         assert snap["vm.cycles"] == result.cycles
         assert snap["gc.minor_collections"] == result.gc_stats.minor_gcs
         assert snap["controller.batches"] == result.monitor_summary["batches"]
+        # The folded twins: one pause per collection, one batch per poll.
+        stats = result.gc_stats
+        assert (snap["gc.pause_cycles"]["count"]
+                == stats.minor_gcs + stats.full_gcs)
+        assert (snap["perfmon.collector.batch_size"]["count"]
+                == snap["perfmon.collector.polls"])
+        assert (snap["controller.sampling_interval"]
+                == result.monitor_summary["final_interval"])
         # Canonical summary export: every summary key has a gauge twin.
         for key, value in result.monitor_summary.items():
             assert snap[f"controller.summary.{key}"] == value
