@@ -133,27 +133,22 @@ class HealthMonitor:
     # -- feedback events ---------------------------------------------------
 
     def on_experiment_begin(self, name: str, field: str, baseline: float,
-                            started_period: int, ledger_id: int) -> None:
+                            ledger_id: int) -> None:
         self.on_event(ExperimentEvent(
             kind="begin", name=name, cycle=self._clock(),
-            ledger_id=ledger_id, field=field, baseline=baseline,
-            period=started_period))
+            ledger_id=ledger_id, field=field, baseline=baseline))
 
-    def on_experiment_verdict(self, name: str, rate: float, threshold: float,
-                              regressed: bool, streak: int,
+    def on_experiment_verdict(self, name: str, rate: float,
                               ledger_id: int) -> None:
         self.on_event(ExperimentEvent(
             kind="verdict", name=name, cycle=self._clock(),
-            ledger_id=ledger_id, rate=rate, threshold=threshold,
-            regressed=regressed, streak=streak))
+            ledger_id=ledger_id, rate=rate))
 
-    def on_experiment_revert(self, name: str, field: str, period: int,
-                             rate: float, baseline: float,
-                             ledger_id: int) -> None:
+    def on_experiment_revert(self, name: str, field: str, rate: float,
+                             baseline: float, ledger_id: int) -> None:
         self.on_event(ExperimentEvent(
             kind="revert", name=name, cycle=self._clock(),
-            ledger_id=ledger_id, field=field, period=period, rate=rate,
-            baseline=baseline))
+            ledger_id=ledger_id, field=field, rate=rate, baseline=baseline))
 
     def on_event(self, event: ExperimentEvent) -> None:
         """Keep ``event``, stamped with the interval it precedes."""

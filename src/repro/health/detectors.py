@@ -63,12 +63,8 @@ class ExperimentEvent:
     cycle: int
     ledger_id: int = -1
     field: str = ""
-    period: int = -1
     rate: float = 0.0
     baseline: float = 0.0
-    threshold: float = 0.0
-    regressed: bool = False
-    streak: int = 0
     #: One past the index of the last interval before the event
     #: arrived (stamped by the monitor): a revert arrives at its
     #: period's close, before that period's interval.

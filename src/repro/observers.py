@@ -116,7 +116,7 @@ class Observers:
                 threshold, patience)
         if self.health is not None:
             self.health.on_experiment_begin(
-                name, field.qualified_name, baseline, started_period, eid)
+                name, field.qualified_name, baseline, eid)
         self.tracer.instant("feedback.experiment_begin", cat="feedback",
                             experiment=name, field=field.qualified_name,
                             baseline_rate=baseline)
@@ -128,8 +128,7 @@ class Observers:
             eid = self.lineage.experiment_verdict(name, rate, threshold,
                                                   regressed, streak)
         if self.health is not None:
-            self.health.on_experiment_verdict(name, rate, threshold,
-                                              regressed, streak, eid)
+            self.health.on_experiment_verdict(name, rate, eid)
         self.tracer.instant("feedback.verdict", cat="feedback",
                             experiment=name, rate=rate,
                             regressed=regressed, streak=streak)
@@ -142,7 +141,7 @@ class Observers:
                                                  baseline, threshold)
         if self.health is not None:
             self.health.on_experiment_revert(
-                name, field.qualified_name, period, rate, baseline, eid)
+                name, field.qualified_name, rate, baseline, eid)
         self.tracer.instant("feedback.revert", cat="feedback",
                             experiment=name, period=period)
 
