@@ -222,9 +222,9 @@ class GCConfig:
     #: Total heap budget in bytes (mature + nursery).  Set per benchmark by
     #: the harness as a multiple of the measured minimum heap.
     heap_bytes: int = 4 * 1024 * 1024
-    #: Free-list allocator: number of size classes and the maximum cell
-    #: size (VM default setting of the paper: 40 classes up to 4 KB).
-    size_classes: int = 40
+    #: Free-list allocator: the largest cell, which is also the
+    #: large-object threshold and the co-allocation cap (VM default
+    #: setting of the paper: 40 size classes up to 4 KB).
     max_cell_bytes: int = 4096
     #: Smallest nursery the Appel-style variable nursery may shrink to.
     min_nursery_bytes: int = 64 * 1024

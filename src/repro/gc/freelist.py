@@ -14,7 +14,7 @@ list explicitly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.gc.sizeclass import SizeClasses
 
@@ -50,10 +50,10 @@ class FreeListSpace:
     """Segregated-fit allocator over ``[base, base + region_bytes)``."""
 
     def __init__(self, base: int, region_bytes: int,
-                 size_classes: Optional[SizeClasses] = None):
+                 max_cell_bytes: int = 4096):
         self.base = base
         self.region_bytes = region_bytes
-        self.size_classes = size_classes or SizeClasses()
+        self.size_classes = SizeClasses(max_bytes=max_cell_bytes)
         self._free: List[List[Cell]] = [[] for _ in self.size_classes.sizes]
         self._block_cursor = base
         #: Live cells indexed by address (for diagnostics and sweeping).

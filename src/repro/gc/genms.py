@@ -36,8 +36,8 @@ class GenMSPlan(Plan):
         # The region is the whole mature address range; the *budget* is
         # enforced against bytes in use, not address space.
         self.freelist = FreeListSpace(
-            layout.MATURE_BASE, layout.MATURE_LIMIT - layout.MATURE_BASE
-        )
+            layout.MATURE_BASE, layout.MATURE_LIMIT - layout.MATURE_BASE,
+            config.max_cell_bytes)
 
     # -- sizing --------------------------------------------------------------
 

@@ -269,6 +269,22 @@ class TestFullCollectionGenCopy(FullCollectionCases):
     make = staticmethod(make_gencopy)
 
 
+def test_free_list_cells_reach_max_cell_bytes():
+    """The free list's largest class is ``GCConfig.max_cell_bytes``, the
+    same limit that keeps an object out of the LOS: a 4,812-byte array
+    under an 8 KB limit is promoted into a free-list cell."""
+    roots = RootBag()
+    plan = GenMSPlan(GCConfig(heap_bytes=1 << 20, max_cell_bytes=8192),
+                     _hooks(roots, None))
+    arr = plan.alloc_array("int", 1200)
+    assert arr.space == SPACE_NURSERY
+    roots.objects = [arr]
+    plan.collect_minor()
+    assert arr.space == SPACE_MATURE
+    assert plan.freelist.size_classes.sizes[-1] == 8192
+    assert len(plan.freelist.size_classes) == 40
+
+
 class TestCoallocation:
     def make_coalloc_plan(self, hot_table, roots, gap=0, heap=1 << 20):
         policy = CoallocationPolicy(static_hot_fields(hot_table),
