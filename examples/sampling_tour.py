@@ -20,7 +20,7 @@ import random
 from repro import PEBSConfig, PerfmonConfig
 from repro.core.config import MachineConfig
 from repro.hw.memsys import MemorySystem
-from repro.hw.pebs import PEBSUnit
+from repro.hw.pebs import SAMPLE_BYTES, PEBSUnit
 from repro.perfmon.kernel import PerfmonKernelModule
 from repro.perfmon.userlib import UserSampleLibrary
 
@@ -59,7 +59,7 @@ def main() -> None:
     print(f"one poll drained    : {len(eips)} samples "
           f"({userlib.polls} JNI round trip)")
     print(f"library buffer      : {userlib.capacity} samples (80 KB / "
-          f"{pebs.config.sample_bytes} B records)")
+          f"{SAMPLE_BYTES} B records)")
 
     print("\n=== 4: resolving raw EIPs to source constructs ===")
     # Build a tiny program so the code cache has real methods and maps.

@@ -131,12 +131,12 @@ class MachineConfig:
 class PEBSConfig:
     """The precise event-based sampling unit (section 3.1 / 4.1).
 
-    One sample is 40 bytes (EIP plus the register file).  The CPU's
-    microcode routine stores samples into the debug-store (DS) area and an
-    interrupt is raised when the buffer fills to a watermark.
+    One sample is 40 bytes (EIP plus the register file;
+    :data:`repro.hw.pebs.SAMPLE_BYTES`).  The CPU's microcode routine
+    stores samples into the debug-store (DS) area and an interrupt is
+    raised when the buffer fills to a watermark.
     """
 
-    sample_bytes: int = 40
     #: DS save-area capacity in samples (~4 KB buffer).
     ds_capacity: int = 100
     #: Interrupt watermark as a fraction of the DS capacity.

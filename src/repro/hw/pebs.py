@@ -9,7 +9,10 @@ Models the P4 mechanism of sections 3.1/4.1:
   (section 6.1; 8 bits in the paper's configuration),
 * a microcode routine saves the CPU state (40 bytes: EIP + registers)
   into a debug-store (DS) buffer supplied by the OS — we charge its cost
-  in cycles to the running program,
+  in cycles to the running program, and keep only the EIP: the paper
+  analyzes nothing else ("at the moment we do not monitor the data
+  register contents"), and its collector copies samples into an
+  ``int[]``,
 * an interrupt is generated only when the buffer is filled to a
   specified watermark; the handler (the perfmon kernel module) drains it.
 
@@ -25,21 +28,8 @@ from repro.core.config import PEBSConfig
 from repro.hw.events import validate_event
 
 
-class Sample:
-    """One 40-byte PEBS record: the EIP plus the register contents.
-
-    The paper analyzes only the EIP ("at the moment we do not monitor the
-    data register contents"), so registers are carried as an opaque tuple.
-    """
-
-    __slots__ = ("eip", "regs")
-
-    def __init__(self, eip: int, regs: tuple = ()):
-        self.eip = eip
-        self.regs = regs
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Sample(eip={self.eip:#x})"
+#: Bytes of one PEBS record on the P4 (EIP plus the register file).
+SAMPLE_BYTES = 40
 
 
 class PEBSUnit:
@@ -54,7 +44,8 @@ class PEBSUnit:
         executing program (microcode save, interrupt delivery).
     interrupt_handler:
         The kernel module's PMU interrupt handler.  Receives the drained
-        DS-buffer contents when the watermark is reached.
+        DS-buffer contents (the sampled EIPs) when the watermark is
+        reached.
     rng:
         Source of the interval randomization.
     handler_reads_clock:
@@ -65,7 +56,7 @@ class PEBSUnit:
         self,
         config: PEBSConfig,
         cost_sink: Callable[[int], None],
-        interrupt_handler: Callable[[List[Sample]], None],
+        interrupt_handler: Callable[[List[int]], None],
         rng: Optional[random.Random] = None,
         handler_reads_clock: bool = False,
     ):
@@ -77,7 +68,7 @@ class PEBSUnit:
         self.event: Optional[str] = None
         self._adopt(0)
         self._countdown = 0
-        self._ds_buffer: List[Sample] = []
+        self._ds_buffer: List[int] = []
         self._watermark = max(1, int(config.ds_capacity * config.watermark))
         self.enabled = False
         # Lifetime statistics.
@@ -165,7 +156,7 @@ class PEBSUnit:
             # the interrupt handler cannot keep up.
             self.samples_dropped += 1
             return
-        self._ds_buffer.append(Sample(eip))
+        self._ds_buffer.append(eip)
         self.samples_taken += 1
         if len(self._ds_buffer) >= self._watermark:
             self._raise_interrupt()
@@ -184,7 +175,7 @@ class PEBSUnit:
         if self._ds_buffer:
             self._raise_interrupt()
 
-    def drain(self) -> List[Sample]:
+    def drain(self) -> List[int]:
         """Read-side drain: hand pending samples to the caller without an
         interrupt (the perfmon read path), charging only the copy cost."""
         batch = self._ds_buffer

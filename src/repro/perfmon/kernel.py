@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.config import PerfmonConfig
-from repro.hw.pebs import PEBSUnit, Sample
+from repro.hw.pebs import PEBSUnit
 from repro.observers import NO_OBSERVERS
 
 
@@ -33,7 +33,7 @@ class PerfmonSession:
         self.pebs = pebs
         self.event = event
         self.interval = interval
-        self._buffer: List[Sample] = []
+        self._buffer: List[int] = []
         self.samples_received = 0
         self.samples_dropped = 0
         #: Interrupt-handler entries, read-path drains included.
@@ -43,7 +43,7 @@ class PerfmonSession:
 
     # -- interrupt side ---------------------------------------------------------
 
-    def on_interrupt(self, batch: List[Sample]) -> None:
+    def on_interrupt(self, batch: List[int]) -> None:
         """PMU interrupt handler: move DS samples into the kernel buffer."""
         capacity = self.config.kernel_buffer_capacity
         room = capacity - len(self._buffer)
@@ -63,7 +63,7 @@ class PerfmonSession:
 
     # -- read side ------------------------------------------------------------------
 
-    def read(self, max_samples: int) -> List[Sample]:
+    def read(self, max_samples: int) -> List[int]:
         """Return up to ``max_samples``, draining pending hardware samples
         first (the perfmon read path)."""
         pending = self.pebs.drain()

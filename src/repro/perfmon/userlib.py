@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from repro.core.config import PEBSConfig, PerfmonConfig
+from repro.core.config import PerfmonConfig
+from repro.hw.pebs import SAMPLE_BYTES
 from repro.perfmon.kernel import PerfmonSession
 
 
@@ -37,7 +38,7 @@ class UserSampleLibrary:
         #: (provided by the VM; None in standalone tests).
         self.gc_guard = gc_guard
         #: Buffer capacity in samples: 80 KB / 40-byte samples.
-        self.capacity = config.user_buffer_bytes // PEBSConfig.sample_bytes
+        self.capacity = config.user_buffer_bytes // SAMPLE_BYTES
         self.polls = 0
         self.samples_copied = 0
 
@@ -59,4 +60,4 @@ class UserSampleLibrary:
             return []
         self.charge(self.config.user_copy_cost * len(batch))
         self.samples_copied += len(batch)
-        return [s.eip for s in batch]
+        return batch

@@ -10,7 +10,7 @@ from repro.core.config import MachineConfig, PEBSConfig
 from repro.gc.plan import GCHooks
 from repro.hw.cpu import CPU
 from repro.hw.memsys import MemorySystem
-from repro.hw.pebs import PEBSUnit, Sample
+from repro.hw.pebs import SAMPLE_BYTES, PEBSUnit
 from tests.helpers import GEOMETRIES
 
 
@@ -569,7 +569,7 @@ class TestPEBS:
         for i in range(20000):
             unit.on_event(eip=i)
         unit.flush()
-        eips = [s.eip for b in batches for s in b]
+        eips = [eip for b in batches for eip in b]
         gaps = {b - a for a, b in zip(eips, eips[1:])}
         assert len(gaps) > 1  # not a fixed stride
 
@@ -595,7 +595,7 @@ class TestPEBS:
         unit, _, batches = self.make_unit(interval=1)
         unit.on_event(eip=0xCAFE)
         unit.flush()
-        assert batches[0][0].eip == 0xCAFE
+        assert batches[0][0] == 0xCAFE
 
     def test_stop_disables_sampling(self):
         unit, _, batches = self.make_unit(interval=1)
@@ -636,8 +636,7 @@ class TestPEBS:
             unit.configure("INSTRUCTIONS", 100)
 
     def test_sample_is_40_bytes_nominal(self):
-        assert PEBSConfig().sample_bytes == 40
-        assert Sample(1).eip == 1
+        assert SAMPLE_BYTES == 40
 
 
 class TestIntervalRandomizationBias:
@@ -664,7 +663,7 @@ class TestIntervalRandomizationBias:
         for i in range(events):
             eip = 0xA000 if i % 2 == 0 else 0xB000
             unit.on_event(eip)
-        counts = Counter(s.eip for s in unit._ds_buffer)
+        counts = Counter(unit._ds_buffer)
         return counts
 
     def test_exact_even_interval_aliases(self):

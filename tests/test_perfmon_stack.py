@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.config import PEBSConfig, PerfmonConfig
-from repro.hw.pebs import PEBSUnit, Sample
+from repro.hw.pebs import PEBSUnit
 from repro.perfmon.collector import CollectorThread
 from repro.perfmon.kernel import PerfmonKernelModule, PerfmonSession
 from repro.perfmon.userlib import UserSampleLibrary
@@ -56,7 +56,7 @@ class TestKernelModule:
         rest = session.read(100)
         assert len(rest) == 12
         # FIFO order preserved.
-        assert [s.eip for s in first + rest] == list(range(20))
+        assert first + rest == list(range(20))
 
     def test_kernel_buffer_overflow_counts_drops(self):
         _, pebs, session, _, _ = make_stack(interval=1, kernel_capacity=50)
