@@ -76,20 +76,39 @@ class TestAblationHelpers:
 class TestConfigSurface:
     def test_every_config_field_is_read(self):
         """A config field (or config property) nothing under
-        ``src/repro`` reads as ``.name`` is a setting without a user:
-        make it a constant or delete it."""
+        ``src/repro`` loads off a config object is a setting without a
+        user: make it a constant or delete it.  A config object is a
+        name containing ``config``/``cfg``, a ``SystemConfig`` or
+        ``MachineConfig`` field (``self.config.gc``, ``machine.l1``),
+        or ``self`` inside ``core/config.py`` — never a config class:
+        ``PEBSConfig.x`` reads the default, which no setting moves."""
+        classes = [cls for cls in vars(config).values()
+                   if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                   and cls.__module__ == config.__name__]
+        sections = {f.name for cls in (config.SystemConfig,
+                                       config.MachineConfig)
+                    for f in dataclasses.fields(cls)}
+        class_names = {cls.__name__ for cls in classes}
+
+        def holds_config(value, in_config_module):
+            name = (value.id if isinstance(value, ast.Name) else
+                    value.attr if isinstance(value, ast.Attribute) else "")
+            if name in class_names:
+                return False
+            return ("config" in name or "cfg" in name or name in sections
+                    or (in_config_module and name == "self"))
+
         package = pathlib.Path(config.__file__).parents[1]
         read = set()
         for path in package.rglob("*.py"):
+            in_config_module = path == pathlib.Path(config.__file__)
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Attribute) \
-                        and isinstance(node.ctx, ast.Load):
+                        and isinstance(node.ctx, ast.Load) \
+                        and holds_config(node.value, in_config_module):
                     read.add(node.attr)
         unread = []
-        for cls in vars(config).values():
-            if not (dataclasses.is_dataclass(cls)
-                    and cls.__module__ == config.__name__):
-                continue
+        for cls in classes:
             names = [f.name for f in dataclasses.fields(cls)]
             names += [name for name, value in vars(cls).items()
                       if isinstance(value, property)]
