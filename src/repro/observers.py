@@ -9,13 +9,15 @@ resolves the three ``SystemConfig`` fields once into one
 module that knows which of them is attached.
 
 Span sites use ``obs.tracer`` directly (the null one when telemetry is
-off); metrics are not pushed in flight but read off the finished run in
-one sweep, :meth:`Observers.publish`.  Everything else is a *fact*: one method per event of the loop, running ledger → health →
-trace instant — the ledger first, because it returns the entry id the
-health monitor cites (``-1`` without a ledger).  No observer charges
-cycles, consumes randomness or mutates simulator state, so a run is
-bit-identical whatever is attached.  docs/INTERNALS.md ("The observer
-spine") tabulates where each fact is emitted.
+off): it is a component's only telemetry channel in flight.  Metrics
+are read off the finished run in one sweep, :meth:`Observers.publish`.
+Everything else is a *fact*: one method per event of the loop, running
+ledger → health → trace instant — the ledger first, because it returns
+the entry id the health monitor cites (``-1`` without a ledger).  No
+observer charges cycles, consumes randomness or mutates simulator
+state, so a run is bit-identical whatever is attached.
+docs/INTERNALS.md ("The observer spine") tabulates where each fact is
+emitted.
 """
 
 from __future__ import annotations
