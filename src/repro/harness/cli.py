@@ -167,8 +167,8 @@ def cmd_run(args) -> None:
                  if (args.trace or args.metrics or args.prom
                      or args.collapsed)
                  else None)
-    # Exported records carry the decision ledger (schema 3) and the
-    # health report (schema 5), so `repro explain --from REC.json`,
+    # Exported records (schema 5) carry the decision ledger and the
+    # health report, so `repro explain --from REC.json`,
     # `repro doctor --from REC.json`, and `repro diff` work on them
     # without re-running anything.
     lineage = None
