@@ -2,9 +2,9 @@
 
 Everything here operates on the *serialized* ledger form
 (:meth:`~repro.lineage.ledger.DecisionLedger.to_json`), which is also
-what :class:`~repro.harness.record.RunRecord` persists (record
-schema 5, in its ``lineage`` field), so
-the same code explains a live run and a record loaded from disk.
+what :class:`~repro.harness.record.RunRecord` persists in its
+``lineage`` field (record schema 5), so the same code explains a live
+run and a record loaded from disk.
 
 The central operation is the ancestor walk: starting from a decision
 entry, follow parent links transitively to collect the evidence that
