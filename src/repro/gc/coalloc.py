@@ -48,9 +48,8 @@ class CoallocationPolicy:
         self.no_hot_field = 0
         self.child_unavailable = 0
         self.too_large = 0
-        self.accepted = 0
         #: Accepted co-allocations by ``(ClassInfo, FieldInfo)``.
-        self.accepted_by_field: Dict[tuple, int] = {}
+        self.accepted: Dict[tuple, int] = {}
 
     def select_child(self, obj) -> "tuple | None":
         """Return ``(child, combined_size)`` when ``obj`` should be
@@ -77,9 +76,8 @@ class CoallocationPolicy:
         if combined > self.max_combined_bytes:
             self.too_large += 1
             return None
-        self.accepted += 1
         key = (klass, field)
-        self.accepted_by_field[key] = self.accepted_by_field.get(key, 0) + 1
+        self.accepted[key] = self.accepted.get(key, 0) + 1
         self._obs.placement_pending(klass, field, obj.size, child.size,
                                     self.gap_bytes, combined)
         return child, combined
@@ -99,7 +97,7 @@ class CoallocationPolicy:
         accepted = metrics.counter(
             "gc.coalloc.accepted",
             "co-allocations performed, labeled (class, field)")
-        for (klass, field), count in self.accepted_by_field.items():
+        for (klass, field), count in self.accepted.items():
             accepted.labels(klass.name, field.name).inc(count)
         rejected = metrics.counter("gc.coalloc.rejected",
                                    "co-allocation rejections, by reason")
