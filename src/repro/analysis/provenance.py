@@ -16,8 +16,6 @@ or the disk cache's "cached == recomputed" equality would break.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from repro.core.config import fastpath_level
 from repro.harness import diskcache
 from repro.harness.record import SCHEMA_VERSION
@@ -37,7 +35,7 @@ def manifest(spec, fastpath: "int | None" = None) -> dict:
     return {
         "manifest_version": MANIFEST_VERSION,
         "code_version": diskcache.code_version(),
-        "spec": asdict(spec),
+        "spec": spec.as_dict(),
         "spec_key": diskcache.spec_key(spec),
         "seed": spec.seed,
         "fastpath": fastpath_level(fastpath),

@@ -25,12 +25,10 @@ def _client(args):
 
 
 def cmd_submit(args) -> None:
-    from dataclasses import asdict
-
     from repro.fleet import FleetClientError
     from repro.fleet.client import format_job
 
-    specs = [asdict(run_spec(args, benchmark))
+    specs = [run_spec(args, benchmark).as_dict()
              for benchmark in args.submit_benchmarks]
     try:
         doc = _client(args).submit(specs, leg_cycles=args.leg_cycles,

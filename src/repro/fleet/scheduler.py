@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import fields
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
@@ -375,7 +375,7 @@ class FleetScheduler:
         record = runner.cached_record(entry.spec)
         if record is None:
             return None
-        return {"spec": asdict(entry.spec), "record": record.to_json()}
+        return {"spec": entry.spec.as_dict(), "record": record.to_json()}
 
     def refresh_gauges(self) -> None:
         """Scrape-time gauges (uptime, in-process SIM_RUNS)."""

@@ -38,6 +38,14 @@ class Cell:
         #: internal-fragmentation accounting).
         self.charged = 0
 
+    def __getstate__(self):
+        return (self.addr, self.class_index, self.size, self.inhabitants,
+                self.charged)
+
+    def __setstate__(self, state):
+        (self.addr, self.class_index, self.size, self.inhabitants,
+         self.charged) = state
+
     def __repr__(self) -> str:
         return f"<cell {self.addr:#x} sz={self.size} n={len(self.inhabitants)}>"
 

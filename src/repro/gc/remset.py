@@ -64,3 +64,13 @@ class RememberedSet:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    # ``_seen`` is always ``set(_entries)``, and a set of identity-hashed
+    # pairs pickles in address order: a snapshot carries the entries
+    # only, so its bytes follow from the VM state.
+    def __getstate__(self):
+        return (self._entries, self.barrier_stores, self.remembered)
+
+    def __setstate__(self, state):
+        self._entries, self.barrier_stores, self.remembered = state
+        self._seen = set(self._entries)

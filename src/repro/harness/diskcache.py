@@ -30,7 +30,6 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import asdict
 from typing import Optional
 
 from repro.harness.record import RunRecord, SCHEMA_VERSION
@@ -81,7 +80,7 @@ def code_version() -> str:
 
 def spec_key(spec) -> str:
     """Stable hash of one RunSpec's canonical JSON form."""
-    canonical = json.dumps(asdict(spec), sort_keys=True)
+    canonical = json.dumps(spec.as_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:24]
 
 
@@ -150,7 +149,7 @@ class DiskCache:
 
     def put(self, spec, record: RunRecord) -> None:
         """Store ``record`` atomically (tmp file + rename)."""
-        doc = {"version": self.version, "spec": asdict(spec),
+        doc = {"version": self.version, "spec": spec.as_dict(),
                "record": record.to_json()}
         _write_atomically(self._entry_path(spec), json.dumps(doc))
 

@@ -52,7 +52,6 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict
 from typing import Callable, Iterable, List, Optional, TextIO
 
 from repro.harness import runner
@@ -333,7 +332,7 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
                     **fields)
 
         def payload(i: int, snap_data: Optional[bytes]) -> tuple:
-            return (asdict(missing[i]), snap_data, leg_cycles)
+            return (missing[i].as_dict(), snap_data, leg_cycles)
 
         def launch(i: int) -> tuple:
             """Start chain ``i``: its first leg's payload."""

@@ -65,6 +65,15 @@ class RunSpec:
     #: checkpoint family in the caches (see :func:`base_spec`).
     until_cycles: Optional[int] = None
 
+    def as_dict(self) -> dict:
+        """The fields by name, as a new dict.
+
+        Every field is a scalar, so a shallow copy of the instance dict
+        is the whole form; the deep copy ``dataclasses.asdict`` makes
+        would cost as much as the rest of a disk-cache lookup.
+        """
+        return dict(self.__dict__)
+
     def base(self) -> "RunSpec":
         """The spec with the cycle bound stripped — the snapshot key."""
         return replace(self, until_cycles=None) \

@@ -102,6 +102,14 @@ class MInst:
         self.bc_index = bc_index
         self.ir_id = ir_id
 
+    def __getstate__(self):
+        return (self.op, self.rd, self.rs1, self.rs2, self.imm, self.aux,
+                self.bc_index, self.ir_id)
+
+    def __setstate__(self, state):
+        (self.op, self.rd, self.rs1, self.rs2, self.imm, self.aux,
+         self.bc_index, self.ir_id) = state
+
     def __repr__(self) -> str:
         parts = [OP_NAMES.get(self.op, f"op{self.op}")]
         for label, value in (("rd", self.rd), ("rs1", self.rs1),

@@ -69,6 +69,14 @@ class HIRInst:
         self.vreg = vreg
         self.bc_index = bc_index
 
+    def __getstate__(self):
+        return (self.id, self.op, self.args, self.aux, self.imm, self.typ,
+                self.vreg, self.bc_index)
+
+    def __setstate__(self, state):
+        (self.id, self.op, self.args, self.aux, self.imm, self.typ,
+         self.vreg, self.bc_index) = state
+
     def __repr__(self) -> str:
         ops = ",".join(f"t{a.id}" if a is not None else "?" for a in self.args)
         return f"<hir {self.id}: {self.op}({ops}) v{self.vreg}>"

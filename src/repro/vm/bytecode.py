@@ -87,6 +87,12 @@ class Instr:
         self.a = a
         self.b = b
 
+    def __getstate__(self):
+        return (self.op, self.a, self.b)
+
+    def __setstate__(self, state):
+        self.op, self.a, self.b = state
+
     def __repr__(self) -> str:
         parts = [self.op]
         if self.a is not None:

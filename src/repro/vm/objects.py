@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.vm.model import (
-    KIND_BYTES,
-    ClassInfo,
-    array_bytes,
-    element_offset,
-)
+from repro.vm.model import KIND_BYTES, ClassInfo, array_bytes
 
 # Space identifiers.
 SPACE_NURSERY = 0
@@ -64,6 +59,16 @@ class HeapObject:
         #: Free-list cell hosting this object once promoted (GenMS).
         self.cell = None
 
+    # Snapshots pickle the slots as one tuple, in ``__slots__`` order,
+    # not as the default ``{slot: value}`` dict.
+    def __getstate__(self):
+        return (self.class_info, self.address, self.space, self.slots,
+                self.gc_mark, self.coallocated, self.cell)
+
+    def __setstate__(self, state):
+        (self.class_info, self.address, self.space, self.slots,
+         self.gc_mark, self.coallocated, self.cell) = state
+
     @property
     def size(self) -> int:
         return self.class_info.instance_bytes
@@ -73,14 +78,6 @@ class HeapObject:
 
     def write(self, index: int, value: object) -> None:
         self.slots[index] = value
-
-    def ref_children(self):
-        """Yield (FieldInfo, child) for every non-null reference field."""
-        for field in self.class_info.fields:
-            if field.kind == "ref":
-                child = self.slots[field.index]
-                if child is not None:
-                    yield field, child
 
     def __repr__(self) -> str:
         return (f"<{self.class_info.name}@{self.address:#x} "
@@ -113,6 +110,14 @@ class HeapArray:
         self.coallocated = False
         self.cell = None
 
+    def __getstate__(self):
+        return (self.kind, self.address, self.space, self.elements,
+                self.gc_mark, self.coallocated, self.cell, self.esize)
+
+    def __setstate__(self, state):
+        (self.kind, self.address, self.space, self.elements,
+         self.gc_mark, self.coallocated, self.cell, self.esize) = state
+
     @property
     def length(self) -> int:
         return len(self.elements)
@@ -121,21 +126,11 @@ class HeapArray:
     def size(self) -> int:
         return array_bytes(self.kind, len(self.elements))
 
-    def element_address(self, index: int) -> int:
-        return self.address + element_offset(self.kind, index)
-
     def read(self, index: int) -> object:
         return self.elements[index]
 
     def write(self, index: int, value: object) -> None:
         self.elements[index] = value
-
-    def ref_children(self):
-        """Yield (index, child) for each non-null reference element."""
-        if self.kind == "ref":
-            for i, child in enumerate(self.elements):
-                if child is not None:
-                    yield i, child
 
     def __repr__(self) -> str:
         return (f"<{self.kind}[{len(self.elements)}]@{self.address:#x} "

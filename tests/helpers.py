@@ -9,6 +9,7 @@ from repro.core.config import (CacheConfig, GCConfig, MachineConfig,
                                SystemConfig, TLBConfig)
 from repro.gc import layout
 from repro.jit.aos import CompilationPlan
+from repro.vm.model import element_offset
 from repro.vm.program import Program
 from repro.vm.vmcore import VM, run_program
 from repro.workloads.synth import Fn, local_ref
@@ -182,6 +183,28 @@ def is_subclass_of(klass, other) -> bool:
             return True
         klass = klass.superclass
     return False
+
+
+def ref_children(obj):
+    """Yield (FieldInfo, child) for every non-null reference field of a
+    scalar object, or (index, child) for each non-null reference element
+    of an array."""
+    if obj.is_array:
+        if obj.kind == "ref":
+            for i, child in enumerate(obj.elements):
+                if child is not None:
+                    yield i, child
+        return
+    for field in obj.class_info.fields:
+        if field.kind == "ref":
+            child = obj.slots[field.index]
+            if child is not None:
+                yield field, child
+
+
+def element_address(array, index: int) -> int:
+    """The simulated byte address of element ``index`` of ``array``."""
+    return array.address + element_offset(array.kind, index)
 
 
 def line_of(cache, addr: int) -> int:

@@ -13,13 +13,21 @@ single bit.
 
 import json
 import os
+import pickle
+import zlib
 from dataclasses import replace
 
 import pytest
 
+from repro.gc.freelist import Cell
 from repro.harness import engine, runner
 from repro.harness.diskcache import DiskCache
 from repro.harness.runner import RunSpec, execute
+from repro.hw.isa import MInst
+from repro.jit.hir import HIRInst
+from repro.vm.bytecode import Instr
+from repro.vm.model import ClassInfo
+from repro.vm.objects import HeapArray, HeapObject
 from repro.vm.snapshot import Snapshot, SnapshotError
 
 LEVELS = (0, 1, 2)
@@ -210,6 +218,47 @@ class TestWireFormat:
             Snapshot.from_bytes(data)
         # ... unless the caller explicitly opts out.
         assert Snapshot.from_bytes(data, check_code_version=False) is not None
+
+
+class TestPayloadDeterminism:
+    def test_resumed_twice_captures_equal_payloads(self):
+        """Snapshot bytes are a function of VM state: two restores of
+        one checkpoint, run equally far, capture the same payload, even
+        though their heap objects sit at different host addresses."""
+        db = RunSpec(benchmark="db", coalloc=True, until_cycles=2_000_000)
+        snaps = []
+        execute(db, on_checkpoint=snaps.append)
+        payloads = []
+        for _ in range(2):
+            vm = snaps[-1].restore()
+            vm.advance(until_cycles=2_250_000)
+            assert len(vm.plan.remset) > 0
+            payloads.append(zlib.decompress(Snapshot.capture(vm)._payload))
+        assert payloads[0] == payloads[1]
+
+
+class TestTupleState:
+    """The slotted classes of the VM graph pickle their slots as one
+    tuple in ``__slots__`` order; a slot missing from either half of a
+    ``__getstate__``/``__setstate__`` pair would be dropped silently."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: HeapObject(ClassInfo("A").seal()),
+        lambda: HeapArray("int", 2),
+        lambda: Cell(0, 0, 16),
+        lambda: MInst(0),
+        lambda: Instr("nop"),
+        lambda: HIRInst(0, "nop"),
+    ], ids=["HeapObject", "HeapArray", "Cell", "MInst", "Instr", "HIRInst"])
+    def test_every_slot_round_trips(self, make):
+        obj = make()
+        cls = type(obj)
+        for name in cls.__slots__:
+            setattr(obj, name, f"sentinel-{name}")
+        assert len(obj.__getstate__()) == len(cls.__slots__)
+        clone = pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+        for name in cls.__slots__:
+            assert getattr(clone, name) == f"sentinel-{name}", name
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from tests.helpers import is_adjacent, is_subclass_of, same_cache_line
+from tests.helpers import (element_address, is_adjacent, is_subclass_of,
+                           ref_children, same_cache_line)
 from repro.vm.model import (
     ARRAY_HEADER_BYTES,
     HEADER_BYTES,
@@ -176,7 +177,7 @@ class TestHeapObjects:
         k.seal()
         parent, child = HeapObject(k), HeapObject(k)
         parent.write(1, child)
-        children = list(parent.ref_children())
+        children = list(ref_children(parent))
         assert children == [(k.field("r"), child)]
 
     def test_array_defaults(self):
@@ -187,15 +188,15 @@ class TestHeapObjects:
 
     def test_array_element_address(self):
         arr = HeapArray("char", 10, address=0x1000)
-        assert arr.element_address(0) == 0x100C
-        assert arr.element_address(4) == 0x1014
+        assert element_address(arr, 0) == 0x100C
+        assert element_address(arr, 4) == 0x1014
 
     def test_array_ref_children(self):
         arr = HeapArray("ref", 3)
         k = ClassInfo("A").seal()
         obj = HeapObject(k)
         arr.write(1, obj)
-        assert list(arr.ref_children()) == [(1, obj)]
+        assert list(ref_children(arr)) == [(1, obj)]
 
     def test_same_cache_line(self):
         k = ClassInfo("A").seal()
