@@ -30,11 +30,14 @@ def cmd_submit(args) -> None:
 
     specs = [run_spec(args, benchmark).as_dict()
              for benchmark in args.submit_benchmarks]
+    client = _client(args)
     try:
-        doc = _client(args).submit(specs, leg_cycles=args.leg_cycles,
-                                   wait=args.wait)
+        doc = client.submit(specs, leg_cycles=args.leg_cycles,
+                            wait=args.wait)
     except FleetClientError as exc:
         raise SystemExit(f"submit: {exc}")
+    finally:
+        client.close()
     if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
         return
@@ -55,6 +58,8 @@ def cmd_jobs(args) -> None:
             rows = client.jobs()
     except FleetClientError as exc:
         raise SystemExit(f"jobs: {exc}")
+    finally:
+        client.close()
     if args.json:
         print(json.dumps(rows[0] if args.job_id else rows, indent=1,
                          sort_keys=True))

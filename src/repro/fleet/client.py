@@ -1,18 +1,19 @@
 """Stdlib HTTP client for the fleet daemon.
 
-One :class:`FleetClient` per base URL; every call opens a fresh
-``http.client.HTTPConnection`` (the daemon closes connections after
-each response anyway), so the client is trivially thread-safe and
-never holds a stale socket.  ``repro submit`` / ``repro jobs`` /
-``repro watch`` are thin wrappers over these methods.
+One :class:`FleetClient` per base URL keeps one connection per thread,
+for every call but :meth:`~FleetClient.events`, until it is closed.
+``repro submit`` / ``repro jobs`` / ``repro watch`` are thin wrappers
+over these methods.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
+import threading
 import urllib.parse
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.fleet.server import DEFAULT_HOST, DEFAULT_PORT
 
@@ -40,10 +41,46 @@ class FleetClient:
         self.host = url.hostname or DEFAULT_HOST
         self.port = url.port or DEFAULT_PORT
         self.timeout = timeout
+        self._conns: dict = {}    # thread ident -> its kept connection
 
-    def _connect(self, timeout: Optional[float]) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(self.host, self.port,
-                                          timeout=timeout)
+    def close(self) -> None:
+        """Close every kept connection; call it with no request in flight."""
+        for conn in list(self._conns.values()):
+            conn.close()
+
+    def _exchange(self, method: str, path: str, payload: Optional[bytes],
+                  timeout: Optional[float]) -> Tuple[int, bytes]:
+        """One request on this thread's kept connection: (status, body).
+
+        A reused connection that fails before the reply's first byte was
+        closed by the daemon's idle deadline as the request left, so the
+        daemon never read it: it is sent once more, on a fresh
+        connection.  Nothing is sent again once a reply has begun."""
+        conn = self._conns.get(threading.get_ident())
+        if conn is None:
+            conn = self._conns[threading.get_ident()] = \
+                http.client.HTTPConnection(self.host, self.port)
+        headers = {"Content-Type": "application/json"} if payload else {}
+        for retry in (conn.sock is not None, False):
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            answered = b""
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                # Wait for the reply's first byte, left for getresponse().
+                answered = conn.sock.recv(1, socket.MSG_PEEK)
+                if answered:
+                    resp = conn.getresponse()
+                    return resp.status, resp.read()
+                raise ConnectionResetError("closed without a reply")
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if retry and not answered and isinstance(exc, ConnectionError):
+                    continue
+                raise FleetClientError(
+                    f"fleet daemon unreachable at "
+                    f"http://{self.host}:{self.port}: {exc}")
 
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None,
@@ -51,32 +88,19 @@ class FleetClient:
         """One JSON round trip; raises :class:`FleetClientError` on any
         connection failure or non-2xx status (carrying the daemon's
         ``error`` message when it sent one)."""
-        if timeout == -1:
-            timeout = self.timeout
-        conn = self._connect(timeout)
-        try:
-            payload = (json.dumps(body).encode("utf-8")
-                       if body is not None else None)
-            headers = {"Content-Type": "application/json"} if payload \
-                else {}
-            conn.request(method, path, body=payload, headers=headers)
-            resp = conn.getresponse()
-            raw = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
-            raise FleetClientError(
-                f"fleet daemon unreachable at "
-                f"http://{self.host}:{self.port}: {exc}")
-        finally:
-            conn.close()
+        payload = (json.dumps(body).encode("utf-8")
+                   if body is not None else None)
+        status, raw = self._exchange(
+            method, path, payload, self.timeout if timeout == -1 else timeout)
         try:
             doc = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError):
             doc = {"raw": raw.decode("utf-8", "replace")}
-        if resp.status >= 300:
+        if status >= 300:
             message = doc.get("error") if isinstance(doc, dict) else None
             raise FleetClientError(
-                message or f"HTTP {resp.status} for {method} {path}",
-                status=resp.status)
+                message or f"HTTP {status} for {method} {path}",
+                status=status)
         return doc
 
     # -- endpoints -----------------------------------------------------------
@@ -84,14 +108,15 @@ class FleetClient:
     def submit(self, spec_docs: List[dict],
                leg_cycles: Optional[int] = None,
                wait: bool = False) -> dict:
-        """POST a batch; with ``wait=True`` long-poll to completion."""
+        """POST a batch; with ``wait=True`` the daemon answers once the
+        job is terminal, however long that takes (no client timeout)."""
         body = {"specs": spec_docs}
         if leg_cycles is not None:
             body["leg_cycles"] = leg_cycles
-        doc = self._request("POST", "/jobs", body=body)
         if wait:
-            return self.job(doc["job"], wait=True)
-        return doc
+            return self._request("POST", "/jobs?wait=1", body=body,
+                                 timeout=None)
+        return self._request("POST", "/jobs", body=body)
 
     def jobs(self) -> List[dict]:
         return self._request("GET", "/jobs")["jobs"]
@@ -118,18 +143,10 @@ class FleetClient:
 
     def metrics(self) -> str:
         """Raw Prometheus text from ``GET /metrics``."""
-        conn = self._connect(self.timeout)
-        try:
-            conn.request("GET", "/metrics")
-            resp = conn.getresponse()
-            raw = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
-            raise FleetClientError(f"metrics scrape failed: {exc}")
-        finally:
-            conn.close()
-        if resp.status != 200:
-            raise FleetClientError(f"HTTP {resp.status} for GET /metrics",
-                                   status=resp.status)
+        status, raw = self._exchange("GET", "/metrics", None, self.timeout)
+        if status != 200:
+            raise FleetClientError(f"HTTP {status} for GET /metrics",
+                                   status=status)
         return raw.decode("utf-8")
 
     def health(self) -> dict:
@@ -145,7 +162,7 @@ class FleetClient:
         if not backlog:
             query["backlog"] = "0"
         path = "/events?" + urllib.parse.urlencode(query)
-        conn = self._connect(None)  # stream: no read timeout
+        conn = http.client.HTTPConnection(self.host, self.port)  # no timeout
         try:
             conn.request("GET", path)
             resp = conn.getresponse()

@@ -6,7 +6,9 @@ simulation jobs at scale:
 * **Job queue** — a submitted batch becomes one :class:`Job`; batches
   are admitted to the engine one at a time, so the engine's own
   process pool keeps every core busy within a batch while further
-  batches wait with a real, observable queue depth.
+  batches wait with a real, observable queue depth.  Every queued or
+  running job stays in the job table; of the terminal ones only the
+  last :data:`RETAIN_JOBS` to finish do, and an evicted id is unknown.
 * **In-flight dedup** — every spec key ever seen maps to one
   :class:`SpecEntry`.  A batch submitting a key that is already queued
   or running *coalesces*: it waits for the owning batch's simulation
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from functools import partial
@@ -48,6 +51,9 @@ from repro.workloads import suite
 
 #: Spec states a batch can observe through ``GET /jobs/<id>``.
 TERMINAL_STATES = ("done", "cache-hit", "failed")
+#: Terminal jobs kept, oldest finished dropped first: about as many as the
+#: bus's 4096-event replay can rebuild, at three or more events per job.
+RETAIN_JOBS = 1024
 
 _SPEC_FIELDS = {f.name for f in fields(RunSpec)}
 
@@ -117,8 +123,8 @@ class FleetScheduler:
         self.metrics = MetricsRegistry()
         self.started_at = time.monotonic()
         self.draining = False
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        self._jobs: Dict[str, Job] = {}   # submission order
+        self._finished: deque = deque()   # terminal job ids, finish order
         self._entries: Dict[str, SpecEntry] = {}
         self._next_id = 0
         self._admission = asyncio.Lock()
@@ -200,7 +206,6 @@ class FleetScheduler:
         job = Job(f"b{self._next_id}", list(specs),
                   [spec_key(s) for s in specs], leg_cycles)
         self._jobs[job.id] = job
-        self._order.append(job.id)
         self._jobs_submitted.inc()
         self._specs_submitted.inc(len(job.specs))
 
@@ -306,6 +311,9 @@ class FleetScheduler:
                           "wall_s": round(job.finished - job.created, 4),
                           "error": job.error})
         job.done_event.set()
+        self._finished.append(job.id)
+        if len(self._finished) > RETAIN_JOBS:
+            del self._jobs[self._finished.popleft()]
 
     def _on_engine_event(self, doc: dict) -> None:
         """Loop-side handler for one engine job document."""
@@ -360,8 +368,8 @@ class FleetScheduler:
         return doc
 
     def jobs_json(self) -> List[dict]:
-        return [self.job_json(self._jobs[jid], specs=False)
-                for jid in self._order]
+        return [self.job_json(job, specs=False)
+                for job in self._jobs.values()]
 
     def get_job(self, job_id: str) -> Optional[Job]:
         return self._jobs.get(job_id)
@@ -394,7 +402,7 @@ class FleetScheduler:
             await asyncio.gather(*pending, return_exceptions=True)
         self.bus.publish({"type": "fleet", "kind": "shutdown",
                           "ts": round(time.monotonic(), 4),
-                          "jobs": len(self._order)})
+                          "jobs": self._next_id})
         self._engine_pool.shutdown(wait=True)
         return len(pending)
 

@@ -1,12 +1,15 @@
 """Stdlib-only HTTP/JSON API over the fleet scheduler.
 
-The daemon speaks plain HTTP/1.1 on asyncio streams — no web
-framework, one request per connection (``Connection: close``), which
-keeps the parser ~50 lines and the failure modes obvious.  Endpoints:
+The daemon speaks plain HTTP/1.1 on asyncio streams, no web
+framework.  A connection stays open between requests unless a request
+asks for ``Connection: close``; each request is read under one deadline,
+and a connection idle past it is closed without a byte written.  An
+``/events`` stream is a connection's last reply.  Endpoints:
 
 ========================  ==================================================
-``POST /jobs``            submit ``{"specs": [...], "leg_cycles": N?}``
-``GET /jobs``             all jobs, newest last (summary rows)
+``POST /jobs``            submit ``{"specs": [...], "leg_cycles": N?}``;
+                          ``?wait=1`` answers once the job is terminal
+``GET /jobs``             retained jobs, newest last (summary rows)
 ``GET /jobs/<id>``        one job with per-spec states; ``?wait=1``
                           long-polls until the job is terminal
 ``GET /records/<key>``    cached record for a spec key (cache envelope)
@@ -21,7 +24,8 @@ keeps the parser ~50 lines and the failure modes obvious.  Endpoints:
 
 :func:`serve` is the blocking entry point behind ``repro serve``; it
 installs SIGTERM/SIGINT handlers for a graceful drain (refuse new
-jobs, finish accepted ones, announce ``shutdown`` on the bus, exit).
+jobs, finish accepted ones, announce ``shutdown``, close idle
+connections, exit).
 :class:`BackgroundFleet` runs the same server on a daemon thread for
 in-process tests and ad-hoc tooling.
 """
@@ -48,9 +52,11 @@ DEFAULT_PORT = 8077
 
 #: Largest request body the daemon will read (1 MiB of spec JSON).
 MAX_BODY = 1 << 20
-#: Seconds a draining daemon waits for its event streams to send the
-#: ``shutdown`` announcement (a stalled client is then cut off).
-STREAM_DRAIN_S = 5.0
+#: Seconds a connection has to send its next whole request, head and body.
+REQUEST_TIMEOUT_S = 10.0
+#: Seconds a draining daemon waits for its connections to end: event
+#: streams send the ``shutdown`` announcement, busy ones their reply.
+DRAIN_S = 5.0
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -64,50 +70,50 @@ class _HttpError(Exception):
         self.message = message
 
 
-async def _read_request(reader: asyncio.StreamReader
-                        ) -> Tuple[str, str, dict, bytes]:
-    """Parse one HTTP/1.1 request: (method, target, headers, body)."""
-    try:
-        line = await asyncio.wait_for(reader.readline(), timeout=10)
-    except asyncio.TimeoutError:
-        raise _HttpError(400, "request line timeout")
-    if not line:
+async def _read_request(reader: asyncio.StreamReader, started: list
+                        ) -> Tuple[str, str, bytes, bool]:
+    """Parse one request: (method, target, body, keep-alive).
+    ``started`` gets an item with the first byte, so that a deadline can
+    tell an idle connection from a half-sent request."""
+    first = await reader.read(1)
+    if not first:
         raise ConnectionError("client closed")
-    parts = line.decode("latin-1").split()
+    started.append(first)
+    try:
+        head = first + await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
+        raise _HttpError(400, "request head too large")
+    lines = head[:-4].decode("latin-1").split("\r\n")
+    parts = lines[0].split()
     if len(parts) != 3:
         raise _HttpError(400, "malformed request line")
-    method, target, _version = parts
+    method, target, version = parts
     headers = {}
-    while True:
-        try:
-            raw = await asyncio.wait_for(reader.readline(), timeout=10)
-        except asyncio.TimeoutError:
-            raise _HttpError(400, "header timeout")
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
+    for raw in lines[1:]:
+        name, _, value = raw.partition(":")
         headers[name.strip().lower()] = value.strip()
-    body = b""
-    length = int(headers.get("content-length", 0) or 0)
-    if length > MAX_BODY:
-        raise _HttpError(413, f"body exceeds {MAX_BODY} bytes")
-    if length:
-        body = await reader.readexactly(length)
-    return method, target, headers, body
+    length = headers.get("content-length", "0")
+    if not length.isdecimal() or int(length) > MAX_BODY:
+        raise _HttpError(413 if length.isdecimal() else 400,
+                         f"body length must be 0..{MAX_BODY} bytes")
+    body = await reader.readexactly(int(length))
+    keep = (version == "HTTP/1.1"
+            and headers.get("connection", "").lower() != "close")
+    return method, target, body, keep
 
 
-def _response(status: int, body: bytes,
-              content_type: str = "application/json") -> bytes:
+def _response(status: int, body: bytes, content_type: str,
+              keep: bool) -> bytes:
     head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n")
+            f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n")
     return head.encode("latin-1") + body
 
 
-def _json_response(status: int, doc: object) -> bytes:
-    return _response(status, (json.dumps(doc, sort_keys=True) + "\n")
-                     .encode("utf-8"))
+def _json(status: int, doc: object) -> Tuple[int, bytes, str]:
+    return (status, (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"),
+            "application/json")
 
 
 class FleetServer:
@@ -120,7 +126,8 @@ class FleetServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
-        self._streams: set = set()    # handler tasks tailing the bus
+        self._handlers: set = set()   # one task per open connection
+        self._idle: set = set()       # writers awaiting their next request
         self.loop: Optional[asyncio.AbstractEventLoop] = None
 
     async def start(self) -> None:
@@ -145,12 +152,15 @@ class FleetServer:
 
     async def shutdown(self) -> None:
         await self.scheduler.drain()
-        # Let every event stream write the ``shutdown`` announcement and
-        # end, rather than be cancelled mid-write when the loop closes.
-        if self._streams:
-            await asyncio.wait(self._streams, timeout=STREAM_DRAIN_S)
         if self._server is not None:
             self._server.close()
+        # Idle connections end here, busy ones after their reply, event
+        # streams after the ``shutdown`` announcement the drain made.
+        for writer in list(self._idle):
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(self._handlers, timeout=DRAIN_S)
+        if self._server is not None:
             await self._server.wait_closed()
         self._shutdown.set()
 
@@ -158,30 +168,56 @@ class FleetServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Serve requests on one connection until either side closes it.
+
+        A connection that sends nothing within the deadline is closed
+        without a word, one that stops part-way gets a 400, and any error
+        met before the body was read closes the connection."""
+        self._handlers.add(asyncio.current_task())
         try:
-            try:
-                method, target, _headers, body = await _read_request(reader)
-            except _HttpError as exc:
-                writer.write(_json_response(exc.status,
-                                            {"error": exc.message}))
-                return
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return
-            url = urllib.parse.urlsplit(target)
-            query = dict(urllib.parse.parse_qsl(url.query))
-            try:
-                await self._route(method, url.path, query, body, reader,
-                                  writer)
-            except _HttpError as exc:
-                writer.write(_json_response(exc.status,
-                                            {"error": exc.message}))
-            except FleetError as exc:
-                writer.write(_json_response(400, {"error": str(exc)}))
-            except FleetUnavailable as exc:
-                writer.write(_json_response(503, {"error": str(exc)}))
-            except Exception as exc:  # pragma: no cover - defensive
-                writer.write(_json_response(
-                    500, {"error": f"{type(exc).__name__}: {exc}"}))
+            while True:
+                started: list = []
+                self._idle.add(writer)
+                try:
+                    method, target, body, keep = \
+                        await asyncio.wait_for(
+                            _read_request(reader, started), REQUEST_TIMEOUT_S)
+                except asyncio.TimeoutError:
+                    if started:
+                        writer.write(_response(
+                            *_json(400, {"error": "request timeout"}), False))
+                    return
+                except _HttpError as exc:
+                    writer.write(_response(
+                        *_json(exc.status, {"error": exc.message}), False))
+                    return
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    return
+                finally:
+                    self._idle.discard(writer)
+                url = urllib.parse.urlsplit(target)
+                query = dict(urllib.parse.parse_qsl(url.query))
+                try:
+                    reply = await self._route(method, url.path, query, body,
+                                              reader, writer)
+                except _HttpError as exc:
+                    reply = _json(exc.status, {"error": exc.message})
+                except FleetError as exc:
+                    reply = _json(400, {"error": str(exc)})
+                except FleetUnavailable as exc:
+                    reply = _json(503, {"error": str(exc)})
+                except Exception as exc:  # pragma: no cover - defensive
+                    reply = _json(500, {
+                        "error": f"{type(exc).__name__}: {exc}"})
+                if reply is None:   # an event stream, ended
+                    return
+                keep = keep and not self.scheduler.draining
+                writer.write(_response(*reply, keep))
+                if not keep:
+                    return
+                await writer.drain()
+        except (ConnectionError, OSError):
+            pass
         finally:
             try:
                 await writer.drain()
@@ -189,53 +225,50 @@ class FleetServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            self._handlers.discard(asyncio.current_task())
 
     async def _route(self, method: str, path: str, query: dict,
                      body: bytes, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
+                     writer: asyncio.StreamWriter
+                     ) -> Optional[Tuple[int, bytes, str]]:
+        """The reply, or None after an event stream (it writes its own)."""
         sched = self.scheduler
+        wait = query.get("wait") in ("1", "true")
         if path == "/healthz":
-            writer.write(_json_response(200, {
-                "ok": True, "draining": sched.draining,
-                "jobs": len(sched.jobs_json())}))
-            return
+            return _json(200, {"ok": True, "draining": sched.draining,
+                               "jobs": len(sched.jobs_json())})
         if path == "/metrics":
             if method != "GET":
                 raise _HttpError(405, "GET only")
             sched.refresh_gauges()
-            text = prometheus_text(sched.metrics)
-            writer.write(_response(
-                200, text.encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8"))
-            return
+            return (200, prometheus_text(sched.metrics).encode("utf-8"),
+                    "text/plain; version=0.0.4; charset=utf-8")
         if path == "/events":
             if method != "GET":
                 raise _HttpError(405, "GET only")
             await self._stream_events(query, reader, writer)
-            return
+            return None
         if path == "/jobs" and method == "POST":
             doc = _parse_json_body(body)
             specs = sched.parse_specs(doc.get("specs"))
             job = sched.submit(specs, leg_cycles=doc.get("leg_cycles"))
-            writer.write(_json_response(200, sched.job_json(job)))
-            return
+            if wait:
+                await job.done_event.wait()
+            return _json(200, sched.job_json(job))
         if path == "/jobs" and method == "GET":
-            writer.write(_json_response(200, {"jobs": sched.jobs_json()}))
-            return
+            return _json(200, {"jobs": sched.jobs_json()})
         if path.startswith("/jobs/") and method == "GET":
             job = sched.get_job(path[len("/jobs/"):])
             if job is None:
                 raise _HttpError(404, "no such job")
-            if query.get("wait") in ("1", "true"):
+            if wait:
                 await job.done_event.wait()
-            writer.write(_json_response(200, sched.job_json(job)))
-            return
+            return _json(200, sched.job_json(job))
         if path.startswith("/records/") and method == "GET":
             doc = sched.record_json(path[len("/records/"):])
             if doc is None:
                 raise _HttpError(404, "no record for that spec key")
-            writer.write(_json_response(200, doc))
-            return
+            return _json(200, doc)
         if path == "/diff" and method == "GET":
             a_key, b_key = query.get("a"), query.get("b")
             if not a_key or not b_key:
@@ -252,13 +285,11 @@ class FleetServer:
             except ValueError:
                 raise _HttpError(400, "threshold must be a float")
             diff = diff_docs(docs[0], docs[1], threshold=threshold)
-            writer.write(_json_response(200, {
-                "a": a_key, "b": b_key, "diff": diff.to_json()}))
-            return
+            return _json(200, {"a": a_key, "b": b_key,
+                               "diff": diff.to_json()})
         if path == "/shutdown" and method == "POST":
-            writer.write(_json_response(200, {"draining": True}))
             self.request_shutdown()
-            return
+            return _json(200, {"draining": True})
         raise _HttpError(404, f"no route for {method} {path}")
 
     async def _stream_events(self, query: dict,
@@ -282,7 +313,6 @@ class FleetServer:
         queue: asyncio.Queue = asyncio.Queue()
         self.scheduler.bus.subscribe(queue.put_nowait, backlog=backlog)
         hangup = asyncio.ensure_future(_end_of_input(reader, queue))
-        self._streams.add(asyncio.current_task())
         try:
             while True:
                 doc = await queue.get()
@@ -302,7 +332,6 @@ class FleetServer:
         finally:
             hangup.cancel()
             self.scheduler.bus.unsubscribe(queue.put_nowait)
-            self._streams.discard(asyncio.current_task())
 
 
 async def _end_of_input(reader: asyncio.StreamReader,

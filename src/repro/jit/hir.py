@@ -111,6 +111,19 @@ class HIRFunction:
         #: vreg -> set of abstract types seen ("i"/"r").
         self.vreg_types: Dict[int, set] = {}
 
+    # A set of strings pickles in string-hash order, which follows
+    # PYTHONHASHSEED; sorted tuples make snapshot bytes independent of it.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["vreg_types"] = {vreg: tuple(sorted(types))
+                               for vreg, types in self.vreg_types.items()}
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.vreg_types = {vreg: set(types)
+                           for vreg, types in self.vreg_types.items()}
+
     def all_insts(self):
         for block in self.blocks:
             yield from block.insts

@@ -13,13 +13,20 @@ records fetched over the API are bit-identical to a local
 
 import asyncio
 import json
+import logging
+import socket
+import struct
 import threading
+import time
 
 import pytest
 
 from repro.analysis.diff import diff_docs
 from repro.fleet import (BackgroundFleet, FleetClient, FleetClientError,
-                         FleetError, FleetScheduler, FleetUnavailable)
+                         FleetError, FleetScheduler, FleetServer,
+                         FleetUnavailable)
+from repro.fleet import scheduler as fleet_scheduler
+from repro.fleet import server as fleet_server
 from repro.fleet import watch
 from repro.harness import engine, runner
 from repro.harness.diskcache import spec_key
@@ -28,6 +35,23 @@ from repro.harness.runner import RunSpec
 from repro.telemetry.export import parse_prometheus_text
 
 SMALL = 150_000  # cycles: enough for a couple of scheduler quanta
+
+
+@pytest.fixture(autouse=True)
+def _close_clients(monkeypatch):
+    """Every :class:`FleetClient` a test makes is closed when it ends:
+    a client keeps its connections until then."""
+    made = []
+    init = FleetClient.__init__
+
+    def tracked(self, *args, **kw):
+        init(self, *args, **kw)
+        made.append(self)
+
+    monkeypatch.setattr(FleetClient, "__init__", tracked)
+    yield
+    for client in made:
+        client.close()
 
 
 def spec_doc(benchmark="compress", **kw):
@@ -225,6 +249,65 @@ class TestSchedulerDedup:
             row = sched.job_json(job)["spec_states"][0]
             assert row["state"] == "failed"
             await sched.drain()
+
+        asyncio.run(scenario())
+
+
+class TestJobRetention:
+    def test_oldest_finished_jobs_are_evicted_first(self):
+        """Past the cap the job table drops terminal jobs in finish
+        order; an evicted id answers 404 like an unknown one, and a
+        running or queued job stays however full the table is."""
+        cap = fleet_scheduler.RETAIN_JOBS
+        release = threading.Event()
+        held = RunSpec(benchmark="compress", until_cycles=SMALL, seed=32)
+
+        def engine_call(specs, jobs=None, progress=None, batch=None,
+                        leg_cycles=None):
+            if held in specs:
+                assert release.wait(timeout=30)
+            for s in specs:
+                runner.store_record(s, runner.record_for(s))
+
+        async def get_status(server, path):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            writer.write(f"GET {path} HTTP/1.1\r\n\r\n".encode())
+            status = (await reader.readline()).split()[1]
+            writer.close()
+            return int(status)
+
+        async def scenario():
+            sched = FleetScheduler(jobs=1, engine_call=engine_call)
+            spec = RunSpec(benchmark="compress", until_cycles=SMALL,
+                           seed=31)
+            jobs = [sched.submit([spec]) for _ in range(cap + 6)]
+            for job in jobs:
+                await asyncio.wait_for(job.done_event.wait(), timeout=30)
+            ids = [row["job"] for row in sched.jobs_json()]
+            assert ids == [job.id for job in jobs[6:]]
+
+            running = sched.submit([held])
+            for _ in range(3000):
+                if running.state == "running":
+                    break
+                await asyncio.sleep(0.01)
+            assert running.state == "running"
+            queued = [sched.submit([spec]) for _ in range(3)]
+            assert len(sched.jobs_json()) == cap + 4
+            assert sched.get_job(jobs[6].id) is jobs[6]
+            release.set()
+            for job in [running] + queued:
+                await asyncio.wait_for(job.done_event.wait(), timeout=30)
+            ids = [row["job"] for row in sched.jobs_json()]
+            assert ids == [job.id for job in jobs[10:] + [running] + queued]
+
+            server = FleetServer(sched, port=0)
+            await server.start()
+            assert await get_status(server, f"/jobs/{jobs[9].id}") == 404
+            assert await get_status(server, f"/jobs/{jobs[10].id}") == 200
+            assert await get_status(server, "/jobs/b99999") == 404
+            await server.shutdown()
 
         asyncio.run(scenario())
 
@@ -440,6 +523,211 @@ class TestFleetEndToEnd:
             subscribers(0)
         assert not [r for r in caplog.records
                     if r.levelno >= logging.WARNING]
+
+
+# ---------------------------------------------------------------------------
+# Connections: kept between requests, closed cleanly
+# ---------------------------------------------------------------------------
+
+def read_reply(sock: socket.socket) -> tuple:
+    """One HTTP reply off a raw socket, reading no byte past it:
+    (status, headers, body)."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        byte = sock.recv(1)
+        assert byte, f"connection closed mid-head: {head!r}"
+        head += byte
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.lower().split(": ", 1) for line in lines[1:] if line)
+    body, length = b"", int(headers["content-length"])
+    while len(body) < length:
+        body += sock.recv(length - len(body))
+    return int(lines[0].split()[1]), headers, body
+
+
+def closed_by_peer(sock: socket.socket, within: float = 5.0) -> bool:
+    """True when the peer closes without sending another byte."""
+    sock.settimeout(within)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+class ScriptedPeer:
+    """A raw TCP listener that answers the requests it reads, in order,
+    as its script says: ``"ok"`` replies and keeps the connection,
+    ``"ok-close"`` replies and closes it, ``"drop"`` closes it without a
+    reply, and bytes are sent as they are, then the connection is reset
+    once the client has had time to read them (a reset discards what the
+    client has not read).  Past the script every request is dropped."""
+
+    OK = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+          b"Content-Length: 12\r\n\r\n{\"ok\": true}")
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.accepts = self.requests = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepts += 1
+            with conn:
+                while True:
+                    data = b""
+                    while not data.endswith(b"\r\n\r\n"):
+                        chunk = conn.recv(1)
+                        if not chunk:
+                            break
+                        data += chunk
+                    if not data.endswith(b"\r\n\r\n"):
+                        break
+                    self.requests += 1
+                    action = self.script.pop(0) if self.script else "drop"
+                    if action in ("ok", "ok-close"):
+                        conn.sendall(self.OK)
+                    elif action != "drop":
+                        conn.sendall(action)
+                        time.sleep(0.5)
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                        struct.pack("ii", 1, 0))
+                    if action != "ok":
+                        break
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)   # wakes the accept()
+        self.listener.close()
+
+
+class TestConnections:
+    @pytest.fixture
+    def quick_deadline(self, monkeypatch):
+        monkeypatch.setattr(fleet_server, "REQUEST_TIMEOUT_S", 0.3)
+
+    def test_idle_kept_connection_closes_silently(self, quick_deadline):
+        with BackgroundFleet(jobs=1) as fleet:
+            sock = socket.create_connection(("127.0.0.1", fleet.port))
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, headers, _ = read_reply(sock)
+            assert status == 200 and headers["connection"] == "keep-alive"
+            start = time.monotonic()
+            assert closed_by_peer(sock), "the idle close wrote bytes"
+            assert time.monotonic() - start >= 0.2
+            sock.close()
+
+    def test_half_sent_head_gets_400_and_close(self, quick_deadline):
+        with BackgroundFleet(jobs=1) as fleet:
+            sock = socket.create_connection(("127.0.0.1", fleet.port))
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost:")
+            status, headers, body = read_reply(sock)
+            assert status == 400 and headers["connection"] == "close"
+            assert json.loads(body)["error"] == "request timeout"
+            assert closed_by_peer(sock)
+            sock.close()
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"NONSENSE\r\n\r\n", 400),
+    ], ids=["413", "bad-length", "malformed"])
+    def test_error_before_the_body_closes(self, request_bytes, status):
+        with BackgroundFleet(jobs=1) as fleet:
+            sock = socket.create_connection(("127.0.0.1", fleet.port))
+            sock.sendall(request_bytes)
+            got, headers, _ = read_reply(sock)
+            assert got == status and headers["connection"] == "close"
+            assert closed_by_peer(sock)
+            sock.close()
+
+    def test_error_after_the_body_keeps_the_connection(self):
+        with BackgroundFleet(jobs=1) as fleet:
+            sock = socket.create_connection(("127.0.0.1", fleet.port))
+            sock.sendall(b"GET /jobs/b9 HTTP/1.1\r\n\r\n"
+                         b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert read_reply(sock)[0] == 404
+            assert read_reply(sock)[0] == 200
+            sock.close()
+
+    def test_drain_closes_a_held_idle_connection(self, caplog):
+        caplog.set_level(logging.DEBUG)
+        fleet = BackgroundFleet(jobs=1)
+        client = FleetClient(fleet.base_url, timeout=60)
+        assert client.health()["ok"] is True
+        held = next(iter(client._conns.values())).sock
+        start = time.monotonic()
+        fleet.stop()
+        assert time.monotonic() - start < 2.0
+        assert closed_by_peer(held, within=1.0)
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+
+    def test_one_client_reuses_one_connection(self, monkeypatch):
+        accepts = []
+        handle = FleetServer._handle
+
+        async def counted(self, reader, writer):
+            accepts.append(writer)
+            await handle(self, reader, writer)
+
+        monkeypatch.setattr(FleetServer, "_handle", counted)
+        spec = RunSpec(benchmark="compress", until_cycles=SMALL, seed=33)
+        with BackgroundFleet(jobs=1) as fleet:
+            client = FleetClient(fleet.base_url, timeout=60)
+            job = client.submit([json_spec(spec)], wait=True)
+            assert job["state"] == "done"
+            key = job["spec_states"][0]["spec"]
+            calls = [client.health, client.jobs, client.metrics,
+                     lambda: client.record(key),
+                     lambda: client.job(job["job"], wait=True),
+                     lambda: client.diff(key, key),
+                     lambda: client.submit([json_spec(spec)], wait=True)]
+            for i in range(19):
+                calls[i % len(calls)]()
+            with pytest.raises(FleetClientError) as exc:
+                client.job("b404")
+            assert exc.value.status == 404
+            assert len(accepts) == 1
+            client.close()
+            assert client.health()["ok"] is True
+            assert len(accepts) == 2
+
+    def test_stale_reused_connection_is_reopened_once(self):
+        peer = ScriptedPeer(["ok-close", "ok", "drop", "drop"])
+        try:
+            client = FleetClient(peer.url, timeout=10)
+            assert client.health() == {"ok": True}
+            # The peer closed the kept connection: reopened once.
+            assert client.health() == {"ok": True}
+            assert (peer.accepts, peer.requests) == (2, 2)
+            # Dropped on the reused and on the fresh connection: the
+            # fresh one is not retried.
+            with pytest.raises(FleetClientError):
+                client.health()
+            assert (peer.accepts, peer.requests) == (3, 4)
+        finally:
+            peer.close()
+
+    @pytest.mark.parametrize("partial", [
+        b"HTTP/1.1 20",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{\"ok",
+    ], ids=["in-head", "in-body"])
+    def test_reply_broken_off_is_not_retried(self, partial):
+        peer = ScriptedPeer(["ok", partial])
+        try:
+            client = FleetClient(peer.url, timeout=10)
+            assert client.health() == {"ok": True}
+            with pytest.raises(FleetClientError):
+                client.submit([{"benchmark": "compress"}])
+            assert (peer.accepts, peer.requests) == (1, 2)
+        finally:
+            peer.close()
 
 
 def json_spec(spec: RunSpec) -> dict:

@@ -14,11 +14,14 @@ single bit.
 import json
 import os
 import pickle
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.gc.freelist import Cell
 from repro.harness import engine, runner
 from repro.harness.diskcache import DiskCache
@@ -235,6 +238,36 @@ class TestPayloadDeterminism:
             assert len(vm.plan.remset) > 0
             payloads.append(zlib.decompress(Snapshot.capture(vm)._payload))
         assert payloads[0] == payloads[1]
+
+    def test_bytes_independent_of_the_hash_seed(self):
+        """One checkpoint captured in processes with different string
+        hash seeds serializes to the same bytes.  The cut is db's first
+        quantum boundary, where two methods are already opt-compiled and
+        so carry HIR; seeds 0 and 2 pickle a two-letter set of types in
+        opposite orders."""
+        script = (
+            "import hashlib\n"
+            "from repro.harness import runner\n"
+            "from repro.harness.runner import RunSpec, execute\n"
+            "runner.set_disk_cache(None)\n"
+            "snaps = []\n"
+            "execute(RunSpec(benchmark='db', coalloc=True, until_cycles=1),"
+            " on_checkpoint=snaps.append)\n"
+            "vm = snaps[-1].restore()\n"
+            "assert any(m.opt_code is not None"
+            " for c in vm.program.classes.values()"
+            " for m in c.methods.values())\n"
+            "print(hashlib.sha256(snaps[-1].to_bytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestTupleState:
