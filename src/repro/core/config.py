@@ -309,7 +309,8 @@ class SystemConfig:
     #: behind every online-optimization decision.
     lineage: "object | None" = None
     #: Optional :class:`repro.health.HealthMonitor`: phase segmentation
-    #: and pathology detection over the per-period interval stream.
+    #: and pathology detection, read off the run's ledger (one is made
+    #: when ``lineage`` is None).
     health: "object | None" = None
 
     def copy(self, **overrides) -> "SystemConfig":

@@ -146,14 +146,11 @@ class OnlineOptimizationController:
                             samples=self._samples_this_period,
                             attributed=self._attributed_this_period)
         period = self.monitor.close_period(now_cycle)
-        self._obs.period_closed(period.index, self._samples_this_period,
+        self._obs.period_closed(period.index, now_cycle,
+                                self._samples_this_period,
                                 self._attributed_this_period,
-                                self._ranking_evidence)
+                                self.sampling_paused, self._ranking_evidence)
         self.feedback.on_period()
-        # After the verdicts: detectors see a period's experiment
-        # events before its vector.
-        self._obs.interval(period, now_cycle, self._samples_this_period,
-                           self._attributed_this_period, self.sampling_paused)
         if self.auto_interval and self._set_interval is not None \
                 and not self.sampling_paused:
             self._adapt_interval()

@@ -371,6 +371,10 @@ class FleetScheduler:
         return [self.job_json(job, specs=False)
                 for job in self._jobs.values()]
 
+    def job_count(self) -> int:
+        """Jobs in the table (what :meth:`jobs_json` would list)."""
+        return len(self._jobs)
+
     def get_job(self, job_id: str) -> Optional[Job]:
         return self._jobs.get(job_id)
 

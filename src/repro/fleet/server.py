@@ -236,7 +236,7 @@ class FleetServer:
         wait = query.get("wait") in ("1", "true")
         if path == "/healthz":
             return _json(200, {"ok": True, "draining": sched.draining,
-                               "jobs": len(sched.jobs_json())})
+                               "jobs": sched.job_count()})
         if path == "/metrics":
             if method != "GET":
                 raise _HttpError(405, "GET only")

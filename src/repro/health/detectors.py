@@ -1,25 +1,20 @@
-"""Pathology detectors over the interval + feedback event streams.
+"""Pathology detectors over a run's intervals and decision ledger.
 
-Each detector is a function ``(intervals, events) -> List[Finding]``
-over the two streams :class:`repro.health.HealthMonitor` keeps for the
-run — the per-period :class:`repro.health.phases.Interval` vectors and
-the feedback engine's experiment events (begin / verdict / revert,
-each carrying the decision-ledger entry id the feedback engine already
-records) — and returns :class:`repro.health.report.Finding`s with a
-severity, a cycle span, numeric evidence, the justifying ledger ids,
-and a remediation hint.  The monitor runs the five of
-:data:`DETECTORS` once, at end of run; their thresholds are the module
-constants below.
+Each detector is a function ``(intervals, entries) -> List[Finding]``
+over the run's per-period :class:`repro.health.phases.Interval` vectors
+and its decision-ledger entries (the ``experiment_begin`` /
+``experiment_verdict`` / ``experiment_revert`` facts of the feedback
+engine are read straight off them), and returns
+:class:`repro.health.report.Finding`s with a severity, a cycle span,
+numeric evidence, the justifying ledger ids, and a remediation hint.
+:class:`repro.health.HealthMonitor` runs the five of :data:`DETECTORS`
+once, at end of run; their thresholds are the module constants below.
 
-Purity: detectors only ever *read* interval values and event payloads.
-They must not call :meth:`OnlineMonitor.hot_field` (it mutates the
-monitor's hot-cache) — the non-mutating per-period ``field_counts``
-snapshot inside each Interval carries the same information.
+Purity: detectors only ever *read* interval values and entry payloads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.health.phases import Interval
@@ -27,6 +22,15 @@ from repro.health.report import (
     Finding,
     SEVERITY_CRITICAL,
     SEVERITY_WARN,
+)
+from repro.lineage.ledger import (
+    E_CYCLE,
+    E_ID,
+    E_KIND,
+    E_PAYLOAD,
+    K_EXPERIMENT,
+    K_REVERT,
+    K_VERDICT,
 )
 
 #: ``revert_storm``: this many reverts within :data:`STORM_WINDOW`
@@ -54,38 +58,22 @@ MIN_RUN = 8
 MARGIN = 0.10
 
 
-@dataclass
-class ExperimentEvent:
-    """One feedback-engine event, tagged with its ledger entry id."""
-
-    kind: str          # "begin" | "verdict" | "revert"
-    name: str
-    cycle: int
-    ledger_id: int = -1
-    field: str = ""
-    rate: float = 0.0
-    baseline: float = 0.0
-    #: One past the index of the last interval before the event
-    #: arrived (stamped by the monitor): a revert arrives at its
-    #: period's close, before that period's interval.
-    interval: int = 0
-
-
 def revert_storm(intervals: List[Interval],
-                 events: List[ExperimentEvent]) -> List[Finding]:
+                 entries: List[tuple]) -> List[Finding]:
     """>= :data:`MIN_REVERTS` experiment reverts within
-    :data:`STORM_WINDOW` intervals.
+    :data:`STORM_WINDOW` intervals (periods, by the revert entries'
+    own period stamps).
 
     A single revert is the feedback engine working as designed
     (Figure 8); a *storm* of them means the controller keeps applying
     placements the workload immediately rejects — guidance is chasing
     noise or the workload shifted under it.
     """
-    reverts = [e for e in events if e.kind == "revert"]
-    best: List[ExperimentEvent] = []
+    reverts = [e for e in entries if e[E_KIND] == K_REVERT]
+    best: List[tuple] = []
     for first in reverts:
-        cluster = [r for r in reverts
-                   if 0 <= r.interval - first.interval < STORM_WINDOW]
+        cluster = [r for r in reverts if 0 <= r[E_PAYLOAD][2]
+                   - first[E_PAYLOAD][2] < STORM_WINDOW]
         if len(cluster) > len(best):
             best = cluster
     if len(best) < MIN_REVERTS:
@@ -95,18 +83,18 @@ def revert_storm(intervals: List[Interval],
         severity=SEVERITY_CRITICAL,
         summary="%d experiment reverts within %d intervals" % (
             len(best), STORM_WINDOW),
-        start_cycle=best[0].cycle,
-        end_cycle=best[-1].cycle,
+        start_cycle=best[0][E_CYCLE],
+        end_cycle=best[-1][E_CYCLE],
         evidence={"reverts": len(best), "window_intervals": STORM_WINDOW,
-                  "experiments": sorted({r.name for r in best})},
-        ledger_ids=tuple(r.ledger_id for r in best if r.ledger_id >= 0),
+                  "experiments": sorted({r[E_PAYLOAD][0] for r in best})},
+        ledger_ids=tuple(r[E_ID] for r in best),
         remediation="raise revert_patience or min_samples_for_guidance "
                     "so placements are only tried on stable evidence",
     )]
 
 
 def ranking_oscillation(intervals: List[Interval],
-                        events: List[ExperimentEvent]) -> List[Finding]:
+                        entries: List[tuple]) -> List[Finding]:
     """The top-ranked field churns faster than guidance can act on it.
 
     Co-allocation reads the ranking at promotion time; if the #1 field
@@ -138,15 +126,14 @@ def ranking_oscillation(intervals: List[Interval],
                   "window_intervals": RANKING_WINDOW,
                   "distinct_tops": len({iv.top_fields[0][0]
                                         for iv in span})},
-        ledger_ids=tuple(iv.ledger_ranking_id for iv in span
-                         if iv.ledger_ranking_id >= 0),
+        ledger_ids=tuple(iv.ranking_id for iv in span),
         remediation="widen moving_average_window or raise the sampling "
                     "interval so the ranking integrates more evidence",
     )]
 
 
 def sampling_starvation(intervals: List[Interval],
-                        events: List[ExperimentEvent]) -> List[Finding]:
+                        entries: List[tuple]) -> List[Finding]:
     """The active intervals carry too few PEBS samples to rank anything.
 
     The paper's auto mode targets a fixed samples/second; when the
@@ -174,15 +161,14 @@ def sampling_starvation(intervals: List[Interval],
                   "starved_intervals": len(starved),
                   "active_intervals": len(active),
                   "min_samples": MIN_SAMPLES},
-        ledger_ids=tuple(iv.ledger_period_id for iv in starved[:8]
-                         if iv.ledger_period_id >= 0),
+        ledger_ids=tuple(iv.period_id for iv in starved[:8]),
         remediation="lower the sampling interval (or use auto mode) so "
                     "each period sees enough PEBS samples to rank",
     )]
 
 
 def cache_thrash(intervals: List[Interval],
-                 events: List[ExperimentEvent]) -> List[Finding]:
+                 entries: List[tuple]) -> List[Finding]:
     """A sustained run at the miss-rate ceiling with no winning fix.
 
     The interesting case for the paper's online loop: misses stay
@@ -207,8 +193,8 @@ def cache_thrash(intervals: List[Interval],
             run = []
     if len(best_run) < MIN_RUN:
         return []
-    begun = sum(1 for e in events if e.kind == "begin")
-    reverted = sum(1 for e in events if e.kind == "revert")
+    begun = sum(1 for e in entries if e[E_KIND] == K_EXPERIMENT)
+    reverted = sum(1 for e in entries if e[E_KIND] == K_REVERT)
     if begun > reverted:
         return []
     mean_rate = sum(iv.miss_rate for iv in best_run) / len(best_run)
@@ -224,8 +210,7 @@ def cache_thrash(intervals: List[Interval],
                   "ceiling": round(ceiling, 4),
                   "experiments_begun": begun,
                   "experiments_reverted": reverted},
-        ledger_ids=tuple(iv.ledger_period_id for iv in best_run[:8]
-                         if iv.ledger_period_id >= 0),
+        ledger_ids=tuple(iv.period_id for iv in best_run[:8]),
         remediation="the hot access pattern resists the current "
                     "placement policy; try a different sampled event "
                     "(L2_MISS/DTLB_MISS) or a larger co-allocation cell",
@@ -233,7 +218,7 @@ def cache_thrash(intervals: List[Interval],
 
 
 def placement_regression(intervals: List[Interval],
-                         events: List[ExperimentEvent]) -> List[Finding]:
+                         entries: List[tuple]) -> List[Finding]:
     """A committed (never-reverted) experiment ended worse than baseline.
 
     The revert heuristic needs ``revert_patience`` *consecutive* bad
@@ -242,36 +227,41 @@ def placement_regression(intervals: List[Interval],
     one-shot end-of-run comparison the online loop skips: post-commit
     rate vs. the pre-experiment baseline.
     """
-    #: name -> [begin event, last verdict event, reverted]
+    #: name -> [begin entry, last verdict entry, reverted]
     experiments: Dict[str, list] = {}
-    for event in events:
-        if event.kind == "begin":
-            experiments[event.name] = [event, None, False]
-        elif event.name in experiments:
-            if event.kind == "verdict":
-                experiments[event.name][1] = event
-            elif event.kind == "revert":
-                experiments[event.name][2] = True
+    for entry in entries:
+        kind = entry[E_KIND]
+        if kind == K_EXPERIMENT:
+            experiments[entry[E_PAYLOAD][0]] = [entry, None, False]
+        elif kind in (K_VERDICT, K_REVERT):
+            experiment = experiments.get(entry[E_PAYLOAD][0])
+            if experiment is None:
+                continue
+            if kind == K_VERDICT:
+                experiment[1] = entry
+            else:
+                experiment[2] = True
     findings = []
     for name, (begin, last, reverted) in experiments.items():
-        if reverted or last is None or begin.baseline <= 0:
+        baseline = begin[E_PAYLOAD][2]
+        if reverted or last is None or baseline <= 0:
             continue
-        if last.rate <= begin.baseline * (1.0 + MARGIN):
+        rate = last[E_PAYLOAD][1]
+        if rate <= baseline * (1.0 + MARGIN):
             continue
         findings.append(Finding(
             detector="placement_regression",
             severity=SEVERITY_WARN,
             summary="experiment %r kept but ended %.0f%% over its "
-                    "baseline" % (
-                        name, 100.0 * (last.rate / begin.baseline - 1.0)),
-            start_cycle=begin.cycle,
-            end_cycle=last.cycle,
-            evidence={"experiment": name, "field": begin.field,
-                      "baseline_rate": round(begin.baseline, 4),
-                      "final_rate": round(last.rate, 4),
+                    "baseline" % (name, 100.0 * (rate / baseline - 1.0)),
+            start_cycle=begin[E_CYCLE],
+            end_cycle=last[E_CYCLE],
+            evidence={"experiment": name,
+                      "field": begin[E_PAYLOAD][1].qualified_name,
+                      "baseline_rate": round(baseline, 4),
+                      "final_rate": round(rate, 4),
                       "margin": MARGIN},
-            ledger_ids=tuple(i for i in (begin.ledger_id, last.ledger_id)
-                             if i >= 0),
+            ledger_ids=(begin[E_ID], last[E_ID]),
             remediation="lower revert_threshold or revert_patience so "
                         "oscillating regressions still trip the revert",
         ))

@@ -1,13 +1,9 @@
 """Aggregated run-health report: phases + findings -> verdict.
 
-The health layer is a *pure observer* exactly like telemetry and the
-lineage ledger: it reads the per-interval HPM vectors the controller
-already produces and never charges cycles, never consumes randomness,
-and never mutates simulator state.  Its output is a
-:class:`HealthReport` — the segmented phase table from
+A :class:`HealthReport` holds the segmented phase table from
 :mod:`repro.health.phases`, the pathology findings from
 :mod:`repro.health.detectors`, and an aggregate ok/warn/critical
-verdict — which rides inside :class:`repro.harness.record.RunRecord`
+verdict; it rides inside :class:`repro.harness.record.RunRecord`
 (schema 5) and is exported as Prometheus gauges at VM shutdown.
 
 Severity ordering is ``ok < warn < critical``; the report verdict is
@@ -16,7 +12,7 @@ the maximum severity over all findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Version stamp for the embedded ``health`` document inside RunRecord.
@@ -61,29 +57,12 @@ class Finding:
     remediation: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "detector": self.detector,
-            "severity": self.severity,
-            "summary": self.summary,
-            "start_cycle": self.start_cycle,
-            "end_cycle": self.end_cycle,
-            "evidence": dict(self.evidence),
-            "ledger_ids": list(self.ledger_ids),
-            "remediation": self.remediation,
-        }
+        return {**asdict(self), "ledger_ids": list(self.ledger_ids)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "Finding":
-        return cls(
-            detector=doc["detector"],
-            severity=doc["severity"],
-            summary=doc["summary"],
-            start_cycle=doc["start_cycle"],
-            end_cycle=doc["end_cycle"],
-            evidence=dict(doc.get("evidence") or {}),
-            ledger_ids=tuple(doc.get("ledger_ids") or ()),
-            remediation=doc.get("remediation", ""),
-        )
+        return cls(**{**doc, "evidence": dict(doc.get("evidence") or {}),
+                      "ledger_ids": tuple(doc.get("ledger_ids") or ())})
 
 
 @dataclass
@@ -94,8 +73,7 @@ class PhaseRecord:
     intervals (miss rate, GC fraction, alloc rate, samples, recompiles)
     so the phase table can say what characterised the phase, not just
     where it was.  ``period_ids`` are the ledger ``period_close`` entry
-    ids covered by the phase (empty when no ledger is attached) — the
-    "ledger-linked" half of a phase boundary.
+    ids covered by the phase.
     """
 
     index: int
@@ -108,29 +86,14 @@ class PhaseRecord:
     period_ids: Tuple[int, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "start_period": self.start_period,
-            "end_period": self.end_period,
-            "start_cycle": self.start_cycle,
-            "end_cycle": self.end_cycle,
-            "intervals": self.intervals,
-            "centroid": {k: round(v, 6) for k, v in self.centroid.items()},
-            "period_ids": list(self.period_ids),
-        }
+        return {**asdict(self),
+                "centroid": {k: round(v, 6) for k, v in self.centroid.items()},
+                "period_ids": list(self.period_ids)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "PhaseRecord":
-        return cls(
-            index=doc["index"],
-            start_period=doc["start_period"],
-            end_period=doc["end_period"],
-            start_cycle=doc["start_cycle"],
-            end_cycle=doc["end_cycle"],
-            intervals=doc["intervals"],
-            centroid=dict(doc.get("centroid") or {}),
-            period_ids=tuple(doc.get("period_ids") or ()),
-        )
+        return cls(**{**doc, "centroid": dict(doc.get("centroid") or {}),
+                      "period_ids": tuple(doc.get("period_ids") or ())})
 
 
 @dataclass

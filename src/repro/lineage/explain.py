@@ -184,8 +184,14 @@ def narrate(entry: dict) -> str:
                 f"{entry['attributed']} (weight {entry['weight']}"
                 + (f"): {detail}" if detail else ")"))
     if kind == K_PERIOD:
-        return (f"period {entry['period']} closed: {entry['samples']} "
-                f"sample(s), {entry['attributed']} attributed")
+        return (f"period {entry['period']} closed at cycle "
+                f"{entry['now_cycle']:,}: {entry['samples']} sample(s), "
+                f"{entry['attributed']} attributed"
+                + (" (sampling paused)" if entry["sampling_paused"] else "")
+                + f"; run totals {entry['accesses']:,} accesses, "
+                f"{entry['l1_misses']:,} L1 misses, {entry['gc_cycles']:,} "
+                f"GC cycles, {entry['alloc_bytes']:,} B allocated, "
+                f"{entry['compiled_methods']} method(s) compiled")
     if kind == K_RANKING:
         rows = []
         for klass in entry["classes"][:3]:

@@ -25,7 +25,10 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 #: Bump when the serialized entry layout changes.
-LINEAGE_SCHEMA_VERSION = 1
+LINEAGE_SCHEMA_VERSION = 2
+#: Entries kept per run; later ones are counted in ``dropped`` instead,
+#: so a runaway run cannot grow the ledger without bound.
+MAX_ENTRIES = 1_000_000
 
 # Tuple indices of one entry.
 E_ID, E_KIND, E_CYCLE, E_PARENTS, E_PAYLOAD = range(5)
@@ -52,6 +55,11 @@ DECISION_KINDS = (K_EXPERIMENT, K_VERDICT, K_REVERT, K_GAP, K_PLACEMENT,
 _NO_PARENTS: Tuple[int, ...] = ()
 
 
+def _parents(*ids: int) -> Tuple[int, ...]:
+    """The ids among ``ids`` that name an entry (-1 is none)."""
+    return tuple(eid for eid in ids if eid >= 0)
+
+
 def _zero_clock() -> int:
     """Default clock before a VM binds one; module-level (not a
     lambda) so an unbound ledger pickles inside a run snapshot."""
@@ -61,18 +69,17 @@ def _zero_clock() -> int:
 class DecisionLedger:
     """Append-only log of causally-linked online-optimization events."""
 
-    def __init__(self, max_entries: int = 1_000_000):
+    def __init__(self):
         #: The entry list; tuples ``(id, kind, cycle, parents, payload)``.
         self.entries: List[tuple] = []
-        self.max_entries = max_entries
-        #: Entries discarded after :attr:`max_entries` was reached.
+        #: Entries discarded after :data:`MAX_ENTRIES` was reached.
         self.dropped = 0
         self._clock: Callable[[], int] = _zero_clock
         # Causal bookkeeping (all integer ids; -1 = none yet).
         self._open_batch = -1
         self._period_attrs: List[int] = []
-        self.last_period_id = -1
-        self.last_ranking_id = -1
+        self._last_period = -1
+        self._last_ranking = -1
         self._experiments = {}       # experiment name -> begin entry id
         self._last_verdict = {}      # experiment name -> last verdict id
         self._pending_placement: Optional[tuple] = None
@@ -90,7 +97,7 @@ class DecisionLedger:
     def _add(self, kind: str, parents: Tuple[int, ...],
              payload: tuple) -> int:
         entries = self.entries
-        if len(entries) >= self.max_entries:
+        if len(entries) >= MAX_ENTRIES:
             self.dropped += 1
             return -1
         eid = len(entries)
@@ -130,17 +137,25 @@ class DecisionLedger:
 
     # -- monitor/controller: periods and rankings ------------------------------
 
-    def period_close(self, index: int, samples: int, attributed: int) -> int:
-        """A measurement period closed.
+    def period_close(self, index: int, samples: int, attributed: int,
+                     now_cycle: int, sampling_paused: bool,
+                     totals: tuple) -> int:
+        """A measurement period closed, with its HPM vector.
 
-        Payload: ``(period_index, samples, attributed)``.  Parents: the
-        attribution entries recorded during the period.
+        Payload: ``(period_index, samples, attributed, now_cycle,
+        sampling_paused, accesses, l1_misses, gc_cycles, alloc_bytes,
+        compiled_methods)`` — ``now_cycle`` is the timer's boundary (the
+        entry's own cycle can be later), and the last five are the VM's
+        running totals (``totals``).  Parents: the attribution entries
+        recorded during the period.
         """
         parents = tuple(self._period_attrs)
         self._period_attrs = []
-        eid = self._add(K_PERIOD, parents, (index, samples, attributed))
+        eid = self._add(K_PERIOD, parents,
+                        (index, samples, attributed, now_cycle,
+                         sampling_paused) + totals)
         if eid >= 0:
-            self.last_period_id = eid
+            self._last_period = eid
         return eid
 
     def ranking_snapshot(self, period_index: int, classes: tuple) -> int:
@@ -150,11 +165,10 @@ class DecisionLedger:
         tuple of ``(ClassInfo, ((FieldInfo, events, samples), ...))``
         rows, hottest class first.  Parent: the period-close entry.
         """
-        parents = ((self.last_period_id,) if self.last_period_id >= 0
-                   else _NO_PARENTS)
-        eid = self._add(K_RANKING, parents, (period_index, classes))
+        eid = self._add(K_RANKING, _parents(self._last_period),
+                        (period_index, classes))
         if eid >= 0:
-            self.last_ranking_id = eid
+            self._last_ranking = eid
         return eid
 
     # -- feedback: experiments --------------------------------------------------
@@ -168,9 +182,7 @@ class DecisionLedger:
         baseline_samples, threshold, patience)``.  Parent: the ranking
         snapshot in force when the baseline was taken.
         """
-        parents = ((self.last_ranking_id,) if self.last_ranking_id >= 0
-                   else _NO_PARENTS)
-        eid = self._add(K_EXPERIMENT, parents,
+        eid = self._add(K_EXPERIMENT, _parents(self._last_ranking),
                         (name, field, baseline_rate, started_period,
                          baseline_samples, threshold, patience))
         if eid >= 0:
@@ -184,13 +196,9 @@ class DecisionLedger:
         Payload: ``(name, rate, threshold, regressed, streak)``.
         Parents: the experiment-begin entry and the period judged.
         """
-        parents = []
-        exp = self._experiments.get(name, -1)
-        if exp >= 0:
-            parents.append(exp)
-        if self.last_period_id >= 0:
-            parents.append(self.last_period_id)
-        eid = self._add(K_VERDICT, tuple(parents),
+        parents = _parents(self._experiments.get(name, -1),
+                           self._last_period)
+        eid = self._add(K_VERDICT, parents,
                         (name, rate, threshold, regressed, streak))
         if eid >= 0:
             self._last_verdict[name] = eid
@@ -204,14 +212,9 @@ class DecisionLedger:
         threshold)``.  Parents: the experiment-begin entry and the final
         regressed verdict.
         """
-        parents = []
-        exp = self._experiments.get(name, -1)
-        if exp >= 0:
-            parents.append(exp)
-        verdict = self._last_verdict.get(name, -1)
-        if verdict >= 0:
-            parents.append(verdict)
-        return self._add(K_REVERT, tuple(parents),
+        parents = _parents(self._experiments.get(name, -1),
+                           self._last_verdict.get(name, -1))
+        return self._add(K_REVERT, parents,
                          (name, field, period, rate, baseline_rate,
                           threshold))
 
@@ -243,9 +246,7 @@ class DecisionLedger:
         if pending is None:
             return -1
         self._pending_placement = None
-        parents = ((self.last_ranking_id,) if self.last_ranking_id >= 0
-                   else _NO_PARENTS)
-        return self._add(K_PLACEMENT, parents,
+        return self._add(K_PLACEMENT, _parents(self._last_ranking),
                          pending + (parent_addr, child_addr))
 
     # -- JIT: recompilation decisions ----------------------------------------------
@@ -262,11 +263,6 @@ class DecisionLedger:
                          (method, reason, samples, benefit, cost,
                           devirt_sites))
 
-    # -- queries ----------------------------------------------------------------
-
-    def by_kind(self, kind: str) -> List[tuple]:
-        return [e for e in self.entries if e[E_KIND] == kind]
-
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -281,7 +277,9 @@ class DecisionLedger:
             doc = {"id": entry[E_ID], "kind": entry[E_KIND],
                    "cycle": entry[E_CYCLE],
                    "parents": list(entry[E_PARENTS])}
-            doc.update(_PAYLOAD_RENDERERS[entry[E_KIND]](entry[E_PAYLOAD]))
+            doc.update((key, _render(key, value)) for key, value
+                       in zip(_PAYLOAD_FIELDS[entry[E_KIND]],
+                              entry[E_PAYLOAD]))
             out.append(doc)
         return {"schema": LINEAGE_SCHEMA_VERSION,
                 "entries": out,
@@ -289,73 +287,44 @@ class DecisionLedger:
 
 
 # ---------------------------------------------------------------------------
-# Payload -> JSON renderers (cold path only)
+# Payload -> JSON (cold path only)
 # ---------------------------------------------------------------------------
 
-def _render_batch(p):
-    return {"samples": p[0], "source": p[1]}
-
-
-def _render_attribution(p):
-    return {"samples": p[0], "attributed": p[1], "weight": p[2],
-            "fields": [{"field": f.qualified_name, "samples": s, "events": e}
-                       for f, s, e in p[3]]}
-
-
-def _render_period(p):
-    return {"period": p[0], "samples": p[1], "attributed": p[2]}
-
-
-def _render_ranking(p):
-    return {"period": p[0],
-            "classes": [{"class": klass.name,
-                         "fields": [{"field": f.qualified_name,
-                                     "events": events, "samples": samples}
-                                    for f, events, samples in fields]}
-                        for klass, fields in p[1]]}
-
-
-def _render_experiment(p):
-    return {"experiment": p[0], "field": p[1].qualified_name,
-            "baseline_rate": p[2], "period": p[3],
-            "baseline_samples": p[4], "threshold": p[5], "patience": p[6]}
-
-
-def _render_verdict(p):
-    return {"experiment": p[0], "rate": p[1], "threshold": p[2],
-            "regressed": p[3], "streak": p[4]}
-
-
-def _render_revert(p):
-    return {"experiment": p[0], "field": p[1].qualified_name,
-            "period": p[2], "rate": p[3], "baseline_rate": p[4],
-            "threshold": p[5]}
-
-
-def _render_gap(p):
-    return {"old_gap": p[0], "new_gap": p[1]}
-
-
-def _render_placement(p):
-    return {"class": p[0].name, "field": p[1].qualified_name,
-            "parent_bytes": p[2], "child_bytes": p[3], "gap": p[4],
-            "combined": p[5], "parent_addr": p[6], "child_addr": p[7]}
-
-
-def _render_recompile(p):
-    return {"method": p[0].qualified_name, "reason": p[1], "samples": p[2],
-            "benefit": p[3], "cost": p[4], "devirt_sites": p[5]}
-
-
-_PAYLOAD_RENDERERS = {
-    K_BATCH: _render_batch,
-    K_ATTRIBUTION: _render_attribution,
-    K_PERIOD: _render_period,
-    K_RANKING: _render_ranking,
-    K_EXPERIMENT: _render_experiment,
-    K_VERDICT: _render_verdict,
-    K_REVERT: _render_revert,
-    K_GAP: _render_gap,
-    K_PLACEMENT: _render_placement,
-    K_RECOMPILE: _render_recompile,
+#: Each kind's payload as :meth:`DecisionLedger.to_json` names it, one
+#: JSON key per payload slot, in payload order.
+_PAYLOAD_FIELDS = {
+    K_BATCH: ("samples", "source"),
+    K_ATTRIBUTION: ("samples", "attributed", "weight", "fields"),
+    K_PERIOD: ("period", "samples", "attributed", "now_cycle",
+               "sampling_paused", "accesses", "l1_misses", "gc_cycles",
+               "alloc_bytes", "compiled_methods"),
+    K_RANKING: ("period", "classes"),
+    K_EXPERIMENT: ("experiment", "field", "baseline_rate", "period",
+                   "baseline_samples", "threshold", "patience"),
+    K_VERDICT: ("experiment", "rate", "threshold", "regressed", "streak"),
+    K_REVERT: ("experiment", "field", "period", "rate", "baseline_rate",
+               "threshold"),
+    K_GAP: ("old_gap", "new_gap"),
+    K_PLACEMENT: ("class", "field", "parent_bytes", "child_bytes", "gap",
+                  "combined", "parent_addr", "child_addr"),
+    K_RECOMPILE: ("method", "reason", "samples", "benefit", "cost",
+                  "devirt_sites"),
 }
+
+
+def _render(key: str, value):
+    """One payload slot as plain JSON: model objects by name."""
+    if key in ("field", "method"):
+        return value.qualified_name
+    if key == "class":
+        return value.name
+    if key == "fields":
+        return [{"field": f.qualified_name, "samples": s, "events": e}
+                for f, s, e in value]
+    if key == "classes":
+        return [{"class": klass.name,
+                 "fields": [{"field": f.qualified_name, "events": events,
+                             "samples": samples}
+                            for f, events, samples in fields]}
+                for klass, fields in value]
+    return value

@@ -11,9 +11,11 @@ module that knows which of them is attached.
 Span sites use ``obs.tracer`` directly (the null one when telemetry is
 off): it is a component's only telemetry channel in flight.  Metrics
 are read off the finished run in one sweep, :meth:`Observers.publish`.
-Everything else is a *fact*: one method per event of the loop, running
-ledger → health → trace instant — the ledger first, because it returns
-the entry id the health monitor cites (``-1`` without a ledger).  No
+Everything else is a *fact*: one method per event of the loop, recorded
+in the ledger (then mirrored as a trace instant, for the feedback
+facts).  The ledger is the run's one store of facts: the health
+monitor keeps none of its own but reads its report off the ledger at
+the end of the run, so attaching health attaches a ledger.  No
 observer charges cycles, consumes randomness or mutates simulator
 state, so a run is bit-identical whatever is attached.
 docs/INTERNALS.md ("The observer spine") tabulates where each fact is
@@ -23,6 +25,7 @@ emitted.
 from __future__ import annotations
 
 from repro.jit.codecache import LEVEL_OPT
+from repro.lineage import DecisionLedger
 from repro.telemetry import NULL_TELEMETRY
 
 
@@ -33,6 +36,8 @@ class Observers:
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.tracer = self.telemetry.tracer
+        if health is not None and lineage is None:
+            lineage = DecisionLedger()  # the facts health reports on
         #: The decision ledger / health monitor, or None.  (Never test
         #: the ledger's truth value: an empty one has ``len() == 0``.)
         self.lineage = lineage
@@ -55,14 +60,14 @@ class Observers:
     def bind(self, vm) -> None:
         """Stamp everything with ``vm``'s cycle clock (a bound method,
         so the binding rides the VM through a snapshot) and let the
-        per-period health vector read ``vm``'s running totals."""
+        per-period HPM vector read ``vm``'s running totals."""
         self._vm = vm
         clock = vm._cycle_clock
         self.telemetry.bind_clock(clock)
         if self.lineage is not None:
             self.lineage.bind_clock(clock)
         if self.health is not None:
-            self.health.bind(clock, self.tracer)
+            self.health.bind(self.lineage, clock, self.tracer)
 
     # -- perfmon / controller: samples and periods -------------------------
 
@@ -78,72 +83,53 @@ class Observers:
         if self.lineage is not None:
             self.lineage.attribution(n_samples, attributed, weight, fields)
 
-    def period_closed(self, index: int, samples: int, attributed: int,
+    def period_closed(self, index: int, now_cycle: int, samples: int,
+                      attributed: int, sampling_paused: bool,
                       ranking) -> None:
-        """A period closed, before its experiments are judged.
-        ``ranking()`` builds the hot-field ranking in force; it is
-        called only when the ranking is recorded."""
-        if self.lineage is not None:
-            self.lineage.period_close(index, samples, attributed)
-            self.lineage.ranking_snapshot(index, ranking())
-
-    def interval(self, period, now_cycle: int, samples: int,
-                 attributed: int, sampling_paused: bool) -> None:
-        """The closed period's HPM vector, after its verdicts."""
-        if self.health is None:
+        """A period closed at ``now_cycle``, before its experiments are
+        judged.  ``ranking()`` builds the hot-field ranking in force; it
+        and the HPM vector are read only when the ledger records them."""
+        ledger = self.lineage
+        if ledger is None:
             return
         vm = self._vm
         memsys = vm.memsys
-        ledger = self.lineage
         # The memory system's live tallies, not ``vm.counters``: that
         # bank is only folded at the end of an ``advance()``, so reading
         # it would make the vector depend on how the run was sliced.
-        self.health.on_period(
-            period, now_cycle, samples, attributed,
+        ledger.period_close(
+            index, samples, attributed, now_cycle, sampling_paused,
             (memsys.n_loads + memsys.n_stores, memsys.n_l1_miss,
-             vm.gc_cycles, vm.plan.stats.alloc_bytes, len(vm.codecache)),
-            sampling_paused,
-            ledger.last_period_id if ledger is not None else -1,
-            ledger.last_ranking_id if ledger is not None else -1)
+             vm.gc_cycles, vm.plan.stats.alloc_bytes, len(vm.codecache)))
+        ledger.ranking_snapshot(index, ranking())
 
     # -- feedback: experiments ---------------------------------------------
 
     def experiment_begin(self, name: str, field, baseline: float,
                          started_period: int, baseline_samples: int,
                          threshold: float, patience: int) -> None:
-        eid = -1
         if self.lineage is not None:
-            eid = self.lineage.experiment_begin(
+            self.lineage.experiment_begin(
                 name, field, baseline, started_period, baseline_samples,
                 threshold, patience)
-        if self.health is not None:
-            self.health.on_experiment_begin(
-                name, field.qualified_name, baseline, eid)
         self.tracer.instant("feedback.experiment_begin", cat="feedback",
                             experiment=name, field=field.qualified_name,
                             baseline_rate=baseline)
 
     def experiment_verdict(self, name: str, rate: float, threshold: float,
                            regressed: bool, streak: int) -> None:
-        eid = -1
         if self.lineage is not None:
-            eid = self.lineage.experiment_verdict(name, rate, threshold,
-                                                  regressed, streak)
-        if self.health is not None:
-            self.health.on_experiment_verdict(name, rate, eid)
+            self.lineage.experiment_verdict(name, rate, threshold,
+                                            regressed, streak)
         self.tracer.instant("feedback.verdict", cat="feedback",
                             experiment=name, rate=rate,
                             regressed=regressed, streak=streak)
 
     def experiment_revert(self, name: str, field, period: int, rate: float,
                           baseline: float, threshold: float) -> None:
-        eid = -1
         if self.lineage is not None:
-            eid = self.lineage.experiment_revert(name, field, period, rate,
-                                                 baseline, threshold)
-        if self.health is not None:
-            self.health.on_experiment_revert(
-                name, field.qualified_name, rate, baseline, eid)
+            self.lineage.experiment_revert(name, field, period, rate,
+                                           baseline, threshold)
         self.tracer.instant("feedback.revert", cat="feedback",
                             experiment=name, period=period)
 

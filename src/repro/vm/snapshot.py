@@ -36,9 +36,8 @@ not pickled because a set of identity-hashed pairs pickles in host
 address order.
 
 Two restores of one snapshot, advanced equally far, capture the same
-payload bytes in one process.  Across processes that also needs the
-order of each ``HIRFunction.vreg_types`` set, which follows the string
-hash seed (``PYTHONHASHSEED``); that is not pinned.
+payload bytes, in one process or in two with different string hash
+seeds.
 
 A restored VM is a private copy: its telemetry / lineage observers are
 the snapshot's own (they continue accumulating, which is what makes the

@@ -312,6 +312,50 @@ class TestJobRetention:
         asyncio.run(scenario())
 
 
+    def test_healthz_counts_jobs_without_building_them(self, monkeypatch):
+        """A liveness probe counts the job table; it builds no job's
+        summary (a summary that cannot be built must not fail it)."""
+        def engine_call(specs, jobs=None, progress=None, batch=None,
+                        leg_cycles=None):
+            for s in specs:
+                runner.store_record(s, runner.record_for(s))
+
+        def unbuildable(job, specs=True):
+            raise AssertionError("/healthz built a job summary")
+
+        async def healthz(server):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            status = int((await reader.readline()).split()[1])
+            length = 0
+            while (line := await reader.readline()) != b"\r\n":
+                name, _, value = line.decode().partition(":")
+                if name.lower() == "content-length":
+                    length = int(value)
+            body = json.loads(await reader.readexactly(length))
+            writer.close()
+            return status, body
+
+        async def scenario():
+            sched = FleetScheduler(jobs=1, engine_call=engine_call)
+            spec = RunSpec(benchmark="compress", until_cycles=SMALL,
+                           seed=34)
+            jobs = [sched.submit([spec]) for _ in range(3)]
+            for job in jobs:
+                await asyncio.wait_for(job.done_event.wait(), timeout=30)
+            monkeypatch.setattr(sched, "job_json", unbuildable)
+            server = FleetServer(sched, port=0)
+            await server.start()
+            try:
+                assert await healthz(server) == (
+                    200, {"ok": True, "draining": False, "jobs": 3})
+            finally:
+                await server.shutdown()
+
+        asyncio.run(scenario())
+
+
 # ---------------------------------------------------------------------------
 # End-to-end over HTTP
 # ---------------------------------------------------------------------------

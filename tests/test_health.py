@@ -1,13 +1,16 @@
 """Tests for the run-health observatory (src/repro/health).
 
-Four layers:
+Five layers:
 
-* unit tests of the online phase segmentation (:class:`PhaseTracker`:
-  hysteresis, spike fold-back, warmup, running scales),
-* unit tests of every built-in pathology detector over synthetic
-  interval/event streams,
-* the no-monitor path (the pure-observer matrix itself is
-  ``tests/test_observer_purity.py``),
+* unit tests of the phase segmentation (:func:`segment`: hysteresis,
+  spike fold-back, warmup, running scales),
+* unit tests of the interval stream read off a ledger
+  (:func:`intervals_of`: deltas, the no-new-cycles skip, top fields,
+  entry ids),
+* unit tests of every built-in pathology detector over ledgers recorded
+  through the ledger's own methods on a stub clock,
+* the no-monitor path and the ledger health brings along (the
+  pure-observer matrix itself is ``tests/test_observer_purity.py``),
 * end-to-end: a seeded revert storm and a phase-shifting workload are
   both detected by ``repro doctor``, with every finding's evidence
   resolving to valid ledger entries; records embed the report through
@@ -23,119 +26,224 @@ from repro.harness import experiments as ex
 from repro.harness.record import RunRecord, SCHEMA_VERSION
 from repro.harness.runner import RunSpec, execute
 from repro.health import DETECTORS, HealthMonitor
-from repro.health.detectors import ExperimentEvent
-from repro.health.phases import FEATURES, Interval, PhaseTracker
+from repro.health.phases import FEATURES, Interval, intervals_of, segment
 from repro.health.report import (HEALTH_SCHEMA_VERSION, Finding, HealthReport,
                                  PhaseRecord, SEVERITY_CRITICAL, SEVERITY_OK,
                                  SEVERITY_WARN, build_report,
                                  format_findings, format_phase_overlay,
                                  format_phase_table, worst_severity)
 from repro.lineage import DecisionLedger, explain
-from repro.lineage.ledger import K_PERIOD, K_REVERT
+from repro.lineage.ledger import E_KIND, K_EXPERIMENT, K_PERIOD, K_REVERT
 from repro.observers import NO_OBSERVERS, Observers
+from repro.vm.model import ClassInfo, FieldInfo
 
 
 def make_interval(index, samples=10, miss=0.0, gc=0.0, alloc=0.0,
-                  recompiles=0, paused=False, top_fields=(),
-                  period_id=-1, ranking_id=-1):
+                  recompiles=0):
     return Interval(
         index=index, start_cycle=index * 1000,
-        end_cycle=(index + 1) * 1000, samples=samples,
-        attributed=samples, miss_rate=miss, gc_fraction=gc,
-        alloc_rate=alloc, recompiles=recompiles, sampling_paused=paused,
-        top_fields=tuple(top_fields), ledger_period_id=period_id,
-        ledger_ranking_id=ranking_id)
+        end_cycle=(index + 1) * 1000, samples=samples, miss_rate=miss,
+        gc_fraction=gc, alloc_rate=alloc, recompiles=recompiles,
+        period_id=2 * index, ranking_id=2 * index + 1)
 
 
-def detect(name, stream):
-    """The findings (as JSON) detector ``name`` reports over ``stream``,
-    a list of intervals and experiment events in arrival order, as a
-    monitor keeps it."""
-    monitor = HealthMonitor()
-    for item in stream:
-        if isinstance(item, Interval):
-            monitor.on_interval(item)
-        else:
-            monitor.on_event(item)
+class Recorder:
+    """A ledger recorded through its own methods, as a run's
+    ``Observers`` records it, on a stub clock: period ``i`` closes at
+    cycle ``1000 * (i + 1)`` after 1000 accesses."""
+
+    def __init__(self):
+        self.now = 0
+        self.ledger = DecisionLedger()
+        self.ledger.bind_clock(self.clock)
+        self.totals = (0, 0, 0, 0, 0)
+        #: Entry ids of each period's ``period_close`` and ``ranking``.
+        self.periods, self.rankings = [], []
+        self._fields = {}
+
+    def clock(self):
+        return self.now
+
+    @property
+    def entries(self):
+        return self.ledger.entries
+
+    def field(self, qualified):
+        if qualified not in self._fields:
+            klass, name = qualified.split("::")
+            self._fields[qualified] = FieldInfo(
+                name=name, kind="ref", declaring_class=ClassInfo(klass),
+                offset=0, index=0)
+        return self._fields[qualified]
+
+    def attribute(self, top, events):
+        self.ledger.sample_batch(1, "poll")
+        self.ledger.attribution(1, 1, events, ((self.field(top), 1, events),))
+
+    def period(self, samples=10, miss=0.0, gc=0.0, alloc=0.0, recompiles=0,
+               paused=False, top=None, now=None):
+        """Close the next period with these deltas (``top``: one batch
+        credits that field 10 events); ``now`` overrides its end."""
+        if top is not None:
+            self.attribute(top, 10)
+        index = len(self.periods)
+        self.now = (index + 1) * 1000 if now is None else now
+        deltas = (1000, round(miss * 1000), round(gc * 1000),
+                  round(alloc * 1000), recompiles)
+        self.totals = tuple(t + d for t, d in zip(self.totals, deltas))
+        self.periods.append(self.ledger.period_close(
+            index, samples, samples, self.now, paused, self.totals))
+        self.rankings.append(self.ledger.ranking_snapshot(index, ()))
+
+    def begin(self, name, baseline=100.0):
+        return self.ledger.experiment_begin(
+            name, self.field("A::x"), baseline, len(self.periods), 0, 0.25, 3)
+
+    def verdict(self, name, rate):
+        return self.ledger.experiment_verdict(name, rate, 0.0, False, 0)
+
+    def revert(self, name):
+        """Reverted at the latest close, stamped with the period count
+        then, as the feedback engine stamps it."""
+        return self.ledger.experiment_revert(
+            name, self.field("A::x"), len(self.periods), 0.0, 0.0, 0.25)
+
+
+def detect(name, rec):
+    """The findings (as JSON) detector ``name`` reports over the ledger
+    ``rec`` recorded."""
     detector = {d.__name__: d for d in DETECTORS}[name]
     return [f.to_json()
-            for f in detector(monitor.intervals, monitor.events)]
+            for f in detector(intervals_of(rec.entries), rec.entries)]
+
+
+def phases_of_prefixes(stream):
+    """How many phases :func:`segment` cuts from each prefix of
+    ``stream`` (a boundary is committed the moment the count grows)."""
+    return [len(segment(stream[:n])) for n in range(1, len(stream) + 1)]
 
 
 class TestPhaseTracker:
+    """Phase segmentation (:func:`segment`) over interval streams."""
+
     def test_stable_stream_is_one_phase(self):
-        tracker = PhaseTracker()
-        for i in range(10):
-            assert tracker.observe(make_interval(i)) is None
-        phases = tracker.finish()
+        stream = [make_interval(i) for i in range(10)]
+        assert phases_of_prefixes(stream) == [1] * 10
+        phases = segment(stream)
         assert len(phases) == 1
         assert (phases[0].start_period, phases[0].end_period) == (0, 9)
         assert phases[0].intervals == 10
         assert phases[0].centroid["samples"] == pytest.approx(10.0)
 
     def test_shift_commits_boundary_after_hysteresis(self):
-        tracker = PhaseTracker()
-        closed = []
-        for i in range(6):
-            tracker.observe(make_interval(i, samples=10))
-        # First outlier is only *pending* — no boundary yet.
-        assert tracker.observe(make_interval(6, samples=50)) is None
-        # The second consecutive outlier commits it.
-        phase = tracker.observe(make_interval(7, samples=50))
-        assert phase is not None
-        assert (phase.start_period, phase.end_period) == (0, 5)
-        for i in range(8, 10):
-            assert tracker.observe(make_interval(i, samples=50)) is None
-        phases = tracker.finish()
+        stream = [make_interval(i, samples=10) for i in range(6)]
+        stream += [make_interval(i, samples=50) for i in range(6, 10)]
+        # The first outlier is only *pending* — no boundary yet; the
+        # second consecutive outlier commits it, and no other follows.
+        assert phases_of_prefixes(stream) == [1] * 7 + [2] * 3
+        assert (segment(stream[:8])[0].start_period,
+                segment(stream[:8])[0].end_period) == (0, 5)
+        phases = segment(stream)
         assert len(phases) == 2
+        assert (phases[0].start_period, phases[0].end_period) == (0, 5)
         assert phases[1].start_period == 6
         assert phases[1].intervals == 4
 
     def test_single_spike_folds_back(self):
-        tracker = PhaseTracker()
-        for i in range(6):
-            tracker.observe(make_interval(i, samples=10))
-        assert tracker.observe(make_interval(6, samples=50)) is None
+        stream = [make_interval(i, samples=10) for i in range(10)]
+        stream[6] = make_interval(6, samples=50)
         # Back in range: the spike was a transient, not a boundary.
-        for i in range(7, 10):
-            assert tracker.observe(make_interval(i, samples=10)) is None
-        phases = tracker.finish()
+        assert phases_of_prefixes(stream) == [1] * 10
+        phases = segment(stream)
         assert len(phases) == 1
         assert phases[0].intervals == 10
 
     def test_warmup_absorbs_wild_start(self):
-        tracker = PhaseTracker()
         # Wildly different vectors inside the warmup never split.
-        tracker.observe(make_interval(0, samples=0, miss=0.9))
-        tracker.observe(make_interval(1, samples=40, miss=0.0))
-        tracker.observe(make_interval(2, samples=5, miss=0.4))
-        assert tracker.phases == []
+        stream = [make_interval(0, samples=0, miss=0.9),
+                  make_interval(1, samples=40, miss=0.0),
+                  make_interval(2, samples=5, miss=0.4)]
+        assert phases_of_prefixes(stream) == [1, 1, 1]
+        assert segment(stream)[0].intervals == 3
 
     def test_sub_hysteresis_tail_folds_into_last_phase(self):
-        tracker = PhaseTracker()
-        for i in range(6):
-            tracker.observe(make_interval(i, samples=10))
-        tracker.observe(make_interval(6, samples=50))  # pending, alone
-        phases = tracker.finish()
+        stream = [make_interval(i, samples=10) for i in range(6)]
+        stream.append(make_interval(6, samples=50))  # pending, alone
+        phases = segment(stream)
         assert len(phases) == 1
         assert phases[0].intervals == 7
 
+    def test_empty_stream_has_no_phases(self):
+        assert segment([]) == []
+
     def test_period_ids_collected_per_phase(self):
-        tracker = PhaseTracker()
-        for i in range(5):
-            tracker.observe(make_interval(i, period_id=(i if i % 2 else -1)))
-        phases = tracker.finish()
-        assert phases[0].period_ids == (1, 3)
+        rec = Recorder()
+        for _ in range(5):
+            rec.period()
+        phases = segment(intervals_of(rec.entries))
+        assert phases[0].period_ids == tuple(rec.periods)
+        assert {rec.entries[pid][E_KIND] for pid in rec.periods} \
+            == {K_PERIOD}
 
     def test_features_order_matches_interval(self):
-        iv = make_interval(0, samples=7, miss=0.5, gc=0.25, alloc=0.125,
-                           recompiles=3)
+        rec = Recorder()
+        rec.period(samples=7, miss=0.5, gc=0.25, alloc=0.125, recompiles=3)
+        [iv] = intervals_of(rec.entries)
         assert len(FEATURES) == len(iv.features())
         assert iv.features() == (0.5, 0.25, 0.125, 7.0, 3.0)
 
 
+class TestIntervals:
+    """The interval stream is a function of the ledger's entries."""
+
+    def test_deltas_and_ids(self):
+        rec = Recorder()
+        rec.period(miss=0.1, paused=True)
+        rec.period(miss=0.3, gc=0.5)
+        first, second = intervals_of(rec.entries)
+        assert (first.index, first.start_cycle, first.end_cycle) \
+            == (0, 0, 1000)
+        assert (second.index, second.start_cycle, second.end_cycle) \
+            == (1, 1000, 2000)
+        assert (first.miss_rate, second.miss_rate) == (0.1, 0.3)
+        assert (first.gc_fraction, second.gc_fraction) == (0.0, 0.5)
+        assert (first.sampling_paused, second.sampling_paused) \
+            == (True, False)
+        assert [(iv.period_id, iv.ranking_id) for iv in (first, second)] \
+            == list(zip(rec.periods, rec.rankings))
+
+    def test_close_without_new_cycles_is_no_interval(self):
+        # The final drain landing on the last timer boundary.
+        rec = Recorder()
+        rec.period()
+        rec.period(now=1000)
+        rec.period(miss=0.2)
+        stream = intervals_of(rec.entries)
+        assert [iv.index for iv in stream] == [0, 2]
+        assert (stream[1].start_cycle, stream[1].end_cycle) == (1000, 3000)
+
+    def test_top_fields_sum_the_period_attributions(self):
+        rec = Recorder()
+        rec.attribute("A::x", 5)
+        rec.attribute("B::y", 7)
+        rec.attribute("A::x", 4)
+        rec.attribute("C::z", 7)
+        rec.period(top="D::w")   # 10 events
+        rec.period()
+        first, second = intervals_of(rec.entries)
+        assert first.top_fields == (("D::w", 10), ("A::x", 9), ("B::y", 7),
+                                    ("C::z", 7))
+        assert second.top_fields == ()
+
+    def test_period_without_ranking_is_no_interval(self):
+        rec = Recorder()
+        rec.period()
+        rec.ledger.period_close(1, 0, 0, 2000, False, rec.totals)
+        assert [iv.index for iv in intervals_of(rec.entries)] == [0]
+
+
 class TestDetectors:
-    """Each detector over a stream sized to its default thresholds,
+    """Each detector over a ledger sized to its default thresholds,
     checked against the whole finding it emits."""
 
     def test_registry_has_the_required_five(self):
@@ -143,127 +251,117 @@ class TestDetectors:
             "revert_storm", "ranking_oscillation", "sampling_starvation",
             "cache_thrash", "placement_regression"]
 
-    def revert(self, cycle, eid, name="exp"):
-        return ExperimentEvent(kind="revert", name=name, cycle=cycle,
-                               ledger_id=eid)
-
-    def begin(self, cycle, eid, name):
-        return ExperimentEvent(kind="begin", name=name, cycle=cycle,
-                               ledger_id=eid, field="A::x", baseline=100.0)
-
-    def verdict(self, cycle, eid, name, rate):
-        return ExperimentEvent(kind="verdict", name=name, cycle=cycle,
-                               ledger_id=eid, rate=rate)
-
-    def storm_stream(self, n, revert_after):
-        """``n`` intervals; a revert arrives after interval ``i`` for
-        each ``i`` in ``revert_after``."""
-        stream = []
+    def storm(self, n, revert_after):
+        """``n`` periods; a revert lands at the close of period ``i``
+        for each ``i`` in ``revert_after``.  Returns the recorder and
+        the revert entry ids."""
+        rec, reverts = Recorder(), []
         for i in range(n):
-            stream.append(make_interval(i))
+            rec.period()
             if i in revert_after:
-                stream.append(self.revert((i + 1) * 1000, eid=i,
-                                          name=f"storm-{i}"))
-        return stream
+                reverts.append(rec.revert(f"storm-{i}"))
+        return rec, reverts
 
     def test_revert_storm_fires_on_clustered_reverts(self):
-        assert detect("revert_storm",
-                      self.storm_stream(60, (4, 8, 50))) == [{
+        rec, reverts = self.storm(60, (4, 8, 50))
+        assert detect("revert_storm", rec) == [{
             "detector": "revert_storm", "severity": SEVERITY_CRITICAL,
             "summary": "2 experiment reverts within 40 intervals",
             "start_cycle": 5000, "end_cycle": 9000,
             "evidence": {"reverts": 2, "window_intervals": 40,
                          "experiments": ["storm-4", "storm-8"]},
-            "ledger_ids": [4, 8],
+            "ledger_ids": reverts[:2],
             "remediation": "raise revert_patience or "
                            "min_samples_for_guidance so placements are "
                            "only tried on stable evidence"}]
+        assert {rec.entries[eid][E_KIND] for eid in reverts} == {K_REVERT}
 
     def test_revert_storm_quiet_when_spread_out(self):
         # 40 intervals apart: just outside the window.
-        assert detect("revert_storm", self.storm_stream(60, (4, 44))) == []
+        assert detect("revert_storm", self.storm(60, (4, 44))[0]) == []
 
     def test_revert_storm_quiet_on_single_revert(self):
-        assert detect("revert_storm", self.storm_stream(60, (4,))) == []
+        assert detect("revert_storm", self.storm(60, (4,))[0]) == []
 
-    def ranked_stream(self, tops, samples=5):
-        """One interval per top field in ``tops``."""
-        return [make_interval(i, samples=samples, top_fields=((top, 10),),
-                              ranking_id=100 + i)
-                for i, top in enumerate(tops)]
+    def ranked(self, tops, samples=5):
+        """One period per top field in ``tops``."""
+        rec = Recorder()
+        for top in tops:
+            rec.period(samples=samples, top=top)
+        return rec
 
     def test_ranking_oscillation_flags_churn(self):
         # Six changes in eleven steps: churn 6/11 >= 0.5.
-        stream = self.ranked_stream(["A::x"] * 6 + ["B::y", "A::x"] * 3)
-        assert detect("ranking_oscillation", stream) == [{
+        rec = self.ranked(["A::x"] * 6 + ["B::y", "A::x"] * 3)
+        assert detect("ranking_oscillation", rec) == [{
             "detector": "ranking_oscillation", "severity": SEVERITY_WARN,
             "summary": "top-field churn 0.55 over 12 ranked intervals",
             "start_cycle": 0, "end_cycle": 12000,
             "evidence": {"churn": 0.545, "window_intervals": 12,
                          "distinct_tops": 2},
-            "ledger_ids": list(range(100, 112)),
+            "ledger_ids": rec.rankings[:12],
             "remediation": "widen moving_average_window or raise the "
                            "sampling interval so the ranking integrates "
                            "more evidence"}]
 
     def test_ranking_oscillation_quiet_on_stable_top(self):
         # Five changes in eleven steps is below the threshold.
-        stream = self.ranked_stream(
-            ["A::x"] * 7 + ["B::y", "A::x"] * 2 + ["B::y"])
-        assert detect("ranking_oscillation", stream) == []
+        rec = self.ranked(["A::x"] * 7 + ["B::y", "A::x"] * 2 + ["B::y"])
+        assert detect("ranking_oscillation", rec) == []
 
     def test_ranking_oscillation_ignores_unranked_intervals(self):
-        stream = self.ranked_stream(["A::x", "B::y"] * 8, samples=0)
-        assert detect("ranking_oscillation", stream) == []
+        rec = self.ranked(["A::x", "B::y"] * 8, samples=0)
+        assert detect("ranking_oscillation", rec) == []
 
-    def test_starvation_counts_only_active_intervals(self):
-        stream = [make_interval(i, samples=0, period_id=i) for i in range(8)]
-        assert detect("sampling_starvation", stream) == [{
+    def periods(self, samples, paused=False):
+        """One period per entry of ``samples``."""
+        rec = Recorder()
+        for n in samples:
+            rec.period(samples=n, paused=paused)
+        return rec
+
+    def starved(self, mean):
+        return {
             "detector": "sampling_starvation", "severity": SEVERITY_WARN,
-            "summary": "0.00 samples per active interval over 8 "
-                       "intervals, below 4",
+            "summary": "%.2f samples per active interval over 8 "
+                       "intervals, below 4" % mean,
             "start_cycle": 0, "end_cycle": 8000,
-            "evidence": {"mean_samples": 0.0, "starved_intervals": 8,
+            "evidence": {"mean_samples": mean, "starved_intervals": 8,
                          "active_intervals": 8, "min_samples": 4},
-            "ledger_ids": list(range(8)),
             "remediation": "lower the sampling interval (or use auto mode) "
                            "so each period sees enough PEBS samples to "
-                           "rank"}]
+                           "rank"}
+
+    def test_starvation_counts_only_active_intervals(self):
+        rec = self.periods([0] * 8)
+        assert detect("sampling_starvation", rec) == [
+            dict(self.starved(0.0), ledger_ids=rec.periods)]
         # The same stream entirely duty-paused is not starvation.
-        paused = [make_interval(i, samples=0, paused=True) for i in range(8)]
-        assert detect("sampling_starvation", paused) == []
+        assert detect("sampling_starvation",
+                      self.periods([0] * 8, paused=True)) == []
         # Nor is one too short to judge.
-        assert detect("sampling_starvation", stream[:5]) == []
+        assert detect("sampling_starvation", self.periods([0] * 5)) == []
 
     def test_starvation_quiet_when_fed(self):
-        stream = [make_interval(i, samples=20) for i in range(8)]
-        assert detect("sampling_starvation", stream) == []
+        assert detect("sampling_starvation", self.periods([20] * 8)) == []
 
     def test_starvation_quiet_on_batched_samples(self):
         # Samples arrive one drain batch every few periods: most
         # intervals of a well-fed run are empty.
-        stream = [make_interval(i, samples=20 * (i % 2)) for i in range(8)]
-        assert detect("sampling_starvation", stream) == []
+        rec = self.periods([20 * (i % 2) for i in range(8)])
+        assert detect("sampling_starvation", rec) == []
 
     def test_starvation_fires_on_a_thin_stream(self):
-        stream = [make_interval(i, samples=i % 2, period_id=i)
-                  for i in range(8)]
-        assert detect("sampling_starvation", stream) == [{
-            "detector": "sampling_starvation", "severity": SEVERITY_WARN,
-            "summary": "0.50 samples per active interval over 8 "
-                       "intervals, below 4",
-            "start_cycle": 0, "end_cycle": 8000,
-            "evidence": {"mean_samples": 0.5, "starved_intervals": 8,
-                         "active_intervals": 8, "min_samples": 4},
-            "ledger_ids": list(range(8)),
-            "remediation": "lower the sampling interval (or use auto mode) "
-                           "so each period sees enough PEBS samples to "
-                           "rank"}]
+        rec = self.periods([i % 2 for i in range(8)])
+        assert detect("sampling_starvation", rec) == [
+            dict(self.starved(0.5), ledger_ids=rec.periods)]
 
-    def thrash_stream(self, n=10, miss=0.2):
-        return [make_interval(i, miss=miss, period_id=i) for i in range(n)]
+    def thrash_periods(self, rec, misses):
+        for miss in misses:
+            rec.period(miss=miss)
+        return rec
 
-    def thrash(self, severity, begun, reverted):
+    def thrash(self, severity, begun, reverted, ledger_ids):
         return {
             "detector": "cache_thrash", "severity": severity,
             "summary": "miss rate pinned at ceiling for 8 intervals "
@@ -272,7 +370,7 @@ class TestDetectors:
             "evidence": {"intervals": 8, "mean_miss_rate": 0.2,
                          "ceiling": 0.18, "experiments_begun": begun,
                          "experiments_reverted": reverted},
-            "ledger_ids": list(range(2, 10)),
+            "ledger_ids": ledger_ids,
             "remediation": "the hot access pattern resists the current "
                            "placement policy; try a different sampled "
                            "event (L2_MISS/DTLB_MISS) or a larger "
@@ -280,32 +378,49 @@ class TestDetectors:
 
     def test_cache_thrash_warn_without_experiments(self):
         # Eight intervals at the ceiling after two below it.
-        stream = self.thrash_stream()
-        stream[0].miss_rate = stream[1].miss_rate = 0.1
-        assert detect("cache_thrash", stream) == [
-            self.thrash(SEVERITY_WARN, 0, 0)]
+        rec = self.thrash_periods(Recorder(), [0.1, 0.1] + [0.2] * 8)
+        assert detect("cache_thrash", rec) == [
+            self.thrash(SEVERITY_WARN, 0, 0, rec.periods[2:])]
         # Seven in a row are not a sustained run.
-        assert detect("cache_thrash", stream[:9]) == []
+        short = self.thrash_periods(Recorder(), [0.1, 0.1] + [0.2] * 7)
+        assert detect("cache_thrash", short) == []
 
     def test_cache_thrash_critical_when_experiments_all_reverted(self):
-        stream = [self.begin(0, 1, name="e"), self.revert(100, 2, name="e")]
-        stream += self.thrash_stream()
-        stream[2].miss_rate = stream[3].miss_rate = 0.1
-        assert detect("cache_thrash", stream) == [
-            self.thrash(SEVERITY_CRITICAL, 1, 1)]
+        rec = Recorder()
+        rec.begin("e")
+        rec.now = 100
+        rec.revert("e")
+        self.thrash_periods(rec, [0.1, 0.1] + [0.2] * 8)
+        assert detect("cache_thrash", rec) == [
+            self.thrash(SEVERITY_CRITICAL, 1, 1, rec.periods[2:])]
 
     def test_cache_thrash_suppressed_by_winning_experiment(self):
-        stream = [self.begin(0, 1, name="win")] + self.thrash_stream()
-        assert detect("cache_thrash", stream) == []
+        rec = Recorder()
+        rec.begin("win")
+        assert detect("cache_thrash",
+                      self.thrash_periods(rec, [0.2] * 10)) == []
 
     def test_cache_thrash_quiet_below_rate_floor(self):
-        assert detect("cache_thrash", self.thrash_stream(miss=0.049)) == []
+        rec = self.thrash_periods(Recorder(), [0.049] * 10)
+        assert detect("cache_thrash", rec) == []
+
+    def experiment(self, *steps):
+        """``(cycle, kind, rate)`` steps of experiment 'gap' (baseline
+        100); returns the recorder and the entry ids."""
+        rec, ids = Recorder(), []
+        for cycle, kind, rate in steps:
+            rec.now = cycle
+            ids.append(rec.begin("gap") if kind == "begin"
+                       else rec.verdict("gap", rate) if kind == "verdict"
+                       else rec.revert("gap"))
+        return rec, ids
 
     def test_placement_regression_on_kept_regression(self):
-        stream = [self.begin(100, 3, name="gap"),
-                  self.verdict(500, 5, name="gap", rate=100.0),
-                  self.verdict(900, 7, name="gap", rate=111.0)]
-        assert detect("placement_regression", stream) == [{
+        rec, (begin, _, last) = self.experiment(
+            (100, "begin", None), (500, "verdict", 100.0),
+            (900, "verdict", 111.0))
+        assert rec.entries[begin][E_KIND] == K_EXPERIMENT
+        assert detect("placement_regression", rec) == [{
             "detector": "placement_regression", "severity": SEVERITY_WARN,
             "summary": "experiment 'gap' kept but ended 11% over its "
                        "baseline",
@@ -313,21 +428,21 @@ class TestDetectors:
             "evidence": {"experiment": "gap", "field": "A::x",
                          "baseline_rate": 100.0, "final_rate": 111.0,
                          "margin": 0.1},
-            "ledger_ids": [3, 7],
+            "ledger_ids": [begin, last],
             "remediation": "lower revert_threshold or revert_patience so "
                            "oscillating regressions still trip the "
                            "revert"}]
 
     def test_placement_regression_quiet_after_revert(self):
-        stream = [self.begin(100, 3, name="gap"),
-                  self.verdict(900, 7, name="gap", rate=150.0),
-                  self.revert(950, 9, name="gap")]
-        assert detect("placement_regression", stream) == []
+        rec, _ = self.experiment((100, "begin", None),
+                                 (900, "verdict", 150.0),
+                                 (950, "revert", None))
+        assert detect("placement_regression", rec) == []
 
     def test_placement_regression_quiet_within_margin(self):
-        stream = [self.begin(100, 3, name="gap"),
-                  self.verdict(900, 7, name="gap", rate=110.0)]
-        assert detect("placement_regression", stream) == []
+        rec, _ = self.experiment((100, "begin", None),
+                                 (900, "verdict", 110.0))
+        assert detect("placement_regression", rec) == []
 
 
 class TestReport:
@@ -387,20 +502,31 @@ class TestReport:
 
 class TestPureObserver:
     """The on == off matrix lives in ``tests/test_observer_purity.py``;
-    what stays here is the no-monitor path."""
+    what stays here is the no-monitor path and the ledger a monitor
+    brings along."""
 
     def test_null_health_is_shared_noop(self):
         """No monitor attached: the shared default bundle's facts do
-        nothing; a monitor with no ledger beside it is handed id -1."""
+        nothing; a monitor with no ledger beside it gets one of its
+        own, which records the facts it reports on."""
         fld = SimpleNamespace(qualified_name="A::f")
         assert NO_OBSERVERS.health is None
         NO_OBSERVERS.experiment_begin("x", fld, 0.0, 0, 0, 0.25, 3)
-        NO_OBSERVERS.interval(None, 1000, 0, 0, False)
-        health = HealthMonitor()
-        Observers(health=health).experiment_begin(
-            "x", fld, 0.0, 0, 0, 0.25, 3)
-        assert [(e.kind, e.field, e.ledger_id) for e in health.events] \
-            == [("begin", "A::f", -1)]
+        NO_OBSERVERS.period_closed(0, 1000, 0, 0, False, ranking=None)
+        obs = Observers(health=HealthMonitor())
+        assert isinstance(obs.lineage, DecisionLedger)
+        assert obs.keeps_evidence
+        obs.experiment_begin("x", fld, 0.0, 0, 0, 0.25, 3)
+        assert [e[E_KIND] for e in obs.lineage.entries] == [K_EXPERIMENT]
+        ledger = DecisionLedger()
+        assert Observers(lineage=ledger, health=HealthMonitor()).lineage \
+            is ledger
+
+    def test_unbound_monitor_reports_nothing(self):
+        report = HealthMonitor().report()
+        assert (report.verdict, report.intervals, report.phases,
+                report.findings, report.total_cycles) \
+            == (SEVERITY_OK, 0, [], [], 0)
 
 
 class TestEndToEnd:

@@ -19,7 +19,7 @@ import pytest
 from repro.harness.record import RunRecord, SCHEMA_VERSION
 from repro.harness.runner import RunSpec, execute
 from repro.lineage import (DecisionLedger, LINEAGE_SCHEMA_VERSION,
-                           explain)
+                           explain, ledger as ledger_module)
 from repro.lineage.ledger import (DECISION_KINDS, E_CYCLE, E_ID, E_KIND,
                                   E_PARENTS, K_ATTRIBUTION, K_BATCH,
                                   K_EXPERIMENT, K_GAP, K_PERIOD,
@@ -27,6 +27,11 @@ from repro.lineage.ledger import (DECISION_KINDS, E_CYCLE, E_ID, E_KIND,
                                   K_REVERT, K_VERDICT)
 from repro.observers import NO_OBSERVERS
 from repro.vm.model import ClassInfo, FieldInfo, MethodInfo
+
+
+#: A period's running totals: accesses, L1 misses, GC cycles,
+#: allocated bytes, compiled methods.
+TOTALS = (4000, 120, 300, 2048, 7)
 
 
 def make_field(name="next", klass_name="Entry"):
@@ -62,16 +67,16 @@ class TestLedgerUnit:
         a1 = ledger.attribution(4, 2, 1, ((fld, 2, 2),))
         ledger.sample_batch(2, "poll")
         a2 = ledger.attribution(2, 1, 1, ((fld, 1, 1),))
-        period = ledger.period_close(0, 6, 3)
+        period = ledger.period_close(0, 6, 3, 1000, False, TOTALS)
         assert ledger.entries[period][E_PARENTS] == (a1, a2)
         # Next period starts empty.
-        period2 = ledger.period_close(1, 0, 0)
+        period2 = ledger.period_close(1, 0, 0, 2000, False, TOTALS)
         assert ledger.entries[period2][E_PARENTS] == ()
 
     def test_experiment_chain_parents(self):
         ledger = DecisionLedger()
         klass, fld = make_field()
-        period = ledger.period_close(0, 1, 1)
+        period = ledger.period_close(0, 1, 1, 1000, False, TOTALS)
         ranking = ledger.ranking_snapshot(0, ((klass, ((fld, 10, 2),)),))
         exp = ledger.experiment_begin("gap-128", fld, 0.6, 7, 412, 0.25, 3)
         verdict = ledger.experiment_verdict("gap-128", 0.9, 0.75, True, 3)
@@ -87,7 +92,7 @@ class TestLedgerUnit:
         klass, fld = make_field()
         ledger.sample_batch(1, "poll")
         ledger.attribution(1, 1, 1, ((fld, 1, 1),))
-        ledger.period_close(0, 1, 1)
+        ledger.period_close(0, 1, 1, 1000, False, TOTALS)
         ledger.ranking_snapshot(0, ((klass, ((fld, 1, 1),)),))
         ledger.placement_pending(klass, fld, 20, 76, 0, 96)
         ledger.placement_commit(0x100, 0x114)
@@ -105,8 +110,9 @@ class TestLedgerUnit:
         # The pending slot is consumed.
         assert ledger.placement_commit(0x200, 0x214) == -1
 
-    def test_capacity_cap_drops_not_grows(self):
-        ledger = DecisionLedger(max_entries=2)
+    def test_capacity_cap_drops_not_grows(self, monkeypatch):
+        monkeypatch.setattr(ledger_module, "MAX_ENTRIES", 2)
+        ledger = DecisionLedger()
         ledger.sample_batch(1, "poll")
         ledger.sample_batch(1, "poll")
         assert ledger.sample_batch(1, "poll") == -1
@@ -131,7 +137,7 @@ class TestLedgerUnit:
         NO_OBSERVERS.experiment_begin("x", fld, 0, 0, 0, 0, 0)
         NO_OBSERVERS.placement_pending(klass, fld, 1, 2, 0, 3)
         NO_OBSERVERS.placement_commit(1, 2)
-        NO_OBSERVERS.period_closed(0, 5, 3, ranking=None)
+        NO_OBSERVERS.period_closed(0, 1000, 5, 3, False, ranking=None)
 
     def test_empty_ledger_still_attaches(self):
         """An empty ledger is falsy (len 0) but must still be honored
@@ -162,13 +168,30 @@ class TestLedgerUnit:
         json.dumps(doc)  # plain data, serializable
 
 
+    def test_period_close_carries_the_hpm_vector(self):
+        ledger = DecisionLedger()
+        ledger.bind_clock(lambda: 1040)
+        ledger.period_close(3, 6, 2, 1000, True, TOTALS)
+        [doc] = ledger.to_json()["entries"]
+        assert doc == {"id": 0, "kind": K_PERIOD, "cycle": 1040,
+                       "parents": [], "period": 3, "samples": 6,
+                       "attributed": 2, "now_cycle": 1000,
+                       "sampling_paused": True, "accesses": 4000,
+                       "l1_misses": 120, "gc_cycles": 300,
+                       "alloc_bytes": 2048, "compiled_methods": 7}
+        assert explain.narrate(doc) == (
+            "period 3 closed at cycle 1,000: 6 sample(s), 2 attributed "
+            "(sampling paused); run totals 4,000 accesses, 120 L1 misses, "
+            "300 GC cycles, 2,048 B allocated, 7 method(s) compiled")
+
+
 class TestExplain:
     def build_doc(self):
         ledger = DecisionLedger()
         klass, fld = make_field("value", "String")
         ledger.sample_batch(4, "poll")
         ledger.attribution(4, 2, 100, ((fld, 2, 200),))
-        ledger.period_close(0, 4, 2)
+        ledger.period_close(0, 4, 2, 1000, False, TOTALS)
         ledger.ranking_snapshot(0, ((klass, ((fld, 200, 2),)),))
         ledger.experiment_begin("gap-128", fld, 0.61, 7, 412, 0.30, 3)
         ledger.experiment_verdict("gap-128", 0.84, 0.793, True, 3)

@@ -31,7 +31,7 @@ FACTORIES = {"telemetry": Telemetry, "lineage": DecisionLedger,
 #: What each observer holds once it has really observed a run.
 OBSERVED = {"telemetry": lambda t: t.tracer.spans,
             "lineage": lambda ledger: ledger.entries,
-            "health": lambda h: h.intervals,
+            "health": lambda h: h.report().intervals,
             "oracle": lambda o: o.total_events}
 
 
@@ -109,6 +109,9 @@ def test_ledger_unchanged_by_other_observers(on):
 def test_health_report_is_level_independent(on):
     reports = [on["all", level].health_doc for level in LEVELS]
     assert reports[0] == reports[1] == reports[2]
+    # Health alone reads its report off a ledger of its own: the same
+    # report, citing the same ids, as beside an attached ledger.
+    assert on["health", 2].health_doc == on["all", 2].health_doc
 
 
 def test_health_report_is_slicing_independent(on):
