@@ -11,6 +11,8 @@ that hands every sub-parser its handler (``set_defaults(handler=...)``):
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 from typing import List, Optional
 
 from repro.analysis import cli as analysis_cli
@@ -68,6 +70,12 @@ def main(argv: Optional[List[str]] = None) -> None:
     engine.set_default_progress(bus.publish)
     try:
         args.handler(args)
+        sys.stdout.flush()    # a reader gone shows here, not at exit
+    except BrokenPipeError:
+        # Piped into ``head`` or the like: the reader stopped listening.
+        # Nothing more goes out, and no traceback either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
     finally:
         engine.set_default_progress(None)
         bus.close()

@@ -9,9 +9,11 @@ simulation jobs at scale:
   batches wait with a real, observable queue depth.  Every queued or
   running job stays in the job table; of the terminal ones only the
   last :data:`RETAIN_JOBS` to finish do, and an evicted id is unknown.
-* **In-flight dedup** — every spec key ever seen maps to one
-  :class:`SpecEntry`.  A batch submitting a key that is already queued
-  or running *coalesces*: it waits for the owning batch's simulation
+* **In-flight dedup** — every spec key a job in the table names maps
+  to one :class:`SpecEntry` (evicting a job drops the terminal entries
+  no retained job names; the record cache still answers for them).  A
+  batch submitting a key that is already queued or running
+  *coalesces*: it waits for the owning batch's simulation
   instead of launching its own, so concurrent submitters of identical
   specs share exactly one simulation.  Completed entries are served
   from the runner's record cache (memo + disk), so the dedup layer is
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from functools import partial
@@ -126,6 +128,7 @@ class FleetScheduler:
         self._jobs: Dict[str, Job] = {}   # submission order
         self._finished: deque = deque()   # terminal job ids, finish order
         self._entries: Dict[str, SpecEntry] = {}
+        self._named: Counter = Counter()  # jobs in the table naming a key
         self._next_id = 0
         self._admission = asyncio.Lock()
         self._engine_pool = ThreadPoolExecutor(
@@ -206,6 +209,7 @@ class FleetScheduler:
         job = Job(f"b{self._next_id}", list(specs),
                   [spec_key(s) for s in specs], leg_cycles)
         self._jobs[job.id] = job
+        self._named.update(set(job.keys))
         self._jobs_submitted.inc()
         self._specs_submitted.inc(len(job.specs))
 
@@ -313,7 +317,18 @@ class FleetScheduler:
         job.done_event.set()
         self._finished.append(job.id)
         if len(self._finished) > RETAIN_JOBS:
-            del self._jobs[self._finished.popleft()]
+            self._evict(self._jobs.pop(self._finished.popleft()))
+
+    def _evict(self, job: Job) -> None:
+        """Forget an evicted job's keys: an entry no retained job names
+        is dropped once terminal, and a later submit of its key finds
+        the record through ``runner.cached_record`` again."""
+        for key in set(job.keys):
+            self._named[key] -= 1
+            if not self._named[key]:
+                del self._named[key]
+                if self._entries[key].state in TERMINAL_STATES:
+                    del self._entries[key]
 
     def _on_engine_event(self, doc: dict) -> None:
         """Loop-side handler for one engine job document."""

@@ -27,7 +27,11 @@ class RememberedSet:
         self.remembered = 0
 
     def record_store(self, holder, slot_index: int, value) -> bool:
-        """Barrier slow path: called for every reference store.
+        """The barrier: called for every reference store, it counts the
+        store and runs the filter — a holder outside the nursery, a
+        value inside it — before :meth:`remember`.  (A counted region of
+        the level-2 translator writes the same filter inline and adds
+        its stores to ``barrier_stores`` as one count at each exit.)
 
         Returns True when the slot was (newly) remembered.
         """
@@ -38,11 +42,16 @@ class RememberedSet:
             return False
         if value.space != SPACE_NURSERY:
             return False
+        return self.remember(holder, slot_index)
+
+    def remember(self, holder, slot_index: int) -> bool:
+        """Remember a slot that passed the barrier's filter, once;
+        True when it is new."""
         key = (holder, slot_index)
         if key in self._seen:
             return False
         self._seen.add(key)
-        self._entries.append((holder, slot_index))
+        self._entries.append(key)
         self.remembered += 1
         return True
 

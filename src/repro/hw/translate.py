@@ -84,7 +84,7 @@ from repro.hw.isa import (
     M_NOP, M_NULLCHK, M_PUTF, M_PUTSTATIC, M_RET, M_STF,
 )
 from repro.vm.model import ARRAY_HEADER_BYTES, KIND_BYTES
-from repro.vm.objects import HeapArray, HeapObject
+from repro.vm.objects import SPACE_NURSERY, HeapArray, HeapObject
 
 #: Sentinel returned by call handlers (target/args stashed on the CPU).
 CALL_SENT = -(1 << 30)
@@ -237,12 +237,13 @@ class _Emitter:
     and what the flavours do differently are callables:
     ``access(address, is_write, x)`` issues a data access,
     ``fault(indent, message, x)`` raises a guest fault,
-    ``barrier(indent, args)`` runs the write barrier,
+    ``barrier(indent, holder, slot, value)`` runs the write barrier,
     ``name(operand)`` names an object operand,
     ``branch(test, x)`` transfers control to ``x.timm`` — if ``test``
     (an expression; ``None`` for always) holds, else to ``x.npc`` —
     and, for an allocation (only a region has one), ``leave(indent,
-    pc)`` exits to the driver and ``flush(indent)`` queues its flush.
+    pc)`` exits to the driver and ``flush(indent, size)`` queues its
+    flush and counts it in the plan's statistics.
 
     Redundancy elimination: it tracks which register each scratch local
     (``a``/``i``/``o``) currently mirrors, which registers are proven
@@ -252,11 +253,15 @@ class _Emitter:
     provably-passing checks.  Eliding a check never changes behavior:
     it is only elided when the same unmodified register already passed
     one (which fault message would have fired is then moot), and an
-    array store cannot change ``len(elements)``.  Any write to a
-    register drops every fact about it; div/rem clobbers the ``a``
-    scratch local.  (Facts are consulted before an instruction's own
-    register write, so they matter only across instructions: a
-    single-flavour template, one instruction long, checks everything.)
+    array store cannot change ``len(elements)``.  It also tracks which
+    registers hold a literal (set by ``movi``, copied by ``mov``): a
+    div/rem by a nonzero literal writes the truncating result directly
+    from the ``t`` scratch local, with no zero test and no ``abs()``
+    call; the generic sequence clobbers the ``a`` scratch local.  Any
+    write to a register drops every fact about it.  (Facts are
+    consulted before an instruction's own register write, so they
+    matter only across instructions: a single-flavour template, one
+    instruction long, checks everything.)
     """
 
     def __init__(self, write, access, fault, barrier, name, branch,
@@ -272,9 +277,11 @@ class _Emitter:
         self.a_reg = self.i_reg = self.o_reg = None
         self.e_valid = self.bounds_ok = False
         self.nonnull = set()
+        self.literals = {}
 
     def invalidate(self, rd) -> None:
         self.nonnull.discard(rd)
+        self.literals.pop(rd, None)
         if rd == self.a_reg:
             self.a_reg = None
             self.e_valid = self.bounds_ok = False
@@ -337,28 +344,38 @@ class _Emitter:
             self.invalidate(x.rd)
             if isinstance(imm, int):    # a literal, and not None
                 self.nonnull.add(x.rd)
+                self.literals[x.rd] = imm
         elif op == M_MOV:
             W(f"        regs[{x.rd}] = regs[{x.rs1}]")
             known = x.rs1 in self.nonnull
+            literal = self.literals.get(x.rs1)
             self.invalidate(x.rd)
             if known and x.rd != x.rs1:
                 self.nonnull.add(x.rd)
+            if literal is not None:
+                self.literals[x.rd] = literal
         elif op == M_ALU or op == M_ALUI:
             aux = shape[1]
             names = _ALU_OPERANDS[op]
+            result = _ALU_EXPRS[aux].format(**names).format(x=x)
             if aux == "div" or aux == "rem":
-                # Replicate the reference's rounding.
-                W("        a = " + names["a"].format(x=x))
-                W("        v = " + names["b"].format(x=x))
-                W("        if v == 0:")
-                self.fault("            ", "'division by zero'", x)
-                W("        q = abs(a) // abs(v)")
-                W("        if (a >= 0) != (v >= 0):")
-                W("            q = -q")
-                self.a_reg = None    # ``a`` scratch local clobbered
-                self.e_valid = self.bounds_ok = False
-            W(f"        regs[{x.rd}] = "
-              + _ALU_EXPRS[aux].format(**names).format(x=x))
+                divisor = (self.literals.get(x.rs2) if op == M_ALU
+                           else x.imm)
+                if isinstance(divisor, int) and divisor:
+                    W("        t = " + names["a"].format(x=x))
+                    result = _truncating(aux, divisor)
+                else:
+                    # Replicate the reference's rounding.
+                    W("        a = " + names["a"].format(x=x))
+                    W("        v = " + names["b"].format(x=x))
+                    W("        if v == 0:")
+                    self.fault("            ", "'division by zero'", x)
+                    W("        q = abs(a) // abs(v)")
+                    W("        if (a >= 0) != (v >= 0):")
+                    W("            q = -q")
+                    self.a_reg = None    # ``a`` scratch local clobbered
+                    self.e_valid = self.bounds_ok = False
+            W(f"        regs[{x.rd}] = {result}")
             self.invalidate(x.rd)
             self.nonnull.add(x.rd)    # arithmetic yields an int
         elif op == M_GETF:
@@ -372,7 +389,7 @@ class _Emitter:
                 W(f"        v = regs[{x.rs2}]")
                 self.access(f"o.address + {x.off}", True, x)
                 W(f"        o.slots[{x.fi}] = v")
-                self.barrier("        ", f"o, {x.fi}, v")
+                self.barrier("        ", "o", x.fi, "v")
             else:
                 self.access(f"o.address + {x.off}", True, x)
                 W(f"        o.slots[{x.fi}] = regs[{x.rs2}]")
@@ -392,7 +409,7 @@ class _Emitter:
             # instruction: keep the reference interpreter's check (only
             # the ref case has a write barrier).
             W("        if a.kind == 'ref':")
-            self.barrier("            ", "a, i, v")
+            self.barrier("            ", "a", "i", "v")
         elif op == M_LEN:
             self.bind_array(x, "'null arraylength'")
             self.access("a.address + 8", False, x)
@@ -445,17 +462,27 @@ class _Emitter:
             W(f"        if {size} > cell_max"
               f" or c + {size} > nursery.base + nursery.capacity:")
             self.leave("            ", x.pc)
-            self.flush("        ")
+            self.flush("        ", size)
             W(f"        frame.pc = {x.pc}")
             W(f"        nursery.cursor = c + {size}")
             W(f"        regs[{rd}] = {make}")
             W(f"        nursery_objects.append(regs[{rd}])")
-            W("        stats.alloc_objects += 1")
-            W(f"        stats.alloc_bytes += {size}")
             self.invalidate(rd)
             self.nonnull.add(rd)
         elif op != M_NOP:
             raise AssertionError(f"no emitter case for shape {shape}")
+
+
+def _truncating(aux, divisor) -> str:
+    """The reference's ``div``/``rem`` of ``t`` by a nonzero literal:
+    the quotient truncates toward zero, the remainder takes the sign
+    of the dividend."""
+    d = abs(divisor)
+    if aux == "rem":
+        return f"t % {d} if t >= 0 else -(-t % {d})"
+    if divisor > 0:
+        return f"t // {d} if t >= 0 else -(-t // {d})"
+    return f"-(t // {d}) if t >= 0 else -t // {d}"
 
 
 def _returns(write):
@@ -513,8 +540,8 @@ class _Template:
             faults = True
             W(f"{indent}raise GuestError({message}, method, {x.pc})")
 
-        def barrier(indent, args):
-            W(f"{indent}wb({args})")
+        def barrier(indent, holder, slot, value):
+            W(f"{indent}wb({holder}, {slot}, {value})")
 
         _Emitter(W, access, fault, barrier, str,
                  _returns(W)).emit(shape, _SYMBOLIC)
@@ -779,7 +806,8 @@ def translate(cm, cpu) -> Translation:
 #   log as a clock entry, splitting the access segment there
 #   (unconditionally for a ref putfield, behind the runtime
 #   ``kind == 'ref'`` check for an array store) — it does not drain —
-#   or, in a counted region (see *Regions*), only counts it;
+#   or, in a counted region (see *Regions*), counts it and writes the
+#   remembered set's filter inline;
 # * a **guest fault** must observe everything queued before it — this
 #   block's batch and earlier blocks' entries — so every fault routes
 #   through the ``fault`` helper, which drains before raising.  It is
@@ -908,14 +936,14 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
     consts: List[object] = []
     const_ids: Dict[int, str] = {}
     # The flavour's callables are made once per method; what they read
-    # of the batch being emitted (``has_mem``, ``writes``/``eips`` and
-    # their const names, ``shared``), the block (``has_wb``) and the
-    # ring (``tail``) is rebound where each starts.
-    has_mem = has_wb = shared = False
-    tail = ""
+    # of the batch being emitted (``has_mem``, ``writes``/``eips``,
+    # ``meta`` naming their tuples, ``shared``), the block (``has_wb``)
+    # and the ring (``tail``, ``grow``) is rebound where each starts.
+    has_mem = has_wb = shared = grow = False
+    tail = meta = ""
     writes: List[bool] = []
     eips: List[int] = []
-    wslot = eslot = 0
+    wslot = 0
 
     def const(obj) -> str:
         key = id(obj)
@@ -936,44 +964,43 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
     def fault(indent, message, x):
         # Earlier blocks may have queued accesses even when this one
         # has none: every fault lands the log before it raises.
-        if has_mem:
-            W(f"{indent}{unwind}fault(b, K{wslot}, K{eslot}, s, {message}, "
-              f"{x.pc}{tail})")
-        else:
-            W(f"{indent}{unwind}fault(None, None, None, 0, {message}, "
-              f"{x.pc}{tail})")
+        batch = f"b, {meta}, s" if has_mem else "None, None, None, 0"
+        W(f"{indent}{unwind}fault({batch}, {message}, {x.pc}{tail})")
 
-    def barrier(indent, args):
+    def barrier(indent, holder, slot, value):
         # The barrier's remembered-set bookkeeping reads no clock and
         # no cache state, so it happens at once; its charge joins the
         # log behind the batch so far — the segment is split here —
         # and lands in program order at the next drain.  (``b`` is
         # never empty: the barrier's own store was appended just
         # above.)  In a ring, where the batch started is known only at
-        # run time.
+        # run time.  A counted ring counts the charge and writes the
+        # remembered set's filter inline.
         nonlocal has_wb
         if tail and _counts(code[x.pc]):
             W(f"{indent}w += 1")
-            W(f"{indent}record_store({args})")
+            W(f"{indent}if {holder}.space != {SPACE_NURSERY} and {value}"
+              f" is not None and {value}.space == {SPACE_NURSERY}:")
+            W(f"{indent}    remember({holder}, {slot})")
             return
         has_wb = True
-        W(f"{indent}pend((b, K{wslot}, K{eslot}, s))")
+        W(f"{indent}pend((b, {meta}, s))")
         W(f"{indent}pend(barrier)")
         W(f"{indent}s += len(b)" if shared else f"{indent}s = {len(writes)}")
         W(f"{indent}b = []")
         W(f"{indent}ap = b.append")
-        W(f"{indent}record_store({args})")
+        W(f"{indent}record_store({holder}, {slot}, {value})")
 
-    def flush(indent):
+    def flush(indent, size):
         # The flush the driver queues at an allocation, for its local
         # count ``n`` since the last one: in a region, the count it was
         # entered with plus what the entry has run — the allocation
         # included, which its block's ``left`` skipped.  It joins the
         # log as a barrier's charge does, splitting a shared batch — or,
-        # counted, notes where, and ``cell[0]`` before its cost.
+        # counted, notes where, and counts the allocation for ``land``.
         if shared and has_mem and not tail:
             W(f"{indent}if b:")
-            W(f"{indent}    pend((b, K{wslot}, K{eslot}, s))")
+            W(f"{indent}    pend((b, {meta}, s))")
             W(f"{indent}    s += len(b)")
             W(f"{indent}    b = []")
             W(f"{indent}    ap = b.append")
@@ -983,37 +1010,38 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
             W(f"{indent}fp = len(pending)")
             if shared and has_mem:
                 W(f"{indent}fo = len(b)")
-            W(f"{indent}fc = cell[0]")
-            W(f"{indent}cell[0] += alloc_cost")
+            W(f"{indent}na += 1")
+            W(f"{indent}ab += {size}")
             return
         W(f"{indent}pend((None, land_flush, cell[0] + m * icost, m))")
         W(f"{indent}n = left - budget")
         W(f"{indent}cell[0] = alloc_cost")
+        W(f"{indent}stats.alloc_objects += 1")
+        W(f"{indent}stats.alloc_bytes += {size}")
 
-    def open_batch(runs) -> bool:
-        # Reserve the const slots for the batch's access-metadata tuples
-        # now (they are referenced by flush/fault lines); ``seal``
-        # patches them in once every access has been emitted.
-        nonlocal has_mem, writes, eips, wslot, eslot
-        has_mem = any(template is not None and template.mem
-                      for start, stop in runs
-                      for template in templates[start:stop])
+    def accesses(runs) -> bool:
+        return any(template is not None and template.mem
+                   for start, stop in runs
+                   for template in templates[start:stop])
+
+    def reserve() -> str:
+        # Reserve the const slots for a batch's access-metadata tuples
+        # now (flush and fault lines name them); ``seal`` patches them
+        # in once every access has been emitted.
+        nonlocal wslot, writes, eips
+        wslot = len(consts)
+        consts.extend((None, None))
         writes, eips = [], []
-        if has_mem:
-            wslot = len(consts)
-            eslot = wslot + 1
-            consts.extend((None, None))
-        return has_mem
+        return f"K{wslot}, K{wslot + 1}"
 
     def seal(repeat):
-        if has_mem:
-            consts[wslot] = tuple(writes) * repeat
-            consts[eslot] = tuple(eips) * repeat
+        consts[wslot] = tuple(writes) * repeat
+        consts[wslot + 1] = tuple(eips) * repeat
 
     x = _Literal()    # re-loaded for each instruction in turn
 
     def emit_block(start, end):
-        nonlocal has_wb
+        nonlocal has_mem, has_wb, meta
         # A fresh emitter: no fact survives a block boundary.
         emit = _Emitter(W, access, fault, barrier, const, branch, leave,
                         flush).emit
@@ -1030,12 +1058,22 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         # per block.
         stop = end - 1 if templates[end - 1].branch else end
         body = templates[start:stop]
-        own = not shared and open_batch([(start, stop)])
+        mem = accesses([(start, stop)])
+        own = not shared and mem
+        if not shared:
+            has_mem = mem
         has_wb = False
         if own:
+            meta = reserve()
             W("        b = []")
             W("        ap = b.append")
             W("        s = 0")
+        elif grow and mem:
+            # The entry's batch runs whatever path this forked ring
+            # takes: each block grows its metadata by its own tuples.
+            reserve()
+            W(f"        wx(K{wslot})")
+            W(f"        ex(K{wslot + 1})")
         if any(template.frame for template in body):
             W("        fb = frame.base")
 
@@ -1044,17 +1082,18 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
             x.pc = pc
             emit(template.shape, template.load(x, code[pc]))
 
-        if own:
+        if own or grow and mem:
             seal(1)
+        if own:
             # The batch is not simulated here: it joins the CPU's
             # pending log, replayed at the next observation point so
             # the drain's setup cost amortizes over many chained blocks.
             if has_wb:
                 # A write barrier may have emptied the batch mid-block.
                 W("        if b:")
-                W(f"            pend((b, K{wslot}, K{eslot}, s))")
+                W(f"            pend((b, {meta}, s))")
             else:
-                W(f"        pend((b, K{wslot}, K{eslot}, s))")
+                W(f"        pend((b, {meta}, s))")
         x.pc = stop
         if stop == end:
             x.timm = end    # falls through: an unconditional branch on
@@ -1064,47 +1103,60 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
 
     def emit_ring(ring, enter, most, counts):
         """Write the blocks of ``ring`` in order — ``enter(j, start,
-        stop)`` writes what goes in front of the ``j``-th.  Given
-        ``most`` (the ring does not fork) they append to ONE batch the
-        caller opens and pends, whose metadata — the ring's, repeated
-        to cover ``most`` instructions — is named in the result;
-        otherwise, or if the ring accesses nothing (``None``), each
-        block pends its own, as a plain one does.  ``counts`` names what
-        a fault lands in a counted ring (see *Regions*)."""
-        nonlocal shared, tail
+        stop)`` writes what goes in front of the ``j``-th — appending
+        to ONE batch the caller opens and pends, and return the names of
+        its metadata (``None`` if the ring accesses nothing).  Given
+        ``most`` (the ring does not fork) that is the ring's, repeated
+        to cover ``most`` instructions; otherwise the lists ``bw`` and
+        ``be``, which each block grows by its own tuples (``wx``/``ex``)
+        as the entry runs it.  ``counts`` names what a fault lands in a
+        counted ring (see *Regions*)."""
+        nonlocal has_mem, shared, grow, tail, meta
         tail = counts
-        shared = most is not None and open_batch(ring)
+        shared = has_mem = accesses(ring)
+        grow = shared and most is None
+        if shared:
+            meta = "bw, be" if grow else reserve()
         for j, (start, stop) in enumerate(ring):
             enter(j, start, stop)
             emit_block(start, stop)
         tail = ""
-        if not shared:
-            return None
-        shared = False
-        seal(-(-most // sum(stop - start for start, stop in ring)))
-        return f"K{wslot}", f"K{eslot}"
+        batch = meta if shared else None
+        if shared and not grow:
+            seal(-(-most // sum(stop - start for start, stop in ring)))
+        shared = grow = False
+        return batch
 
     return emit_block, emit_ring, consts
 
 
-#: A counted ring's helpers: ``land`` pends batch ``b``, the flush of ``m``
-#: instructions at entry ``p``, ``o`` accesses in, and ``w`` barriers.
+#: A counted ring's helpers: ``land`` pends batch ``b``; the flush of
+#: ``m`` instructions at entry ``p``, ``o`` accesses in, where the last of
+#: ``na`` allocations (``ab`` bytes) left it — only they charge ``cell``
+#: inside an entry, so what it held there is rebuilt from the count; and
+#: the charge of ``w`` barriers (the remembered set counts them too).
 _LAND = """\
     pending = pend.__self__
-    def land(b, writes, eips, s, w=0, m=0, p=0, o=0, c=0):
+    remset = plan.remset
+    remember = remset.remember
+    def land(b, writes, eips, s, w=0, m=0, p=0, o=0, na=0, ab=0):
         if b:
             pend((b, writes, eips, s))
-        if m:
+        if na:
             if o:
                 a, writes, eips, s = pending[p]
                 p += 1
                 if o < len(a):
                     pending[p - 1:p] = ((a[:o], writes, eips, s),
                                         (a[o:], writes, eips, s + o))
+            c = cell[0] + (na - 1) * alloc_cost
             pending.insert(p, (None, land_flush, c + m * icost, m))
-            cell[0] -= c
+            cell[0] = alloc_cost
+            stats.alloc_objects += na
+            stats.alloc_bytes += ab
         if w:
             pend((None, barrier[1], w * barrier[2], 0))
+            remset.barrier_stores += w
     def fault(b, writes, eips, s, message, pc, *counts):
         land(b, writes, eips, s, *counts)""".split("\n")
 
@@ -1165,16 +1217,23 @@ def superblock_source(cm, templates=None) -> tuple:
 # (the loop's own, a side exit, the budget, an allocation only the
 # driver can serve) stores the written registers back and returns
 # ``(next pc, instructions executed, n)`` — ``n`` the driver's local
-# count, which the allocation flushes the region queued restart.  A ring
-# that does not fork appends the entry to ONE access batch, pended at
-# that exit (a barrier or an allocation splits it, a fault pends it
-# before it drains); a forking one pends a batch per block.  Either way
-# the log holds what the driver queues running the same blocks one
-# dispatch at a time, in the same order — unless no hook reads the
-# clock mid-replay (``CPU.counted``): then a typed reference store and
-# an inline allocation split no batch; each exit or fault lands one
-# charge for the ring's ``w`` barriers and one flush where its last
-# allocation's would be (``land``), as every earlier one only adds.
+# count, which the allocation flushes the region queued restart.  An
+# entry appends to ONE access batch, pended at that exit (a barrier or
+# an allocation splits it, a fault pends it before it drains): a ring
+# that does not fork names the ring's metadata tuples, repeated; in one
+# that forks each block with accesses grows the entry's metadata lists
+# by its own tuples (``wx``/``ex``) as it runs.  Either way the log
+# holds what the driver queues running the same blocks one dispatch at
+# a time, in the same order — unless no hook reads the clock mid-replay
+# (``CPU.counted``): then a typed reference store and an inline
+# allocation split no batch.  The store counts ``w`` and tests the
+# barrier's filter inline, calling ``remember`` only for a slot it
+# passes; the allocation counts ``na`` and its bytes ``ab``.  Each exit
+# or fault lands one charge for the ``w`` barriers (and adds them to
+# ``barrier_stores``), the allocation statistics, and one flush where
+# the last allocation's would be (``land``), as every earlier one only
+# adds: inside an entry only its allocations charge ``cell``, so what
+# it held there is ``na - 1`` costs past what it held at entry.
 # ---------------------------------------------------------------------------
 
 def _ring_runs(code, templates, ranges) -> Dict[int, int]:
@@ -1340,7 +1399,7 @@ def region_source(cm, templates=None, ranges=None, counted=False) -> tuple:
         guarded = {b for a, b in zip(starts, starts[1:])
                    if here[a] != {b} or any(b in here[c] for c in starts
                                             if c != a)}
-        counts = ", w, m, fp, fo, fc" * (counted and any(
+        counts = ", w, m, fp, fo, na, ab" * (counted and any(
             _counts(code[pc]) for run in ring for pc in range(*run)))
         batch = emit_ring(ring, enter, None if guarded else
                           ceiling + ring[0][1] - ring[0][0], counts)
@@ -1351,14 +1410,15 @@ def region_source(cm, templates=None, ranges=None, counted=False) -> tuple:
         opening = closing = []
         if batch is not None:    # opened at entry, pended at the one exit
             opening = [f"        {line}" for line in
-                       ("b = []", "ap = b.append", "s = 0")]
-            closing = ["        if b:",
-                       "            pend((b, %s, %s, s))" % batch]
+                       ("b = []", "ap = b.append", "s = 0")
+                       + ("bw = []", "be = []", "wx = bw.extend",
+                          "ex = be.extend") * bool(guarded)]
+            closing = ["        if b:", f"            pend((b, {batch}, s))"]
         if counts:               # kept from entry, landed at the exit
             kept = True
-            opening = opening + ["        w = m = fp = fo = fc = 0"]
+            opening = opening + ["        w = m = fp = fo = na = ab = 0"]
             closing = ["        land(%s%s)" % (
-                "b, %s, %s, s" % batch if batch else "None, None, None, 0",
+                f"b, {batch}, s" if batch else "None, None, None, 0",
                 counts)]
         if any(templates[pc] is None for pc in starts):
             # A collection replaces the list, but only the driver's

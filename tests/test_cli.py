@@ -13,6 +13,8 @@ to move the surface.
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +62,25 @@ def test_cli_surface_matches_golden():
     assert sorted(surface) == sorted(golden), "parser paths moved"
     for path in golden:
         assert surface[path] == golden[path], path
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    """A printing command whose reader stops after one line (``| head
+    -1``) exits without a traceback.  The timeline is far wider than a
+    pipe holds, so the command is still writing when the pipe closes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        build_parser.__code__.co_filename)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "timeline", "fop", "--heap-mult",
+         "2", "--width", "50000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src, REPRO_CACHE_DIR=str(tmp_path)))
+    assert proc.stdout.readline().startswith(b"timeline: ")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
 
 class TestArgumentHandling:

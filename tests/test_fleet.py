@@ -311,6 +311,32 @@ class TestJobRetention:
 
         asyncio.run(scenario())
 
+    def test_entries_follow_the_retained_jobs(self, monkeypatch):
+        """Evicting a job drops each terminal spec entry no retained job
+        names, so the entry table is bounded with the job table; a
+        dropped key submitted again is a cache hit, found through the
+        record cache."""
+        monkeypatch.setattr(runner, "cached_record", lambda spec: object())
+
+        def engine_call(specs, **kw):
+            raise AssertionError("a cached spec was simulated")
+
+        async def scenario():
+            sched = FleetScheduler(jobs=1, engine_call=engine_call)
+            specs = [RunSpec(benchmark="compress", until_cycles=SMALL,
+                             seed=seed) for seed in range(2000)]
+            jobs = [sched.submit([spec]) for spec in specs]
+            for job in jobs:
+                await asyncio.wait_for(job.done_event.wait(), timeout=30)
+            named = {key for row in sched.jobs_json()
+                     for key in sched.get_job(row["job"]).keys}
+            assert set(sched._entries) == named
+            assert len(named) == fleet_scheduler.RETAIN_JOBS
+            again = sched.submit([specs[0]])
+            await asyncio.wait_for(again.done_event.wait(), timeout=30)
+            assert sched.spec_row(again, 0)["state"] == "cache-hit"
+
+        asyncio.run(scenario())
 
     def test_healthz_counts_jobs_without_building_them(self, monkeypatch):
         """A liveness probe counts the job table; it builds no job's

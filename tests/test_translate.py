@@ -772,14 +772,17 @@ class TestCensus:
     def test_javac_clock_entries_kept_as_counts(self):
         """With no hook to read the clock mid-replay, a region lands one
         charge and one flush per exit: exact counts, 9.7 clock entries
-        per kilo-instruction and 2.58 accesses per segment (93.0 and
-        1.76 while every barrier and allocation queued its own entry).
-        A no-op observer brings the ordered form back (90.9 and 1.76;
-        no poll is skipped under it), and the record is the same."""
+        per kilo-instruction and 17.6 accesses per segment, a forked
+        ring's entry being one batch (93.0 and 1.76 while every barrier
+        and allocation queued its own entry; 9.7 and 2.58 while a forked
+        ring pended a batch per block).  A no-op observer brings the
+        ordered form back (90.9 and 2.54, where a batch per block gave
+        1.76; no poll is skipped under it), and the record is the
+        same."""
         entries, per_segment, record = self._javac_log(observer=False)
-        assert entries <= 12 and per_segment >= 2.4
+        assert entries <= 12 and per_segment >= 16
         ordered, per_segment, observed = self._javac_log(observer=True)
-        assert ordered >= 80 and per_segment < 2
+        assert ordered >= 80 and 2.4 <= per_segment < 3
         assert observed == record
 
     def test_compress_per_instruction_share(self, dispatches):
@@ -1231,8 +1234,8 @@ class TestRingFormation:
 def _ring_outcome(code, level, observer=False):
     """Run hand-assembled ``code`` (a list, or what to call with the
     program's ``env`` to get one) as main and return the fault (or
-    ``None``), every register, what the memory system saw and the
-    clock."""
+    ``None``), every register, what the memory system saw, the clock
+    and the int array ``L_INTS`` holds."""
     p, env = _matrix_program()
     if callable(code):
         code = code(env)
@@ -1264,7 +1267,8 @@ def _ring_outcome(code, level, observer=False):
             else "box" for value in frame.regs]
     ms = vm.memsys
     return (fault, regs, (ms.n_loads, ms.n_stores, ms.n_l1_miss,
-                          ms.n_dtlb_miss), (cpu.instructions, cpu.cycles))
+                          ms.n_dtlb_miss), (cpu.instructions, cpu.cycles),
+            list(ints.elements))
 
 
 #: Loop bodies that fault in the sixth iteration (ninth, out of
@@ -1616,6 +1620,217 @@ class TestRegionAllocation:
         fault_pc = int(ref[0].rsplit(":", 1)[1])
         new_pc = min(self.allocation_pcs(program))
         assert ref[9] == [fault_pc if negative else new_pc]
+
+
+# -- what a churn-heavy region no longer does at run time ---------------------
+
+#: Dividends of the literal-divisor cases: both ends of the int range,
+#: around the divisors, and zero.
+DIVIDENDS = (-2**31, -97, -96, -1, 0, 1, 95, 2**31 - 1)
+#: Registers of the stores below: a nursery holder, a promoted one, a
+#: nursery value, a promoted value, null, and a promoted ref array.
+S_FRESH, S_OLD, S_YOUNG, S_MATURE, S_NULL, S_OLDREFS = range(9, 15)
+
+
+def _main_source(code, source, **options):
+    """What ``source`` emits for hand-assembled ``code`` as main."""
+    p, _ = _matrix_program()
+    cm = _vm(p).compiled_code_for(p.main)
+    cm.code, cm.reg_count, cm.frame_words = code, 15, 4
+    return source(cm, **options)[0]
+
+
+def _store_outcome(code, level, observer=False):
+    """Run ``code(env)`` as main with the objects ``S_*`` name in those
+    registers and return the fault, every register, the remembered set
+    (its counts and entries), the memory system's counts and — after a
+    fault, only under a hook, where it is exact — the clock."""
+    p, env = _matrix_program()
+    vm = _vm(p, fastpath=level)
+    plan = vm.plan
+    objects = {name: plan.alloc_object(env.box)
+               for name in ("fresh", "old", "young", "mature")}
+    objects["oldrefs"] = plan.alloc_array("ref", 4)
+    for name in ("old", "mature", "oldrefs"):
+        plan._promote(objects[name])
+    cm = vm.compiled_code_for(p.main)
+    cm.code, cm.reg_count, cm.frame_words = code(env), 15, 4
+    if observer:
+        vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+    cpu = vm.cpu
+    cpu._push_frame(cm, ())
+    frame = cpu.frames[-1]
+    frame.regs[:] = [plan.alloc_array("int", 8), 0, 0, 0, 0, 0, 0, 0, 0,
+                     *(objects[name] for name in ("fresh", "old", "young",
+                                                  "mature")), None,
+                     objects["oldrefs"]]
+    fault = None
+    try:
+        cpu.run()
+    except GuestError as error:
+        fault = str(error)
+    names = {id(obj): name for name, obj in objects.items()}
+    remset = plan.remset
+    ms = vm.memsys
+    return (fault, [names.get(id(value), type(value).__name__)
+                    for value in frame.regs],
+            (remset.barrier_stores, remset.remembered,
+             [(names[id(holder)], slot) for holder, slot in remset.slots()]),
+            (ms.n_loads, ms.n_stores, ms.n_l1_miss, ms.n_dtlb_miss),
+            (cpu.instructions, cpu.cycles) if observer or fault is None
+            else None)
+
+
+class TestChurnPaths:
+    """The four things a level-2 region of an allocation-heavy loop
+    knows at translation time and no longer pays for at run time — a
+    literal divisor, the barrier's filter, the allocation bookkeeping
+    and a forked ring's batch — leave every run as the reference
+    interpreter leaves it, at levels 1 and 2."""
+
+    @pytest.mark.parametrize("form", ["movi", "alui"])
+    @pytest.mark.parametrize("divisor", [1, -1, 7, -7, 96, -96])
+    @pytest.mark.parametrize("aux", ["div", "rem"])
+    def test_a_literal_divisor(self, aux, divisor, form):
+        """Every dividend, divided by a register ``movi`` set in the
+        same run or by an immediate: the truncating result, with no
+        zero test and no ``abs()`` in the run."""
+        code = []
+        for index, dividend in enumerate(DIVIDENDS):
+            code.append(MInst(M_MOVI, rd=L_I, imm=dividend))
+            if form == "movi":
+                code += [MInst(M_MOVI, rd=L_LIMIT, imm=divisor),
+                         MInst(M_ALU, rd=L_T, rs1=L_I, rs2=L_LIMIT, aux=aux)]
+            else:
+                code.append(MInst(M_ALUI, rd=L_T, rs1=L_I, aux=aux,
+                                  imm=divisor))
+            code += [MInst(M_MOVI, rd=L_U, imm=index),
+                     MInst(M_ASTORE, rd=L_T, rs1=L_INTS, rs2=L_U, aux="int")]
+        code.append(MInst(M_RET))
+        assert superblock_ranges(code) == [(0, len(code) - 1)]
+        text = _main_source(code, superblock_source)
+        assert "abs(" not in text and "== 0" not in text
+        ref = _ring_outcome(code, 0)
+        magnitude = [abs(a) // abs(divisor) for a in DIVIDENDS]
+        assert ref[-1] == [
+            (q if (a >= 0) == (divisor > 0) else -q) if aux == "div"
+            else (a - (q if (a >= 0) == (divisor > 0) else -q) * divisor)
+            for a, q in zip(DIVIDENDS, magnitude)]
+        for level in (1, 2):
+            assert _ring_outcome(code, level) == ref
+
+    @pytest.mark.parametrize("form", ["movi", "alui"])
+    @pytest.mark.parametrize("aux", ["div", "rem"])
+    def test_a_literal_zero_divisor_faults(self, aux, form):
+        """A literal zero keeps the generic sequence, and its fault: the
+        reference's message, at the division's pc."""
+        code = [MInst(M_MOVI, rd=L_I, imm=42)]
+        if form == "movi":
+            code += [MInst(M_MOVI, rd=L_LIMIT, imm=0),
+                     MInst(M_ALU, rd=L_T, rs1=L_I, rs2=L_LIMIT, aux=aux)]
+        else:
+            code.append(MInst(M_ALUI, rd=L_T, rs1=L_I, aux=aux, imm=0))
+        code += [MInst(M_ALUI, rd=L_U, rs1=L_T, aux="add", imm=1),
+                 MInst(M_RET)]
+        assert "abs(" in _main_source(code, superblock_source)
+        ref = _ring_outcome(code, 0)
+        assert ref[0] == f"division by zero at App.main:{len(code) - 3}"
+        for level in (1, 2):
+            assert _ring_outcome(code, level)[:3] == ref[:3]
+            assert _ring_outcome(code, level, observer=True) == ref
+
+    @staticmethod
+    def store_loop(env, fault=False):
+        """Every iteration stores a nursery value into a nursery holder,
+        twice into a promoted one (one slot, remembered once), null and
+        a promoted value into that slot, and the nursery value into a
+        promoted ref array (four slots over the iterations).  With
+        ``fault``, the sixth iteration then divides by zero."""
+        return _counted_loop([
+            MInst(M_PUTF, rs1=S_FRESH, rs2=S_YOUNG, aux=env.next),
+            MInst(M_PUTF, rs1=S_OLD, rs2=S_YOUNG, aux=env.next),
+            MInst(M_PUTF, rs1=S_OLD, rs2=S_YOUNG, aux=env.next),
+            MInst(M_PUTF, rs1=S_OLD, rs2=S_NULL, aux=env.next),
+            MInst(M_PUTF, rs1=S_OLD, rs2=S_MATURE, aux=env.next),
+            MInst(M_ALUI, rd=L_U, rs1=L_I, aux="and", imm=3),
+            MInst(M_ASTORE, rd=S_YOUNG, rs1=S_OLDREFS, rs2=L_U, aux="ref"),
+            MInst(M_GETF, rd=L_T, rs1=S_OLD, aux=env.v),
+        ] + ([MInst(M_ALUI, rd=L_U, rs1=L_I, aux="sub", imm=5),
+              MInst(M_ALU, rd=L_U, rs1=L_LIMIT, rs2=L_U, aux="div")]
+             if fault else []), limit=300)
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_the_barrier_filter_inline(self, fault):
+        """Counted, a typed reference store counts its barrier and tests
+        the filter in the region; the stores, the slots remembered and
+        their order are the reference's, also where a fault lands the
+        count mid-entry."""
+        code = functools.partial(self.store_loop, fault=fault)
+        listing = code(_matrix_program()[1])
+        assert len(superblock_rings(listing)) == 1
+        text = _main_source(listing, region_source, counted=True)
+        assert "record_store(" not in text
+        assert text.count("remember(") == 6 == text.count("w += 1")
+        ref = _store_outcome(code, 0)
+        stores, remembered, slots = ref[2]
+        assert remembered == 5 and slots == [
+            ("old", 1), ("oldrefs", 0), ("oldrefs", 1), ("oldrefs", 2),
+            ("oldrefs", 3)]
+        assert stores == 6 * (6 if fault else 300)
+        for level in (1, 2):
+            assert _store_outcome(code, level) == ref
+        assert _store_outcome(code, 2, observer=True)[:4] == ref[:4]
+
+    @pytest.mark.parametrize("exit", ["budget", "fault", "driver"])
+    @pytest.mark.parametrize("gc_plan", ["genms", "gencopy"])
+    def test_allocation_counts_land_at_every_exit(self, exit, gc_plan,
+                                                  regions):
+        """A counted ring allocating a box and an int array counts both
+        and lands the counts where it leaves: at the budget, at a fault
+        after its ``new``, and at an allocation the nursery cannot fit,
+        which the driver serves with a collection."""
+        program = functools.partial(
+            _alloc_program, 300, length=3,
+            zero_at=150 if exit == "fault" else None)
+        code = compile_baseline(program().main).code
+        assert len(superblock_rings(code)) == 1
+        text = _main_source(code, region_source, counted=True)
+        assert text.count("na += 1") == 2 and "stats." not in text.split(
+            "def _rg_")[1]
+        nursery = 1 << 20
+        if exit == "driver":
+            nursery = TestRegionAllocation().nursery_bytes(program,
+                                                           gc_plan) - 1
+        ref = _alloc_outcome(program, 0, gc_plan, nursery)
+        for level in (1, 2):
+            assert _alloc_outcome(program, level, gc_plan, nursery) == ref
+        assert ref[7]["alloc_objects"] == (301 if exit == "fault" else 600)
+        assert (ref[0] is not None) == (exit == "fault")
+        assert ref[7]["minor_gcs"] == (exit == "driver")
+        assert regions.entries > 1
+
+    def test_a_forked_ring_faults_in_its_second_block(self):
+        """A ring that forks keeps one batch an entry: each block grows
+        its metadata as it runs.  The ninth iteration's load in the
+        ring's second block faults with earlier iterations' accesses —
+        of both arms — in the batch."""
+        code = _counted_loop([
+            MInst(M_ALOAD, rd=L_T, rs1=L_INTS, rs2=L_I, aux="int"),  # pc 3
+            MInst(M_ALUI, rd=L_U, rs1=L_I, aux="and", imm=1),
+            MInst(M_BC, rs1=L_U, aux="ne", imm=8),
+            MInst(M_ALOAD, rd=L_T, rs1=L_INTS, rs2=L_U, aux="int"),  # pc 6
+            MInst(M_ALU, rd=L_ACC, rs1=L_ACC, rs2=L_T, aux="add"),
+        ])
+        rings = superblock_rings(code)
+        assert rings == [[(0, 2), (2, 6), (6, 8), (8, 10)]]
+        for counted in (False, True):
+            text = _main_source(code, region_source, counted=counted)
+            assert text.count("wx(K") == 2 and "pend((b, bw, be, s))" in text
+        ref = _ring_outcome(code, 0)
+        assert ref[0] == "index 8 out of bounds [0,8) at App.main:3"
+        for level in (1, 2):
+            assert _ring_outcome(code, level)[:3] == ref[:3]
+            assert _ring_outcome(code, level, observer=True) == ref
 
 
 # -- an opcode matrix at machine level -----------------------------------------
