@@ -215,8 +215,10 @@ class MemorySystem:
         translate-time constant is-write flag and EIP of its ``j``-th
         access.  A superblock queues one segment per execution, a region
         one per *entry* (its tuples are the ring's, repeated to cover
-        the most one entry runs); a write barrier splits a batch, and
-        ``start`` re-anchors each piece.  Returns the summed latency.
+        the most one entry runs — or, for a ring that forks, lists each
+        block extends as the entry runs it); a write barrier splits a
+        batch, and ``start`` re-anchors each piece.  Returns the summed
+        latency.
 
         The run is an ordered log: between access segments it may carry
         *clock entries* ``(None, land, cycles, n)`` — a charge or a
