@@ -81,8 +81,6 @@ def _register_interp_case(name: str, description: str, slow: int, fast: int,
                  f"{fast_text}/{slow_text} speedup floor"),
         ),
         primary_metric="speedup",
-        primary_direction="higher",
-        compare_threshold=0.15,
     ))
 
 
@@ -161,8 +159,6 @@ register(BenchCase(
              "warm-cache replay performs no simulation work"),
     ),
     primary_metric="speedup",
-    primary_direction="higher",
-    compare_threshold=0.30,
 ))
 
 
@@ -215,15 +211,12 @@ register(BenchCase(
     # 1.002 1.019 1.023 1.028 1.037 1.040 1.117 — median 1.02, the
     # highest 9 % above it; twenty earlier readings of the same body
     # spanned 0.745–1.105.  The ceiling sits at 1.25, more than twice
-    # as far above the median as the highest of the thirty, and the verdict
-    # threshold at 0.20: the spread trips neither, observers that cost
-    # a quarter more trip both.
+    # as far above the median as the highest of the thirty: the spread
+    # does not trip it, observers that cost a quarter more do.
     params={"benchmark": "db", "repeats": 3, "max_ratio": 1.25},
     gates=(
         Gate("overhead_ratio", "<=", "max_ratio",
              "observers-on / observers-off process-time ceiling"),
     ),
     primary_metric="overhead_ratio",
-    primary_direction="lower",
-    compare_threshold=0.20,
 ))

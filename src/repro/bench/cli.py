@@ -2,19 +2,17 @@
 
 Everything the command family knows about its flags lives here —
 :func:`add_parser` declares them and hands each sub-command its
-``cmd_*`` handler (see :mod:`repro.harness.cli`).  ``run`` is the only
-command that simulates: it appends every executed case to the history
-and writes its ``BENCH_<case>.json``; ``compare`` and ``history`` only
-read that history back.
+``cmd_*`` handler (see :mod:`repro.harness.cli`).  ``run`` appends
+every executed case to the history and ``history`` reads it back;
+``pairs`` judges the checkout against a base commit with perfbench and
+writes ``BENCH_<workload>.json``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, List, Optional
 
-from repro.bench import compare as cmp
 from repro.bench import history as hist
 from repro.bench.execute import CaseRun, run_case
 from repro.bench.registry import BenchCase, all_cases, get_case
@@ -99,9 +97,8 @@ def _print_case_run(run: CaseRun) -> None:
 
 def cmd_list(args) -> None:
     for case in all_cases():
-        arrow = ("↓" if case.primary_direction == "lower" else "↑")
-        print(f"{case.name:18s} {case.primary_metric} {arrow} "
-              f"(±{case.compare_threshold:.0%}), {len(case.gates)} gate(s)")
+        print(f"{case.name:18s} {case.primary_metric}, "
+              f"{len(case.gates)} gate(s)")
         print(f"         {case.description}")
         for gate in case.gates:
             limit = (f"param {gate.limit!r}" if isinstance(gate.limit, str)
@@ -112,21 +109,17 @@ def cmd_list(args) -> None:
 def cmd_run(args) -> None:
     cases = select_cases(args.cases, args.all)
     shares = resolve_selection(cases, parse_params(args.param))
-    # Both destinations are opened before any case runs: a result that
-    # took minutes must not be lost to a mistyped path.
+    # The history is opened before any case runs: a result that took
+    # minutes must not be lost to a mistyped path.
     write_or_exit("bench", "history", args.history, hist.append)
-    write_or_exit("bench", "artifacts", args.out_dir,
-                  lambda path: os.makedirs(path, exist_ok=True))
 
     failed = []
     for case, mine in zip(cases, shares):
         run = run_case(case, mine)
         _print_case_run(run)
         entry = hist.build_entry(run)
-        artifact = os.path.join(args.out_dir, f"BENCH_{case.name}.json")
         write_or_exit("bench", "history", args.history,
                       lambda path: hist.append(path, entry))
-        write_or_exit("bench", "artifact", artifact, entry)
         if not run.passed:
             failed.append(case.name)
     print(f"history -> {args.history} (+{len(cases)} entries)")
@@ -163,29 +156,17 @@ def cmd_history(args) -> None:
     print(tail)
 
 
-def cmd_compare(args) -> None:
-    history, skipped = hist.load(args.history)
-    newest = cmp.newest_entries(history)
-    absent = [name for name in args.cases if name not in newest]
-    if absent:
-        raise SystemExit(f"bench: no entry in {args.history} for: "
-                         f"{', '.join(absent)} (see `repro bench run`)")
-    entries = [newest[name] for name in args.cases or newest]
-    if not entries:
-        print(f"bench compare: nothing to score in {args.history}")
-        return
-    scores = [cmp.score_entry(entry, history) for entry in entries]
-    print(cmp.format_scores(scores))
-    if skipped:
-        print(f"({skipped} corrupt history line(s) skipped)")
-    gate_failures = [e["case"] for e in entries if not e.get("passed")]
-    if gate_failures:
-        raise SystemExit(
-            f"bench: gate failure in: {', '.join(gate_failures)}")
-    if cmp.has_failures(scores):
-        bad = [f"{s['case']} ({s['verdict']})" for s in scores
-               if s["verdict"] in cmp.FAILING_VERDICTS]
-        raise SystemExit(f"bench: regression verdict in: {', '.join(bad)}")
+def cmd_pairs(args) -> None:
+    from repro.bench import pairs
+
+    doc = pairs.judge(args.base, args.workload)
+    for name, row in doc["summary"].items():
+        print(f"{name:22s} {row['verdict']:10s} {row['parent_median']:.6g}"
+              f" -> {row['change_median']:.6g}, change better in "
+              f"{row['change_wins']}/{row['pairs']} pairs")
+    print(f"sim_cycles_per_kinstr matched every pair: "
+          f"{doc['sim_cycles_per_kinstr_matched_every_pair']}")
+    print(f"judgement -> BENCH_{args.workload}.json")
 
 
 def cmd_profile(args) -> None:
@@ -212,7 +193,7 @@ def add_parser(sub) -> None:
     """Attach the ``bench`` family to the top-level sub-parsers ``sub``."""
     bench_p = sub.add_parser(
         "bench", help="the ratio gate: run the in-process A/B cases, "
-                      "keep their history, score regressions, "
+                      "keep their history, judge a change in pairs, "
                       "self-profile")
     bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
 
@@ -236,26 +217,25 @@ def add_parser(sub) -> None:
                               "and primary metrics")
 
     run_p = command("run", cmd_run,
-                    "execute cases, append them to the history and write "
-                    "BENCH_<case>.json; exit 1 on any gate failure")
+                    "execute cases and append them to the history; exit 1 "
+                    "on any gate failure")
     run_p.add_argument("cases", nargs="*", metavar="CASE",
                        help="case names (see `bench list`)")
     run_p.add_argument("--all", action="store_true",
                        help="run every registered case")
     add_param_option(run_p)
-    run_p.add_argument("--out-dir", metavar="DIR", default=".",
-                       help="directory for BENCH_<case>.json artifacts "
-                            "(default: current directory)")
     add_history_option(run_p)
 
-    cmp_p = command("compare", cmd_compare,
-                    "score the newest history entry of each case against "
-                    "the window before it (no simulation); exit 1 on a "
-                    "regressed or invalid verdict")
-    cmp_p.add_argument("cases", nargs="*", metavar="CASE",
-                       help="cases to score (default: every case in the "
-                            "history)")
-    add_history_option(cmp_p)
+    pairs_p = command("pairs", cmd_pairs,
+                      "judge this checkout against BASE: ten alternating "
+                      "perfbench pairs, a verdict per end-to-end metric, "
+                      "written to BENCH_<WORKLOAD>.json; exit 1 only when "
+                      "a run failed")
+    pairs_p.add_argument("base", metavar="BASE",
+                         help="the commit to compare against (any git "
+                              "revision)")
+    pairs_p.add_argument("workload", metavar="WORKLOAD",
+                         help="a workload of BENCHMARK.json")
 
     hist_p = command("history", cmd_history,
                      "show the recorded bench trajectory")

@@ -7,21 +7,21 @@ hostile input on read: torn writes, hand edits, and foreign lines are
 skipped and counted, never trusted — the same corruption posture as
 :mod:`repro.harness.diskcache`.
 
-Entries embed everything regression scoring needs (primary metric
-name, direction, per-case threshold, a params-key fingerprint), so
-:mod:`repro.bench.compare` works on history alone without consulting
-the live registry — entries outlive code that renames or retires a
-case.
+Entries embed their case's params, primary metric and gate verdicts,
+so ``bench history`` reads them without consulting the live registry
+— entries outlive code that renames or retires a case.  Lines written
+before the windowed verdict was removed also carry a ``params_key``
+and the primary metric's direction and threshold; nothing reads those
+any more.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.bench.execute import CaseRun
 
@@ -41,12 +41,6 @@ def git_sha() -> Optional[str]:
         return None
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else None
-
-
-def params_key(params: Dict[str, object]) -> str:
-    """Stable fingerprint of a resolved params dict."""
-    canonical = json.dumps(params, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def build_entry(run: CaseRun, now: Optional[float] = None,
@@ -70,12 +64,7 @@ def build_entry(run: CaseRun, now: Optional[float] = None,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "params": dict(run.params),
-        "params_key": params_key(run.params),
-        "primary": {
-            "metric": run.case.primary_metric,
-            "direction": run.case.primary_direction,
-            "threshold": run.case.compare_threshold,
-        },
+        "primary": {"metric": run.case.primary_metric},
         "metrics": dict(run.metrics),
         "wall_s": round(run.wall_s, 3),
         "gates": list(run.gates),
@@ -102,7 +91,7 @@ def load(path: str) -> Tuple[List[dict], int]:
     Any line that is not a JSON object with the expected schema marker
     — torn writes, hand edits, blank lines — is skipped, mirroring the
     disk-cache corruption sweep: history degrades to a shorter
-    baseline, never to wrong verdicts.
+    trajectory, never to wrong entries.
     """
     entries: List[dict] = []
     skipped = 0

@@ -4,9 +4,8 @@ A :class:`BenchCase` is a named, parameterized host-side benchmark: a
 callable from a params dict to a flat metrics dict, plus the **gates**
 that turn those metrics into a pass/fail verdict (speedup floors,
 overhead ceilings, bit-identity equalities) and a **primary metric**
-that regression detection (:mod:`repro.bench.compare`) tracks over
-time.  A case fails its run when any gate fails, independent of what
-the history says.
+that ``bench run`` and ``bench history`` show.  A case fails its run
+when any gate fails.
 
 A :class:`Gate` limit may be a literal number/bool or the *name of a
 case parameter* — ``Gate("speedup", ">=", "min_speedup")`` — so
@@ -27,9 +26,6 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 #: Gate comparison operators.
 GATE_OPS = (">=", "<=", "==")
-
-#: Verdict directions for the primary metric.
-DIRECTIONS = ("lower", "higher")
 
 
 def is_finite_number(value) -> bool:
@@ -94,14 +90,6 @@ class BenchCase:
     params: Mapping[str, object] = field(default_factory=dict)
     gates: Tuple[Gate, ...] = ()
     primary_metric: str = "wall_s"
-    primary_direction: str = "lower"     # "lower" | "higher" is better
-    compare_threshold: float = 0.10      # relative delta for verdicts
-
-    def __post_init__(self):
-        if self.primary_direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction "
-                             f"{self.primary_direction!r}; "
-                             f"known: {', '.join(DIRECTIONS)}")
 
     def resolve_params(self, overrides: "Mapping[str, object] | None" = None
                        ) -> Dict[str, object]:

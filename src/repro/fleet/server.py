@@ -25,7 +25,7 @@ and a connection idle past it is closed without a byte written.  An
 :func:`serve` is the blocking entry point behind ``repro serve``; it
 installs SIGTERM/SIGINT handlers for a graceful drain (refuse new
 jobs, finish accepted ones, announce ``shutdown``, close idle
-connections, exit).
+connections, abort any still open ``DRAIN_S`` later, exit).
 :class:`BackgroundFleet` runs the same server on a daemon thread for
 in-process tests and ad-hoc tooling.
 """
@@ -56,6 +56,7 @@ MAX_BODY = 1 << 20
 REQUEST_TIMEOUT_S = 10.0
 #: Seconds a draining daemon waits for its connections to end: event
 #: streams send the ``shutdown`` announcement, busy ones their reply.
+#: A connection still open then is aborted.
 DRAIN_S = 5.0
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -126,7 +127,7 @@ class FleetServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
-        self._handlers: set = set()   # one task per open connection
+        self._handlers: dict = {}     # open connections: task -> writer
         self._idle: set = set()       # writers awaiting their next request
         self.loop: Optional[asyncio.AbstractEventLoop] = None
 
@@ -159,7 +160,11 @@ class FleetServer:
         for writer in list(self._idle):
             writer.close()
         if self._handlers:
-            await asyncio.wait(self._handlers, timeout=DRAIN_S)
+            await asyncio.wait(list(self._handlers), timeout=DRAIN_S)
+        # What is still open has a client that stopped reading; cut it,
+        # or its handler would wait on a full socket buffer forever.
+        for writer in self._handlers.values():
+            writer.transport.abort()
         if self._server is not None:
             await self._server.wait_closed()
         self._shutdown.set()
@@ -173,7 +178,7 @@ class FleetServer:
         A connection that sends nothing within the deadline is closed
         without a word, one that stops part-way gets a 400, and any error
         met before the body was read closes the connection."""
-        self._handlers.add(asyncio.current_task())
+        self._handlers[asyncio.current_task()] = writer
         try:
             while True:
                 started: list = []
@@ -225,7 +230,7 @@ class FleetServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-            self._handlers.discard(asyncio.current_task())
+            del self._handlers[asyncio.current_task()]
 
     async def _route(self, method: str, path: str, query: dict,
                      body: bytes, reader: asyncio.StreamReader,

@@ -283,6 +283,17 @@ class Analog:
     description: str
     seed: Optional[int] = None
 
+    def __post_init__(self):
+        # Kernels name their App methods: a Pair's setup and scan, a
+        # Young's or Stream's ``name``.
+        names = [m for k in self.kernels for m in
+                 (("setup", "scan") if isinstance(k, Pair) else (k.name,))]
+        twice = [m for m in names if names.count(m) > 1]
+        if twice:
+            raise ValueError(
+                f"Analog {self.name!r} defines App.{twice[0]} twice: a "
+                f"row holds at most one Pair, and one kernel per name")
+
 
 def make_app_class(program: Program) -> ClassInfo:
     """The benchmark's driver class with a checksum static."""

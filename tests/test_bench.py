@@ -1,21 +1,22 @@
-"""Tests for ``repro bench``, the ratio gate.
+"""Tests for ``repro bench``, the ratio gate and the judge of a change.
 
-The regression-detection edge cases are the heart of this file: empty
-history, a single-entry baseline, zero/NaN metric guards, verdict
-thresholds straddling exactly-at-limit values, and history-file
-corruption tolerance.  The registry, the execution harness (one run,
-cache state restored), the four built-in cases at toy parameters, the
-self-profiler, and the CLI surface are covered around them.
+The registry, the execution harness (one run, cache state restored),
+the four built-in cases at toy parameters, the history file and its
+corruption tolerance, the self-profiler, and the CLI surface; and
+``bench pairs`` on a stub runner: its seeds and order, each verdict at
+its edges, and failing closed.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.__main__ import main
-from repro.bench import compare as cmp
 from repro.bench import history as hist
+from repro.bench import pairs
 from repro.bench import registry
 from repro.bench.execute import run_case
 from repro.bench.registry import (BenchCase, Gate, all_cases, get_case,
@@ -36,16 +37,14 @@ TOY_PARAMS = {"benchmark": "fop", "repeats": 1, "benchmarks": ["fop"],
               "heap_mults": [1.0], "min_speedup": 0.0, "max_ratio": 100.0}
 
 
-def make_case(name="fake", value=100.0, gates=(), direction="lower",
-              threshold=0.10, run=None):
+def make_case(name="fake", value=100.0, gates=(), run=None):
     """A cheap registerable case whose metric is controlled by a param."""
     def default_run(params):
         return {"value": float(params["value"]), "identical": True}
     return BenchCase(
         name=name, description="synthetic test case",
         run=run or default_run, params=dict(FAKE_PARAMS), gates=tuple(gates),
-        primary_metric="value", primary_direction=direction,
-        compare_threshold=threshold)
+        primary_metric="value")
 
 
 @pytest.fixture
@@ -60,22 +59,17 @@ def fake_case(monkeypatch):
 _TS = iter(range(10_000, 20_000))
 
 
-def entry(case="fake", value=100.0, ts=None, metric="value",
-          direction="lower", threshold=0.10, params=None, code="codeA",
-          schema=hist.HISTORY_SCHEMA, passed=True):
+def entry(case="fake", value=100.0, metric="value"):
     """Fabricate one self-describing history entry."""
-    params = dict(FAKE_PARAMS) if params is None else params
     return {
-        "schema": schema,
+        "schema": hist.HISTORY_SCHEMA,
         "case": case,
-        "ts": float(next(_TS)) if ts is None else float(ts),
-        "code_version": code,
-        "params": params,
-        "params_key": hist.params_key(params),
-        "primary": {"metric": metric, "direction": direction,
-                    "threshold": threshold},
+        "ts": float(next(_TS)),
+        "code_version": "codeA",
+        "params": dict(FAKE_PARAMS),
+        "primary": {"metric": metric},
         "metrics": {metric: value},
-        "passed": passed,
+        "passed": True,
     }
 
 
@@ -125,10 +119,6 @@ class TestGates:
 
 
 class TestBenchCase:
-    def test_direction_validated(self):
-        with pytest.raises(ValueError, match="unknown direction"):
-            make_case(direction="sideways")
-
     def test_strict_override_checking(self):
         case = make_case()
         with pytest.raises(ValueError, match="no parameter 'typo'"):
@@ -234,21 +224,22 @@ def test_builtin_case_runs_at_toy_parameters(name):
 
 class TestHistory:
     def test_build_entry_is_self_describing(self):
-        run_result = run_case(make_case(threshold=0.25, direction="higher"))
+        run_result = run_case(make_case())
         doc = hist.build_entry(run_result, now=123.0, code_version="deadbeef",
                                sha=None)
         assert doc["schema"] == hist.HISTORY_SCHEMA
         assert doc["case"] == "fake" and doc["ts"] == 123.0
         assert doc["code_version"] == "deadbeef" and doc["git_sha"] is None
-        assert doc["params_key"] == hist.params_key(doc["params"])
-        assert doc["primary"] == {"metric": "value", "direction": "higher",
-                                  "threshold": 0.25}
+        assert doc["params"] == FAKE_PARAMS
+        assert doc["primary"] == {"metric": "value"}
         assert doc["metrics"]["value"] == 100.0 and doc["passed"]
         assert isinstance(doc["wall_s"], float)
 
     def test_committed_trajectory_still_loads(self):
-        """Lines written before ``wall_s`` replaced the ``wall`` dict
-        stay a usable baseline: same params key as today's cases."""
+        """Lines written before ``wall_s`` replaced the ``wall`` dict,
+        and those that still carry the removed windowed verdict's
+        ``params_key`` and direction, all load; today's cases' params
+        are among them."""
         path = os.path.join(os.path.dirname(__file__), os.pardir,
                             hist.DEFAULT_HISTORY)
         with open(path) as fh:
@@ -257,15 +248,8 @@ class TestHistory:
         assert skipped == 0 and len(entries) == len(lines) >= 5
         assert {e["case"] for e in entries} <= set(BUILTIN_CASES)
         for name in ("interp", "interp_superblock"):
-            key = hist.params_key(dict(get_case(name).params))
-            assert key == "dc280a990f76dd7f"
-            assert any(e["params_key"] == key for e in entries
-                       if e["case"] == name)
-
-    def test_params_key_is_order_insensitive(self):
-        assert hist.params_key({"a": 1, "b": [2]}) \
-            == hist.params_key({"b": [2], "a": 1})
-        assert hist.params_key({"a": 1}) != hist.params_key({"a": 2})
+            assert any(e["params"] == dict(get_case(name).params)
+                       for e in entries if e["case"] == name)
 
     def test_append_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
@@ -299,119 +283,216 @@ class TestHistory:
 
 
 # ---------------------------------------------------------------------------
-# Regression detection
+# bench pairs: the judge of a change
 # ---------------------------------------------------------------------------
 
-class TestCompare:
-    def test_empty_history_gives_no_baseline(self):
-        score = cmp.score_entry(entry(value=5.0), history=[])
-        assert score["verdict"] == "no-baseline"
-        assert score["baseline"] is None and score["delta"] is None
-        assert not cmp.has_failures([score])
+BENCHMARK_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "BENCHMARK.json")
+with open(BENCHMARK_JSON) as _fh:
+    DECLARED = json.load(_fh)
+NAMES = [m["name"] for m in DECLARED["end_to_end"]]
 
-    def test_single_entry_baseline(self):
-        history = [entry(value=100.0)]
-        score = cmp.score_entry(entry(value=104.0), history)
-        assert score["baseline"] == 100.0 and score["baseline_n"] == 1
-        assert score["delta"] == pytest.approx(0.04)
-        assert score["verdict"] == "ok"
 
-    def test_exactly_at_threshold_is_ok(self):
-        history = [entry(value=100.0)]
-        # 10% worse with a 10% threshold: delta == t stays ok ...
-        assert cmp.score_entry(entry(value=110.0), history)["verdict"] == "ok"
-        # ... one hair past it regresses.
-        assert cmp.score_entry(entry(value=110.00001),
-                               history)["verdict"] == "regressed"
-        # Symmetric on the improvement side.
-        assert cmp.score_entry(entry(value=90.0), history)["verdict"] == "ok"
-        assert cmp.score_entry(entry(value=89.99),
-                               history)["verdict"] == "improved"
+def git(cwd, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
 
-    def test_higher_is_better_flips_the_delta(self):
-        # Binary-exact values so delta == threshold is truly exact.
-        history = [entry(value=2.0, direction="higher", threshold=0.25)]
 
-        def current(v):
-            return entry(value=v, direction="higher", threshold=0.25)
-        assert cmp.score_entry(current(1.5), history)["verdict"] == "ok"
-        assert cmp.score_entry(current(1.4375),
-                               history)["verdict"] == "regressed"
-        assert cmp.score_entry(current(2.5), history)["verdict"] == "ok"
-        assert cmp.score_entry(current(2.625),
-                               history)["verdict"] == "improved"
+@pytest.fixture
+def checkout(tmp_path, monkeypatch):
+    """A one-commit git checkout holding this repository's
+    BENCHMARK.json, as the working directory."""
+    tree = tmp_path / "checkout"
+    tree.mkdir()
+    (tree / "BENCHMARK.json").write_text(open(BENCHMARK_JSON).read())
+    git(tree, "init", "-q")
+    git(tree, "add", "BENCHMARK.json")
+    git(tree, "commit", "-q", "-m", "base")
+    monkeypatch.chdir(tree)
+    return tree
 
-    def test_baseline_is_median_of_window(self):
-        history = [entry(value=float(v)) for v in range(1, 11)]
-        score = cmp.score_entry(entry(value=9.0), history, window=3)
-        assert score["baseline"] == 9.0 and score["baseline_n"] == 3
-        assert score["verdict"] == "ok"
-        wide = cmp.score_entry(entry(value=9.0), history, window=100)
-        assert wide["baseline"] == 5.5 and wide["baseline_n"] == 10
-        assert wide["verdict"] == "regressed"
 
-    def test_current_entry_excluded_from_its_own_baseline(self):
-        current = entry(value=50.0)
-        history = [entry(value=100.0), dict(current)]
-        score = cmp.score_entry(current, history)
-        assert score["baseline"] == 100.0 and score["baseline_n"] == 1
-        assert score["verdict"] == "improved"
+def stub_runner(checkout, values=None, calls=None, outcome=None):
+    """A perfbench stand-in: ``values(side, seed)`` gives a run's
+    metrics (all 1.0 by default), ``outcome(side, seed, doc)`` may
+    replace its (exit code, stdout)."""
+    def run(tree, workload, seed, seconds):
+        change = os.path.realpath(tree) == os.path.realpath(checkout)
+        side = "change" if change else "parent"
+        # The parent is an extracted tree, not a second checkout.
+        assert os.path.exists(os.path.join(tree, "BENCHMARK.json"))
+        assert change or not os.path.exists(os.path.join(tree, ".git"))
+        if calls is not None:
+            calls.append((side, seed, workload, seconds))
+        metrics = values(side, seed) if values else dict.fromkeys(NAMES, 1.0)
+        doc = {"correct": True, "attempted": 1, "failed": 0,
+               "metrics": {k: {"value": v, "unit": "u"}
+                           for k, v in metrics.items()}}
+        if outcome is not None:
+            return outcome(side, seed, doc)
+        return 0, "sim_mips 1.0 Minstr/s\n" + json.dumps(doc) + "\n"
+    return run
 
-    def test_params_and_case_mismatches_excluded(self):
-        history = [entry(value=100.0, params={"value": 1.0, "floor": 9.0}),
-                   entry(value=100.0, case="other"),
-                   entry(value=100.0, schema=99),
-                   entry(value=100.0, metric="other_metric")]
-        assert cmp.score_entry(entry(value=100.0),
-                               history)["verdict"] == "no-baseline"
 
-    def test_nan_current_value_is_invalid(self):
-        history = [entry(value=100.0)]
-        for bad in (float("nan"), float("inf"), None, "fast", True):
-            score = cmp.score_entry(entry(value=bad), history)
-            assert score["verdict"] == "invalid", bad
-            assert score["value"] is None
-            assert cmp.has_failures([score])
-        missing = entry(value=1.0)
-        missing["metrics"] = {}
-        assert cmp.score_entry(missing, history)["verdict"] == "invalid"
+def verdict(parent, change, better="lower", bound=0.05):
+    """The verdict ``summarise`` gives one metric's pairs."""
+    metric = {"name": "m", "better": better, "bound": bound}
+    pair_list = [{"parent": {"m": p}, "change": {"m": c}}
+                 for p, c in zip(parent, change)]
+    return pairs.summarise(pair_list, [metric])["m"]["verdict"]
 
-    def test_nan_baseline_entries_filtered(self):
-        history = [entry(value=float("nan")), entry(value=float("inf")),
-                   entry(value=100.0)]
-        score = cmp.score_entry(entry(value=100.0), history)
-        assert score["baseline_n"] == 1, "non-finite entries are not evidence"
-        assert score["verdict"] == "ok"
 
-    def test_zero_baseline_cannot_anchor_a_relative_verdict(self):
-        history = [entry(value=0.0), entry(value=0.0), entry(value=0.0)]
-        score = cmp.score_entry(entry(value=5.0), history)
-        assert score["verdict"] == "no-baseline"
-        assert score["baseline"] == 0.0 and score["baseline_n"] == 3
+#: Ten parent runs with a small spread (IQR 0.55, 0.5 % of the median).
+STEADY = [100.0 + 0.1 * i for i in range(10)]
 
-    def test_explicit_threshold_overrides_per_case(self):
-        history = [entry(value=100.0)]
-        score = cmp.score_entry(entry(value=105.0), history, threshold=0.01)
-        assert score["verdict"] == "regressed"
 
-    def test_newest_entry_per_case(self):
-        old, new = entry(value=1.0, ts=5.0), entry(value=2.0, ts=9.0)
-        other = entry(case="other", value=3.0, ts=7.0)
-        newest = cmp.newest_entries([new, other, old])
-        assert list(newest) == ["fake", "other"]
-        assert newest["fake"] is new and newest["other"] is other
-        assert cmp.newest_entries([]) == {}
+class TestPairs:
+    def test_seeds_and_alternating_order(self, checkout, capsys):
+        calls = []
+        doc = pairs.judge("HEAD", "sim_compute",
+                          stub_runner(checkout, calls=calls))
+        seconds = DECLARED["run_seconds"]
+        assert calls == [(side, seed, "sim_compute", seconds)
+                         for seed in range(1, 11)
+                         for side in (("parent", "change") if seed % 2
+                                      else ("change", "parent"))]
+        assert [(p["seed"], p["first"]) for p in doc["pairs"]] == [
+            (seed, "parent" if seed % 2 else "change")
+            for seed in range(1, 11)]
 
-    def test_score_run_and_failure_detection(self):
-        history = [entry(value=100.0)]
-        scores = [cmp.score_entry(current, history)
-                  for current in (entry(value=100.0), entry(value=150.0))]
-        assert [s["verdict"] for s in scores] == ["ok", "regressed"]
-        assert cmp.has_failures(scores)
-        table = cmp.format_scores(scores)
-        assert "regressed" in table and "fake" in table
-        assert "+50.0%" in table
+    def test_written_file_and_its_keys(self, checkout, capsys):
+        head = git(checkout, "rev-parse", "HEAD")
+        doc = pairs.judge("HEAD", "sim_compute", stub_runner(checkout))
+        path = checkout / "BENCH_sim_compute.json"
+        assert json.loads(path.read_text()) == doc
+        assert list(doc) == [
+            "schema", "workload", "command", "method", "host", "base",
+            "change", "sim_cycles_per_kinstr_matched_every_pair",
+            "all_runs_correct", "summary", "pairs"]
+        assert doc["base"] == {"git_sha": head}
+        assert doc["change"] == {"git_sha": head, "dirty": False}
+        assert doc["all_runs_correct"] is True
+        assert doc["command"].endswith(
+            f"--workload sim_compute --seed K --seconds "
+            f"{DECLARED['run_seconds']} --trace 0")
+        assert list(doc["summary"]) == NAMES
+        for metric, row in zip(DECLARED["end_to_end"],
+                               doc["summary"].values()):
+            assert list(row) == [
+                "better", "bound", "parent_median", "change_median",
+                "change_vs_parent_pct", "parent_iqr", "change_iqr",
+                "parent_range", "change_range", "change_wins", "ties",
+                "pairs", "verdict"]
+            assert (row["better"], row["bound"]) == (metric["better"],
+                                                     metric["bound"])
+            assert (row["ties"], row["pairs"], row["verdict"]) \
+                == (10, 10, "same")
+        assert len(doc["pairs"]) == 10
+        assert list(doc["pairs"][0]) == ["seed", "first", "parent",
+                                         "change", "change_wins"]
+        # The written file is an uncommitted edit: the next judgement
+        # says its change is dirty.
+        again = pairs.judge("HEAD", "sim_compute", stub_runner(checkout))
+        assert again["change"] == {"git_sha": head, "dirty": True}
 
+    def test_gain_needs_nine_wins_and_more_than_the_iqr(self):
+        assert verdict(STEADY, [p - 1 for p in STEADY]) == "gain"
+        nine = [p - 1 for p in STEADY[:9]] + [STEADY[9] + 0.05]
+        assert verdict(STEADY, nine) == "gain"
+        eight = [p - 1 for p in STEADY[:8]] + [p + 0.05 for p in STEADY[8:]]
+        assert verdict(STEADY, eight) == "same"
+        # A tie counts for neither side.
+        tied = [p - 1 for p in STEADY[:8]] + STEADY[8:]
+        assert verdict(STEADY, tied) == "same"
+        assert verdict(STEADY, tied[:9] + [STEADY[9] - 1]) == "gain"
+        # Ten wins, but by less than the parent's IQR.
+        assert verdict(STEADY, [p - 0.1 for p in STEADY]) == "same"
+
+    def test_worse_is_strictly_past_the_bound(self):
+        assert verdict([100.0] * 10, [105.0] * 10) == "same"
+        assert verdict([100.0] * 10, [105.5] * 10) == "worse"
+        # Higher is better: a lower median is the worse one.
+        assert verdict([100.0] * 10, [94.5] * 10, better="higher") == "worse"
+        assert verdict([100.0] * 10, [95.0] * 10, better="higher") == "same"
+        assert verdict(STEADY, [p + 1 for p in STEADY],
+                       better="higher") == "gain"
+
+    def test_unresolved_unless_every_change_run_wins(self):
+        wide = [80.0, 85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0, 120.0,
+                125.0]
+        assert verdict(wide, [w - 1 for w in wide]) == "unresolved"
+        assert verdict(STEADY, wide[::-1]) == "unresolved"
+        # Wide on both sides, yet every change run beats every parent run.
+        assert verdict(wide, [w - 50 for w in wide]) == "gain"
+
+    def test_same(self):
+        assert verdict(STEADY, STEADY) == "same"
+        assert verdict(STEADY, [p + 0.1 for p in STEADY]) == "same"
+
+    def test_cycles_matched_flag(self, checkout, capsys):
+        def drift(side, seed):
+            metrics = dict.fromkeys(NAMES, 1.0)
+            if side == "change" and seed == 7:
+                metrics["sim_cycles_per_kinstr"] = 1.5
+            return metrics
+
+        doc = pairs.judge("HEAD", "sim_compute", stub_runner(checkout))
+        assert doc["sim_cycles_per_kinstr_matched_every_pair"] is True
+        doc = pairs.judge("HEAD", "sim_compute",
+                          stub_runner(checkout, values=drift))
+        assert doc["sim_cycles_per_kinstr_matched_every_pair"] is False
+
+    @pytest.mark.parametrize("outcome, message", [
+        (lambda side, seed, doc: (1, json.dumps(doc)), "exited 1"),
+        (lambda side, seed, doc: (0, "Traceback ..."), "exited 0"),
+        (lambda side, seed, doc: (0, json.dumps(dict(doc, correct=False))),
+         "reported wrong output"),
+        (lambda side, seed, doc: (0, json.dumps(dict(doc, metrics=dict(
+            doc["metrics"], extra={"value": 1.0, "unit": "u"}))))
+         if side == "parent" else (0, json.dumps(doc)),
+         "the parent run of seed 1 reports metrics"),
+    ], ids=["failed", "no-json", "incorrect", "metric-names"])
+    def test_fails_closed_writing_nothing(self, checkout, outcome, message,
+                                          capsys):
+        with pytest.raises(SystemExit, match=message):
+            pairs.judge("HEAD", "sim_compute",
+                        stub_runner(checkout, outcome=outcome))
+        assert sorted(os.listdir(checkout)) == [".git", "BENCHMARK.json"]
+
+    def test_a_late_failure_still_writes_nothing(self, checkout, capsys):
+        def late(side, seed, doc):
+            return (2 if (side, seed) == ("change", 10) else 0,
+                    json.dumps(doc))
+
+        with pytest.raises(SystemExit,
+                           match="the change run of seed 10 exited 2"):
+            pairs.judge("HEAD", "sim_compute",
+                        stub_runner(checkout, outcome=late))
+        assert not (checkout / "BENCH_sim_compute.json").exists()
+
+    def test_bad_input_is_one_line_before_any_run(self, checkout):
+        def never(*args):
+            raise AssertionError("a run started before its input was checked")
+
+        for base, workload, message in (
+                ("HEAD", "nope", "unknown workload 'nope'"),
+                ("no-such-rev", "sim_compute", "git rev-parse")):
+            with pytest.raises(SystemExit, match=message) as exc:
+                pairs.judge(base, workload, never)
+            assert str(exc.value).startswith("bench: ")
+            assert "\n" not in str(exc.value)
+
+    def test_perfbench_runner_passes_the_declared_command(self, tmp_path):
+        script = tmp_path / "fake.py"
+        script.write_text("import sys\nprint(sys.argv[1:])\nsys.exit(3)\n")
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"command": [sys.executable, "fake.py"]}))
+        code, out = pairs.run_perfbench(str(tmp_path), "sim_churn", 4, 20)
+        assert code == 3
+        assert out.strip() == str(["--workload", "sim_churn", "--seed", "4",
+                                   "--seconds", "20", "--trace", "0"])
 
 # ---------------------------------------------------------------------------
 # Self-profiling
@@ -487,17 +568,18 @@ class TestBenchCli:
         assert "gate:" in out
 
     def test_run_writes_artifact_history_and_report(self, fake_case,
-                                                    tmp_path, capsys):
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        """The history is the cases' one store: no ``BENCH_*.json``."""
+        monkeypatch.chdir(tmp_path)
         history = str(tmp_path / "h.jsonl")
-        main(["bench", "run", "fake", "--history", history,
-              "--out-dir", str(tmp_path / "out")])
+        main(["bench", "run", "fake", "--history", history])
         out = capsys.readouterr().out
         assert "fake" in out and "PASS" in out
-        artifact = json.loads(
-            (tmp_path / "out" / "BENCH_fake.json").read_text())
-        assert artifact["case"] == "fake" and artifact["passed"]
         entries, skipped = hist.load(history)
-        assert entries == [artifact] and skipped == 0
+        assert [e["case"] for e in entries] == ["fake"] and skipped == 0
+        assert entries[0]["passed"]
+        assert os.listdir(tmp_path) == ["h.jsonl"]
 
     def test_gate_failure_exits_nonzero(self, monkeypatch, tmp_path):
         all_cases()
@@ -506,8 +588,7 @@ class TestBenchCli:
         monkeypatch.setitem(registry.REGISTRY, "failing", failing)
         with pytest.raises(SystemExit, match="gate failure in: failing"):
             main(["bench", "run", "failing",
-                  "--history", str(tmp_path / "h.jsonl"),
-                  "--out-dir", str(tmp_path)])
+                  "--history", str(tmp_path / "h.jsonl")])
 
     def test_run_rejects_unknown_case_and_params(self, fake_case, tmp_path):
         history = str(tmp_path / "h.jsonl")
@@ -526,8 +607,7 @@ class TestBenchCli:
         ["interp", "--param", "repeats=0"],
         ["engine", "--param", 'benchmarks=["nope"]'],
         ["interp", "--history", "/proc/nope/h.jsonl"],
-        ["interp", "--out-dir", "/proc/nope"],
-    ], ids=["repeats", "benchmark-name", "history-path", "out-dir"])
+    ], ids=["repeats", "benchmark-name", "history-path"])
     def test_bad_outside_input_is_one_line_before_any_case_runs(
             self, argv, tmp_path, monkeypatch):
         from repro.bench import cli
@@ -539,8 +619,6 @@ class TestBenchCli:
         argv = ["bench", "run"] + argv
         if "--history" not in argv:
             argv += ["--history", str(tmp_path / "h.jsonl")]
-        if "--out-dir" not in argv:
-            argv += ["--out-dir", str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         message = str(exc.value)
@@ -550,7 +628,7 @@ class TestBenchCli:
                                             capsys):
         history = str(tmp_path / "h.jsonl")
         main(["bench", "run", "fake", "--param", "value=42.5",
-              "--history", history, "--out-dir", str(tmp_path)])
+              "--history", history])
         entries, _ = hist.load(history)
         assert entries[0]["metrics"]["value"] == 42.5
         assert entries[0]["params"]["value"] == 42.5
@@ -574,8 +652,7 @@ class TestBenchCli:
             name="b", description="", run=run_b, params={"knob": 1},
             primary_metric="other"))
         main(["bench", "run", "a", "b", "--param", "value=9.0",
-              "--param", "knob=2", "--history", str(tmp_path / "h.jsonl"),
-              "--out-dir", str(tmp_path)])
+              "--param", "knob=2", "--history", str(tmp_path / "h.jsonl")])
         assert seen["a"]["value"] == 9.0 and "knob" not in seen["a"]
         assert seen["b"]["knob"] == 2 and "value" not in seen["b"]
 
@@ -589,62 +666,6 @@ class TestBenchCli:
         main(["bench", "history", "--history", history, "--json"])
         docs = json.loads(capsys.readouterr().out)
         assert [d["case"] for d in docs] == ["fake", "other"]
-
-    def test_compare_regression_exits_nonzero(self, tmp_path, capsys):
-        history = str(tmp_path / "h.jsonl")
-        hist.append(history, *(entry(value=v) for v in (1.0, 1.0, 1.0, 2.0)))
-        with pytest.raises(SystemExit,
-                           match="regression verdict in: fake"):
-            main(["bench", "compare", "--history", history])
-        assert "regressed" in capsys.readouterr().out
-
-    def test_compare_clean_run_exits_zero(self, tmp_path, capsys):
-        """Compare reads the history and nothing else: the newest entry
-        of each selected case, no simulation."""
-        history = str(tmp_path / "h.jsonl")
-        hist.append(history, *(entry(value=v) for v in (1.0, 1.0, 1.0, 1.02)),
-                    entry(case="other", value=7.0))
-        sims = runner.SIM_RUNS
-        main(["bench", "compare", "--history", history])
-        out = capsys.readouterr().out
-        assert [line.split()[:3] for line in out.splitlines()[1:]] == [
-            ["fake", "value", "ok"], ["other", "value", "no-baseline"]]
-        main(["bench", "compare", "other", "--history", history])
-        out = capsys.readouterr().out
-        assert "no-baseline" in out and "fake" not in out
-        assert runner.SIM_RUNS == sims
-
-    def test_compare_fails_on_a_failed_gate_or_an_unknown_case(
-            self, tmp_path):
-        history = str(tmp_path / "h.jsonl")
-        hist.append(history, entry(value=1.0), entry(value=1.0, passed=False))
-        with pytest.raises(SystemExit, match="gate failure in: fake"):
-            main(["bench", "compare", "--history", history])
-        with pytest.raises(SystemExit, match="no entry in .* for: typo"):
-            main(["bench", "compare", "typo", "--history", history])
-
-    def test_compare_with_nothing_to_score_exits_zero(self, tmp_path,
-                                                      capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        for path in (empty, tmp_path / "absent.jsonl"):
-            main(["bench", "compare", "--history", str(path)])
-            assert "nothing to score" in capsys.readouterr().out
-
-    def test_compare_ignores_stray_artifacts(self, fake_case, tmp_path,
-                                             monkeypatch, capsys):
-        # Only the history is a baseline: an artifact lying in the
-        # working directory must not be lifted into one.
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH_fake.json").write_text(json.dumps(
-            {"value": 100.0, "identical": True, "passed": True}))
-        history = str(tmp_path / "h.jsonl")
-        main(["bench", "run", "fake", "--history", history,
-              "--out-dir", str(tmp_path / "out")])
-        main(["bench", "compare", "fake", "--history", history])
-        assert "no-baseline" in capsys.readouterr().out
-        entries, _ = hist.load(history)
-        assert [e["case"] for e in entries] == ["fake"]
 
     def test_profile_command(self, monkeypatch, tmp_path, capsys):
         import re

@@ -568,6 +568,45 @@ class TestFleetEndToEnd:
             FleetClient(fleet.base_url, timeout=5).health()
 
 
+    def test_a_reader_that_stops_reading_cannot_hold_the_drain(self):
+        """An ``/events`` client that stops reading is cut ``DRAIN_S``
+        after the shutdown announcement, so the daemon exits; a client
+        that reads still receives the ``shutdown`` document."""
+        fleet = BackgroundFleet(jobs=1)
+        bus = fleet.server.scheduler.bus
+        events = []
+
+        def tail():
+            for doc in FleetClient(fleet.base_url).events():
+                events.append(doc)
+
+        tailer = threading.Thread(target=tail)
+        tailer.start()
+        stuck = socket.create_connection(("127.0.0.1", fleet.port))
+        try:
+            stuck.sendall(b"GET /events?format=jsonl HTTP/1.1\r\n"
+                          b"Host: x\r\n\r\n")
+            deadline = time.monotonic() + 10
+            while len(bus._subscribers) != 2:
+                assert time.monotonic() < deadline, len(bus._subscribers)
+                time.sleep(0.01)
+            # 8 MB: more than the socket buffers hold for a reader that
+            # never reads.
+            for i in range(400):
+                fleet.server.loop.call_soon_threadsafe(
+                    bus.publish, {"type": "test", "kind": "bulk", "i": i,
+                                  "pad": "x" * 20_000})
+            start = time.monotonic()
+            fleet.stop(timeout=fleet_server.DRAIN_S + 20)
+            assert time.monotonic() - start < fleet_server.DRAIN_S + 5
+        finally:
+            stuck.close()
+        tailer.join(timeout=30)
+        assert not tailer.is_alive()
+        assert sum(e.get("kind") == "bulk" for e in events) == 400
+        assert (events[-1]["type"], events[-1]["kind"]) \
+            == ("fleet", "shutdown")
+
     def test_hung_up_event_client_unsubscribes_on_a_quiet_bus(self, caplog):
         """A client that connects to ``/events`` and hangs up while
         nothing is published is unsubscribed at once — not at the next

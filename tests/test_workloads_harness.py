@@ -88,6 +88,21 @@ class TestPatterns:
             Young("A", 10, 1, 2)
         assert Young("A", 10, 1, 10).keep_len == 10
 
+    def test_row_defining_an_app_method_twice_rejected(self):
+        # A Pair's App.setup/App.scan and a Young's or Stream's name are
+        # fixed, so such a row used to fail only inside build_analog.
+        def row(*kernels):
+            return suite.Analog("x", kernels, 1, 0, 64, "")
+
+        with pytest.raises(ValueError, match="App.setup twice.*at most one Pair"):
+            row(Pair("A", 4, 1, 2), Pair("B", 4, 1, 2))
+        with pytest.raises(ValueError, match="App.parse"):
+            row(Young("A", 4, 1, 4), Young("B", 4, 1, 4))
+        with pytest.raises(ValueError, match="App.scan"):
+            row(Pair("A", 4, 1, 2), suite.Stream(8, name="scan"))
+        both = row(Young("A", 4, 1, 4), Young("B", 4, 1, 4, name="lex"))
+        assert suite.build_analog(both).program.main is not None
+
     def test_filler_methods_compile_and_run(self):
         p = Program("t")
         app = make_app_class(p)
