@@ -229,8 +229,8 @@ def add_parser(sub) -> None:
     pairs_p = command("pairs", cmd_pairs,
                       "judge this checkout against BASE: ten alternating "
                       "perfbench pairs, a verdict per end-to-end metric, "
-                      "written to BENCH_<WORKLOAD>.json; exit 1 only when "
-                      "a run failed")
+                      "written to BENCH_<WORKLOAD>.json; exit 1 when a run "
+                      "failed, never on a verdict")
     pairs_p.add_argument("base", metavar="BASE",
                          help="the commit to compare against (any git "
                               "revision)")

@@ -9,10 +9,9 @@ skipped and counted, never trusted — the same corruption posture as
 
 Entries embed their case's params, primary metric and gate verdicts,
 so ``bench history`` reads them without consulting the live registry
-— entries outlive code that renames or retires a case.  Lines written
-before the windowed verdict was removed also carry a ``params_key``
-and the primary metric's direction and threshold; nothing reads those
-any more.
+— entries outlive code that renames or retires a case.  Older lines
+also carry a ``params_key`` and the primary metric's direction and
+threshold, which nothing reads.
 """
 
 from __future__ import annotations
