@@ -3,9 +3,9 @@
 Like the paper's feedback loop, which judges a placement against the
 experiment's own baseline (section 6.4), a change is judged against
 its base commit, not a rolling history.  :func:`judge` extracts
-``BASE`` with ``git archive`` and runs a perfbench workload there and
-in the checkout: ten pairs, seeds 1-10, even-indexed pairs parent
-first, odd-indexed change first.  Each end-to-end metric of
+``BASE`` with ``git archive``, byte-compiles it and the checkout, and
+runs a perfbench workload in both: ten pairs, seeds 1-10,
+even-indexed pairs parent first, odd-indexed change first.  Each end-to-end metric of
 ``BENCHMARK.json`` gets the first verdict that holds:
 
 * ``worse`` -- the change's median is worse than the parent's by more
@@ -18,9 +18,10 @@ first, odd-indexed change first.  Each end-to-end metric of
 * ``same`` -- none of these.
 
 The judgement goes to ``BENCH_<WORKLOAD>.json`` at the checkout's
-root.  A run that exits non-zero, reports ``"correct": false`` or
-names other metrics than ``BENCHMARK.json`` fails it closed: nothing
-is written, the exit is non-zero.  A verdict never sets the exit code.
+root.  A tree that does not compile, or a run that exits non-zero,
+reports ``"correct": false`` or names other metrics than
+``BENCHMARK.json``, fails it closed: nothing is written, the exit is
+non-zero.  A verdict never sets the exit code.
 """
 
 from __future__ import annotations
@@ -39,13 +40,32 @@ GAIN_WINS = 9
 
 #: ``run(tree, workload, seed, seconds) -> (exit code, stdout)``.
 Runner = Callable[[str, str, int, float], Tuple[int, str]]
+#: ``byte_compile(tree) -> (exit code, output)``.
+Compiler = Callable[[str], Tuple[int, str]]
+
+
+def _command(tree: str) -> List[str]:
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        return json.load(fh)["command"]
+
+
+def compile_tree(tree: str) -> Tuple[int, str]:
+    """Byte-compile ``tree``'s ``src`` and ``perfbench`` with the
+    declared command's interpreter.  A run under
+    ``PYTHONDONTWRITEBYTECODE`` would otherwise compile its sources
+    itself, and that moves ``peak_rss_mib`` with any edit to them;
+    ``compileall`` writes the ``.pyc`` files whatever that says."""
+    proc = subprocess.run(
+        [_command(tree)[0], "-m", "compileall", "-q", "src", "perfbench"],
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
+    return proc.returncode, proc.stdout
 
 
 def run_perfbench(tree: str, workload: str, seed: int,
                   seconds: float) -> Tuple[int, str]:
     """One end-to-end run of ``tree``'s declared benchmark command."""
-    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
-        command = json.load(fh)["command"]
+    command = _command(tree)
     proc = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed),
                    "--seconds", str(seconds), "--trace", "0"],
@@ -146,7 +166,8 @@ def summarise(pairs: List[dict], metrics: List[dict]) -> Dict[str, dict]:
     return summary
 
 
-def judge(base: str, workload: str, run: Runner = run_perfbench) -> dict:
+def judge(base: str, workload: str, run: Runner = run_perfbench,
+          byte_compile: Compiler = compile_tree) -> dict:
     """Judge the current checkout against ``base`` on ``workload`` and
     write ``BENCH_<workload>.json``; returns the written document."""
     root = _git(".", "rev-parse", "--show-toplevel")
@@ -165,6 +186,12 @@ def judge(base: str, workload: str, run: Runner = run_perfbench) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_tree:
         _extract(root, base_sha, parent_tree)
         trees = {"parent": parent_tree, "change": root}
+        for side, tree in trees.items():
+            code, output = byte_compile(tree)
+            if code != 0:
+                last = (output.strip().splitlines() or ["no output"])[-1]
+                raise SystemExit(f"bench: could not compile the {side} "
+                                 f"tree ({last}); nothing written")
         for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}

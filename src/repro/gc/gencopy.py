@@ -50,6 +50,7 @@ class GenCopyPlan(Plan):
             BumpAllocator(layout.MATURE_BASE + _SEMI_SPAN, _SEMI_SPAN),
         )
         self._to_index = 0
+        self.mature_count = 0
 
     @property
     def tospace(self) -> BumpAllocator:
@@ -78,7 +79,7 @@ class GenCopyPlan(Plan):
             raise HeapExhausted("to-space exhausted during promotion")
         obj.address = addr
         obj.space = SPACE_MATURE
-        self.mature_objects.append(obj)
+        self.mature_count += 1
         self.stats.promoted_objects += 1
         self.stats.promoted_bytes += size
         self.hooks.charge(int(self.config.copy_byte_cost * size))
@@ -91,18 +92,17 @@ class GenCopyPlan(Plan):
         self._to_index = 1 - self._to_index
         target = self.tospace
         target.reset(_SEMI_SPAN)
-        survivors: List[object] = []
-        copied_bytes = 0
+        survivors = copied_bytes = 0
         for obj in live:  # BFS order from the trace
             if obj.space == SPACE_MATURE:
                 addr = target.alloc(obj.size)
                 if addr is None:  # pragma: no cover - span is huge
                     raise HeapExhausted("semispace overflow")
                 obj.address = addr
-                survivors.append(obj)
+                survivors += 1
                 copied_bytes += obj.size
-        dead = len(self.mature_objects) - len(survivors)
-        self.mature_objects = survivors
+        dead = self.mature_count - survivors
+        self.mature_count = survivors
         self._spaces[from_index].reset(_SEMI_SPAN)
         self.hooks.charge(int(self.config.copy_byte_cost * copied_bytes))
         return dead

@@ -38,6 +38,7 @@ class GenMSPlan(Plan):
         self.freelist = FreeListSpace(
             layout.MATURE_BASE, layout.MATURE_LIMIT - layout.MATURE_BASE,
             config.max_cell_bytes)
+        self.mature_objects: List[object] = []
 
     # -- sizing --------------------------------------------------------------
 
@@ -68,8 +69,7 @@ class GenMSPlan(Plan):
             obj.cell = child.cell = cell
             obj.coallocated = child.coallocated = True
             cell.inhabitants.extend((obj, child))
-            self.mature_objects.append(obj)
-            self.mature_objects.append(child)
+            self.mature_objects.extend((obj, child))
             stats.note_coalloc(obj.class_info.name)
             stats.promoted_objects += 2
             stats.promoted_bytes += combined

@@ -101,9 +101,6 @@ class Plan:
         self.los = LargeObjectSpace(layout.LOS_BASE,
                                     layout.LOS_LIMIT - layout.LOS_BASE)
         self.los_objects: List[object] = []
-        #: All nursery-resident objects since the last minor collection.
-        self.nursery_objects: List[object] = []
-        self.mature_objects: List[object] = []
         self.nursery = BumpAllocator(layout.NURSERY_BASE,
                                      self._initial_nursery())
         self._collecting = False
@@ -154,16 +151,13 @@ class Plan:
     # -- allocation ---------------------------------------------------------------
 
     def alloc_object(self, class_info: ClassInfo) -> HeapObject:
-        obj = HeapObject(class_info)
-        self._place_new(obj)
-        return obj
+        return self._place_new(HeapObject(class_info))
 
     def alloc_array(self, kind: str, length: int) -> HeapArray:
-        arr = HeapArray(kind, length)
-        self._place_new(arr)
-        return arr
+        return self._place_new(HeapArray(kind, length))
 
-    def _place_new(self, obj) -> None:
+    def _place_new(self, obj):
+        """Place a new (nursery-space) object; return it."""
         size = obj.size
         self.stats.alloc_objects += 1
         self.stats.alloc_bytes += size
@@ -181,7 +175,7 @@ class Plan:
             obj.space = SPACE_LOS
             self.los_objects.append(obj)
             self.stats.los_objects += 1
-            return
+            return obj
         addr = self.nursery.alloc(size)
         if addr is None:
             self.hooks.safepoint()
@@ -192,8 +186,7 @@ class Plan:
                     f"nursery of {self.nursery.capacity} B cannot fit {size} B"
                 )
         obj.address = addr
-        obj.space = SPACE_NURSERY
-        self.nursery_objects.append(obj)
+        return obj
 
     # -- write barrier ---------------------------------------------------------------
 
@@ -220,7 +213,6 @@ class Plan:
             for obj in order:
                 if obj.space == SPACE_NURSERY:
                     self._promote(obj)
-            self.nursery_objects = []
             self.remset.clear()
             footprint = self.mature_footprint()
             if footprint > self.stats.peak_footprint:
@@ -271,7 +263,7 @@ class Plan:
                 raise HeapExhausted(
                     f"live data ({footprint} B) exceeds the heap budget "
                     f"({cfg.heap_bytes} B)")
-            if not self.nursery_objects:
+            if not self.nursery.used:
                 self._resize_nursery()
         finally:
             self._trace.end()

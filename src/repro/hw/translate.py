@@ -77,6 +77,7 @@ import re
 from types import SimpleNamespace
 from typing import Callable, Dict, List
 
+from repro.core.config import GCConfig
 from repro.hw.isa import (
     GuestError, INSTRUCTION_BYTES, OP_NAMES,
     M_ALOAD, M_ALU, M_ALUI, M_ASTORE, M_BC, M_BR, M_CALL, M_CALLV,
@@ -242,8 +243,8 @@ class _Emitter:
     ``branch(test, x)`` transfers control to ``x.timm`` — if ``test``
     (an expression; ``None`` for always) holds, else to ``x.npc`` —
     and, for an allocation (only a region has one), ``leave(indent,
-    pc)`` exits to the driver and ``flush(indent, size)`` queues its
-    flush and counts it in the plan's statistics.
+    pc)`` exits to the driver, ``flush(indent, size)`` queues its flush
+    and counts it, and ``cell_max`` bounds what the nursery takes.
 
     Redundancy elimination: it tracks which register each scratch local
     (``a``/``i``/``o``) currently mirrors, which registers are proven
@@ -265,7 +266,7 @@ class _Emitter:
     """
 
     def __init__(self, write, access, fault, barrier, name, branch,
-                 leave=None, flush=None):
+                 leave=None, flush=None, cell_max=None):
         self.write = write
         self.access = access
         self.fault = fault
@@ -274,6 +275,7 @@ class _Emitter:
         self.branch = branch
         self.leave = leave
         self.flush = flush
+        self.cell_max = cell_max
         self.a_reg = self.i_reg = self.o_reg = None
         self.e_valid = self.bounds_ok = False
         self.nonnull = set()
@@ -444,13 +446,16 @@ class _Emitter:
         elif op == M_BR:
             self.branch(None, x)
         elif op == M_NEW or op == M_NEWARR:
-            # Bump the nursery inline.  A negative length, an object the
-            # LOS takes and a nursery that cannot fit it are the
-            # driver's: ``leave`` for it at this pc, nothing done.
+            # Bump the nursery inline, up to ``top``.  A negative length,
+            # an object the LOS takes and a nursery that cannot fit it
+            # are the driver's: ``leave`` for it at this pc, nothing done.
             rd, aux = x.rd, x.aux
             if op == M_NEW:
                 size = aux.instance_bytes
+                if size > self.cell_max:    # known here: always the LOS's
+                    return self.leave("        ", x.pc)
                 make = f"HeapObject({self.name(aux)}, c)"
+                test = f"c + {size} > top"
             else:
                 W(f"        z = regs[{x.rs1}]")
                 W("        if z < 0:")
@@ -458,15 +463,14 @@ class _Emitter:
                 W(f"        y = ({ARRAY_HEADER_BYTES + 3}"
                   f" + {KIND_BYTES[aux]} * z) & ~3")
                 size, make = "y", f"HeapArray({aux!r}, z, c)"
+                test = f"y > {self.cell_max} or c + y > top"
             W("        c = nursery.cursor")
-            W(f"        if {size} > cell_max"
-              f" or c + {size} > nursery.base + nursery.capacity:")
+            W(f"        if {test}:")
             self.leave("            ", x.pc)
             self.flush("        ", size)
             W(f"        frame.pc = {x.pc}")
             W(f"        nursery.cursor = c + {size}")
             W(f"        regs[{rd}] = {make}")
-            W(f"        nursery_objects.append(regs[{rd}])")
             self.invalidate(rd)
             self.nonnull.add(rd)
         elif op != M_NOP:
@@ -924,15 +928,15 @@ def _counts(inst) -> bool:
 
 
 def _block_writer(code, templates, base_eip, W, branch, unwind="",
-                  leave=None):
+                  leave=None, cell_max=None):
     """``(emit_block, emit_ring, consts)``: ``emit_block(start, end)``
     writes, through ``W``, the body of the fused run ``[start, end)`` —
     everything under its ``def`` line — leaving through ``branch``;
     ``emit_ring`` writes the blocks of a ring (see there); ``consts``
     collects the constants the bodies reference.  ``unwind`` is text
     put in front of every fault call (a region stores its registers
-    back there); ``leave(indent, pc)`` writes a region's exit, which an
-    allocation the inline path cannot serve takes."""
+    back there); ``leave(indent, pc)`` writes a region's exit, taken by
+    an allocation the inline path (to ``cell_max`` bytes) cannot serve."""
     consts: List[object] = []
     const_ids: Dict[int, str] = {}
     # The flavour's callables are made once per method; what they read
@@ -1044,7 +1048,7 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         nonlocal has_mem, has_wb, meta
         # A fresh emitter: no fact survives a block boundary.
         emit = _Emitter(W, access, fault, barrier, const, branch, leave,
-                        flush).emit
+                        flush, cell_max).emit
         if templates[start] is None:
             # A ring's allocation, a run of its own: it falls through.
             inst = code[start]
@@ -1218,6 +1222,7 @@ def superblock_source(cm, templates=None) -> tuple:
 # driver can serve) stores the written registers back and returns
 # ``(next pc, instructions executed, n)`` — ``n`` the driver's local
 # count, which the allocation flushes the region queued restart.  An
+# allocation bumps the nursery up to ``top``, read once per entry.  An
 # entry appends to ONE access batch, pended at that exit (a barrier or
 # an allocation splits it, a fault pends it before it drains): a ring
 # that does not fork names the ring's metadata tuples, repeated; in one
@@ -1309,17 +1314,18 @@ _REG_WRITE = re.compile(r" *regs\[(\d+)\] = ")
 _STORE_BACK = "<store back>; "
 
 
-def region_source(cm, templates=None, ranges=None, counted=False) -> tuple:
+def region_source(cm, templates=None, ranges=None, counted=False,
+                  cell_max=GCConfig.max_cell_bytes) -> tuple:
     """The factory source for ``cm``'s regions in the ordered or the
-    ``counted`` form: ``(source, consts, rings)``, ``None`` if no ring."""
+    ``counted`` form, under the plan's cell limit ``cell_max``:
+    ``(source, consts, rings)``, ``None`` if no ring."""
     code = cm.code
     if templates is None:
         templates = _decode(code)
     rings = superblock_rings(code, templates, ranges)
     if not rings:
         return None
-    out: List[str] = ["    nursery, stats = plan.nursery, plan.stats",
-                      "    cell_max = plan.config.max_cell_bytes"]
+    out: List[str] = ["    nursery, stats = plan.nursery, plan.stats"]
     mentioned, written = set(), set()
     pad = "    "    # into the ``while True``; one level more in a guard
     start = None    # of the block being written
@@ -1383,7 +1389,7 @@ def region_source(cm, templates=None, ranges=None, counted=False) -> tuple:
     from repro.hw.cpu import BUDGET_QUANTA, SCHED_QUANTUM
     ceiling = BUDGET_QUANTA * SCHED_QUANTUM
     _, emit_ring, consts = _block_writer(code, templates, cm.code_addr, W,
-                                         branch, _STORE_BACK, leave)
+                                         branch, _STORE_BACK, leave, cell_max)
     kept = False
     for ring in rings:
         top = len(out)
@@ -1421,9 +1427,9 @@ def region_source(cm, templates=None, ranges=None, counted=False) -> tuple:
                 f"b, {batch}, s" if batch else "None, None, None, 0",
                 counts)]
         if any(templates[pc] is None for pc in starts):
-            # A collection replaces the list, but only the driver's
-            # slow path collects.
-            opening = (["        nursery_objects = plan.nursery_objects"]
+            # Only a collection moves the nursery's top, and only the
+            # driver's slow path collects.
+            opening = (["        top = nursery.base + nursery.capacity"]
                        + opening)
         out[top:] = (
             [f"    def _rg_{header}(frame, regs, slots, budget, n):"]
@@ -1504,7 +1510,8 @@ def compile_superblocks(cm, cpu, templates=None) -> List:
                                       closures(source, consts, "superblock")):
         blocks[start] = (stop - start, closure, False,
                          rate([(start, stop)]))
-    built = region_source(cm, templates, ranges, cpu.counted)
+    built = region_source(cm, templates, ranges, cpu.counted,
+                          gc_config.max_cell_bytes)
     if built is not None:
         source, consts, rings = built
         for ring, closure in zip(rings, closures(

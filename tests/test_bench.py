@@ -472,6 +472,55 @@ class TestPairs:
                         stub_runner(checkout, outcome=late))
         assert not (checkout / "BENCH_sim_compute.json").exists()
 
+    def test_both_trees_compile_before_the_first_run(self, checkout,
+                                                     capsys):
+        calls = []
+
+        def byte_compile(tree):
+            calls.append(("compile", os.path.realpath(tree)
+                          == os.path.realpath(checkout)))
+            return 0, ""
+
+        pairs.judge("HEAD", "sim_compute", stub_runner(checkout, calls=calls),
+                    byte_compile)
+        assert calls[:2] == [("compile", False), ("compile", True)]
+        assert all(call[0] != "compile" for call in calls[2:])
+        assert len(calls) == 22
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    def test_a_compile_failure_fails_closed_writing_nothing(
+            self, checkout, side, capsys):
+        def byte_compile(tree):
+            change = os.path.realpath(tree) == os.path.realpath(checkout)
+            if change == (side == "change"):
+                return 1, "  File 'src/x.py', line 1\nSyntaxError: bad\n"
+            return 0, ""
+
+        def never(*args):
+            raise AssertionError("a run started on a tree that failed "
+                                 "to compile")
+
+        with pytest.raises(SystemExit, match=f"could not compile the {side} "
+                           r"tree \(SyntaxError: bad\); nothing written"):
+            pairs.judge("HEAD", "sim_compute", never, byte_compile)
+        assert sorted(os.listdir(checkout)) == [".git", "BENCHMARK.json"]
+
+    def test_compile_tree_writes_bytecode_and_reports_errors(
+            self, tmp_path, monkeypatch):
+        # Even where the runs themselves write no bytecode.
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"command": [sys.executable, "run.py"]}))
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "good.py").write_text("X = 1\n")
+        assert pairs.compile_tree(str(tmp_path))[0] == 0
+        assert [p.name.split(".")[0] for p in
+                (tmp_path / "src" / "__pycache__").iterdir()] == ["good"]
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "bad.py").write_text("def (:\n")
+        code, output = pairs.compile_tree(str(tmp_path))
+        assert code != 0 and "SyntaxError" in output
+
     def test_bad_input_is_one_line_before_any_run(self, checkout):
         def never(*args):
             raise AssertionError("a run started before its input was checked")

@@ -473,8 +473,9 @@ class TestGenCopy:
         roots.objects = [a, b]
         plan.collect_minor()
         roots.objects = [a]
+        assert plan.mature_count == 2
         plan.collect_full()
-        assert len(plan.mature_objects) == 1
+        assert plan.mature_count == 1
         assert plan.stats.swept_objects == 1
 
     def test_copy_reserve_doubles_footprint(self):

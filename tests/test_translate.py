@@ -10,9 +10,12 @@ into the experiment cache key.
 """
 
 import collections
+import contextlib
 import dataclasses
 import functools
+import gc
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -20,6 +23,7 @@ from tests.helpers import BASELINE_ONLY, hog_program, if_cond, if_nonzero
 from repro.core.config import GCConfig, SystemConfig, fastpath_level
 from repro.harness import diskcache, runner
 from repro.harness.record import RunRecord
+from repro.gc import plan as gc_plan_module
 from repro.gc.plan import HeapExhausted
 from repro.harness.runner import RunSpec, execute
 from repro.hw import translate
@@ -37,7 +41,7 @@ from repro.gc import layout
 from repro.jit.aos import CompilationPlan
 from repro.jit.baseline import compile_baseline
 from repro.telemetry import Telemetry
-from repro.vm.objects import HeapObject
+from repro.vm.objects import SPACE_LOS, HeapArray, HeapObject
 from repro.vm.program import Program
 from repro.vm.snapshot import Snapshot
 from repro.vm.vmcore import VM, run_program
@@ -1507,33 +1511,57 @@ ALLOC_MODES = {"unbroken": {}, "legs": dict(legs=True),
                "pebs": dict(monitoring=True), "observer": dict(observer=True)}
 
 
+@contextlib.contextmanager
+def _recording_allocations():
+    """Patch the plan's and the regions' object classes with subclasses
+    that append every object they build to the yielded list."""
+    allocated = []
+
+    def recording(cls):
+        def __init__(self, *args):
+            cls.__init__(self, *args)
+            allocated.append(self)
+        return type(cls.__name__, (cls,), {"__slots__": (),
+                                           "__init__": __init__})
+
+    with contextlib.ExitStack() as stack:
+        for cls in (HeapObject, HeapArray):
+            sub = recording(cls)
+            for module in (gc_plan_module, translate):
+                stack.enter_context(
+                    mock.patch.object(module, cls.__name__, sub))
+        yield allocated
+
+
 def _alloc_outcome(build, level, gc_plan, nursery, legs=False,
-                   monitoring=False, observer=False):
+                   monitoring=False, observer=False, **sizes):
     """Run the program ``build()`` returns on a ``nursery``-byte nursery
-    (20 K-cycle legs if ``legs``) and return its fault, its record
+    (``GCConfig`` sizes given by ``sizes``; 20 K-cycle legs if ``legs``)
+    and return its fault, its record
     (``None`` after a fault),
     the clock and memory counts, and the plan state allocation leaves:
-    the nursery cursor, the statistics, and the nursery's and the LOS's
-    objects in order."""
-    gc = GCConfig(min_nursery_bytes=nursery, max_nursery_bytes=nursery)
-    vm = VM(build(), SystemConfig(monitoring=monitoring, fastpath=level,
-                                  gc_plan=gc_plan, gc=gc),
-            compilation_plan=BASELINE_ONLY)
-    if observer:
-        vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
-    vm.begin()
-    fault = record = None
-    try:
-        until = 20_000 if legs else None
-        while not vm.advance(until_cycles=until):
-            until += 20_000
-        record = RunRecord.from_result(vm.finish()).to_json()
-    except GuestError as error:
-        fault = str(error)
+    the nursery cursor, the statistics, and every object allocated, in
+    order, with its kind, size, final address and space."""
+    sized = GCConfig(min_nursery_bytes=nursery, max_nursery_bytes=nursery,
+                     **sizes)
+    with _recording_allocations() as allocated:
+        vm = VM(build(), SystemConfig(monitoring=monitoring, fastpath=level,
+                                      gc_plan=gc_plan, gc=sized),
+                compilation_plan=BASELINE_ONLY)
+        if observer:
+            vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+        vm.begin()
+        fault = record = None
+        try:
+            until = 20_000 if legs else None
+            while not vm.advance(until_cycles=until):
+                until += 20_000
+            record = RunRecord.from_result(vm.finish()).to_json()
+        except GuestError as error:
+            fault = str(error)
     plan, ms, cpu = vm.plan, vm.memsys, vm.cpu
-    objects = [[(o.kind if o.is_array else o.class_info.name, o.address,
-                 o.size) for o in space]
-               for space in (plan.nursery_objects, plan.los_objects)]
+    objects = [(o.kind if o.is_array else o.class_info.name, o.size,
+                o.address, o.space) for o in allocated]
     return (fault, record, cpu.cycles, cpu.instructions, vm.gc_cycles,
             (ms.n_loads, ms.n_stores, ms.n_l1_miss, ms.n_dtlb_miss),
             plan.nursery.cursor, dataclasses.asdict(plan.stats), objects,
@@ -1557,11 +1585,12 @@ class TestRegionAllocation:
         return {pc for ring in superblock_rings(code) for pc, _ in ring
                 if code[pc].op in (M_NEW, M_NEWARR)}
 
-    def check(self, build, gc_plan, nursery, mode, regions):
-        ref = _alloc_outcome(build, 0, gc_plan, nursery, **ALLOC_MODES[mode])
+    def check(self, build, gc_plan, nursery, mode, regions, **sizes):
+        ref = _alloc_outcome(build, 0, gc_plan, nursery, **sizes,
+                             **ALLOC_MODES[mode])
         assert regions.entries == 0
         for level in (1, 2):
-            assert _alloc_outcome(build, level, gc_plan, nursery,
+            assert _alloc_outcome(build, level, gc_plan, nursery, **sizes,
                                   **ALLOC_MODES[mode]) == ref
         assert regions.entries > 0
         return ref
@@ -1597,7 +1626,8 @@ class TestRegionAllocation:
         for the driver; the boxes stay inline."""
         program = functools.partial(_alloc_program, 40, length=1100)
         ref = self.check(program, gc_plan, 1 << 16, mode, regions)
-        assert ref[7]["los_objects"] == 40 == len(ref[8][1])
+        assert ref[7]["los_objects"] == 40 == sum(
+            space == SPACE_LOS for *_, space in ref[8])
         assert len(self.allocation_pcs(program)) == 2
 
     @pytest.mark.parametrize("mode", ALLOC_MODES)
@@ -1620,6 +1650,72 @@ class TestRegionAllocation:
         fault_pc = int(ref[0].rsplit(":", 1)[1])
         new_pc = min(self.allocation_pcs(program))
         assert ref[9] == [fault_pc if negative else new_pc]
+
+    @staticmethod
+    def large_program(iters=40):
+        """``main`` allocating, in a counted loop, an object of 1,100
+        int fields, which the LOS takes, and writing one field."""
+        p = Program("large")
+        app = p.define_class("App")
+        app.seal()
+        big = p.define_class("Big")
+        for k in range(1100):
+            big.add_field(f"f{k}", "int")
+        big.seal()
+        fn = Fn(p, app, "main")
+        obj = fn.local()
+        with fn.loop(iters) as i:
+            fn.new(big).rstore(obj)
+            fn.rload(obj).iload(i).putfield(big, "f7")
+        fn.ret()
+        p.set_main(fn.finish())
+        return p
+
+    @pytest.mark.parametrize("gc_plan", ["genms", "gencopy"])
+    def test_a_new_the_los_takes_always_leaves(self, gc_plan, regions):
+        """The ring's ``new`` of an object larger than a cell is the
+        driver's at translation time: the region has no nursery test
+        for it and leaves at it, and the run is the reference's."""
+        program = self.large_program
+        (new_pc,) = self.allocation_pcs(program)
+        source = region_source(compile_baseline(program().main))[0]
+        assert "> top" not in source and "HeapObject(" not in source
+        ref = self.check(program, gc_plan, 1 << 16, "unbroken", regions)
+        assert ref[7]["los_objects"] == 40
+        assert regions.exits[new_pc] == 40
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_dropped_objects_die_before_the_next_collection(self, level,
+                                                            regions):
+        """Mid-nursery, with no collection yet, the boxes the guest has
+        dropped are gone from the host heap: nothing but the guest's
+        own references keeps a nursery object alive."""
+        p = Program("drop")
+        app = p.define_class("App")
+        app.seal()
+        box = p.define_class("Box")
+        box.add_field("v", "int")
+        box.seal()
+        fn = Fn(p, app, "main")
+        obj = fn.local()
+        with fn.loop(20_000) as i:
+            fn.new(box).rstore(obj)
+            fn.rload(obj).iload(i).putfield(box, "v")
+        fn.ret()
+        p.set_main(fn.finish())
+        sized = GCConfig(min_nursery_bytes=1 << 20,
+                         max_nursery_bytes=1 << 20)
+        vm = VM(p, SystemConfig(monitoring=False, fastpath=level, gc=sized),
+                compilation_plan=BASELINE_ONLY)
+        vm.begin()
+        vm.advance(until_cycles=600_000)
+        stats = vm.plan.stats
+        assert stats.minor_gcs == 0 and stats.alloc_objects > 5_000
+        assert (regions.entries > 0) == (level == 2)
+        gc.collect()
+        live = sum(1 for o in gc.get_objects()
+                   if isinstance(o, HeapObject) and o.class_info is box)
+        assert live < stats.alloc_objects // 100
 
 
 # -- what a churn-heavy region no longer does at run time ---------------------
