@@ -4,9 +4,9 @@ Like the paper's feedback loop, which judges a placement against the
 experiment's own baseline (section 6.4), a change is judged against
 its base commit, not a rolling history.  :func:`judge` extracts
 ``BASE`` with ``git archive``, byte-compiles it and the checkout, and
-runs a perfbench workload in both: ten pairs, seeds 1-10,
-even-indexed pairs parent first, odd-indexed change first.  Each end-to-end metric of
-``BENCHMARK.json`` gets the first verdict that holds:
+runs a perfbench workload in both: ten pairs, seeds 1-10, even-indexed
+pairs parent first, odd-indexed change first.  Each end-to-end metric
+of ``BENCHMARK.json`` gets the first verdict that holds:
 
 * ``worse`` -- the change's median is worse than the parent's by more
   than the metric's bound (relative to the parent's median),
@@ -53,7 +53,7 @@ def compile_tree(tree: str) -> Tuple[int, str]:
     """Byte-compile ``tree``'s ``src`` and ``perfbench`` with the
     declared command's interpreter.  A run under
     ``PYTHONDONTWRITEBYTECODE`` would otherwise compile its sources
-    itself, and that moves ``peak_rss_mib`` with any edit to them;
+    itself, and the compiler's memory would show in ``peak_rss_mib``;
     ``compileall`` writes the ``.pyc`` files whatever that says."""
     proc = subprocess.run(
         [_command(tree)[0], "-m", "compileall", "-q", "src", "perfbench"],

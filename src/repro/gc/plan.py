@@ -157,7 +157,7 @@ class Plan:
         return self._place_new(HeapArray(kind, length))
 
     def _place_new(self, obj):
-        """Place a new (nursery-space) object; return it."""
+        """Place a new object, built nursery-space; return it."""
         size = obj.size
         self.stats.alloc_objects += 1
         self.stats.alloc_bytes += size

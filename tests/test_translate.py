@@ -1506,6 +1506,26 @@ def _alloc_program(iters, length=None, negative_at=None, zero_at=None):
     return p
 
 
+def _box_loop(iters, fields=1):
+    """``main`` allocating a ``Box`` of ``fields`` int fields in a
+    counted loop, writing its first field and dropping it."""
+    p = Program("boxes")
+    app = p.define_class("App")
+    app.seal()
+    box = p.define_class("Box")
+    for k in range(fields):
+        box.add_field(f"f{k}", "int")
+    box.seal()
+    fn = Fn(p, app, "main")
+    obj = fn.local()
+    with fn.loop(iters) as i:
+        fn.new(box).rstore(obj)
+        fn.rload(obj).iload(i).putfield(box, "f0")
+    fn.ret()
+    p.set_main(fn.finish())
+    return p
+
+
 #: How a :class:`TestRegionAllocation` case is driven.
 ALLOC_MODES = {"unbroken": {}, "legs": dict(legs=True),
                "pebs": dict(monitoring=True), "observer": dict(observer=True)}
@@ -1534,16 +1554,14 @@ def _recording_allocations():
 
 
 def _alloc_outcome(build, level, gc_plan, nursery, legs=False,
-                   monitoring=False, observer=False, **sizes):
+                   monitoring=False, observer=False):
     """Run the program ``build()`` returns on a ``nursery``-byte nursery
-    (``GCConfig`` sizes given by ``sizes``; 20 K-cycle legs if ``legs``)
-    and return its fault, its record
+    (20 K-cycle legs if ``legs``) and return its fault, its record
     (``None`` after a fault),
     the clock and memory counts, and the plan state allocation leaves:
     the nursery cursor, the statistics, and every object allocated, in
     order, with its kind, size, final address and space."""
-    sized = GCConfig(min_nursery_bytes=nursery, max_nursery_bytes=nursery,
-                     **sizes)
+    sized = GCConfig(min_nursery_bytes=nursery, max_nursery_bytes=nursery)
     with _recording_allocations() as allocated:
         vm = VM(build(), SystemConfig(monitoring=monitoring, fastpath=level,
                                       gc_plan=gc_plan, gc=sized),
@@ -1585,12 +1603,11 @@ class TestRegionAllocation:
         return {pc for ring in superblock_rings(code) for pc, _ in ring
                 if code[pc].op in (M_NEW, M_NEWARR)}
 
-    def check(self, build, gc_plan, nursery, mode, regions, **sizes):
-        ref = _alloc_outcome(build, 0, gc_plan, nursery, **sizes,
-                             **ALLOC_MODES[mode])
+    def check(self, build, gc_plan, nursery, mode, regions):
+        ref = _alloc_outcome(build, 0, gc_plan, nursery, **ALLOC_MODES[mode])
         assert regions.entries == 0
         for level in (1, 2):
-            assert _alloc_outcome(build, level, gc_plan, nursery, **sizes,
+            assert _alloc_outcome(build, level, gc_plan, nursery,
                                   **ALLOC_MODES[mode]) == ref
         assert regions.entries > 0
         return ref
@@ -1651,32 +1668,13 @@ class TestRegionAllocation:
         new_pc = min(self.allocation_pcs(program))
         assert ref[9] == [fault_pc if negative else new_pc]
 
-    @staticmethod
-    def large_program(iters=40):
-        """``main`` allocating, in a counted loop, an object of 1,100
-        int fields, which the LOS takes, and writing one field."""
-        p = Program("large")
-        app = p.define_class("App")
-        app.seal()
-        big = p.define_class("Big")
-        for k in range(1100):
-            big.add_field(f"f{k}", "int")
-        big.seal()
-        fn = Fn(p, app, "main")
-        obj = fn.local()
-        with fn.loop(iters) as i:
-            fn.new(big).rstore(obj)
-            fn.rload(obj).iload(i).putfield(big, "f7")
-        fn.ret()
-        p.set_main(fn.finish())
-        return p
-
     @pytest.mark.parametrize("gc_plan", ["genms", "gencopy"])
     def test_a_new_the_los_takes_always_leaves(self, gc_plan, regions):
-        """The ring's ``new`` of an object larger than a cell is the
-        driver's at translation time: the region has no nursery test
-        for it and leaves at it, and the run is the reference's."""
-        program = self.large_program
+        """The ring's ``new`` of an object larger than a cell (1,100
+        int fields) is the driver's at translation time: the region has
+        no nursery test for it and leaves at it, and the run is the
+        reference's."""
+        program = functools.partial(_box_loop, 40, fields=1100)
         (new_pc,) = self.allocation_pcs(program)
         source = region_source(compile_baseline(program().main))[0]
         assert "> top" not in source and "HeapObject(" not in source
@@ -1690,19 +1688,8 @@ class TestRegionAllocation:
         """Mid-nursery, with no collection yet, the boxes the guest has
         dropped are gone from the host heap: nothing but the guest's
         own references keeps a nursery object alive."""
-        p = Program("drop")
-        app = p.define_class("App")
-        app.seal()
-        box = p.define_class("Box")
-        box.add_field("v", "int")
-        box.seal()
-        fn = Fn(p, app, "main")
-        obj = fn.local()
-        with fn.loop(20_000) as i:
-            fn.new(box).rstore(obj)
-            fn.rload(obj).iload(i).putfield(box, "v")
-        fn.ret()
-        p.set_main(fn.finish())
+        p = _box_loop(20_000)
+        box = p.klass("Box")
         sized = GCConfig(min_nursery_bytes=1 << 20,
                          max_nursery_bytes=1 << 20)
         vm = VM(p, SystemConfig(monitoring=False, fastpath=level, gc=sized),
