@@ -3,9 +3,12 @@
 Like the paper's feedback loop, which judges a placement against the
 experiment's own baseline (section 6.4), a change is judged against
 its base commit, not a rolling history.  :func:`judge` extracts
-``BASE`` with ``git archive``, byte-compiles it and the checkout, and
-runs a perfbench workload in both: ten pairs, seeds 1-10, even-indexed
-pairs parent first, odd-indexed change first.  Each end-to-end metric
+``BASE`` with ``git archive`` and copies the checkout's working tree
+into two sibling directories of one temporary directory, ``parent``
+and ``change`` (a tree's path shows in its ``peak_rss_mib``, so both
+paths have one length), byte-compiles both, and runs a perfbench
+workload in them: ten pairs, seeds 1-10, even-indexed pairs parent
+first, odd-indexed change first.  Each end-to-end metric
 of ``BENCHMARK.json`` gets the first verdict that holds:
 
 * ``worse`` -- the change's median is worse than the parent's by more
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import tempfile
@@ -90,6 +94,19 @@ def _extract(root: str, sha: str, into: str) -> None:
     archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
         raise SystemExit(f"bench: could not extract {sha} with git archive")
+
+
+def _copy_checkout(root: str, into: str) -> None:
+    """The checkout's working-tree files, tracked and untracked but not
+    ignored, copied into ``into`` (no ``.git``)."""
+    listed = _git(root, "ls-files", "-z", "--cached", "--others",
+                  "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        source = os.path.join(root, name)
+        if os.path.isfile(source):    # not a tracked file deleted here
+            target = os.path.join(into, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def _metrics(side: str, seed: int, code: int, stdout: str,
@@ -183,9 +200,13 @@ def judge(base: str, workload: str, run: Runner = run_perfbench,
     seconds = declared["run_seconds"]
     names = [m["name"] for m in declared["end_to_end"]]
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_tree:
-        _extract(root, base_sha, parent_tree)
-        trees = {"parent": parent_tree, "change": root}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        trees = {side: os.path.join(scratch, side)
+                 for side in ("parent", "change")}
+        for tree in trees.values():
+            os.mkdir(tree)
+        _extract(root, base_sha, trees["parent"])
+        _copy_checkout(root, trees["change"])
         for side, tree in trees.items():
             code, output = byte_compile(tree)
             if code != 0:
@@ -209,7 +230,9 @@ def judge(base: str, workload: str, run: Runner = run_perfbench,
             str(seconds), "--trace", "0"]),
         "method": "alternating pairs: even-indexed pairs run the parent "
                   "first, odd-indexed the change first; each run a fresh "
-                  "process, the parent's on a git archive of its commit",
+                  "process in a sibling directory of one temporary "
+                  "directory, the parent's a git archive of its commit, "
+                  "the change's a copy of the checkout's working tree",
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, "
                 f"Python {platform.python_version()}",
         "base": {"git_sha": base_sha},

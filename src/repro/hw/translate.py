@@ -60,7 +60,8 @@ cheap to maintain:
   region bumps the nursery inline and queues that flush itself; an
   allocation that would collect leaves it for the driver's two phases.
 * Anything that is **not** constant after compilation stays a runtime
-  lookup, exactly as in the reference: ``arr.esize`` / ``arr.kind``,
+  lookup, exactly as in the reference: ``arr.esize`` / ``arr.kind``
+  (a region reads a ring invariant's once per entry, see *Regions*),
   vtable dispatch through the receiver, and ``static_addr`` (whose
   lazy base assignment depends on first-touch order).
 
@@ -78,6 +79,7 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List
 
 from repro.core.config import GCConfig
+from repro.jit.liveness import uses_defs
 from repro.hw.isa import (
     GuestError, INSTRUCTION_BYTES, OP_NAMES,
     M_ALOAD, M_ALU, M_ALUI, M_ASTORE, M_BC, M_BR, M_CALL, M_CALLV,
@@ -178,9 +180,9 @@ _BC_TESTS = {
     "nonnull": "is not None",
 }
 
-#: The bounds-fault message, verbatim from the reference interpreter
-#: (``i``/``e`` are the generated index/elements locals).
-_BOUNDS_MSG = 'f"index {i} out of bounds [0,{len(e)})"'
+#: The bounds-fault message, verbatim from the reference interpreter,
+#: around the generated index local ``i`` and the length's expression.
+_BOUNDS_MSG = 'f"index {i} out of bounds [0,{%s})"'
 
 #: Every operand emitted text can mention that is read off the
 #: instruction, as an attribute path from it.  The fused flavour
@@ -266,7 +268,8 @@ class _Emitter:
     """
 
     def __init__(self, write, access, fault, barrier, name, branch,
-                 leave=None, flush=None, cell_max=None):
+                 leave=None, flush=None, cell_max=None, arrays=(),
+                 objects=(), named=()):
         self.write = write
         self.access = access
         self.fault = fault
@@ -276,6 +279,8 @@ class _Emitter:
         self.leave = leave
         self.flush = flush
         self.cell_max = cell_max
+        self.arrays, self.objects, self.named = arrays, objects, named
+        self.reuse = False
         self.a_reg = self.i_reg = self.o_reg = None
         self.e_valid = self.bounds_ok = False
         self.nonnull = set()
@@ -293,40 +298,75 @@ class _Emitter:
         if rd == self.o_reg:
             self.o_reg = None
 
-    def bind_array(self, x, message) -> None:
+    def bind_array(self, x, message) -> str:
+        """Null-test array ``x.rs1``; the name of the array, as
+        ``bind_object``'s of the object."""
         rs1 = x.rs1
+        base = f"regs[{rs1}]" if rs1 in self.arrays else "a"
         if self.a_reg != rs1:
-            self.write(f"        a = regs[{rs1}]")
+            if base == "a":
+                self.write(f"        a = regs[{rs1}]")
             self.a_reg = rs1
             self.e_valid = self.bounds_ok = False
         if rs1 not in self.nonnull:
-            self.write("        if a is None:")
+            self.write(f"        if {base} is None:")
             self.fault("            ", message, x)
             self.nonnull.add(rs1)
+        return base
 
-    def bind_index_and_bounds(self, x) -> None:
+    def bind_index_and_bounds(self, x) -> str:
+        """Bounds-test ``x.rs2`` against array ``x.rs1``; the name of
+        its elements list."""
         rs2 = x.rs2
         if self.i_reg != rs2:
             self.write(f"        i = regs[{rs2}]")
             self.i_reg = rs2
             self.bounds_ok = False
-        if not self.e_valid:
-            self.write("        e = a.elements")
-            self.e_valid = True
+        if x.rs1 in self.arrays:
+            elements, length = f"e{x.rs1}", f"n{x.rs1}"
+        else:
+            elements, length = "e", "len(e)"
+            if not self.e_valid:
+                self.write("        e = a.elements")
+                self.e_valid = True
         if not self.bounds_ok:
-            self.write("        if i < 0 or i >= len(e):")
-            self.fault("            ", _BOUNDS_MSG, x)
+            self.write(f"        if i < 0 or i >= {length}:")
+            self.fault("            ", _BOUNDS_MSG % length, x)
             self.bounds_ok = True
+        return elements
 
-    def bind_object(self, x, message) -> None:
+    def bind_object(self, x, message) -> tuple:
+        """Null-test object ``x.rs1``; its name, and the names of its
+        address and its slots."""
         rs1 = x.rs1
-        if self.o_reg != rs1:
+        base = "o"
+        if rs1 in self.objects:
+            base = f"regs[{rs1}]"
+        elif self.o_reg != rs1:
             self.write(f"        o = regs[{rs1}]")
             self.o_reg = rs1
         if rs1 not in self.nonnull:
-            self.write("        if o is None:")
+            self.write(f"        if {base} is None:")
             self.fault("            ", message, x)
             self.nonnull.add(rs1)
+        if base == "o":
+            return base, "o.address", "o.slots"
+        return base, f"p{rs1}", f"f{rs1}"
+
+    def element(self, x, is_write) -> None:
+        """Queue the access to element ``i`` of array ``x.rs1``: a ring
+        invariant's address off its hoisted base, named ``u`` when the
+        block's next access (``named``) reuses it."""
+        r = x.rs1
+        address = "a.address + 12 + i * a.esize"
+        if self.reuse:
+            address = "u"
+        elif r in self.arrays:
+            address = f"d{r} + i * z{r}"
+            if x.pc in self.named:
+                address = "u := " + address
+        self.reuse = x.pc in self.named
+        self.access(address, is_write, x)
 
     def emit(self, shape, x) -> None:
         """Append the source of one instruction of ``shape``."""
@@ -381,44 +421,46 @@ class _Emitter:
             self.invalidate(x.rd)
             self.nonnull.add(x.rd)    # arithmetic yields an int
         elif op == M_GETF:
-            self.bind_object(x, "'null getfield'")
-            self.access(f"o.address + {x.off}", False, x)
-            W(f"        regs[{x.rd}] = o.slots[{x.fi}]")
+            _, address, fields = self.bind_object(x, "'null getfield'")
+            self.access(f"{address} + {x.off}", False, x)
+            W(f"        regs[{x.rd}] = {fields}[{x.fi}]")
             self.invalidate(x.rd)
         elif op == M_PUTF:
-            self.bind_object(x, "'null putfield'")
+            base, address, fields = self.bind_object(x, "'null putfield'")
             if shape[1]:    # a reference store: barrier after the store
                 W(f"        v = regs[{x.rs2}]")
-                self.access(f"o.address + {x.off}", True, x)
-                W(f"        o.slots[{x.fi}] = v")
-                self.barrier("        ", "o", x.fi, "v")
+                self.access(f"{address} + {x.off}", True, x)
+                W(f"        {fields}[{x.fi}] = v")
+                self.barrier("        ", base, x.fi, "v")
             else:
-                self.access(f"o.address + {x.off}", True, x)
-                W(f"        o.slots[{x.fi}] = regs[{x.rs2}]")
+                self.access(f"{address} + {x.off}", True, x)
+                W(f"        {fields}[{x.fi}] = regs[{x.rs2}]")
         elif op == M_ALOAD:
             self.bind_array(x, "'null array load'")
-            self.bind_index_and_bounds(x)
-            self.access("a.address + 12 + i * a.esize", False, x)
-            W(f"        regs[{x.rd}] = e[i]")
+            elements = self.bind_index_and_bounds(x)
+            self.element(x, False)
+            W(f"        regs[{x.rd}] = {elements}[i]")
             self.invalidate(x.rd)
         elif op == M_ASTORE:
-            self.bind_array(x, "'null array store'")
-            self.bind_index_and_bounds(x)
+            base = self.bind_array(x, "'null array store'")
+            elements = self.bind_index_and_bounds(x)
             W(f"        v = regs[{x.rd}]")
-            self.access("a.address + 12 + i * a.esize", True, x)
-            W("        e[i] = v")
+            self.element(x, True)
+            W(f"        {elements}[i] = v")
             # ``a.kind`` is a runtime property of the array, not of the
             # instruction: keep the reference interpreter's check (only
             # the ref case has a write barrier).
-            W("        if a.kind == 'ref':")
-            self.barrier("            ", "a", "i", "v")
+            W(f"        if k{x.rs1}:" if base != "a" else
+              "        if a.kind == 'ref':")
+            self.barrier("            ", base, "i", "v")
         elif op == M_LEN:
-            self.bind_array(x, "'null arraylength'")
-            self.access("a.address + 8", False, x)
-            if self.e_valid:
-                W(f"        regs[{x.rd}] = len(e)")
+            if self.bind_array(x, "'null arraylength'") != "a":
+                self.access(f"d{x.rs1} - 4", False, x)
+                W(f"        regs[{x.rd}] = n{x.rs1}")
             else:
-                W(f"        regs[{x.rd}] = len(a.elements)")
+                self.access("a.address + 8", False, x)
+                W(f"        regs[{x.rd}] = len(e)" if self.e_valid else
+                  f"        regs[{x.rd}] = len(a.elements)")
             self.invalidate(x.rd)
             self.nonnull.add(x.rd)    # a length is an int
         elif op == M_GETSTATIC or op == M_PUTSTATIC:
@@ -847,11 +889,6 @@ def _fuses(inst, template) -> bool:
             and (not template.literal or _is_literal(inst.imm)))
 
 
-def fusible(inst) -> bool:
-    """Whether one instruction may live inside a superblock."""
-    return _fuses(inst, _TEMPLATES.get(_shape(inst)))
-
-
 def superblock_ranges(code, templates=None) -> List[tuple]:
     """Partition ``code`` into fusible ``(start, stop)`` runs.
 
@@ -927,6 +964,24 @@ def _counts(inst) -> bool:
             or op == M_ASTORE and inst.aux == "ref")
 
 
+def _reused(code, templates, start, stop, arrays) -> set:
+    """The pcs in ``[start, stop)`` whose access to an element of an
+    array in ``arrays`` the run's next access repeats: the same array
+    at the same index register, not written in between."""
+    named, last = set(), None
+    for pc in range(start, stop if arrays else start):
+        inst, template = code[pc], templates[pc]
+        if inst.op in (M_ALOAD, M_ASTORE) and inst.rs1 in arrays:
+            if last is not None and last[1:] == (inst.rs1, inst.rs2):
+                named.add(last[0])
+            last = (pc, inst.rs1, inst.rs2)
+        elif template is not None and template.mem:
+            last = None
+        if last is not None and last[2] in uses_defs(inst)[1]:
+            last = None
+    return named
+
+
 def _block_writer(code, templates, base_eip, W, branch, unwind="",
                   leave=None, cell_max=None):
     """``(emit_block, emit_ring, consts)``: ``emit_block(start, end)``
@@ -945,6 +1000,7 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
     # and the ring (``tail``, ``grow``) is rebound where each starts.
     has_mem = has_wb = shared = grow = False
     tail = meta = ""
+    arrays = objects = ()    # the ring's invariants, by their use
     writes: List[bool] = []
     eips: List[int] = []
     wslot = 0
@@ -1048,7 +1104,8 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         nonlocal has_mem, has_wb, meta
         # A fresh emitter: no fact survives a block boundary.
         emit = _Emitter(W, access, fault, barrier, const, branch, leave,
-                        flush, cell_max).emit
+                        flush, cell_max, arrays, objects,
+                        _reused(code, templates, start, end, arrays)).emit
         if templates[start] is None:
             # A ring's allocation, a run of its own: it falls through.
             inst = code[start]
@@ -1105,7 +1162,7 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         else:
             emit(templates[stop].shape, templates[stop].load(x, code[stop]))
 
-    def emit_ring(ring, enter, most, counts):
+    def emit_ring(ring, enter, most, counts, invariants):
         """Write the blocks of ``ring`` in order — ``enter(j, start,
         stop)`` writes what goes in front of the ``j``-th — appending
         to ONE batch the caller opens and pends, and return the names of
@@ -1114,9 +1171,11 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         to cover ``most`` instructions; otherwise the lists ``bw`` and
         ``be``, which each block grows by its own tuples (``wx``/``ex``)
         as the entry runs it.  ``counts`` names what a fault lands in a
-        counted ring (see *Regions*)."""
-        nonlocal has_mem, shared, grow, tail, meta
+        counted ring (see *Regions*); ``invariants`` the array and the
+        object registers whose facts the caller hoists."""
+        nonlocal has_mem, shared, grow, tail, meta, arrays, objects
         tail = counts
+        arrays, objects = invariants
         shared = has_mem = accesses(ring)
         grow = shared and most is None
         if shared:
@@ -1239,6 +1298,16 @@ def superblock_source(cm, templates=None) -> tuple:
 # the last allocation's would be (``land``), as every earlier one only
 # adds: inside an entry only its allocations charge ``cell``, so what
 # it held there is ``na - 1`` costs past what it held at entry.
+#
+# A register the ring never writes is a *ring invariant*.  Used as an
+# array or an object base in a block every trip runs (one no in-ring
+# edge jumps over), its facts are computed once per entry (``_HOISTS``)
+# and read from locals, with every null and bounds test kept: the
+# register keeps its entry value, no collection runs inside a region
+# (addresses, ``slots``/``elements`` lists and spaces stand still), and
+# an array never changes length or kind.  An access to the address the
+# previous one queued reuses it (``_reused``).  A use on a rare fork
+# hoists nothing, so a short entry pays no prologue.
 # ---------------------------------------------------------------------------
 
 def _ring_runs(code, templates, ranges) -> Dict[int, int]:
@@ -1312,6 +1381,13 @@ _REG_WRITE = re.compile(r" *regs\[(\d+)\] = ")
 #: Stands for a region's register store-back until every block of the
 #: ring has been emitted (only then is the written set known).
 _STORE_BACK = "<store back>; "
+#: What a region's prologue computes of a ring-invariant array, and of
+#: an object, in register ``r{0}``: every name ``None`` where it holds
+#: no such value (a use reached then fails, as the reference's would).
+_HOISTS = (("e{0} = r{0}.elements; n{0} = len(e{0}); d{0} = r{0}.address"
+            " + 12; z{0} = r{0}.esize; k{0} = r{0}.kind == 'ref'",
+            "e{0} = n{0} = d{0} = z{0} = k{0}"),
+           ("p{0} = r{0}.address; f{0} = r{0}.slots", "p{0} = f{0}"))
 
 
 def region_source(cm, templates=None, ranges=None, counted=False,
@@ -1407,8 +1483,24 @@ def region_source(cm, templates=None, ranges=None, counted=False,
                                             if c != a)}
         counts = ", w, m, fp, fo, na, ab" * (counted and any(
             _counts(code[pc]) for run in ring for pc in range(*run)))
+        # The registers the ring never writes that a block every trip
+        # runs (one no in-ring edge jumps over) uses as an array or an
+        # object: their facts are computed once, in the prologue.
+        jumped = {b for a in starts for c in here[a] for b in starts
+                  if a < b < c}
+        every = [code[pc] for first, stop in ring if first not in jumped
+                 for pc in range(first, stop)]
+        invariants = [sorted({inst.rs1 for inst in every if inst.op in ops})
+                      for ops in ((M_ALOAD, M_ASTORE, M_LEN),
+                                  (M_GETF, M_PUTF))]
+        if invariants != [[], []]:
+            written = {reg for run in ring for pc in range(*run)
+                       for reg in uses_defs(code[pc])[1]}
+            invariants = [[reg for reg in regs if reg not in written]
+                          for regs in invariants]
         batch = emit_ring(ring, enter, None if guarded else
-                          ceiling + ring[0][1] - ring[0][0], counts)
+                          ceiling + ring[0][1] - ring[0][0], counts,
+                          invariants)
         pad = "    "
         fits(*ring[0])
         store = "; ".join(f"regs[{reg}] = r{reg}"
@@ -1431,10 +1523,15 @@ def region_source(cm, templates=None, ranges=None, counted=False,
             # driver's slow path collects.
             opening = (["        top = nursery.base + nursery.capacity"]
                        + opening)
+        hoists = [f"        try:\n            {facts}\n        except "
+                  f"Exception:\n            {names} = None".format(reg)
+                  for (facts, names), regs in zip(_HOISTS, invariants)
+                  for reg in regs]
         out[top:] = (
             [f"    def _rg_{header}(frame, regs, slots, budget, n):"]
             + [f"        r{reg} = regs[{reg}]" for reg in sorted(mentioned)]
-            + opening + ["        left = budget", "        while True:"]
+            + hoists + opening + ["        left = budget",
+                                  "        while True:"]
             + [line.replace(_STORE_BACK, store + "; ")
                for line in out[top:]]
             + [f"        {store}"] + closing

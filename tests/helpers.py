@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from repro.core.config import (CacheConfig, GCConfig, MachineConfig,
                                SystemConfig, TLBConfig)
 from repro.gc import layout
+from repro.hw import translate
 from repro.jit.aos import CompilationPlan
 from repro.vm.model import element_offset
 from repro.vm.program import Program
@@ -27,6 +28,12 @@ GEOMETRIES = {
     "2way4k-2tlb": lambda: MachineConfig(l1=CacheConfig(4 * 1024, 128, 2, 2),
                                          tlb=TLBConfig(entries=2)),
 }
+
+
+def fusible(inst) -> bool:
+    """Whether one instruction may live inside a superblock."""
+    return translate._fuses(inst, translate._TEMPLATES.get(
+        translate._shape(inst)))
 
 
 def run_main(program, *, config=None, plan=BASELINE_ONLY, **kwargs):

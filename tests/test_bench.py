@@ -314,16 +314,16 @@ def checkout(tmp_path, monkeypatch):
     return tree
 
 
-def stub_runner(checkout, values=None, calls=None, outcome=None):
+def stub_runner(values=None, calls=None, outcome=None):
     """A perfbench stand-in: ``values(side, seed)`` gives a run's
     metrics (all 1.0 by default), ``outcome(side, seed, doc)`` may
     replace its (exit code, stdout)."""
     def run(tree, workload, seed, seconds):
-        change = os.path.realpath(tree) == os.path.realpath(checkout)
-        side = "change" if change else "parent"
-        # The parent is an extracted tree, not a second checkout.
+        side = os.path.basename(tree)
+        # Each side is a copy in a temporary directory, not a checkout.
+        assert side in ("parent", "change")
         assert os.path.exists(os.path.join(tree, "BENCHMARK.json"))
-        assert change or not os.path.exists(os.path.join(tree, ".git"))
+        assert not os.path.exists(os.path.join(tree, ".git"))
         if calls is not None:
             calls.append((side, seed, workload, seconds))
         metrics = values(side, seed) if values else dict.fromkeys(NAMES, 1.0)
@@ -352,7 +352,7 @@ class TestPairs:
     def test_seeds_and_alternating_order(self, checkout, capsys):
         calls = []
         doc = pairs.judge("HEAD", "sim_compute",
-                          stub_runner(checkout, calls=calls))
+                          stub_runner(calls=calls))
         seconds = DECLARED["run_seconds"]
         assert calls == [(side, seed, "sim_compute", seconds)
                          for seed in range(1, 11)
@@ -364,7 +364,7 @@ class TestPairs:
 
     def test_written_file_and_its_keys(self, checkout, capsys):
         head = git(checkout, "rev-parse", "HEAD")
-        doc = pairs.judge("HEAD", "sim_compute", stub_runner(checkout))
+        doc = pairs.judge("HEAD", "sim_compute", stub_runner())
         path = checkout / "BENCH_sim_compute.json"
         assert json.loads(path.read_text()) == doc
         assert list(doc) == [
@@ -394,7 +394,7 @@ class TestPairs:
                                          "change", "change_wins"]
         # The written file is an uncommitted edit: the next judgement
         # says its change is dirty.
-        again = pairs.judge("HEAD", "sim_compute", stub_runner(checkout))
+        again = pairs.judge("HEAD", "sim_compute", stub_runner())
         assert again["change"] == {"git_sha": head, "dirty": True}
 
     def test_gain_needs_nine_wins_and_more_than_the_iqr(self):
@@ -438,10 +438,10 @@ class TestPairs:
                 metrics["sim_cycles_per_kinstr"] = 1.5
             return metrics
 
-        doc = pairs.judge("HEAD", "sim_compute", stub_runner(checkout))
+        doc = pairs.judge("HEAD", "sim_compute", stub_runner())
         assert doc["sim_cycles_per_kinstr_matched_every_pair"] is True
         doc = pairs.judge("HEAD", "sim_compute",
-                          stub_runner(checkout, values=drift))
+                          stub_runner(values=drift))
         assert doc["sim_cycles_per_kinstr_matched_every_pair"] is False
 
     @pytest.mark.parametrize("outcome, message", [
@@ -458,7 +458,7 @@ class TestPairs:
                                           capsys):
         with pytest.raises(SystemExit, match=message):
             pairs.judge("HEAD", "sim_compute",
-                        stub_runner(checkout, outcome=outcome))
+                        stub_runner(outcome=outcome))
         assert sorted(os.listdir(checkout)) == [".git", "BENCHMARK.json"]
 
     def test_a_late_failure_still_writes_nothing(self, checkout, capsys):
@@ -469,7 +469,7 @@ class TestPairs:
         with pytest.raises(SystemExit,
                            match="the change run of seed 10 exited 2"):
             pairs.judge("HEAD", "sim_compute",
-                        stub_runner(checkout, outcome=late))
+                        stub_runner(outcome=late))
         assert not (checkout / "BENCH_sim_compute.json").exists()
 
     def test_both_trees_compile_before_the_first_run(self, checkout,
@@ -477,11 +477,10 @@ class TestPairs:
         calls = []
 
         def byte_compile(tree):
-            calls.append(("compile", os.path.realpath(tree)
-                          == os.path.realpath(checkout)))
+            calls.append(("compile", os.path.basename(tree) == "change"))
             return 0, ""
 
-        pairs.judge("HEAD", "sim_compute", stub_runner(checkout, calls=calls),
+        pairs.judge("HEAD", "sim_compute", stub_runner(calls=calls),
                     byte_compile)
         assert calls[:2] == [("compile", False), ("compile", True)]
         assert all(call[0] != "compile" for call in calls[2:])
@@ -491,8 +490,7 @@ class TestPairs:
     def test_a_compile_failure_fails_closed_writing_nothing(
             self, checkout, side, capsys):
         def byte_compile(tree):
-            change = os.path.realpath(tree) == os.path.realpath(checkout)
-            if change == (side == "change"):
+            if os.path.basename(tree) == side:
                 return 1, "  File 'src/x.py', line 1\nSyntaxError: bad\n"
             return 0, ""
 
@@ -504,6 +502,35 @@ class TestPairs:
                            r"tree \(SyntaxError: bad\); nothing written"):
             pairs.judge("HEAD", "sim_compute", never, byte_compile)
         assert sorted(os.listdir(checkout)) == [".git", "BENCHMARK.json"]
+
+    def test_both_trees_run_from_sibling_paths_of_one_length(
+            self, checkout, capsys):
+        """A tree's path shows in its ``peak_rss_mib``: the two sides
+        run from copies whose paths differ only in their last component,
+        of one length; the change's holds the checkout's working tree,
+        untracked files too, but nothing ignored."""
+        (checkout / ".gitignore").write_text("ignored.txt\n")
+        (checkout / "ignored.txt").write_text("left out\n")
+        (checkout / "src").mkdir()
+        (checkout / "src" / "untracked.py").write_text("X = 1\n")
+        trees = {}
+
+        def run(tree, workload, seed, seconds):
+            trees.setdefault(os.path.basename(tree), sorted(
+                os.path.relpath(os.path.join(where, name), tree)
+                for where, _, names in os.walk(tree) for name in names))
+            return stub_runner()(tree, workload, seed, seconds)
+
+        paths = []
+        pairs.judge("HEAD", "sim_compute", run,
+                    lambda tree: paths.append(tree) or (0, ""))
+        parent, change = paths
+        assert len(parent) == len(change)
+        assert os.path.dirname(parent) == os.path.dirname(change)
+        assert os.path.basename(parent) != os.path.basename(change)
+        assert trees["parent"] == ["BENCHMARK.json"]
+        assert trees["change"] == [".gitignore", "BENCHMARK.json",
+                                   os.path.join("src", "untracked.py")]
 
     def test_compile_tree_writes_bytecode_and_reports_errors(
             self, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """``sim_churn``'s six configurations, run whole, leave the same record
-on the reference interpreter and at level 2.
+on the reference interpreter and at level 2 (and, run as a script,
+``sim_compute``'s two as well).
 
 These are the allocation-heavy guests at the minimum heap (1.0x), where
 level-2 regions allocate inline, count their barriers and allocations,
@@ -9,7 +10,10 @@ provenance left out (it names the interpreter level); everything else —
 cycles, counters, GC statistics, samples — must be equal.
 
 Run as a script (CI does) for one line per configuration; it exits 1
-if any record differs::
+if any record differs.  The script also runs ``sim_compute``'s two
+configurations, where region bodies do the work (compress whole, and
+mpegaudio to 4.4 M cycles, monitoring off); they take most of its time,
+so the suite leaves them to it::
 
     PYTHONPATH=src:. python -m tests.test_churn_records
 """
@@ -25,6 +29,9 @@ CONFIGS = [RunSpec(name, heap_mult=1.0, coalloc=True)
            for name in ("javac", "jack", "fop", "antlr")] + [
     RunSpec(name, heap_mult=1.0, gc_plan="gencopy")
     for name in ("javac", "fop")]
+#: ``sim_compute``'s configurations, compared by the script only.
+COMPUTE = [RunSpec("compress", monitoring=False),
+           RunSpec("mpegaudio", monitoring=False, until_cycles=4_400_000)]
 
 
 def record(spec: RunSpec, level: int) -> dict:
@@ -36,7 +43,7 @@ def record(spec: RunSpec, level: int) -> dict:
 
 
 def label(spec: RunSpec) -> str:
-    return f"{spec.benchmark}/{spec.gc_plan}"
+    return f"{spec.benchmark}/{spec.gc_plan if spec.monitoring else 'unmonitored'}"
 
 
 @pytest.mark.parametrize("spec", CONFIGS, ids=label)
@@ -46,7 +53,7 @@ def test_level2_record_is_the_reference(spec):
 
 def main() -> int:
     failed = 0
-    for spec in CONFIGS:
+    for spec in CONFIGS + COMPUTE:
         ref, fast = record(spec, 0), record(spec, 2)
         same = fast == ref
         failed += not same

@@ -19,7 +19,8 @@ from unittest import mock
 
 import pytest
 
-from tests.helpers import BASELINE_ONLY, hog_program, if_cond, if_nonzero
+from tests.helpers import (BASELINE_ONLY, fusible, hog_program, if_cond,
+                           if_nonzero)
 from repro.core.config import GCConfig, SystemConfig, fastpath_level
 from repro.harness import diskcache, runner
 from repro.harness.record import RunRecord
@@ -40,6 +41,7 @@ from repro.hw.translate import (MIN_SUPERBLOCK, region_source,
 from repro.gc import layout
 from repro.jit.aos import CompilationPlan
 from repro.jit.baseline import compile_baseline
+from repro.jit.opt import compile_opt
 from repro.telemetry import Telemetry
 from repro.vm.objects import SPACE_LOS, HeapArray, HeapObject
 from repro.vm.program import Program
@@ -332,7 +334,7 @@ class TestSuperblocks:
             negs = [inst for inst in code
                     if inst.op == M_ALUI and inst.aux == "neg"]
             assert len(negs) == 1 and negs[0].imm is None
-            assert translate.fusible(negs[0])
+            assert fusible(negs[0])
             # Everything up to the final ``ret`` is one run.
             assert superblock_ranges(code) == [(0, len(code) - 1)]
             result = vm.run()
@@ -1321,6 +1323,111 @@ class TestRingFaults:
         assert _ring_outcome(code, 2) == ref
 
 
+def _late_use(setup, use, late, limit=8):
+    """``setup``, then a ring whose last block ``use``s registers the
+    ring never writes, reached from trip ``late`` on: each earlier trip
+    leaves the ring by a side exit and comes back round to its header
+    through a block outside it, entering the region again."""
+    head = len(setup)
+    around = head + 4 + len(use) + 2
+    return [*setup,
+            MInst(M_MOVI, rd=L_LIMIT, imm=limit),
+            MInst(M_BC, rs1=L_I, rs2=L_LIMIT, aux="ge", imm=around + 3),
+            MInst(M_ALUI, rd=L_T, rs1=L_I, aux="sub", imm=late),
+            MInst(M_BC, rs1=L_T, aux="lt", imm=around),
+            *use,
+            MInst(M_ALUI, rd=L_I, rs1=L_I, aux="add", imm=1),
+            MInst(M_BR, imm=head),
+            MInst(M_ALUI, rd=L_ACC, rs1=L_ACC, aux="add", imm=1),
+            MInst(M_ALUI, rd=L_I, rs1=L_I, aux="add", imm=1),
+            MInst(M_BR, imm=head),
+            MInst(M_RET, rs1=L_ACC)]
+
+
+#: Uses of ``L_U`` as an array or an object base, by the fault a null
+#: one raises.
+BASE_USES = {
+    "null array load": lambda env: [
+        MInst(M_ALOAD, rd=L_T, rs1=L_U, rs2=L_ZERO, aux="int")],
+    "null array store": lambda env: [
+        MInst(M_ASTORE, rd=L_ACC, rs1=L_U, rs2=L_ZERO, aux="int")],
+    "null arraylength": lambda env: [MInst(M_LEN, rd=L_T, rs1=L_U)],
+    "null getfield": lambda env: [
+        MInst(M_GETF, rd=L_T, rs1=L_U, aux=env.v)],
+    "null putfield": lambda env: [
+        MInst(M_PUTF, rs1=L_U, rs2=L_ACC, aux=env.v)],
+}
+
+
+class TestRingInvariants:
+    """A register the ring never writes, used as an array or object base
+    in a block every trip runs, has its facts computed once per region
+    entry; the body keeps every null and bounds test."""
+
+    @pytest.mark.parametrize("fault", BASE_USES)
+    def test_a_null_invariant_faults_where_the_reference_does(self, fault):
+        """``L_U`` is null at every entry; five entries leave by the side
+        exit before a trip reaches the use, which faults at its pc with
+        the reference's registers, counters and (under a hook) clock."""
+        def code(env):
+            return _late_use([MInst(M_MOVI, rd=L_U, imm=None)],
+                             BASE_USES[fault](env), late=5)
+
+        listing = code(_matrix_program()[1])
+        text = _region_text(listing)
+        assert text.count("except Exception:") == 1
+        assert f"= r{L_U}.address" in text.split("while True:")[0]
+        ref = _ring_outcome(code, 0)
+        assert ref[0] == f"{fault} at App.main:5"
+        assert ref[1][L_ACC] == 5
+        assert _ring_outcome(code, 2)[:3] == ref[:3]
+        assert _ring_outcome(code, 2, observer=True) == ref
+
+    @pytest.mark.parametrize("value, setup, use", [
+        ("int", [MInst(M_MOVI, rd=L_U, imm=7)], "null array load"),
+        ("int", [MInst(M_MOVI, rd=L_U, imm=7)], "null getfield"),
+        ("object", [MInst(M_ALOAD, rd=L_U, rs1=L_REFS, rs2=L_ZERO,
+                          aux="ref")], "null array store"),
+        ("array", [MInst(M_MOV, rd=L_U, rs1=L_INTS)], "null putfield"),
+    ])
+    def test_a_mistyped_invariant_on_a_path_never_taken(self, value,
+                                                        setup, use):
+        """The prologue raises for no value: an int, an object used as an
+        array, an array used as an object — each a use no trip reaches."""
+        def code(env):
+            return _late_use(setup, BASE_USES[use](env), late=8)
+
+        assert "except Exception:" in _region_text(
+            code(_matrix_program()[1]))
+        ref = _ring_outcome(code, 0)
+        assert ref[0] is None and ref[1][L_ACC] == 8
+        assert _ring_outcome(code, 2) == ref
+
+    @staticmethod
+    def _regions(guest, name):
+        method = next(m for m in suite.build(guest).program.all_methods()
+                      if m.qualified_name == name)
+        return [region_source(compile_method(method))[0]
+                for compile_method in (compile_baseline, compile_opt)]
+
+    def test_compress_reads_its_arrays_once_per_entry(self):
+        """compress's opt-compiled ring loads ``elements`` and takes a
+        length only in its prologue (``len(b)`` in the body is the
+        access batch's, on the barrier path of its int store)."""
+        prologue, loop = self._regions("compress", "App.process")[1].split(
+            "        while True:\n")
+        assert prologue.count(".elements") == 2
+        assert prologue.count("len(e") == 2
+        assert ".elements" not in loop and "len(e" not in loop
+        assert ".esize" not in loop and ".kind" not in loop
+
+    def test_a_use_on_a_rare_fork_hoists_nothing(self):
+        """javac's ``App.parse`` touches ``r0`` on one trip in 96: no
+        entry pays for it."""
+        for text in self._regions("javac", "App.parse"):
+            assert "except Exception:" not in text
+
+
 def _region_text(code, counted=False):
     """The region source of hand-assembled ``code`` as main."""
     p, _ = _matrix_program()
@@ -2049,7 +2156,7 @@ def _matrix_outcome(build, level, fused):
     frame.slots[:] = [11, 22, 33, 44]
     if level == 2:
         blocks = translation_for(cm, cpu).blocks
-        in_run = fused and (translate.fusible(x) or x.op in (M_BC, M_BR))
+        in_run = fused and (fusible(x) or x.op in (M_BC, M_BR))
         assert [blk is not None for blk in blocks[:2]] == [in_run, False]
     fault = None
     try:
