@@ -356,7 +356,7 @@ class _Emitter:
     def element(self, x, is_write) -> None:
         """Queue the access to element ``i`` of array ``x.rs1``: a ring
         invariant's address off its hoisted base, named ``u`` when the
-        block's next access (``named``) reuses it."""
+        block's next element access (``named``) reuses it."""
         r = x.rs1
         address = "a.address + 12 + i * a.esize"
         if self.reuse:
@@ -964,19 +964,17 @@ def _counts(inst) -> bool:
             or op == M_ASTORE and inst.aux == "ref")
 
 
-def _reused(code, templates, start, stop, arrays) -> set:
+def _reused(code, start, stop, arrays) -> set:
     """The pcs in ``[start, stop)`` whose access to an element of an
-    array in ``arrays`` the run's next access repeats: the same array
-    at the same index register, not written in between."""
+    array in ``arrays`` the run's next element access repeats: the same
+    array at the same index register, not written in between."""
     named, last = set(), None
     for pc in range(start, stop if arrays else start):
-        inst, template = code[pc], templates[pc]
+        inst = code[pc]
         if inst.op in (M_ALOAD, M_ASTORE) and inst.rs1 in arrays:
             if last is not None and last[1:] == (inst.rs1, inst.rs2):
                 named.add(last[0])
             last = (pc, inst.rs1, inst.rs2)
-        elif template is not None and template.mem:
-            last = None
         if last is not None and last[2] in uses_defs(inst)[1]:
             last = None
     return named
@@ -1105,7 +1103,7 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         # A fresh emitter: no fact survives a block boundary.
         emit = _Emitter(W, access, fault, barrier, const, branch, leave,
                         flush, cell_max, arrays, objects,
-                        _reused(code, templates, start, end, arrays)).emit
+                        _reused(code, start, end, arrays)).emit
         if templates[start] is None:
             # A ring's allocation, a run of its own: it falls through.
             inst = code[start]
@@ -1305,9 +1303,9 @@ def superblock_source(cm, templates=None) -> tuple:
 # and read from locals, with every null and bounds test kept: the
 # register keeps its entry value, no collection runs inside a region
 # (addresses, ``slots``/``elements`` lists and spaces stand still), and
-# an array never changes length or kind.  An access to the address the
-# previous one queued reuses it (``_reused``).  A use on a rare fork
-# hoists nothing, so a short entry pays no prologue.
+# an array never changes length or kind.  An element access to the
+# address the previous one queued reuses it (``_reused``).  A use on a
+# rare fork hoists nothing, so a short entry pays no prologue.
 # ---------------------------------------------------------------------------
 
 def _ring_runs(code, templates, ranges) -> Dict[int, int]:

@@ -12,8 +12,8 @@ cycles, counters, GC statistics, samples — must be equal.
 Run as a script (CI does) for one line per configuration; it exits 1
 if any record differs.  The script also runs ``sim_compute``'s two
 configurations, where region bodies do the work (compress whole, and
-mpegaudio to 4.4 M cycles, monitoring off); they take most of its time,
-so the suite leaves them to it::
+mpegaudio to 4.4 M cycles, monitoring off); they take about half its
+time, so the suite leaves them to it::
 
     PYTHONPATH=src:. python -m tests.test_churn_records
 """
@@ -43,7 +43,8 @@ def record(spec: RunSpec, level: int) -> dict:
 
 
 def label(spec: RunSpec) -> str:
-    return f"{spec.benchmark}/{spec.gc_plan if spec.monitoring else 'unmonitored'}"
+    return (f"{spec.benchmark}/"
+            f"{spec.gc_plan if spec.monitoring else 'unmonitored'}")
 
 
 @pytest.mark.parametrize("spec", CONFIGS, ids=label)
@@ -57,7 +58,7 @@ def main() -> int:
         ref, fast = record(spec, 0), record(spec, 2)
         same = fast == ref
         failed += not same
-        print(f"{label(spec):16s} cycles {ref['cycles']:>10,}  "
+        print(f"{label(spec):21s} cycles {ref['cycles']:>10,}  "
               f"{'same' if same else 'DIFFERENT'}")
     return 1 if failed else 0
 

@@ -1403,6 +1403,29 @@ class TestRingInvariants:
         assert ref[0] is None and ref[1][L_ACC] == 8
         assert _ring_outcome(code, 2) == ref
 
+    @pytest.mark.parametrize("between, reused", [
+        ([], True),
+        ([MInst(M_ALUI, rd=L_I, rs1=L_I, aux="add", imm=0)], False),
+        ([MInst(M_STF, rs1=L_ACC, imm=0)], True),
+        ([MInst(M_ALOAD, rd=L_T, rs1=L_REFS, rs2=L_I, aux="ref")], False),
+    ], ids=["adjacent", "index-written", "slot-between", "array-between"])
+    def test_an_element_address_is_reused_only_while_unchanged(
+            self, between, reused):
+        """A store then a load of ``ints[i]``: the load reuses the
+        store's address unless the index is written, or another array's
+        element is accessed, in between."""
+        code = _counted_loop([
+            MInst(M_ASTORE, rd=L_ACC, rs1=L_INTS, rs2=L_I, aux="int"),
+            *between,
+            MInst(M_ALOAD, rd=L_T, rs1=L_INTS, rs2=L_I, aux="int")],
+            limit=8)
+        text = _region_text(code)
+        assert ("ap(u)" in text) == reused
+        assert text.count(f"d{L_INTS} + i * z{L_INTS})") == 2 - reused
+        ref = _ring_outcome(code, 0)
+        assert ref[0] is None and ref[1][L_ACC] == 8
+        assert _ring_outcome(code, 2) == ref
+
     @staticmethod
     def _regions(guest, name):
         method = next(m for m in suite.build(guest).program.all_methods()
