@@ -269,7 +269,7 @@ class _Emitter:
 
     def __init__(self, write, access, fault, barrier, name, branch,
                  leave=None, flush=None, cell_max=None, arrays=(),
-                 objects=(), named=()):
+                 objects=()):
         self.write = write
         self.access = access
         self.fault = fault
@@ -279,9 +279,8 @@ class _Emitter:
         self.leave = leave
         self.flush = flush
         self.cell_max = cell_max
-        self.arrays, self.objects, self.named = arrays, objects, named
-        self.reuse = False
-        self.a_reg = self.i_reg = self.o_reg = None
+        self.arrays, self.objects = arrays, objects
+        self.a_reg = self.i_reg = self.o_reg = self.u_key = None
         self.e_valid = self.bounds_ok = False
         self.nonnull = set()
         self.literals = {}
@@ -297,6 +296,8 @@ class _Emitter:
             self.bounds_ok = False
         if rd == self.o_reg:
             self.o_reg = None
+        if self.u_key is not None and rd in self.u_key:
+            self.u_key = None
 
     def bind_array(self, x, message) -> str:
         """Null-test array ``x.rs1``; the name of the array, as
@@ -355,17 +356,18 @@ class _Emitter:
 
     def element(self, x, is_write) -> None:
         """Queue the access to element ``i`` of array ``x.rs1``: a ring
-        invariant's address off its hoisted base, named ``u`` when the
-        block's next element access (``named``) reuses it."""
+        invariant's address off its hoisted base, kept in ``u`` for the
+        next element access to reuse if it names the same array at the
+        same unwritten index register."""
         r = x.rs1
-        address = "a.address + 12 + i * a.esize"
-        if self.reuse:
+        key = (r, x.rs2) if r in self.arrays else None
+        if key is None:
+            address = "a.address + 12 + i * a.esize"
+        elif key == self.u_key:
             address = "u"
-        elif r in self.arrays:
-            address = f"d{r} + i * z{r}"
-            if x.pc in self.named:
-                address = "u := " + address
-        self.reuse = x.pc in self.named
+        else:
+            address = f"u := d{r} + i * z{r}"
+        self.u_key = key
         self.access(address, is_write, x)
 
     def emit(self, shape, x) -> None:
@@ -964,22 +966,6 @@ def _counts(inst) -> bool:
             or op == M_ASTORE and inst.aux == "ref")
 
 
-def _reused(code, start, stop, arrays) -> set:
-    """The pcs in ``[start, stop)`` whose access to an element of an
-    array in ``arrays`` the run's next element access repeats: the same
-    array at the same index register, not written in between."""
-    named, last = set(), None
-    for pc in range(start, stop if arrays else start):
-        inst = code[pc]
-        if inst.op in (M_ALOAD, M_ASTORE) and inst.rs1 in arrays:
-            if last is not None and last[1:] == (inst.rs1, inst.rs2):
-                named.add(last[0])
-            last = (pc, inst.rs1, inst.rs2)
-        if last is not None and last[2] in uses_defs(inst)[1]:
-            last = None
-    return named
-
-
 def _block_writer(code, templates, base_eip, W, branch, unwind="",
                   leave=None, cell_max=None):
     """``(emit_block, emit_ring, consts)``: ``emit_block(start, end)``
@@ -1102,8 +1088,7 @@ def _block_writer(code, templates, base_eip, W, branch, unwind="",
         nonlocal has_mem, has_wb, meta
         # A fresh emitter: no fact survives a block boundary.
         emit = _Emitter(W, access, fault, barrier, const, branch, leave,
-                        flush, cell_max, arrays, objects,
-                        _reused(code, start, end, arrays)).emit
+                        flush, cell_max, arrays, objects).emit
         if templates[start] is None:
             # A ring's allocation, a run of its own: it falls through.
             inst = code[start]
@@ -1304,8 +1289,8 @@ def superblock_source(cm, templates=None) -> tuple:
 # register keeps its entry value, no collection runs inside a region
 # (addresses, ``slots``/``elements`` lists and spaces stand still), and
 # an array never changes length or kind.  An element access to the
-# address the previous one queued reuses it (``_reused``).  A use on a
-# rare fork hoists nothing, so a short entry pays no prologue.
+# address the previous one queued reuses it (``_Emitter.element``).  A
+# use on a rare fork hoists nothing, so a short entry pays no prologue.
 # ---------------------------------------------------------------------------
 
 def _ring_runs(code, templates, ranges) -> Dict[int, int]:
@@ -1492,9 +1477,9 @@ def region_source(cm, templates=None, ranges=None, counted=False,
                       for ops in ((M_ALOAD, M_ASTORE, M_LEN),
                                   (M_GETF, M_PUTF))]
         if invariants != [[], []]:
-            written = {reg for run in ring for pc in range(*run)
+            defined = {reg for run in ring for pc in range(*run)
                        for reg in uses_defs(code[pc])[1]}
-            invariants = [[reg for reg in regs if reg not in written]
+            invariants = [[reg for reg in regs if reg not in defined]
                           for regs in invariants]
         batch = emit_ring(ring, enter, None if guarded else
                           ceiling + ring[0][1] - ring[0][0], counts,

@@ -1240,8 +1240,9 @@ class TestRingFormation:
 def _ring_outcome(code, level, observer=False):
     """Run hand-assembled ``code`` (a list, or what to call with the
     program's ``env`` to get one) as main and return the fault (or
-    ``None``), every register, what the memory system saw, the clock
-    and the int array ``L_INTS`` holds."""
+    ``None``), every register, what the memory system saw, the clock,
+    the int array ``L_INTS`` holds and every address accessed, in
+    order."""
     p, env = _matrix_program()
     if callable(code):
         code = code(env)
@@ -1257,8 +1258,22 @@ def _ring_outcome(code, level, observer=False):
             arrs.elements[index] = ints
     cm = vm.compiled_code_for(p.main)
     cm.code, cm.reg_count, cm.frame_words = code, 9, 4
+    ms = vm.memsys
     if observer:
-        vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+        ms.attach_observer("L1D_MISS", lambda eip: None)
+    addresses = []
+    access, drain = ms.access, ms.access_run_segments
+
+    def one(address, is_write, eip):
+        addresses.append(address)
+        return access(address, is_write, eip)
+
+    def run(log):
+        for entry in log:
+            addresses.extend(entry[0] or ())
+        return drain(log)
+
+    ms.access, ms.access_run_segments = one, run
     cpu = vm.cpu
     cpu._push_frame(cm, ())
     frame = cpu.frames[-1]
@@ -1271,10 +1286,9 @@ def _ring_outcome(code, level, observer=False):
     names = {id(ints): "ints", id(refs): "refs", id(arrs): "arrs"}
     regs = [names.get(id(value), value) if not isinstance(value, HeapObject)
             else "box" for value in frame.regs]
-    ms = vm.memsys
     return (fault, regs, (ms.n_loads, ms.n_stores, ms.n_l1_miss,
                           ms.n_dtlb_miss), (cpu.instructions, cpu.cycles),
-            list(ints.elements))
+            list(ints.elements), addresses)
 
 
 #: Loop bodies that fault in the sixth iteration (ninth, out of
@@ -1408,12 +1422,17 @@ class TestRingInvariants:
         ([MInst(M_ALUI, rd=L_I, rs1=L_I, aux="add", imm=0)], False),
         ([MInst(M_STF, rs1=L_ACC, imm=0)], True),
         ([MInst(M_ALOAD, rd=L_T, rs1=L_REFS, rs2=L_I, aux="ref")], False),
-    ], ids=["adjacent", "index-written", "slot-between", "array-between"])
+        ([MInst(M_MOV, rd=L_U, rs1=L_REFS),
+          MInst(M_ALOAD, rd=L_T, rs1=L_U, rs2=L_ZERO, aux="ref")], False),
+    ], ids=["adjacent", "index-written", "slot-between", "array-between",
+            "written-array-between"])
     def test_an_element_address_is_reused_only_while_unchanged(
             self, between, reused):
         """A store then a load of ``ints[i]``: the load reuses the
         store's address unless the index is written, or another array's
-        element is accessed, in between."""
+        element is accessed, in between — an invariant's, or one the
+        ring writes (which must queue its own address, not the
+        store's)."""
         code = _counted_loop([
             MInst(M_ASTORE, rd=L_ACC, rs1=L_INTS, rs2=L_I, aux="int"),
             *between,
@@ -1868,8 +1887,22 @@ def _store_outcome(code, level, observer=False):
         plan._promote(objects[name])
     cm = vm.compiled_code_for(p.main)
     cm.code, cm.reg_count, cm.frame_words = code(env), 15, 4
+    ms = vm.memsys
     if observer:
-        vm.memsys.attach_observer("L1D_MISS", lambda eip: None)
+        ms.attach_observer("L1D_MISS", lambda eip: None)
+    addresses = []
+    access, drain = ms.access, ms.access_run_segments
+
+    def one(address, is_write, eip):
+        addresses.append(address)
+        return access(address, is_write, eip)
+
+    def run(log):
+        for entry in log:
+            addresses.extend(entry[0] or ())
+        return drain(log)
+
+    ms.access, ms.access_run_segments = one, run
     cpu = vm.cpu
     cpu._push_frame(cm, ())
     frame = cpu.frames[-1]
@@ -1925,7 +1958,7 @@ class TestChurnPaths:
         assert "abs(" not in text and "== 0" not in text
         ref = _ring_outcome(code, 0)
         magnitude = [abs(a) // abs(divisor) for a in DIVIDENDS]
-        assert ref[-1] == [
+        assert ref[4] == [
             (q if (a >= 0) == (divisor > 0) else -q) if aux == "div"
             else (a - (q if (a >= 0) == (divisor > 0) else -q) * divisor)
             for a, q in zip(DIVIDENDS, magnitude)]
