@@ -1237,6 +1237,25 @@ class TestRingFormation:
         assert f"{L_ACC}] = r{L_ACC}; " in exit and "return pc, " in exit
 
 
+def _recorded_addresses(ms):
+    """The list every address memory system ``ms`` is handed from now
+    on goes into, in order: one access at a time, or a drain's."""
+    addresses = []
+    access, drain = ms.access, ms.access_run_segments
+
+    def one(address, is_write, eip):
+        addresses.append(address)
+        return access(address, is_write, eip)
+
+    def run(log):
+        for entry in log:
+            addresses.extend(entry[0] or ())
+        return drain(log)
+
+    ms.access, ms.access_run_segments = one, run
+    return addresses
+
+
 def _ring_outcome(code, level, observer=False):
     """Run hand-assembled ``code`` (a list, or what to call with the
     program's ``env`` to get one) as main and return the fault (or
@@ -1261,19 +1280,7 @@ def _ring_outcome(code, level, observer=False):
     ms = vm.memsys
     if observer:
         ms.attach_observer("L1D_MISS", lambda eip: None)
-    addresses = []
-    access, drain = ms.access, ms.access_run_segments
-
-    def one(address, is_write, eip):
-        addresses.append(address)
-        return access(address, is_write, eip)
-
-    def run(log):
-        for entry in log:
-            addresses.extend(entry[0] or ())
-        return drain(log)
-
-    ms.access, ms.access_run_segments = one, run
+    addresses = _recorded_addresses(ms)
     cpu = vm.cpu
     cpu._push_frame(cm, ())
     frame = cpu.frames[-1]
@@ -1445,6 +1452,18 @@ class TestRingInvariants:
         assert ref[0] is None and ref[1][L_ACC] == 8
         assert _ring_outcome(code, 2) == ref
 
+    def test_the_store_back_stores_only_what_the_text_writes(self):
+        """An object too large for a cell only leaves for the driver:
+        the text never writes its destination, so in a ring with an
+        invariant array that register is neither loaded nor stored."""
+        code = _counted_loop([
+            MInst(M_ALOAD, rd=L_T, rs1=L_INTS, rs2=L_I, aux="int"),
+            MInst(M_NEW, rd=L_U, aux=_matrix_program()[1].box)])
+        text = _region_text(code, cell_max=0)
+        assert f"e{L_INTS} = r{L_INTS}.elements" in text
+        assert f"r{L_U}" not in text
+        compile(text, "<region>", "exec")
+
     @staticmethod
     def _regions(guest, name):
         method = next(m for m in suite.build(guest).program.all_methods()
@@ -1470,12 +1489,13 @@ class TestRingInvariants:
             assert "except Exception:" not in text
 
 
-def _region_text(code, counted=False):
-    """The region source of hand-assembled ``code`` as main."""
+def _region_text(code, **options):
+    """The region source of hand-assembled ``code`` as main, written
+    with ``region_source``'s ``options``."""
     p, _ = _matrix_program()
     cm = _vm(p).compiled_code_for(p.main)
     cm.code, cm.reg_count, cm.frame_words = code, 9, 4
-    return region_source(cm, counted=counted)[0]
+    return region_source(cm, **options)[0]
 
 
 class TestRegionBatching:
@@ -1875,8 +1895,9 @@ def _main_source(code, source, **options):
 def _store_outcome(code, level, observer=False):
     """Run ``code(env)`` as main with the objects ``S_*`` name in those
     registers and return the fault, every register, the remembered set
-    (its counts and entries), the memory system's counts and — after a
-    fault, only under a hook, where it is exact — the clock."""
+    (its counts and entries), the memory system's counts, — after a
+    fault, only under a hook, where it is exact — the clock, and every
+    address accessed, in order."""
     p, env = _matrix_program()
     vm = _vm(p, fastpath=level)
     plan = vm.plan
@@ -1890,19 +1911,7 @@ def _store_outcome(code, level, observer=False):
     ms = vm.memsys
     if observer:
         ms.attach_observer("L1D_MISS", lambda eip: None)
-    addresses = []
-    access, drain = ms.access, ms.access_run_segments
-
-    def one(address, is_write, eip):
-        addresses.append(address)
-        return access(address, is_write, eip)
-
-    def run(log):
-        for entry in log:
-            addresses.extend(entry[0] or ())
-        return drain(log)
-
-    ms.access, ms.access_run_segments = one, run
+    addresses = _recorded_addresses(ms)
     cpu = vm.cpu
     cpu._push_frame(cm, ())
     frame = cpu.frames[-1]
@@ -1917,14 +1926,13 @@ def _store_outcome(code, level, observer=False):
         fault = str(error)
     names = {id(obj): name for name, obj in objects.items()}
     remset = plan.remset
-    ms = vm.memsys
     return (fault, [names.get(id(value), type(value).__name__)
                     for value in frame.regs],
             (remset.barrier_stores, remset.remembered,
              [(names[id(holder)], slot) for holder, slot in remset.slots()]),
             (ms.n_loads, ms.n_stores, ms.n_l1_miss, ms.n_dtlb_miss),
             (cpu.instructions, cpu.cycles) if observer or fault is None
-            else None)
+            else None, addresses)
 
 
 class TestChurnPaths:
